@@ -18,12 +18,23 @@
 // A decode failure at the receiver terminates the call with
 // failure("could not decode") AND breaks the stream, so further calls on
 // that stream are discarded, exactly as the paper prescribes.
+//
+// Lifetime: the *Call a handler receives, its Args slice, and every
+// []byte among the arguments (a view of the received datagram) are valid
+// only until the handler returns; the executor reuses them for its next
+// call. Returning call.Args as the results is fine. A handler that keeps
+// the call or an argument's bytes — for a goroutine, a table, a queue —
+// takes call.Clone() first. Dispatch itself takes no lock and allocates
+// nothing: the handler table is an immutable snapshot that AddHandler,
+// RemoveHandler and SetParallel replace.
 package guardian
 
 import (
 	"fmt"
+	"maps"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"promises/internal/clock"
 	"promises/internal/exception"
@@ -41,7 +52,11 @@ import (
 // guardian is created belong to the same group."
 const DefaultGroup = "main"
 
-// Call is one decoded incoming handler call.
+// Call is one decoded incoming handler call. It is per-executor scratch
+// under the same contract as stream.Incoming (see the package comment):
+// valid only until the handler returns, Clone to retain. A retained Call
+// is poisoned at retirement — its fields read as zero values and its
+// methods panic — instead of silently showing whichever call reuses it.
 type Call struct {
 	// Args are the decoded argument values.
 	Args []any
@@ -60,21 +75,59 @@ type Call struct {
 	// Guardian is the receiving guardian, so handlers can create ports
 	// dynamically or call out to other guardians.
 	Guardian *Guardian
+
+	retired bool // set when the handler returned; later use fails loudly
+}
+
+func (c *Call) live() {
+	if c.retired {
+		panic("guardian: Call used after its handler returned (Clone to retain)")
+	}
+}
+
+// Clone returns a heap copy of the call that stays valid after the
+// handler returns — the supported way to retain a call or its arguments.
+// Argument bytes are copied out of the datagram they alias.
+func (c *Call) Clone() *Call {
+	c.live()
+	cp := *c
+	cp.Args = wire.CloneValues(c.Args)
+	return &cp
 }
 
 // ChildCause is the causal context for downstream calls made on this
 // call's behalf: the chain root is inherited (or starts here), the
 // parent is this call.
-func (c *Call) ChildCause() trace.Cause { return trace.ChildOf(c.Cause, c.Trace) }
+func (c *Call) ChildCause() trace.Cause {
+	c.live()
+	return trace.ChildOf(c.Cause, c.Trace)
+}
 
 // IntArg returns argument i as an int64 (failure exception on mismatch).
-func (c *Call) IntArg(i int) (int64, error) { return wire.IntArg(c.Args, i) }
+func (c *Call) IntArg(i int) (int64, error) { c.live(); return wire.IntArg(c.Args, i) }
 
 // FloatArg returns argument i as a float64.
-func (c *Call) FloatArg(i int) (float64, error) { return wire.FloatArg(c.Args, i) }
+func (c *Call) FloatArg(i int) (float64, error) { c.live(); return wire.FloatArg(c.Args, i) }
 
 // StringArg returns argument i as a string.
-func (c *Call) StringArg(i int) (string, error) { return wire.StringArg(c.Args, i) }
+func (c *Call) StringArg(i int) (string, error) { c.live(); return wire.StringArg(c.Args, i) }
+
+// callScratch is what one executor reuses from call to call: the Call
+// handed to handlers and the backing array of its Args. It lives in the
+// executor's stream.Incoming (Local), so it is only ever touched by the
+// goroutine running that executor.
+type callScratch struct {
+	call Call
+	args []any
+}
+
+// retire poisons the Call and drops the argument values, so a retained
+// pointer sees nothing of the next call and nothing stays reachable
+// through the scratch.
+func (sc *callScratch) retire() {
+	clear(sc.args[:cap(sc.args)])
+	sc.call = Call{retired: true}
+}
 
 // HandlerFunc processes one call. It returns the reply's result values, or
 // an error: an *exception.Exception terminates the call with that
@@ -128,6 +181,18 @@ func (m *guardianMetrics) noteOutcome(o stream.Outcome) {
 	}
 }
 
+// portEntry is one port's row in the dispatch table.
+type portEntry struct {
+	// handler is the port's HandlerFunc already adapted to the stream
+	// layer, built once when the handler is added; nil for a port that
+	// has only been marked parallel so far.
+	handler  stream.Handler
+	group    string
+	parallel bool // opted out of per-stream ordering
+}
+
+type portTable map[string]portEntry
+
 // Guardian is one active entity.
 type Guardian struct {
 	name string
@@ -135,11 +200,14 @@ type Guardian struct {
 	peer *stream.Peer
 	gm   *guardianMetrics
 
-	mu       sync.Mutex
-	handlers map[string]HandlerFunc // port -> handler
-	groups   map[string]string      // port -> group
-	parallel map[string]bool        // ports opted out of per-stream ordering
-	closed   bool
+	// ports is the dispatch table: an immutable snapshot that every call
+	// reads with one atomic load and no lock. Writers (AddHandler,
+	// RemoveHandler, SetParallel) copy it, change the copy and publish
+	// that, serialised by mu.
+	ports atomic.Pointer[portTable]
+
+	mu     sync.Mutex // serialises table writers; guards closed
+	closed bool
 
 	bg bgState // guardian-internal background processes
 }
@@ -162,20 +230,17 @@ func New(net *simnet.Network, name string, opts stream.Options) (*Guardian, erro
 func NewOn(ep transport.Endpoint, opts stream.Options) (*Guardian, error) {
 	peer := stream.NewPeer(ep, opts)
 	g := &Guardian{
-		name:     ep.Name(),
-		ep:       ep,
-		peer:     peer,
-		gm:       newGuardianMetrics(peer.Metrics()),
-		handlers: make(map[string]HandlerFunc),
-		groups:   make(map[string]string),
-		parallel: make(map[string]bool),
+		name: ep.Name(),
+		ep:   ep,
+		peer: peer,
+		gm:   newGuardianMetrics(peer.Metrics()),
 	}
-	g.peer.SetDispatcher(g.dispatch)
-	g.peer.SetParallelPorts(func(port string) bool {
-		g.mu.Lock()
-		defer g.mu.Unlock()
-		return g.parallel[port]
+	g.ports.Store(&portTable{})
+	g.peer.SetDispatcher(func(port string) (stream.Handler, bool) {
+		h := g.port(port).handler
+		return h, h != nil
 	})
+	g.peer.SetParallelPorts(func(port string) bool { return g.port(port).parallel })
 	return g, nil
 }
 
@@ -213,23 +278,22 @@ func (g *Guardian) AddHandler(port string, h HandlerFunc) Ref {
 
 // AddHandlerIn creates a handler whose port belongs to the given group —
 // ports can also be created dynamically, while the guardian runs — and
-// returns its Ref. Re-registering a port replaces its handler.
+// returns its Ref. Re-registering a port replaces its handler. The very
+// next call dispatched sees the change.
 func (g *Guardian) AddHandlerIn(group, port string, h HandlerFunc) Ref {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.handlers[port] = h
-	g.groups[port] = group
+	adapted := g.adapt(port, group, h)
+	g.updatePorts(func(t portTable) {
+		e := t[port] // a re-registered port keeps its parallel bit
+		e.handler, e.group = adapted, group
+		t[port] = e
+	})
 	return Ref{Node: g.name, Group: group, Port: port}
 }
 
 // RemoveHandler deletes a port; subsequent calls to it terminate with
 // failure("handler does not exist").
 func (g *Guardian) RemoveHandler(port string) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	delete(g.handlers, port)
-	delete(g.groups, port)
-	delete(g.parallel, port)
+	g.updatePorts(func(t portTable) { delete(t, port) })
 }
 
 // SetParallel opts a port out of per-stream serial execution: its calls
@@ -238,74 +302,90 @@ func (g *Guardian) RemoveHandler(port string) {
 // concurrency; calls to other (serial) ports still wait for all earlier
 // calls.
 func (g *Guardian) SetParallel(port string, parallel bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if parallel {
-		g.parallel[port] = true
-	} else {
-		delete(g.parallel, port)
-	}
+	g.updatePorts(func(t portTable) {
+		e := t[port]
+		e.parallel = parallel
+		t[port] = e
+	})
 }
 
 // Ref returns the Ref for an existing port, and whether it exists.
 func (g *Guardian) Ref(port string) (Ref, bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	group, ok := g.groups[port]
-	if !ok {
+	e := g.port(port)
+	if e.handler == nil {
 		return Ref{}, false
 	}
-	return Ref{Node: g.name, Group: group, Port: port}, true
+	return Ref{Node: g.name, Group: e.group, Port: port}, true
 }
 
-// dispatch adapts a registered HandlerFunc to the stream layer: it decodes
-// arguments, runs the handler, and encodes results, applying the paper's
-// failure semantics at each step.
-func (g *Guardian) dispatch(port string) (stream.Handler, bool) {
+// port is the lock-free lookup every dispatched call makes; an unknown
+// port reads as the zero entry.
+func (g *Guardian) port(port string) portEntry { return (*g.ports.Load())[port] }
+
+// updatePorts applies change to a copy of the dispatch table and
+// publishes the copy.
+func (g *Guardian) updatePorts(change func(portTable)) {
 	g.mu.Lock()
-	h, ok := g.handlers[port]
-	group := g.groups[port]
-	g.mu.Unlock()
-	if !ok {
-		return nil, false
+	defer g.mu.Unlock()
+	next := maps.Clone(*g.ports.Load())
+	change(next)
+	g.ports.Store(&next)
+}
+
+// adapt turns a HandlerFunc into the stream layer's handler for its port:
+// it decodes arguments, runs the handler, and encodes results, applying
+// the paper's failure semantics at each step. It runs once per AddHandler,
+// not per call.
+func (g *Guardian) adapt(port, group string, h HandlerFunc) stream.Handler {
+	return func(in *stream.Incoming) stream.Outcome {
+		out := g.execute(in, port, group, h)
+		g.gm.noteOutcome(out)
+		return out
 	}
-	return func(in *stream.Incoming) (out stream.Outcome) {
-		defer func() { g.gm.noteOutcome(out) }()
-		// Receiver-side grouping: a port may only be called through its
-		// own group's streams, since sequencing is per group.
-		if in.Group != group {
-			return stream.ExceptionOutcome(exception.Failuref(
-				"port %q is not in group %q", port, in.Group))
-		}
-		args, err := wire.Unmarshal(in.Args)
-		if err != nil {
-			// "When the problem happens at the receiver, the stream breaks
-			// so that further calls on that stream will be discarded."
-			ex := exception.Failure("could not decode")
-			in.BreakStream(ex)
-			return stream.ExceptionOutcome(ex)
-		}
-		call := &Call{
-			Args:     args,
-			From:     in.From,
-			Agent:    in.Agent,
-			Seq:      in.Seq,
-			Trace:    in.Trace,
-			Cause:    in.Cause,
-			Guardian: g,
-		}
-		results, err := runHandler(h, call)
-		if err != nil {
-			return stream.ExceptionOutcome(toException(err))
-		}
-		payload, err := wire.Marshal(results...)
-		if err != nil {
-			ex := exception.Failure("could not encode results")
-			in.BreakStream(ex)
-			return stream.ExceptionOutcome(ex)
-		}
-		return stream.NormalOutcome(payload)
-	}, true
+}
+
+func (g *Guardian) execute(in *stream.Incoming, port, group string, h HandlerFunc) stream.Outcome {
+	// Receiver-side grouping: a port may only be called through its
+	// own group's streams, since sequencing is per group.
+	if in.Group != group {
+		return stream.ExceptionOutcome(exception.Failuref(
+			"port %q is not in group %q", port, in.Group))
+	}
+	sc, _ := in.Local.(*callScratch)
+	if sc == nil {
+		sc = &callScratch{}
+		in.Local = sc
+	}
+	args, err := wire.UnmarshalInto(sc.args[:0], in.Args)
+	if err != nil {
+		// "When the problem happens at the receiver, the stream breaks
+		// so that further calls on that stream will be discarded."
+		ex := exception.Failure("could not decode")
+		in.BreakStream(ex)
+		return stream.ExceptionOutcome(ex)
+	}
+	sc.args = args
+	sc.call = Call{
+		Args:     args,
+		From:     in.From,
+		Agent:    in.Agent,
+		Seq:      in.Seq,
+		Trace:    in.Trace,
+		Cause:    in.Cause,
+		Guardian: g,
+	}
+	defer sc.retire()
+	results, err := runHandler(h, &sc.call)
+	if err != nil {
+		return stream.ExceptionOutcome(toException(err))
+	}
+	payload, err := wire.Marshal(results...)
+	if err != nil {
+		ex := exception.Failure("could not encode results")
+		in.BreakStream(ex)
+		return stream.ExceptionOutcome(ex)
+	}
+	return stream.NormalOutcome(payload)
 }
 
 // runHandler isolates handler panics: a panicking handler terminates its

@@ -2,7 +2,6 @@ package promise
 
 import (
 	"context"
-	"sync"
 
 	"promises/internal/exception"
 	"promises/internal/stream"
@@ -50,7 +49,7 @@ func CallCause[T any](s *stream.Stream, port string, cause trace.Cause, dec Deco
 	if err != nil {
 		return nil, err
 	}
-	return wrapPending(pending, dec), nil
+	return &Promise[T]{pend: pending, dec: dec}, nil
 }
 
 // Send makes a send to the named port: the caller hears back only if the
@@ -71,7 +70,7 @@ func SendCause(s *stream.Stream, port string, cause trace.Cause, args ...any) (*
 	if err != nil {
 		return nil, err
 	}
-	return wrapPending(pending, None), nil
+	return &Promise[Unit]{pend: pending, dec: None}, nil
 }
 
 // RPC makes an ordinary remote procedure call on the stream: the request
@@ -93,72 +92,25 @@ func RPCCause[T any](ctx context.Context, s *stream.Stream, port string, cause t
 	if err != nil {
 		return zero, err
 	}
-	return decodeOutcome(outcome, dec)
-}
-
-// pendingSource adapts a stream.Pending handle to the promise source
-// interface under the transport's claim-then-release discipline: the
-// decode claims the outcome exactly once and immediately releases the
-// pooled cell behind the handle. After the release, the source answers
-// Ready from its own latch (and Done from the channel captured at wrap
-// time), so the promise never touches the recycled handle again.
-type pendingSource struct {
-	done <-chan struct{}
-
-	mu    sync.Mutex
-	p     stream.Pending
-	freed bool
-}
-
-func (ps *pendingSource) Done() <-chan struct{} { return ps.done }
-
-func (ps *pendingSource) Ready() bool {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	if ps.freed {
-		return true
-	}
-	return ps.p.Ready()
-}
-
-// claimAndFree blocks for the outcome, then recycles the transport cell.
-// Called exactly once, from the promise's once-guarded decode.
-func (ps *pendingSource) claimAndFree() stream.Outcome {
-	o := ps.p.Get()
-	ps.mu.Lock()
-	ps.freed = true // Ready answers from the latch from here on
-	ps.mu.Unlock()
-	ps.p.Release()
-	return o
-}
-
-// wrapPending builds the typed promise over a transport pending.
-func wrapPending[T any](p stream.Pending, dec Decoder[T]) *Promise[T] {
-	ps := &pendingSource{p: p, done: p.Done()}
-	return fromSource(ps, func() (T, *exception.Exception) {
-		v, err := decodeOutcome(ps.claimAndFree(), dec)
-		if err != nil {
-			ex, ok := exception.As(err)
-			if !ok {
-				ex = exception.Failure(err.Error())
-			}
-			return v, ex
-		}
-		return v, nil
-	})
+	return decodeOutcome(outcome, dec, nil)
 }
 
 // decodeOutcome turns a transport outcome into a typed result: normal
 // outcomes decode through dec (a mismatch is failure("could not decode")),
-// exceptional outcomes become the exception.
-func decodeOutcome[T any](o stream.Outcome, dec Decoder[T]) (T, error) {
+// exceptional outcomes become the exception. The result values are
+// appended to scratch and are owned copies: nothing handed to dec aliases
+// the reply datagram.
+func decodeOutcome[T any](o stream.Outcome, dec Decoder[T], scratch []any) (T, error) {
 	var zero T
 	if !o.Normal {
 		return zero, o.Err()
 	}
-	vals, err := o.Results()
-	if err != nil {
-		return zero, err
+	var vals []any
+	if len(o.Payload) > 0 { // sends omit the normal reply: no result values
+		var err error
+		if vals, err = wire.UnmarshalAppend(scratch, o.Payload); err != nil {
+			return zero, exception.Failure("could not decode")
+		}
 	}
 	v, err := dec(vals)
 	if err != nil {

@@ -89,26 +89,19 @@ func Start[T any](g *Graph, dec Decoder[T]) (*Promise[T], error) {
 	if err != nil {
 		return nil, err
 	}
-	s, cause := g.s, g.cause
-	ps := &pendingSource{p: pending, done: pending.Done()}
-	return fromSource(ps, func() (T, *exception.Exception) {
-		o := ps.claimAndFree()
-		if o.Normal && !o.Piped && len(stages) > 0 {
-			// Unpiped normal reply with hops outstanding: the endpoint does
-			// not pipeline (legacy decoder, or pipelining disabled). The
-			// reply is stage one's value; drive the rest caller-mediated.
-			o = runFallback(s, o, stages, cause)
-		}
-		v, err := decodeOutcome(o, dec)
-		if err != nil {
-			ex, ok := exception.As(err)
-			if !ok {
-				ex = exception.Failure(err.Error())
-			}
-			return v, ex
-		}
-		return v, nil
-	}), nil
+	p := &Promise[T]{pend: pending, dec: dec}
+	if len(stages) > 0 {
+		p.tail = &pipeTail{s: g.s, stages: stages, cause: g.cause}
+	}
+	return p, nil
+}
+
+// pipeTail is what a pipelined promise keeps of its graph in case the
+// chain comes back unfinished (see Promise.settle).
+type pipeTail struct {
+	s      *stream.Stream
+	stages []stream.PipeStage
+	cause  trace.Cause
 }
 
 // Run is Start followed by Claim: it launches the graph and blocks for

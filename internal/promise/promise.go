@@ -19,8 +19,9 @@
 //
 // Promises arise three ways:
 //
-//   - stream calls (Call, Send): the promise is backed by the stream
-//     transport's Pending and becomes ready in strict call order;
+//   - stream calls (Call, Send, Start): the promise is one object holding
+//     the stream transport's Pending and its result decoder, and becomes
+//     ready in strict call order;
 //   - local forks (the fork package): a new process runs the procedure and
 //     resolves the promise when it terminates;
 //   - directly (New + Fulfill/Signal), the building block for both.
@@ -29,8 +30,10 @@ package promise
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 
 	"promises/internal/exception"
+	"promises/internal/stream"
 )
 
 // Promise is a strongly typed placeholder for a value of type T that will
@@ -40,11 +43,29 @@ type Promise[T any] struct {
 	// Exactly one of the two backings is active:
 	//
 	// Cell backing (New): mu/ready/done guard a write-once cell.
-	// Outcome backing (Call/Send): src supplies a raw outcome when done
-	// closes, and decode (guarded by once) turns it into val/exc.
-	src    source
-	decode func() (T, *exception.Exception)
-	once   sync.Once
+	//
+	// Stream backing (Call/Send/Start): pend is the transport's handle for
+	// the call and dec turns its outcome into val/exc. The first claimer
+	// to see the outcome settles the promise — decodes once, under
+	// settling — and the transport's pooled cell is released as soon as
+	// nobody is using the handle any more (see hold). From then on every
+	// operation answers from val/exc and the settled latch, never from
+	// the handle.
+	pend stream.Pending
+	dec  Decoder[T]
+	tail *pipeTail // Start only: how to finish an unpiped chain
+
+	// settling is not mu: finishing an unpiped chain blocks on further
+	// calls, and subscribing (onReady) must not wait for that.
+	settling sync.Mutex
+	settled  atomic.Bool  // val/exc are final; pend is not to be touched
+	users    atomic.Int32 // goroutines inside an operation on pend
+	freed    atomic.Bool  // pend's cell went back to the pool
+
+	// results backs the decoded result list handed to dec, so a reply of
+	// up to two values costs no slice. It is part of the promise, never
+	// reused, so a decoder may keep the list.
+	results [2]any
 
 	mu    sync.Mutex
 	done  chan struct{}
@@ -56,22 +77,20 @@ type Promise[T any] struct {
 	// subscription machinery) to run once the promise is ready; nil after
 	// dispatch. dispatched marks that the ready callbacks have run (or
 	// are running), so late subscribers execute inline instead of being
-	// appended to a list nobody will drain. srcWatch bounds src-backed
+	// appended to a list nobody will drain. watching bounds stream-backed
 	// promises to at most one waiter goroutine however many subscribers
-	// attach. All guarded by mu except srcWatch (a sync.Once).
+	// attach. All guarded by mu.
 	subs       []func()
 	dispatched bool
-	srcWatch   sync.Once
+	watching   bool
 }
 
-// source is the transport-level backing of a stream-call promise. It is
-// satisfied by the stream.Pending adapter in call.go (which claims and
-// then releases the transport's pooled cell) but kept abstract so
-// promises do not depend on one transport.
-type source interface {
-	Done() <-chan struct{}
-	Ready() bool
-}
+// closedChan is what Done returns for a settled stream-backed promise.
+var closedChan = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
 
 // New creates a promise in the blocked state. It becomes ready when
 // Fulfill or Signal is called.
@@ -79,18 +98,82 @@ func New[T any]() *Promise[T] {
 	return &Promise[T]{done: make(chan struct{})}
 }
 
-// fromSource creates a promise backed by a transport outcome; decode runs
-// exactly once, after src is done.
-func fromSource[T any](src source, decode func() (T, *exception.Exception)) *Promise[T] {
-	return &Promise[T]{src: src, decode: decode}
+// streamBacked reports which backing is active; it never changes.
+func (p *Promise[T]) streamBacked() bool { return p.pend.Valid() }
+
+// hold pins the transport handle for one operation on it, ended by drop.
+// It reports false — and pins nothing — once the promise has settled:
+// the caller answers from val/exc instead. Counting the users lets
+// concurrent claimers, pollers and the subscription waiter share a handle
+// that panics on any use after its Release.
+func (p *Promise[T]) hold() bool {
+	if p.settled.Load() {
+		return false
+	}
+	p.users.Add(1)
+	if p.settled.Load() {
+		p.drop()
+		return false
+	}
+	return true
+}
+
+// drop ends a hold. The last user out after the promise settled returns
+// the transport cell to its pool; a hold that starts later increments
+// users before it checks settled, so it is either counted here or backs
+// off.
+func (p *Promise[T]) drop() {
+	if p.users.Add(-1) == 0 && p.settled.Load() && p.freed.CompareAndSwap(false, true) {
+		p.pend.Release()
+	}
+}
+
+// await waits for the stream to resolve the call, or for ctx to end, and
+// settles the promise. A ready call returns at once; a context that
+// cannot end waits on the transport cell's condition variable; only a
+// cancellable wait selects on a channel.
+func (p *Promise[T]) await(ctx context.Context) error {
+	if !p.hold() {
+		return nil
+	}
+	defer p.drop()
+	o, err := p.pend.Wait(ctx)
+	if err == nil {
+		p.settle(o)
+	}
+	return err
+}
+
+// settle decodes the transport outcome into val/exc, once; the caller
+// holds the handle. Later outcomes (every claimer that waited gets its
+// own copy) are ignored.
+func (p *Promise[T]) settle(o stream.Outcome) {
+	p.settling.Lock()
+	defer p.settling.Unlock()
+	if p.settled.Load() {
+		return
+	}
+	if t := p.tail; t != nil && o.Normal && !o.Piped {
+		// Unpiped normal reply with hops outstanding: the endpoint does
+		// not pipeline (legacy decoder, or pipelining disabled). The
+		// reply is stage one's value; drive the rest caller-mediated.
+		o = runFallback(t.s, o, t.stages, t.cause)
+	}
+	v, err := decodeOutcome(o, p.dec, p.results[:0])
+	if err != nil {
+		p.exc = toException(err)
+	} else {
+		p.val = v
+	}
+	p.settled.Store(true)
 }
 
 // Fulfill resolves the promise with a normal result. It reports whether
 // this call performed the resolution: a promise is write-once, so on an
 // already-ready promise Fulfill does nothing and returns false.
 func (p *Promise[T]) Fulfill(v T) bool {
-	if p.src != nil {
-		return false // transport-backed promises resolve via the stream
+	if p.streamBacked() {
+		return false // stream-backed promises resolve via the stream
 	}
 	p.mu.Lock()
 	if p.ready {
@@ -112,7 +195,7 @@ func (p *Promise[T]) Signal(ex *exception.Exception) bool {
 	if ex == nil {
 		ex = exception.Failure("nil exception")
 	}
-	if p.src != nil {
+	if p.streamBacked() {
 		return false
 	}
 	p.mu.Lock()
@@ -148,35 +231,13 @@ func runSubs(subs []func()) {
 // already-ready promise fn runs inline, before onReady returns — this is
 // what makes combinator chains over resolved promises cost zero
 // goroutines. On a blocked promise fn runs on whichever goroutine
-// resolves it (Fulfill/Signal), or, for transport-backed promises, on a
+// resolves it (Fulfill/Signal), or, for stream-backed promises, on a
 // single shared waiter goroutine started at first subscription.
 // Callbacks must therefore be brief and must not block on the promise's
 // own resolution path.
 func (p *Promise[T]) onReady(fn func()) {
-	if p.src != nil {
-		if p.src.Ready() {
-			fn()
-			return
-		}
-		p.mu.Lock()
-		if p.dispatched {
-			p.mu.Unlock()
-			fn()
-			return
-		}
-		p.subs = append(p.subs, fn)
-		p.mu.Unlock()
-		// One waiter goroutine per src-backed promise, shared by every
-		// subscriber; promises nobody subscribes to never start it.
-		p.srcWatch.Do(func() {
-			go func() {
-				<-p.src.Done()
-				p.mu.Lock()
-				subs := p.takeSubsLocked()
-				p.mu.Unlock()
-				runSubs(subs)
-			}()
-		})
+	if p.streamBacked() && p.Ready() {
+		fn()
 		return
 	}
 	p.mu.Lock()
@@ -186,14 +247,34 @@ func (p *Promise[T]) onReady(fn func()) {
 		return
 	}
 	p.subs = append(p.subs, fn)
+	// One waiter goroutine per stream-backed promise, shared by every
+	// subscriber; promises nobody subscribes to never start it.
+	watch := p.streamBacked() && !p.watching
+	if watch {
+		p.watching = true
+	}
 	p.mu.Unlock()
+	if watch {
+		go func() {
+			p.outcome() // blocks until the stream resolves the call
+			p.mu.Lock()
+			subs := p.takeSubsLocked()
+			p.mu.Unlock()
+			runSubs(subs)
+		}()
+	}
 }
 
 // Ready reports whether the promise is ready: true once the call has
 // completed (normally or exceptionally), false while it is blocked.
 func (p *Promise[T]) Ready() bool {
-	if p.src != nil {
-		return p.src.Ready()
+	if p.streamBacked() {
+		if !p.hold() {
+			return true
+		}
+		ready := p.pend.Ready()
+		p.drop()
+		return ready
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -201,10 +282,17 @@ func (p *Promise[T]) Ready() bool {
 }
 
 // Done returns a channel that is closed when the promise becomes ready,
-// for use in select statements.
+// for use in select statements. A stream-backed promise makes the channel
+// only when Done is first asked for; Claim, Ready and TryClaim never need
+// it.
 func (p *Promise[T]) Done() <-chan struct{} {
-	if p.src != nil {
-		return p.src.Done()
+	if p.streamBacked() {
+		if !p.hold() {
+			return closedChan
+		}
+		done := p.pend.Done()
+		p.drop()
+		return done
 	}
 	return p.done
 }
@@ -215,11 +303,18 @@ func (p *Promise[T]) Done() <-chan struct{} {
 // returns ctx.Err() if the context ends first — the promise itself is
 // unaffected and can be claimed again.
 func (p *Promise[T]) Claim(ctx context.Context) (T, error) {
-	select {
-	case <-p.Done():
-	case <-ctx.Done():
-		var zero T
-		return zero, ctx.Err()
+	if p.streamBacked() {
+		if err := p.await(ctx); err != nil {
+			var zero T
+			return zero, err
+		}
+	} else {
+		select {
+		case <-p.done:
+		case <-ctx.Done():
+			var zero T
+			return zero, ctx.Err()
+		}
 	}
 	v, exc := p.outcome()
 	if exc != nil {
@@ -259,13 +354,12 @@ func (p *Promise[T]) Exception() *exception.Exception {
 	return exc
 }
 
-// outcome returns the resolved value/exception pair; the promise must be
-// ready. For transport-backed promises the decode runs exactly once.
+// outcome returns the resolved value/exception pair. A cell-backed
+// promise must be ready; a stream-backed one is waited for and settled if
+// it has not been yet.
 func (p *Promise[T]) outcome() (T, *exception.Exception) {
-	if p.src != nil {
-		p.once.Do(func() {
-			p.val, p.exc = p.decode()
-		})
+	if p.streamBacked() {
+		_ = p.await(context.Background()) // cannot end early: no error
 		return p.val, p.exc
 	}
 	p.mu.Lock()

@@ -63,6 +63,13 @@ type Incoming struct {
 	Trace uint64
 	Cause trace.Cause
 
+	// Local belongs to the dispatch layer above. It is the one field that
+	// survives retirement: whatever a handler leaves here is handed to
+	// the next call that runs on the same executor, so a dispatcher can
+	// keep its own per-call scratch beside the stream's (the guardian
+	// parks its Call there). The stream layer never reads it.
+	Local any
+
 	breakReason *exception.Exception
 	retired     bool // set when the handler returned; later use fails loudly
 }
@@ -90,6 +97,7 @@ func (c *Incoming) Clone() *Incoming {
 	}
 	cp := *c
 	cp.breakReason = nil
+	cp.Local = nil
 	args := make([]byte, len(c.Args))
 	copy(args, c.Args)
 	cp.Args = args
@@ -112,7 +120,7 @@ func (c *Incoming) ChildCause() trace.Cause {
 // retire poisons the scratch between calls so a handler that kept the
 // pointer reads zeroes (and panics on BreakStream/Clone) instead of
 // silently observing — or corrupting — a later call.
-func (c *Incoming) retire() { *c = Incoming{retired: true} }
+func (c *Incoming) retire() { *c = Incoming{retired: true, Local: c.Local} }
 
 // Handler executes one incoming call and produces its outcome. Handlers
 // for calls on the same stream run strictly one at a time, in call order;
@@ -487,6 +495,7 @@ func (r *rstream) executeOne(req request, call *Incoming) {
 		Args:  req.Args,
 		Trace: req.Trace,
 		Cause: trace.Cause{Root: req.Root, Parent: req.Parent},
+		Local: call.Local,
 	}
 	sm := r.peer.sm
 	var execStart time.Time

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"testing"
 	"unsafe"
 )
@@ -136,5 +137,58 @@ func FuzzUnmarshal(f *testing.F) {
 		if _, err := Marshal(vals...); err != nil {
 			t.Fatalf("decoded values failed to re-encode: %v", err)
 		}
+	})
+}
+
+// FuzzUnmarshalIntoMatchesUnmarshal: the view decode and the copying
+// decode are the same function of their input — the same values, or an
+// error from both — and every byte string the view decode hands out lies
+// inside the input.
+func FuzzUnmarshalIntoMatchesUnmarshal(f *testing.F) {
+	for _, s := range fuzzSeeds() {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		owned, ownedErr := Unmarshal(data)
+		var scratch [4]any
+		views, viewErr := UnmarshalInto(scratch[:0], data)
+		if (ownedErr == nil) != (viewErr == nil) {
+			t.Fatalf("Unmarshal err %v, UnmarshalInto err %v", ownedErr, viewErr)
+		}
+		if ownedErr != nil {
+			if ownedErr.Error() != viewErr.Error() {
+				t.Fatalf("errors differ: %v vs %v", ownedErr, viewErr)
+			}
+			return
+		}
+		// NaN != NaN under DeepEqual; compare through the encoding.
+		a, errA := Marshal(owned...)
+		b, errB := Marshal(views...)
+		if errA != nil || errB != nil || !bytes.Equal(a, b) {
+			t.Fatalf("decodes differ: %v (%v) vs %v (%v)", owned, errA, views, errB)
+		}
+		var walk func(v any)
+		walk = func(v any) {
+			switch x := v.(type) {
+			case []byte:
+				if len(x) == 0 {
+					return
+				}
+				lo := uintptr(unsafe.Pointer(&data[0]))
+				p := uintptr(unsafe.Pointer(&x[0]))
+				if p < lo || p+uintptr(len(x)) > lo+uintptr(len(data)) {
+					t.Fatalf("view escapes input bounds")
+				}
+			case []any:
+				for _, e := range x {
+					walk(e)
+				}
+			case map[string]any:
+				for _, e := range x {
+					walk(e)
+				}
+			}
+		}
+		walk(any(views))
 	})
 }

@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"reflect"
 	"sort"
 	"sync"
@@ -137,22 +138,53 @@ func Marshal(vals ...any) ([]byte, error) { return defaultRegistry.Marshal(vals.
 // codec registry.
 func Unmarshal(data []byte) ([]any, error) { return defaultRegistry.Unmarshal(data) }
 
-// Marshal encodes a sequence of values into one byte string.
-func (r *Registry) Marshal(vals ...any) ([]byte, error) {
-	buf := make([]byte, 0, 16*len(vals)+8)
-	buf = appendUvarint(buf, uint64(len(vals)))
-	var err error
-	for _, v := range vals {
-		buf, err = r.appendValue(buf, v)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return buf, nil
+// UnmarshalAppend is Registry.UnmarshalAppend on the default registry.
+func UnmarshalAppend(dst []any, data []byte) ([]any, error) {
+	return defaultRegistry.UnmarshalAppend(dst, data)
 }
 
-// Unmarshal decodes a byte string produced by Marshal.
+// UnmarshalInto is Registry.UnmarshalInto on the default registry.
+func UnmarshalInto(dst []any, data []byte) ([]any, error) {
+	return defaultRegistry.UnmarshalInto(dst, data)
+}
+
+// Marshal encodes a sequence of values into one byte string. The encoding
+// is sized first, so the result is allocated exactly once whatever the
+// arguments' lengths.
+func (r *Registry) Marshal(vals ...any) ([]byte, error) {
+	e := encoder{reg: r, sizing: true}
+	if err := e.values(vals); err != nil {
+		return nil, err
+	}
+	e.sizing, e.buf = false, make([]byte, 0, e.n)
+	_ = e.values(vals) // everything that can fail did, in the sizing pass
+	return e.buf, nil
+}
+
+// Unmarshal decodes a byte string produced by Marshal. The values are
+// owned by the caller: nothing in them aliases data.
 func (r *Registry) Unmarshal(data []byte) ([]any, error) {
+	return r.decode(nil, data, false)
+}
+
+// UnmarshalAppend is Unmarshal appending the values to dst, for callers
+// that bring their own slice. The values are owned copies, like
+// Unmarshal's.
+func (r *Registry) UnmarshalAppend(dst []any, data []byte) ([]any, error) {
+	return r.decode(dst, data, false)
+}
+
+// UnmarshalInto decodes data as views: it appends the values to dst, and
+// every []byte among them (at any depth) aliases data instead of being
+// copied. The values are valid for as long as data is — a receiver
+// decoding a datagram into per-call scratch is the motivating user —
+// and CloneValues makes a decoded list outlive the buffer. Strings are
+// immutable and are always copied.
+func (r *Registry) UnmarshalInto(dst []any, data []byte) ([]any, error) {
+	return r.decode(dst, data, true)
+}
+
+func (r *Registry) decode(dst []any, data []byte, views bool) ([]any, error) {
 	n, rest, err := readUvarint(data)
 	if err != nil {
 		return nil, &DecodeError{Err: err}
@@ -160,122 +192,222 @@ func (r *Registry) Unmarshal(data []byte) ([]any, error) {
 	if n > uint64(len(rest))+1 {
 		return nil, &DecodeError{Err: fmt.Errorf("value count %d exceeds input", n)}
 	}
-	vals := make([]any, 0, n)
+	if dst == nil {
+		dst = make([]any, 0, n)
+	}
 	for i := uint64(0); i < n; i++ {
 		var v any
-		v, rest, err = r.readValue(rest)
+		v, rest, err = r.readValue(rest, views)
 		if err != nil {
 			return nil, err
 		}
-		vals = append(vals, v)
+		dst = append(dst, v)
 	}
 	if len(rest) != 0 {
 		return nil, &DecodeError{Err: fmt.Errorf("%d trailing bytes", len(rest))}
 	}
-	return vals, nil
+	return dst, nil
 }
 
-func (r *Registry) appendValue(buf []byte, v any) ([]byte, error) {
+// CloneValues returns a deep copy of a decoded value list in which no
+// []byte aliases the buffer it was decoded from — what a holder of
+// UnmarshalInto's views calls to keep them.
+func CloneValues(vals []any) []any {
+	if vals == nil {
+		return nil
+	}
+	out := make([]any, len(vals))
+	for i, v := range vals {
+		out[i] = cloneValue(v)
+	}
+	return out
+}
+
+func cloneValue(v any) any {
+	switch x := v.(type) {
+	case []byte:
+		out := make([]byte, len(x))
+		copy(out, x)
+		return out
+	case []any:
+		return CloneValues(x)
+	case map[string]any:
+		out := make(map[string]any, len(x))
+		for k, e := range x {
+			out[k] = cloneValue(e)
+		}
+		return out
+	default:
+		return v
+	}
+}
+
+// encoder walks the values of one Marshal twice with the same code: a
+// sizing pass that only counts the bytes, then the pass that appends them
+// to a buffer of exactly that size. The sizing pass runs every step that
+// can fail — range checks, codec lookups, the codecs' own Encode — and
+// parks each abstract value's encoded body; the second pass meets the
+// values in the same order (depth first, maps by sorted key) and takes
+// the bodies back instead of encoding again.
+type encoder struct {
+	reg    *Registry
+	sizing bool
+	n      int    // sizing pass: bytes counted so far
+	buf    []byte // append pass: the output
+	bodies []abstractBody
+	next   int // append pass: the next parked body
+}
+
+type abstractBody struct {
+	name string
+	body []byte
+}
+
+func (e *encoder) putByte(b byte) {
+	if e.sizing {
+		e.n++
+	} else {
+		e.buf = append(e.buf, b)
+	}
+}
+
+func (e *encoder) putUvarint(v uint64) {
+	if e.sizing {
+		e.n += uvarintLen(v)
+	} else {
+		e.buf = appendUvarint(e.buf, v)
+	}
+}
+
+// putBlob writes a length-prefixed run of bytes.
+func putBlob[S string | []byte](e *encoder, s S) {
+	e.putUvarint(uint64(len(s)))
+	if e.sizing {
+		e.n += len(s)
+	} else {
+		e.buf = append(e.buf, s...)
+	}
+}
+
+func (e *encoder) putInt(v int64) {
+	e.putByte(tagInt)
+	e.putUvarint(zigzag(v))
+}
+
+func (e *encoder) putFloat(v float64) {
+	if e.sizing {
+		e.n += 9
+	} else {
+		e.buf = appendFloat(e.buf, v)
+	}
+}
+
+// values writes a count-prefixed value sequence: a whole message, or the
+// inside of a list.
+func (e *encoder) values(vals []any) error {
+	e.putUvarint(uint64(len(vals)))
+	for _, v := range vals {
+		if err := e.value(v); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (e *encoder) value(v any) error {
 	switch x := v.(type) {
 	case nil:
-		return append(buf, tagNil), nil
+		e.putByte(tagNil)
 	case bool:
 		if x {
-			return append(buf, tagTrue), nil
+			e.putByte(tagTrue)
+		} else {
+			e.putByte(tagFalse)
 		}
-		return append(buf, tagFalse), nil
 	case int:
-		return appendInt(buf, int64(x)), nil
+		e.putInt(int64(x))
 	case int8:
-		return appendInt(buf, int64(x)), nil
+		e.putInt(int64(x))
 	case int16:
-		return appendInt(buf, int64(x)), nil
+		e.putInt(int64(x))
 	case int32:
-		return appendInt(buf, int64(x)), nil
+		e.putInt(int64(x))
 	case int64:
-		return appendInt(buf, x), nil
+		e.putInt(x)
 	case uint8:
-		return appendInt(buf, int64(x)), nil
+		e.putInt(int64(x))
 	case uint16:
-		return appendInt(buf, int64(x)), nil
+		e.putInt(int64(x))
 	case uint32:
-		return appendInt(buf, int64(x)), nil
+		e.putInt(int64(x))
 	case uint64:
 		if x > math.MaxInt64 {
-			return nil, &EncodeError{Err: fmt.Errorf("uint64 %d overflows the integer encoding", x)}
+			return &EncodeError{Err: fmt.Errorf("uint64 %d overflows the integer encoding", x)}
 		}
-		return appendInt(buf, int64(x)), nil
+		e.putInt(int64(x))
 	case uint:
 		if uint64(x) > math.MaxInt64 {
-			return nil, &EncodeError{Err: fmt.Errorf("uint %d overflows the integer encoding", x)}
+			return &EncodeError{Err: fmt.Errorf("uint %d overflows the integer encoding", x)}
 		}
-		return appendInt(buf, int64(x)), nil
+		e.putInt(int64(x))
 	case float32:
-		return appendFloat(buf, float64(x)), nil
+		e.putFloat(float64(x))
 	case float64:
-		return appendFloat(buf, x), nil
+		e.putFloat(x)
 	case string:
-		buf = append(buf, tagString)
-		buf = appendUvarint(buf, uint64(len(x)))
-		return append(buf, x...), nil
+		e.putByte(tagString)
+		putBlob(e, x)
 	case []byte:
-		buf = append(buf, tagBytes)
-		buf = appendUvarint(buf, uint64(len(x)))
-		return append(buf, x...), nil
+		e.putByte(tagBytes)
+		putBlob(e, x)
 	case Ref:
-		buf = append(buf, tagRef)
-		buf = appendUvarint(buf, uint64(len(x.Kind)))
-		buf = append(buf, x.Kind...)
-		buf = appendUvarint(buf, uint64(len(x.Name)))
-		return append(buf, x.Name...), nil
+		e.putByte(tagRef)
+		putBlob(e, x.Kind)
+		putBlob(e, x.Name)
 	case []any:
-		buf = append(buf, tagList)
-		buf = appendUvarint(buf, uint64(len(x)))
-		var err error
-		for _, e := range x {
-			buf, err = r.appendValue(buf, e)
-			if err != nil {
-				return nil, err
-			}
-		}
-		return buf, nil
+		e.putByte(tagList)
+		return e.values(x)
 	case map[string]any:
-		buf = append(buf, tagMap)
-		buf = appendUvarint(buf, uint64(len(x)))
+		e.putByte(tagMap)
+		e.putUvarint(uint64(len(x)))
 		keys := make([]string, 0, len(x))
 		for k := range x {
 			keys = append(keys, k)
 		}
 		sort.Strings(keys)
-		var err error
 		for _, k := range keys {
-			buf = appendUvarint(buf, uint64(len(k)))
-			buf = append(buf, k...)
-			buf, err = r.appendValue(buf, x[k])
-			if err != nil {
-				return nil, err
+			putBlob(e, k)
+			if err := e.value(x[k]); err != nil {
+				return err
 			}
 		}
-		return buf, nil
 	default:
-		codec, ok := r.codecFor(v)
-		if !ok {
-			return nil, &EncodeError{Err: fmt.Errorf("no codec for type %T", v)}
+		var b abstractBody
+		if e.sizing {
+			codec, ok := e.reg.codecFor(v)
+			if !ok {
+				return &EncodeError{Err: fmt.Errorf("no codec for type %T", v)}
+			}
+			body, err := codec.Encode(v)
+			if err != nil {
+				return &EncodeError{Err: fmt.Errorf("codec %q: %w", codec.TypeName(), err)}
+			}
+			b = abstractBody{name: codec.TypeName(), body: body}
+			e.bodies = append(e.bodies, b)
+		} else {
+			b = e.bodies[e.next]
+			e.next++
 		}
-		body, err := codec.Encode(v)
-		if err != nil {
-			return nil, &EncodeError{Err: fmt.Errorf("codec %q: %w", codec.TypeName(), err)}
-		}
-		buf = append(buf, tagAbstract)
-		name := codec.TypeName()
-		buf = appendUvarint(buf, uint64(len(name)))
-		buf = append(buf, name...)
-		buf = appendUvarint(buf, uint64(len(body)))
-		return append(buf, body...), nil
+		e.putByte(tagAbstract)
+		putBlob(e, b.name)
+		putBlob(e, b.body)
 	}
+	return nil
 }
 
-func (r *Registry) readValue(data []byte) (any, []byte, error) {
+// readValue decodes one value. With views set a byte string is returned
+// as a slice of data; otherwise it is copied out.
+func (r *Registry) readValue(data []byte, views bool) (any, []byte, error) {
 	if len(data) == 0 {
 		return nil, nil, &DecodeError{Err: ErrTruncated}
 	}
@@ -310,6 +442,9 @@ func (r *Registry) readValue(data []byte) (any, []byte, error) {
 		if err != nil {
 			return nil, nil, &DecodeError{Err: err}
 		}
+		if views {
+			return b, rest, nil
+		}
 		out := make([]byte, len(b))
 		copy(out, b)
 		return out, rest, nil
@@ -334,7 +469,7 @@ func (r *Registry) readValue(data []byte) (any, []byte, error) {
 		list := make([]any, 0, n)
 		for i := uint64(0); i < n; i++ {
 			var e any
-			e, rest, err = r.readValue(rest)
+			e, rest, err = r.readValue(rest, views)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -357,7 +492,7 @@ func (r *Registry) readValue(data []byte) (any, []byte, error) {
 				return nil, nil, &DecodeError{Err: err}
 			}
 			var v any
-			v, rest, err = r.readValue(rest)
+			v, rest, err = r.readValue(rest, views)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -405,6 +540,8 @@ func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 func appendUvarint(buf []byte, v uint64) []byte {
 	return binary.AppendUvarint(buf, v)
 }
+
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 func readUvarint(data []byte) (uint64, []byte, error) {
 	v, n := binary.Uvarint(data)
