@@ -379,13 +379,13 @@ func (g *Guardian) execute(in *stream.Incoming, port, group string, h HandlerFun
 	if err != nil {
 		return stream.ExceptionOutcome(toException(err))
 	}
-	payload, err := wire.Marshal(results...)
+	payload, err := stream.Marshal(results...)
 	if err != nil {
 		ex := exception.Failure("could not encode results")
 		in.BreakStream(ex)
 		return stream.ExceptionOutcome(ex)
 	}
-	return stream.NormalOutcome(payload)
+	return stream.NormalMarshalled(payload)
 }
 
 // runHandler isolates handler panics: a panicking handler terminates its

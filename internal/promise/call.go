@@ -41,11 +41,11 @@ func Call[T any](s *stream.Stream, port string, dec Decoder[T], args ...any) (*P
 // composing downstream calls passes its call's ChildCause; the zero
 // Cause makes this identical to Call.
 func CallCause[T any](s *stream.Stream, port string, cause trace.Cause, dec Decoder[T], args ...any) (*Promise[T], error) {
-	payload, err := wire.Marshal(args...)
+	payload, err := stream.Marshal(args...)
 	if err != nil {
 		return nil, exception.Failure("could not encode")
 	}
-	pending, err := s.CallCause(context.Background(), port, payload, cause)
+	pending, err := s.CallMarshalled(context.Background(), port, payload, cause, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -62,11 +62,11 @@ func Send(s *stream.Stream, port string, args ...any) (*Promise[Unit], error) {
 
 // SendCause is Send carrying an upstream causal context, like CallCause.
 func SendCause(s *stream.Stream, port string, cause trace.Cause, args ...any) (*Promise[Unit], error) {
-	payload, err := wire.Marshal(args...)
+	payload, err := stream.Marshal(args...)
 	if err != nil {
 		return nil, exception.Failure("could not encode")
 	}
-	pending, err := s.SendCause(context.Background(), port, payload, cause)
+	pending, err := s.SendMarshalled(context.Background(), port, payload, cause)
 	if err != nil {
 		return nil, err
 	}
@@ -84,11 +84,11 @@ func RPC[T any](ctx context.Context, s *stream.Stream, port string, dec Decoder[
 // RPCCause is RPC carrying an upstream causal context, like CallCause.
 func RPCCause[T any](ctx context.Context, s *stream.Stream, port string, cause trace.Cause, dec Decoder[T], args ...any) (T, error) {
 	var zero T
-	payload, err := wire.Marshal(args...)
+	payload, err := stream.Marshal(args...)
 	if err != nil {
 		return zero, exception.Failure("could not encode")
 	}
-	outcome, err := s.RPCCause(ctx, port, payload, cause)
+	outcome, err := s.RPCMarshalled(ctx, port, payload, cause)
 	if err != nil {
 		return zero, err
 	}

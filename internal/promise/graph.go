@@ -71,7 +71,7 @@ func (g *Graph) WithCause(c trace.Cause) *Graph {
 // stage's result, decoded by dec. Like Call: an encoding failure or an
 // already-broken stream fails immediately and no promise is created.
 func Start[T any](g *Graph, dec Decoder[T]) (*Promise[T], error) {
-	payload, err := wire.Marshal(g.args...)
+	payload, err := stream.Marshal(g.args...)
 	if err != nil {
 		return nil, exception.Failure("could not encode")
 	}
@@ -85,7 +85,7 @@ func Start[T any](g *Graph, dec Decoder[T]) (*Promise[T], error) {
 		}
 		stages[i] = st
 	}
-	pending, err := g.s.CallPipelined(context.Background(), g.port, payload, g.cause, stages)
+	pending, err := g.s.CallMarshalled(context.Background(), g.port, payload, g.cause, stages)
 	if err != nil {
 		return nil, err
 	}

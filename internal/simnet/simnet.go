@@ -683,14 +683,17 @@ func (nd *Node) Recv(ctx context.Context) (Message, error) {
 	select {
 	case msg, ok := <-inbox:
 		if !ok {
-			// Inbox was torn down by crash or close; report which.
+			// Inbox was torn down by crash or close; report which. Only
+			// closed can say: a Recover that ran before this goroutine did
+			// has already cleared crashed, and the receiver must still
+			// hear that it crashed — its next Recv finds the new inbox.
 			nd.mu.Lock()
-			crashed := nd.crashed
+			closed := nd.closed
 			nd.mu.Unlock()
-			if crashed {
-				return Message{}, ErrCrashed
+			if closed {
+				return Message{}, ErrNetworkDown
 			}
-			return Message{}, ErrNetworkDown
+			return Message{}, ErrCrashed
 		}
 		if d := nd.net.cfg.KernelOverhead; d > 0 {
 			nd.net.clk.Sleep(d)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -196,6 +197,52 @@ func TestCrashUnblocksPendingRecv(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("Recv did not unblock on crash")
+	}
+}
+
+// TestRecoverDoesNotHideCrashFromBlockedRecv: a goroutine blocked in Recv
+// when the node crashes must be told so even if the node has already
+// recovered by the time it runs — reading "network closed" instead, it
+// would stop receiving for good on a node that is up. Its next Recv
+// delivers from the new inbox.
+func TestRecoverDoesNotHideCrashFromBlockedRecv(t *testing.T) {
+	n := reliable()
+	defer n.Close()
+	a := n.MustAddNode("a")
+	b := n.MustAddNode("b")
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	sawCrash := 0
+	for round := 0; round < 200; round++ {
+		got := make(chan error, 1)
+		entered := make(chan struct{})
+		go func() {
+			close(entered)
+			_, err := b.Recv(ctx)
+			got <- err
+		}()
+		<-entered
+		runtime.Gosched() // most rounds, the receiver is blocked by now
+		b.Crash()
+		b.Recover()
+		if err := a.Send("b", []byte{byte(round)}); err != nil {
+			t.Fatal(err)
+		}
+		err := <-got
+		if err == nil {
+			continue // it reached Recv after the recovery and took the message
+		}
+		if !errors.Is(err, ErrCrashed) {
+			t.Fatalf("round %d: blocked Recv returned %v, want ErrCrashed", round, err)
+		}
+		sawCrash++
+		msg, err := b.Recv(ctx)
+		if err != nil || len(msg.Payload) != 1 || msg.Payload[0] != byte(round) {
+			t.Fatalf("round %d: Recv after recovery = %v, %v", round, msg.Payload, err)
+		}
+	}
+	if sawCrash == 0 {
+		t.Fatal("no round had the receiver blocked when the node crashed")
 	}
 }
 

@@ -45,7 +45,7 @@ func allocTestRequestBatch() requestBatch {
 }
 
 // TestAllocsEncodeRequestBatch pins sender-side batch encoding to the
-// single output-buffer allocation (the scratch buffer is pooled).
+// single allocation of the message, which is sized before it is built.
 func TestAllocsEncodeRequestBatch(t *testing.T) {
 	batch := allocTestRequestBatch()
 	requireAllocCeiling(t, 1, func() {

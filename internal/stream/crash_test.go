@@ -52,7 +52,10 @@ func TestCrashAfterAckBreaksViaProbe(t *testing.T) {
 // TestReceiverRecoveryDetectedByEpoch covers crash + fast recovery: the
 // recovered receiver answers probes, but with a different boot epoch, so
 // the sender learns its calls were lost and breaks promptly rather than
-// waiting on a receiver that will never reply to them.
+// waiting on a receiver that will never reply to them. The sender knows
+// the old epoch because the receiver acknowledges a request whose handler
+// is still running (rstream.tick); without that the first epoch it saw
+// would be the newcomer's, and the call would run a second time.
 func TestReceiverRecoveryDetectedByEpoch(t *testing.T) {
 	f, clk := newVirtualFixture(t, simnet.Config{}, fastOpts())
 	started := make(chan struct{}, 4)
@@ -84,10 +87,20 @@ func TestReceiverRecoveryDetectedByEpoch(t *testing.T) {
 		t.Fatalf("outcome = %+v, want unavailable", o)
 	}
 	// Detection must come from the epoch mismatch (an answered probe), in
-	// roughly one RTO — far sooner than full probe-retry exhaustion.
+	// roughly one RTO — far sooner than full probe-retry exhaustion, which
+	// would say "cannot communicate" and is how a receiver that stayed
+	// deaf after recovering would be found.
+	if reason := o.Err().StringArg(0); reason != "receiver lost stream state" {
+		t.Fatalf("stream broke with %q, want the epoch check's reason", reason)
+	}
 	exhaustion := time.Duration(fastOpts().MaxRetries+1) * fastOpts().RTO
 	if elapsed := clk.Now().Sub(start); elapsed > exhaustion {
 		t.Fatalf("detection took %v; epoch check should beat probe exhaustion (%v)", elapsed, exhaustion)
+	}
+	// The old incarnation acknowledged the call before it crashed, so the
+	// sender never handed it to the new one.
+	if n := len(started); n != 0 {
+		t.Fatalf("the call was started %d more time(s) by the recovered receiver", n)
 	}
 }
 

@@ -153,7 +153,7 @@ func (ps *pipeScheduler) processOne(w pipeWork) {
 		return
 	}
 	s := ps.p.Agent(pipeAgentName).Stream(st.Node, st.Group)
-	pend, err := s.enqueue(context.Background(), st.Port, args, ModeSend, w.cause,
+	pend, err := s.enqueue(context.Background(), st.Port, plain(args), ModeSend, w.cause,
 		&pipeArg{stages: w.stages[1:], ref: w.ref})
 	if err != nil {
 		// The forwarding stream is broken: that IS the chain's resolution.

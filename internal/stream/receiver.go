@@ -157,6 +157,7 @@ type recvShard struct {
 	unsentBytes       int     // approximate encoded size of that suffix (byte budget)
 	oldestUnsentAt    time.Time
 	sentCompleted     uint64    // CompletedThrough value last transmitted by this shard
+	sentAcked         uint64    // AckRequestsThrough value last transmitted by this shard
 	lastFullReplyAt   time.Time // when a batch covering all of retained last went out
 	lastAckProgressAt time.Time // when the sender's reply ack last advanced (or retained was born)
 }
@@ -572,7 +573,10 @@ func (r *rstream) executeOne(req request, call *Incoming) {
 		}
 	}
 	completed := r.completedThroughNow()
+	// Results big enough to ride alone close the reply batch, as a big
+	// call's arguments close the request batch (see frame.go).
 	flushNow := req.Mode == ModeRPC || sh.unsentReplies >= r.opts.MaxBatch || breakReason != nil ||
+		outcome.frame != nil ||
 		(r.opts.MaxBatchBytes > 0 && sh.unsentBytes >= r.opts.MaxBatchBytes)
 	if flushNow && (sh.unsentReplies > 0 || completed > sh.sentCompleted) {
 		msg = r.buildShardReplyBatchLocked(sh, false, inc, completed)
@@ -697,8 +701,11 @@ func (r *rstream) retainPipedReply(seq uint64, o Outcome, inc, completed uint64)
 // This keeps steady-state reply bytes proportional to new work instead of
 // O(retained window) per flush. inc is the caller's incarnation snapshot
 // and completed the folded completion prefix. Caller holds sh.mu; the
-// retained slice is encoded in place (the encoder copies its bytes before
-// the lock is released), so no reply copy is made on either path.
+// encoder reads the retained slice where it lies (and is done with it
+// before the lock is released), so no reply struct is copied on either
+// path. A lone unsent reply whose results fill a page does not have its
+// bytes copied either: the message is built in the results' own buffer
+// (frame.go), once — a retransmission always re-encodes.
 func (r *rstream) buildShardReplyBatchLocked(sh *recvShard, retransmit bool, inc, completed uint64) []byte {
 	reps := sh.retained
 	if !retransmit {
@@ -715,6 +722,7 @@ func (r *rstream) buildShardReplyBatchLocked(sh *recvShard, retransmit bool, inc
 	sh.unsentReplies = 0
 	sh.unsentBytes = 0
 	sh.sentCompleted = completed
+	sh.sentAcked = r.expectedA.Load() - 1
 	if r.peer.tracing() {
 		detail := trace.BatchDetail(len(reps))
 		if retransmit {
@@ -722,19 +730,28 @@ func (r *rstream) buildShardReplyBatchLocked(sh *recvShard, retransmit bool, inc
 		}
 		r.peer.emit(trace.ReplyBatchSent, r.keyStr, completed, 0, detail)
 	}
-	msg := encodeReplyBatch(replyBatch{
+	batch := replyBatch{
 		Agent:              r.key.agent,
 		Group:              r.key.group,
 		Incarnation:        inc,
 		Epoch:              r.epoch,
-		AckRequestsThrough: r.expectedA.Load() - 1,
+		AckRequestsThrough: sh.sentAcked,
 		CompletedThrough:   completed,
 		Replies:            reps,
 		// The admission grant: flow-controlled senders may run this far
 		// ahead of our completed prefix. Monotone within an incarnation
 		// because the folded completion prefix is.
 		Credit: completed + uint64(r.opts.RecvWindow),
-	})
+	}
+	var msg []byte
+	if !retransmit {
+		msg = frameReplyBatch(batch)
+	}
+	if msg == nil {
+		msg = encodeReplyBatch(batch)
+	} else {
+		reps[0].Outcome.frame = nil // spent: the buffer is the transport's now
+	}
 	if sm := r.peer.sm; sm != nil {
 		sm.replyBatches.Inc()
 		sm.replyBatchBytes.Observe(uint64(len(msg)))
@@ -787,6 +804,7 @@ func (r *rstream) resetLocked(incarnation uint64) {
 		sh.unsentReplies = 0
 		sh.unsentBytes = 0
 		sh.sentCompleted = 0
+		sh.sentAcked = 0
 		sh.completedSet.reset()
 		sh.watermark.Store(r.firstSeqOfShard(uint64(i)))
 		sh.mu.Unlock()
@@ -844,6 +862,16 @@ func (r *rstream) tick(now time.Time) {
 			msgs = append(msgs, r.buildShardReplyBatchLocked(sh, false, inc, completed))
 		case completed > sh.sentCompleted:
 			// Progress notification so sends resolve at the sender.
+			msgs = append(msgs, r.buildShardReplyBatchLocked(sh, false, inc, completed))
+		case sh.unsentReplies == 0 && r.expected-1 > sh.sentAcked:
+			// Requests were accepted since this shard last said so, and no
+			// reply is about to say it (their handlers are still running):
+			// acknowledge receipt now. The sender stops retransmitting
+			// them, and it learns our boot epoch — should we crash and
+			// recover before the first reply, it can tell the newcomer's
+			// answers from ours and break the stream, instead of adopting
+			// the newcomer and having the unacknowledged calls executed a
+			// second time.
 			msgs = append(msgs, r.buildShardReplyBatchLocked(sh, false, inc, completed))
 		case len(sh.retained) > 0 && now.Sub(sh.lastAckProgressAt) >= r.opts.RTO &&
 			now.Sub(sh.lastFullReplyAt) >= r.opts.RTO:

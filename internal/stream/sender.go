@@ -440,6 +440,13 @@ func (s *Stream) Sibling(recvNode, group string) *Stream {
 // is then responsible for the remaining stages (promise.Graph does this
 // transparently). With no stages this is exactly CallCause.
 func (s *Stream) CallPipelined(ctx context.Context, port string, args []byte, cause trace.Cause, stages []PipeStage) (Pending, error) {
+	return s.CallMarshalled(ctx, port, plain(args), cause, stages)
+}
+
+// CallMarshalled is CallPipelined (CallCause when stages is empty) for
+// arguments encoded by Marshal: when they fill a page the call is
+// transmitted at once, as a batch of its own built around them in place.
+func (s *Stream) CallMarshalled(ctx context.Context, port string, args Marshalled, cause trace.Cause, stages []PipeStage) (Pending, error) {
 	if len(stages) == 0 {
 		return s.enqueue(ctx, port, args, ModeCall, cause, nil)
 	}
@@ -454,7 +461,7 @@ func (s *Stream) CallPipelined(ctx context.Context, port string, args []byte, ca
 // blocks while the in-flight window (or the receiver's advertised credit)
 // is exhausted; use CallCtx to bound that wait.
 func (s *Stream) Call(port string, args []byte) (Pending, error) {
-	return s.enqueue(context.Background(), port, args, ModeCall, trace.Cause{}, nil)
+	return s.enqueue(context.Background(), port, plain(args), ModeCall, trace.Cause{}, nil)
 }
 
 // CallCtx is Call with a context bounding the flow-control wait: if the
@@ -462,7 +469,7 @@ func (s *Stream) Call(port string, args []byte) (Pending, error) {
 // frees, the stream breaks, or ctx ends (returning ctx.Err() with no
 // pending created).
 func (s *Stream) CallCtx(ctx context.Context, port string, args []byte) (Pending, error) {
-	return s.enqueue(ctx, port, args, ModeCall, trace.Cause{}, nil)
+	return s.enqueue(ctx, port, plain(args), ModeCall, trace.Cause{}, nil)
 }
 
 // CallCause is CallCtx carrying an upstream causal context: the cause's
@@ -474,7 +481,7 @@ func (s *Stream) CallCtx(ctx context.Context, port string, args []byte) (Pending
 // passes a fixed non-zero Cause of its own. The zero Cause makes this
 // identical to CallCtx.
 func (s *Stream) CallCause(ctx context.Context, port string, args []byte, cause trace.Cause) (Pending, error) {
-	return s.enqueue(ctx, port, args, ModeCall, cause, nil)
+	return s.enqueue(ctx, port, plain(args), ModeCall, cause, nil)
 }
 
 // Send makes a send to the named port: the sender hears back only if the
@@ -482,18 +489,24 @@ func (s *Stream) CallCause(ctx context.Context, port string, args []byte, cause 
 // normal outcome on success; sends exist so that "normal replies can be
 // omitted" from the wire.
 func (s *Stream) Send(port string, args []byte) (Pending, error) {
-	return s.enqueue(context.Background(), port, args, ModeSend, trace.Cause{}, nil)
+	return s.enqueue(context.Background(), port, plain(args), ModeSend, trace.Cause{}, nil)
 }
 
 // SendCtx is Send with a context bounding the flow-control wait, like
 // CallCtx.
 func (s *Stream) SendCtx(ctx context.Context, port string, args []byte) (Pending, error) {
-	return s.enqueue(ctx, port, args, ModeSend, trace.Cause{}, nil)
+	return s.enqueue(ctx, port, plain(args), ModeSend, trace.Cause{}, nil)
 }
 
 // SendCause is SendCtx carrying an upstream causal context, like
 // CallCause.
 func (s *Stream) SendCause(ctx context.Context, port string, args []byte, cause trace.Cause) (Pending, error) {
+	return s.enqueue(ctx, port, plain(args), ModeSend, cause, nil)
+}
+
+// SendMarshalled is SendCause for arguments encoded by Marshal, like
+// CallMarshalled.
+func (s *Stream) SendMarshalled(ctx context.Context, port string, args Marshalled, cause trace.Cause) (Pending, error) {
 	return s.enqueue(ctx, port, args, ModeSend, cause, nil)
 }
 
@@ -506,6 +519,12 @@ func (s *Stream) RPC(ctx context.Context, port string, args []byte) (Outcome, er
 
 // RPCCause is RPC carrying an upstream causal context, like CallCause.
 func (s *Stream) RPCCause(ctx context.Context, port string, args []byte, cause trace.Cause) (Outcome, error) {
+	return s.RPCMarshalled(ctx, port, plain(args), cause)
+}
+
+// RPCMarshalled is RPCCause for arguments encoded by Marshal, like
+// CallMarshalled.
+func (s *Stream) RPCMarshalled(ctx context.Context, port string, args Marshalled, cause trace.Cause) (Outcome, error) {
 	p, err := s.enqueue(ctx, port, args, ModeRPC, cause, nil)
 	if err != nil {
 		return Outcome{}, err
@@ -524,7 +543,8 @@ func (s *Stream) RPCCause(ctx context.Context, port string, args []byte, cause t
 	return o, nil
 }
 
-func (s *Stream) enqueue(ctx context.Context, port string, args []byte, mode Mode, cause trace.Cause, pipe *pipeArg) (Pending, error) {
+func (s *Stream) enqueue(ctx context.Context, port string, m Marshalled, mode Mode, cause trace.Cause, pipe *pipeArg) (Pending, error) {
+	args, frame := m.Bytes(), m.frame()
 	s.mu.Lock()
 	for {
 		if s.pendingBreak {
@@ -608,9 +628,11 @@ func (s *Stream) enqueue(ctx context.Context, port string, args []byte, mode Mod
 		sh.lastArriveAt = s.peer.clk.Now()
 	}
 	sh.buffer = append(sh.buffer, request{Seq: seq, Port: port, Mode: mode, Args: args,
-		Trace: tid, Root: cause.Root, Parent: cause.Parent, Cont: cont})
+		Trace: tid, Root: cause.Root, Parent: cause.Parent, Cont: cont, frame: frame})
 	sh.bufferBytes += reqWireSize(port, args) + len(cont)
-	full := len(sh.buffer) >= limit || mode == ModeRPC ||
+	// A call big enough to ride alone closes the batch like an RPC does:
+	// waiting for company would only get it copied (see frame.go).
+	full := len(sh.buffer) >= limit || mode == ModeRPC || frame != nil ||
 		(s.opts.MaxBatchBytes > 0 && sh.bufferBytes >= s.opts.MaxBatchBytes)
 	sh.mu.Unlock()
 	s.mu.Unlock()
@@ -705,7 +727,14 @@ func (s *Stream) flushShard(sh *senderShard, timerClosed bool) {
 	}
 	window := s.nextSeq - s.nextResolve // unresolved calls outstanding
 	s.mu.Unlock()
-	msg := encodeRequestBatch(hdr)
+	// Only this first transmission may build the message in the call's own
+	// buffer (a lone big call; see frame.go). Retransmissions re-encode
+	// from unacked's view of the arguments: by then the buffer belongs to
+	// the transport.
+	msg := frameRequestBatch(hdr)
+	if msg == nil {
+		msg = encodeRequestBatch(hdr)
+	}
 	firstSeq, n := batch[0].Seq, len(batch)
 	// The batch is copied into unacked and encoded into msg; recycle its
 	// backing array as the next buffer (slots zeroed so the stale copies

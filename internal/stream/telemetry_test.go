@@ -33,7 +33,13 @@ func TestTraceReincarnationOrderingAndSeqRestart(t *testing.T) {
 		t.Fatal("call across a partition resolved normally")
 	}
 
-	// The break must precede the reincarnation in recorded order.
+	// The break must precede the reincarnation in recorded order. The
+	// claim returns from inside the break, which restarts the stream
+	// before it lets go of the stream lock; Incarnation takes that lock,
+	// so after it the restart has been recorded.
+	if inc := s.Incarnation(); inc != 2 {
+		t.Fatalf("incarnation after the break = %d, want 2", inc)
+	}
 	events := ring.Events()
 	brokeAt, restartAt := -1, -1
 	for i, e := range events {

@@ -27,6 +27,26 @@
 // bytes. The promise package layers typed promises on top; the guardian
 // package supplies handler dispatch and per-stream serial execution at the
 // receiver.
+//
+// Bytes enter a stream in one of two forms. Plain []byte — Call, Send,
+// RPC, NormalOutcome — is buffered and batched whatever its size, and
+// copied once, into the batch's message, which the encoders build in a
+// single buffer of exactly its size. A list encoded with Marshal and
+// handed to CallMarshalled, SendMarshalled, RPCMarshalled or
+// NormalMarshalled is treated the same while it is small; from one page
+// up it rides alone: the call closes its batch at once and the message
+// is built around the marshalled bytes where they lie, with no copy at
+// all (frame.go). That is the path promise and guardian use. The two
+// forms are indistinguishable on the wire.
+//
+// Lifetimes are the same on both paths. The stream holds the bytes a
+// caller hands in until the call is acknowledged — it may have to
+// retransmit them — so they must not be modified after the call (promise
+// and guardian marshal into a fresh buffer per call and let go of it).
+// On the receiving side Incoming.Args is a view of the received
+// datagram, valid until the handler returns; Incoming.Clone copies it
+// out. Returning NormalOutcome(call.Args) is allowed — the stream keeps
+// the datagram alive for as long as the reply is retained.
 package stream
 
 import (
@@ -82,6 +102,10 @@ type Outcome struct {
 	// only stage one's value and the caller must run the remaining stages
 	// itself. Local bookkeeping only — never on the wire as a tuple field.
 	Piped bool
+	// frame is the Marshal buffer Payload is the tail of, when the outcome
+	// was built by NormalMarshalled from a list big enough to ride alone
+	// (see frame.go); nil otherwise. Sending side only.
+	frame []byte
 }
 
 // NormalOutcome builds the outcome of a normal termination.
@@ -314,6 +338,10 @@ type request struct {
 	// (see encodePipeCont); nil for plain calls. On the wire it travels as
 	// a trailing batch-level list, never as a tuple field.
 	Cont []byte
+	// frame is the Marshal buffer Args is the tail of, for a call big
+	// enough to ride alone (see frame.go); nil otherwise, and always nil
+	// on the receiving side.
+	frame []byte
 }
 
 // reply is one call reply inside a reply batch.
@@ -359,26 +387,27 @@ type breakMsg struct {
 	Reason      string
 }
 
-// encodeScratch pools the working buffers the batch encoders build into.
-// The finished message is copied into an exact-size fresh slice (its
-// ownership passes to simnet and ultimately the receiver, so the scratch
-// itself can never leave this file), and the scratch returns to the pool
-// to amortize growth across batches.
-var encodeScratch = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, 1024)
-		return &b
-	},
+// hasConts reports whether any request carries a continuation chain, which
+// moves the whole batch to the 9-value header.
+func hasConts(reqs []request) bool {
+	for i := range reqs {
+		if reqs[i].Cont != nil {
+			return true
+		}
+	}
+	return false
 }
 
-// finishEncode copies the built message out of the pooled scratch and
-// recycles the scratch.
-func finishEncode(bp *[]byte, buf []byte) []byte {
-	out := make([]byte, len(buf))
-	copy(out, buf)
-	*bp = buf[:0]
-	encodeScratch.Put(bp)
-	return out
+// countPiped counts the replies that are chain-final outcomes; any moves
+// the whole batch to the 10-value header.
+func countPiped(reps []reply) int {
+	n := 0
+	for i := range reps {
+		if reps[i].Outcome.Piped {
+			n++
+		}
+	}
+	return n
 }
 
 // encodeRequestBatch writes the versioned request-batch format: the six
@@ -396,50 +425,80 @@ func finishEncode(bp *[]byte, buf []byte) []byte {
 // a trailing list of per-request continuation blobs is appended (empty
 // bytes for requests without one). Batches with no continuations keep the
 // 8-value header and stay byte-identical to the PR 8 format.
+//
+// The message is built once, in a buffer of exactly its size (the sum
+// below mirrors the three append helpers; a mismatch would only make
+// append grow the buffer, and TestBatchEncodersAllocateExactly catches
+// it). frameRequestBatch (frame.go) writes the same three parts around a
+// payload that is already in place.
 func encodeRequestBatch(b requestBatch) []byte {
-	nConts := 0
-	for _, r := range b.Requests {
-		if r.Cont != nil {
-			nConts = len(b.Requests)
-			break
+	conts := hasConts(b.Requests)
+	n := len(b.Requests)
+	size := 1 + 2 + wire.SizeBlob(len(b.Agent)) + wire.SizeBlob(len(b.Group)) +
+		wire.SizeInt(int64(b.Incarnation)) + wire.SizeInt(int64(b.AckRepliesThrough)) +
+		2*wire.SizeCount(n) + wire.SizeCount(2*n) + 4*n // three lists; a tuple header and a mode per request
+	if conts {
+		size += wire.SizeCount(n)
+	}
+	for i := range b.Requests {
+		r := &b.Requests[i]
+		size += wire.SizeInt(int64(r.Seq)) + wire.SizeBlob(len(r.Port)) + wire.SizeBlob(len(r.Args)) +
+			wire.SizeInt(int64(r.Trace)) + wire.SizeInt(int64(r.Root)) + wire.SizeInt(int64(r.Parent))
+		if conts {
+			size += wire.SizeBlob(len(r.Cont))
 		}
 	}
+	buf := appendRequestsOpen(make([]byte, 0, size), &b, conts)
+	for i := range b.Requests {
+		buf = appendRequestOpen(buf, &b.Requests[i])
+		buf = append(buf, b.Requests[i].Args...)
+	}
+	return appendRequestsClose(buf, b.Requests, conts)
+}
+
+// appendRequestsOpen appends a request batch up to the first request.
+func appendRequestsOpen(buf []byte, b *requestBatch, conts bool) []byte {
 	hdr := 8
-	if nConts > 0 {
+	if conts {
 		hdr = 9
 	}
-	bp := encodeScratch.Get().(*[]byte)
-	buf := (*bp)[:0]
 	buf = wire.AppendHeader(buf, hdr)
 	buf = wire.AppendInt(buf, kindRequestBatch)
 	buf = wire.AppendString(buf, b.Agent)
 	buf = wire.AppendString(buf, b.Group)
 	buf = wire.AppendInt(buf, int64(b.Incarnation))
 	buf = wire.AppendInt(buf, int64(b.AckRepliesThrough))
-	buf = wire.AppendList(buf, len(b.Requests))
-	for _, r := range b.Requests {
-		buf = wire.AppendList(buf, 4)
-		buf = wire.AppendInt(buf, int64(r.Seq))
-		buf = wire.AppendString(buf, r.Port)
-		buf = wire.AppendInt(buf, int64(r.Mode))
-		buf = wire.AppendBytes(buf, r.Args)
+	return wire.AppendList(buf, len(b.Requests))
+}
+
+// appendRequestOpen appends one request up to its argument bytes.
+func appendRequestOpen(buf []byte, r *request) []byte {
+	buf = wire.AppendList(buf, 4)
+	buf = wire.AppendInt(buf, int64(r.Seq))
+	buf = wire.AppendString(buf, r.Port)
+	buf = wire.AppendInt(buf, int64(r.Mode))
+	return wire.AppendBytesHeader(buf, len(r.Args))
+}
+
+// appendRequestsClose appends what follows the last request: the trace,
+// cause and (when the batch has any) continuation lists.
+func appendRequestsClose(buf []byte, reqs []request, conts bool) []byte {
+	buf = wire.AppendList(buf, len(reqs))
+	for i := range reqs {
+		buf = wire.AppendInt(buf, int64(reqs[i].Trace))
 	}
-	buf = wire.AppendList(buf, len(b.Requests))
-	for _, r := range b.Requests {
-		buf = wire.AppendInt(buf, int64(r.Trace))
+	buf = wire.AppendList(buf, 2*len(reqs))
+	for i := range reqs {
+		buf = wire.AppendInt(buf, int64(reqs[i].Root))
+		buf = wire.AppendInt(buf, int64(reqs[i].Parent))
 	}
-	buf = wire.AppendList(buf, 2*len(b.Requests))
-	for _, r := range b.Requests {
-		buf = wire.AppendInt(buf, int64(r.Root))
-		buf = wire.AppendInt(buf, int64(r.Parent))
-	}
-	if nConts > 0 {
-		buf = wire.AppendList(buf, len(b.Requests))
-		for _, r := range b.Requests {
-			buf = wire.AppendBytes(buf, r.Cont)
+	if conts {
+		buf = wire.AppendList(buf, len(reqs))
+		for i := range reqs {
+			buf = wire.AppendBytes(buf, reqs[i].Cont)
 		}
 	}
-	return finishEncode(bp, buf)
+	return buf
 }
 
 // encodeReplyBatch writes the versioned reply-batch format: the eight
@@ -451,19 +510,40 @@ func encodeRequestBatch(b requestBatch) []byte {
 // When any reply carries a chain-final (piped) outcome the header becomes
 // 10 and a trailing list of the piped seqs is appended; batches without
 // piped replies keep the 9-value header unchanged.
+//
+// Built once at its exact size, like a request batch; frameReplyBatch
+// (frame.go) is the in-place counterpart.
 func encodeReplyBatch(b replyBatch) []byte {
-	nPiped := 0
-	for _, r := range b.Replies {
+	piped := countPiped(b.Replies)
+	n := len(b.Replies)
+	size := 1 + 2 + wire.SizeBlob(len(b.Agent)) + wire.SizeBlob(len(b.Group)) +
+		wire.SizeInt(int64(b.Incarnation)) + wire.SizeInt(int64(b.Epoch)) +
+		wire.SizeInt(int64(b.AckRequestsThrough)) + wire.SizeInt(int64(b.CompletedThrough)) +
+		wire.SizeCount(n) + 3*n + wire.SizeInt(int64(b.Credit)) // a tuple header and a bool per reply
+	if piped > 0 {
+		size += wire.SizeCount(piped)
+	}
+	for i := range b.Replies {
+		r := &b.Replies[i]
+		size += wire.SizeInt(int64(r.Seq)) + wire.SizeBlob(len(r.Outcome.Exception)) + wire.SizeBlob(len(r.Outcome.Payload))
 		if r.Outcome.Piped {
-			nPiped++
+			size += wire.SizeInt(int64(r.Seq))
 		}
 	}
+	buf := appendRepliesOpen(make([]byte, 0, size), &b, piped)
+	for i := range b.Replies {
+		buf = appendReplyOpen(buf, &b.Replies[i])
+		buf = append(buf, b.Replies[i].Outcome.Payload...)
+	}
+	return appendRepliesClose(buf, &b, piped)
+}
+
+// appendRepliesOpen appends a reply batch up to the first reply.
+func appendRepliesOpen(buf []byte, b *replyBatch, piped int) []byte {
 	hdr := 9
-	if nPiped > 0 {
+	if piped > 0 {
 		hdr = 10
 	}
-	bp := encodeScratch.Get().(*[]byte)
-	buf := (*bp)[:0]
 	buf = wire.AppendHeader(buf, hdr)
 	buf = wire.AppendInt(buf, kindReplyBatch)
 	buf = wire.AppendString(buf, b.Agent)
@@ -472,24 +552,31 @@ func encodeReplyBatch(b replyBatch) []byte {
 	buf = wire.AppendInt(buf, int64(b.Epoch))
 	buf = wire.AppendInt(buf, int64(b.AckRequestsThrough))
 	buf = wire.AppendInt(buf, int64(b.CompletedThrough))
-	buf = wire.AppendList(buf, len(b.Replies))
-	for _, r := range b.Replies {
-		buf = wire.AppendList(buf, 4)
-		buf = wire.AppendInt(buf, int64(r.Seq))
-		buf = wire.AppendBool(buf, r.Outcome.Normal)
-		buf = wire.AppendString(buf, r.Outcome.Exception)
-		buf = wire.AppendBytes(buf, r.Outcome.Payload)
-	}
+	return wire.AppendList(buf, len(b.Replies))
+}
+
+// appendReplyOpen appends one reply up to its payload bytes.
+func appendReplyOpen(buf []byte, r *reply) []byte {
+	buf = wire.AppendList(buf, 4)
+	buf = wire.AppendInt(buf, int64(r.Seq))
+	buf = wire.AppendBool(buf, r.Outcome.Normal)
+	buf = wire.AppendString(buf, r.Outcome.Exception)
+	return wire.AppendBytesHeader(buf, len(r.Outcome.Payload))
+}
+
+// appendRepliesClose appends what follows the last reply: the admission
+// credit and (when the batch has any) the piped seqs.
+func appendRepliesClose(buf []byte, b *replyBatch, piped int) []byte {
 	buf = wire.AppendInt(buf, int64(b.Credit))
-	if nPiped > 0 {
-		buf = wire.AppendList(buf, nPiped)
-		for _, r := range b.Replies {
-			if r.Outcome.Piped {
-				buf = wire.AppendInt(buf, int64(r.Seq))
+	if piped > 0 {
+		buf = wire.AppendList(buf, piped)
+		for i := range b.Replies {
+			if b.Replies[i].Outcome.Piped {
+				buf = wire.AppendInt(buf, int64(b.Replies[i].Seq))
 			}
 		}
 	}
-	return finishEncode(bp, buf)
+	return buf
 }
 
 func encodeBreak(b breakMsg) []byte {
@@ -515,11 +602,14 @@ type resolveMsg struct {
 
 // encodeResolve writes a chain resolution or (ack=true) its ack. Both
 // share decodeMessage's common prefix (kind, agent, group, incarnation) so
-// routing stays uniform; resolves are rare — one per chain, not per call —
-// so these are plain Marshal-style encodes with no pooling.
+// routing stays uniform. Resolves are rare — one per chain, not per call.
 func encodeResolve(m resolveMsg, ack bool) []byte {
-	bp := encodeScratch.Get().(*[]byte)
-	buf := (*bp)[:0]
+	size := 1 + 2 + wire.SizeBlob(len(m.Agent)) + wire.SizeBlob(len(m.Group)) + wire.SizeInt(int64(m.Incarnation)) +
+		wire.SizeBlob(len(m.SenderNode)) + wire.SizeBlob(len(m.RecvNode)) + wire.SizeInt(int64(m.Seq))
+	if !ack {
+		size += 1 + wire.SizeBlob(len(m.Outcome.Exception)) + wire.SizeBlob(len(m.Outcome.Payload))
+	}
+	buf := make([]byte, 0, size)
 	if ack {
 		buf = wire.AppendHeader(buf, 7)
 		buf = wire.AppendInt(buf, kindResolveAck)
@@ -538,7 +628,7 @@ func encodeResolve(m resolveMsg, ack bool) []byte {
 		buf = wire.AppendString(buf, m.Outcome.Exception)
 		buf = wire.AppendBytes(buf, m.Outcome.Payload)
 	}
-	return finishEncode(bp, buf)
+	return buf
 }
 
 // decodeResolve parses a kindResolve or kindResolveAck message in full

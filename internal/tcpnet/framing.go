@@ -58,6 +58,8 @@ type frameReader struct {
 
 	buf        []byte // current arena chunk
 	rpos, wpos int    // unconsumed bytes are buf[rpos:wpos]
+
+	pre [lenSize]byte // nextSized reads a length prefix here, ahead of any chunk
 }
 
 func newFrameReader(r io.Reader, chunkSize, maxFrame int) *frameReader {
@@ -86,6 +88,13 @@ func (fr *frameReader) ensure(need int) error {
 		fr.rpos = 0
 		fr.buf = next
 	}
+	return fr.fill(need)
+}
+
+// fill reads until need unconsumed bytes are buffered, taking whatever
+// more the reader has up to the end of the chunk, which must have room
+// for them.
+func (fr *frameReader) fill(need int) error {
 	for fr.wpos-fr.rpos < need {
 		n, err := fr.r.Read(fr.buf[fr.wpos:])
 		fr.wpos += n
@@ -106,6 +115,9 @@ func (fr *frameReader) ensure(need int) error {
 // collected; never overwritten). io.EOF means a clean close on a frame
 // boundary; a mid-frame close is io.ErrUnexpectedEOF.
 func (fr *frameReader) next() ([]byte, error) {
+	if fr.rpos == fr.wpos && fr.rpos+lenSize > len(fr.buf) {
+		return fr.nextSized()
+	}
 	if err := fr.ensure(lenSize); err != nil {
 		return nil, err
 	}
@@ -119,6 +131,46 @@ func (fr *frameReader) next() ([]byte, error) {
 	start := fr.rpos + lenSize
 	payload := fr.buf[start : start+n : start+n]
 	fr.rpos += lenSize + n
+	return payload, nil
+}
+
+// nextSized is next for the one state in which the reader must allocate
+// before it can read anything: the chunk is spent and nothing is buffered.
+// A fresh chunk taken there just to hold the prefix is wasted on a frame
+// that outgrows it — the chunk is dropped for a bigger one and whatever
+// the read pulled in is moved over. So the prefix is read on its own
+// first, and the allocation made to measure: a frame of half a chunk or
+// more gets storage of exactly its size and is read straight into it, a
+// smaller one starts a normal chunk (which the read then fills with as
+// many following frames as have arrived). The extra read costs a system
+// call once per chunk of small frames, or per large frame.
+func (fr *frameReader) nextSized() ([]byte, error) {
+	if _, err := io.ReadFull(fr.r, fr.pre[:]); err != nil {
+		return nil, err // io.EOF only if not one byte of a prefix came
+	}
+	n := int(binary.BigEndian.Uint32(fr.pre[:]))
+	if n > fr.max {
+		return nil, errFrameTooBig
+	}
+	var (
+		payload []byte
+		err     error
+	)
+	if n >= fr.chunk/2 {
+		payload = make([]byte, n)
+		_, err = io.ReadFull(fr.r, payload)
+	} else {
+		fr.buf, fr.rpos, fr.wpos = make([]byte, fr.chunk), 0, 0
+		if err = fr.fill(n); err == nil {
+			payload, fr.rpos = fr.buf[:n:n], n
+		}
+	}
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF // the prefix promised n more bytes
+	}
+	if err != nil {
+		return nil, err
+	}
 	return payload, nil
 }
 

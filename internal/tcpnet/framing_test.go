@@ -43,6 +43,125 @@ func TestFrameReaderRoundTrip(t *testing.T) {
 	}
 }
 
+// cutReader serves data with one forced read boundary: no Read returns
+// bytes from both sides of cut, and each Read is capped at step bytes.
+type cutReader struct {
+	data      []byte
+	pos       int
+	cut, step int
+}
+
+func (r *cutReader) Read(p []byte) (int, error) {
+	if r.pos == len(r.data) {
+		return 0, io.EOF
+	}
+	end := min(r.pos+len(p), r.pos+r.step, len(r.data))
+	if r.pos < r.cut {
+		end = min(end, r.cut)
+	}
+	n := copy(p, r.data[r.pos:end])
+	r.pos += n
+	return n, nil
+}
+
+// boundaryFrames are frames sized around the arena chunk: just under it,
+// exactly it, just over it and four times it, with small frames between
+// so the reader meets each in every state — mid-chunk, at a chunk's end
+// with bytes buffered, and with the chunk spent and nothing buffered
+// (nextSized: prefix first, then storage made to measure).
+func boundaryFrames(chunk int) [][]byte {
+	var out [][]byte
+	for i, n := range []int{chunk - 1, 3, chunk, chunk/2 - 1, chunk + 1, 0, 4 * chunk, chunk / 2, 1, chunk - lenSize} {
+		p := make([]byte, n)
+		for j := range p {
+			p[j] = byte(i*31 + j)
+		}
+		out = append(out, p)
+	}
+	return out
+}
+
+// TestFrameReaderChunkBoundaries: the boundary frames decode intact
+// wherever the byte stream is cut into reads — at every offset, with the
+// rest arriving whole, in chunk-sized pieces, or a byte at a time — and
+// the stream ends in a clean EOF.
+func TestFrameReaderChunkBoundaries(t *testing.T) {
+	const chunk = 64
+	payloads := boundaryFrames(chunk)
+	var wire []byte
+	for _, p := range payloads {
+		wire = append(wire, frame(p)...)
+	}
+	for _, step := range []int{len(wire), chunk, 1} {
+		for cut := 0; cut <= len(wire); cut++ {
+			fr := newFrameReader(&cutReader{data: wire, cut: cut, step: step}, chunk, 1<<20)
+			var got [][]byte
+			for i, want := range payloads {
+				p, err := fr.next()
+				if err != nil {
+					t.Fatalf("step %d, cut %d, frame %d: %v", step, cut, i, err)
+				}
+				if !bytes.Equal(p, want) {
+					t.Fatalf("step %d, cut %d, frame %d: %d bytes %x..., want %d", step, cut, i, len(p), p[:min(8, len(p))], len(want))
+				}
+				got = append(got, p)
+			}
+			if _, err := fr.next(); err != io.EOF {
+				t.Fatalf("step %d, cut %d: after the last frame err = %v, want io.EOF", step, cut, err)
+			}
+			for i, p := range got { // earlier payloads survive the later reads
+				if !bytes.Equal(p, payloads[i]) {
+					t.Fatalf("step %d, cut %d: frame %d was overwritten", step, cut, i)
+				}
+			}
+			if step == 1 {
+				break // a byte at a time, the cut changes nothing
+			}
+		}
+	}
+}
+
+// TestFrameReaderSizesBeforeItAllocates: with the chunk spent and nothing
+// buffered, a large frame costs one allocation of its own size and no
+// move, and leaves the reader in the same state for the next one.
+func TestFrameReaderSizesBeforeItAllocates(t *testing.T) {
+	const chunk = 1 << 10
+	big := bytes.Repeat([]byte{0xEE}, 4*chunk)
+	var wire []byte
+	for i := 0; i < 3; i++ {
+		wire = append(wire, frame(big)...)
+	}
+	fr := newFrameReader(bytes.NewReader(wire), chunk, 1<<20)
+	for i := 0; i < 3; i++ {
+		p, err := fr.next()
+		if err != nil || !bytes.Equal(p, big) {
+			t.Fatalf("frame %d: %d bytes, %v", i, len(p), err)
+		}
+		if cap(p) != len(big) {
+			t.Errorf("frame %d sits in %d bytes of storage, want exactly %d", i, cap(p), len(big))
+		}
+		if fr.buf != nil {
+			t.Errorf("frame %d: the reader took a %d-byte chunk it had no use for", i, len(fr.buf))
+		}
+	}
+}
+
+// TestFrameReaderTruncatedAfterSizedPrefix: a stream that ends after a
+// prefix read on its own, or inside the payload it announced, is an
+// unexpected EOF on both of nextSized's branches.
+func TestFrameReaderTruncatedAfterSizedPrefix(t *testing.T) {
+	const chunk = 64
+	for _, n := range []int{chunk/2 - 1, chunk / 2, 4 * chunk} {
+		full := frame(bytes.Repeat([]byte{1}, n))
+		for cut := 1; cut < len(full); cut++ {
+			fr := newFrameReader(bytes.NewReader(full[:cut]), chunk, 1<<20)
+			if _, err := fr.next(); err != io.ErrUnexpectedEOF {
+				t.Fatalf("%d-byte frame cut at %d: err = %v, want io.ErrUnexpectedEOF", n, cut, err)
+			}
+		}
+	}
+}
+
 // TestFrameReaderPayloadsStayValid: the zero-copy contract — payloads
 // returned earlier must remain intact after the reader moves to fresh
 // arena chunks.

@@ -18,6 +18,16 @@ func FuzzFrameReader(f *testing.F) {
 	f.Add(binary.BigEndian.AppendUint32(nil, 0xFFFFFFFF))
 	f.Add([]byte{0, 0, 0, 5, 'x'}) // truncated payload
 	f.Add([]byte{0, 0})            // truncated prefix
+	// Frames around the fuzz chunk (32): under, at, over and four times
+	// it, whole and cut short, so mutation starts from every allocation
+	// decision nextSized and ensure can make.
+	var around []byte
+	for _, p := range boundaryFrames(32) {
+		around = append(around, frame(p)...)
+		f.Add(frame(p))
+		f.Add(frame(p)[:len(p)/2+lenSize])
+	}
+	f.Add(around)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const maxFrame = 1 << 16

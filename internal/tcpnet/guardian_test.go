@@ -181,3 +181,63 @@ func TestForcedDisconnectExactlyOnce(t *testing.T) {
 		t.Fatalf("stream reincarnated (inc=%d); a connection drop must not break the stream", inc)
 	}
 }
+
+// BenchmarkPromiseBulkCallClaim is the byte path end to end: promise.Call
+// of one large argument to a guardian echo handler over loopback sockets,
+// a window of 32 in flight, every result claimed. B/op is the figure to
+// watch — it counts each buffer a payload passes through (the two
+// marshalled frames, its share of two receive chunks, the claimed copy),
+// so a copy reintroduced anywhere on the path shows as another payload's
+// worth. CI holds it to a ceiling.
+func BenchmarkPromiseBulkCallClaim(b *testing.B) {
+	b.Run("16KiB", func(b *testing.B) { benchBulkCallClaim(b, 16<<10) })
+}
+
+func benchBulkCallClaim(b *testing.B, size int) {
+	eps, err := tcpnet.Loopback(tcpnet.Config{}, "server", "client")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer func() {
+		for _, ep := range eps {
+			ep.Close()
+		}
+	}()
+	srv, err := guardian.NewOn(eps["server"], stream.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	echo := srv.AddHandler("echo", func(call *guardian.Call) ([]any, error) { return call.Args, nil })
+	cli, err := guardian.NewOn(eps["client"], stream.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cli.Close()
+	s := echo.Stream(cli.Agent("bench"))
+
+	const window = 32
+	arg := make([]byte, size)
+	ps := make([]*promise.Promise[[]byte], window)
+	ctx := context.Background()
+	round := func() {
+		for i := range ps {
+			if ps[i], err = promise.Call(s, echo.Port, promise.Bytes, arg); err != nil {
+				b.Fatal(err)
+			}
+		}
+		s.Flush()
+		for _, p := range ps {
+			if v, err := p.Claim(ctx); err != nil || len(v) != size {
+				b.Fatalf("claim: %d bytes, %v", len(v), err)
+			}
+		}
+	}
+	round() // connections dialed, pools warm
+	b.SetBytes(int64(2 * size))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i += window {
+		round()
+	}
+}

@@ -140,9 +140,14 @@ func TestManyFramesAllDirectionsSharded(t *testing.T) {
 			t.Fatalf("frame %s seen %d times", k, seen[k])
 		}
 	}
+	// The writer counts a round after its writev returns, by which time
+	// the receiver may already have read the frames: wait for the count.
 	st := a.Stats()
-	if st.FramesSent != n {
-		t.Fatalf("FramesSent = %d, want %d", st.FramesSent, n)
+	for deadline := time.Now().Add(5 * time.Second); st.FramesSent != n; st = a.Stats() {
+		if time.Now().After(deadline) {
+			t.Fatalf("FramesSent = %d, want %d", st.FramesSent, n)
+		}
+		time.Sleep(200 * time.Microsecond)
 	}
 	if st.Writevs >= st.FramesSent {
 		t.Logf("writevs %d for %d frames (no vectored batching observed — load-dependent)", st.Writevs, st.FramesSent)

@@ -10,6 +10,15 @@ package wire
 // followed by that many appended values. Lists likewise: AppendList with
 // the element count, followed by that many values.
 
+// SizeInt, SizeBlob and SizeCount tell how many bytes the primitives
+// below will append, so a caller can allocate a message's buffer once, at
+// its exact size: SizeInt(v) for AppendInt, SizeBlob(n) for AppendString
+// or AppendBytes of n bytes, SizeCount(n) for AppendList(n) — and for
+// AppendHeader(n), which is one byte shorter (it has no tag).
+func SizeInt(v int64) int { return 1 + uvarintLen(zigzag(v)) }
+func SizeBlob(n int) int  { return 1 + uvarintLen(uint64(n)) + n }
+func SizeCount(n int) int { return 1 + uvarintLen(uint64(n)) }
+
 // AppendHeader appends the value-count prefix that starts every encoded
 // message.
 func AppendHeader(buf []byte, n int) []byte {
@@ -42,9 +51,16 @@ func AppendString(buf []byte, s string) []byte {
 
 // AppendBytes appends a byte-string value.
 func AppendBytes(buf []byte, b []byte) []byte {
+	return append(AppendBytesHeader(buf, len(b)), b...)
+}
+
+// AppendBytesHeader appends the start of a byte-string value of n bytes;
+// the value is complete once the caller has put those n bytes after it.
+// It is what lets a message be built around a payload that is already in
+// place instead of copying the payload in.
+func AppendBytesHeader(buf []byte, n int) []byte {
 	buf = append(buf, tagBytes)
-	buf = appendUvarint(buf, uint64(len(b)))
-	return append(buf, b...)
+	return appendUvarint(buf, uint64(n))
 }
 
 // AppendRef appends a reference value.

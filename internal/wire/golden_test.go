@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/hex"
 	"math"
 	"reflect"
@@ -189,6 +190,56 @@ func TestAllocsMarshalOne(t *testing.T) {
 		})
 		if got != 1 {
 			t.Errorf("Marshal(%s) = %.0f allocs, want 1", c.name, got)
+		}
+	}
+}
+
+// TestMarshalRoomGolden pins MarshalRoom to Marshal's bytes on every
+// golden case, on both sides of the size threshold: from min up the
+// encoding sits head bytes into a buffer with at least tail bytes of spare
+// capacity behind it, below min the result is Marshal's own.
+func TestMarshalRoomGolden(t *testing.T) {
+	r := goldenRegistry()
+	const head, tail = 24, 17
+	for _, c := range goldenCases() {
+		want, err := r.Marshal(c.vals...)
+		if err != nil {
+			t.Fatalf("%s: Marshal: %v", c.name, err)
+		}
+		for _, min := range []int{0, len(want), len(want) + 1} {
+			buf, off, err := r.MarshalRoom(min, head, tail, c.vals...)
+			if err != nil {
+				t.Fatalf("%s: MarshalRoom(min %d): %v", c.name, min, err)
+			}
+			if !bytes.Equal(buf[off:], want) {
+				t.Errorf("%s, min %d: buf[off:] = %x, want Marshal's %x", c.name, min, buf[off:], want)
+			}
+			if roomy := len(want) >= min; roomy && (off != head || cap(buf)-len(buf) < tail) {
+				t.Errorf("%s, min %d: off %d, spare capacity %d; want %d and >= %d",
+					c.name, min, off, cap(buf)-len(buf), head, tail)
+			} else if !roomy && (off != 0 || cap(buf) != len(buf)) {
+				t.Errorf("%s, min %d: a short encoding got room (off %d, cap %d, len %d)",
+					c.name, min, off, cap(buf), len(buf))
+			}
+		}
+	}
+}
+
+// TestAllocsMarshalRoom: room or no room, the buffer is the only
+// allocation.
+func TestAllocsMarshalRoom(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector changes allocation counts")
+	}
+	var arg any = make([]byte, 16<<10) // boxed once, outside the count
+	for _, min := range []int{4 << 10, 64 << 10} {
+		got := testing.AllocsPerRun(100, func() {
+			if _, _, err := MarshalRoom(min, 128, 40, arg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != 1 {
+			t.Errorf("MarshalRoom(min %d) of 16 KiB = %.0f allocs, want 1", min, got)
 		}
 	}
 }

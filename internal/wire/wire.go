@@ -134,6 +134,11 @@ func Register(sample any, codec Codec) { defaultRegistry.Register(sample, codec)
 // one byte string using the default codec registry.
 func Marshal(vals ...any) ([]byte, error) { return defaultRegistry.Marshal(vals...) }
 
+// MarshalRoom is Registry.MarshalRoom on the default registry.
+func MarshalRoom(min, head, tail int, vals ...any) (buf []byte, off int, err error) {
+	return defaultRegistry.MarshalRoom(min, head, tail, vals...)
+}
+
 // Unmarshal decodes a byte string produced by Marshal using the default
 // codec registry.
 func Unmarshal(data []byte) ([]any, error) { return defaultRegistry.Unmarshal(data) }
@@ -152,13 +157,28 @@ func UnmarshalInto(dst []any, data []byte) ([]any, error) {
 // is sized first, so the result is allocated exactly once whatever the
 // arguments' lengths.
 func (r *Registry) Marshal(vals ...any) ([]byte, error) {
+	buf, _, err := r.MarshalRoom(0, 0, 0, vals...)
+	return buf, err
+}
+
+// MarshalRoom is Marshal for a caller that will build a message around
+// the encoding without copying it. An encoding of at least min bytes (and
+// only such a one) is placed in a buffer with room around it: it starts
+// off == head bytes into buf, and buf has at least tail bytes of spare
+// capacity past its end. A shorter encoding comes back exactly as Marshal
+// returns it, with off == 0. Either way buf[off:] is Marshal's output and
+// the buffer is the call's only allocation.
+func (r *Registry) MarshalRoom(min, head, tail int, vals ...any) (buf []byte, off int, err error) {
 	e := encoder{reg: r, sizing: true}
 	if err := e.values(vals); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	e.sizing, e.buf = false, make([]byte, 0, e.n)
+	if e.n < min {
+		head, tail = 0, 0
+	}
+	e.sizing, e.buf = false, make([]byte, head, head+e.n+tail)
 	_ = e.values(vals) // everything that can fail did, in the sizing pass
-	return e.buf, nil
+	return e.buf, head, nil
 }
 
 // Unmarshal decodes a byte string produced by Marshal. The values are
