@@ -2,6 +2,7 @@ package cascade
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 
@@ -9,6 +10,7 @@ import (
 	"promises/internal/exception"
 	"promises/internal/simnet"
 	"promises/internal/stream"
+	"promises/internal/trace"
 )
 
 func fastOpts() stream.Options {
@@ -165,34 +167,51 @@ func TestPartitionTerminatesPerStream(t *testing.T) {
 	}
 }
 
+// TestPipeliningBeatsSequentialWithStageDelays asserts the overlap as
+// event order. The sequential structure claims every read before it makes
+// its first write call, so the sink executes only after the source has
+// executed its last call; with one arm per stream the sink is at work
+// while the source still has most of its stage delays ahead of it.
+// Elapsed time is held only to a very generous bound.
 func TestPipeliningBeatsSequentialWithStageDelays(t *testing.T) {
-	// With real per-stage costs, the per-stream structure should overlap
-	// the stages. Timing-sensitive: logged, not asserted, except for a
-	// very generous bound.
 	const k = 30
 	stage := 300 * time.Microsecond
-
-	seqW, seqClk := newVirtualWorld(t, simnet.Config{}, 0)
-	seqW.source.SetDelay(stage)
-	seqW.compute.SetDelay(stage)
-	seqW.sink.SetDelay(stage)
-	start := seqClk.Now()
-	if err := seqW.client.RunSequential(context.Background(), k); err != nil {
-		t.Fatal(err)
+	// run reports the elapsed modeled time and whether the sink executed
+	// its first call before the source executed its last.
+	run := func(f func(*Client, context.Context, int) error) (time.Duration, bool) {
+		w, clk := newVirtualWorld(t, simnet.Config{}, 0)
+		w.source.SetDelay(stage)
+		w.compute.SetDelay(stage)
+		w.sink.SetDelay(stage)
+		ring := trace.NewRing(0)
+		w.source.G.Peer().SetTracer(ring)
+		w.sink.G.Peer().SetTracer(ring)
+		start := clk.Now()
+		if err := f(w.client, context.Background(), k); err != nil {
+			t.Fatal(err)
+		}
+		elapsed := clk.Now().Sub(start)
+		lastRead, firstWrite := -1, -1
+		for i, e := range ring.Filter(trace.CallExecuted) {
+			if strings.Contains(e.Stream, "->source/") {
+				lastRead = i
+			} else if firstWrite < 0 {
+				firstWrite = i
+			}
+		}
+		if lastRead < 0 || firstWrite < 0 {
+			t.Fatalf("trace is missing the source's executions (%d) or the sink's (%d)", lastRead, firstWrite)
+		}
+		return elapsed, firstWrite < lastRead
 	}
-	seqT := seqClk.Now().Sub(start)
-
-	pipeW, pipeClk := newVirtualWorld(t, simnet.Config{}, 0)
-	pipeW.source.SetDelay(stage)
-	pipeW.compute.SetDelay(stage)
-	pipeW.sink.SetDelay(stage)
-	start = pipeClk.Now()
-	if err := pipeW.client.RunPerStream(context.Background(), k); err != nil {
-		t.Fatal(err)
+	seqT, seqOverlap := run((*Client).RunSequential)
+	if seqOverlap {
+		t.Error("sequential: the sink executed a call before the source executed its last")
 	}
-	pipeT := pipeClk.Now().Sub(start)
-
-	t.Logf("sequential %v, per-stream %v (k=%d, stage=%v)", seqT, pipeT, k, stage)
+	pipeT, pipeOverlap := run((*Client).RunPerStream)
+	if !pipeOverlap {
+		t.Error("per-stream: the sink executed nothing until the source had executed its last call; no overlap")
+	}
 	if pipeT > 3*seqT {
 		t.Fatalf("per-stream (%v) wildly slower than sequential (%v)", pipeT, seqT)
 	}

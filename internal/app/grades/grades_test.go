@@ -3,6 +3,7 @@ package grades
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -10,6 +11,7 @@ import (
 	"promises/internal/exception"
 	"promises/internal/simnet"
 	"promises/internal/stream"
+	"promises/internal/trace"
 )
 
 func fastOpts() stream.Options {
@@ -309,29 +311,48 @@ func TestAtomicRollsBackOnPrinterFailure(t *testing.T) {
 	}
 }
 
+// TestCompositionOverlapsPipelining is §4's claim as event order rather
+// than elapsed time. With records produced incrementally, the sequential
+// program (Figure 3-1) makes every record_grade call before its first
+// print call, so the printer sits idle until recording has been started in
+// full; under coenter (Figure 4-2) the printer is at work while the
+// recorder is still producing. The first half is program order; the second
+// is separated by most of the run's modeled time.
 func TestCompositionOverlapsPipelining(t *testing.T) {
-	// With per-call processing delays, the concurrent compositions should
-	// finish well before the sum of all delays, because recording and
-	// printing overlap. This is the qualitative claim of §4; E4 measures
-	// it quantitatively.
-	w, clk := newVirtualWorld(t, simnet.Config{Propagation: 200 * time.Microsecond})
-	const n = 40
-	perCall := 500 * time.Microsecond
-	w.db.SetDelay(perCall)
-	w.pr.SetDelay(perCall)
-	grades := Workload(n)
-
-	start := clk.Now()
-	if err := w.client.RunCoenter(context.Background(), grades); err != nil {
-		t.Fatal(err)
+	grades := Workload(24)
+	// printsBeforeRecordingEnds runs one strategy and reports whether the
+	// printer executed its first call before the client made its last
+	// record_grade call.
+	printsBeforeRecordingEnds := func(run func(*Client, context.Context, []SInfo) error) bool {
+		w, _ := newVirtualWorld(t, simnet.Config{Propagation: 200 * time.Microsecond})
+		w.client.ProduceCost = 500 * time.Microsecond
+		ring := trace.NewRing(0)
+		w.client.G.Peer().SetTracer(ring)
+		w.pr.G.Peer().SetTracer(ring)
+		if err := run(w.client, context.Background(), grades); err != nil {
+			t.Fatal(err)
+		}
+		checkOutput(t, w, grades)
+		lastRecord, firstPrint := -1, -1
+		for i, e := range ring.Events() {
+			switch {
+			case e.Kind == trace.CallEnqueued && strings.Contains(e.Stream, "->gradesdb/"):
+				lastRecord = i
+			case e.Kind == trace.CallExecuted && firstPrint < 0:
+				firstPrint = i
+			}
+		}
+		if lastRecord < 0 || firstPrint < 0 {
+			t.Fatalf("trace is missing the record calls (%d) or the print executions (%d)", lastRecord, firstPrint)
+		}
+		return firstPrint < lastRecord
 	}
-	elapsed := clk.Now().Sub(start)
-	serialFloor := time.Duration(2*n) * perCall // no-overlap lower bound
-	if elapsed >= serialFloor {
-		t.Logf("coenter run took %v (serial floor %v) — overlap not observed; "+
-			"timing-sensitive, not failing", elapsed, serialFloor)
+	if printsBeforeRecordingEnds((*Client).RunSequential) {
+		t.Error("sequential: the printer executed a call before the last record_grade call was made")
 	}
-	checkOutput(t, w, grades)
+	if !printsBeforeRecordingEnds((*Client).RunCoenter) {
+		t.Error("coenter: the printer executed nothing until the last record_grade call had been made; no overlap")
+	}
 }
 
 func TestAllThreeProduceIdenticalOutput(t *testing.T) {

@@ -1,8 +1,8 @@
 // Package clock abstracts time for the whole runtime. Every layer that
 // sleeps, ticks, schedules a deadline, or timestamps an event does so
-// through a Clock, so one system — simnet, streams, guardians, the bench
-// harness — can run either on the wall clock (Real) or on a deterministic
-// logical clock (Virtual) without code changes.
+// through a Clock, so one system — simnet, streams, guardians — can run
+// either on the wall clock (Real) or on a deterministic logical clock
+// (Virtual) without code changes.
 //
 // Real is the default everywhere and delegates to package time; nothing
 // observable changes for code that never asks for a different clock.

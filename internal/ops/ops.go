@@ -2,7 +2,7 @@
 // only on the standard library, that exposes a running process's
 // observability surfaces — the metrics registry, per-stream health, and
 // the trace flight recorder — plus net/http/pprof. Every daemon
-// (gradesd, mailer, benchtab) mounts it behind an -ops=addr flag, and
+// (gradesd, mailer) mounts it behind an -ops=addr flag, and
 // cmd/streamscope -live attaches to one or more of these endpoints to
 // merge their rings into a cross-process causal waterfall.
 //

@@ -6,13 +6,15 @@ import (
 	"time"
 
 	"promises/internal/exception"
+	"promises/internal/metrics"
 	"promises/internal/simnet"
 	"promises/internal/stream"
 	"promises/internal/wire"
 )
 
 // graphFixture wires a client and three server peers that each expose an
-// "inc" port (add 1) and an "addmul" port (result*mul + add).
+// "inc" port (add 1) and an "addmul" port (result*mul + add). The client
+// alone carries a metrics registry, for enqueued.
 func graphFixture(t *testing.T, serverOpts func(string) stream.Options) (client *stream.Peer, nodes []string) {
 	t.Helper()
 	n := simnet.New(simnet.Config{})
@@ -20,7 +22,9 @@ func graphFixture(t *testing.T, serverOpts func(string) stream.Options) (client 
 		MaxBatch: 8, MaxBatchDelay: time.Millisecond,
 		RTO: 10 * time.Millisecond, MaxRetries: 4,
 	}
-	client = stream.NewPeer(n.MustAddNode("client"), opts)
+	copts := opts
+	copts.Metrics = metrics.NewRegistry()
+	client = stream.NewPeer(n.MustAddNode("client"), copts)
 	nodes = []string{"ga", "gb", "gc"}
 	peers := make([]*stream.Peer, 0, len(nodes))
 	for _, name := range nodes {
@@ -69,6 +73,12 @@ func graphFixture(t *testing.T, serverOpts func(string) stream.Options) (client 
 	return client, nodes
 }
 
+// enqueued is how many calls the client itself has put on its streams:
+// one per round trip it pays for.
+func enqueued(client *stream.Peer) uint64 {
+	return client.Metrics().Counter("stream_calls_enqueued_total").Value()
+}
+
 func mustOutcome(t *testing.T, v int64) stream.Outcome {
 	t.Helper()
 	b, err := wire.Marshal(v)
@@ -94,6 +104,9 @@ func TestGraphPipelinedChain(t *testing.T) {
 	}
 	if v != 34 {
 		t.Fatalf("chain = %d, want 34", v)
+	}
+	if got := enqueued(client); got != 1 {
+		t.Fatalf("client enqueued %d calls for a pipelined 3-stage chain, want 1", got)
 	}
 }
 
@@ -121,6 +134,9 @@ func TestGraphFallbackAgainstLegacy(t *testing.T) {
 	}
 	if v != 34 {
 		t.Fatalf("fallback chain = %d, want 34", v)
+	}
+	if got := enqueued(client); got != 3 {
+		t.Fatalf("client enqueued %d calls for a caller-mediated 3-stage chain, want 3", got)
 	}
 }
 

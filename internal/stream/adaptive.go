@@ -7,9 +7,9 @@ import (
 )
 
 // The adaptive batch controller. The paper fixes the buffering tradeoff
-// ("several calls in one message") at a constant; the E2 sweep shows the
-// optimum moving with payload size and load, so with Options.AdaptiveBatch
-// the sender tunes the limit online instead. Two mechanisms compose:
+// ("several calls in one message") at a constant, but the optimum moves
+// with payload size and load, so with Options.AdaptiveBatch the sender
+// tunes the limit online instead. Two mechanisms compose:
 //
 //   - A byte budget closes a batch once its encoded size reaches
 //     MaxBatchBytes, seeded from the network cost model: past the point

@@ -41,7 +41,7 @@ type streamMetrics struct {
 	// the lifecycle, all measured against a single process's clock so no
 	// cross-process clock sync is assumed. Quantiles (p50/p99/p999) are
 	// derived from the buckets at read time (metrics.HistogramValue.
-	// Quantile) by /metrics, streamscope, and benchtab.
+	// Quantile) by /metrics and streamscope.
 	stageBatchWait *metrics.Histogram // ns from first buffered call to batch transmit
 	stageResolve   *metrics.Histogram // ns from enqueue to promise resolution (sender RTT)
 	stageExec      *metrics.Histogram // ns a handler ran at the receiver

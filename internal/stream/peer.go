@@ -145,13 +145,6 @@ func NewPeer(ep transport.Endpoint, opts Options) *Peer {
 // Endpoint returns the transport endpoint the peer runs on.
 func (p *Peer) Endpoint() transport.Endpoint { return p.ep }
 
-// Node returns the underlying endpoint.
-//
-// Deprecated: the return type was historically *simnet.Node; callers
-// that need the concrete backend should type-assert the result of
-// Endpoint. Retained so existing call sites keep compiling.
-func (p *Peer) Node() transport.Endpoint { return p.ep }
-
 // Clock returns the peer's time source.
 func (p *Peer) Clock() clock.Clock { return p.clk }
 

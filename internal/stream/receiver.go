@@ -105,7 +105,7 @@ func (c *Incoming) Clone() *Incoming {
 }
 
 // ChildCause is the causal context a handler passes to downstream calls
-// it issues on this call's behalf (stream.CallCause, promise/rpcbase
+// it issues on this call's behalf (stream.CallCause, the promise
 // Cause variants): the chain root is inherited from the incoming cause
 // (or starts here when this call is the root), and the parent is this
 // call itself. Valid only while the handler runs, like every other

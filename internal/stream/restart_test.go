@@ -120,9 +120,6 @@ func TestStaleIncarnationBatchIgnored(t *testing.T) {
 func TestAccessors(t *testing.T) {
 	f := newFixture(t, simnet.Config{}, fastOpts())
 	f.handle("echo", echoHandler)
-	if f.client.Node() == nil || f.client.Node().Name() != "client" {
-		t.Fatal("Peer.Node broken")
-	}
 	if f.client.Endpoint() == nil || f.client.Endpoint().Name() != "client" {
 		t.Fatal("Peer.Endpoint broken")
 	}
@@ -156,12 +153,8 @@ func TestAccessors(t *testing.T) {
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
 	if o.MaxBatch != 16 || o.MaxBatchDelay != 2*time.Millisecond ||
-		o.RTO != 25*time.Millisecond || o.MaxRetries != 8 || !o.AutoRestart {
+		o.RTO != 25*time.Millisecond || o.MaxRetries != 8 || o.NoAutoRestart {
 		t.Fatalf("defaults = %+v", o)
-	}
-	o = Options{NoAutoRestart: true}.withDefaults()
-	if o.AutoRestart {
-		t.Fatal("NoAutoRestart ignored")
 	}
 }
 

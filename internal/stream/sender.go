@@ -832,9 +832,9 @@ func (s *Stream) Restart() {
 }
 
 // systemBreak is invoked by the protocol machinery (retry exhaustion,
-// receiver break notification, target crash). It honors AutoRestart.
+// receiver break notification, target crash). It honors NoAutoRestart.
 func (s *Stream) systemBreak(reason *exception.Exception) {
-	s.breakInternal(reason, s.opts.AutoRestart)
+	s.breakInternal(reason, !s.opts.NoAutoRestart)
 }
 
 func (s *Stream) breakInternal(reason *exception.Exception, restart bool) {
@@ -1157,7 +1157,7 @@ func (s *Stream) finalizeBreakLocked() {
 	}
 	s.clearShardBuffersLocked()
 	s.wakeFlowWaitersLocked()
-	if s.opts.AutoRestart {
+	if !s.opts.NoAutoRestart {
 		s.reincarnateLocked()
 	}
 }

@@ -378,7 +378,7 @@ func TestFlushSpeedsDelivery(t *testing.T) {
 
 func TestBatchingReducesMessages(t *testing.T) {
 	const n = 64
-	run := func(maxBatch int) int64 {
+	run := func(mode Mode, maxBatch int) simnet.Stats {
 		net := simnet.New(simnet.Config{})
 		defer net.Close()
 		opts := Options{MaxBatch: maxBatch, MaxBatchDelay: 500 * time.Millisecond, RTO: time.Second, MaxRetries: 3}
@@ -388,29 +388,53 @@ func TestBatchingReducesMessages(t *testing.T) {
 		defer server.Close()
 		server.SetDispatcher(func(string) (Handler, bool) { return echoHandler, true })
 		s := client.Agent("a").Stream("server", "g")
-		ps := make([]Pending, n)
-		for i := range ps {
-			p, err := s.Call("echo", []byte{byte(i)})
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		ps := make([]Pending, 0, n)
+		for i := 0; i < n; i++ {
+			var (
+				p   Pending
+				err error
+			)
+			switch mode {
+			case ModeRPC:
+				_, err = s.RPC(ctx, "echo", []byte{byte(i)})
+			case ModeSend:
+				p, err = s.Send("echo", []byte{byte(i)})
+			default:
+				p, err = s.Call("echo", []byte{byte(i)})
+			}
 			if err != nil {
 				panic(err)
 			}
-			ps[i] = p
+			if mode != ModeRPC {
+				ps = append(ps, p)
+			}
 		}
 		s.Flush()
 		for _, p := range ps {
-			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 			if _, err := p.Wait(ctx); err != nil {
-				cancel()
 				panic(err)
 			}
-			cancel()
 		}
-		return net.Stats().MessagesSent
+		return net.Stats()
 	}
-	unbatched := run(1)
-	batched := run(32)
-	if batched >= unbatched {
-		t.Errorf("batched run used %d messages, unbatched %d; batching should reduce messages", batched, unbatched)
+	unbatched := run(ModeCall, 1).MessagesSent
+	calls := run(ModeCall, 32)
+	if calls.MessagesSent >= unbatched {
+		t.Errorf("batched run used %d messages, unbatched %d; batching should reduce messages", calls.MessagesSent, unbatched)
+	}
+	// §2, sends < stream calls < RPCs. An RPC cannot share a message with
+	// its neighbours; a send's normal reply is omitted, but the progress
+	// ack that resolves it is a message too (one per receiver tick, so
+	// their number varies), so what sends save is counted in bytes.
+	sends, rpcs := run(ModeSend, 32), run(ModeRPC, 32)
+	if calls.MessagesSent >= rpcs.MessagesSent || sends.MessagesSent >= rpcs.MessagesSent {
+		t.Errorf("messages for %d ops: sends %d, stream calls %d, RPCs %d; want both below RPCs",
+			n, sends.MessagesSent, calls.MessagesSent, rpcs.MessagesSent)
+	}
+	if sends.BytesSent >= calls.BytesSent {
+		t.Errorf("bytes for %d ops: sends %d, stream calls %d; sends omit the replies", n, sends.BytesSent, calls.BytesSent)
 	}
 }
 

@@ -189,12 +189,11 @@ type Options struct {
 	// Default 8. ("The system tries hard to deliver messages before
 	// breaking a stream.")
 	MaxRetries int
-	// AutoRestart reincarnates a stream immediately after a system break,
-	// so later calls proceed on the new incarnation. Default true
-	// ("broken streams are mapped into exceptions and then restarted
-	// automatically"). Explicit Break calls never auto-restart.
-	AutoRestart bool
-	// NoAutoRestart disables AutoRestart (zero-value ergonomics).
+	// NoAutoRestart leaves a stream broken after a system break. By
+	// default it is reincarnated immediately, so later calls proceed on
+	// the new incarnation ("broken streams are mapped into exceptions and
+	// then restarted automatically"). Explicit Break calls never
+	// auto-restart.
 	NoAutoRestart bool
 	// AdaptiveBatch enables the online batch-size controller: MaxBatch
 	// becomes the starting point, and the limit is then hill-climbed on
@@ -282,7 +281,6 @@ func (o Options) withDefaults() Options {
 	if o.Shards > maxShards {
 		o.Shards = maxShards
 	}
-	o.AutoRestart = !o.NoAutoRestart
 	return o
 }
 

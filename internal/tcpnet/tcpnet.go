@@ -160,9 +160,8 @@ func newTCPMetrics(reg *metrics.Registry) *tcpMetrics {
 		bytesRecv:  reg.Counter("tcp_bytes_recv_total"),
 		writevs:    reg.Counter("tcp_writev_total"),
 		drops:      reg.Counter("tcp_frames_dropped_total"),
-		// Named per the experiment tooling's convention for the
-		// unreachable-peer drop specifically, distinct from the aggregate.
-		unreachableDrops: reg.Counter("tcpnet_frames_dropped"),
+		// The unreachable-peer share of the aggregate above.
+		unreachableDrops: reg.Counter("tcp_frames_dropped_unreachable_total"),
 	}
 }
 
