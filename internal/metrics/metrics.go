@@ -27,9 +27,9 @@ import (
 	"unsafe"
 )
 
-// counterShards is the number of cache-line-padded cells a Counter
+// counterCells is the number of cache-line-padded cells a Counter
 // spreads its count over. Must be a power of two.
-const counterShards = 8
+const counterCells = 8
 
 type counterCell struct {
 	n atomic.Uint64
@@ -40,7 +40,7 @@ type counterCell struct {
 // the caller's stack address, so distinct goroutines usually land on
 // distinct cache lines; reads sum all shards.
 type Counter struct {
-	cells [counterShards]counterCell
+	cells [counterCells]counterCell
 }
 
 // shardIndex derives a shard from the address of a stack local: cheap,
@@ -48,7 +48,7 @@ type Counter struct {
 // adds from one goroutine stay on one cache line.
 func shardIndex() int {
 	var b byte
-	return int(uintptr(unsafe.Pointer(&b))>>6) & (counterShards - 1)
+	return int(uintptr(unsafe.Pointer(&b))>>6) & (counterCells - 1)
 }
 
 // Add increments the counter by n.

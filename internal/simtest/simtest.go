@@ -71,13 +71,6 @@ type Options struct {
 	// harness goroutine; what the option exercises deterministically is
 	// the credit accounting and controller epochs on every reply path).
 	FlowControl bool
-	// Shards sets the stream hot path's shard count (stream.Options
-	// Shards). 0 keeps the legacy single-shard path. Sharding regroups
-	// batches by residue class but must not change which calls execute
-	// or what they return: the outcome lines of a transcript are
-	// invariant under Shards, and a sharded run is itself reproducible
-	// seed-for-seed.
-	Shards int
 }
 
 func (o Options) withDefaults() Options {
@@ -154,9 +147,6 @@ func Run(o Options) (*Result, error) {
 		opts.AdaptiveBatch = true
 		opts.MaxBatchBytes = 2048
 		opts.MaxInFlight = 64
-	}
-	if o.Shards > 0 {
-		opts.Shards = o.Shards
 	}
 
 	servers := make([]*guardian.Guardian, o.Servers)

@@ -86,52 +86,3 @@ func TestFaultsAreExercised(t *testing.T) {
 		t.Fatalf("%d outcome lines, want 16", got)
 	}
 }
-
-// TestShardedSameSeedIsByteIdentical is the determinism property with the
-// stream hot path sharded: per-shard batch assembly regroups the wire
-// traffic, but a seeded sharded run must still be reproducible
-// byte-for-byte, flow control and all.
-func TestShardedSameSeedIsByteIdentical(t *testing.T) {
-	var first *Result
-	for run := 0; run < 3; run++ {
-		r, err := Run(Options{Seed: 11, Calls: 16, FlowControl: true, Shards: 4})
-		if err != nil {
-			t.Fatalf("run %d: %v", run, err)
-		}
-		if first == nil {
-			first = r
-			continue
-		}
-		if r.Transcript != first.Transcript {
-			t.Fatalf("run %d transcript differs with sharding enabled\n--- run 0 ---\n%s\n--- run %d ---\n%s",
-				run, first.Transcript, run, r.Transcript)
-		}
-	}
-}
-
-// TestShardingDoesNotPerturbOutcomes: sharding is a transport-internal
-// regrouping — which calls execute and what every call returns must be
-// identical to the legacy single-shard run of the same seed. (Trace
-// events may differ: batch boundaries move. Outcomes may not.)
-func TestShardingDoesNotPerturbOutcomes(t *testing.T) {
-	outcomes := func(r *Result) string {
-		var keep []string
-		for _, line := range strings.Split(r.Transcript, "\n") {
-			if strings.HasPrefix(line, "outcome id=") {
-				keep = append(keep, line)
-			}
-		}
-		return strings.Join(keep, "\n")
-	}
-	legacy, err := Run(Options{Seed: 11, Calls: 16, FlowControl: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded, err := Run(Options{Seed: 11, Calls: 16, FlowControl: true, Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := outcomes(sharded), outcomes(legacy); got != want {
-		t.Fatalf("sharding changed call outcomes\n--- legacy ---\n%s\n--- sharded ---\n%s", want, got)
-	}
-}

@@ -523,7 +523,7 @@ func TestAdaptTimerFlushClamp(t *testing.T) {
 func TestOverloadBoundsWindowAndWorkers(t *testing.T) {
 	opts := Options{MaxBatch: 8, MaxBatchDelay: 500 * time.Microsecond,
 		RTO: 100 * time.Millisecond, MaxRetries: 8,
-		MaxInFlight: 64, ExecWorkers: 8, AdaptiveBatch: true}
+		MaxInFlight: 64, AdaptiveBatch: true}
 	f := newFixture(t, simnet.Config{}, opts)
 	f.server.SetParallelPorts(func(string) bool { return true })
 	var cur, maxConc atomic.Int64
@@ -567,8 +567,8 @@ func TestOverloadBoundsWindowAndWorkers(t *testing.T) {
 		t.Errorf("window only reached %d of %d; overload never built up (weak test)",
 			maxWindow, opts.MaxInFlight)
 	}
-	if got := maxConc.Load(); got > int64(opts.ExecWorkers) {
-		t.Errorf("handler concurrency reached %d, worker pool cap %d", got, opts.ExecWorkers)
+	if got := maxConc.Load(); got > execWorkers {
+		t.Errorf("handler concurrency reached %d, worker pool cap %d", got, execWorkers)
 	} else if got < 2 {
 		t.Errorf("handler concurrency %d; parallel ports never ran in parallel", got)
 	}

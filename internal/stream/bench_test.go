@@ -74,49 +74,6 @@ func BenchmarkStreamCallThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkStreamCallThroughputSharded runs the same bounded-window round
-// trip with the hot path sharded across GOMAXPROCS shards and the
-// receiver's parallel port executed on shard-pinned workers. On a
-// single-P runner this measures sharding overhead (the per-shard batch
-// assembly and watermark fold); on a multicore runner, scaling.
-func BenchmarkStreamCallThroughputSharded(b *testing.B) {
-	client, cleanup := benchWorld(b, Options{MaxBatch: 16, Shards: AutoShards, ExecWorkers: 4})
-	defer cleanup()
-	s := client.Agent("bench").Stream("server", "g")
-	arg := make([]byte, 32)
-
-	const window = 256
-	pendings := make([]Pending, 0, window)
-	ctx := context.Background()
-
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p, err := s.Call("echo", arg)
-		if err != nil {
-			b.Fatalf("Call: %v", err)
-		}
-		pendings = append(pendings, p)
-		if len(pendings) == window {
-			s.Flush()
-			for _, p := range pendings {
-				if _, err := p.Wait(ctx); err != nil {
-					b.Fatalf("Wait: %v", err)
-				}
-				p.Release()
-			}
-			pendings = pendings[:0]
-		}
-	}
-	s.Flush()
-	for _, p := range pendings {
-		if _, err := p.Wait(ctx); err != nil {
-			b.Fatalf("Wait: %v", err)
-		}
-		p.Release()
-	}
-}
-
 // BenchmarkStreamCallThroughputWithMetrics is the instrumented twin of
 // BenchmarkStreamCallThroughput: a live registry inherited by both peers,
 // so every counter and histogram update on the call path is measured.

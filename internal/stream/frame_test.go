@@ -463,44 +463,3 @@ func TestBulkCallsDoNotSteerAdaptiveBatching(t *testing.T) {
 		t.Errorf("%d batches carried %d calls; every big call should ride alone", h.Count, h.Sum)
 	}
 }
-
-// TestBulkCallsSharded: four sender and receiver shards, big calls both
-// ways, small ones between them.
-func TestBulkCallsSharded(t *testing.T) {
-	opts := fastOpts()
-	opts.Shards = 4
-	f := newFixture(t, simnet.Config{Jitter: 100 * time.Microsecond, Seed: 9}, opts)
-	var mu sync.Mutex
-	var order []int
-	f.handle("echo", func(call *Incoming) Outcome {
-		mu.Lock()
-		order = append(order, int(call.Seq))
-		mu.Unlock()
-		return reMarshal(call)
-	})
-	s := f.client.Agent("a1").Stream("server", "g1")
-	const n = 64
-	ps, args := make([]Pending, n), make([][]byte, n)
-	for i := range ps {
-		size := 7 << 10
-		if i%4 == 3 {
-			size = 40
-		}
-		args[i] = bulkArg(i, size)
-		ps[i], _ = callBulk(t, s, "echo", args[i])
-	}
-	s.Flush()
-	for i, p := range ps {
-		claimBulk(t, p, i, args[i])
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	for i, seq := range order {
-		if seq != i+1 {
-			t.Fatalf("execution %d was seq %d (of %d)", i, seq, len(order))
-		}
-	}
-	if len(order) != n {
-		t.Fatalf("%d executions of %d calls", len(order), n)
-	}
-}

@@ -31,12 +31,6 @@ type Peer struct {
 	clk  clock.Clock
 	sm   *streamMetrics // nil when metrics are disabled
 
-	// Optional endpoint capabilities, asserted once at construction so
-	// the hot path pays no type switches. shardSend is nil when the
-	// backend has no striped write path (simnet); transmitShard then
-	// degrades to plain Send.
-	shardSend transport.ShardedSender
-
 	// idleFlush is the adaptive quiescence-flush delay derived from the
 	// cost model (see resolveIdleFlush); 0 when adaptation is off.
 	idleFlush time.Duration
@@ -57,21 +51,12 @@ type Peer struct {
 	sched atomic.Pointer[pipeScheduler]
 
 	// Bounded worker pool for parallel-port execution (see execWorker):
-	// workers are spawned lazily up to opts.ExecWorkers and live until
-	// Close, which closes execTasks after every submitter (the per-stream
+	// workers are spawned lazily up to execWorkers and live until Close,
+	// which closes execTasks after every submitter (the per-stream
 	// executors, tracked in wg) has exited.
 	execTasks   chan execTask
 	execWorkers atomic.Int32
 	execWG      sync.WaitGroup
-
-	// With sharding on (opts.Shards > 1), parallel-port execution is
-	// pinned instead of pooled: channel i feeds the one worker that owns
-	// reply shard i, so a call's continuation completes on the same
-	// worker — and typically the same core — as its reply slot, instead of
-	// bouncing the shard's reply state between pool workers. nil when
-	// Shards <= 1 (the shared pool keeps its exact historical behavior).
-	execShards  []chan execTask
-	execShardOn []atomic.Bool // worker-spawned flags, one per shard
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -124,17 +109,9 @@ func NewPeer(ep transport.Endpoint, opts Options) *Peer {
 		agents:    make(map[string]*Agent),
 		sends:     make(map[streamKey]*Stream),
 		recvs:     make(map[streamKey]*rstream),
-		execTasks: make(chan execTask, 2*opts.ExecWorkers),
+		execTasks: make(chan execTask, 2*execWorkers),
 		ctx:       ctx,
 		cancel:    cancel,
-	}
-	p.shardSend, _ = ep.(transport.ShardedSender)
-	if opts.Shards > 1 {
-		p.execShards = make([]chan execTask, opts.Shards)
-		p.execShardOn = make([]atomic.Bool, opts.Shards)
-		for i := range p.execShards {
-			p.execShards[i] = make(chan execTask, 2*opts.ExecWorkers)
-		}
 	}
 	p.wg.Add(2)
 	go p.recvLoop()
@@ -260,14 +237,12 @@ func (p *Peer) senderStream(key streamKey) *Stream {
 		s = newStream(p, key, p.opts)
 		p.sends[key] = s
 		if !p.closed {
-			// The per-shard precise age-flush timers (sender.go flushLoop).
-			// A stream created in a race with Close gets none: the peer is
-			// dead and its transmits are no-ops anyway, and wg.Add after
-			// wg.Wait would race.
-			for i := range s.shards {
-				p.wg.Add(1)
-				go s.flushLoop(&s.shards[i])
-			}
+			// The precise age-flush timer (sender.go flushLoop). A stream
+			// created in a race with Close gets none: the peer is dead and
+			// its transmits are no-ops anyway, and wg.Add after wg.Wait
+			// would race.
+			p.wg.Add(1)
+			go s.flushLoop()
 		}
 	}
 	return s
@@ -281,23 +256,7 @@ func (p *Peer) senderStream(key streamKey) *Stream {
 // executor — has drained), so an accepted task is always executed and
 // its outstanding count always released.
 func (p *Peer) submitParallel(r *rstream, req request) bool {
-	if p.execShards != nil {
-		// Sharded pinning: the call runs on the worker that owns its
-		// reply shard, so the continuation lands where its reply slot
-		// lives instead of bouncing the shard between pool workers.
-		i := req.Seq % uint64(len(p.execShards))
-		if !p.execShardOn[i].Load() && p.execShardOn[i].CompareAndSwap(false, true) {
-			p.execWG.Add(1)
-			go p.execShardWorker(p.execShards[i])
-		}
-		select {
-		case p.execShards[i] <- execTask{r: r, req: req}:
-			return true
-		case <-p.ctx.Done():
-			return false
-		}
-	}
-	if n := p.execWorkers.Load(); int(n) < p.opts.ExecWorkers {
+	if n := p.execWorkers.Load(); n < execWorkers {
 		if p.execWorkers.CompareAndSwap(n, n+1) {
 			p.execWG.Add(1)
 			go p.execWorker()
@@ -324,33 +283,10 @@ func (p *Peer) execWorker() {
 	}
 }
 
-// execShardWorker is the pinned variant: it owns every parallel-port
-// call whose reply lives in one shard.
-func (p *Peer) execShardWorker(ch chan execTask) {
-	defer p.execWG.Done()
-	var scratch Incoming
-	for t := range ch {
-		t.r.executeOne(t.req, &scratch)
-		t.r.outstanding.Done()
-	}
-}
-
 // transmit sends a protocol message, ignoring local send errors: if our
 // node is crashed or the target vanished, retransmission timers and
 // retry exhaustion turn the silence into a broken stream.
 func (p *Peer) transmit(to string, payload []byte) {
-	_ = p.ep.Send(to, payload)
-}
-
-// transmitShard is transmit with a write-scheduling hint: backends with
-// striped write paths (tcpnet) enqueue concurrent sender shards on
-// different stripes so they never serialize on one socket mutex.
-// Backends without the capability (simnet) get plain Send.
-func (p *Peer) transmitShard(to string, payload []byte, shard int) {
-	if p.shardSend != nil {
-		_ = p.shardSend.SendShard(to, payload, shard)
-		return
-	}
 	_ = p.ep.Send(to, payload)
 }
 
@@ -621,8 +557,5 @@ func (p *Peer) Close() {
 	// Every submitter (the executors, tracked in wg) has exited; the pool
 	// can now drain its remaining tasks and stop.
 	close(p.execTasks)
-	for _, ch := range p.execShards {
-		close(ch)
-	}
 	p.execWG.Wait()
 }

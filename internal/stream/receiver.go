@@ -131,21 +131,23 @@ type Handler func(call *Incoming) Outcome
 // failure("handler does not exist") reply.
 type Dispatcher func(port string) (Handler, bool)
 
-// recvShard holds the completion tracking and reply retention for the
-// seqs congruent to its index mod the shard count. All fields are guarded
-// by the shard mutex except watermark, which is also read lock-free by
-// the completedThrough fold. The lock order is r.mu before sh.mu; the
-// post-handler completion path takes only sh.mu, so executions on
-// different shards complete and build reply batches concurrently.
-type recvShard struct {
-	mu sync.Mutex
+// rstream is the receiving end of one stream.
+type rstream struct {
+	peer   *Peer
+	key    streamKey
+	keyStr string // key.String(), cached once
+	opts   Options
+
+	// The reply lane: completion tracking and reply retention, guarded by
+	// replyMu except watermark, which is also read lock-free. The lock
+	// order is mu before replyMu; the post-handler completion path takes
+	// only replyMu, so a finishing handler never waits on request intake.
+	replyMu sync.Mutex
 
 	// Out-of-order completion tracking, for ports marked parallel: seqs
-	// completed beyond the shard's contiguous watermark, as a seq-indexed
-	// ring.
+	// completed beyond the contiguous watermark, as a seq-indexed ring.
 	completedSet seqRing[struct{}]
-	// watermark is the smallest seq of this shard's residue class not yet
-	// completed. The global completed prefix is min over shards, minus 1.
+	// watermark is the smallest seq not yet completed.
 	watermark atomic.Uint64
 
 	// Reply retention. A normal flush transmits only the unsent suffix of
@@ -156,23 +158,10 @@ type recvShard struct {
 	unsentReplies     int     // suffix of retained not yet transmitted at all
 	unsentBytes       int     // approximate encoded size of that suffix (byte budget)
 	oldestUnsentAt    time.Time
-	sentCompleted     uint64    // CompletedThrough value last transmitted by this shard
-	sentAcked         uint64    // AckRequestsThrough value last transmitted by this shard
+	sentCompleted     uint64    // CompletedThrough value last transmitted
+	sentAcked         uint64    // AckRequestsThrough value last transmitted
 	lastFullReplyAt   time.Time // when a batch covering all of retained last went out
 	lastAckProgressAt time.Time // when the sender's reply ack last advanced (or retained was born)
-}
-
-// rstream is the receiving end of one stream.
-type rstream struct {
-	peer   *Peer
-	key    streamKey
-	keyStr string // key.String(), cached once
-	opts   Options
-
-	// shards partition completion tracking and reply retention by
-	// seq % len(shards); one shard reproduces the unsharded behavior.
-	shards []recvShard
-	nsh    uint64
 
 	mu          sync.Mutex
 	incarnation uint64
@@ -180,16 +169,13 @@ type rstream struct {
 	broken      bool
 
 	// Atomic mirrors of mu-guarded state, for the post-handler completion
-	// path, which deliberately avoids r.mu (it would serialize shards).
+	// path, which deliberately avoids r.mu.
 	incA      atomic.Uint64
 	brokenA   atomic.Bool
 	expectedA atomic.Uint64
 
 	// Request ordering and exactly-once delivery. oo is keyed by dense
 	// seqs within the in-flight window, so it is a seq-indexed ring.
-	// Delivery order is the merge point: whatever shard carried a
-	// request, it is handed to the executor in contiguous seq order, so
-	// the accepted call order is identical for every shard count.
 	expected uint64 // next seq to hand to the executor
 	oo       seqRing[request]
 
@@ -228,8 +214,6 @@ func newRStream(p *Peer, key streamKey, incarnation uint64, opts Options) *rstre
 		key:         key,
 		keyStr:      key.String(),
 		opts:        opts,
-		shards:      make([]recvShard, opts.Shards),
-		nsh:         uint64(opts.Shards),
 		incarnation: incarnation,
 		epoch:       nextEpoch(),
 		expected:    1,
@@ -237,41 +221,16 @@ func newRStream(p *Peer, key streamKey, incarnation uint64, opts Options) *rstre
 	}
 	r.incA.Store(incarnation)
 	r.expectedA.Store(1)
-	for i := range r.shards {
-		r.shards[i].watermark.Store(r.firstSeqOfShard(uint64(i)))
-	}
+	r.watermark.Store(1)
 	p.wg.Add(1)
 	go r.executor()
 	return r
 }
 
-// firstSeqOfShard is the smallest seq (>= 1) of shard index i's residue
-// class — the initial completion watermark.
-func (r *rstream) firstSeqOfShard(i uint64) uint64 {
-	if i == 0 {
-		return r.nsh
-	}
-	return i
-}
-
-func (r *rstream) shardOf(seq uint64) *recvShard {
-	return &r.shards[seq%r.nsh]
-}
-
-// completedThroughNow folds the per-shard completion watermarks into the
-// global contiguous completed prefix: the smallest incomplete seq across
-// shards, minus one. Watermarks are atomics, so the fold needs no locks
-// and any caller (tick under r.mu, completions under sh.mu) may compute
-// it.
-func (r *rstream) completedThroughNow() uint64 {
-	min := r.shards[0].watermark.Load()
-	for i := 1; i < len(r.shards); i++ {
-		if w := r.shards[i].watermark.Load(); w < min {
-			min = w
-		}
-	}
-	return min - 1
-}
+// completedThroughNow is the contiguous completed prefix. The watermark
+// is atomic, so any caller (tick under r.mu, completions under replyMu)
+// may read it.
+func (r *rstream) completedThroughNow() uint64 { return r.watermark.Load() - 1 }
 
 // handleRequestBatch integrates a request batch from the sender.
 func (r *rstream) handleRequestBatch(b *requestBatch) {
@@ -292,18 +251,15 @@ func (r *rstream) handleRequestBatch(b *requestBatch) {
 		return
 	}
 
-	// The sender's ack lets us drop retained replies, shard by shard.
+	// The sender's ack lets us drop retained replies.
 	if b.AckRepliesThrough > r.ackedThrough {
 		r.ackedThrough = b.AckRepliesThrough
 		r.retries = 0
 		now := r.peer.clk.Now()
-		for i := range r.shards {
-			sh := &r.shards[i]
-			sh.mu.Lock()
-			sh.lastAckProgressAt = now
-			r.pruneRetainedLocked(sh)
-			sh.mu.Unlock()
-		}
+		r.replyMu.Lock()
+		r.lastAckProgressAt = now
+		r.pruneRetainedLocked()
+		r.replyMu.Unlock()
 	}
 
 	sm := r.peer.sm
@@ -335,62 +291,48 @@ func (r *rstream) handleRequestBatch(b *requestBatch) {
 	}
 	r.drainLocked()
 	// Duplicate requests are evidence the sender missed replies: only
-	// then does a flush re-send the full retained set (every shard that
-	// retains any). An empty request batch is the sender probing for
-	// liveness (or a pure ack); answer with progress — and whatever suffix
-	// is pending — so the sender knows this end is alive and which boot
-	// epoch it is talking to.
-	var msgs [][]byte
-	inc := r.incarnation
-	completed := r.completedThroughNow()
-	if r.pendingRetransmit {
-		for i := range r.shards {
-			sh := &r.shards[i]
-			sh.mu.Lock()
-			if len(sh.retained) > 0 {
-				msgs = append(msgs, r.buildShardReplyBatchLocked(sh, true, inc, completed))
-			}
-			sh.mu.Unlock()
-		}
-		if len(msgs) > 0 {
+	// then does a flush re-send the full retained set. An empty request
+	// batch is the sender probing for liveness (or a pure ack); answer
+	// with progress — and whatever suffix is pending — so the sender
+	// knows this end is alive and which boot epoch it is talking to.
+	var msg []byte
+	if r.pendingRetransmit || len(b.Requests) == 0 {
+		inc, completed := r.incarnation, r.completedThroughNow()
+		r.replyMu.Lock()
+		if r.pendingRetransmit && len(r.retained) > 0 {
+			msg = r.buildReplyBatchLocked(true, inc, completed)
 			r.pendingRetransmit = false
+		} else if len(b.Requests) == 0 {
+			msg = r.buildReplyBatchLocked(false, inc, completed)
 		}
-	}
-	if len(b.Requests) == 0 && len(msgs) == 0 {
-		// Probe/ack answer: progress rides on shard 0's batch.
-		sh := &r.shards[0]
-		sh.mu.Lock()
-		msgs = append(msgs, r.buildShardReplyBatchLocked(sh, false, inc, completed))
-		sh.mu.Unlock()
+		r.replyMu.Unlock()
 	}
 	r.mu.Unlock()
-	for _, msg := range msgs {
+	if msg != nil {
 		r.peer.transmit(r.key.senderNode, msg)
 	}
 }
 
-// pruneRetainedLocked drops a shard's retained replies the sender has
-// acknowledged. Caller holds sh.mu (and, on the ack path, r.mu).
-func (r *rstream) pruneRetainedLocked(sh *recvShard) {
-	kept := sh.retained[:0]
-	for _, rep := range sh.retained {
+// pruneRetainedLocked drops the retained replies the sender has
+// acknowledged. Caller holds replyMu (and, on the ack path, r.mu).
+func (r *rstream) pruneRetainedLocked() {
+	kept := r.retained[:0]
+	for _, rep := range r.retained {
 		if rep.Seq > r.ackedThrough {
 			kept = append(kept, rep)
 		}
 	}
 	// Unsent replies are always the newest; clamp in case pruning ate
 	// into the unsent suffix (it cannot, but be safe).
-	if sh.unsentReplies > len(kept) {
-		sh.unsentReplies = len(kept)
-		sh.unsentBytes = 0 // approximate; only the can't-happen clamp path
+	if r.unsentReplies > len(kept) {
+		r.unsentReplies = len(kept)
+		r.unsentBytes = 0 // approximate; only the can't-happen clamp path
 	}
-	sh.retained = kept
+	r.retained = kept
 }
 
 // drainLocked moves contiguously-sequenced requests to the executor.
-// Delivery to user code is therefore exactly-once and in call order —
-// this cursor is the merge point that keeps the accepted call order
-// independent of how the sender sharded its batches.
+// Delivery to user code is therefore exactly-once and in call order.
 func (r *rstream) drainLocked() {
 	if r.closed {
 		return
@@ -439,10 +381,9 @@ func (r *rstream) executor() {
 		if r.peer.parallelPredicate()(req.Port) {
 			// Parallel ports run on the peer's bounded worker pool rather
 			// than a goroutine per request, so a flood of parallel calls
-			// costs at most ExecWorkers stacks. When the pool and its queue
+			// costs at most execWorkers stacks. When the pool and its queue
 			// are saturated, submission blocks — backpressure instead of
-			// unbounded spawn. With sharding, the call is pinned to the
-			// worker owning its reply shard (see Peer.submitParallel).
+			// unbounded spawn.
 			r.outstanding.Add(1)
 			if !r.peer.submitParallel(r, req) {
 				r.outstanding.Done() // shutdown race: abandoned, as in a crash
@@ -457,9 +398,9 @@ func (r *rstream) executor() {
 // executeOne runs one call through its handler and records the
 // completion. call is the executor's scratch Incoming: valid only during
 // the handler, poisoned afterwards (see Incoming). The completion and
-// reply bookkeeping takes only the owning shard's lock, so shards
-// complete concurrently; r.mu is touched briefly before the handler and
-// only the rare synchronous-break path takes it afterwards.
+// reply bookkeeping takes only replyMu; r.mu is touched briefly before
+// the handler and only the rare synchronous-break path takes it
+// afterwards.
 func (r *rstream) executeOne(req request, call *Incoming) {
 	r.mu.Lock()
 	if r.broken {
@@ -521,48 +462,31 @@ func (r *rstream) executeOne(req request, call *Incoming) {
 	if piped && req.Mode == ModeCall {
 		// This call's reply is owed by the chain's last guardian; record
 		// that we are waiting for it BEFORE the completion bookkeeping
-		// (lock order is r.mu before sh.mu), so a fast resolution can
+		// (lock order is r.mu before replyMu), so a fast resolution can
 		// never race ahead of the registration.
 		r.notePipeOutstanding(req.Seq)
 	}
-	sh := r.shardOf(req.Seq)
 	var msg []byte
-	sh.mu.Lock()
+	r.replyMu.Lock()
 	if r.incA.Load() != inc || r.brokenA.Load() {
-		sh.mu.Unlock()
+		r.replyMu.Unlock()
 		return
 	}
 	// Completion may be out of order when parallel ports are in play; the
-	// shard watermark advances over its residue class's contiguous prefix
-	// only, and the global prefix is the fold of the watermarks.
-	sh.completedSet.put(req.Seq, struct{}{})
-	w := sh.watermark.Load()
-	for sh.completedSet.has(w) {
-		sh.completedSet.del(w)
-		w += r.nsh
+	// watermark advances over the contiguous prefix only.
+	r.completedSet.put(req.Seq, struct{}{})
+	w := r.watermark.Load()
+	for r.completedSet.has(w) {
+		r.completedSet.del(w)
+		w++
 	}
-	sh.watermark.Store(w)
+	r.watermark.Store(w)
 	// Sends omit normal replies from the wire. Pipelined requests retain
 	// nothing here at all — even exceptions: the epoch scheduler forwards
 	// the outcome (exceptional outcomes ARE the chain's resolution), and
 	// the reply materializes when the resolution comes back to pipeWait.
 	if !piped && (req.Mode != ModeSend || !outcome.Normal) {
-		if len(sh.retained) == 0 {
-			// Retained becomes non-empty: start both retransmission clocks
-			// from the reply's birth.
-			now := r.peer.clk.Now()
-			sh.lastFullReplyAt = now
-			sh.lastAckProgressAt = now
-		}
-		if sh.unsentReplies == 0 {
-			sh.oldestUnsentAt = r.peer.clk.Now()
-		}
-		sh.retained = append(sh.retained, reply{Seq: req.Seq, Outcome: outcome})
-		sh.unsentReplies++
-		sh.unsentBytes += len(outcome.Exception) + len(outcome.Payload) + reqOverheadBytes
-		if sm := r.peer.sm; sm != nil {
-			sm.replies.Inc()
-		}
+		r.retainLocked(req.Seq, outcome)
 		if r.peer.tracing() {
 			detail := "normal"
 			if !outcome.Normal {
@@ -575,13 +499,13 @@ func (r *rstream) executeOne(req request, call *Incoming) {
 	completed := r.completedThroughNow()
 	// Results big enough to ride alone close the reply batch, as a big
 	// call's arguments close the request batch (see frame.go).
-	flushNow := req.Mode == ModeRPC || sh.unsentReplies >= r.opts.MaxBatch || breakReason != nil ||
+	flushNow := req.Mode == ModeRPC || r.unsentReplies >= r.opts.MaxBatch || breakReason != nil ||
 		outcome.frame != nil ||
-		(r.opts.MaxBatchBytes > 0 && sh.unsentBytes >= r.opts.MaxBatchBytes)
-	if flushNow && (sh.unsentReplies > 0 || completed > sh.sentCompleted) {
-		msg = r.buildShardReplyBatchLocked(sh, false, inc, completed)
+		(r.opts.MaxBatchBytes > 0 && r.unsentBytes >= r.opts.MaxBatchBytes)
+	if flushNow && (r.unsentReplies > 0 || completed > r.sentCompleted) {
+		msg = r.buildReplyBatchLocked(false, inc, completed)
 	}
-	sh.mu.Unlock()
+	r.replyMu.Unlock()
 
 	var breakNote []byte
 	if breakReason != nil {
@@ -606,10 +530,7 @@ func (r *rstream) executeOne(req request, call *Incoming) {
 	}
 
 	if msg != nil {
-		// Reply flushes ride the same write stripe as their shard, so
-		// concurrent shard completions never serialize on one socket
-		// mutex under striped transports.
-		r.peer.transmitShard(r.key.senderNode, msg, int(req.Seq%r.nsh))
+		r.peer.transmit(r.key.senderNode, msg)
 	}
 	if breakNote != nil {
 		r.peer.transmit(r.key.senderNode, breakNote)
@@ -666,63 +587,70 @@ func (r *rstream) handleResolve(m *resolveMsg) bool {
 }
 
 // retainPipedReply retains a chain resolution as seq's reply and flushes
-// the shard's batch at once.
+// the reply batch at once.
 func (r *rstream) retainPipedReply(seq uint64, o Outcome, inc, completed uint64) {
-	sh := r.shardOf(seq)
-	sh.mu.Lock()
+	r.replyMu.Lock()
 	if r.incA.Load() != inc || r.brokenA.Load() {
-		sh.mu.Unlock()
+		r.replyMu.Unlock()
 		return
 	}
-	if len(sh.retained) == 0 {
+	r.retainLocked(seq, o)
+	msg := r.buildReplyBatchLocked(false, inc, completed)
+	r.replyMu.Unlock()
+	r.peer.transmit(r.key.senderNode, msg)
+}
+
+// retainLocked keeps seq's reply until the sender acknowledges it and
+// queues it for the next reply batch. Caller holds replyMu.
+func (r *rstream) retainLocked(seq uint64, o Outcome) {
+	if len(r.retained) == 0 {
+		// Retained becomes non-empty: start both retransmission clocks
+		// from the reply's birth.
 		now := r.peer.clk.Now()
-		sh.lastFullReplyAt = now
-		sh.lastAckProgressAt = now
+		r.lastFullReplyAt = now
+		r.lastAckProgressAt = now
 	}
-	if sh.unsentReplies == 0 {
-		sh.oldestUnsentAt = r.peer.clk.Now()
+	if r.unsentReplies == 0 {
+		r.oldestUnsentAt = r.peer.clk.Now()
 	}
-	sh.retained = append(sh.retained, reply{Seq: seq, Outcome: o})
-	sh.unsentReplies++
-	sh.unsentBytes += len(o.Exception) + len(o.Payload) + reqOverheadBytes
+	r.retained = append(r.retained, reply{Seq: seq, Outcome: o})
+	r.unsentReplies++
+	r.unsentBytes += len(o.Exception) + len(o.Payload) + reqOverheadBytes
 	if sm := r.peer.sm; sm != nil {
 		sm.replies.Inc()
 	}
-	msg := r.buildShardReplyBatchLocked(sh, false, inc, completed)
-	sh.mu.Unlock()
-	r.peer.transmitShard(r.key.senderNode, msg, int(seq%r.nsh))
 }
 
-// buildShardReplyBatchLocked encodes one shard's reply batch carrying
-// current progress and replies. A normal flush (retransmit=false) carries
-// only the unsent suffix of the shard's retained replies —
-// already-transmitted replies ride again only when retransmit=true, i.e.
-// on loss evidence (duplicate requests) or an ack-progress stall in tick.
-// This keeps steady-state reply bytes proportional to new work instead of
-// O(retained window) per flush. inc is the caller's incarnation snapshot
-// and completed the folded completion prefix. Caller holds sh.mu; the
-// encoder reads the retained slice where it lies (and is done with it
-// before the lock is released), so no reply struct is copied on either
-// path. A lone unsent reply whose results fill a page does not have its
-// bytes copied either: the message is built in the results' own buffer
-// (frame.go), once — a retransmission always re-encodes.
-func (r *rstream) buildShardReplyBatchLocked(sh *recvShard, retransmit bool, inc, completed uint64) []byte {
-	reps := sh.retained
+// buildReplyBatchLocked encodes a reply batch carrying current progress
+// and replies. A normal flush (retransmit=false) carries only the unsent
+// suffix of the retained replies — already-transmitted replies ride again
+// only when retransmit=true, i.e. on loss evidence (duplicate requests)
+// or an ack-progress stall in tick. This keeps steady-state reply bytes
+// proportional to new work instead of O(retained window) per flush. inc
+// is the caller's incarnation snapshot and completed the completion
+// prefix. Caller holds replyMu; the encoder reads the retained slice
+// where it lies (and is done with it before the lock is released), so no
+// reply struct is copied on either path. A lone unsent reply whose
+// results fill a page does not have its bytes copied either: the message
+// is built in the results' own buffer (frame.go), once — a
+// retransmission always re-encodes.
+func (r *rstream) buildReplyBatchLocked(retransmit bool, inc, completed uint64) []byte {
+	reps := r.retained
 	if !retransmit {
-		reps = sh.retained[len(sh.retained)-sh.unsentReplies:]
+		reps = r.retained[len(r.retained)-r.unsentReplies:]
 	}
-	if len(reps) == len(sh.retained) {
+	if len(reps) == len(r.retained) {
 		// Everything retained is on the wire in this batch: restart the
 		// full-retransmission pacing clock.
-		sh.lastFullReplyAt = r.peer.clk.Now()
+		r.lastFullReplyAt = r.peer.clk.Now()
 	}
-	if sm := r.peer.sm; sm != nil && sh.unsentReplies > 0 {
-		sm.stageReplyWait.ObserveDuration(r.peer.clk.Now().Sub(sh.oldestUnsentAt))
+	if sm := r.peer.sm; sm != nil && r.unsentReplies > 0 {
+		sm.stageReplyWait.ObserveDuration(r.peer.clk.Now().Sub(r.oldestUnsentAt))
 	}
-	sh.unsentReplies = 0
-	sh.unsentBytes = 0
-	sh.sentCompleted = completed
-	sh.sentAcked = r.expectedA.Load() - 1
+	r.unsentReplies = 0
+	r.unsentBytes = 0
+	r.sentCompleted = completed
+	r.sentAcked = r.expectedA.Load() - 1
 	if r.peer.tracing() {
 		detail := trace.BatchDetail(len(reps))
 		if retransmit {
@@ -735,13 +663,13 @@ func (r *rstream) buildShardReplyBatchLocked(sh *recvShard, retransmit bool, inc
 		Group:              r.key.group,
 		Incarnation:        inc,
 		Epoch:              r.epoch,
-		AckRequestsThrough: sh.sentAcked,
+		AckRequestsThrough: r.sentAcked,
 		CompletedThrough:   completed,
 		Replies:            reps,
 		// The admission grant: flow-controlled senders may run this far
 		// ahead of our completed prefix. Monotone within an incarnation
-		// because the folded completion prefix is.
-		Credit: completed + uint64(r.opts.RecvWindow),
+		// because the completion prefix is.
+		Credit: completed + recvWindow,
 	}
 	var msg []byte
 	if !retransmit {
@@ -774,14 +702,11 @@ func (r *rstream) handleBreak(b *breakMsg) {
 	r.brokenA.Store(true)
 	r.oo.reset()
 	r.pipeWait = nil
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.Lock()
-		sh.retained = nil
-		sh.unsentReplies = 0
-		sh.unsentBytes = 0
-		sh.mu.Unlock()
-	}
+	r.replyMu.Lock()
+	r.retained = nil
+	r.unsentReplies = 0
+	r.unsentBytes = 0
+	r.replyMu.Unlock()
 }
 
 // resetLocked adopts a new incarnation with fresh protocol state.
@@ -797,18 +722,15 @@ func (r *rstream) resetLocked(incarnation uint64) {
 	r.retries = 0
 	r.pendingRetransmit = false
 	r.pipeWait = nil
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.Lock()
-		sh.retained = nil
-		sh.unsentReplies = 0
-		sh.unsentBytes = 0
-		sh.sentCompleted = 0
-		sh.sentAcked = 0
-		sh.completedSet.reset()
-		sh.watermark.Store(r.firstSeqOfShard(uint64(i)))
-		sh.mu.Unlock()
-	}
+	r.replyMu.Lock()
+	r.retained = nil
+	r.unsentReplies = 0
+	r.unsentBytes = 0
+	r.sentCompleted = 0
+	r.sentAcked = 0
+	r.completedSet.reset()
+	r.watermark.Store(1)
+	r.replyMu.Unlock()
 	// Drain any stale queued requests from the old incarnation. The
 	// executor may be mid-call; executeOne re-checks the incarnation.
 	for {
@@ -821,10 +743,10 @@ func (r *rstream) resetLocked(incarnation uint64) {
 }
 
 // tick flushes aged reply batches, pushes progress for send-only
-// workloads, and retransmits unacknowledged replies, shard by shard.
+// workloads, and retransmits unacknowledged replies.
 func (r *rstream) tick(now time.Time) {
 	var (
-		msgs      [][]byte
+		msg       []byte
 		breakNote []byte
 	)
 	r.mu.Lock()
@@ -853,41 +775,30 @@ func (r *rstream) tick(now time.Time) {
 			}
 		}
 	}
-	stalled := false
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.Lock()
-		switch {
-		case sh.unsentReplies > 0 && now.Sub(sh.oldestUnsentAt) >= r.opts.MaxBatchDelay:
-			msgs = append(msgs, r.buildShardReplyBatchLocked(sh, false, inc, completed))
-		case completed > sh.sentCompleted:
-			// Progress notification so sends resolve at the sender.
-			msgs = append(msgs, r.buildShardReplyBatchLocked(sh, false, inc, completed))
-		case sh.unsentReplies == 0 && r.expected-1 > sh.sentAcked:
-			// Requests were accepted since this shard last said so, and no
-			// reply is about to say it (their handlers are still running):
-			// acknowledge receipt now. The sender stops retransmitting
-			// them, and it learns our boot epoch — should we crash and
-			// recover before the first reply, it can tell the newcomer's
-			// answers from ours and break the stream, instead of adopting
-			// the newcomer and having the unacknowledged calls executed a
-			// second time.
-			msgs = append(msgs, r.buildShardReplyBatchLocked(sh, false, inc, completed))
-		case len(sh.retained) > 0 && now.Sub(sh.lastAckProgressAt) >= r.opts.RTO &&
-			now.Sub(sh.lastFullReplyAt) >= r.opts.RTO:
-			// The sender's reply ack has stalled a full RTO with replies
-			// retained: some reply batch (which also carried our request
-			// ack) was lost, or the sender cannot reach us.
-			stalled = true
-		}
-		sh.mu.Unlock()
-	}
-	if stalled && len(msgs) == 0 {
-		// Re-send everything retained, paced one RTO apart by
-		// lastFullReplyAt. This is the only path — besides
-		// duplicate-request evidence — that re-sends already-transmitted
-		// replies. One tick counts as one retry regardless of how many
-		// shards retransmit.
+	r.replyMu.Lock()
+	switch {
+	case r.unsentReplies > 0 && now.Sub(r.oldestUnsentAt) >= r.opts.MaxBatchDelay:
+		msg = r.buildReplyBatchLocked(false, inc, completed)
+	case completed > r.sentCompleted:
+		// Progress notification so sends resolve at the sender.
+		msg = r.buildReplyBatchLocked(false, inc, completed)
+	case r.unsentReplies == 0 && r.expected-1 > r.sentAcked:
+		// Requests were accepted since we last said so, and no reply is
+		// about to say it (their handlers are still running): acknowledge
+		// receipt now. The sender stops retransmitting them, and it learns
+		// our boot epoch — should we crash and recover before the first
+		// reply, it can tell the newcomer's answers from ours and break the
+		// stream, instead of adopting the newcomer and having the
+		// unacknowledged calls executed a second time.
+		msg = r.buildReplyBatchLocked(false, inc, completed)
+	case len(r.retained) > 0 && now.Sub(r.lastAckProgressAt) >= r.opts.RTO &&
+		now.Sub(r.lastFullReplyAt) >= r.opts.RTO:
+		// The sender's reply ack has stalled a full RTO with replies
+		// retained: some reply batch (which also carried our request ack)
+		// was lost, or the sender cannot reach us. Re-send everything
+		// retained, paced one RTO apart by lastFullReplyAt. This is the
+		// only path — besides duplicate-request evidence — that re-sends
+		// already-transmitted replies.
 		r.retries++
 		if sm := r.peer.sm; sm != nil {
 			sm.recvRTOFires.Inc()
@@ -906,24 +817,17 @@ func (r *rstream) tick(now time.Time) {
 				Reason:      "cannot communicate",
 			})
 		} else {
-			for i := range r.shards {
-				sh := &r.shards[i]
-				sh.mu.Lock()
-				if len(sh.retained) > 0 && now.Sub(sh.lastAckProgressAt) >= r.opts.RTO &&
-					now.Sub(sh.lastFullReplyAt) >= r.opts.RTO {
-					msgs = append(msgs, r.buildShardReplyBatchLocked(sh, true, inc, completed))
-				}
-				sh.mu.Unlock()
-			}
+			msg = r.buildReplyBatchLocked(true, inc, completed)
 		}
 	}
+	r.replyMu.Unlock()
 	r.mu.Unlock()
 	for _, seq := range stalledPipes {
 		o := ExceptionOutcome(exception.Unavailable("pipeline stalled"))
 		o.Piped = true // definite chain outcome; no caller-mediated retry
 		r.retainPipedReply(seq, o, inc, completed)
 	}
-	for _, msg := range msgs {
+	if msg != nil {
 		r.peer.transmit(r.key.senderNode, msg)
 	}
 	if breakNote != nil {

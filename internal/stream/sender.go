@@ -252,35 +252,6 @@ func (p Pending) Release() {
 	pendingPool.Put(c)
 }
 
-// senderShard holds the batch-assembly and retransmission state for the
-// seqs congruent to its index mod the shard count. Shard fields below the
-// marker are guarded by the shard mutex; the per-seq rings are guarded by
-// the owning Stream's mu (resolution is globally ordered, so the rings
-// are only ever touched with it held). The lock order is s.mu before
-// sh.mu; flushShard drops s.mu before encoding so shards assemble and
-// encode batches concurrently, which is where the multicore scaling comes
-// from.
-type senderShard struct {
-	idx          int // this shard's index — the write-scheduling hint for striped transports
-	mu           sync.Mutex
-	buffer       []request // accepted but not yet transmitted
-	bufferBytes  int       // approximate encoded size of buffer (byte budget)
-	bufferedAt   time.Time // when buffer[0] was accepted
-	lastArriveAt time.Time // when the newest buffered call was accepted (quiescence flush)
-	unacked      []request // transmitted but not acked by receiver
-	lastSendAt   time.Time // when unacked was last (re)transmitted
-
-	// flushArm signals the shard's flush-timer goroutine that the buffer
-	// went from empty to non-empty (see flushLoop). Buffered; signals
-	// coalesce.
-	flushArm chan struct{}
-
-	// Guarded by Stream.mu, not sh.mu: the per-seq rings for this shard's
-	// residue class.
-	pending     seqRing[Pending]
-	heldReplies seqRing[Outcome]
-}
-
 // Stream is the sending end of one call-stream. All methods are safe for
 // concurrent use, though a stream normally belongs to a single activity.
 type Stream struct {
@@ -290,16 +261,30 @@ type Stream struct {
 	keyHash uint64 // trace.HashStream(keyStr), cached for trace-ID derivation
 	opts    Options
 
-	// shards partition batch assembly by seq % len(shards). One shard
-	// (the default) reproduces the unsharded behavior byte for byte.
-	shards []senderShard
-	nsh    uint64
+	// The batch lane: assembly and retransmission state, guarded by
+	// batchMu. The lock order is mu before batchMu; flush drops mu before
+	// encoding, so a batch is built without holding the stream lock.
+	batchMu      sync.Mutex
+	buffer       []request // accepted but not yet transmitted
+	bufferBytes  int       // approximate encoded size of buffer (byte budget)
+	bufferedAt   time.Time // when buffer[0] was accepted
+	lastArriveAt time.Time // when the newest buffered call was accepted (quiescence flush)
+	unacked      []request // transmitted but not acked by receiver
+	lastSendAt   time.Time // when unacked was last (re)transmitted
+
+	// flushArm signals the flush-timer goroutine that the buffer went
+	// from empty to non-empty (see flushLoop). Buffered; signals coalesce.
+	flushArm chan struct{}
 
 	mu          sync.Mutex
 	incarnation uint64
 	nextSeq     uint64 // seq to assign to the next call (starts at 1)
 	broken      bool
 	breakErr    *exception.Exception
+
+	// Per-seq resolution state, guarded by mu.
+	pending     seqRing[Pending]
+	heldReplies seqRing[Outcome]
 
 	// Synchronous-break grace state: the receiver announced a break after
 	// pendingBreakAfter, so replies through that seq were (or are about to
@@ -324,8 +309,7 @@ type Stream struct {
 	grantThrough uint64
 	flowWaiters  []chan struct{}
 
-	// Resolution cursors — global across shards, because readiness is
-	// ordered stream-wide regardless of which shard carried a call.
+	// Resolution cursors.
 	nextResolve      uint64 // seq whose outcome is resolved next (ordered readiness)
 	completedThrough uint64
 
@@ -360,30 +344,16 @@ func newStream(p *Peer, key streamKey, opts Options) *Stream {
 		keyStr:         keyStr,
 		keyHash:        trace.HashStream(keyStr),
 		opts:           opts,
-		shards:         make([]senderShard, opts.Shards),
-		nsh:            uint64(opts.Shards),
+		flushArm:       make(chan struct{}, 1),
 		incarnation:    1,
 		nextSeq:        1,
 		nextResolve:    1,
 		boundarySeq:    1,
 		lastProgressAt: p.clk.Now(),
 	}
-	for i := range s.shards {
-		s.shards[i].idx = i
-		s.shards[i].flushArm = make(chan struct{}, 1)
-	}
 	s.adapt.initAdaptive(opts, s.lastProgressAt)
 	return s
 }
-
-// shardOf returns the shard owning seq. The rings inside it are guarded
-// by s.mu; the batch state by the shard's own mutex.
-func (s *Stream) shardOf(seq uint64) *senderShard {
-	return &s.shards[seq%s.nsh]
-}
-
-// Shards returns the number of hot-path shards the stream runs with.
-func (s *Stream) Shards() int { return int(s.nsh) }
 
 // InFlight returns the number of unresolved calls outstanding on the
 // stream (buffered, in transit, or awaiting replies).
@@ -612,29 +582,28 @@ func (s *Stream) enqueue(ctx context.Context, port string, m Marshalled, mode Mo
 	}
 	p := newPending(seq, mode, s.peer.sm, s.peer.clk)
 	limit := s.batchLimitLocked()
-	sh := s.shardOf(seq)
-	sh.pending.put(seq, p)
+	s.pending.put(seq, p)
 	// Seq assignment and the ring insert happen in one s.mu critical
 	// section, so a break cannot slip between them and orphan the pending.
-	// The shard append nests inside it (lock order s.mu -> sh.mu).
-	sh.mu.Lock()
-	arm := len(sh.buffer) == 0
+	// The batch append nests inside it (lock order mu -> batchMu).
+	s.batchMu.Lock()
+	arm := len(s.buffer) == 0
 	if arm {
-		sh.bufferedAt = s.peer.clk.Now()
-		sh.lastArriveAt = sh.bufferedAt
+		s.bufferedAt = s.peer.clk.Now()
+		s.lastArriveAt = s.bufferedAt
 	} else if s.peer.idleFlush > 0 {
 		// Each arrival pushes the quiescence deadline out; the flush loop
 		// sends the batch once arrivals pause for peer.idleFlush.
-		sh.lastArriveAt = s.peer.clk.Now()
+		s.lastArriveAt = s.peer.clk.Now()
 	}
-	sh.buffer = append(sh.buffer, request{Seq: seq, Port: port, Mode: mode, Args: args,
+	s.buffer = append(s.buffer, request{Seq: seq, Port: port, Mode: mode, Args: args,
 		Trace: tid, Root: cause.Root, Parent: cause.Parent, Cont: cont, frame: frame})
-	sh.bufferBytes += reqWireSize(port, args) + len(cont)
+	s.bufferBytes += reqWireSize(port, args) + len(cont)
 	// A call big enough to ride alone closes the batch like an RPC does:
 	// waiting for company would only get it copied (see frame.go).
-	full := len(sh.buffer) >= limit || mode == ModeRPC || frame != nil ||
-		(s.opts.MaxBatchBytes > 0 && sh.bufferBytes >= s.opts.MaxBatchBytes)
-	sh.mu.Unlock()
+	full := len(s.buffer) >= limit || mode == ModeRPC || frame != nil ||
+		(s.opts.MaxBatchBytes > 0 && s.bufferBytes >= s.opts.MaxBatchBytes)
+	s.batchMu.Unlock()
 	s.mu.Unlock()
 	if sm := s.peer.sm; sm != nil {
 		sm.callsEnqueued.Inc()
@@ -643,13 +612,13 @@ func (s *Stream) enqueue(ctx context.Context, port string, m Marshalled, mode Mo
 		s.peer.emitCause(trace.CallEnqueued, s.keyStr, seq, tid, cause, mode.String())
 	}
 	if full {
-		s.flushShard(sh, false)
+		s.flush(false)
 	} else if arm {
-		// First call of a new batch: arm the shard's precise flush timer.
-		// The channel holds one pending signal; a dropped send means the
-		// loop is already due to re-check.
+		// First call of a new batch: arm the precise flush timer. The
+		// channel holds one pending signal; a dropped send means the loop
+		// is already due to re-check.
 		select {
-		case sh.flushArm <- struct{}{}:
+		case s.flushArm <- struct{}{}:
 		default:
 		}
 	}
@@ -686,37 +655,32 @@ func (s *Stream) wakeFlowWaitersLocked() {
 // Flush transmits any buffered call requests now instead of waiting for
 // the batch to fill. ("Even without the flush, the system will send these
 // messages eventually; the flush merely speeds this up.")
-func (s *Stream) Flush() {
-	for i := range s.shards {
-		s.flushShard(&s.shards[i], false)
-	}
-}
+func (s *Stream) Flush() { s.flush(false) }
 
-// flushShard transmits one shard's buffered batch. timerClosed marks a
-// flush initiated by the shard's flush-loop timer (quiescence pause or
-// MaxBatchDelay bound) rather than by count/byte closure or an explicit
-// Flush — the adaptive controller treats that as evidence the limit has
-// outrun the arrival process (see adaptNoteTimerFlushLocked).
+// flush transmits the buffered batch. timerClosed marks a flush initiated
+// by the flush-loop timer (quiescence pause or MaxBatchDelay bound)
+// rather than by count/byte closure or an explicit Flush — the adaptive
+// controller treats that as evidence the limit has outrun the arrival
+// process (see adaptNoteTimerFlushLocked).
 //
 // The stream lock is held only long enough to snapshot the batch header
 // (incarnation, reply ack) and move the buffer to the unacked set; the
-// encode itself runs under the shard lock alone, so shards encode
-// concurrently.
-func (s *Stream) flushShard(sh *senderShard, timerClosed bool) {
+// encode itself runs under batchMu alone.
+func (s *Stream) flush(timerClosed bool) {
 	s.mu.Lock()
-	sh.mu.Lock()
-	if len(sh.buffer) == 0 {
-		sh.mu.Unlock()
+	s.batchMu.Lock()
+	if len(s.buffer) == 0 {
+		s.batchMu.Unlock()
 		s.mu.Unlock()
 		return
 	}
 	if timerClosed {
-		s.adaptNoteTimerFlushLocked(len(sh.buffer))
+		s.adaptNoteTimerFlushLocked(len(s.buffer))
 	}
-	batch := sh.buffer
-	sh.unacked = append(sh.unacked, batch...)
-	sh.lastSendAt = s.peer.clk.Now()
-	batchWait := sh.lastSendAt.Sub(sh.bufferedAt)
+	batch := s.buffer
+	s.unacked = append(s.unacked, batch...)
+	s.lastSendAt = s.peer.clk.Now()
+	batchWait := s.lastSendAt.Sub(s.bufferedAt)
 	s.lastAckedReplies = s.nextResolve - 1
 	hdr := requestBatch{
 		Agent:             s.key.agent,
@@ -742,9 +706,9 @@ func (s *Stream) flushShard(sh *senderShard, timerClosed bool) {
 	for i := range batch {
 		batch[i] = request{}
 	}
-	sh.buffer = batch[:0]
-	sh.bufferBytes = 0
-	sh.mu.Unlock()
+	s.buffer = batch[:0]
+	s.bufferBytes = 0
+	s.batchMu.Unlock()
 	if sm := s.peer.sm; sm != nil {
 		sm.batchesSent.Inc()
 		sm.batchCalls.Observe(uint64(n))
@@ -755,7 +719,7 @@ func (s *Stream) flushShard(sh *senderShard, timerClosed bool) {
 	if s.peer.tracing() {
 		s.peer.emit(trace.BatchSent, s.keyStr, firstSeq, 0, trace.BatchDetail(n))
 	}
-	s.peer.transmitShard(s.key.recvNode, msg, sh.idx)
+	s.peer.transmit(s.key.recvNode, msg)
 }
 
 // buildRequestBatchLocked encodes a request batch carrying the current ack
@@ -879,26 +843,23 @@ func (s *Stream) breakInternal(reason *exception.Exception, restart bool) {
 func (s *Stream) resolveAllLocked(reason *exception.Exception) {
 	o := ExceptionOutcome(reason)
 	for seq := s.nextResolve; seq < s.nextSeq; seq++ {
-		if held, ok := s.shardOf(seq).heldReplies.get(seq); ok {
+		if held, ok := s.heldReplies.get(seq); ok {
 			s.resolveOneLocked(seq, held)
 			continue
 		}
 		s.resolveOneLocked(seq, o)
 	}
-	s.clearShardBuffersLocked()
+	s.clearBatchLocked()
 }
 
-// clearShardBuffersLocked discards every shard's buffered and unacked
-// requests (break/reincarnation paths). Caller holds s.mu.
-func (s *Stream) clearShardBuffersLocked() {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		sh.buffer = nil
-		sh.bufferBytes = 0
-		sh.unacked = nil
-		sh.mu.Unlock()
-	}
+// clearBatchLocked discards the buffered and unacked requests
+// (break/reincarnation paths). Caller holds s.mu.
+func (s *Stream) clearBatchLocked() {
+	s.batchMu.Lock()
+	s.buffer = nil
+	s.bufferBytes = 0
+	s.unacked = nil
+	s.batchMu.Unlock()
 }
 
 func (s *Stream) reincarnateLocked() {
@@ -925,11 +886,9 @@ func (s *Stream) reincarnateLocked() {
 	s.ackedThrough = 0
 	s.completedThrough = 0
 	s.retries = 0
-	s.clearShardBuffersLocked()
-	for i := range s.shards {
-		s.shards[i].pending.reset()
-		s.shards[i].heldReplies.reset()
-	}
+	s.clearBatchLocked()
+	s.pending.reset()
+	s.heldReplies.reset()
 	// Credit was granted against the old incarnation's seq space.
 	s.grantThrough = 0
 	s.wakeFlowWaitersLocked()
@@ -947,15 +906,14 @@ func (s *Stream) reincarnateLocked() {
 // resolveOneLocked resolves pending seq with outcome o and advances the
 // resolution cursor. Caller must ensure seq == s.nextResolve.
 func (s *Stream) resolveOneLocked(seq uint64, o Outcome) {
-	sh := s.shardOf(seq)
-	if p, ok := sh.pending.get(seq); ok {
+	if p, ok := s.pending.get(seq); ok {
 		if sm := s.peer.sm; sm != nil && !p.c.enqAt.IsZero() {
 			sm.stageResolve.ObserveDuration(s.peer.clk.Now().Sub(p.c.enqAt))
 		}
 		p.c.resolve(o)
-		sh.pending.del(seq)
+		s.pending.del(seq)
 	}
-	sh.heldReplies.del(seq)
+	s.heldReplies.del(seq)
 	if !o.Normal && seq > s.lastExcSeq {
 		s.lastExcSeq = seq
 	}
@@ -1010,22 +968,18 @@ func (s *Stream) handleReplyBatch(b *replyBatch) {
 		s.grantThrough = b.Credit
 		s.wakeFlowWaitersLocked()
 	}
-	// Receiver acked our requests; prune retransmission state. The ack is
-	// a global (contiguous) frontier, so it prunes every shard's unacked.
+	// Receiver acked our requests; prune retransmission state.
 	if b.AckRequestsThrough > s.ackedThrough {
 		s.ackedThrough = b.AckRequestsThrough
-		for i := range s.shards {
-			sh := &s.shards[i]
-			sh.mu.Lock()
-			kept := sh.unacked[:0]
-			for _, r := range sh.unacked {
-				if r.Seq > s.ackedThrough {
-					kept = append(kept, r)
-				}
+		s.batchMu.Lock()
+		kept := s.unacked[:0]
+		for _, r := range s.unacked {
+			if r.Seq > s.ackedThrough {
+				kept = append(kept, r)
 			}
-			sh.unacked = kept
-			sh.mu.Unlock()
 		}
+		s.unacked = kept
+		s.batchMu.Unlock()
 	}
 	if b.CompletedThrough > s.completedThrough {
 		s.completedThrough = b.CompletedThrough
@@ -1035,7 +989,7 @@ func (s *Stream) handleReplyBatch(b *replyBatch) {
 		// corrupt datagram must not make the held-replies ring grow to
 		// cover a garbage seq.
 		if r.Seq >= s.nextResolve && r.Seq < s.nextSeq {
-			s.shardOf(r.Seq).heldReplies.put(r.Seq, r.Outcome)
+			s.heldReplies.put(r.Seq, r.Outcome)
 		}
 	}
 	s.drainResolvableLocked()
@@ -1059,7 +1013,7 @@ func (s *Stream) handleResolve(m *resolveMsg) bool {
 	if m.Seq < s.nextResolve || m.Seq >= s.nextSeq {
 		return true // duplicate (already resolved) or garbled seq
 	}
-	s.shardOf(m.Seq).heldReplies.put(m.Seq, m.Outcome)
+	s.heldReplies.put(m.Seq, m.Outcome)
 	s.drainResolvableLocked()
 	s.finalizeBreakIfDrainedLocked()
 	return true
@@ -1074,12 +1028,11 @@ func (s *Stream) drainResolvableLocked() {
 		if seq >= s.nextSeq {
 			return
 		}
-		sh := s.shardOf(seq)
-		if o, ok := sh.heldReplies.get(seq); ok {
+		if o, ok := s.heldReplies.get(seq); ok {
 			s.resolveOneLocked(seq, o)
 			continue
 		}
-		p, ok := sh.pending.get(seq)
+		p, ok := s.pending.get(seq)
 		if ok && p.c.mode == ModeSend && seq <= s.completedThrough {
 			// Normal reply omitted on the wire: completion implies success.
 			s.resolveOneLocked(seq, NormalOutcome(nil))
@@ -1149,13 +1102,13 @@ func (s *Stream) finalizeBreakLocked() {
 	s.breakErr = reason
 	o := ExceptionOutcome(reason)
 	for seq := s.nextResolve; seq < s.nextSeq; seq++ {
-		if held, ok := s.shardOf(seq).heldReplies.get(seq); ok && seq <= after {
+		if held, ok := s.heldReplies.get(seq); ok && seq <= after {
 			s.resolveOneLocked(seq, held)
 		} else {
 			s.resolveOneLocked(seq, o)
 		}
 	}
-	s.clearShardBuffersLocked()
+	s.clearBatchLocked()
 	s.wakeFlowWaitersLocked()
 	if !s.opts.NoAutoRestart {
 		s.reincarnateLocked()
@@ -1163,12 +1116,10 @@ func (s *Stream) finalizeBreakLocked() {
 }
 
 // tick is called periodically by the peer: it retransmits unacknowledged
-// requests (per shard), breaking the stream when retries are exhausted,
-// and sends pure acks and liveness probes when the stream is otherwise
-// quiet.
+// requests, breaking the stream when retries are exhausted, and sends
+// pure acks and liveness probes when the stream is otherwise quiet.
 func (s *Stream) tick(now time.Time) {
 	var (
-		resend  [][]byte
 		toSend  []byte
 		doBreak bool
 	)
@@ -1190,19 +1141,13 @@ func (s *Stream) tick(now time.Time) {
 	// Age-based flushes are NOT handled here: flushLoop schedules a
 	// precise per-batch timer at bufferedAt+MaxBatchDelay, so a buffered
 	// batch never waits out the tick quantization on top of its delay.
-	stale := false
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		if len(sh.unacked) > 0 && now.Sub(sh.lastSendAt) >= s.opts.RTO {
-			stale = true
-		}
-		sh.mu.Unlock()
-	}
+	// unacked only changes with s.mu held, so it cannot move between the
+	// staleness check and the retransmission below.
+	s.batchMu.Lock()
+	stale := len(s.unacked) > 0 && now.Sub(s.lastSendAt) >= s.opts.RTO
+	s.batchMu.Unlock()
 	if stale {
-		// Retransmission of everything not yet acked, one batch per shard
-		// holding stale unacked requests. One tick counts as one retry
-		// regardless of how many shards retransmit.
+		// Retransmission of everything not yet acked, as one batch.
 		s.retries++
 		s.adapt.epochRetrans = true
 		if sm != nil {
@@ -1211,24 +1156,18 @@ func (s *Stream) tick(now time.Time) {
 		if s.retries > s.opts.MaxRetries {
 			doBreak = true
 		} else {
-			for i := range s.shards {
-				sh := &s.shards[i]
-				sh.mu.Lock()
-				if len(sh.unacked) > 0 && now.Sub(sh.lastSendAt) >= s.opts.RTO {
-					sh.lastSendAt = now
-					msg := s.buildRequestBatchLocked(sh.unacked)
-					if sm != nil {
-						sm.batchesSent.Inc()
-						sm.retransmits.Inc()
-						sm.batchBytes.Observe(uint64(len(msg)))
-					}
-					if s.peer.tracing() {
-						s.peer.emit(trace.BatchSent, s.keyStr, sh.unacked[0].Seq, 0,
-							fmt.Sprintf("n=%d retransmit", len(sh.unacked)))
-					}
-					resend = append(resend, msg)
-				}
-				sh.mu.Unlock()
+			s.batchMu.Lock()
+			s.lastSendAt = now
+			toSend = s.buildRequestBatchLocked(s.unacked)
+			first, n := s.unacked[0].Seq, len(s.unacked)
+			s.batchMu.Unlock()
+			if sm != nil {
+				sm.batchesSent.Inc()
+				sm.retransmits.Inc()
+				sm.batchBytes.Observe(uint64(len(toSend)))
+			}
+			if s.peer.tracing() {
+				s.peer.emit(trace.BatchSent, s.keyStr, first, 0, fmt.Sprintf("n=%d retransmit", n))
 			}
 		}
 	} else if s.nextResolve > 1 && s.ackRepliesOwedLocked() {
@@ -1271,9 +1210,6 @@ func (s *Stream) tick(now time.Time) {
 		s.systemBreak(exception.Unavailable("cannot communicate"))
 		return
 	}
-	for _, msg := range resend {
-		s.peer.transmit(s.key.recvNode, msg)
-	}
 	if toSend != nil {
 		s.peer.transmit(s.key.recvNode, toSend)
 	}
@@ -1286,16 +1222,16 @@ func (s *Stream) ackRepliesOwedLocked() bool {
 	return s.nextResolve-1 > s.lastAckedReplies
 }
 
-// flushLoop runs one shard's precise age-flush timer: parked until
-// enqueue signals that the shard's buffer went non-empty (flushArm), it
-// then sleeps to exactly bufferedAt+MaxBatchDelay and flushes whatever is
+// flushLoop runs the stream's precise age-flush timer: parked until
+// enqueue signals that the buffer went non-empty (flushArm), it then
+// sleeps to exactly bufferedAt+MaxBatchDelay and flushes whatever is
 // still buffered. The peer tick used to do this on its coarse interval,
 // which let a batch wait up to a full tick beyond MaxBatchDelay; a timer
 // through the clock removes the quantization (and stays deterministic
 // under the virtual clock, where timer waiters fire at exact instants).
-// The goroutine exits with the peer context; an idle shard costs one
+// The goroutine exits with the peer context; an idle stream costs one
 // parked goroutine and no timer.
-func (s *Stream) flushLoop(sh *senderShard) {
+func (s *Stream) flushLoop() {
 	defer s.peer.wg.Done()
 	var t clock.Timer
 	defer func() {
@@ -1307,21 +1243,21 @@ func (s *Stream) flushLoop(sh *senderShard) {
 		select {
 		case <-s.peer.ctx.Done():
 			return
-		case <-sh.flushArm:
+		case <-s.flushArm:
 		}
 		for {
-			sh.mu.Lock()
-			if len(sh.buffer) == 0 {
-				sh.mu.Unlock()
+			s.batchMu.Lock()
+			if len(s.buffer) == 0 {
+				s.batchMu.Unlock()
 				break // flushed by count/bytes/Flush; park until re-armed
 			}
-			due := sh.bufferedAt.Add(s.opts.MaxBatchDelay)
+			due := s.bufferedAt.Add(s.opts.MaxBatchDelay)
 			if idle := s.peer.idleFlush; idle > 0 {
-				if d := sh.lastArriveAt.Add(idle); d.Before(due) {
+				if d := s.lastArriveAt.Add(idle); d.Before(due) {
 					due = d // quiescence: arrivals paused, stop waiting for more
 				}
 			}
-			sh.mu.Unlock()
+			s.batchMu.Unlock()
 			if wait := due.Sub(s.peer.clk.Now()); wait > 0 {
 				if t == nil {
 					t = s.peer.clk.NewTimer(wait)
@@ -1335,7 +1271,7 @@ func (s *Stream) flushLoop(sh *senderShard) {
 				}
 				continue // re-check: the batch may have flushed meanwhile
 			}
-			s.flushShard(sh, true)
+			s.flush(true)
 		}
 	}
 }

@@ -626,6 +626,56 @@ func TestLossRecoveryExactlyOnceInOrder(t *testing.T) {
 	}
 }
 
+// TestHeavyLossJitterExactlyOnceInOrder: one datagram in five lost and
+// delays jittered well past the propagation time, on the virtual clock —
+// retransmission from the unacked set still delivers every call exactly
+// once and in order.
+func TestHeavyLossJitterExactlyOnceInOrder(t *testing.T) {
+	cfg := simnet.Config{
+		Seed:        7,
+		LossRate:    0.2,
+		Propagation: time.Millisecond,
+		Jitter:      4 * time.Millisecond,
+	}
+	f, _ := newVirtualFixture(t, cfg, fastOpts())
+	var mu sync.Mutex
+	var order []uint64
+	f.handle("rec", func(call *Incoming) Outcome {
+		mu.Lock()
+		order = append(order, call.Seq)
+		mu.Unlock()
+		return NormalOutcome(call.Args)
+	})
+	s := f.client.Agent("a1").Stream("server", "g1")
+	const n = 120
+	pendings := make([]Pending, 0, n)
+	for i := 0; i < n; i++ {
+		p, err := s.Call("rec", []byte{byte(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pendings = append(pendings, p)
+	}
+	s.Flush()
+	for _, p := range pendings {
+		o := claim(t, p)
+		if !o.Normal {
+			t.Fatalf("seq %d: %+v", p.Seq, o)
+		}
+		p.Release()
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(order) != n {
+		t.Fatalf("executed %d calls, want %d (exactly-once violated)", len(order), n)
+	}
+	for i, seq := range order {
+		if seq != uint64(i+1) {
+			t.Fatalf("order[%d] = %d, want %d", i, seq, i+1)
+		}
+	}
+}
+
 func TestDifferentAgentsUseDifferentStreams(t *testing.T) {
 	// A slow call on agent a1's stream must not delay agent a2's call.
 	release := make(chan struct{})

@@ -52,7 +52,6 @@ package stream
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
@@ -173,7 +172,10 @@ var ErrExceptionReply = exception.New("exception_reply")
 var ErrBroken = errors.New("stream: broken")
 
 // Options tunes the stream protocol. The zero value selects the defaults
-// noted on each field.
+// noted on each field. There is no concurrency knob: each stream runs on
+// one lane — its calls are batched, delivered and resolved in seq order —
+// and parallelism comes from using more streams (one agent per
+// concurrent activity), which run independently.
 type Options struct {
 	// MaxBatch is the number of buffered calls (or replies) that forces a
 	// batch to be transmitted. Default 16. 1 disables batching.
@@ -214,26 +216,6 @@ type Options struct {
 	// admission credit the receiver advertises in reply batches. 0 (the
 	// default) keeps the legacy unbounded window and ignores credit.
 	MaxInFlight int
-	// RecvWindow is how many calls past its completed prefix the receiver
-	// advertises as admission credit to flow-controlled senders.
-	// Default 4096.
-	RecvWindow int
-	// ExecWorkers caps the peer-wide worker pool that runs parallel-port
-	// calls (Peer.SetParallelPorts); serial calls still run on their
-	// stream's executor. Default 16.
-	ExecWorkers int
-	// Shards is the number of hot-path shards each stream runs with:
-	// batch assembly, unacked tracking, reply retention, and completion
-	// watermarks are partitioned by seq % Shards so concurrent callers
-	// (and parallel-port executions) spread across cores instead of
-	// serializing on one lock. 0 or 1 selects the single-shard path,
-	// which is byte-identical to the historical wire behavior (batches
-	// carry consecutive seqs); AutoShards (-1) resolves to GOMAXPROCS.
-	// With Shards > 1 a single batch carries the seqs of one residue
-	// class, so in-order delivery is reassembled at the receiver's merge
-	// point — interoperating with receivers that require consecutive
-	// seqs per batch needs Shards <= 1.
-	Shards int
 	// NoPipelining makes the receiving side ignore continuation blobs on
 	// incoming requests: a pipelined call is executed as a plain call and
 	// its stage-one value is replied to the caller, exactly as a legacy
@@ -266,31 +248,18 @@ func (o Options) withDefaults() Options {
 	if o.MaxRetries <= 0 {
 		o.MaxRetries = 8
 	}
-	if o.RecvWindow <= 0 {
-		o.RecvWindow = 4096
-	}
-	if o.ExecWorkers <= 0 {
-		o.ExecWorkers = 16
-	}
-	if o.Shards == AutoShards {
-		o.Shards = runtime.GOMAXPROCS(0)
-	}
-	if o.Shards <= 0 {
-		o.Shards = 1
-	}
-	if o.Shards > maxShards {
-		o.Shards = maxShards
-	}
 	return o
 }
 
-// AutoShards, given as Options.Shards, selects one hot-path shard per
-// GOMAXPROCS core.
-const AutoShards = -1
-
-// maxShards bounds the per-stream shard count; past this, per-shard fixed
-// costs (goroutines, rings) dominate any conceivable parallelism win.
-const maxShards = 64
+const (
+	// recvWindow is how many calls past its completed prefix a receiver
+	// advertises as admission credit to flow-controlled senders.
+	recvWindow = 4096
+	// execWorkers caps the peer-wide worker pool that runs parallel-port
+	// calls (Peer.SetParallelPorts); serial calls still run on their
+	// stream's executor.
+	execWorkers = 16
+)
 
 // streamKey identifies one stream: the pair (agent, port group), plus the
 // nodes at each end. Calls made by different agents to ports in the same
@@ -367,7 +336,7 @@ type replyBatch struct {
 	CompletedThrough   uint64 // receiver has executed calls through this seq
 	Replies            []reply
 	// Credit is the admission grant: the receiver will accept request
-	// seqs through this value (its completed prefix plus RecvWindow).
+	// seqs through this value (its completed prefix plus recvWindow).
 	// Carried as a trailing 9th top-level value, so legacy decoders skip
 	// it; 0 means the batch came from a legacy receiver that advertises
 	// no credit, and flow-controlled senders then apply MaxInFlight only.

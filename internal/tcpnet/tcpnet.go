@@ -12,12 +12,10 @@
 //     layer's zero-copy wire.Decoder views directly, so the read path
 //     costs one allocation per ~64 KiB of traffic, not one per datagram.
 //
-//   - Writes: each Send enqueues the encoded datagram on one of the
-//     link's write stripes (its own mutex, so stream sender shards never
-//     serialize on a socket lock); a single writer goroutine per peer
-//     gathers all stripes and hands the batch to writev via net.Buffers
-//     — length prefixes and payloads as one vectored call, no coalescing
-//     copy.
+//   - Writes: each Send enqueues the encoded datagram on the link's
+//     write queue; a single writer goroutine per peer drains the queue
+//     and hands the batch to writev via net.Buffers — length prefixes
+//     and payloads as one vectored call, no coalescing copy.
 //
 //   - TCP_NODELAY is set on every connection: the stream layer's
 //     adaptive batcher (DESIGN.md §9) owns aggregation; letting Nagle
@@ -66,11 +64,7 @@ type Config struct {
 	// MaxFrame bounds one frame; larger length prefixes kill the
 	// connection as garbage. Default 16 MiB.
 	MaxFrame int
-	// WriteShards is the number of write stripes per peer link —
-	// concurrent senders (stream.Options.Shards) enqueue on
-	// shard%WriteShards and contend only within a stripe. Default 8.
-	WriteShards int
-	// QueueLimit caps each stripe's backlog in frames; overflow is
+	// QueueLimit caps each link's write backlog in frames; overflow is
 	// dropped (the transport is a datagram service — the stream layer
 	// retransmits). Default 4096.
 	QueueLimit int
@@ -95,9 +89,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxFrame <= 0 {
 		c.MaxFrame = defaultMaxFrame
-	}
-	if c.WriteShards <= 0 {
-		c.WriteShards = 8
 	}
 	if c.QueueLimit <= 0 {
 		c.QueueLimit = 4096
@@ -166,8 +157,8 @@ func newTCPMetrics(reg *metrics.Registry) *tcpMetrics {
 }
 
 // Endpoint is one named attachment point on the TCP transport. It
-// implements transport.Endpoint plus the sharded-write, fault-injection,
-// teardown, clock, and metrics capabilities.
+// implements transport.Endpoint plus the fault-injection, teardown,
+// clock, and metrics capabilities.
 type Endpoint struct {
 	name string
 	cfg  Config
@@ -271,21 +262,13 @@ func (ep *Endpoint) Stats() Stats {
 	}
 }
 
+// SendShard is Send; the hint is ignored (transport.ShardedSender). No
+// caller in this module: it stays for the benchmark module's endpoint taps.
+func (ep *Endpoint) SendShard(to string, payload []byte, _ int) error { return ep.Send(to, payload) }
+
 // Send transmits payload to the named peer: fire-and-forget, unreliable
 // (transport.Endpoint). A nil error means the frame was queued locally.
 func (ep *Endpoint) Send(to string, payload []byte) error {
-	return ep.send(to, payload, 0)
-}
-
-// SendShard is Send with a write-scheduling hint: concurrent sender
-// shards enqueue on different stripes of the peer link, so they contend
-// only within a stripe, never on one socket mutex
-// (transport.ShardedSender).
-func (ep *Endpoint) SendShard(to string, payload []byte, shard int) error {
-	return ep.send(to, payload, shard)
-}
-
-func (ep *Endpoint) send(to string, payload []byte, shard int) error {
 	if len(payload) > ep.cfg.MaxFrame {
 		return fmt.Errorf("tcpnet: %w (%d bytes)", errFrameTooBig, len(payload))
 	}
@@ -308,15 +291,14 @@ func (ep *Endpoint) send(to string, payload []byte, shard int) error {
 	}
 	ep.mu.Unlock()
 
-	st := &l.stripes[uint(shard)%uint(len(l.stripes))]
-	st.mu.Lock()
-	if len(st.q) >= ep.cfg.QueueLimit {
-		st.mu.Unlock()
+	l.qmu.Lock()
+	if len(l.q) >= ep.cfg.QueueLimit {
+		l.qmu.Unlock()
 		ep.countDrops(1)
 		return nil // accepted and lost: the datagram contract
 	}
-	st.q = append(st.q, payload)
-	st.mu.Unlock()
+	l.q = append(l.q, payload)
+	l.qmu.Unlock()
 	l.kickWriter()
 	return nil
 }
@@ -600,37 +582,30 @@ func (ep *Endpoint) readFrom(l *link, c net.Conn, fr *frameReader) {
 	}
 }
 
-// link is the per-peer connection state: striped write queues, the
-// current connection (dialed or adopted from an accept), and the single
-// writer goroutine that drains the stripes into vectored writes.
+// link is the per-peer connection state: the write queue, the current
+// connection (dialed or adopted from an accept), and the single writer
+// goroutine that drains the queue into vectored writes.
 type link struct {
-	ep      *Endpoint
-	peer    string
-	stripes []stripe
-	kick    chan struct{} // cap-1 doorbell for the writer
-	dead    chan struct{} // closed when the link is retired
+	ep   *Endpoint
+	peer string
+	kick chan struct{} // cap-1 doorbell for the writer
+	dead chan struct{} // closed when the link is retired
+
+	qmu sync.Mutex
+	q   [][]byte // frames queued for the writer
 
 	mu   sync.Mutex
 	conn net.Conn // current write connection; nil while unreachable
-}
-
-// stripe is one write queue. Padding keeps neighboring stripes off one
-// cache line so concurrent enqueuers do not false-share.
-type stripe struct {
-	mu sync.Mutex
-	q  [][]byte
-	_  [64]byte
 }
 
 // newLinkLocked creates the link and starts its writer. Caller holds
 // ep.mu.
 func (ep *Endpoint) newLinkLocked(peer string) *link {
 	l := &link{
-		ep:      ep,
-		peer:    peer,
-		stripes: make([]stripe, ep.cfg.WriteShards),
-		kick:    make(chan struct{}, 1),
-		dead:    make(chan struct{}),
+		ep:   ep,
+		peer: peer,
+		kick: make(chan struct{}, 1),
+		dead: make(chan struct{}),
 	}
 	ep.links[peer] = l
 	ep.wg.Add(1)
@@ -695,39 +670,30 @@ func (l *link) kill() {
 	if c != nil {
 		c.Close()
 	}
-	var dropped int64
-	for i := range l.stripes {
-		st := &l.stripes[i]
-		st.mu.Lock()
-		dropped += int64(len(st.q))
-		clear(st.q)
-		st.q = st.q[:0]
-		st.mu.Unlock()
-	}
+	l.qmu.Lock()
+	dropped := int64(len(l.q))
+	clear(l.q)
+	l.q = l.q[:0]
+	l.qmu.Unlock()
 	if dropped > 0 {
 		l.ep.countDrops(dropped)
 	}
 }
 
-// gather moves every queued frame from all stripes into dst, preserving
-// FIFO order within a stripe (order across stripes is unspecified — the
-// transport contract allows reordering).
+// gather moves every queued frame into dst, in FIFO order.
 func (l *link) gather(dst [][]byte) [][]byte {
-	for i := range l.stripes {
-		st := &l.stripes[i]
-		st.mu.Lock()
-		if len(st.q) > 0 {
-			dst = append(dst, st.q...)
-			clear(st.q)
-			st.q = st.q[:0]
-		}
-		st.mu.Unlock()
+	l.qmu.Lock()
+	if len(l.q) > 0 {
+		dst = append(dst, l.q...)
+		clear(l.q)
+		l.q = l.q[:0]
 	}
+	l.qmu.Unlock()
 	return dst
 }
 
 // writeLoop is the link's single writer: woken by the doorbell, it
-// drains all stripes and hands the whole round to writev as one
+// drains the queue and hands the whole round to writev as one
 // net.Buffers — [prefix, payload, prefix, payload, ...] — so a flushed
 // batch reaches the kernel without a coalescing copy. Dialing happens
 // here too, off every sender's path.

@@ -16,8 +16,8 @@
 // succeeds again.
 //
 // Everything beyond the core Endpoint contract is an optional capability
-// discovered by interface assertion: vectored/sharded writes, fault
-// injection, clock/metrics/cost-model inheritance. A backend implements
+// discovered by interface assertion: fault injection,
+// clock/metrics/cost-model inheritance. A backend implements
 // what it can; the stream layer degrades gracefully where it can't.
 package transport
 
@@ -73,11 +73,10 @@ var (
 	ErrNoRoute = errors.New("transport: no route to endpoint")
 )
 
-// ShardedSender is the optional vectored-write capability: a backend
-// whose write path is striped accepts a shard hint so concurrent sender
-// shards (stream.Options.Shards) enqueue on different stripes instead of
-// serializing on one socket mutex. Semantics are identical to Send; the
-// hint only routes the enqueue.
+// ShardedSender is Send with a write-scheduling hint that backends may
+// ignore (tcpnet does). It has no caller in this module — the stream
+// layer sends everything through Send — and stays only because the
+// benchmark module's endpoint taps implement and check it.
 type ShardedSender interface {
 	SendShard(to string, payload []byte, shard int) error
 }
