@@ -65,11 +65,11 @@ type Call struct {
 	From  string
 	Agent string
 	Seq   uint64
-	// Trace is this call's trace ID (0 from pre-trace senders) and Cause
-	// the causal context the caller propagated with it — zero when this
-	// call is the root of its chain. Handlers that call out to other
-	// guardians pass ChildCause to the Cause variants of promise.Call /
-	// stream.CallCause so the downstream work joins this call's chain.
+	// Trace is this call's trace ID and Cause the causal context the
+	// caller propagated with it — zero when this call is the root of its
+	// chain. Handlers that call out to other guardians pass ChildCause to
+	// the Cause variants of promise.Call / stream.Req.Cause so the
+	// downstream work joins this call's chain.
 	Trace uint64
 	Cause trace.Cause
 	// Guardian is the receiving guardian, so handlers can create ports

@@ -45,7 +45,7 @@ func CallCause[T any](s *stream.Stream, port string, cause trace.Cause, dec Deco
 	if err != nil {
 		return nil, exception.Failure("could not encode")
 	}
-	pending, err := s.CallMarshalled(context.Background(), port, payload, cause, nil)
+	pending, err := s.Issue(context.Background(), stream.Req{Port: port, Args: payload, Cause: cause})
 	if err != nil {
 		return nil, err
 	}
@@ -66,7 +66,7 @@ func SendCause(s *stream.Stream, port string, cause trace.Cause, args ...any) (*
 	if err != nil {
 		return nil, exception.Failure("could not encode")
 	}
-	pending, err := s.SendMarshalled(context.Background(), port, payload, cause)
+	pending, err := s.Issue(context.Background(), stream.Req{Mode: stream.ModeSend, Port: port, Args: payload, Cause: cause})
 	if err != nil {
 		return nil, err
 	}
@@ -88,10 +88,15 @@ func RPCCause[T any](ctx context.Context, s *stream.Stream, port string, cause t
 	if err != nil {
 		return zero, exception.Failure("could not encode")
 	}
-	outcome, err := s.RPCMarshalled(ctx, port, payload, cause)
+	pending, err := s.Issue(ctx, stream.Req{Mode: stream.ModeRPC, Port: port, Args: payload, Cause: cause})
 	if err != nil {
 		return zero, err
 	}
+	outcome, err := pending.Wait(ctx)
+	if err != nil {
+		return zero, err
+	}
+	pending.Release() // the handle never escapes; recycle its cell
 	return decodeOutcome(outcome, dec, nil)
 }
 

@@ -17,12 +17,8 @@ import (
 // round trip for the chain instead of one per stage (the paper's
 // "promises let the caller issue dependent calls without waiting", taken
 // to its conclusion: the unresolved result travels as the next call's
-// argument).
-//
-// Against a legacy endpoint that ignores continuation chains, the
-// promise degrades gracefully: the root reply comes back unpiped with
-// stage one's value, and the remaining hops are driven caller-mediated,
-// one RPC per stage — same outcome, pre-pipelining cost.
+// argument). A graph has that one meaning: a stage that cannot take part
+// fails the chain, and the failure is the promise's outcome.
 type Graph struct {
 	s     *stream.Stream
 	port  string
@@ -85,23 +81,12 @@ func Start[T any](g *Graph, dec Decoder[T]) (*Promise[T], error) {
 		}
 		stages[i] = st
 	}
-	pending, err := g.s.CallMarshalled(context.Background(), g.port, payload, g.cause, stages)
+	pending, err := g.s.Issue(context.Background(),
+		stream.Req{Port: g.port, Args: payload, Cause: g.cause, Stages: stages})
 	if err != nil {
 		return nil, err
 	}
-	p := &Promise[T]{pend: pending, dec: dec}
-	if len(stages) > 0 {
-		p.tail = &pipeTail{s: g.s, stages: stages, cause: g.cause}
-	}
-	return p, nil
-}
-
-// pipeTail is what a pipelined promise keeps of its graph in case the
-// chain comes back unfinished (see Promise.settle).
-type pipeTail struct {
-	s      *stream.Stream
-	stages []stream.PipeStage
-	cause  trace.Cause
+	return &Promise[T]{pend: pending, dec: dec}, nil
 }
 
 // Run is Start followed by Claim: it launches the graph and blocks for
@@ -113,33 +98,4 @@ func Run[T any](ctx context.Context, g *Graph, dec Decoder[T]) (T, error) {
 		return zero, err
 	}
 	return p.Claim(ctx)
-}
-
-// runFallback executes the remaining stages caller-mediated — one RPC per
-// stage, splicing each result into the next stage's arguments — exactly
-// what the chain would have done guardian-side. Stage streams are
-// siblings of the root stream (same agent), so ordering guarantees match
-// the pipelined execution's per-stream ordering.
-func runFallback(s *stream.Stream, o stream.Outcome, stages []stream.PipeStage, cause trace.Cause) stream.Outcome {
-	payload := o.Payload
-	for _, st := range stages {
-		args, err := wire.SpliceArgs(payload, st.Extra)
-		if err != nil {
-			return stream.ExceptionOutcome(exception.Failure("could not encode"))
-		}
-		next, err := s.Sibling(st.Node, st.Group).RPCCause(context.Background(), st.Port, args, cause)
-		if err != nil {
-			if ex, ok := exception.As(err); ok {
-				return stream.ExceptionOutcome(ex)
-			}
-			return stream.ExceptionOutcome(exception.Failure(err.Error()))
-		}
-		if !next.Normal {
-			return next
-		}
-		payload = next.Payload
-	}
-	out := stream.NormalOutcome(payload)
-	out.Piped = true // chain complete, by whichever path
-	return out
 }

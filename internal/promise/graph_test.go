@@ -15,7 +15,7 @@ import (
 // graphFixture wires a client and three server peers that each expose an
 // "inc" port (add 1) and an "addmul" port (result*mul + add). The client
 // alone carries a metrics registry, for enqueued.
-func graphFixture(t *testing.T, serverOpts func(string) stream.Options) (client *stream.Peer, nodes []string) {
+func graphFixture(t *testing.T) (client *stream.Peer, nodes []string) {
 	t.Helper()
 	n := simnet.New(simnet.Config{})
 	opts := stream.Options{
@@ -28,11 +28,7 @@ func graphFixture(t *testing.T, serverOpts func(string) stream.Options) (client 
 	nodes = []string{"ga", "gb", "gc"}
 	peers := make([]*stream.Peer, 0, len(nodes))
 	for _, name := range nodes {
-		so := opts
-		if serverOpts != nil {
-			so = serverOpts(name)
-		}
-		p := stream.NewPeer(n.MustAddNode(name), so)
+		p := stream.NewPeer(n.MustAddNode(name), opts)
 		p.SetDispatcher(func(port string) (stream.Handler, bool) {
 			switch port {
 			case "inc":
@@ -91,7 +87,7 @@ func mustOutcome(t *testing.T, v int64) stream.Outcome {
 // TestGraphPipelinedChain runs a 3-stage graph across three guardians and
 // claims the final value: ((1+1)+1)*10+4 = 34.
 func TestGraphPipelinedChain(t *testing.T) {
-	client, nodes := graphFixture(t, nil)
+	client, nodes := graphFixture(t)
 	s := client.Agent("app").Stream(nodes[0], "g")
 	g := Pipeline(s, "inc", int64(1)).
 		Then(nodes[1], "g", "inc").
@@ -110,30 +106,34 @@ func TestGraphPipelinedChain(t *testing.T) {
 	}
 }
 
-// TestGraphFallbackAgainstLegacy: when every endpoint has pipelining
-// disabled (standing in for a legacy decoder that skips the continuation
-// list), the graph still completes — the promise drives the remaining
-// stages caller-mediated and yields the identical result.
-func TestGraphFallbackAgainstLegacy(t *testing.T) {
-	client, nodes := graphFixture(t, func(string) stream.Options {
-		return stream.Options{
-			MaxBatch: 8, MaxBatchDelay: time.Millisecond,
-			RTO: 10 * time.Millisecond, MaxRetries: 4,
-			NoPipelining: true,
-		}
-	})
-	s := client.Agent("app").Stream(nodes[0], "g")
-	g := Pipeline(s, "inc", int64(1)).
-		Then(nodes[1], "g", "inc").
-		Then(nodes[2], "g", "addmul", int64(10), int64(4))
+// TestCallerMediatedChainEnqueuesK is E15's control: the chain of
+// TestGraphPipelinedChain driven by the caller, in the shape of the
+// chain_k4 workload's control — one Call per stage, each claimed before
+// the next stage is called with its result. The client pays one enqueued
+// call per stage where the pipelined graph pays one in all.
+func TestCallerMediatedChainEnqueuesK(t *testing.T) {
+	client, nodes := graphFixture(t)
+	agent := client.Agent("app")
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	v, err := Run(ctx, g, Int)
-	if err != nil {
-		t.Fatalf("Run (fallback): %v", err)
+	v := int64(1)
+	for i, port := range []string{"inc", "inc", "addmul"} {
+		args := []any{v}
+		if port == "addmul" {
+			args = append(args, int64(10), int64(4))
+		}
+		s := agent.Stream(nodes[i], "g")
+		p, err := Call(s, port, Int, args...)
+		if err != nil {
+			t.Fatalf("stage %d: %v", i, err)
+		}
+		s.Flush()
+		if v, err = p.Claim(ctx); err != nil {
+			t.Fatalf("stage %d: %v", i, err)
+		}
 	}
 	if v != 34 {
-		t.Fatalf("fallback chain = %d, want 34", v)
+		t.Fatalf("chain = %d, want 34", v)
 	}
 	if got := enqueued(client); got != 3 {
 		t.Fatalf("client enqueued %d calls for a caller-mediated 3-stage chain, want 3", got)
@@ -143,7 +143,7 @@ func TestGraphFallbackAgainstLegacy(t *testing.T) {
 // TestGraphStartNonBlocking: Start returns a blocked promise immediately;
 // the caller keeps running while the chain executes remotely.
 func TestGraphStartNonBlocking(t *testing.T) {
-	client, nodes := graphFixture(t, nil)
+	client, nodes := graphFixture(t)
 	s := client.Agent("app").Stream(nodes[0], "g")
 	g := Pipeline(s, "inc", int64(5)).Then(nodes[1], "g", "inc")
 	p, err := Start(g, Int)

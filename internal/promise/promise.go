@@ -53,10 +53,9 @@ type Promise[T any] struct {
 	// the handle.
 	pend stream.Pending
 	dec  Decoder[T]
-	tail *pipeTail // Start only: how to finish an unpiped chain
 
-	// settling is not mu: finishing an unpiped chain blocks on further
-	// calls, and subscribing (onReady) must not wait for that.
+	// settling is not mu: the decoder is caller code, and subscribing
+	// (onReady) must not wait on it.
 	settling sync.Mutex
 	settled  atomic.Bool  // val/exc are final; pend is not to be touched
 	users    atomic.Int32 // goroutines inside an operation on pend
@@ -152,12 +151,6 @@ func (p *Promise[T]) settle(o stream.Outcome) {
 	defer p.settling.Unlock()
 	if p.settled.Load() {
 		return
-	}
-	if t := p.tail; t != nil && o.Normal && !o.Piped {
-		// Unpiped normal reply with hops outstanding: the endpoint does
-		// not pipeline (legacy decoder, or pipelining disabled). The
-		// reply is stage one's value; drive the rest caller-mediated.
-		o = runFallback(t.s, o, t.stages, t.cause)
 	}
 	v, err := decodeOutcome(o, p.dec, p.results[:0])
 	if err != nil {

@@ -109,8 +109,9 @@ func TestMaxInFlightBoundsWindowAndUnblocks(t *testing.T) {
 	}
 }
 
-// TestCallCtxCanceledWhileBlocked: a context ending during the flow-control
-// wait returns ctx.Err() with no pending created and no seq consumed.
+// TestCallCtxCanceledWhileBlocked: a context ending during Issue's
+// flow-control wait returns ctx.Err() with no pending created and no seq
+// consumed.
 func TestCallCtxCanceledWhileBlocked(t *testing.T) {
 	opts := Options{MaxBatch: 1, MaxBatchDelay: time.Millisecond,
 		RTO: 50 * time.Millisecond, MaxRetries: 8, MaxInFlight: 2}
@@ -134,13 +135,13 @@ func TestCallCtxCanceledWhileBlocked(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := s.CallCtx(ctx, "gate", nil)
+		_, err := s.Issue(ctx, Req{Port: "gate"})
 		errCh <- err
 	}()
 	time.Sleep(10 * time.Millisecond)
 	cancel()
 	if err := <-errCh; !errors.Is(err, context.Canceled) {
-		t.Fatalf("CallCtx = %v, want context.Canceled", err)
+		t.Fatalf("Issue = %v, want context.Canceled", err)
 	}
 	if got := s.InFlight(); got != 2 {
 		t.Errorf("InFlight = %d after canceled enqueue, want 2 (no pending created)", got)

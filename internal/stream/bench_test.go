@@ -237,13 +237,13 @@ func BenchmarkStreamCallThroughputPipeActive(b *testing.B) {
 
 	// Warm-up: one pipelined chain server→aux, claimed to completion, so
 	// the server's scheduler loop is running for the measured section.
-	wp, err := s.CallPipelined(ctx, "echo", arg, trace.Cause{},
-		[]PipeStage{{Node: "aux", Group: "g", Port: "echo"}})
+	wp, err := s.Issue(ctx, Req{Port: "echo", Args: plain(arg),
+		Stages: []PipeStage{{Node: "aux", Group: "g", Port: "echo"}}})
 	if err != nil {
-		b.Fatalf("CallPipelined: %v", err)
+		b.Fatalf("Issue: %v", err)
 	}
 	s.Flush()
-	if o, err := wp.Wait(ctx); err != nil || !o.Piped {
+	if o, err := wp.Wait(ctx); err != nil || !o.Normal {
 		b.Fatalf("warm-up chain: outcome=%+v err=%v", o, err)
 	}
 	wp.Release()

@@ -153,8 +153,8 @@ func (ps *pipeScheduler) processOne(w pipeWork) {
 		return
 	}
 	s := ps.p.Agent(pipeAgentName).Stream(st.Node, st.Group)
-	pend, err := s.enqueue(context.Background(), st.Port, plain(args), ModeSend, w.cause,
-		&pipeArg{stages: w.stages[1:], ref: w.ref})
+	pend, err := s.enqueue(context.Background(), Req{Mode: ModeSend, Port: st.Port,
+		Args: plain(args), Cause: w.cause, Stages: w.stages[1:]}, &w.ref)
 	if err != nil {
 		// The forwarding stream is broken: that IS the chain's resolution.
 		o := ExceptionOutcome(exception.Unavailable("pipeline stage unreachable"))
@@ -183,7 +183,6 @@ func (ps *pipeScheduler) processOne(w pipeWork) {
 // caller additionally gets a direct copy when it lives on a third node,
 // skipping the extra hop. Local subscribers are integrated in-process.
 func (ps *pipeScheduler) forwardResolution(ref pipeRef, o Outcome) {
-	o.Piped = true
 	m := resolveMsg{
 		Agent:       ref.agent,
 		Group:       ref.group,

@@ -13,7 +13,7 @@ import "promises/internal/wire"
 // wire are exactly what encodeRequestBatch / encodeReplyBatch would have
 // produced for the same one-entry batch, so no decoder can tell the two
 // apart; whatever does not fit the rule (more than one entry, a
-// continuation, an exceptional or piped outcome, a retransmission, names
+// continuation, an exceptional outcome, a retransmission, names
 // too long for the room, a payload that came in as plain bytes) is
 // encoded by those.
 const (
@@ -41,9 +41,9 @@ type Marshalled struct {
 
 // Marshal encodes an argument or result list like wire.Marshal, in one
 // allocation. A list of a page or more comes back in a buffer the stream
-// can turn into the call's message in place: handed to CallMarshalled,
-// SendMarshalled, RPCMarshalled or NormalMarshalled it is never copied
-// again on this side of the transport.
+// can turn into the call's message in place: handed to Issue or
+// NormalMarshalled it is never copied again on this side of the
+// transport.
 func Marshal(vals ...any) (Marshalled, error) {
 	buf, off, err := wire.MarshalRoom(rideAlone, frameHeadroom, frameTailroom, vals...)
 	return Marshalled{buf: buf, off: off}, err
@@ -89,21 +89,21 @@ func frameRequestBatch(b requestBatch) []byte {
 }
 
 // frameReplyBatch is frameRequestBatch for a batch whose one reply is a
-// normal, un-piped outcome built by NormalMarshalled.
+// normal outcome built by NormalMarshalled.
 func frameReplyBatch(b replyBatch) []byte {
 	if len(b.Replies) != 1 {
 		return nil
 	}
 	r := &b.Replies[0]
-	if r.Outcome.frame == nil || !r.Outcome.Normal || r.Outcome.Piped {
+	if r.Outcome.frame == nil || !r.Outcome.Normal {
 		return nil
 	}
 	frame, off := r.Outcome.frame, len(r.Outcome.frame)-len(r.Outcome.Payload)
-	start := seatHead(frame, off, appendReplyOpen(appendRepliesOpen(frame[:0:off], &b, 0), r))
+	start := seatHead(frame, off, appendReplyOpen(appendRepliesOpen(frame[:0:off], &b), r))
 	if start < 0 {
 		return nil
 	}
-	return appendRepliesClose(frame, &b, 0)[start:]
+	return wire.AppendInt(frame, int64(b.Credit))[start:]
 }
 
 // seatHead moves a batch head, appended at the start of the headroom

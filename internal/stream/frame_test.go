@@ -62,7 +62,7 @@ func checkFramedReply(t *testing.T, b replyBatch, payload []byte) {
 	if cap(want) != len(want) {
 		t.Fatalf("copying reply encoder sized its buffer at %d for %d bytes", cap(want), len(want))
 	}
-	head := len(appendReplyOpen(appendRepliesOpen(nil, &b, 0), r))
+	head := len(appendReplyOpen(appendRepliesOpen(nil, &b), r))
 	got := frameReplyBatch(b)
 	if head > frameHeadroom {
 		if got != nil {
@@ -143,15 +143,13 @@ func TestFramedEncodersDecline(t *testing.T) {
 		}
 	}
 	ok := Outcome{Normal: true, Payload: view, frame: frame}
-	exc, piped, plainO := ok, ok, ok
+	exc, plainO := ok, ok
 	exc.Normal, exc.Exception = false, "failure"
-	piped.Piped = true
 	plainO.frame = nil
 	for name, reps := range map[string][]reply{
 		"empty batch": nil,
 		"two replies": {{Seq: 1, Outcome: ok}, {Seq: 2, Outcome: ok}},
 		"exception":   {{Seq: 1, Outcome: exc}},
-		"piped":       {{Seq: 1, Outcome: piped}},
 		"plain bytes": {{Seq: 1, Outcome: plainO}},
 	} {
 		if frameReplyBatch(replyBatch{Agent: "a", Group: "g", Replies: reps}) != nil {
@@ -233,7 +231,7 @@ func callBulk(t *testing.T, s *Stream, port string, arg []byte) (Pending, Marsha
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := s.CallMarshalled(context.Background(), port, m, trace.Cause{}, nil)
+	p, err := s.Issue(context.Background(), Req{Port: port, Args: m})
 	if err != nil {
 		t.Fatal(err)
 	}

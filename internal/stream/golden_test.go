@@ -10,8 +10,7 @@ import (
 // the bytes the encoders of PR 13 produced (the hex in golden_data_test.go
 // was printed by that commit's encodeRequestBatch / encodeReplyBatch /
 // encodeResolve on exactly these inputs): both request header counts (8,
-// and 9 with continuations), both reply header counts (9, and 10 with
-// piped seqs), and both resolve kinds.
+// and 9 with continuations), the reply batch, and both resolve kinds.
 
 const maxSeq = 1<<63 - 1 // the widest value the integer encoding carries
 
@@ -58,21 +57,14 @@ func goldenReplyBatches() map[string]replyBatch {
 		"rep/wide": {Agent: "", Group: "", Incarnation: maxSeq, Epoch: maxSeq,
 			AckRequestsThrough: maxSeq, CompletedThrough: maxSeq, Credit: maxSeq,
 			Replies: []reply{{Seq: maxSeq, Outcome: NormalOutcome(big)}}},
-		"rep/piped": {Agent: "a", Group: "g", Incarnation: 1, Epoch: 3,
-			AckRequestsThrough: 9, CompletedThrough: 9, Credit: 4105,
-			Replies: []reply{
-				{Seq: 7, Outcome: NormalOutcome([]byte{1})},
-				{Seq: 8, Outcome: Outcome{Normal: true, Payload: big, Piped: true}},
-				{Seq: 9, Outcome: Outcome{Exception: "unavailable", Payload: []byte("gone"), Piped: true}},
-			}},
 	}
 }
 
 func goldenResolves() map[string]resolveMsg {
 	m := resolveMsg{Agent: "d0", Group: "main", Incarnation: 4, SenderNode: "client", RecvNode: "s1", Seq: 77}
 	ok, exc := m, m
-	ok.Outcome = Outcome{Normal: true, Payload: bytes.Repeat([]byte{7}, 40), Piped: true}
-	exc.Outcome = Outcome{Exception: "failure", Payload: []byte("could not decode"), Piped: true}
+	ok.Outcome = Outcome{Normal: true, Payload: bytes.Repeat([]byte{7}, 40)}
+	exc.Outcome = Outcome{Exception: "failure", Payload: []byte("could not decode")}
 	return map[string]resolveMsg{"res/ack": m, "res/normal": ok, "res/exception": exc}
 }
 

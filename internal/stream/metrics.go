@@ -62,6 +62,20 @@ type streamMetrics struct {
 	pipeStages         *metrics.Counter   // continuation stages forwarded to a next guardian
 	pipeForwards       *metrics.Counter   // chain resolutions forwarded to subscribers
 	pipeForwardResends *metrics.Counter   // resolution forwards retransmitted after RTO
+
+	// reg backs the one series registered lazily (see noteRejected).
+	reg *metrics.Registry
+}
+
+// noteRejected counts a datagram no decoder accepts: garbled, or in a
+// layout this package does not write. That is rare and off every call
+// path, so the counter is looked up each time — allocation-free once it
+// exists — and registered by the first one: a peer that never rejects
+// anything exports no such series.
+func (sm *streamMetrics) noteRejected() {
+	if sm != nil {
+		sm.reg.Counter("stream_datagrams_rejected_total").Inc()
+	}
 }
 
 var (
@@ -121,5 +135,7 @@ func newStreamMetrics(reg *metrics.Registry) *streamMetrics {
 		pipeStages:         reg.Counter("stream_pipe_stages_total"),
 		pipeForwards:       reg.Counter("stream_pipe_forwards_total"),
 		pipeForwardResends: reg.Counter("stream_pipe_forward_retransmits_total"),
+
+		reg: reg,
 	}
 }

@@ -345,7 +345,11 @@ func (p *Peer) dropAllStreams() {
 func (p *Peer) handleMessage(msg transport.Message) {
 	kind, rb, pb, bm, err := decodeMessage(msg.Payload)
 	if err != nil {
-		return // garbled datagram; retransmission recovers
+		// A garbled datagram, which retransmission recovers — or a layout
+		// this package does not write, which it never will: counted, so a
+		// peer speaking one shows in /metrics before its streams break.
+		p.sm.noteRejected()
+		return
 	}
 	switch kind {
 	case kindRequestBatch:
@@ -385,6 +389,7 @@ func (p *Peer) handleMessage(msg transport.Message) {
 		// their own message kind; re-parse with the dedicated decoder.
 		m, isAck, derr := decodeResolve(msg.Payload)
 		if derr != nil {
+			p.sm.noteRejected()
 			return
 		}
 		if isAck {

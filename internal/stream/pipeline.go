@@ -47,19 +47,8 @@ func (ref pipeRef) key() streamKey {
 		recvNode: ref.recvNode, group: ref.group}
 }
 
-// pipeArg is enqueue's pipelining parameter: nil for plain calls. A zero
-// ref marks the call itself as the chain origin (the ref is completed
-// with the stream key and the assigned seq inside enqueue's critical
-// section); the scheduler sets ref when forwarding mid-chain hops, which
-// must keep resolving the ORIGINAL caller's promise.
-type pipeArg struct {
-	stages []PipeStage
-	ref    pipeRef
-}
-
-// pipeContVersion versions the continuation blob; decoders reject
-// versions they do not know, which degrades the call to caller-mediated
-// execution (the receiver replies with stage one's value, unpiped).
+// pipeContVersion versions the continuation blob; a blob of any other
+// version is malformed, and the call carrying it fails.
 const pipeContVersion = 1
 
 // pipeAgentName is the agent mid-chain forwards travel on. Each
@@ -98,8 +87,8 @@ func encodePipeCont(ref pipeRef, stages []PipeStage) []byte {
 
 // decodePipeCont parses a continuation blob. Stage Extra views alias the
 // blob (and therefore the request datagram); strings come from the intern
-// table. An unknown version or garbled blob is an error — the caller
-// degrades the request to a plain call.
+// table. An unknown version or garbled blob is an error — the receiver
+// then fails the call with failure("malformed continuation").
 func decodePipeCont(blob []byte) (pipeRef, []PipeStage, error) {
 	var ref pipeRef
 	d := wire.NewDecoder(blob)

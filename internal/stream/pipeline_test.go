@@ -3,12 +3,12 @@ package stream
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"promises/internal/exception"
 	"promises/internal/simnet"
-	"promises/internal/trace"
 	"promises/internal/wire"
 )
 
@@ -91,38 +91,41 @@ func incHandler(t *testing.T) Handler {
 	}
 }
 
+// issuePiped issues a pipelined stream call of port with args.
+func issuePiped(t *testing.T, s *Stream, port string, args []byte, stages ...PipeStage) Pending {
+	t.Helper()
+	p, err := s.Issue(context.Background(), Req{Port: port, Args: plain(args), Stages: stages})
+	if err != nil {
+		t.Fatalf("Issue: %v", err)
+	}
+	return p
+}
+
 // TestPipelinedChainEndToEnd drives a 3-stage chain across three
 // guardians: the call executes at ga, its result forwards to gb, then gc,
-// and gc's result resolves the caller's pending directly — piped.
+// and gc's result resolves the caller's pending directly — as a stream
+// call, and as an RPC (sent at once, waited for).
 func TestPipelinedChainEndToEnd(t *testing.T) {
 	f := newPipeFixture(t, fastOpts(), "ga", "gb", "gc")
 	for _, n := range []string{"ga", "gb", "gc"} {
 		f.handle(n, "inc", incHandler(t))
 	}
 	s := f.client.Agent("app").Stream("ga", "g")
-	pend, err := s.CallPipelined(context.Background(), "inc", encInt(1), trace.Cause{}, []PipeStage{
-		{Node: "gb", Group: "g", Port: "inc"},
-		{Node: "gc", Group: "g", Port: "inc"},
-	})
-	if err != nil {
-		t.Fatalf("CallPipelined: %v", err)
+	stages := []PipeStage{{Node: "gb", Group: "g", Port: "inc"}, {Node: "gc", Group: "g", Port: "inc"}}
+	for _, mode := range []Mode{ModeCall, ModeRPC} {
+		pend, err := s.Issue(context.Background(), Req{Mode: mode, Port: "inc", Args: plain(encInt(1)), Stages: stages})
+		if err != nil {
+			t.Fatalf("%v: Issue: %v", mode, err)
+		}
+		o := claim(t, pend)
+		if !o.Normal {
+			t.Fatalf("%v: chain failed: %s", mode, o.Exception)
+		}
+		if got := decInt(t, o.Payload); got != 4 {
+			t.Fatalf("%v: chain result = %d, want 4", mode, got)
+		}
+		pend.Release()
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	o, err := pend.Wait(ctx)
-	if err != nil {
-		t.Fatalf("Wait: %v", err)
-	}
-	if !o.Normal {
-		t.Fatalf("chain failed: %s", o.Exception)
-	}
-	if !o.Piped {
-		t.Fatalf("outcome not marked piped")
-	}
-	if got := decInt(t, o.Payload); got != 4 {
-		t.Fatalf("chain result = %d, want 4", got)
-	}
-	pend.Release()
 }
 
 // TestPipelinedExtraArgsSpliced checks the continuation's frozen extra
@@ -145,18 +148,9 @@ func TestPipelinedExtraArgsSpliced(t *testing.T) {
 		return NormalOutcome(encInt(a + b))
 	})
 	s := f.client.Agent("app").Stream("ga", "g")
-	pend, err := s.CallPipelined(context.Background(), "inc", encInt(1), trace.Cause{}, []PipeStage{
-		{Node: "gb", Group: "g", Port: "add", Extra: encInt(40)},
-	})
-	if err != nil {
-		t.Fatalf("CallPipelined: %v", err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	o, err := pend.Wait(ctx)
-	if err != nil {
-		t.Fatalf("Wait: %v", err)
-	}
+	pend := issuePiped(t, s, "inc", encInt(1),
+		PipeStage{Node: "gb", Group: "g", Port: "add", Extra: encInt(40)})
+	o := claim(t, pend)
 	if !o.Normal {
 		t.Fatalf("chain failed: %s", o.Exception)
 	}
@@ -167,8 +161,7 @@ func TestPipelinedExtraArgsSpliced(t *testing.T) {
 }
 
 // TestPipelinedExceptionPropagates: a mid-chain stage failing resolves
-// the caller's promise with that exception, piped (no caller-mediated
-// retry is warranted — the chain delivered a definite outcome).
+// the caller's promise with that exception — the chain's outcome.
 func TestPipelinedExceptionPropagates(t *testing.T) {
 	f := newPipeFixture(t, fastOpts(), "ga", "gb", "gc")
 	f.handle("ga", "inc", incHandler(t))
@@ -177,24 +170,12 @@ func TestPipelinedExceptionPropagates(t *testing.T) {
 	})
 	f.handle("gc", "inc", incHandler(t))
 	s := f.client.Agent("app").Stream("ga", "g")
-	pend, err := s.CallPipelined(context.Background(), "inc", encInt(1), trace.Cause{}, []PipeStage{
-		{Node: "gb", Group: "g", Port: "inc"},
-		{Node: "gc", Group: "g", Port: "inc"},
-	})
-	if err != nil {
-		t.Fatalf("CallPipelined: %v", err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	o, err := pend.Wait(ctx)
-	if err != nil {
-		t.Fatalf("Wait: %v", err)
-	}
+	pend := issuePiped(t, s, "inc", encInt(1),
+		PipeStage{Node: "gb", Group: "g", Port: "inc"},
+		PipeStage{Node: "gc", Group: "g", Port: "inc"})
+	o := claim(t, pend)
 	if o.Normal {
 		t.Fatalf("chain unexpectedly succeeded")
-	}
-	if !o.Piped {
-		t.Fatalf("exception not marked piped")
 	}
 	if o.Exception != exception.NameFailure {
 		t.Fatalf("exception = %q, want %q", o.Exception, exception.NameFailure)
@@ -210,68 +191,53 @@ func TestPipelinedChainReturnsHome(t *testing.T) {
 	f.handle("ga", "inc", incHandler(t))
 	f.handle("gb", "inc", incHandler(t))
 	s := f.client.Agent("app").Stream("ga", "g")
-	pend, err := s.CallPipelined(context.Background(), "inc", encInt(10), trace.Cause{}, []PipeStage{
-		{Node: "gb", Group: "g", Port: "inc"},
-		{Node: "ga", Group: "g", Port: "inc"},
-	})
-	if err != nil {
-		t.Fatalf("CallPipelined: %v", err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	o, err := pend.Wait(ctx)
-	if err != nil {
-		t.Fatalf("Wait: %v", err)
-	}
+	pend := issuePiped(t, s, "inc", encInt(10),
+		PipeStage{Node: "gb", Group: "g", Port: "inc"},
+		PipeStage{Node: "ga", Group: "g", Port: "inc"})
+	o := claim(t, pend)
 	if !o.Normal || decInt(t, o.Payload) != 13 {
 		t.Fatalf("outcome = %+v, want normal 13", o)
 	}
 	pend.Release()
 }
 
-// TestPipelinedReceiverWithoutPipelining: a receiver running with
-// NoPipelining ignores the continuation blob and replies with stage
-// one's value, unpiped — the interop degradation a legacy endpoint
-// exhibits. The caller can then drive the remaining stages itself.
-func TestPipelinedReceiverWithoutPipelining(t *testing.T) {
-	opts := fastOpts()
+// TestMalformedContinuationFailsCall hand-sends a request batch whose one
+// call carries a garbage continuation blob. The receiver must fail the
+// call without running it: answering with the handler's value would hand
+// the caller stage one's result as the whole chain's.
+func TestMalformedContinuationFailsCall(t *testing.T) {
 	n := simnet.New(simnet.Config{})
-	client := NewPeer(n.MustAddNode("client"), opts)
-	legacyOpts := opts
-	legacyOpts.NoPipelining = true
-	server := NewPeer(n.MustAddNode("ga"), legacyOpts)
-	t.Cleanup(func() {
-		client.Close()
-		server.Close()
-		n.Close()
+	defer n.Close()
+	raw := n.MustAddNode("client")
+	server := NewPeer(n.MustAddNode("ga"), fastOpts())
+	defer server.Close()
+	var ran atomic.Int32
+	server.SetDispatcher(func(string) (Handler, bool) {
+		return func(call *Incoming) Outcome { ran.Add(1); return NormalOutcome(encInt(2)) }, true
 	})
-	server.SetDispatcher(func(port string) (Handler, bool) {
-		if port != "inc" {
-			return nil, false
-		}
-		return incHandler(t), true
-	})
-	s := client.Agent("app").Stream("ga", "g")
-	pend, err := s.CallPipelined(context.Background(), "inc", encInt(1), trace.Cause{}, []PipeStage{
-		{Node: "gb", Group: "g", Port: "inc"},
-	})
-	if err != nil {
-		t.Fatalf("CallPipelined: %v", err)
+	msg := encodeRequestBatch(requestBatch{Agent: "app", Group: "g", Incarnation: 1,
+		Requests: []request{{Seq: 1, Port: "inc", Mode: ModeCall, Args: encInt(1), Trace: 1,
+			Cont: []byte("not a continuation")}}})
+	if err := raw.Send("ga", msg); err != nil {
+		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	o, err := pend.Wait(ctx)
-	if err != nil {
-		t.Fatalf("Wait: %v", err)
+	for {
+		in, err := raw.Recv(ctx)
+		if err != nil {
+			t.Fatalf("no reply for the call: %v", err)
+		}
+		kind, _, pb, _, err := decodeMessage(in.Payload)
+		if err != nil || kind != kindReplyBatch || len(pb.Replies) == 0 {
+			continue // an ack ahead of the reply
+		}
+		if o := pb.Replies[0].Outcome; o.Normal || o.Err().StringArg(0) != "malformed continuation" {
+			t.Fatalf("outcome = %+v, want failure(malformed continuation)", o)
+		}
+		break
 	}
-	if !o.Normal {
-		t.Fatalf("call failed: %s", o.Exception)
+	if runs := ran.Load(); runs != 0 {
+		t.Errorf("the handler ran %d times for a call whose continuation is garbage", runs)
 	}
-	if o.Piped {
-		t.Fatalf("legacy receiver produced a piped reply")
-	}
-	if got := decInt(t, o.Payload); got != 2 {
-		t.Fatalf("stage-1 result = %d, want 2", got)
-	}
-	pend.Release()
 }

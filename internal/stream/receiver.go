@@ -56,10 +56,9 @@ type Incoming struct {
 	Args  []byte // encoded argument list
 
 	// Trace is this call's own trace ID (trace.CallID as minted by the
-	// sender); 0 when the sender predates tracing. Cause is the causal
-	// context the sender propagated with the call — its root trace ID and
-	// the trace ID of the call that caused it — or the zero Cause when
-	// the call is a chain root (or from a legacy sender).
+	// sender). Cause is the causal context the sender propagated with the
+	// call — its root trace ID and the trace ID of the call that caused
+	// it — or the zero Cause when the call is a chain root.
 	Trace uint64
 	Cause trace.Cause
 
@@ -105,8 +104,8 @@ func (c *Incoming) Clone() *Incoming {
 }
 
 // ChildCause is the causal context a handler passes to downstream calls
-// it issues on this call's behalf (stream.CallCause, the promise
-// Cause variants): the chain root is inherited from the incoming cause
+// it issues on this call's behalf (Req.Cause, the promise Cause
+// variants): the chain root is inherited from the incoming cause
 // (or starts here when this call is the root), and the parent is this
 // call itself. Valid only while the handler runs, like every other
 // field.
@@ -413,18 +412,18 @@ func (r *rstream) executeOne(req request, call *Incoming) {
 	// A request carrying a continuation chain is pipelined: its result is
 	// forwarded to the next stage's guardian (or, with no stages left, to
 	// the promise reference) instead of being replied here. A garbled or
-	// unknown-version blob degrades the call to plain caller-mediated
-	// execution — the reply then carries stage one's value, unpiped, and
-	// the caller drives the remaining stages itself.
+	// unknown-version blob fails the call without running it: replying
+	// with stage one's value would hand the caller a value it takes for
+	// the whole chain's.
 	var (
 		piped   bool
 		pref    pipeRef
 		pstages []PipeStage
+		contErr error
 	)
-	if req.Cont != nil && req.Mode != ModeRPC && !r.opts.NoPipelining {
-		if ref, stages, err := decodePipeCont(req.Cont); err == nil {
-			piped, pref, pstages = true, ref, stages
-		}
+	if req.Cont != nil {
+		pref, pstages, contErr = decodePipeCont(req.Cont)
+		piped = contErr == nil
 	}
 
 	*call = Incoming{
@@ -445,7 +444,9 @@ func (r *rstream) executeOne(req request, call *Incoming) {
 		execStart = r.peer.clk.Now()
 	}
 	var outcome Outcome
-	if h, ok := r.peer.dispatcher()(req.Port); ok {
+	if contErr != nil {
+		outcome = ExceptionOutcome(exception.Failure("malformed continuation"))
+	} else if h, ok := r.peer.dispatcher()(req.Port); ok {
 		outcome = h(call)
 	} else {
 		outcome = ExceptionOutcome(exception.Failure("handler does not exist"))
@@ -459,7 +460,7 @@ func (r *rstream) executeOne(req request, call *Incoming) {
 	r.peer.emitCause(trace.CallExecuted, r.keyStr, req.Seq, req.Trace,
 		trace.Cause{Root: req.Root, Parent: req.Parent}, req.Port)
 
-	if piped && req.Mode == ModeCall {
+	if piped && req.Mode != ModeSend {
 		// This call's reply is owed by the chain's last guardian; record
 		// that we are waiting for it BEFORE the completion bookkeeping
 		// (lock order is r.mu before replyMu), so a fast resolution can
@@ -565,25 +566,21 @@ func (r *rstream) notePipeOutstanding(seq uint64) {
 // stream: the outcome becomes the retained reply of the pipelined call
 // that started the chain, and it is flushed to the sender immediately
 // (the chain already cost its latency; no reason to add batch delay).
-// Returns true when the forwarder should be acked — which is every case:
-// stale, duplicate, and unknown resolutions are acked too, so a confused
-// or lagging forwarder stops retransmitting.
-func (r *rstream) handleResolve(m *resolveMsg) bool {
+func (r *rstream) handleResolve(m *resolveMsg) {
 	r.mu.Lock()
 	if m.Incarnation != r.incarnation || r.broken {
 		r.mu.Unlock()
-		return true
+		return
 	}
 	if _, ok := r.pipeWait[m.Seq]; !ok {
 		r.mu.Unlock()
-		return true // duplicate (already retained) or never pipelined here
+		return // duplicate (already retained) or never pipelined here
 	}
 	delete(r.pipeWait, m.Seq)
 	inc := r.incarnation
 	completed := r.completedThroughNow()
 	r.mu.Unlock()
 	r.retainPipedReply(m.Seq, m.Outcome, inc, completed)
-	return true
 }
 
 // retainPipedReply retains a chain resolution as seq's reply and flushes
@@ -761,7 +758,7 @@ func (r *rstream) tick(now time.Time) {
 	// (forwarder retransmission is bounded by MaxRetries; this deadline
 	// outlasts it) are converted into unavailable replies — the caller
 	// gets a definite answer instead of waiting on a chain that died at
-	// a crashed or legacy mid-chain guardian.
+	// a crashed mid-chain guardian.
 	var stalledPipes []uint64
 	if len(r.pipeWait) > 0 {
 		deadline := r.opts.RTO * time.Duration(r.opts.MaxRetries+2)
@@ -823,9 +820,7 @@ func (r *rstream) tick(now time.Time) {
 	r.replyMu.Unlock()
 	r.mu.Unlock()
 	for _, seq := range stalledPipes {
-		o := ExceptionOutcome(exception.Unavailable("pipeline stalled"))
-		o.Piped = true // definite chain outcome; no caller-mediated retry
-		r.retainPipedReply(seq, o, inc, completed)
+		r.retainPipedReply(seq, ExceptionOutcome(exception.Unavailable("pipeline stalled")), inc, completed)
 	}
 	if msg != nil {
 		r.peer.transmit(r.key.senderNode, msg)

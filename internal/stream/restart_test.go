@@ -153,7 +153,7 @@ func TestAccessors(t *testing.T) {
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
 	if o.MaxBatch != 16 || o.MaxBatchDelay != 2*time.Millisecond ||
-		o.RTO != 25*time.Millisecond || o.MaxRetries != 8 || o.NoAutoRestart {
+		o.RTO != 25*time.Millisecond || o.MaxRetries != 8 {
 		t.Fatalf("defaults = %+v", o)
 	}
 }

@@ -303,9 +303,9 @@ type Stream struct {
 	adapt adaptiveState
 
 	// Flow control. grantThrough is the receiver's advertised admission
-	// credit (0 until a versioned reply batch arrives; legacy receivers
-	// never advertise). flowWaiters are enqueues blocked on the in-flight
-	// window or the credit, woken whenever either can have moved.
+	// credit (0 until the first reply batch arrives). flowWaiters are
+	// enqueues blocked on the in-flight window or the credit, woken
+	// whenever either can have moved.
 	grantThrough uint64
 	flowWaiters  []chan struct{}
 
@@ -382,76 +382,50 @@ func (s *Stream) Incarnation() uint64 {
 	return s.incarnation
 }
 
-// Broken reports whether the stream is currently broken (and, with
-// auto-restart off, unusable until Restart).
+// Broken reports whether the stream is currently broken: after an
+// explicit Break, until Restart.
 func (s *Stream) Broken() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.broken
 }
 
-// Sibling returns the stream from the same agent to another port group,
-// creating it on first use. The caller-mediated pipelining fallback uses
-// it to reach later-stage guardians when the first stage's endpoint turned
-// out not to understand continuations.
-func (s *Stream) Sibling(recvNode, group string) *Stream {
-	if recvNode == s.key.recvNode && group == s.key.group {
-		return s
-	}
-	return s.peer.Agent(s.key.agent).Stream(recvNode, group)
+// Req describes one call for Issue. Mode defaults to ModeCall. Args from
+// Marshal rides alone, built around in place, from a page up (frame.go).
+// Cause's root and parent trace IDs ride the request, joining the call
+// into its initiator's cross-guardian chain: a handler passes
+// Incoming.ChildCause (guardian.Call.Cause), and the zero Cause makes the
+// call a chain root. Non-empty Stages pipeline a stream call or an RPC:
+// its result feeds a continuation chain run guardian-to-guardian — stage
+// N+1 at the guardian that produced stage N's output, with no hop back to
+// the caller — and the Pending resolves with the LAST stage's outcome.
+type Req struct {
+	Mode   Mode
+	Port   string
+	Args   Marshalled
+	Cause  trace.Cause
+	Stages []PipeStage
 }
 
-// CallPipelined makes a stream call whose result feeds a continuation
-// chain executed guardian-to-guardian: stage N+1 runs at the guardian that
-// produced stage N's output, with no hop back to the caller. The returned
-// Pending resolves with the LAST stage's outcome when the receiving chain
-// understands continuations (Outcome.Piped true); a legacy first-stage
-// endpoint instead replies with stage one's value un-piped, and the caller
-// is then responsible for the remaining stages (promise.Graph does this
-// transparently). With no stages this is exactly CallCause.
-func (s *Stream) CallPipelined(ctx context.Context, port string, args []byte, cause trace.Cause, stages []PipeStage) (Pending, error) {
-	return s.CallMarshalled(ctx, port, plain(args), cause, stages)
+// Issue makes one call on the stream. It returns a Pending for the
+// outcome, or an error if the stream is broken (in which case, per §3, no
+// pending is created) or ctx ends while the enqueue waits for flow
+// control. With MaxInFlight set, the enqueue blocks while the in-flight
+// window (or the receiver's advertised credit) is exhausted.
+//
+// A stream call or send is buffered: it is transmitted when the batch
+// fills (by count or byte budget), when MaxBatchDelay elapses, or at the
+// next Flush. An RPC bypasses the buffer — its batch is sent at once —
+// and the seq it resolves at is a synch boundary, like Argus's regular
+// calls; Issue followed by Pending.Wait is an RPC.
+func (s *Stream) Issue(ctx context.Context, r Req) (Pending, error) {
+	return s.enqueue(ctx, r, nil)
 }
 
-// CallMarshalled is CallPipelined (CallCause when stages is empty) for
-// arguments encoded by Marshal: when they fill a page the call is
-// transmitted at once, as a batch of its own built around them in place.
-func (s *Stream) CallMarshalled(ctx context.Context, port string, args Marshalled, cause trace.Cause, stages []PipeStage) (Pending, error) {
-	if len(stages) == 0 {
-		return s.enqueue(ctx, port, args, ModeCall, cause, nil)
-	}
-	return s.enqueue(ctx, port, args, ModeCall, cause, &pipeArg{stages: stages})
-}
-
-// Call makes a stream call to the named port with pre-encoded arguments.
-// It returns a Pending for the reply, or an error if the stream is broken
-// (in which case, per §3, no pending is created). The call is buffered;
-// it is transmitted when the batch fills (by count or byte budget), when
-// MaxBatchDelay elapses, or at the next Flush. With MaxInFlight set, Call
-// blocks while the in-flight window (or the receiver's advertised credit)
-// is exhausted; use CallCtx to bound that wait.
+// Call makes a stream call to the named port with pre-encoded arguments:
+// Issue of a ModeCall Req with no cause.
 func (s *Stream) Call(port string, args []byte) (Pending, error) {
-	return s.enqueue(context.Background(), port, plain(args), ModeCall, trace.Cause{}, nil)
-}
-
-// CallCtx is Call with a context bounding the flow-control wait: if the
-// stream's in-flight window is full, the enqueue blocks until a slot
-// frees, the stream breaks, or ctx ends (returning ctx.Err() with no
-// pending created).
-func (s *Stream) CallCtx(ctx context.Context, port string, args []byte) (Pending, error) {
-	return s.enqueue(ctx, port, plain(args), ModeCall, trace.Cause{}, nil)
-}
-
-// CallCause is CallCtx carrying an upstream causal context: the cause's
-// root and parent trace IDs ride the request batch's versioned trailing
-// wire header, joining this call into its initiator's cross-guardian
-// chain. A handler issuing downstream calls passes the incoming call's
-// child cause (Incoming.ChildCause, or guardian.Call.Cause); a
-// top-level activity that wants its fan-out grouped under one root
-// passes a fixed non-zero Cause of its own. The zero Cause makes this
-// identical to CallCtx.
-func (s *Stream) CallCause(ctx context.Context, port string, args []byte, cause trace.Cause) (Pending, error) {
-	return s.enqueue(ctx, port, plain(args), ModeCall, cause, nil)
+	return s.enqueue(context.Background(), Req{Port: port, Args: plain(args)}, nil)
 }
 
 // Send makes a send to the named port: the sender hears back only if the
@@ -459,62 +433,31 @@ func (s *Stream) CallCause(ctx context.Context, port string, args []byte, cause 
 // normal outcome on success; sends exist so that "normal replies can be
 // omitted" from the wire.
 func (s *Stream) Send(port string, args []byte) (Pending, error) {
-	return s.enqueue(context.Background(), port, plain(args), ModeSend, trace.Cause{}, nil)
-}
-
-// SendCtx is Send with a context bounding the flow-control wait, like
-// CallCtx.
-func (s *Stream) SendCtx(ctx context.Context, port string, args []byte) (Pending, error) {
-	return s.enqueue(ctx, port, plain(args), ModeSend, trace.Cause{}, nil)
-}
-
-// SendCause is SendCtx carrying an upstream causal context, like
-// CallCause.
-func (s *Stream) SendCause(ctx context.Context, port string, args []byte, cause trace.Cause) (Pending, error) {
-	return s.enqueue(ctx, port, plain(args), ModeSend, cause, nil)
-}
-
-// SendMarshalled is SendCause for arguments encoded by Marshal, like
-// CallMarshalled.
-func (s *Stream) SendMarshalled(ctx context.Context, port string, args Marshalled, cause trace.Cause) (Pending, error) {
-	return s.enqueue(ctx, port, args, ModeSend, cause, nil)
+	return s.enqueue(context.Background(), Req{Mode: ModeSend, Port: port, Args: plain(args)}, nil)
 }
 
 // RPC makes a remote procedure call: the request bypasses the batch buffer
 // and the caller waits for the reply. An RPC also establishes a synch
 // boundary, like Argus's regular calls do.
 func (s *Stream) RPC(ctx context.Context, port string, args []byte) (Outcome, error) {
-	return s.RPCCause(ctx, port, args, trace.Cause{})
-}
-
-// RPCCause is RPC carrying an upstream causal context, like CallCause.
-func (s *Stream) RPCCause(ctx context.Context, port string, args []byte, cause trace.Cause) (Outcome, error) {
-	return s.RPCMarshalled(ctx, port, plain(args), cause)
-}
-
-// RPCMarshalled is RPCCause for arguments encoded by Marshal, like
-// CallMarshalled.
-func (s *Stream) RPCMarshalled(ctx context.Context, port string, args Marshalled, cause trace.Cause) (Outcome, error) {
-	p, err := s.enqueue(ctx, port, args, ModeRPC, cause, nil)
+	p, err := s.enqueue(ctx, Req{Mode: ModeRPC, Port: port, Args: plain(args)}, nil)
 	if err != nil {
 		return Outcome{}, err
 	}
-	s.Flush()
 	o, err := p.Wait(ctx)
 	if err != nil {
 		return Outcome{}, err
 	}
 	p.Release() // the handle never escapes; recycle its cell
-	s.mu.Lock()
-	if p.Seq+1 > s.boundarySeq {
-		s.boundarySeq = p.Seq + 1
-	}
-	s.mu.Unlock()
 	return o, nil
 }
 
-func (s *Stream) enqueue(ctx context.Context, port string, m Marshalled, mode Mode, cause trace.Cause, pipe *pipeArg) (Pending, error) {
-	args, frame := m.Bytes(), m.frame()
+// enqueue admits one call. ref is non-nil only for a mid-chain forward
+// (epoch.go), whose continuation must keep resolving the ORIGINAL
+// caller's promise; a call with stages and no ref is a chain origin.
+func (s *Stream) enqueue(ctx context.Context, r Req, ref *pipeRef) (Pending, error) {
+	port, mode, cause := r.Port, r.Mode, r.Cause
+	args, frame := r.Args.Bytes(), r.Args.frame()
 	s.mu.Lock()
 	for {
 		if s.pendingBreak {
@@ -567,18 +510,16 @@ func (s *Stream) enqueue(ctx context.Context, port string, m Marshalled, mode Mo
 	// Pipelined calls encode their continuation chain here, inside the
 	// seq-assignment critical section, because the blob embeds the promise
 	// reference (stream key + incarnation + seq) the chain's last guardian
-	// will resolve. Plain calls pass pipe == nil and skip this entirely.
+	// will resolve. Plain calls have no stages and no ref and skip this.
 	// Mid-chain forwards carry the ORIGIN call's reference instead, so
 	// every hop keeps resolving the original caller's promise.
 	var cont []byte
-	if pipe != nil {
-		ref := pipe.ref
-		if ref == (pipeRef{}) {
-			ref = pipeRef{senderNode: s.key.senderNode, agent: s.key.agent,
-				recvNode: s.key.recvNode, group: s.key.group,
-				incarnation: s.incarnation, seq: seq}
-		}
-		cont = encodePipeCont(ref, pipe.stages)
+	if ref != nil {
+		cont = encodePipeCont(*ref, r.Stages)
+	} else if len(r.Stages) > 0 {
+		cont = encodePipeCont(pipeRef{senderNode: s.key.senderNode, agent: s.key.agent,
+			recvNode: s.key.recvNode, group: s.key.group,
+			incarnation: s.incarnation, seq: seq}, r.Stages)
 	}
 	p := newPending(seq, mode, s.peer.sm, s.peer.clk)
 	limit := s.batchLimitLocked()
@@ -796,9 +737,11 @@ func (s *Stream) Restart() {
 }
 
 // systemBreak is invoked by the protocol machinery (retry exhaustion,
-// receiver break notification, target crash). It honors NoAutoRestart.
+// receiver break notification, target crash). The stream is reincarnated
+// at once, so later calls proceed on the new incarnation ("broken streams
+// are mapped into exceptions and then restarted automatically").
 func (s *Stream) systemBreak(reason *exception.Exception) {
-	s.breakInternal(reason, !s.opts.NoAutoRestart)
+	s.breakInternal(reason, true)
 }
 
 func (s *Stream) breakInternal(reason *exception.Exception, restart bool) {
@@ -910,6 +853,9 @@ func (s *Stream) resolveOneLocked(seq uint64, o Outcome) {
 		if sm := s.peer.sm; sm != nil && !p.c.enqAt.IsZero() {
 			sm.stageResolve.ObserveDuration(s.peer.clk.Now().Sub(p.c.enqAt))
 		}
+		if p.c.mode == ModeRPC && seq >= s.boundarySeq {
+			s.boundarySeq = seq + 1 // an RPC is a synch boundary
+		}
 		p.c.resolve(o)
 		s.pending.del(seq)
 	}
@@ -1001,22 +947,19 @@ func (s *Stream) handleReplyBatch(b *replyBatch) {
 // arriving directly from the last guardian of a pipelined continuation
 // chain — the caller's fast path, which skips the hop back through the
 // origin guardian. The outcome is held like any other reply, so ordered
-// readiness is preserved. Returns true when the forwarder should be
-// acked: on successful integration, on duplicates, and on stale or
-// implausible references (acking those stops pointless retransmission).
-func (s *Stream) handleResolve(m *resolveMsg) bool {
+// readiness is preserved.
+func (s *Stream) handleResolve(m *resolveMsg) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if m.Incarnation != s.incarnation || s.broken {
-		return true // stale chain from a previous incarnation
+		return // stale chain from a previous incarnation
 	}
 	if m.Seq < s.nextResolve || m.Seq >= s.nextSeq {
-		return true // duplicate (already resolved) or garbled seq
+		return // duplicate (already resolved) or garbled seq
 	}
 	s.heldReplies.put(m.Seq, m.Outcome)
 	s.drainResolvableLocked()
 	s.finalizeBreakIfDrainedLocked()
-	return true
 }
 
 // drainResolvableLocked resolves pendings in seq order: an individually
@@ -1110,9 +1053,7 @@ func (s *Stream) finalizeBreakLocked() {
 	}
 	s.clearBatchLocked()
 	s.wakeFlowWaitersLocked()
-	if !s.opts.NoAutoRestart {
-		s.reincarnateLocked()
-	}
+	s.reincarnateLocked()
 }
 
 // tick is called periodically by the peer: it retransmits unacknowledged

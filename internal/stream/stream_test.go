@@ -522,27 +522,6 @@ func TestRetryExhaustionBreaksStream(t *testing.T) {
 	}
 }
 
-func TestNoAutoRestartStaysBroken(t *testing.T) {
-	opts := fastOpts()
-	opts.NoAutoRestart = true
-	f := newFixture(t, simnet.Config{}, opts)
-	f.handle("echo", echoHandler)
-	f.net.Partition("client", "server")
-	s := f.client.Agent("a1").Stream("server", "g1")
-	p, err := s.Call("echo", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Flush()
-	claim(t, p)
-	if !s.Broken() {
-		t.Fatal("stream should stay broken without auto-restart")
-	}
-	if _, err := s.Call("echo", nil); err == nil {
-		t.Error("Call should fail on broken stream")
-	}
-}
-
 func TestReceiverSynchronousBreak(t *testing.T) {
 	opts := fastOpts()
 	f := newFixture(t, simnet.Config{}, opts)

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"context"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -89,137 +90,154 @@ func TestTraceReincarnationOrderingAndSeqRestart(t *testing.T) {
 	}
 }
 
-// TestWireNewBatchReadableByLegacyDecoder pins the versioned request-
-// batch format from the legacy side: a decoder written against the old
-// 6-value layout parses a new batch positionally and never touches the
-// trailing lists, while a version-aware reader finds one trace ID per
-// request in the 7th value and the flattened (root, parent) causal
-// context in the 8th.
-func TestWireNewBatchReadableByLegacyDecoder(t *testing.T) {
-	b := requestBatch{
-		Agent: "a", Group: "g", Incarnation: 3, AckRepliesThrough: 9,
-		Requests: []request{
-			{Seq: 1, Port: "p", Mode: ModeCall, Args: []byte{1}, Trace: 0xAAA, Root: 0x111, Parent: 0x222},
-			{Seq: 2, Port: "p", Mode: ModeSend, Args: []byte{2}, Trace: 0xBBB},
-		},
-	}
-	msg := encodeRequestBatch(b)
+// TestCausePropagatesToHandler runs a cause-carrying call end to end:
+// the handler sees the sender's causal context on its Incoming, and
+// ChildCause derives the context for the handler's own downstream calls
+// (root inherited, parent = this call).
+func TestCausePropagatesToHandler(t *testing.T) {
+	f := newFixture(t, simnet.Config{}, fastOpts())
+	var gotCause, gotChild trace.Cause
+	var gotTrace uint64
+	f.handle("work", func(call *Incoming) Outcome {
+		gotCause = call.Cause
+		gotChild = call.ChildCause()
+		gotTrace = call.Trace
+		return NormalOutcome(nil)
+	})
 
-	vals, err := wire.Unmarshal(msg)
+	cause := trace.Cause{Root: 0x1111, Parent: 0x2222}
+	s := f.client.Agent("a1").Stream("server", "g1")
+	p, err := s.Issue(context.Background(), Req{Port: "work", Cause: cause})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Two extra top-level values after the six a legacy peer reads.
-	if len(vals) != 8 {
-		t.Fatalf("top-level values = %d, want 8", len(vals))
+	s.Flush()
+	if o := claim(t, p); !o.Normal {
+		t.Fatalf("outcome = %+v", o)
 	}
-	kind, _ := wire.IntArg(vals, 0)
-	agent, _ := wire.StringArg(vals, 1)
-	inc, _ := wire.IntArg(vals, 3)
-	raw, _ := wire.Arg(vals, 5)
-	reqs, _ := wire.AsList(raw)
-	if kind != 1 || agent != "a" || inc != 3 || len(reqs) != 2 {
-		t.Fatalf("legacy fields misparsed: kind=%d agent=%q inc=%d reqs=%d",
-			kind, agent, inc, len(reqs))
+	if gotCause != cause {
+		t.Errorf("handler cause = %+v, want %+v", gotCause, cause)
 	}
-	for i, e := range reqs {
-		fields, _ := wire.AsList(e)
-		if len(fields) != 4 {
-			t.Fatalf("request %d has %d fields; legacy decoders require 4", i, len(fields))
-		}
+	if gotTrace == 0 {
+		t.Error("handler trace ID missing")
 	}
-	// The 7th value is the parallel trace-ID list.
-	tracesRaw, _ := wire.Arg(vals, 6)
-	traces, err := wire.AsList(tracesRaw)
-	if err != nil || len(traces) != 2 {
-		t.Fatalf("trace list = %v (err %v), want 2 entries", traces, err)
-	}
-	for i, want := range []uint64{0xAAA, 0xBBB} {
-		got, _ := wire.IntArg(traces, i)
-		if uint64(got) != want {
-			t.Fatalf("trace[%d] = %x, want %x", i, got, want)
-		}
-	}
-	// The 8th value is the causal-context list: (root, parent) pairs
-	// flattened, 2n ints for n requests.
-	causesRaw, _ := wire.Arg(vals, 7)
-	causes, err := wire.AsList(causesRaw)
-	if err != nil || len(causes) != 4 {
-		t.Fatalf("causal list = %v (err %v), want 4 entries", causes, err)
-	}
-	for i, want := range []uint64{0x111, 0x222, 0, 0} {
-		got, _ := wire.IntArg(causes, i)
-		if uint64(got) != want {
-			t.Fatalf("cause[%d] = %x, want %x", i, got, want)
-		}
+	want := trace.Cause{Root: cause.Root, Parent: gotTrace}
+	if gotChild != want {
+		t.Errorf("ChildCause = %+v, want %+v", gotChild, want)
 	}
 }
 
-// TestWireLegacySenderAcceptedByNewReceiver is the other interop
-// direction: a hand-encoded 6-value batch — what a pre-trace sender
-// emits — must be executed and replied to by the current receiver, with
-// the trace ID reported as 0 (unknown).
-func TestWireLegacySenderAcceptedByNewReceiver(t *testing.T) {
+// TestCauseRootDefaultsToSelf: a call with the zero Cause is a chain
+// root; ChildCause at the handler starts a chain rooted at the call's
+// own trace ID.
+func TestCauseRootDefaultsToSelf(t *testing.T) {
+	f := newFixture(t, simnet.Config{}, fastOpts())
+	var gotChild trace.Cause
+	var gotTrace uint64
+	f.handle("work", func(call *Incoming) Outcome {
+		gotChild = call.ChildCause()
+		gotTrace = call.Trace
+		return NormalOutcome(nil)
+	})
+	s := f.client.Agent("a1").Stream("server", "g1")
+	p, err := s.Call("work", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Flush()
+	if o := claim(t, p); !o.Normal {
+		t.Fatalf("outcome = %+v", o)
+	}
+	if gotTrace == 0 {
+		t.Fatal("handler trace ID missing")
+	}
+	if want := (trace.Cause{Root: gotTrace, Parent: gotTrace}); gotChild != want {
+		t.Errorf("ChildCause = %+v, want %+v", gotChild, want)
+	}
+}
+
+// TestCauseRidesTraceEventsAcrossProcesses asserts the cross-process
+// join the correlator depends on: the sender's CallEnqueued and the
+// receiver's CallDelivered/Executed carry the same (root, parent) so
+// rings drained from two different peers group under one root.
+func TestCauseRidesTraceEventsAcrossProcesses(t *testing.T) {
+	f := newFixture(t, simnet.Config{}, fastOpts())
+	f.handle("echo", echoHandler)
+	cring := trace.NewRing(64)
+	sring := trace.NewRing(64)
+	f.client.SetTracer(cring)
+	f.server.SetTracer(sring)
+
+	cause := trace.Cause{Root: 0xBEEF, Parent: 0xF00D}
+	s := f.client.Agent("a1").Stream("server", "g1")
+	p, err := s.Issue(context.Background(), Req{Port: "echo", Args: plain([]byte{1}), Cause: cause})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Flush()
+	claim(t, p)
+
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		enq := cring.Filter(trace.CallEnqueued)
+		exe := sring.Filter(trace.CallExecuted)
+		if len(enq) > 0 && len(exe) > 0 {
+			if enq[0].Root != cause.Root || enq[0].Parent != cause.Parent {
+				t.Fatalf("sender event cause = %x/%x, want %x/%x",
+					enq[0].Root, enq[0].Parent, cause.Root, cause.Parent)
+			}
+			if exe[0].Root != cause.Root || exe[0].Parent != cause.Parent {
+				t.Fatalf("receiver event cause = %x/%x, want %x/%x",
+					exe[0].Root, exe[0].Parent, cause.Root, cause.Parent)
+			}
+			if enq[0].TraceID == 0 || enq[0].TraceID != exe[0].TraceID {
+				t.Fatalf("trace IDs diverge across processes: %x vs %x",
+					enq[0].TraceID, exe[0].TraceID)
+			}
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("events missing: sender enq=%d receiver exec=%d", len(enq), len(exe))
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestRejectedDatagramsCounted: a datagram in a layout this package no
+// longer writes — the 6-value request batch of a sender from before trace
+// IDs — is not executed, and shows in stream_datagrams_rejected_total;
+// the count costs no allocation once the counter exists.
+func TestRejectedDatagramsCounted(t *testing.T) {
+	reg := metrics.NewRegistry()
 	net := simnet.New(simnet.Config{})
 	defer net.Close()
-	legacy := net.MustAddNode("legacy")
-
-	server := NewPeer(net.MustAddNode("server"), fastOpts())
+	old := net.MustAddNode("old")
+	server := NewPeer(net.MustAddNode("server"), Options{Metrics: reg})
 	defer server.Close()
-	server.SetDispatcher(func(port string) (Handler, bool) { return echoHandler, true })
-	ring := trace.NewRing(64)
-	server.SetTracer(ring)
+	var executed atomic.Int32
+	server.SetDispatcher(func(string) (Handler, bool) {
+		return func(call *Incoming) Outcome { executed.Add(1); return NormalOutcome(nil) }, true
+	})
 
-	// The legacy 6-value request batch: no trailing trace list.
 	msg, err := wire.Marshal(int64(1), "a", "g", int64(1), int64(0),
 		[]any{[]any{int64(1), "echo", int64(ModeCall), []byte{7}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := legacy.Send("server", msg); err != nil {
+	if err := old.Send("server", msg); err != nil {
 		t.Fatal(err)
 	}
-
-	// The receiver executes the call and sends a reply batch back.
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	for {
-		reply, err := legacy.Recv(ctx)
-		if err != nil {
-			t.Fatalf("no reply batch from new receiver: %v", err)
+	deadline := time.Now().Add(5 * time.Second)
+	for reg.Snapshot().Counters["stream_datagrams_rejected_total"] != 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("rejected datagrams = %d, want 1", reg.Snapshot().Counters["stream_datagrams_rejected_total"])
 		}
-		vals, err := wire.Unmarshal(reply.Payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		kind, _ := wire.IntArg(vals, 0)
-		if kind != 2 {
-			continue
-		}
-		completed, _ := wire.IntArg(vals, 6)
-		if completed != 1 {
-			continue // ack-only batch ahead of execution; keep waiting
-		}
-		raw, _ := wire.Arg(vals, 7)
-		reps, _ := wire.AsList(raw)
-		if len(reps) != 1 {
-			t.Fatalf("replies = %d, want 1", len(reps))
-		}
-		fields, _ := wire.AsList(reps[0])
-		seq, _ := wire.IntArg(fields, 0)
-		normalRaw, _ := wire.Arg(fields, 1)
-		normal, _ := wire.AsBool(normalRaw)
-		if seq != 1 || !normal {
-			t.Fatalf("reply = seq %d normal %v", seq, normal)
-		}
-		break
+		time.Sleep(time.Millisecond)
 	}
-
-	// The receiver traced the call with trace ID 0 — unknown, legacy.
-	execs := ring.Filter(trace.CallExecuted)
-	if len(execs) != 1 || execs[0].TraceID != 0 {
-		t.Fatalf("CallExecuted events = %+v, want one with TraceID 0", execs)
+	if n := executed.Load(); n != 0 {
+		t.Errorf("a call in a removed layout executed %d times", n)
 	}
+	requireAllocCeiling(t, 0, server.sm.noteRejected)
 }
 
 // TestAllocsStreamCallRoundTripWithTelemetry re-pins the end-to-end

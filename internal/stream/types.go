@@ -28,16 +28,20 @@
 // package supplies handler dispatch and per-stream serial execution at the
 // receiver.
 //
+// Every call enters a stream through Issue, which takes a Req: the mode,
+// the port, the marshalled arguments, the causal context and, for a
+// pipelined call, its continuation stages. Call, Send and RPC are Issue
+// for plain []byte arguments and no cause.
+//
 // Bytes enter a stream in one of two forms. Plain []byte — Call, Send,
 // RPC, NormalOutcome — is buffered and batched whatever its size, and
 // copied once, into the batch's message, which the encoders build in a
 // single buffer of exactly its size. A list encoded with Marshal and
-// handed to CallMarshalled, SendMarshalled, RPCMarshalled or
-// NormalMarshalled is treated the same while it is small; from one page
-// up it rides alone: the call closes its batch at once and the message
-// is built around the marshalled bytes where they lie, with no copy at
-// all (frame.go). That is the path promise and guardian use. The two
-// forms are indistinguishable on the wire.
+// handed to Issue or NormalMarshalled is treated the same while it is
+// small; from one page up it rides alone: the call closes its batch at
+// once and the message is built around the marshalled bytes where they
+// lie, with no copy at all (frame.go). That is the path promise and
+// guardian use. The two forms are indistinguishable on the wire.
 //
 // Lifetimes are the same on both paths. The stream holds the bytes a
 // caller hands in until the call is acknowledged — it may have to
@@ -94,13 +98,6 @@ type Outcome struct {
 	Normal    bool
 	Exception string // condition name when !Normal
 	Payload   []byte // wire-encoded results (normal) or exception args
-	// Piped marks the outcome of a pipelined call as the final value of
-	// the whole continuation chain, delivered by the chain's last guardian.
-	// A pipelined call answered without this flag came from a receiver
-	// that ignored the continuation (a legacy endpoint), so the payload is
-	// only stage one's value and the caller must run the remaining stages
-	// itself. Local bookkeeping only — never on the wire as a tuple field.
-	Piped bool
 	// frame is the Marshal buffer Payload is the tail of, when the outcome
 	// was built by NormalMarshalled from a list big enough to ride alone
 	// (see frame.go); nil otherwise. Sending side only.
@@ -191,12 +188,6 @@ type Options struct {
 	// Default 8. ("The system tries hard to deliver messages before
 	// breaking a stream.")
 	MaxRetries int
-	// NoAutoRestart leaves a stream broken after a system break. By
-	// default it is reincarnated immediately, so later calls proceed on
-	// the new incarnation ("broken streams are mapped into exceptions and
-	// then restarted automatically"). Explicit Break calls never
-	// auto-restart.
-	NoAutoRestart bool
 	// AdaptiveBatch enables the online batch-size controller: MaxBatch
 	// becomes the starting point, and the limit is then hill-climbed on
 	// observed goodput (with a multiplicative cut on retransmission
@@ -216,13 +207,6 @@ type Options struct {
 	// admission credit the receiver advertises in reply batches. 0 (the
 	// default) keeps the legacy unbounded window and ignores credit.
 	MaxInFlight int
-	// NoPipelining makes the receiving side ignore continuation blobs on
-	// incoming requests: a pipelined call is executed as a plain call and
-	// its stage-one value is replied to the caller, exactly as a legacy
-	// endpoint would behave. The caller's promise.Graph then detects the
-	// unpiped reply and drives the remaining stages itself. Used to pin
-	// the caller-mediated fallback in tests and benchmarks.
-	NoPipelining bool
 	// Clock is the peer's time source: tick loop, RTO and batching-delay
 	// staleness, break timeouts, trace timestamps. Default: the clock of
 	// the simnet network the peer's node belongs to, so configuring a
@@ -298,9 +282,9 @@ type request struct {
 	Port   string
 	Mode   Mode
 	Args   []byte
-	Trace  uint64 // causal trace ID (trace.CallID); 0 from legacy senders
-	Root   uint64 // root trace ID of the causal chain; 0 = chain root or legacy
-	Parent uint64 // trace ID of the causing call; 0 = chain root or legacy
+	Trace  uint64 // causal trace ID (trace.CallID)
+	Root   uint64 // root trace ID of the causal chain; 0 = chain root
+	Parent uint64 // trace ID of the causing call; 0 = chain root
 	// Cont is the encoded continuation chain riding with a pipelined call
 	// (see encodePipeCont); nil for plain calls. On the wire it travels as
 	// a trailing batch-level list, never as a tuple field.
@@ -337,9 +321,8 @@ type replyBatch struct {
 	Replies            []reply
 	// Credit is the admission grant: the receiver will accept request
 	// seqs through this value (its completed prefix plus recvWindow).
-	// Carried as a trailing 9th top-level value, so legacy decoders skip
-	// it; 0 means the batch came from a legacy receiver that advertises
-	// no credit, and flow-controlled senders then apply MaxInFlight only.
+	// The 9th top-level value; 0 advertises no credit, and flow-controlled
+	// senders then apply MaxInFlight only.
 	Credit uint64
 }
 
@@ -365,33 +348,12 @@ func hasConts(reqs []request) bool {
 	return false
 }
 
-// countPiped counts the replies that are chain-final outcomes; any moves
-// the whole batch to the 10-value header.
-func countPiped(reps []reply) int {
-	n := 0
-	for i := range reps {
-		if reps[i].Outcome.Piped {
-			n++
-		}
-	}
-	return n
-}
-
-// encodeRequestBatch writes the versioned request-batch format: the six
-// original values, then a trailing list of per-request trace IDs, then a
-// trailing list of per-request causal contexts (root, parent pairs,
-// flattened). The header count (8, vs 7 for trace-only and 6 for legacy)
-// is the version signal; legacy decoders read exactly the values their
-// header promised them and never look at the trailing lists, so old
-// receivers accept new batches unchanged (see DESIGN.md "Observability").
-// Trace IDs and causal contexts travel as parallel batch-level lists —
-// not as extra request fields — because legacy decoders reject request
-// tuples that are not exactly 4 fields.
-//
-// When any request carries a continuation chain the header becomes 9 and
-// a trailing list of per-request continuation blobs is appended (empty
-// bytes for requests without one). Batches with no continuations keep the
-// 8-value header and stay byte-identical to the PR 8 format.
+// encodeRequestBatch writes a request batch (DESIGN.md §5): kind, agent,
+// group, incarnation, reply ack and the [seq, port, mode, args] tuples,
+// then two lists parallel to the requests — their trace IDs, and their
+// causal contexts as flattened (root, parent) pairs. That is 8 values.
+// When any request carries a continuation chain a 9th follows: one
+// continuation blob per request, empty for the plain ones.
 //
 // The message is built once, in a buffer of exactly its size (the sum
 // below mirrors the three append helpers; a mismatch would only make
@@ -468,50 +430,33 @@ func appendRequestsClose(buf []byte, reqs []request, conts bool) []byte {
 	return buf
 }
 
-// encodeReplyBatch writes the versioned reply-batch format: the eight
-// original values, then the trailing admission credit. As with request
-// batches, the header count (9 vs the legacy 8) is the version signal;
-// legacy decoders read exactly the values their header promised and never
-// see the credit, so old senders accept new batches unchanged.
-//
-// When any reply carries a chain-final (piped) outcome the header becomes
-// 10 and a trailing list of the piped seqs is appended; batches without
-// piped replies keep the 9-value header unchanged.
+// encodeReplyBatch writes a reply batch (DESIGN.md §5), always 9 values:
+// kind, agent, group, incarnation, epoch, request ack, completed prefix,
+// the [seq, normal, excName, payload] tuples and the admission credit.
 //
 // Built once at its exact size, like a request batch; frameReplyBatch
 // (frame.go) is the in-place counterpart.
 func encodeReplyBatch(b replyBatch) []byte {
-	piped := countPiped(b.Replies)
 	n := len(b.Replies)
 	size := 1 + 2 + wire.SizeBlob(len(b.Agent)) + wire.SizeBlob(len(b.Group)) +
 		wire.SizeInt(int64(b.Incarnation)) + wire.SizeInt(int64(b.Epoch)) +
 		wire.SizeInt(int64(b.AckRequestsThrough)) + wire.SizeInt(int64(b.CompletedThrough)) +
 		wire.SizeCount(n) + 3*n + wire.SizeInt(int64(b.Credit)) // a tuple header and a bool per reply
-	if piped > 0 {
-		size += wire.SizeCount(piped)
-	}
 	for i := range b.Replies {
 		r := &b.Replies[i]
 		size += wire.SizeInt(int64(r.Seq)) + wire.SizeBlob(len(r.Outcome.Exception)) + wire.SizeBlob(len(r.Outcome.Payload))
-		if r.Outcome.Piped {
-			size += wire.SizeInt(int64(r.Seq))
-		}
 	}
-	buf := appendRepliesOpen(make([]byte, 0, size), &b, piped)
+	buf := appendRepliesOpen(make([]byte, 0, size), &b)
 	for i := range b.Replies {
 		buf = appendReplyOpen(buf, &b.Replies[i])
 		buf = append(buf, b.Replies[i].Outcome.Payload...)
 	}
-	return appendRepliesClose(buf, &b, piped)
+	return wire.AppendInt(buf, int64(b.Credit))
 }
 
 // appendRepliesOpen appends a reply batch up to the first reply.
-func appendRepliesOpen(buf []byte, b *replyBatch, piped int) []byte {
-	hdr := 9
-	if piped > 0 {
-		hdr = 10
-	}
-	buf = wire.AppendHeader(buf, hdr)
+func appendRepliesOpen(buf []byte, b *replyBatch) []byte {
+	buf = wire.AppendHeader(buf, 9)
 	buf = wire.AppendInt(buf, kindReplyBatch)
 	buf = wire.AppendString(buf, b.Agent)
 	buf = wire.AppendString(buf, b.Group)
@@ -529,21 +474,6 @@ func appendReplyOpen(buf []byte, r *reply) []byte {
 	buf = wire.AppendBool(buf, r.Outcome.Normal)
 	buf = wire.AppendString(buf, r.Outcome.Exception)
 	return wire.AppendBytesHeader(buf, len(r.Outcome.Payload))
-}
-
-// appendRepliesClose appends what follows the last reply: the admission
-// credit and (when the batch has any) the piped seqs.
-func appendRepliesClose(buf []byte, b *replyBatch, piped int) []byte {
-	buf = wire.AppendInt(buf, int64(b.Credit))
-	if piped > 0 {
-		buf = wire.AppendList(buf, piped)
-		for i := range b.Replies {
-			if b.Replies[i].Outcome.Piped {
-				buf = wire.AppendInt(buf, int64(b.Replies[i].Seq))
-			}
-		}
-	}
-	return buf
 }
 
 func encodeBreak(b breakMsg) []byte {
@@ -615,8 +545,8 @@ func decodeResolve(payload []byte) (*resolveMsg, bool, error) {
 		return nil, false, fmt.Errorf("stream: not a resolve message: kind %d", kind)
 	}
 	ack := kind == kindResolveAck
-	if ack && nvals < 7 || !ack && nvals < 10 {
-		return nil, false, fmt.Errorf("stream: short resolve message: %d values", nvals)
+	if ack && nvals != 7 || !ack && nvals != 10 {
+		return nil, false, fmt.Errorf("stream: resolve message has %d values", nvals)
 	}
 	m := &resolveMsg{}
 	agent, err := d.StringView()
@@ -664,7 +594,7 @@ func decodeResolve(payload []byte) (*resolveMsg, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	m.Outcome = Outcome{Normal: norm, Exception: internString(exc), Payload: pl, Piped: true}
+	m.Outcome = Outcome{Normal: norm, Exception: internString(exc), Payload: pl}
 	return m, false, nil
 }
 
@@ -756,6 +686,9 @@ func decodeMessage(payload []byte) (kind int64, rb *requestBatch, pb *replyBatch
 		return kind, nil, b, nil, nil
 
 	case kindBreak:
+		if nvals != 8 {
+			return 0, nil, nil, nil, fmt.Errorf("stream: break has %d values, want 8", nvals)
+		}
 		b, err := decodeBreakTail(&d)
 		if err != nil {
 			return 0, nil, nil, nil, err
@@ -775,13 +708,14 @@ func decodeMessage(payload []byte) (kind int64, rb *requestBatch, pb *replyBatch
 	}
 }
 
-// decodeRequests reads the [ackRepliesThrough, [[seq, port, mode, args],
-// ...]] tail of a request batch into b, plus — when the message header
-// promised a 7th value (the versioned format) — the trailing trace-ID
-// list, plus — when it promised an 8th — the trailing causal-context
-// list of flattened (root, parent) pairs. Legacy 6-value batches leave
-// every Trace at 0; 7-value batches leave Root/Parent at 0.
+// decodeRequests reads the rest of a request batch into b: the reply ack,
+// the [seq, port, mode, args] tuples, and the trace-ID, cause and (in a
+// 9-value batch) continuation lists, each exactly as long as the encoder
+// writes it. Any other shape is an error: there is one layout.
 func decodeRequests(d *wire.Decoder, b *requestBatch, nvals int) error {
+	if nvals != 8 && nvals != 9 {
+		return fmt.Errorf("stream: request batch has %d values, want 8 or 9", nvals)
+	}
 	ack, err := d.Int()
 	if err != nil {
 		return err
@@ -817,70 +751,65 @@ func decodeRequests(d *wire.Decoder, b *requestBatch, nvals int) error {
 			Seq: uint64(seq), Port: internString(port), Mode: Mode(mode), Args: args,
 		})
 	}
-	if nvals < 7 {
-		return nil // legacy sender: no trace IDs on the wire
-	}
-	tn, err := d.List()
-	if err != nil {
+	reqs := b.Requests
+	if err := expectList(d, len(reqs)); err != nil {
 		return err
 	}
-	for i := 0; i < tn; i++ {
+	for i := range reqs {
 		tid, err := d.Int()
 		if err != nil {
 			return err
 		}
-		if i < len(b.Requests) {
-			b.Requests[i].Trace = uint64(tid)
-		}
+		reqs[i].Trace = uint64(tid)
 	}
-	if nvals < 8 {
-		return nil // trace-only sender: no causal context on the wire
-	}
-	cn, err := d.List()
-	if err != nil {
+	if err := expectList(d, 2*len(reqs)); err != nil {
 		return err
 	}
-	for i := 0; i < cn; i += 2 {
+	for i := range reqs {
 		root, err := d.Int()
 		if err != nil {
 			return err
 		}
-		var parent int64
-		if i+1 < cn {
-			if parent, err = d.Int(); err != nil {
-				return err
-			}
+		parent, err := d.Int()
+		if err != nil {
+			return err
 		}
-		if j := i / 2; j < len(b.Requests) {
-			b.Requests[j].Root = uint64(root)
-			b.Requests[j].Parent = uint64(parent)
-		}
+		reqs[i].Root, reqs[i].Parent = uint64(root), uint64(parent)
 	}
-	if nvals < 9 {
+	if nvals == 8 {
 		return nil // no pipelined calls in this batch
 	}
-	pn, err := d.List()
-	if err != nil {
+	if err := expectList(d, len(reqs)); err != nil {
 		return err
 	}
-	for i := 0; i < pn; i++ {
+	for i := range reqs {
 		cont, err := d.BytesView()
 		if err != nil {
 			return err
 		}
-		if i < len(b.Requests) && len(cont) > 0 {
-			b.Requests[i].Cont = cont
+		if len(cont) > 0 {
+			reqs[i].Cont = cont
 		}
 	}
 	return nil
 }
 
-// decodeReplies reads the [epoch, ackRequestsThrough, completedThrough,
-// [[seq, normal, excName, payload], ...]] tail of a reply batch into b,
-// plus — when the message header promised a 9th value (the versioned
-// format) — the trailing admission credit. Legacy 8-value batches leave
-// Credit at 0 (no credit advertised).
+// expectList reads a list header that must announce exactly n values.
+func expectList(d *wire.Decoder, n int) error {
+	got, err := d.List()
+	if err == nil && got != n {
+		err = fmt.Errorf("stream: list of %d values, want %d", got, n)
+	}
+	return err
+}
+
+// decodeReplies reads the rest of a reply batch into b: epoch, request
+// ack, completed prefix, the [seq, normal, excName, payload] tuples and
+// the admission credit. A batch of other than 9 values is an error.
 func decodeReplies(d *wire.Decoder, b *replyBatch, nvals int) error {
+	if nvals != 9 {
+		return fmt.Errorf("stream: reply batch has %d values, want 9", nvals)
+	}
 	epoch, err := d.Int()
 	if err != nil {
 		return err
@@ -927,34 +856,9 @@ func decodeReplies(d *wire.Decoder, b *replyBatch, nvals int) error {
 			Outcome: Outcome{Normal: norm, Exception: internString(exc), Payload: pl},
 		})
 	}
-	if nvals < 9 {
-		return nil // legacy receiver: no admission credit on the wire
-	}
 	credit, err := d.Int()
-	if err != nil {
-		return err
-	}
 	b.Credit = uint64(credit)
-	if nvals < 10 {
-		return nil // no piped replies in this batch
-	}
-	pn, err := d.List()
-	if err != nil {
-		return err
-	}
-	for i := 0; i < pn; i++ {
-		seq, err := d.Int()
-		if err != nil {
-			return err
-		}
-		for j := range b.Replies {
-			if b.Replies[j].Seq == uint64(seq) {
-				b.Replies[j].Outcome.Piped = true
-				break
-			}
-		}
-	}
-	return nil
+	return err
 }
 
 // decodeBreakTail reads the [synchronous, brokenAfter, excName, reason]

@@ -10,7 +10,7 @@ import (
 // boundaries over a byte stream: each protocol message becomes one frame,
 // a 4-byte big-endian payload length followed by the payload bytes. No
 // per-frame type tag or checksum — the payload is a stream-protocol
-// datagram with its own versioned header, and TCP already guarantees
+// datagram whose header names its kind, and TCP already guarantees
 // integrity. A connection opens with a 4-byte magic and one hello frame
 // carrying the dialer's endpoint name, so the acceptor can route replies
 // back over the same connection.
@@ -32,7 +32,7 @@ const (
 
 // connMagic opens every connection, before the hello frame. The digit
 // versions the framing itself, independent of the stream protocol's
-// versioned batch headers.
+// message layouts.
 var connMagic = [4]byte{'P', 'R', 'M', '1'}
 
 var (

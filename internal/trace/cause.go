@@ -6,9 +6,8 @@ import "fmt"
 // of the chain it belongs to and the trace ID of the call that caused
 // it. The zero Cause means "no upstream cause" — such a call roots a
 // new chain and its own trace ID becomes the Root its descendants
-// carry. Both values ride the request batch's versioned trailing
-// header, so legacy decoders skip them and legacy senders simply omit
-// them (decoded as zero).
+// carry. Both values ride the request batch, in its list of (root,
+// parent) pairs.
 type Cause struct {
 	Root   uint64 // root trace ID of the causal chain; 0 = none
 	Parent uint64 // trace ID of the immediate causing call; 0 = none

@@ -2,11 +2,11 @@ package trace
 
 // Trace IDs are derived, never allocated: a call's ID is a pure
 // function of (stream key, incarnation, seq), so the sender computes it
-// with two multiplies at enqueue time, the wire carries it so legacy
-// receivers stay oblivious (see DESIGN.md "Observability"), and seeded
-// runs produce byte-identical IDs. IDs are masked to 48 bits to keep
-// their varint wire encoding short; 0 is reserved for "unknown" (events
-// from legacy senders), so the mask output is nudged when it collides.
+// with two multiplies at enqueue time, the request batch carries it to
+// the receiver (see DESIGN.md "Observability"), and seeded runs produce
+// byte-identical IDs. IDs are masked to 48 bits to keep their varint
+// wire encoding short; 0 is reserved for "no call" (stream- and
+// batch-scoped events), so the mask output is nudged when it collides.
 
 // HashStream returns the FNV-1a hash of a stream key string, the
 // stream-level input to CallID.

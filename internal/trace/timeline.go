@@ -209,8 +209,8 @@ func Correlate(events []Event) []*Timeline {
 		}
 	}
 
-	// Calls traced before causal propagation (or from legacy senders)
-	// carry no root: they root their own single-call chain.
+	// Chain roots carry no root (the zero Cause): each roots its own
+	// chain.
 	for _, tl := range out {
 		if tl.Root == 0 {
 			tl.Root = tl.TraceID
