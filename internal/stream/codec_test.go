@@ -2,6 +2,7 @@ package stream
 
 import (
 	"context"
+	"encoding/hex"
 	"math/rand"
 	"sync/atomic"
 	"testing"
@@ -226,11 +227,29 @@ func TestCauseCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// removedKinds are the two messages of the chain-resolution side channel
+// that pipelined chains once used, as its encoder last wrote them: kind 4,
+// a resolution (10 values), and kind 5, its acknowledgement (7). A chain's
+// result now rides a ~pipe stream, and both kinds are unknown.
+var removedKinds = map[string][]byte{
+	"resolve/10":    mustHex("0a03080502643005046d61696e03080506636c69656e7405027331039a01020500062807070707070707070707070707070707070707070707070707070707070707070707070707070707"),
+	"resolve-ack/7": mustHex("07030a0502643005046d61696e03080506636c69656e7405027331039a01"),
+}
+
+func mustHex(s string) []byte {
+	b, err := hex.DecodeString(s)
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
 // TestDecodeMessageRejectsRemovedLayouts: the decoder accepts one layout
 // per message kind — request batches of 8 values, or 9 with continuations,
-// and reply batches of 9. The shorter and longer forms earlier encoders
-// wrote (requests without trace IDs or causes, replies without credit or
-// with a piped-seq list) are errors, as is anything else.
+// reply batches of 9, and breaks of 8. The shorter and longer forms earlier
+// encoders wrote (requests without trace IDs or causes, replies without
+// credit or with a piped-seq list) are errors, as are the removed kinds 4
+// and 5 and anything else.
 func TestDecodeMessageRejectsRemovedLayouts(t *testing.T) {
 	// The values after the sixth of a request batch, in order.
 	reqTail := []func([]byte) []byte{
@@ -294,6 +313,8 @@ func TestDecodeMessageRejectsRemovedLayouts(t *testing.T) {
 		{"reply/10", rep(10), false},
 		{"break/8", encodeBreak(breakMsg{Agent: "a", Group: "g", Incarnation: 1}), true},
 		{"break/9", append(wire.AppendHeader(nil, 9), encodeBreak(breakMsg{Agent: "a", Group: "g", Incarnation: 1})[1:]...), false},
+		{"resolve/10", removedKinds["resolve/10"], false},
+		{"resolve-ack/7", removedKinds["resolve-ack/7"], false},
 	} {
 		_, _, _, _, err := decodeMessage(tc.msg)
 		if (err == nil) != tc.ok {

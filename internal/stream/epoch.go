@@ -2,8 +2,7 @@ package stream
 
 import (
 	"context"
-	"sync"
-	"time"
+	"sync/atomic"
 
 	"promises/internal/exception"
 	"promises/internal/trace"
@@ -23,62 +22,52 @@ const (
 )
 
 // pipeWork is one completed stage of a continuation chain, queued for the
-// epoch scheduler: the outcome to splice forward, the stages that remain,
-// and the promise reference the chain ultimately resolves.
+// epoch scheduler: the outcome to splice forward and the continuation it
+// rode with, parsed as far as the next stage.
 type pipeWork struct {
-	ref     pipeRef
-	stages  []PipeStage
+	cont    pipeCont
 	outcome Outcome
 	cause   trace.Cause // causal context for the next stage (child of this one)
 }
 
-// pipeWatch tracks one issued mid-chain forward. The downstream pending
-// resolves normally once the next guardian accepts the hop (completion
-// covers it) — or exceptionally if the forwarding stream breaks, in which
-// case the exception is the chain's resolution and must reach the caller.
+// pipeWatch tracks one send the scheduler issued on a ~pipe stream. The
+// pending resolves normally once the next guardian has run it, or
+// exceptionally if the stream breaks. For a mid-chain forward, cont is
+// the continuation it carries, and an exception is the chain's
+// resolution. For a resolution send cont is nil: if it is lost, the
+// origin's stall deadline answers the caller.
 type pipeWatch struct {
-	p   Pending
-	ref pipeRef
-}
-
-// fwdKey identifies one in-flight resolution forward: the promise
-// reference plus the destination node it was addressed to.
-type fwdKey struct {
-	ref  pipeRef
-	dest string
-}
-
-type fwdEntry struct {
-	msg   []byte
-	due   time.Time
-	tries int
+	p    Pending
+	cont []byte
 }
 
 // pipeScheduler admits continuation work in waves, felis EpochClient
 // style: the per-peer loop sleeps until work arrives, drains a wave from
-// the queue, issues every forward in it, then flushes each downstream
+// the queue, issues every send in it, then flushes each downstream
 // stream exactly once — so a wave of N chain completions headed for the
-// same guardian costs one batch, not N. It also owns resolution-forward
-// reliability (retransmit until acked) and the watch list that turns a
-// broken forwarding stream into the chain's exceptional resolution.
+// same guardian costs one batch, not N. It also keeps the watch list that
+// turns a broken forwarding stream into the chain's exceptional
+// resolution. Everything but the queue and the nudge belongs to the loop
+// goroutine.
 type pipeScheduler struct {
 	p     *Peer
 	queue chan pipeWork
+	// nudge wakes the loop to sweep its watches between waves; watching
+	// says whether there are any to sweep.
+	nudge    chan struct{}
+	watching atomic.Bool
 
-	mu      sync.Mutex
 	watches []pipeWatch
-	fwd     map[fwdKey]*fwdEntry
-
-	// Reusable wave state; the loop goroutine owns both.
 	wave    []pipeWork
 	touched map[*Stream]struct{}
+	lanes   replyLanes // origin reply lanes resolved locally this wave
 }
 
 func newPipeScheduler(p *Peer) *pipeScheduler {
 	return &pipeScheduler{
 		p:       p,
 		queue:   make(chan pipeWork, pipeQueueCap),
-		fwd:     make(map[fwdKey]*fwdEntry),
+		nudge:   make(chan struct{}, 1),
 		touched: make(map[*Stream]struct{}),
 	}
 }
@@ -92,81 +81,92 @@ func (ps *pipeScheduler) submit(w pipeWork) {
 	}
 }
 
+// tick is driven by the peer tick loop: it has the loop sweep the watch
+// list, so exceptions propagate even when no new wave is admitted.
+func (ps *pipeScheduler) tick() {
+	if ps.watching.Load() {
+		select {
+		case ps.nudge <- struct{}{}:
+		default:
+		}
+	}
+}
+
 func (ps *pipeScheduler) loop() {
 	defer ps.p.wg.Done()
 	for {
-		var w pipeWork
+		wave := ps.wave[:0]
 		select {
 		case <-ps.p.ctx.Done():
 			return
-		case w = <-ps.queue:
+		case w := <-ps.queue:
+			wave = append(wave, w)
+		case <-ps.nudge:
 		}
-		wave := append(ps.wave[:0], w)
 	drain:
 		for len(wave) < pipeWaveMax {
 			select {
-			case w2 := <-ps.queue:
-				wave = append(wave, w2)
+			case w := <-ps.queue:
+				wave = append(wave, w)
 			default:
 				break drain
 			}
 		}
 		ps.admit(wave)
-		for i := range wave {
-			wave[i] = pipeWork{} // release payload references
-		}
+		clear(wave) // release payload references
 		ps.wave = wave
 	}
 }
 
-// admit runs one wave: process every item, then flush each stream the
-// wave touched exactly once, then sweep the watch list.
+// admit runs one wave: process every item, sweep the watch list, then
+// flush each stream and reply lane the wave touched exactly once.
 func (ps *pipeScheduler) admit(wave []pipeWork) {
-	for _, w := range wave {
-		ps.processOne(w)
+	for i := range wave {
+		ps.processOne(&wave[i])
 	}
+	ps.sweepWatches()
 	for s := range ps.touched {
 		s.Flush()
 		delete(ps.touched, s)
 	}
-	ps.sweepWatches()
-	if sm := ps.p.sm; sm != nil {
+	ps.lanes.flush()
+	ps.watching.Store(len(ps.watches) > 0)
+	if sm := ps.p.sm; sm != nil && len(wave) > 0 {
 		sm.epochs.Inc()
 		sm.epochWave.Observe(uint64(len(wave)))
 	}
 }
 
 // processOne advances one chain by a stage: an exceptional outcome or an
-// exhausted stage list is the chain's resolution and is forwarded to the
-// promise reference; otherwise the outcome is spliced into the next
-// stage's arguments and sent to its guardian on a ~pipe stream.
-func (ps *pipeScheduler) processOne(w pipeWork) {
-	if !w.outcome.Normal || len(w.stages) == 0 {
-		ps.forwardResolution(w.ref, w.outcome)
+// exhausted stage list is the chain's resolution and goes to the promise
+// reference; otherwise the outcome is spliced into the next stage's
+// arguments and sent to its guardian on a ~pipe stream.
+func (ps *pipeScheduler) processOne(w *pipeWork) {
+	c := &w.cont
+	if !w.outcome.Normal || c.n == 0 {
+		ps.forwardResolution(c, w.outcome, w.cause)
 		return
 	}
-	st := w.stages[0]
+	st := c.next
 	args, err := wire.SpliceArgs(w.outcome.Payload, st.Extra)
 	if err != nil {
-		ps.forwardResolution(w.ref,
-			ExceptionOutcome(exception.Failure("bad pipeline arguments")))
+		ps.forwardResolution(c, ExceptionOutcome(exception.Failure("bad pipeline arguments")), w.cause)
 		return
 	}
 	s := ps.p.Agent(pipeAgentName).Stream(st.Node, st.Group)
+	cont := c.advance()
 	pend, err := s.enqueue(context.Background(), Req{Mode: ModeSend, Port: st.Port,
-		Args: plain(args), Cause: w.cause, Stages: w.stages[1:]}, &w.ref)
+		Args: plain(args), Cause: w.cause}, cont)
 	if err != nil {
 		// The forwarding stream is broken: that IS the chain's resolution.
 		o := ExceptionOutcome(exception.Unavailable("pipeline stage unreachable"))
 		if ex, ok := err.(*exception.Exception); ok {
 			o = ExceptionOutcome(ex)
 		}
-		ps.forwardResolution(w.ref, o)
+		ps.forwardResolution(c, o, w.cause)
 		return
 	}
-	ps.mu.Lock()
-	ps.watches = append(ps.watches, pipeWatch{p: pend, ref: w.ref})
-	ps.mu.Unlock()
+	ps.watches = append(ps.watches, pipeWatch{p: pend, cont: cont})
 	ps.touched[s] = struct{}{}
 	if sm := ps.p.sm; sm != nil {
 		sm.pipeStages.Inc()
@@ -177,21 +177,15 @@ func (ps *pipeScheduler) processOne(w pipeWork) {
 	}
 }
 
-// forwardResolution delivers a chain's final outcome to the promise's
-// subscribers. The origin guardian gets it first — retained there, the
-// outcome rides normal reply batches with full stream reliability. The
-// caller additionally gets a direct copy when it lives on a third node,
-// skipping the extra hop. Local subscribers are integrated in-process.
-func (ps *pipeScheduler) forwardResolution(ref pipeRef, o Outcome) {
-	m := resolveMsg{
-		Agent:       ref.agent,
-		Group:       ref.group,
-		Incarnation: ref.incarnation,
-		SenderNode:  ref.senderNode,
-		RecvNode:    ref.recvNode,
-		Seq:         ref.seq,
-		Outcome:     o,
-	}
+// forwardResolution delivers a chain's final outcome to the origin
+// guardian, which owes the caller the pipelined call's reply. It goes as
+// a send to the reserved resolution port on the ~pipe stream to the
+// origin, batched with the wave's other sends, carrying the outcome in
+// its arguments and the promise reference in a zero-stage continuation;
+// the stream retransmits it and delivers it exactly once. A chain that
+// ended where it began is retained at the origin directly.
+func (ps *pipeScheduler) forwardResolution(c *pipeCont, o Outcome, cause trace.Cause) {
+	ref := c.ref()
 	if sm := ps.p.sm; sm != nil {
 		sm.pipeForwards.Inc()
 	}
@@ -203,53 +197,30 @@ func (ps *pipeScheduler) forwardResolution(ref pipeRef, o Outcome) {
 		ps.p.emit(trace.ResolveForwarded, ref.key().String(), ref.seq, 0, detail)
 	}
 	if ref.recvNode == ps.p.name {
-		// We are the origin guardian (a chain that ended where it began):
-		// retain the outcome as the call's reply directly.
-		ps.p.integrateResolve(&m)
+		ps.p.resolvePipe(ref, o, &ps.lanes)
 		return
 	}
-	var msg []byte
-	now := ps.p.clk.Now()
-	send := func(dest string) {
-		if dest == ps.p.name {
-			ps.p.integrateResolve(&m)
-			return
-		}
-		if msg == nil {
-			msg = encodeResolve(m, false)
-		}
-		ps.mu.Lock()
-		ps.fwd[fwdKey{ref: ref, dest: dest}] = &fwdEntry{
-			msg: msg, due: now.Add(ps.p.opts.RTO),
-		}
-		ps.mu.Unlock()
-		ps.p.transmit(dest, msg)
+	s := ps.p.Agent(pipeAgentName).Stream(ref.recvNode, ref.group)
+	pend, err := s.enqueue(context.Background(), Req{Mode: ModeSend, Port: pipeResolvePort,
+		Args: plain(encodeOutcome(o)), Cause: cause}, c.resolution())
+	if err != nil {
+		return // the stream is broken: the origin's stall deadline answers
 	}
-	send(ref.recvNode)
-	if ref.senderNode != ref.recvNode {
-		send(ref.senderNode)
-	}
+	ps.watches = append(ps.watches, pipeWatch{p: pend})
+	ps.touched[s] = struct{}{}
 }
 
-// ack stops retransmission of one resolution forward.
-func (ps *pipeScheduler) ack(ref pipeRef, dest string) {
-	ps.mu.Lock()
-	delete(ps.fwd, fwdKey{ref: ref, dest: dest})
-	ps.mu.Unlock()
-}
-
-// sweepWatches reaps issued forwards whose pendings have resolved: a
-// normal resolution means the next guardian accepted the hop and the
-// chain continues there; an exceptional one (the forwarding stream broke,
-// or the hop's handler failed before it could take over the chain) is the
-// chain's resolution and propagates to the caller.
+// sweepWatches reaps issued sends whose pendings have resolved. A normal
+// resolution means the next guardian ran the send: for a forward, the
+// chain continues there. An exceptional one on a forward (the forwarding
+// stream broke, or the hop failed before it could take over the chain) is
+// the chain's resolution.
 func (ps *pipeScheduler) sweepWatches() {
 	type failure struct {
-		ref pipeRef
-		o   Outcome
+		cont []byte
+		o    Outcome
 	}
 	var failed []failure
-	ps.mu.Lock()
 	kept := ps.watches[:0]
 	for _, w := range ps.watches {
 		if !w.p.Ready() {
@@ -258,47 +229,15 @@ func (ps *pipeScheduler) sweepWatches() {
 		}
 		o := w.p.Get()
 		w.p.Release()
-		if !o.Normal {
-			failed = append(failed, failure{ref: w.ref, o: o})
+		if !o.Normal && w.cont != nil {
+			failed = append(failed, failure{cont: w.cont, o: o})
 		}
 	}
+	clear(ps.watches[len(kept):])
 	ps.watches = kept
-	ps.mu.Unlock()
 	for _, f := range failed {
-		ps.forwardResolution(f.ref, f.o)
-	}
-}
-
-// tickSweep is driven by the peer tick loop: it retransmits unacked
-// resolution forwards (dropping them after MaxRetries — the origin
-// guardian's stall deadline then converts silence into an unavailable
-// reply) and sweeps the watch list so exceptions propagate even when no
-// new wave is admitted.
-func (ps *pipeScheduler) tickSweep(now time.Time) {
-	type resend struct {
-		dest string
-		msg  []byte
-	}
-	var out []resend
-	ps.mu.Lock()
-	for k, e := range ps.fwd {
-		if now.Before(e.due) {
-			continue
+		if c, err := parsePipeCont(f.cont); err == nil { // built by advance: always well formed
+			ps.forwardResolution(&c, f.o, trace.Cause{})
 		}
-		e.tries++
-		if e.tries > ps.p.opts.MaxRetries {
-			delete(ps.fwd, k)
-			continue
-		}
-		e.due = now.Add(ps.p.opts.RTO)
-		out = append(out, resend{dest: k.dest, msg: e.msg})
 	}
-	ps.mu.Unlock()
-	for _, r := range out {
-		if sm := ps.p.sm; sm != nil {
-			sm.pipeForwardResends.Inc()
-		}
-		ps.p.transmit(r.dest, r.msg)
-	}
-	ps.sweepWatches()
 }

@@ -6,11 +6,11 @@ import (
 	"testing"
 )
 
-// The golden messages pin the wire format of the three batch encoders to
-// the bytes the encoders of PR 13 produced (the hex in golden_data_test.go
-// was printed by that commit's encodeRequestBatch / encodeReplyBatch /
-// encodeResolve on exactly these inputs): both request header counts (8,
-// and 9 with continuations), the reply batch, and both resolve kinds.
+// The golden messages pin the wire format of the batch encoders to the
+// bytes the encoders of PR 13 produced (the hex in golden_data_test.go was
+// printed by that commit's encodeRequestBatch / encodeReplyBatch on exactly
+// these inputs): both request header counts (8, and 9 with continuations)
+// and the reply batch.
 
 const maxSeq = 1<<63 - 1 // the widest value the integer encoding carries
 
@@ -60,14 +60,6 @@ func goldenReplyBatches() map[string]replyBatch {
 	}
 }
 
-func goldenResolves() map[string]resolveMsg {
-	m := resolveMsg{Agent: "d0", Group: "main", Incarnation: 4, SenderNode: "client", RecvNode: "s1", Seq: 77}
-	ok, exc := m, m
-	ok.Outcome = Outcome{Normal: true, Payload: bytes.Repeat([]byte{7}, 40)}
-	exc.Outcome = Outcome{Exception: "failure", Payload: []byte("could not decode")}
-	return map[string]resolveMsg{"res/ack": m, "res/normal": ok, "res/exception": exc}
-}
-
 // goldenEncodings runs every golden input through the encoders under test.
 func goldenEncodings() map[string][]byte {
 	out := make(map[string][]byte)
@@ -76,9 +68,6 @@ func goldenEncodings() map[string][]byte {
 	}
 	for name, b := range goldenReplyBatches() {
 		out[name] = encodeReplyBatch(b)
-	}
-	for name, m := range goldenResolves() {
-		out[name] = encodeResolve(m, name == "res/ack")
 	}
 	return out
 }

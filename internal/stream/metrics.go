@@ -57,11 +57,10 @@ type streamMetrics struct {
 	recvRTOFires    *metrics.Counter   // receiver ack-progress stalls past RTO
 
 	// Pipelining (epoch scheduler).
-	epochs             *metrics.Counter   // scheduler waves admitted
-	epochWave          *metrics.Histogram // continuations admitted per wave
-	pipeStages         *metrics.Counter   // continuation stages forwarded to a next guardian
-	pipeForwards       *metrics.Counter   // chain resolutions forwarded to subscribers
-	pipeForwardResends *metrics.Counter   // resolution forwards retransmitted after RTO
+	epochs       *metrics.Counter   // scheduler waves admitted
+	epochWave    *metrics.Histogram // continuations admitted per wave
+	pipeStages   *metrics.Counter   // continuation stages forwarded to a next guardian
+	pipeForwards *metrics.Counter   // chain resolutions sent to (or retained at) the origin guardian
 
 	// reg backs the one series registered lazily (see noteRejected).
 	reg *metrics.Registry
@@ -130,11 +129,10 @@ func newStreamMetrics(reg *metrics.Registry) *streamMetrics {
 		replyResends:    reg.Counter("stream_reply_retransmits_total"),
 		recvRTOFires:    reg.Counter("stream_recv_rto_fires_total"),
 
-		epochs:             reg.Counter("stream_epochs_total"),
-		epochWave:          reg.Histogram("stream_epoch_wave_conts", countBuckets),
-		pipeStages:         reg.Counter("stream_pipe_stages_total"),
-		pipeForwards:       reg.Counter("stream_pipe_forwards_total"),
-		pipeForwardResends: reg.Counter("stream_pipe_forward_retransmits_total"),
+		epochs:       reg.Counter("stream_epochs_total"),
+		epochWave:    reg.Histogram("stream_epoch_wave_conts", countBuckets),
+		pipeStages:   reg.Counter("stream_pipe_stages_total"),
+		pipeForwards: reg.Counter("stream_pipe_forwards_total"),
 
 		reg: reg,
 	}

@@ -384,27 +384,6 @@ func (p *Peer) handleMessage(msg transport.Message) {
 		if s != nil {
 			s.handleBreak(bm)
 		}
-	case kindResolve, kindResolveAck:
-		// Chain resolutions are rare (one per pipelined chain) and ride
-		// their own message kind; re-parse with the dedicated decoder.
-		m, isAck, derr := decodeResolve(msg.Payload)
-		if derr != nil {
-			p.sm.noteRejected()
-			return
-		}
-		if isAck {
-			if ps := p.sched.Load(); ps != nil {
-				ref := pipeRef{senderNode: m.SenderNode, agent: m.Agent,
-					recvNode: m.RecvNode, group: m.Group,
-					incarnation: m.Incarnation, seq: m.Seq}
-				ps.ack(ref, msg.From)
-			}
-			return
-		}
-		p.integrateResolve(m)
-		// Always ack — stale and unknown resolutions too — so the
-		// forwarder stops retransmitting.
-		p.transmit(msg.From, encodeResolve(*m, true))
 	}
 }
 
@@ -428,30 +407,16 @@ func (p *Peer) scheduler() *pipeScheduler {
 	return ps
 }
 
-// integrateResolve delivers a chain resolution to whichever local stream
-// ends subscribe to it: the origin guardian's receiving end (which owes
-// the caller an on-stream reply) and/or the caller's sending end (which
-// resolves the pending directly). A resolution for a stream this peer no
-// longer has is simply dropped — the forwarder is acked regardless, so it
-// stops retransmitting.
-func (p *Peer) integrateResolve(m *resolveMsg) {
-	key := streamKey{senderNode: m.SenderNode, agent: m.Agent,
-		recvNode: m.RecvNode, group: m.Group}
+// resolvePipe retains a chain's outcome at this peer's receiving end of
+// the origin stream ref names, which owes the caller the pipelined call's
+// reply, and adds that reply lane to lanes for flushing. A resolution for
+// a stream this peer no longer has is dropped.
+func (p *Peer) resolvePipe(ref pipeRef, o Outcome, lanes *replyLanes) {
 	p.mu.Lock()
-	var r *rstream
-	var s *Stream
-	if m.RecvNode == p.name {
-		r = p.recvs[key]
-	}
-	if m.SenderNode == p.name {
-		s = p.sends[key]
-	}
+	r := p.recvs[ref.key()]
 	p.mu.Unlock()
-	if r != nil {
-		r.handleResolve(m)
-	}
-	if s != nil {
-		s.handleResolve(m)
+	if r != nil && r.resolvePiped(ref.incarnation, ref.seq, o) {
+		lanes.add(r)
 	}
 }
 
@@ -514,7 +479,7 @@ func (p *Peer) tickLoop() {
 				recvs[i] = nil
 			}
 			if ps := p.sched.Load(); ps != nil {
-				ps.tickSweep(now)
+				ps.tick()
 			}
 		}
 	}

@@ -11,15 +11,15 @@ import (
 // result does not come home — it is spliced into the arguments of the
 // chain's next stage and forwarded guardian-to-guardian, so stage N+1
 // starts at the guardian that produced stage N's output with no hop back
-// to the caller. The chain's last guardian forwards the final outcome
-// directly to the promise's subscribers: the caller (fast path) and the
-// origin guardian, which still owes the caller an on-stream reply (the
-// reliable path — it rides normal reply batches with retransmission).
+// to the caller. The chain's last guardian sends the final outcome to the
+// origin guardian as an ordinary send on its ~pipe stream, to a reserved
+// port; the origin retains it as the pipelined call's reply, which rides
+// its stream's reply batches home.
 //
 // The promise reference that travels with the chain is the origin
 // stream's key plus its incarnation and the call's seq: exactly enough
-// for any guardian to address a resolution back to both subscribers, and
-// for the subscribers to drop stale chains after a reincarnation.
+// for the last guardian to address the resolution, and for the origin to
+// drop a stale chain after a reincarnation.
 
 // PipeStage names one continuation stage of a pipelined call: the
 // guardian (node, port group) that runs it, the port to invoke, and extra
@@ -51,11 +51,17 @@ func (ref pipeRef) key() streamKey {
 // version is malformed, and the call carrying it fails.
 const pipeContVersion = 1
 
-// pipeAgentName is the agent mid-chain forwards travel on. Each
-// forwarding guardian sends continuation hops from this agent, one stream
-// per downstream guardian, so chain traffic batches and sequences
-// independently of any application agent.
-const pipeAgentName = "~pipe"
+const (
+	// pipeAgentName is the agent chain traffic travels on. Each guardian
+	// sends continuation hops and chain resolutions from this agent, one
+	// stream per downstream guardian, so chain traffic batches and
+	// sequences independently of any application agent.
+	pipeAgentName = "~pipe"
+	// pipeResolvePort is the reserved port a chain's resolution is sent to
+	// on a ~pipe stream. The receiver handles it before dispatch, so it
+	// never reaches a handler.
+	pipeResolvePort = "~resolve"
+)
 
 // encodePipeCont writes the continuation blob riding a pipelined request:
 //
@@ -85,80 +91,165 @@ func encodePipeCont(ref pipeRef, stages []PipeStage) []byte {
 	return buf
 }
 
-// decodePipeCont parses a continuation blob. Stage Extra views alias the
-// blob (and therefore the request datagram); strings come from the intern
-// table. An unknown version or garbled blob is an error — the receiver
-// then fails the call with failure("malformed continuation").
-func decodePipeCont(blob []byte) (pipeRef, []PipeStage, error) {
-	var ref pipeRef
+// pipeCont is a continuation blob as one hop sees it: checked whole, but
+// parsed only as far as the next stage. The promise reference and the
+// later stages stay encoded — advance cuts stage 0 out of the blob rather
+// than re-encoding the rest, and ref decodes the reference only where the
+// chain resolves.
+type pipeCont struct {
+	blob []byte
+	list int       // offset of the stage list's header
+	rest int       // offset of stage 1, where stage 0 ends (when n > 0)
+	n    int       // stages in the list
+	next PipeStage // stage 0 when n > 0; Extra aliases blob
+}
+
+// parsePipeCont checks a continuation blob and parses its first stage.
+// An unknown version or a blob that is not exactly what encodePipeCont
+// writes is an error — the receiver then fails the call with
+// failure("malformed continuation").
+func parsePipeCont(blob []byte) (pipeCont, error) {
+	c := pipeCont{blob: blob}
 	d := wire.NewDecoder(blob)
-	nvals, err := d.Header()
+	if err := readPipeRef(&d, nil); err != nil {
+		return c, err
+	}
+	c.list = len(blob) - d.Remaining()
+	nvals, err := d.List()
 	if err != nil {
-		return ref, nil, err
+		return c, err
 	}
-	if nvals < 8 {
-		return ref, nil, fmt.Errorf("stream: short continuation: %d values", nvals)
+	if nvals%4 != 0 {
+		return c, fmt.Errorf("stream: continuation stage list has %d values", nvals)
 	}
-	ver, err := d.Int()
-	if err != nil {
-		return ref, nil, err
-	}
-	if ver != pipeContVersion {
-		return ref, nil, fmt.Errorf("stream: unknown continuation version %d", ver)
-	}
-	var views [4][]byte
-	for i := range views {
-		if views[i], err = d.StringView(); err != nil {
-			return ref, nil, err
-		}
-	}
-	ref.senderNode = internString(views[0])
-	ref.agent = internString(views[1])
-	ref.recvNode = internString(views[2])
-	ref.group = internString(views[3])
-	inc, err := d.Int()
-	if err != nil {
-		return ref, nil, err
-	}
-	ref.incarnation = uint64(inc)
-	seq, err := d.Int()
-	if err != nil {
-		return ref, nil, err
-	}
-	ref.seq = uint64(seq)
-	n, err := d.List()
-	if err != nil {
-		return ref, nil, err
-	}
-	if n%4 != 0 {
-		return ref, nil, fmt.Errorf("stream: continuation stage list has %d values", n)
-	}
-	stages := make([]PipeStage, 0, n/4)
-	for i := 0; i < n; i += 4 {
-		var st PipeStage
-		node, err := d.StringView()
-		if err != nil {
-			return ref, nil, err
-		}
-		group, err := d.StringView()
-		if err != nil {
-			return ref, nil, err
-		}
-		port, err := d.StringView()
-		if err != nil {
-			return ref, nil, err
+	c.n = nvals / 4
+	var views [3][]byte
+	for i := 0; i < c.n; i++ {
+		for j := range views {
+			if views[j], err = d.StringView(); err != nil {
+				return c, err
+			}
 		}
 		extra, err := d.BytesView()
 		if err != nil {
-			return ref, nil, err
+			return c, err
 		}
-		st.Node = internString(node)
-		st.Group = internString(group)
-		st.Port = internString(port)
-		if len(extra) > 0 {
-			st.Extra = extra
+		if i == 0 {
+			c.next = PipeStage{Node: internString(views[0]), Group: internString(views[1]),
+				Port: internString(views[2])}
+			if len(extra) > 0 {
+				c.next.Extra = extra
+			}
+			c.rest = len(blob) - d.Remaining()
 		}
-		stages = append(stages, st)
 	}
-	return ref, stages, nil
+	return c, d.Done()
+}
+
+// readPipeRef reads a continuation blob's header, version and promise
+// reference, leaving d at the stage list. With ref nil the reference is
+// only checked: a hop that forwards the chain never needs its strings.
+func readPipeRef(d *wire.Decoder, ref *pipeRef) error {
+	nvals, err := d.Header()
+	if err != nil {
+		return err
+	}
+	if nvals != 8 {
+		return fmt.Errorf("stream: continuation has %d values, want 8", nvals)
+	}
+	ver, err := d.Int()
+	if err != nil {
+		return err
+	}
+	if ver != pipeContVersion {
+		return fmt.Errorf("stream: unknown continuation version %d", ver)
+	}
+	var names [4]*string
+	if ref != nil {
+		names = [4]*string{&ref.senderNode, &ref.agent, &ref.recvNode, &ref.group}
+	}
+	for _, name := range names {
+		v, err := d.StringView()
+		if err != nil {
+			return err
+		}
+		if name != nil {
+			*name = internString(v)
+		}
+	}
+	inc, err := d.Int()
+	if err != nil {
+		return err
+	}
+	seq, err := d.Int()
+	if ref != nil {
+		ref.incarnation, ref.seq = uint64(inc), uint64(seq)
+	}
+	return err
+}
+
+// ref decodes the promise reference of a blob parsePipeCont accepted.
+func (c *pipeCont) ref() pipeRef {
+	var ref pipeRef
+	d := wire.NewDecoder(c.blob)
+	_ = readPipeRef(&d, &ref) // checked by parsePipeCont
+	return ref
+}
+
+// advance returns the blob the next stage's call carries: this one with
+// stage 0 cut out.
+func (c *pipeCont) advance() []byte { return c.cut(c.rest, c.n-1) }
+
+// resolution returns the blob a resolution carries: this one with every
+// stage cut out, leaving the promise reference.
+func (c *pipeCont) resolution() []byte {
+	if c.n == 0 {
+		return c.blob
+	}
+	return c.cut(len(c.blob), 0)
+}
+
+// cut builds the blob whose stage list is the n stages encoded at
+// blob[from:]: the reference's bytes, a new list header, that tail.
+func (c *pipeCont) cut(from, n int) []byte {
+	tail := c.blob[from:]
+	buf := make([]byte, 0, c.list+wire.SizeCount(4*n)+len(tail))
+	buf = append(buf, c.blob[:c.list]...)
+	buf = wire.AppendList(buf, 4*n)
+	return append(buf, tail...)
+}
+
+// encodeOutcome writes a chain's outcome as a resolution send's
+// arguments: [normal, exception, payload].
+func encodeOutcome(o Outcome) []byte {
+	buf := make([]byte, 0, 2+wire.SizeBlob(len(o.Exception))+wire.SizeBlob(len(o.Payload)))
+	buf = wire.AppendHeader(buf, 3)
+	buf = wire.AppendBool(buf, o.Normal)
+	buf = wire.AppendString(buf, o.Exception)
+	return wire.AppendBytes(buf, o.Payload)
+}
+
+// decodeOutcome reads encodeOutcome's arguments. The payload aliases args.
+func decodeOutcome(args []byte) (Outcome, error) {
+	d := wire.NewDecoder(args)
+	n, err := d.Header()
+	if err != nil {
+		return Outcome{}, err
+	}
+	if n != 3 {
+		return Outcome{}, fmt.Errorf("stream: resolution has %d values, want 3", n)
+	}
+	norm, err := d.Bool()
+	if err != nil {
+		return Outcome{}, err
+	}
+	exc, err := d.StringView()
+	if err != nil {
+		return Outcome{}, err
+	}
+	pl, err := d.BytesView()
+	if err != nil {
+		return Outcome{}, err
+	}
+	return Outcome{Normal: norm, Exception: internString(exc), Payload: pl}, d.Done()
 }

@@ -194,9 +194,36 @@ type rstream struct {
 	// pipeWait tracks pipelined calls whose reply is owed by the chain's
 	// last guardian rather than by local execution: seq -> when the chain
 	// left here. An entry is cleared when the chain's resolution arrives
-	// (handleResolve) and converted into an unavailable reply if the chain
+	// (resolvePiped) and converted into an unavailable reply if the chain
 	// goes silent past the stall deadline (see tick). Guarded by r.mu.
 	pipeWait map[uint64]time.Time
+
+	// resolved holds the origin reply lanes this stream's executor has
+	// retained chain resolutions in (a ~pipe stream's resolution sends):
+	// they are flushed once the executor has nothing queued. Owned by the
+	// executor goroutine.
+	resolved replyLanes
+}
+
+// replyLanes collects the reply lanes chain resolutions were retained in,
+// so each is flushed once per delivered batch or wave, not once per chain.
+type replyLanes []*rstream
+
+func (l *replyLanes) add(r *rstream) {
+	for _, x := range *l {
+		if x == r {
+			return
+		}
+	}
+	*l = append(*l, r)
+}
+
+func (l *replyLanes) flush() {
+	for _, r := range *l {
+		r.flushReplies()
+	}
+	clear(*l)
+	*l = (*l)[:0]
 }
 
 // maxSeqAhead bounds how far past the contiguous frontier a request seq
@@ -377,7 +404,7 @@ func (r *rstream) executor() {
 			r.outstanding.Wait()
 			return
 		}
-		if r.peer.parallelPredicate()(req.Port) {
+		if req.Port != pipeResolvePort && r.peer.parallelPredicate()(req.Port) {
 			// Parallel ports run on the peer's bounded worker pool rather
 			// than a goroutine per request, so a flood of parallel calls
 			// costs at most execWorkers stacks. When the pool and its queue
@@ -391,6 +418,9 @@ func (r *rstream) executor() {
 		}
 		r.outstanding.Wait()
 		r.executeOne(req, &scratch)
+		if len(r.resolved) > 0 && len(r.execCh) == 0 {
+			r.resolved.flush()
+		}
 	}
 }
 
@@ -414,17 +444,17 @@ func (r *rstream) executeOne(req request, call *Incoming) {
 	// the promise reference) instead of being replied here. A garbled or
 	// unknown-version blob fails the call without running it: replying
 	// with stage one's value would hand the caller a value it takes for
-	// the whole chain's.
+	// the whole chain's. A ~pipe stream's call to the resolution port is
+	// a chain's resolution: it is taken here, before dispatch.
 	var (
-		piped   bool
-		pref    pipeRef
-		pstages []PipeStage
+		cont    pipeCont
 		contErr error
 	)
 	if req.Cont != nil {
-		pref, pstages, contErr = decodePipeCont(req.Cont)
-		piped = contErr == nil
+		cont, contErr = parsePipeCont(req.Cont)
 	}
+	resolution := req.Port == pipeResolvePort && r.key.agent == pipeAgentName
+	piped := req.Cont != nil && contErr == nil && !resolution
 
 	*call = Incoming{
 		From:  r.key.senderNode,
@@ -446,6 +476,8 @@ func (r *rstream) executeOne(req request, call *Incoming) {
 	var outcome Outcome
 	if contErr != nil {
 		outcome = ExceptionOutcome(exception.Failure("malformed continuation"))
+	} else if resolution {
+		outcome = r.deliverResolution(&cont, req.Args)
 	} else if h, ok := r.peer.dispatcher()(req.Port); ok {
 		outcome = h(call)
 	} else {
@@ -543,12 +575,26 @@ func (r *rstream) executeOne(req request, call *Incoming) {
 		// reference). May block when the continuation queue is full —
 		// that backpressure is deliberate.
 		r.peer.scheduler().submit(pipeWork{
-			ref:     pref,
-			stages:  pstages,
+			cont:    cont,
 			outcome: outcome,
 			cause:   trace.ChildOf(trace.Cause{Root: req.Root, Parent: req.Parent}, req.Trace),
 		})
 	}
+}
+
+// deliverResolution takes a chain's resolution off a resolution send and
+// retains it at the origin stream the continuation names. The reply lane
+// is flushed once this stream's executor has nothing queued (see
+// executor), or at once when it fills. A send with no continuation names
+// no origin (the zero pipeCont's reference is empty) and fails.
+func (r *rstream) deliverResolution(c *pipeCont, args []byte) Outcome {
+	o, err := decodeOutcome(args)
+	ref := c.ref()
+	if err != nil || ref.recvNode != r.peer.name {
+		return ExceptionOutcome(exception.Failure("malformed resolution"))
+	}
+	r.peer.resolvePipe(ref, o, &r.resolved)
+	return NormalOutcome(nil)
 }
 
 // notePipeOutstanding records that seq's reply is owed by a continuation
@@ -562,39 +608,46 @@ func (r *rstream) notePipeOutstanding(seq uint64) {
 	r.mu.Unlock()
 }
 
-// handleResolve integrates a chain resolution addressed to this receiving
-// stream: the outcome becomes the retained reply of the pipelined call
-// that started the chain, and it is flushed to the sender immediately
-// (the chain already cost its latency; no reason to add batch delay).
-func (r *rstream) handleResolve(m *resolveMsg) {
+// resolvePiped retains a chain's outcome as the reply of pipelined call
+// seq, if that call is still waiting for its chain in incarnation inc. It
+// reports whether the reply is left for the caller to flush; a lane that
+// reached its batch limit is flushed here. A stale, duplicate or unknown
+// resolution is dropped.
+func (r *rstream) resolvePiped(inc, seq uint64, o Outcome) bool {
 	r.mu.Lock()
-	if m.Incarnation != r.incarnation || r.broken {
+	if _, ok := r.pipeWait[seq]; !ok || inc != r.incarnation || r.broken {
 		r.mu.Unlock()
-		return
+		return false
 	}
-	if _, ok := r.pipeWait[m.Seq]; !ok {
-		r.mu.Unlock()
-		return // duplicate (already retained) or never pipelined here
+	delete(r.pipeWait, seq)
+	var msg []byte
+	r.replyMu.Lock()
+	r.retainLocked(seq, o)
+	if r.unsentReplies >= r.opts.MaxBatch ||
+		(r.opts.MaxBatchBytes > 0 && r.unsentBytes >= r.opts.MaxBatchBytes) {
+		msg = r.buildReplyBatchLocked(false, inc, r.completedThroughNow())
 	}
-	delete(r.pipeWait, m.Seq)
-	inc := r.incarnation
-	completed := r.completedThroughNow()
+	r.replyMu.Unlock()
 	r.mu.Unlock()
-	r.retainPipedReply(m.Seq, m.Outcome, inc, completed)
+	if msg != nil {
+		r.peer.transmit(r.key.senderNode, msg)
+	}
+	return msg == nil
 }
 
-// retainPipedReply retains a chain resolution as seq's reply and flushes
-// the reply batch at once.
-func (r *rstream) retainPipedReply(seq uint64, o Outcome, inc, completed uint64) {
+// flushReplies transmits the reply lane's unsent replies now.
+func (r *rstream) flushReplies() {
+	var msg []byte
+	r.mu.Lock()
 	r.replyMu.Lock()
-	if r.incA.Load() != inc || r.brokenA.Load() {
-		r.replyMu.Unlock()
-		return
+	if !r.broken && r.unsentReplies > 0 {
+		msg = r.buildReplyBatchLocked(false, r.incarnation, r.completedThroughNow())
 	}
-	r.retainLocked(seq, o)
-	msg := r.buildReplyBatchLocked(false, inc, completed)
 	r.replyMu.Unlock()
-	r.peer.transmit(r.key.senderNode, msg)
+	r.mu.Unlock()
+	if msg != nil {
+		r.peer.transmit(r.key.senderNode, msg)
+	}
 }
 
 // retainLocked keeps seq's reply until the sender acknowledges it and
@@ -755,11 +808,12 @@ func (r *rstream) tick(now time.Time) {
 	inc := r.incarnation
 	completed := r.completedThroughNow()
 	// Pipelined calls whose chain has gone silent past the stall deadline
-	// (forwarder retransmission is bounded by MaxRetries; this deadline
-	// outlasts it) are converted into unavailable replies — the caller
-	// gets a definite answer instead of waiting on a chain that died at
-	// a crashed mid-chain guardian.
-	var stalledPipes []uint64
+	// (a ~pipe stream breaks after MaxRetries; this deadline outlasts it)
+	// are converted into unavailable replies — the caller gets a definite
+	// answer instead of waiting on a chain that died at a crashed
+	// mid-chain guardian.
+	stalled := false
+	r.replyMu.Lock()
 	if len(r.pipeWait) > 0 {
 		deadline := r.opts.RTO * time.Duration(r.opts.MaxRetries+2)
 		if deadline < time.Second {
@@ -767,14 +821,14 @@ func (r *rstream) tick(now time.Time) {
 		}
 		for seq, t0 := range r.pipeWait {
 			if now.Sub(t0) >= deadline {
-				stalledPipes = append(stalledPipes, seq)
+				r.retainLocked(seq, ExceptionOutcome(exception.Unavailable("pipeline stalled")))
 				delete(r.pipeWait, seq)
+				stalled = true
 			}
 		}
 	}
-	r.replyMu.Lock()
 	switch {
-	case r.unsentReplies > 0 && now.Sub(r.oldestUnsentAt) >= r.opts.MaxBatchDelay:
+	case stalled || r.unsentReplies > 0 && now.Sub(r.oldestUnsentAt) >= r.opts.MaxBatchDelay:
 		msg = r.buildReplyBatchLocked(false, inc, completed)
 	case completed > r.sentCompleted:
 		// Progress notification so sends resolve at the sender.
@@ -819,9 +873,6 @@ func (r *rstream) tick(now time.Time) {
 	}
 	r.replyMu.Unlock()
 	r.mu.Unlock()
-	for _, seq := range stalledPipes {
-		r.retainPipedReply(seq, ExceptionOutcome(exception.Unavailable("pipeline stalled")), inc, completed)
-	}
 	if msg != nil {
 		r.peer.transmit(r.key.senderNode, msg)
 	}

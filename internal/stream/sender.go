@@ -452,10 +452,11 @@ func (s *Stream) RPC(ctx context.Context, port string, args []byte) (Outcome, er
 	return o, nil
 }
 
-// enqueue admits one call. ref is non-nil only for a mid-chain forward
-// (epoch.go), whose continuation must keep resolving the ORIGINAL
-// caller's promise; a call with stages and no ref is a chain origin.
-func (s *Stream) enqueue(ctx context.Context, r Req, ref *pipeRef) (Pending, error) {
+// enqueue admits one call. cont is non-nil only for the epoch scheduler's
+// sends (epoch.go) — a mid-chain forward or a chain's resolution — and
+// is the continuation blob they carry as it is, still naming the ORIGINAL
+// caller's promise; a call with stages and no cont is a chain origin.
+func (s *Stream) enqueue(ctx context.Context, r Req, cont []byte) (Pending, error) {
 	port, mode, cause := r.Port, r.Mode, r.Cause
 	args, frame := r.Args.Bytes(), r.Args.frame()
 	s.mu.Lock()
@@ -507,16 +508,11 @@ func (s *Stream) enqueue(ctx context.Context, r Req, ref *pipeRef) (Pending, err
 	seq := s.nextSeq
 	s.nextSeq++
 	tid := trace.CallID(s.keyHash, s.incarnation, seq)
-	// Pipelined calls encode their continuation chain here, inside the
+	// A chain origin encodes its continuation here, inside the
 	// seq-assignment critical section, because the blob embeds the promise
 	// reference (stream key + incarnation + seq) the chain's last guardian
-	// will resolve. Plain calls have no stages and no ref and skip this.
-	// Mid-chain forwards carry the ORIGIN call's reference instead, so
-	// every hop keeps resolving the original caller's promise.
-	var cont []byte
-	if ref != nil {
-		cont = encodePipeCont(*ref, r.Stages)
-	} else if len(r.Stages) > 0 {
+	// will resolve. Plain calls have no stages and skip this.
+	if cont == nil && len(r.Stages) > 0 {
 		cont = encodePipeCont(pipeRef{senderNode: s.key.senderNode, agent: s.key.agent,
 			recvNode: s.key.recvNode, group: s.key.group,
 			incarnation: s.incarnation, seq: seq}, r.Stages)
@@ -940,25 +936,6 @@ func (s *Stream) handleReplyBatch(b *replyBatch) {
 	}
 	s.drainResolvableLocked()
 	s.adaptMaybeAdjustLocked(now)
-	s.finalizeBreakIfDrainedLocked()
-}
-
-// handleResolve integrates a forwarded chain resolution (kindResolve)
-// arriving directly from the last guardian of a pipelined continuation
-// chain — the caller's fast path, which skips the hop back through the
-// origin guardian. The outcome is held like any other reply, so ordered
-// readiness is preserved.
-func (s *Stream) handleResolve(m *resolveMsg) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if m.Incarnation != s.incarnation || s.broken {
-		return // stale chain from a previous incarnation
-	}
-	if m.Seq < s.nextResolve || m.Seq >= s.nextSeq {
-		return // duplicate (already resolved) or garbled seq
-	}
-	s.heldReplies.put(m.Seq, m.Outcome)
-	s.drainResolvableLocked()
 	s.finalizeBreakIfDrainedLocked()
 }
 

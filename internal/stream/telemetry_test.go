@@ -203,10 +203,11 @@ func TestCauseRidesTraceEventsAcrossProcesses(t *testing.T) {
 	}
 }
 
-// TestRejectedDatagramsCounted: a datagram in a layout this package no
+// TestRejectedDatagramsCounted: datagrams in a layout this package no
 // longer writes — the 6-value request batch of a sender from before trace
-// IDs — is not executed, and shows in stream_datagrams_rejected_total;
-// the count costs no allocation once the counter exists.
+// IDs, and the removed kinds 4 and 5 — are not acted on, and show in
+// stream_datagrams_rejected_total; the count costs no allocation once the
+// counter exists.
 func TestRejectedDatagramsCounted(t *testing.T) {
 	reg := metrics.NewRegistry()
 	net := simnet.New(simnet.Config{})
@@ -224,13 +225,15 @@ func TestRejectedDatagramsCounted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := old.Send("server", msg); err != nil {
-		t.Fatal(err)
+	for _, m := range [][]byte{msg, removedKinds["resolve/10"], removedKinds["resolve-ack/7"]} {
+		if err := old.Send("server", m); err != nil {
+			t.Fatal(err)
+		}
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for reg.Snapshot().Counters["stream_datagrams_rejected_total"] != 1 {
+	for reg.Snapshot().Counters["stream_datagrams_rejected_total"] != 3 {
 		if time.Now().After(deadline) {
-			t.Fatalf("rejected datagrams = %d, want 1", reg.Snapshot().Counters["stream_datagrams_rejected_total"])
+			t.Fatalf("rejected datagrams = %d, want 3", reg.Snapshot().Counters["stream_datagrams_rejected_total"])
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -265,15 +265,6 @@ const (
 	kindRequestBatch = int64(1)
 	kindReplyBatch   = int64(2)
 	kindBreak        = int64(3)
-	// kindResolve carries a chain resolution: the last guardian of a
-	// pipelined continuation chain forwards the final outcome directly to
-	// the promise's subscribers (the caller, and the origin guardian that
-	// owes the caller a reply on the stream). Unordered and unbatched —
-	// reliability comes from forwarder retransmission plus kindResolveAck.
-	kindResolve = int64(4)
-	// kindResolveAck acknowledges one kindResolve so the forwarder stops
-	// retransmitting it.
-	kindResolveAck = int64(5)
 )
 
 // request is one call request inside a request batch.
@@ -481,123 +472,6 @@ func encodeBreak(b breakMsg) []byte {
 		b.Synchronous, int64(b.BrokenAfter), b.ExcName, b.Reason)
 }
 
-// resolveMsg is a forwarded chain resolution (kindResolve) or its
-// acknowledgement (kindResolveAck). Agent/Group/Incarnation plus the two
-// node names identify the ORIGIN stream — the one the pipelined call was
-// issued on — and Seq is the call's seq there; together they are the
-// promise reference the chain carried. Acks echo the identification and
-// omit the outcome.
-type resolveMsg struct {
-	Agent       string
-	Group       string
-	Incarnation uint64
-	SenderNode  string // origin stream's sending node (the caller)
-	RecvNode    string // origin stream's receiving node (the first guardian)
-	Seq         uint64
-	Outcome     Outcome // kindResolve only
-}
-
-// encodeResolve writes a chain resolution or (ack=true) its ack. Both
-// share decodeMessage's common prefix (kind, agent, group, incarnation) so
-// routing stays uniform. Resolves are rare — one per chain, not per call.
-func encodeResolve(m resolveMsg, ack bool) []byte {
-	size := 1 + 2 + wire.SizeBlob(len(m.Agent)) + wire.SizeBlob(len(m.Group)) + wire.SizeInt(int64(m.Incarnation)) +
-		wire.SizeBlob(len(m.SenderNode)) + wire.SizeBlob(len(m.RecvNode)) + wire.SizeInt(int64(m.Seq))
-	if !ack {
-		size += 1 + wire.SizeBlob(len(m.Outcome.Exception)) + wire.SizeBlob(len(m.Outcome.Payload))
-	}
-	buf := make([]byte, 0, size)
-	if ack {
-		buf = wire.AppendHeader(buf, 7)
-		buf = wire.AppendInt(buf, kindResolveAck)
-	} else {
-		buf = wire.AppendHeader(buf, 10)
-		buf = wire.AppendInt(buf, kindResolve)
-	}
-	buf = wire.AppendString(buf, m.Agent)
-	buf = wire.AppendString(buf, m.Group)
-	buf = wire.AppendInt(buf, int64(m.Incarnation))
-	buf = wire.AppendString(buf, m.SenderNode)
-	buf = wire.AppendString(buf, m.RecvNode)
-	buf = wire.AppendInt(buf, int64(m.Seq))
-	if !ack {
-		buf = wire.AppendBool(buf, m.Outcome.Normal)
-		buf = wire.AppendString(buf, m.Outcome.Exception)
-		buf = wire.AppendBytes(buf, m.Outcome.Payload)
-	}
-	return buf
-}
-
-// decodeResolve parses a kindResolve or kindResolveAck message in full
-// (decodeMessage only classifies them; the peer re-parses here — these
-// are off the hot path). Views alias payload.
-func decodeResolve(payload []byte) (*resolveMsg, bool, error) {
-	d := wire.NewDecoder(payload)
-	nvals, err := d.Header()
-	if err != nil {
-		return nil, false, err
-	}
-	kind, err := d.Int()
-	if err != nil {
-		return nil, false, err
-	}
-	if kind != kindResolve && kind != kindResolveAck {
-		return nil, false, fmt.Errorf("stream: not a resolve message: kind %d", kind)
-	}
-	ack := kind == kindResolveAck
-	if ack && nvals != 7 || !ack && nvals != 10 {
-		return nil, false, fmt.Errorf("stream: resolve message has %d values", nvals)
-	}
-	m := &resolveMsg{}
-	agent, err := d.StringView()
-	if err != nil {
-		return nil, false, err
-	}
-	m.Agent = internString(agent)
-	group, err := d.StringView()
-	if err != nil {
-		return nil, false, err
-	}
-	m.Group = internString(group)
-	inc, err := d.Int()
-	if err != nil {
-		return nil, false, err
-	}
-	m.Incarnation = uint64(inc)
-	sn, err := d.StringView()
-	if err != nil {
-		return nil, false, err
-	}
-	m.SenderNode = internString(sn)
-	rn, err := d.StringView()
-	if err != nil {
-		return nil, false, err
-	}
-	m.RecvNode = internString(rn)
-	seq, err := d.Int()
-	if err != nil {
-		return nil, false, err
-	}
-	m.Seq = uint64(seq)
-	if ack {
-		return m, true, nil
-	}
-	norm, err := d.Bool()
-	if err != nil {
-		return nil, false, err
-	}
-	exc, err := d.StringView()
-	if err != nil {
-		return nil, false, err
-	}
-	pl, err := d.BytesView()
-	if err != nil {
-		return nil, false, err
-	}
-	m.Outcome = Outcome{Normal: norm, Exception: internString(exc), Payload: pl}
-	return m, false, nil
-}
-
 // Batch struct pools for the zero-copy decode path: one request or reply
 // batch is decoded, handled, and released per datagram, so the structs
 // and their entry slices cycle through these pools instead of being
@@ -697,11 +571,6 @@ func decodeMessage(payload []byte) (kind int64, rb *requestBatch, pb *replyBatch
 		b.Group = string(group)
 		b.Incarnation = uint64(inc)
 		return kind, nil, nil, b, nil
-
-	case kindResolve, kindResolveAck:
-		// Classified only; the peer re-parses with decodeResolve. Rare —
-		// one message per chain, not per call.
-		return kind, nil, nil, nil, nil
 
 	default:
 		return 0, nil, nil, nil, fmt.Errorf("stream: unknown message kind %d", kind)
