@@ -22,14 +22,12 @@ func main() {
 		servers = flag.Int("servers", 2, "server guardians")
 		clients = flag.Int("clients", 2, "client guardians")
 		calls   = flag.Int("calls", 8, "calls per client")
-		flow    = flag.Bool("flow", false, "enable adaptive batching and credit flow control")
 		verbose = flag.Bool("v", false, "print the fault script and full transcript")
 	)
 	flag.Parse()
 
 	r, err := simtest.Run(simtest.Options{
 		Seed: *seed, Servers: *servers, Clients: *clients, Calls: *calls,
-		FlowControl: *flow,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "simtrace:", err)

@@ -22,7 +22,7 @@ import (
 // encoders of both directions carry traffic here.
 func TestBulkEchoExactlyOnceUnderLoss(t *testing.T) {
 	n := simnet.New(simnet.Config{LossRate: 0.03, DupRate: 0.02, Jitter: 200 * time.Microsecond, Seed: 14})
-	opts := stream.Options{MaxBatchDelay: time.Millisecond, RTO: 5 * time.Millisecond, MaxRetries: 100, MaxInFlight: 64}
+	opts := stream.Options{MaxBatchDelay: time.Millisecond, RTO: 5 * time.Millisecond, MaxRetries: 100}
 	client, server := MustNew(n, "client", opts), MustNew(n, "server", opts)
 	defer func() {
 		client.Close()

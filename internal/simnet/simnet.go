@@ -585,9 +585,7 @@ func (nd *Node) Clock() clock.Clock { return nd.net.clk }
 // (transport.MetricsProvider); nil when the network has none.
 func (nd *Node) Metrics() *metrics.Registry { return nd.net.cfg.Metrics }
 
-// Cost reports the network's modeled costs (transport.CostModeler); the
-// stream layer seeds its adaptive byte budget and quiescence flush from
-// them.
+// Cost reports the network's modeled costs (transport.CostModeler).
 func (nd *Node) Cost() transport.CostModel {
 	return transport.CostModel{
 		KernelOverhead: nd.net.cfg.KernelOverhead,

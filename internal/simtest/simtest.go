@@ -64,13 +64,6 @@ type Options struct {
 	Clients int
 	// Calls is the number of calls each client issues (default 8).
 	Calls int
-	// FlowControl runs the world with the adaptive batch controller and
-	// credit-based sender flow control enabled (AdaptiveBatch, a byte
-	// budget, and a MaxInFlight window of 64 — far above any per-stream
-	// call count a script issues, so scripted calls never block the
-	// harness goroutine; what the option exercises deterministically is
-	// the credit accounting and controller epochs on every reply path).
-	FlowControl bool
 }
 
 func (o Options) withDefaults() Options {
@@ -142,11 +135,6 @@ func Run(o Options) (*Result, error) {
 		MaxBatchDelay: 500 * time.Microsecond,
 		RTO:           2 * time.Millisecond,
 		MaxRetries:    3,
-	}
-	if o.FlowControl {
-		opts.AdaptiveBatch = true
-		opts.MaxBatchBytes = 2048
-		opts.MaxInFlight = 64
 	}
 
 	servers := make([]*guardian.Guardian, o.Servers)

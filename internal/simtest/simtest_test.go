@@ -29,28 +29,6 @@ func TestSameSeedIsByteIdentical(t *testing.T) {
 	}
 }
 
-// TestFlowControlSameSeedIsByteIdentical is the determinism property with
-// the adaptive batch controller and credit flow control switched on: the
-// controller's epochs and the credit grants ride every reply batch, and
-// none of it may perturb the seeded transcript.
-func TestFlowControlSameSeedIsByteIdentical(t *testing.T) {
-	var first *Result
-	for run := 0; run < 3; run++ {
-		r, err := Run(Options{Seed: 11, Calls: 16, FlowControl: true})
-		if err != nil {
-			t.Fatalf("run %d: %v", run, err)
-		}
-		if first == nil {
-			first = r
-			continue
-		}
-		if r.Transcript != first.Transcript {
-			t.Fatalf("run %d transcript differs with flow control enabled\n--- run 0 ---\n%s\n--- run %d ---\n%s",
-				run, first.Transcript, run, r.Transcript)
-		}
-	}
-}
-
 func TestDifferentSeedsDiffer(t *testing.T) {
 	a, err := Run(Options{Seed: 1})
 	if err != nil {

@@ -116,66 +116,28 @@ func TestAllocsSeqRingSlidingWindow(t *testing.T) {
 // (one encode output buffer and one simnet message envelope per
 // direction), amortized to well under one allocation per call, so the
 // integer allocs/op a benchmark would report is 0.
-func TestAllocsStreamCallRoundTrip(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race detector changes allocation counts")
-	}
-	n := simnet.New(simnet.Config{})
-	client := NewPeer(n.MustAddNode("client"), Options{MaxBatch: 16})
-	server := NewPeer(n.MustAddNode("server"), Options{MaxBatch: 16})
-	server.SetDispatcher(func(port string) (Handler, bool) { return echoHandler, true })
-	defer func() {
-		client.Close()
-		server.Close()
-		n.Close()
-	}()
+func TestAllocsStreamCallRoundTrip(t *testing.T) { requireRoundTripAllocFree(t, 64, 20) }
 
-	s := client.Agent("alloc").Stream("server", "g")
-	arg := make([]byte, 32)
-	ctx := context.Background()
-	const window = 64
-	pendings := make([]Pending, 0, window)
-
-	runWindow := func() {
-		for i := 0; i < window; i++ {
-			p, err := s.Call("echo", arg)
-			if err != nil {
-				t.Fatalf("Call: %v", err)
-			}
-			pendings = append(pendings, p)
-		}
-		s.Flush()
-		for _, p := range pendings {
-			if _, err := p.Wait(ctx); err != nil {
-				t.Fatalf("Wait: %v", err)
-			}
-			p.Release()
-		}
-		pendings = pendings[:0]
-	}
-	runWindow() // warm pools, rings, and the intern table
-
-	perRun := testing.AllocsPerRun(20, runWindow)
-	perCall := perRun / window
-	t.Logf("measured %.2f allocs/call (must truncate to 0)", perCall)
-	if perCall >= 1 {
-		t.Errorf("round trip allocs/call = %.2f, want < 1 (0 allocs/op)", perCall)
-	}
+// TestAllocsStreamCallRoundTripFlowControl is the flow-control twin: each
+// window is the receiver's whole credit, so the grant the previous
+// window's last reply batch advertised admits it with nothing to spare.
+// The admission check is pure arithmetic and the credit integration
+// allocation-free, so the ceiling is the same.
+func TestAllocsStreamCallRoundTripFlowControl(t *testing.T) {
+	requireRoundTripAllocFree(t, recvWindow, 5)
 }
 
-// TestAllocsStreamCallRoundTripFlowControl is the adaptive/flow-control
-// twin: controller enabled, credit advertised in every reply batch, and a
-// bounded (never-binding) in-flight window. The admission fast path is
-// pure arithmetic and the credit integration allocation-free, so the
-// ceiling is the same as the legacy path's.
-func TestAllocsStreamCallRoundTripFlowControl(t *testing.T) {
+// requireRoundTripAllocFree measures windows of window echo calls, runs
+// times after one warm-up window (which also puts the receiver's grant on
+// record), and fails unless they cost under one allocation per call.
+func requireRoundTripAllocFree(t *testing.T, window, runs int) {
+	t.Helper()
 	if raceEnabled {
 		t.Skip("race detector changes allocation counts")
 	}
 	n := simnet.New(simnet.Config{})
-	opts := Options{MaxBatch: 16, AdaptiveBatch: true, MaxInFlight: 256}
-	client := NewPeer(n.MustAddNode("client"), opts)
-	server := NewPeer(n.MustAddNode("server"), opts)
+	client := NewPeer(n.MustAddNode("client"), Options{})
+	server := NewPeer(n.MustAddNode("server"), Options{})
 	server.SetDispatcher(func(port string) (Handler, bool) { return echoHandler, true })
 	defer func() {
 		client.Close()
@@ -186,7 +148,6 @@ func TestAllocsStreamCallRoundTripFlowControl(t *testing.T) {
 	s := client.Agent("alloc").Stream("server", "g")
 	arg := make([]byte, 32)
 	ctx := context.Background()
-	const window = 64
 	pendings := make([]Pending, 0, window)
 
 	runWindow := func() {
@@ -208,10 +169,9 @@ func TestAllocsStreamCallRoundTripFlowControl(t *testing.T) {
 	}
 	runWindow() // warm pools, rings, and the intern table
 
-	perRun := testing.AllocsPerRun(20, runWindow)
-	perCall := perRun / window
-	t.Logf("measured %.2f allocs/call with flow control (must truncate to 0)", perCall)
+	perCall := testing.AllocsPerRun(runs, runWindow) / float64(window)
+	t.Logf("measured %.2f allocs/call over windows of %d (must truncate to 0)", perCall, window)
 	if perCall >= 1 {
-		t.Errorf("flow-controlled round trip allocs/call = %.2f, want < 1 (0 allocs/op)", perCall)
+		t.Errorf("round trip allocs/call = %.2f, want < 1 (0 allocs/op)", perCall)
 	}
 }

@@ -167,48 +167,6 @@ func BenchmarkStreamCallThroughputObserved(b *testing.B) {
 	}
 }
 
-// BenchmarkStreamCallThroughputAdaptive is the round trip with the
-// adaptive batch controller and credit flow control on (a MaxInFlight
-// window wider than the claim window, so admission never blocks). The
-// allocs/op budget is the same 0 as the uninstrumented fast path.
-func BenchmarkStreamCallThroughputAdaptive(b *testing.B) {
-	client, cleanup := benchWorld(b, Options{MaxBatch: 16, AdaptiveBatch: true, MaxInFlight: 512})
-	defer cleanup()
-	s := client.Agent("bench").Stream("server", "g")
-	arg := make([]byte, 32)
-
-	const window = 256
-	pendings := make([]Pending, 0, window)
-	ctx := context.Background()
-
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p, err := s.Call("echo", arg)
-		if err != nil {
-			b.Fatalf("Call: %v", err)
-		}
-		pendings = append(pendings, p)
-		if len(pendings) == window {
-			s.Flush()
-			for _, p := range pendings {
-				if _, err := p.Wait(ctx); err != nil {
-					b.Fatalf("Wait: %v", err)
-				}
-				p.Release()
-			}
-			pendings = pendings[:0]
-		}
-	}
-	s.Flush()
-	for _, p := range pendings {
-		if _, err := p.Wait(ctx); err != nil {
-			b.Fatalf("Wait: %v", err)
-		}
-		p.Release()
-	}
-}
-
 // BenchmarkStreamCallThroughputPipeActive is the plain round trip with
 // the promise-pipelining machinery ACTIVE on the receiving peer: a
 // pipelined chain is run first so the server's epoch scheduler goroutine

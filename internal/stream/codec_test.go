@@ -455,9 +455,8 @@ func upper(s string) string {
 }
 
 // TestForeignReceiverCreditRespected: a foreign receiver advertises a
-// 2-call admission window. The sender, flow-controlled with a much larger
-// MaxInFlight, must never transmit a request seq beyond the credit it was
-// granted.
+// 2-call admission window, far below this package's own. The sender must
+// never transmit a request seq beyond the credit it was granted.
 func TestForeignReceiverCreditRespected(t *testing.T) {
 	net := simnet.New(simnet.Config{})
 	defer net.Close()
@@ -466,8 +465,7 @@ func TestForeignReceiverCreditRespected(t *testing.T) {
 	violations := foreignReceiver(ctx, net.MustAddNode("foreign"), 2, func(args []byte) []byte { return args })
 
 	client := NewPeer(net.MustAddNode("client"), Options{
-		MaxBatch: 1, MaxBatchDelay: 500 * time.Microsecond,
-		RTO: 20 * time.Millisecond, MaxRetries: 50, MaxInFlight: 16})
+		MaxBatchDelay: 500 * time.Microsecond, RTO: 20 * time.Millisecond, MaxRetries: 50})
 	defer client.Close()
 	s := client.Agent("a1").Stream("foreign", "g1")
 

@@ -436,28 +436,3 @@ func TestBulkResultsFromParallelPorts(t *testing.T) {
 		}
 	}
 }
-
-// TestBulkCallsDoNotSteerAdaptiveBatching: a framed single is closed by
-// its size, not by a timer, and says nothing about how many small calls
-// the arrival process could fill a batch with. A run of them must leave
-// the adaptive limit where the small-call traffic put it.
-func TestBulkCallsDoNotSteerAdaptiveBatching(t *testing.T) {
-	reg := metrics.NewRegistry()
-	opts := Options{MaxBatch: 16, AdaptiveBatch: true, Metrics: reg}
-	f := newFixture(t, simnet.Config{}, opts)
-	f.handle("echo", reMarshal)
-	s := f.client.Agent("a1").Stream("server", "g1")
-	before := s.BatchLimit()
-	for i := 0; i < 3*adaptEpochResolutions; i++ {
-		arg := bulkArg(i, 4<<10)
-		p, _ := callBulk(t, s, "echo", arg)
-		claimBulk(t, p, i, arg)
-	}
-	if after := s.BatchLimit(); after < before {
-		t.Errorf("batch limit fell from %d to %d over a run of ride-alone calls", before, after)
-	}
-	snap := reg.Snapshot()
-	if h := snap.Histograms["stream_batch_calls"]; h.Count != h.Sum {
-		t.Errorf("%d batches carried %d calls; every big call should ride alone", h.Count, h.Sum)
-	}
-}

@@ -29,12 +29,8 @@ type streamMetrics struct {
 	claims        *metrics.Counter   // promise claims (Wait/Get)
 	claimsBlocked *metrics.Counter   // claims that had to wait for the outcome
 	claimWait     *metrics.Histogram // ns blocked per claim that had to wait
-	flowBlocked   *metrics.Counter   // enqueues that blocked on window/credit
-	flowWait      *metrics.Histogram // ns blocked per flow-controlled enqueue
-	adaptEpochs   *metrics.Counter   // controller epochs evaluated
-	adaptRaises   *metrics.Counter   // controller steps that raised the limit
-	adaptCuts     *metrics.Counter   // controller steps that lowered the limit
-	adaptLimit    *metrics.Gauge     // current adaptive batch limit
+	flowBlocked   *metrics.Counter   // enqueues that blocked on receiver credit
+	flowWait      *metrics.Histogram // ns blocked per credit-blocked enqueue
 
 	// Per-stage latency histograms, the tail-accounting substrate: each
 	// observation is one call's (or batch's) dwell time in one stage of
@@ -111,10 +107,6 @@ func newStreamMetrics(reg *metrics.Registry) *streamMetrics {
 		claimWait:     reg.Histogram("stream_claim_wait_ns", latencyBuckets),
 		flowBlocked:   reg.Counter("stream_flow_blocked_total"),
 		flowWait:      reg.Histogram("stream_flow_wait_ns", latencyBuckets),
-		adaptEpochs:   reg.Counter("stream_adapt_epochs_total"),
-		adaptRaises:   reg.Counter("stream_adapt_raises_total"),
-		adaptCuts:     reg.Counter("stream_adapt_cuts_total"),
-		adaptLimit:    reg.Gauge("stream_adaptive_batch_limit"),
 
 		stageBatchWait: reg.Histogram("stream_stage_batch_wait_ns", latencyBuckets),
 		stageResolve:   reg.Histogram("stream_stage_resolve_ns", latencyBuckets),

@@ -31,10 +31,6 @@ type Peer struct {
 	clk  clock.Clock
 	sm   *streamMetrics // nil when metrics are disabled
 
-	// idleFlush is the adaptive quiescence-flush delay derived from the
-	// cost model (see resolveIdleFlush); 0 when adaptation is off.
-	idleFlush time.Duration
-
 	mu       sync.Mutex
 	agents   map[string]*Agent
 	sends    map[streamKey]*Stream
@@ -71,10 +67,10 @@ type execTask struct {
 }
 
 // NewPeer creates the stream runtime on a transport endpoint and starts
-// its receive and timer loops. Clock, metrics registry, and the cost
-// model that seeds adaptive batching are inherited from the endpoint
-// when it provides them (simnet nodes expose their network's; tcpnet
-// endpoints expose their config's) and the options did not pin them.
+// its receive and timer loops. Clock and metrics registry are inherited
+// from the endpoint when it provides them (simnet nodes expose their
+// network's; tcpnet endpoints expose their config's) and the options did
+// not pin them.
 func NewPeer(ep transport.Endpoint, opts Options) *Peer {
 	ctx, cancel := context.WithCancel(context.Background())
 	opts = opts.withDefaults()
@@ -91,19 +87,10 @@ func NewPeer(ep transport.Endpoint, opts Options) *Peer {
 			opts.Metrics = mp.Metrics()
 		}
 	}
-	// Seed the batch byte budget from the endpoint's cost model (kernel
-	// overhead vs per-byte cost), unless the caller pinned or disabled it.
-	// Backends without modeled costs report the zero model.
-	var cost transport.CostModel
-	if cm, ok := ep.(transport.CostModeler); ok {
-		cost = cm.Cost()
-	}
-	opts.MaxBatchBytes = resolveBatchBytes(opts, cost)
 	p := &Peer{
 		ep:        ep,
 		name:      ep.Name(),
 		opts:      opts,
-		idleFlush: resolveIdleFlush(opts, cost),
 		clk:       opts.Clock,
 		sm:        newStreamMetrics(opts.Metrics),
 		agents:    make(map[string]*Agent),

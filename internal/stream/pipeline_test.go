@@ -398,6 +398,86 @@ func TestChainResultsBatchHome(t *testing.T) {
 	}
 }
 
+// TestBlockedStageDoesNotStallOtherChains: gb's gate port holds every
+// call until released. More than recvWindow chains pass through it from
+// origin ga, which is more forwards than gb's credit admits; chains
+// through gc follow on another client stream. The forwards are the epoch
+// scheduler's sends, which the credit does not apply to, so the scheduler
+// never parks on gb: the gc chains resolve while gb is blocked, and after
+// the release every gb chain resolves once, with its own value.
+func TestBlockedStageDoesNotStallOtherChains(t *testing.T) {
+	opts := Options{MaxBatchDelay: time.Millisecond, RTO: time.Second, MaxRetries: 8}
+	f := newPipeFixture(t, simnet.Config{}, opts, "ga", "gb", "gc")
+	held, release := newGate(t)
+	var mu sync.Mutex
+	gated := make(map[int64]int)
+	inc := incHandler(t)
+	for _, g := range []string{"ga", "gb", "gc"} {
+		f.handle(g, "inc", inc)
+	}
+	f.handle("gb", "gate", func(call *Incoming) Outcome {
+		<-held
+		mu.Lock()
+		gated[decInt(t, call.Args)]++
+		mu.Unlock()
+		return inc(call)
+	})
+	viaB := []PipeStage{{Node: "gb", Group: "g", Port: "gate"}}
+	viaC := []PipeStage{{Node: "gc", Group: "g", Port: "inc"}}
+
+	// One chain through gb's open port first, so ga's ~pipe stream to gb
+	// has heard gb's credit before the gated chains need more of it.
+	sb := f.client.Agent("b").Stream("ga", "g")
+	warm := issuePiped(t, sb, "inc", encInt(-10), PipeStage{Node: "gb", Group: "g", Port: "inc"})
+	if o := claim(t, warm); !o.Normal {
+		t.Fatalf("warm-up chain: %+v", o)
+	}
+	toB := f.peers["ga"].Agent(pipeAgentName).Stream("gb", "g")
+	waitFor(t, "gb never granted ga credit", func() bool {
+		toB.mu.Lock()
+		defer toB.mu.Unlock()
+		return toB.grantThrough > 0
+	})
+
+	// Chain i enters ga with i, gb with i+1 and resolves with i+2.
+	const n = recvWindow + 8
+	ps := make([]Pending, n)
+	for i := range ps {
+		ps[i] = issuePiped(t, sb, "inc", encInt(int64(i)), viaB...)
+	}
+	sb.Flush()
+	waitFor(t, "ga never forwarded a credit's worth of chains to gb",
+		func() bool { return toB.InFlight() >= recvWindow })
+
+	sc := f.client.Agent("c").Stream("ga", "g")
+	for j := int64(0); j < 8; j++ {
+		p := issuePiped(t, sc, "inc", encInt(1000*j), viaC...)
+		ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
+		o, err := p.Wait(ctx)
+		cancel()
+		if err != nil {
+			t.Fatalf("chain %d through gc stalled behind the blocked gb: %v", j, err)
+		}
+		if !o.Normal || decInt(t, o.Payload) != 1000*j+2 {
+			t.Fatalf("chain %d through gc: %+v", j, o)
+		}
+	}
+
+	release()
+	for i, p := range ps {
+		if o := claim(t, p); !o.Normal || decInt(t, o.Payload) != int64(i+2) {
+			t.Fatalf("chain %d through gb: %+v", i, o)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for i := 0; i < n; i++ {
+		if c := gated[int64(i+1)]; c != 1 {
+			t.Fatalf("gb ran chain %d's stage %d times, want 1", i, c)
+		}
+	}
+}
+
 // FuzzPipeContAdvance: a hop that cuts stage 0 out of a continuation blob
 // produces exactly the blob encodePipeCont writes for the remaining
 // stages, parses exactly stage 0, and reads back the reference the origin

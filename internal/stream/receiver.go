@@ -155,7 +155,6 @@ type rstream struct {
 	// traffic stays proportional to new work, not to the retained window.
 	retained          []reply // executed, not yet acked by the sender
 	unsentReplies     int     // suffix of retained not yet transmitted at all
-	unsentBytes       int     // approximate encoded size of that suffix (byte budget)
 	oldestUnsentAt    time.Time
 	sentCompleted     uint64    // CompletedThrough value last transmitted
 	sentAcked         uint64    // AckRequestsThrough value last transmitted
@@ -352,7 +351,6 @@ func (r *rstream) pruneRetainedLocked() {
 	// into the unsent suffix (it cannot, but be safe).
 	if r.unsentReplies > len(kept) {
 		r.unsentReplies = len(kept)
-		r.unsentBytes = 0 // approximate; only the can't-happen clamp path
 	}
 	r.retained = kept
 }
@@ -533,8 +531,7 @@ func (r *rstream) executeOne(req request, call *Incoming) {
 	// Results big enough to ride alone close the reply batch, as a big
 	// call's arguments close the request batch (see frame.go).
 	flushNow := req.Mode == ModeRPC || r.unsentReplies >= r.opts.MaxBatch || breakReason != nil ||
-		outcome.frame != nil ||
-		(r.opts.MaxBatchBytes > 0 && r.unsentBytes >= r.opts.MaxBatchBytes)
+		outcome.frame != nil
 	if flushNow && (r.unsentReplies > 0 || completed > r.sentCompleted) {
 		msg = r.buildReplyBatchLocked(false, inc, completed)
 	}
@@ -623,8 +620,7 @@ func (r *rstream) resolvePiped(inc, seq uint64, o Outcome) bool {
 	var msg []byte
 	r.replyMu.Lock()
 	r.retainLocked(seq, o)
-	if r.unsentReplies >= r.opts.MaxBatch ||
-		(r.opts.MaxBatchBytes > 0 && r.unsentBytes >= r.opts.MaxBatchBytes) {
+	if r.unsentReplies >= r.opts.MaxBatch {
 		msg = r.buildReplyBatchLocked(false, inc, r.completedThroughNow())
 	}
 	r.replyMu.Unlock()
@@ -665,7 +661,6 @@ func (r *rstream) retainLocked(seq uint64, o Outcome) {
 	}
 	r.retained = append(r.retained, reply{Seq: seq, Outcome: o})
 	r.unsentReplies++
-	r.unsentBytes += len(o.Exception) + len(o.Payload) + reqOverheadBytes
 	if sm := r.peer.sm; sm != nil {
 		sm.replies.Inc()
 	}
@@ -698,7 +693,6 @@ func (r *rstream) buildReplyBatchLocked(retransmit bool, inc, completed uint64) 
 		sm.stageReplyWait.ObserveDuration(r.peer.clk.Now().Sub(r.oldestUnsentAt))
 	}
 	r.unsentReplies = 0
-	r.unsentBytes = 0
 	r.sentCompleted = completed
 	r.sentAcked = r.expectedA.Load() - 1
 	if r.peer.tracing() {
@@ -716,9 +710,9 @@ func (r *rstream) buildReplyBatchLocked(retransmit bool, inc, completed uint64) 
 		AckRequestsThrough: r.sentAcked,
 		CompletedThrough:   completed,
 		Replies:            reps,
-		// The admission grant: flow-controlled senders may run this far
-		// ahead of our completed prefix. Monotone within an incarnation
-		// because the completion prefix is.
+		// The admission grant: the sender may run this far ahead of our
+		// completed prefix. Monotone within an incarnation because the
+		// completion prefix is.
 		Credit: completed + recvWindow,
 	}
 	var msg []byte
@@ -755,7 +749,6 @@ func (r *rstream) handleBreak(b *breakMsg) {
 	r.replyMu.Lock()
 	r.retained = nil
 	r.unsentReplies = 0
-	r.unsentBytes = 0
 	r.replyMu.Unlock()
 }
 
@@ -775,7 +768,6 @@ func (r *rstream) resetLocked(incarnation uint64) {
 	r.replyMu.Lock()
 	r.retained = nil
 	r.unsentReplies = 0
-	r.unsentBytes = 0
 	r.sentCompleted = 0
 	r.sentAcked = 0
 	r.completedSet.reset()

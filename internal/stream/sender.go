@@ -262,15 +262,13 @@ type Stream struct {
 	opts    Options
 
 	// The batch lane: assembly and retransmission state, guarded by
-	// batchMu. The lock order is mu before batchMu; flush drops mu before
+	// batchMu. The lock order is mu before batchMu; Flush drops mu before
 	// encoding, so a batch is built without holding the stream lock.
-	batchMu      sync.Mutex
-	buffer       []request // accepted but not yet transmitted
-	bufferBytes  int       // approximate encoded size of buffer (byte budget)
-	bufferedAt   time.Time // when buffer[0] was accepted
-	lastArriveAt time.Time // when the newest buffered call was accepted (quiescence flush)
-	unacked      []request // transmitted but not acked by receiver
-	lastSendAt   time.Time // when unacked was last (re)transmitted
+	batchMu    sync.Mutex
+	buffer     []request // accepted but not yet transmitted
+	bufferedAt time.Time // when buffer[0] was accepted
+	unacked    []request // transmitted but not acked by receiver
+	lastSendAt time.Time // when unacked was last (re)transmitted
 
 	// flushArm signals the flush-timer goroutine that the buffer went
 	// from empty to non-empty (see flushLoop). Buffered; signals coalesce.
@@ -298,14 +296,10 @@ type Stream struct {
 	ackedThrough uint64 // receiver acked requests through this seq
 	retries      int
 
-	// Adaptive batch controller state (see adaptive.go); the zero value
-	// is disabled and batchLimitLocked falls back to opts.MaxBatch.
-	adapt adaptiveState
-
 	// Flow control. grantThrough is the receiver's advertised admission
-	// credit (0 until the first reply batch arrives). flowWaiters are
-	// enqueues blocked on the in-flight window or the credit, woken
-	// whenever either can have moved.
+	// credit (0 until the first reply batch of this incarnation arrives).
+	// flowWaiters are enqueues blocked on the credit, woken whenever it
+	// can have moved.
 	grantThrough uint64
 	flowWaiters  []chan struct{}
 
@@ -338,7 +332,7 @@ type Stream struct {
 
 func newStream(p *Peer, key streamKey, opts Options) *Stream {
 	keyStr := key.String()
-	s := &Stream{
+	return &Stream{
 		peer:           p,
 		key:            key,
 		keyStr:         keyStr,
@@ -351,8 +345,6 @@ func newStream(p *Peer, key streamKey, opts Options) *Stream {
 		boundarySeq:    1,
 		lastProgressAt: p.clk.Now(),
 	}
-	s.adapt.initAdaptive(opts, s.lastProgressAt)
-	return s
 }
 
 // InFlight returns the number of unresolved calls outstanding on the
@@ -361,14 +353,6 @@ func (s *Stream) InFlight() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return int(s.nextSeq - s.nextResolve)
-}
-
-// BatchLimit returns the current call-count batch closure limit: the
-// adapted value when AdaptiveBatch is on, MaxBatch otherwise.
-func (s *Stream) BatchLimit() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.batchLimitLocked()
 }
 
 // Key returns a human-readable identification of the stream.
@@ -410,14 +394,14 @@ type Req struct {
 // Issue makes one call on the stream. It returns a Pending for the
 // outcome, or an error if the stream is broken (in which case, per §3, no
 // pending is created) or ctx ends while the enqueue waits for flow
-// control. With MaxInFlight set, the enqueue blocks while the in-flight
-// window (or the receiver's advertised credit) is exhausted.
+// control: the enqueue blocks while the receiver's advertised credit is
+// used up.
 //
 // A stream call or send is buffered: it is transmitted when the batch
-// fills (by count or byte budget), when MaxBatchDelay elapses, or at the
-// next Flush. An RPC bypasses the buffer — its batch is sent at once —
-// and the seq it resolves at is a synch boundary, like Argus's regular
-// calls; Issue followed by Pending.Wait is an RPC.
+// holds MaxBatch calls, when MaxBatchDelay elapses, or at the next Flush.
+// An RPC bypasses the buffer — its batch is sent at once — and the seq it
+// resolves at is a synch boundary, like Argus's regular calls; Issue
+// followed by Pending.Wait is an RPC.
 func (s *Stream) Issue(ctx context.Context, r Req) (Pending, error) {
 	return s.enqueue(ctx, r, nil)
 }
@@ -456,6 +440,11 @@ func (s *Stream) RPC(ctx context.Context, port string, args []byte) (Outcome, er
 // sends (epoch.go) — a mid-chain forward or a chain's resolution — and
 // is the continuation blob they carry as it is, still naming the ORIGINAL
 // caller's promise; a call with stages and no cont is a chain origin.
+//
+// The scheduler's sends skip the credit check: their chain was admitted
+// once, at its origin, and a scheduler parked on one downstream guardian's
+// credit would stall every other chain on the peer — including, for a
+// chain that cycles back, the one whose progress would free the credit.
 func (s *Stream) enqueue(ctx context.Context, r Req, cont []byte) (Pending, error) {
 	port, mode, cause := r.Port, r.Mode, r.Cause
 	args, frame := r.Args.Bytes(), r.Args.frame()
@@ -474,18 +463,12 @@ func (s *Stream) enqueue(ctx context.Context, r Req, cont []byte) (Pending, erro
 			}
 			return Pending{}, err
 		}
-		if s.admitLocked() {
+		if cont != nil || s.admitLocked() {
 			break
 		}
-		// Backpressure: the in-flight window (or the receiver's advertised
-		// credit) is exhausted. Park until resolution progress, a credit
-		// raise, or a break moves it — or the caller's context ends. Only
-		// credit exhaustion marks the controller epoch blocked: the local
-		// MaxInFlight window is self-imposed (a fast caller, not a slow
-		// receiver), and larger batches still help there.
-		if s.grantThrough > 0 && s.nextSeq > s.grantThrough {
-			s.adapt.epochBlocked = true
-		}
+		// Backpressure: the receiver's advertised credit is used up. Park
+		// until a credit raise or a break moves it — or the caller's
+		// context ends.
 		w := make(chan struct{})
 		s.flowWaiters = append(s.flowWaiters, w)
 		s.mu.Unlock()
@@ -518,7 +501,6 @@ func (s *Stream) enqueue(ctx context.Context, r Req, cont []byte) (Pending, erro
 			incarnation: s.incarnation, seq: seq}, r.Stages)
 	}
 	p := newPending(seq, mode, s.peer.sm, s.peer.clk)
-	limit := s.batchLimitLocked()
 	s.pending.put(seq, p)
 	// Seq assignment and the ring insert happen in one s.mu critical
 	// section, so a break cannot slip between them and orphan the pending.
@@ -527,19 +509,12 @@ func (s *Stream) enqueue(ctx context.Context, r Req, cont []byte) (Pending, erro
 	arm := len(s.buffer) == 0
 	if arm {
 		s.bufferedAt = s.peer.clk.Now()
-		s.lastArriveAt = s.bufferedAt
-	} else if s.peer.idleFlush > 0 {
-		// Each arrival pushes the quiescence deadline out; the flush loop
-		// sends the batch once arrivals pause for peer.idleFlush.
-		s.lastArriveAt = s.peer.clk.Now()
 	}
 	s.buffer = append(s.buffer, request{Seq: seq, Port: port, Mode: mode, Args: args,
 		Trace: tid, Root: cause.Root, Parent: cause.Parent, Cont: cont, frame: frame})
-	s.bufferBytes += reqWireSize(port, args) + len(cont)
 	// A call big enough to ride alone closes the batch like an RPC does:
 	// waiting for company would only get it copied (see frame.go).
-	full := len(s.buffer) >= limit || mode == ModeRPC || frame != nil ||
-		(s.opts.MaxBatchBytes > 0 && s.bufferBytes >= s.opts.MaxBatchBytes)
+	full := len(s.buffer) >= s.opts.MaxBatch || mode == ModeRPC || frame != nil
 	s.batchMu.Unlock()
 	s.mu.Unlock()
 	if sm := s.peer.sm; sm != nil {
@@ -549,7 +524,7 @@ func (s *Stream) enqueue(ctx context.Context, r Req, cont []byte) (Pending, erro
 		s.peer.emitCause(trace.CallEnqueued, s.keyStr, seq, tid, cause, mode.String())
 	}
 	if full {
-		s.flush(false)
+		s.Flush()
 	} else if arm {
 		// First call of a new batch: arm the precise flush timer. The
 		// channel holds one pending signal; a dropped send means the loop
@@ -562,21 +537,12 @@ func (s *Stream) enqueue(ctx context.Context, r Req, cont []byte) (Pending, erro
 	return p, nil
 }
 
-// admitLocked reports whether a new call may enter the stream under flow
-// control. With MaxInFlight unset (0) admission is always granted and
-// receiver credit is ignored — the legacy unbounded window. Caller holds
-// s.mu.
+// admitLocked reports whether a new call may enter the stream: its seq is
+// within the receiver's advertised credit, or no reply batch has been
+// heard this incarnation, so there is no credit to honour yet. Caller
+// holds s.mu.
 func (s *Stream) admitLocked() bool {
-	if s.opts.MaxInFlight <= 0 {
-		return true
-	}
-	if s.nextSeq-s.nextResolve >= uint64(s.opts.MaxInFlight) {
-		return false
-	}
-	if s.grantThrough > 0 && s.nextSeq > s.grantThrough {
-		return false
-	}
-	return true
+	return s.grantThrough == 0 || s.nextSeq <= s.grantThrough
 }
 
 // wakeFlowWaitersLocked wakes every enqueue parked on flow control; they
@@ -592,27 +558,17 @@ func (s *Stream) wakeFlowWaitersLocked() {
 // Flush transmits any buffered call requests now instead of waiting for
 // the batch to fill. ("Even without the flush, the system will send these
 // messages eventually; the flush merely speeds this up.")
-func (s *Stream) Flush() { s.flush(false) }
-
-// flush transmits the buffered batch. timerClosed marks a flush initiated
-// by the flush-loop timer (quiescence pause or MaxBatchDelay bound)
-// rather than by count/byte closure or an explicit Flush — the adaptive
-// controller treats that as evidence the limit has outrun the arrival
-// process (see adaptNoteTimerFlushLocked).
 //
 // The stream lock is held only long enough to snapshot the batch header
 // (incarnation, reply ack) and move the buffer to the unacked set; the
 // encode itself runs under batchMu alone.
-func (s *Stream) flush(timerClosed bool) {
+func (s *Stream) Flush() {
 	s.mu.Lock()
 	s.batchMu.Lock()
 	if len(s.buffer) == 0 {
 		s.batchMu.Unlock()
 		s.mu.Unlock()
 		return
-	}
-	if timerClosed {
-		s.adaptNoteTimerFlushLocked(len(s.buffer))
 	}
 	batch := s.buffer
 	s.unacked = append(s.unacked, batch...)
@@ -644,7 +600,6 @@ func (s *Stream) flush(timerClosed bool) {
 		batch[i] = request{}
 	}
 	s.buffer = batch[:0]
-	s.bufferBytes = 0
 	s.batchMu.Unlock()
 	if sm := s.peer.sm; sm != nil {
 		sm.batchesSent.Inc()
@@ -796,7 +751,6 @@ func (s *Stream) resolveAllLocked(reason *exception.Exception) {
 func (s *Stream) clearBatchLocked() {
 	s.batchMu.Lock()
 	s.buffer = nil
-	s.bufferBytes = 0
 	s.unacked = nil
 	s.batchMu.Unlock()
 }
@@ -831,15 +785,6 @@ func (s *Stream) reincarnateLocked() {
 	// Credit was granted against the old incarnation's seq space.
 	s.grantThrough = 0
 	s.wakeFlowWaitersLocked()
-	// The adapted limit carries over — network conditions did not change
-	// with the incarnation — but the measurement epoch restarts.
-	s.adapt.epochStart = s.lastProgressAt
-	s.adapt.epochResolved = 0
-	s.adapt.epochRetrans = false
-	s.adapt.epochBlocked = false
-	s.adapt.regressEpochs = 0
-	s.adapt.holdEpochs = 0
-	s.adapt.lastRate = 0
 }
 
 // resolveOneLocked resolves pending seq with outcome o and advances the
@@ -868,16 +813,11 @@ func (s *Stream) resolveOneLocked(seq uint64, o Outcome) {
 			trace.CallID(s.keyHash, s.incarnation, seq), detail)
 	}
 	s.nextResolve = seq + 1
-	if s.adapt.enabled {
-		s.adapt.epochResolved++
-	}
-	// Wake synch waiters; they re-check their condition. Resolution also
-	// frees an in-flight window slot, so flow-blocked enqueues re-check.
+	// Wake synch waiters; they re-check their condition.
 	for _, w := range s.synchWaiters {
 		close(w)
 	}
 	s.synchWaiters = nil
-	s.wakeFlowWaitersLocked()
 }
 
 // handleReplyBatch integrates a reply batch from the receiver.
@@ -901,8 +841,7 @@ func (s *Stream) handleReplyBatch(b *replyBatch) {
 	s.recvEpoch = b.Epoch
 	// Hearing anything valid from the receiver is progress: the link and
 	// the receiver are alive, so hold off probe-based breaking.
-	now := s.peer.clk.Now()
-	s.lastProgressAt = now
+	s.lastProgressAt = s.peer.clk.Now()
 	s.retries = 0
 	// Admission credit only ever moves forward within an incarnation, so
 	// taking the max makes reordered reply batches harmless.
@@ -935,7 +874,6 @@ func (s *Stream) handleReplyBatch(b *replyBatch) {
 		}
 	}
 	s.drainResolvableLocked()
-	s.adaptMaybeAdjustLocked(now)
 	s.finalizeBreakIfDrainedLocked()
 }
 
@@ -1029,8 +967,7 @@ func (s *Stream) finalizeBreakLocked() {
 		}
 	}
 	s.clearBatchLocked()
-	s.wakeFlowWaitersLocked()
-	s.reincarnateLocked()
+	s.reincarnateLocked() // wakes the flow waiters
 }
 
 // tick is called periodically by the peer: it retransmits unacknowledged
@@ -1067,7 +1004,6 @@ func (s *Stream) tick(now time.Time) {
 	if stale {
 		// Retransmission of everything not yet acked, as one batch.
 		s.retries++
-		s.adapt.epochRetrans = true
 		if sm != nil {
 			sm.rtoFires.Inc()
 		}
@@ -1167,14 +1103,9 @@ func (s *Stream) flushLoop() {
 			s.batchMu.Lock()
 			if len(s.buffer) == 0 {
 				s.batchMu.Unlock()
-				break // flushed by count/bytes/Flush; park until re-armed
+				break // flushed by count or Flush; park until re-armed
 			}
 			due := s.bufferedAt.Add(s.opts.MaxBatchDelay)
-			if idle := s.peer.idleFlush; idle > 0 {
-				if d := s.lastArriveAt.Add(idle); d.Before(due) {
-					due = d // quiescence: arrivals paused, stop waiting for more
-				}
-			}
 			s.batchMu.Unlock()
 			if wait := due.Sub(s.peer.clk.Now()); wait > 0 {
 				if t == nil {
@@ -1189,7 +1120,7 @@ func (s *Stream) flushLoop() {
 				}
 				continue // re-check: the batch may have flushed meanwhile
 			}
-			s.flush(true)
+			s.Flush()
 		}
 	}
 }

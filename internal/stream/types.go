@@ -172,7 +172,9 @@ var ErrBroken = errors.New("stream: broken")
 // noted on each field. There is no concurrency knob: each stream runs on
 // one lane — its calls are batched, delivered and resolved in seq order —
 // and parallelism comes from using more streams (one agent per
-// concurrent activity), which run independently.
+// concurrent activity), which run independently. Nor is there a flow
+// control knob: a sender always honours the admission credit its
+// receiver advertises (recvWindow calls past the completed prefix).
 type Options struct {
 	// MaxBatch is the number of buffered calls (or replies) that forces a
 	// batch to be transmitted. Default 16. 1 disables batching.
@@ -188,25 +190,6 @@ type Options struct {
 	// Default 8. ("The system tries hard to deliver messages before
 	// breaking a stream.")
 	MaxRetries int
-	// AdaptiveBatch enables the online batch-size controller: MaxBatch
-	// becomes the starting point, and the limit is then hill-climbed on
-	// observed goodput (with a multiplicative cut on retransmission
-	// evidence, AIMD style). Default off, so a fixed MaxBatch keeps its
-	// exact historical behavior.
-	AdaptiveBatch bool
-	// MaxBatchBytes closes a batch once its encoded payload reaches this
-	// many bytes, independent of the call count — replies batch under the
-	// same budget at the receiver. 0 (the default) derives the budget from
-	// the network's cost model when AdaptiveBatch is on (the byte cost
-	// that dwarfs one kernel call, clamped to [1 KiB, 256 KiB]) and
-	// disables byte closure otherwise; negative disables it always.
-	MaxBatchBytes int
-	// MaxInFlight, when positive, bounds the sender's unresolved-call
-	// window: Call/Send/RPC block (honoring their context) once
-	// MaxInFlight calls are outstanding, and additionally respect the
-	// admission credit the receiver advertises in reply batches. 0 (the
-	// default) keeps the legacy unbounded window and ignores credit.
-	MaxInFlight int
 	// Clock is the peer's time source: tick loop, RTO and batching-delay
 	// staleness, break timeouts, trace timestamps. Default: the clock of
 	// the simnet network the peer's node belongs to, so configuring a
@@ -237,7 +220,7 @@ func (o Options) withDefaults() Options {
 
 const (
 	// recvWindow is how many calls past its completed prefix a receiver
-	// advertises as admission credit to flow-controlled senders.
+	// advertises as admission credit.
 	recvWindow = 4096
 	// execWorkers caps the peer-wide worker pool that runs parallel-port
 	// calls (Peer.SetParallelPorts); serial calls still run on their
@@ -312,8 +295,8 @@ type replyBatch struct {
 	Replies            []reply
 	// Credit is the admission grant: the receiver will accept request
 	// seqs through this value (its completed prefix plus recvWindow).
-	// The 9th top-level value; 0 advertises no credit, and flow-controlled
-	// senders then apply MaxInFlight only.
+	// The 9th top-level value; 0 advertises no credit, and a sender that
+	// has been granted none runs unbounded.
 	Credit uint64
 }
 

@@ -18,8 +18,8 @@
 //     and payloads as one vectored call, no coalescing copy.
 //
 //   - TCP_NODELAY is set on every connection: the stream layer's
-//     adaptive batcher (DESIGN.md §9) owns aggregation; letting Nagle
-//     second-guess it would add delay to exactly the flushes the batcher
+//     batching (DESIGN.md §9) owns aggregation; letting Nagle
+//     second-guess it would add delay to exactly the flushes the stream
 //     decided were worth a kernel call.
 //
 // The transport contract is datagram-shaped and unreliable, which makes
@@ -475,8 +475,8 @@ func (ep *Endpoint) countUnreachableDrops(n int64) {
 }
 
 // tune applies the socket options every connection gets. NODELAY is the
-// load-bearing one: the adaptive batcher owns aggregation, so Nagle must
-// not delay the flushes it already decided to make.
+// load-bearing one: the stream layer's batching owns aggregation, so
+// Nagle must not delay the flushes it already decided to make.
 func tune(c net.Conn) {
 	if tc, ok := c.(*net.TCPConn); ok {
 		_ = tc.SetNoDelay(true)

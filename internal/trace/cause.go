@@ -51,8 +51,8 @@ var batchDetails = func() [257]string {
 }()
 
 // BatchDetail returns the "n=<count>" detail string for a batch-scoped
-// event. Allocation-free for batch sizes up to 256, which covers every
-// batch the adaptive controller will assemble.
+// event. Allocation-free for batch sizes up to 256, sixteen times the
+// stream layer's default batch size; a bigger batch formats its string.
 func BatchDetail(n int) string {
 	if n >= 0 && n < len(batchDetails) {
 		return batchDetails[n]

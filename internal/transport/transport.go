@@ -98,12 +98,15 @@ type Closer interface {
 	Close() error
 }
 
-// CostModel mirrors the knobs of the simnet cost model that the stream
-// layer's adaptive machinery reads: the fixed per-message kernel-call
-// overhead, the per-byte transmission cost, and the one-way propagation
-// delay. A backend with no modeled costs (tcpnet: the real network IS
-// the cost) reports the zero model, under which the adaptive byte budget
-// falls back to its clamp and the quiescence flush to its default.
+// CostModel mirrors the knobs of the simnet cost model: the fixed
+// per-message kernel-call overhead, the per-byte transmission cost, and
+// the one-way propagation delay. A backend with no modeled costs (tcpnet:
+// the real network IS the cost) does not offer it. The stream layer does
+// not read it — its batching is a fixed count-and-age policy — so the
+// capability is introspection only. It stays because the benchmark's
+// taps assert that wrapping an endpoint keeps every capability, this one
+// included; folding the providers into one environment value is what
+// would retire it.
 type CostModel struct {
 	KernelOverhead time.Duration
 	PerByte        time.Duration
