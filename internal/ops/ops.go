@@ -46,7 +46,7 @@ type PeerHealth interface {
 // stream list — so a process can mount the plane before any of its
 // guardians exist.
 type Config struct {
-	Node     string          // process name reported in every reply
+	Node     string // process name reported in every reply
 	Metrics  *metrics.Registry
 	Recorder *trace.Recorder
 	Peers    []PeerHealth // each contributes its streams to /healthz

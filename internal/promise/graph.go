@@ -19,13 +19,26 @@ import (
 // to its conclusion: the unresolved result travels as the next call's
 // argument). A graph has that one meaning: a stage that cannot take part
 // fails the chain, and the failure is the promise's outcome.
+//
+// A graph keeps up to inlineHops hops, and the stages Start builds from
+// them, in arrays of its own, and spills to the heap only past that. Its
+// hop list points into the graph itself, so a Graph must not be copied by
+// value: use the *Graph that Pipeline returns. Build and Start a graph on
+// one goroutine; Start writes the stages into it.
 type Graph struct {
 	s     *stream.Stream
 	port  string
 	args  []any
-	hops  []Hop
+	hops  []Hop // inline[:n] until the chain outgrows it
 	cause trace.Cause
+
+	inline       [inlineHops]Hop
+	inlineStages [inlineHops]stream.PipeStage
 }
+
+// inlineHops is how many hops a Graph holds without allocating: enough for
+// a four-stage chain after its root, the common shape.
+const inlineHops = 4
 
 // Hop names one continuation stage: the guardian (node, port group) that
 // runs it, the port to invoke, and extra arguments appended after the
@@ -39,7 +52,9 @@ type Hop struct {
 
 // Pipeline begins a pipelined call graph rooted at a call to port on s.
 func Pipeline(s *stream.Stream, port string, args ...any) *Graph {
-	return &Graph{s: s, port: port, args: args}
+	g := &Graph{s: s, port: port, args: args}
+	g.hops = g.inline[:0]
+	return g
 }
 
 // Then appends a continuation stage: once the previous stage's result
@@ -71,7 +86,11 @@ func Start[T any](g *Graph, dec Decoder[T]) (*Promise[T], error) {
 	if err != nil {
 		return nil, exception.Failure("could not encode")
 	}
-	stages := make([]stream.PipeStage, len(g.hops))
+	stages := g.inlineStages[:]
+	if len(g.hops) > inlineHops {
+		stages = make([]stream.PipeStage, len(g.hops))
+	}
+	stages = stages[:len(g.hops)]
 	for i, h := range g.hops {
 		st := stream.PipeStage{Node: h.Node, Group: h.Group, Port: h.Port}
 		if len(h.Extra) > 0 {

@@ -106,6 +106,35 @@ func TestGraphPipelinedChain(t *testing.T) {
 	}
 }
 
+// TestGraphSpillsPastInlineHops: a graph of six hops outgrows the four a
+// Graph keeps inline, so its hops and stages move to the heap; the chain
+// still runs end to end through all seven stages, for one enqueued call:
+// ((((((1+1)+1)+1)+1)+1)+1)*10+4 = 74.
+func TestGraphSpillsPastInlineHops(t *testing.T) {
+	client, nodes := graphFixture(t)
+	s := client.Agent("app").Stream(nodes[0], "g")
+	g := Pipeline(s, "inc", int64(1))
+	for i := 1; i <= 5; i++ {
+		g.Then(nodes[i%len(nodes)], "g", "inc")
+	}
+	g.ThenHop(Hop{Node: nodes[0], Group: "g", Port: "addmul", Extra: []any{int64(10), int64(4)}})
+	if len(g.hops) != 6 || &g.hops[0] == &g.inline[0] {
+		t.Fatalf("%d hops, inline %v: the graph did not spill", len(g.hops), &g.hops[0] == &g.inline[0])
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	v, err := Run(ctx, g, Int)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if v != 74 {
+		t.Fatalf("chain = %d, want 74", v)
+	}
+	if got := enqueued(client); got != 1 {
+		t.Fatalf("client enqueued %d calls for a pipelined 7-stage chain, want 1", got)
+	}
+}
+
 // TestCallerMediatedChainEnqueuesK is E15's control: the chain of
 // TestGraphPipelinedChain driven by the caller, in the shape of the
 // chain_k4 workload's control — one Call per stage, each claimed before

@@ -61,6 +61,42 @@ type pipeScheduler struct {
 	wave    []pipeWork
 	touched map[*Stream]struct{}
 	lanes   replyLanes // origin reply lanes resolved locally this wave
+	arena   waveArena  // the continuation blobs and resolution arguments the loop builds
+}
+
+// waveChunk is the size of one waveArena chunk: a few dozen continuation
+// blobs of a typical chain.
+const waveChunk = 4 << 10
+
+// waveArena is where the scheduler loop builds the bytes it sends per
+// chain — advance's and resolution's cut continuation blobs, and
+// encodeOutcome's resolution arguments — so that a wave costs an
+// allocation per chunk rather than one per blob. It belongs to the loop
+// goroutine, the only caller of those three.
+//
+// The lifetime rule: bytes once handed out are never written again. A
+// blob outlives the wave that cut it — it rides in its ~pipe stream's
+// unacked requests, which other goroutines re-encode on retransmission,
+// and in the watch list until the send resolves — so the arena only
+// appends: each take is carved after the last, and when the current chunk
+// cannot hold the next buffer a fresh chunk replaces it. The garbage
+// collector reclaims a chunk once the last blob in it is acked and swept.
+type waveArena struct{ chunk []byte }
+
+// take returns an empty buffer with room for exactly n bytes. Its capacity
+// ends where its room does, so an append past n moves to a buffer of its
+// own instead of writing into the next take's bytes. A buffer larger than a
+// chunk is allocated on its own.
+func (a *waveArena) take(n int) []byte {
+	if n > waveChunk {
+		return make([]byte, 0, n)
+	}
+	if cap(a.chunk)-len(a.chunk) < n {
+		a.chunk = make([]byte, 0, waveChunk)
+	}
+	at := len(a.chunk)
+	a.chunk = a.chunk[:at+n]
+	return a.chunk[at : at : at+n]
 }
 
 func newPipeScheduler(p *Peer) *pipeScheduler {
@@ -74,7 +110,13 @@ func newPipeScheduler(p *Peer) *pipeScheduler {
 
 // submit queues one completed stage for the next wave. Blocks only when
 // the queue is full (backpressure) or returns once the peer shuts down.
+// A queue with room takes the work without the select.
 func (ps *pipeScheduler) submit(w pipeWork) {
+	select {
+	case ps.queue <- w:
+		return
+	default:
+	}
 	select {
 	case ps.queue <- w:
 	case <-ps.p.ctx.Done():
@@ -148,13 +190,16 @@ func (ps *pipeScheduler) processOne(w *pipeWork) {
 		return
 	}
 	st := c.next
+	// With no extra arguments the forward's Args are the outcome's payload
+	// itself, not a copy: a pipelined call retains nothing at its receiver,
+	// and nothing on the send path writes into a request's Args.
 	args, err := wire.SpliceArgs(w.outcome.Payload, st.Extra)
 	if err != nil {
 		ps.forwardResolution(c, ExceptionOutcome(exception.Failure("bad pipeline arguments")), w.cause)
 		return
 	}
 	s := ps.p.Agent(pipeAgentName).Stream(st.Node, st.Group)
-	cont := c.advance()
+	cont := c.advance(&ps.arena)
 	pend, err := s.enqueue(context.Background(), Req{Mode: ModeSend, Port: st.Port,
 		Args: plain(args), Cause: w.cause}, cont)
 	if err != nil {
@@ -202,7 +247,7 @@ func (ps *pipeScheduler) forwardResolution(c *pipeCont, o Outcome, cause trace.C
 	}
 	s := ps.p.Agent(pipeAgentName).Stream(ref.recvNode, ref.group)
 	pend, err := s.enqueue(context.Background(), Req{Mode: ModeSend, Port: pipeResolvePort,
-		Args: plain(encodeOutcome(o)), Cause: cause}, c.resolution())
+		Args: plain(encodeOutcome(o, &ps.arena)), Cause: cause}, c.resolution(&ps.arena))
 	if err != nil {
 		return // the stream is broken: the origin's stall deadline answers
 	}

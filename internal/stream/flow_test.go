@@ -356,7 +356,16 @@ func TestOverloadBoundsWindowAndWorkers(t *testing.T) {
 	s := f.client.Agent("a1").Stream("server", "g1")
 	ps := fillCredit(t, s, "work")
 	maxWindow := ahead(s)
-	openWhenParked(s, release)
+	// Open once the producer has parked and the pool holds handlers side
+	// by side: on a loaded host the producer can park before the server
+	// has dispatched the held calls, and a gate opened then lets them run
+	// one at a time.
+	go func() {
+		for deadline := time.Now().Add(5 * time.Second); (!parked(s) || cur.Load() < 2) && time.Now().Before(deadline); {
+			time.Sleep(100 * time.Microsecond)
+		}
+		release()
+	}()
 	for i := 0; i < recvWindow; i++ {
 		p, err := s.Call("work", nil)
 		if err != nil {

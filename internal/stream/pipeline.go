@@ -72,7 +72,18 @@ const (
 // result into stages[0]'s arguments and forward; with no stages left,
 // the result IS the chain's resolution — deliver it to the reference.
 func encodePipeCont(ref pipeRef, stages []PipeStage) []byte {
-	buf := make([]byte, 0, 64)
+	// Sized exactly first, so the blob is one allocation: a one-byte
+	// header (8 values), the reference, the stage list.
+	size := 1 + wire.SizeInt(pipeContVersion) +
+		wire.SizeBlob(len(ref.senderNode)) + wire.SizeBlob(len(ref.agent)) +
+		wire.SizeBlob(len(ref.recvNode)) + wire.SizeBlob(len(ref.group)) +
+		wire.SizeInt(int64(ref.incarnation)) + wire.SizeInt(int64(ref.seq)) +
+		wire.SizeCount(4*len(stages))
+	for _, st := range stages {
+		size += wire.SizeBlob(len(st.Node)) + wire.SizeBlob(len(st.Group)) +
+			wire.SizeBlob(len(st.Port)) + wire.SizeBlob(len(st.Extra))
+	}
+	buf := make([]byte, 0, size)
 	buf = wire.AppendHeader(buf, 8)
 	buf = wire.AppendInt(buf, pipeContVersion)
 	buf = wire.AppendString(buf, ref.senderNode)
@@ -197,32 +208,32 @@ func (c *pipeCont) ref() pipeRef {
 }
 
 // advance returns the blob the next stage's call carries: this one with
-// stage 0 cut out.
-func (c *pipeCont) advance() []byte { return c.cut(c.rest, c.n-1) }
+// stage 0 cut out, in bytes taken from a.
+func (c *pipeCont) advance(a *waveArena) []byte { return c.cut(c.rest, c.n-1, a) }
 
 // resolution returns the blob a resolution carries: this one with every
-// stage cut out, leaving the promise reference.
-func (c *pipeCont) resolution() []byte {
+// stage cut out, leaving the promise reference, in bytes taken from a.
+func (c *pipeCont) resolution(a *waveArena) []byte {
 	if c.n == 0 {
 		return c.blob
 	}
-	return c.cut(len(c.blob), 0)
+	return c.cut(len(c.blob), 0, a)
 }
 
 // cut builds the blob whose stage list is the n stages encoded at
 // blob[from:]: the reference's bytes, a new list header, that tail.
-func (c *pipeCont) cut(from, n int) []byte {
+func (c *pipeCont) cut(from, n int, a *waveArena) []byte {
 	tail := c.blob[from:]
-	buf := make([]byte, 0, c.list+wire.SizeCount(4*n)+len(tail))
+	buf := a.take(c.list + wire.SizeCount(4*n) + len(tail))
 	buf = append(buf, c.blob[:c.list]...)
 	buf = wire.AppendList(buf, 4*n)
 	return append(buf, tail...)
 }
 
 // encodeOutcome writes a chain's outcome as a resolution send's
-// arguments: [normal, exception, payload].
-func encodeOutcome(o Outcome) []byte {
-	buf := make([]byte, 0, 2+wire.SizeBlob(len(o.Exception))+wire.SizeBlob(len(o.Payload)))
+// arguments, [normal, exception, payload], in bytes taken from a.
+func encodeOutcome(o Outcome, a *waveArena) []byte {
+	buf := a.take(2 + wire.SizeBlob(len(o.Exception)) + wire.SizeBlob(len(o.Payload)))
 	buf = wire.AppendHeader(buf, 3)
 	buf = wire.AppendBool(buf, o.Normal)
 	buf = wire.AppendString(buf, o.Exception)

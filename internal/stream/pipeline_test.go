@@ -498,15 +498,16 @@ func FuzzPipeContAdvance(f *testing.F) {
 	f.Add([]byte("not a continuation"), "n", encInt(7), uint8(1))
 
 	f.Fuzz(func(t *testing.T, blob []byte, name string, extra []byte, k uint8) {
+		var arena waveArena
 		if c, err := parsePipeCont(blob); err == nil {
 			ref := c.ref()
 			if c.n > 0 {
-				next, err := parsePipeCont(c.advance())
+				next, err := parsePipeCont(c.advance(&arena))
 				if err != nil || next.n != c.n-1 || next.ref() != ref {
 					t.Fatalf("cut of a blob that parses: %d stages, ref %+v, err %v", next.n, next.ref(), err)
 				}
 			}
-			if r, err := parsePipeCont(c.resolution()); err != nil || r.n != 0 || r.ref() != ref {
+			if r, err := parsePipeCont(c.resolution(&arena)); err != nil || r.n != 0 || r.ref() != ref {
 				t.Fatalf("resolution blob: %d stages, err %v", r.n, err)
 			}
 		}
@@ -521,11 +522,18 @@ func FuzzPipeContAdvance(f *testing.F) {
 			}
 		}
 		blob = encodePipeCont(ref, stages)
+		if len(blob) != cap(blob) {
+			t.Fatalf("encodePipeCont sized %d bytes for a %d-byte blob", cap(blob), len(blob))
+		}
 		for _, bad := range [][]byte{blob[:len(blob)-1], append(blob[:len(blob):len(blob)], 0)} {
 			if _, err := parsePipeCont(bad); err == nil {
 				t.Fatalf("a truncated or padded blob parsed")
 			}
 		}
+		// Every blob cut through the arena, with the bytes it must keep:
+		// later takes are carved after it and must never write into it.
+		type cutBlob struct{ got, want []byte }
+		var cuts []cutBlob
 		for i := 0; ; i++ {
 			c, err := parsePipeCont(blob)
 			if err != nil {
@@ -534,9 +542,11 @@ func FuzzPipeContAdvance(f *testing.F) {
 			if got := c.ref(); got != ref {
 				t.Fatalf("hop %d: reference %+v, want %+v", i, got, ref)
 			}
-			if want := encodePipeCont(ref, nil); !bytes.Equal(c.resolution(), want) {
-				t.Fatalf("hop %d: resolution blob %x, want %x", i, c.resolution(), want)
+			res, resWant := c.resolution(&arena), encodePipeCont(ref, nil)
+			if !bytes.Equal(res, resWant) {
+				t.Fatalf("hop %d: resolution blob %x, want %x", i, res, resWant)
 			}
+			cuts = append(cuts, cutBlob{res, resWant})
 			if c.n != len(stages)-i {
 				t.Fatalf("hop %d: %d stages left, want %d", i, c.n, len(stages)-i)
 			}
@@ -547,10 +557,67 @@ func FuzzPipeContAdvance(f *testing.F) {
 				c.next.Port != st.Port || !bytes.Equal(c.next.Extra, st.Extra) {
 				t.Fatalf("hop %d: stage %+v, want %+v", i, c.next, st)
 			}
-			blob = c.advance()
-			if want := encodePipeCont(ref, stages[i+1:]); !bytes.Equal(blob, want) {
+			blob = c.advance(&arena)
+			want := encodePipeCont(ref, stages[i+1:])
+			if !bytes.Equal(blob, want) {
 				t.Fatalf("hop %d: cut blob\n%x\nwant the re-encoded\n%x", i, blob, want)
+			}
+			cuts = append(cuts, cutBlob{blob, want})
+		}
+		for i, c := range cuts {
+			if !bytes.Equal(c.got, c.want) {
+				t.Fatalf("cut %d changed after later takes:\n%x\nwas\n%x", i, c.got, c.want)
 			}
 		}
 	})
+}
+
+// TestWaveArenaRollover: one wave of chains whose continuation blobs,
+// through long guardian names, fill more than one arena chunk. Chunks
+// roll over mid-wave while earlier blobs wait in unacked and in the watch
+// list; every chain must still resolve exactly once, with its own value.
+func TestWaveArenaRollover(t *testing.T) {
+	long := func(g string) string { return g + strings.Repeat("-guardian", 40) }
+	ga, gb, gc := long("ga"), long("gb"), long("gc")
+	// Long timers: the wave is the chains' one batch, not a timer's.
+	opts := Options{MaxBatch: 64, MaxBatchDelay: 20 * time.Millisecond,
+		RTO: 200 * time.Millisecond, MaxRetries: 8}
+	f := newPipeFixture(t, simnet.Config{}, opts, ga, gb, gc)
+	var mu sync.Mutex
+	runs := make(map[int64]int)
+	inc := incHandler(t)
+	for _, g := range []string{ga, gb} {
+		f.handle(g, "inc", inc)
+	}
+	f.handle(gc, "inc", func(call *Incoming) Outcome {
+		mu.Lock()
+		runs[decInt(t, call.Args)]++
+		mu.Unlock()
+		return inc(call)
+	})
+	stages := []PipeStage{{Node: gb, Group: "g", Port: "inc"}, {Node: gc, Group: "g", Port: "inc"}}
+	// Chain i enters ga with 10i, reaches gc with 10i+2 and resolves with 10i+3.
+	const n = 48
+	if blob := len(encodePipeCont(pipeRef{senderNode: "client", agent: "app", recvNode: ga, group: "g"}, stages)); n*blob < 2*waveChunk {
+		t.Fatalf("%d blobs of %d bytes fit in two chunks: the wave does not roll over", n, blob)
+	}
+	s := f.client.Agent("app").Stream(ga, "g")
+	ps := make([]Pending, n)
+	for i := range ps {
+		ps[i] = issuePiped(t, s, "inc", encInt(int64(10*i)), stages...)
+	}
+	s.Flush()
+	for i, p := range ps {
+		if o := claim(t, p); !o.Normal || decInt(t, o.Payload) != int64(10*i+3) {
+			t.Fatalf("chain %d: %+v", i, o)
+		}
+		p.Release()
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for i := 0; i < n; i++ {
+		if c := runs[int64(10*i+2)]; c != 1 {
+			t.Errorf("gc ran chain %d's last stage %d times, want 1", i, c)
+		}
+	}
 }

@@ -386,19 +386,10 @@ func (r *rstream) drainLocked() {
 func (r *rstream) executor() {
 	defer r.peer.wg.Done()
 	var scratch Incoming // serial calls reuse one Incoming; retired after each
+	done := r.peer.ctx.Done()
 	for {
-		var req request
-		var ok bool
-		select {
-		case req, ok = <-r.execCh:
-			if !ok {
-				r.outstanding.Wait()
-				return
-			}
-		case <-r.peer.ctx.Done():
-			// Peer shutdown: exit even if nobody closed this stream (a
-			// stream created in a race with Close). Queued requests are
-			// abandoned, as in a crash.
+		req, ok := r.next(done)
+		if !ok {
 			r.outstanding.Wait()
 			return
 		}
@@ -419,6 +410,31 @@ func (r *rstream) executor() {
 		if len(r.resolved) > 0 && len(r.execCh) == 0 {
 			r.resolved.flush()
 		}
+	}
+}
+
+// next takes the executor's next request; false means exit, because the
+// stream was closed or the peer shut down (done). A queued request is
+// taken without the select, which only an empty queue parks on. Either
+// way a peer that has shut down wins, and its queued requests are
+// abandoned, as in a crash. done is also what ends the executor of a
+// stream created in a race with Close, which nobody closes.
+func (r *rstream) next(done <-chan struct{}) (request, bool) {
+	select {
+	case req, ok := <-r.execCh:
+		select {
+		case <-done:
+			return request{}, false
+		default:
+			return req, ok
+		}
+	default:
+	}
+	select {
+	case req, ok := <-r.execCh:
+		return req, ok
+	case <-done:
+		return request{}, false
 	}
 }
 

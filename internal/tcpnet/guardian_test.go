@@ -193,6 +193,78 @@ func BenchmarkPromiseBulkCallClaim(b *testing.B) {
 	b.Run("16KiB", func(b *testing.B) { benchBulkCallClaim(b, 16<<10) })
 }
 
+// BenchmarkPipelinedChain is the forward hop end to end, shaped like the
+// benchmark's chain_k4: a client and four stage guardians on loopback
+// sockets, each stage adding one to its argument, 16 four-stage chains in
+// flight (promise.Pipeline, ThenHop ×3, Start, then Claim in order).
+// allocs/op counts everything one chain costs in all five guardians: the
+// graph, the continuation at the origin, each stage's dispatch, splice,
+// cut and hand-off, and the resolution's trip home. CI holds it to a
+// ceiling.
+func BenchmarkPipelinedChain(b *testing.B) {
+	names := []string{"client", "s1", "s2", "s3", "s4"}
+	eps, err := tcpnet.Loopback(tcpnet.Config{}, names...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer func() {
+		for _, ep := range eps {
+			ep.Close()
+		}
+	}()
+	var refs []guardian.Ref
+	for _, name := range names[1:] {
+		g, err := guardian.NewOn(eps[name], stream.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer g.Close()
+		refs = append(refs, g.AddHandler("inc", func(call *guardian.Call) ([]any, error) {
+			v, err := call.IntArg(0)
+			if err != nil {
+				return nil, err
+			}
+			return []any{v + 1}, nil
+		}))
+	}
+	cli, err := guardian.NewOn(eps["client"], stream.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cli.Close()
+	s := refs[0].Stream(cli.Agent("bench"))
+
+	const window = 16
+	ps := make([]*promise.Promise[int64], window)
+	ctx := context.Background()
+	next := int64(0)
+	round := func() {
+		first := next
+		for i := range ps {
+			g := promise.Pipeline(s, refs[0].Port, next)
+			for _, r := range refs[1:] {
+				g.ThenHop(r.Hop())
+			}
+			if ps[i], err = promise.Start(g, promise.Int); err != nil {
+				b.Fatal(err)
+			}
+			next++
+		}
+		s.Flush()
+		for i, p := range ps {
+			if v, err := p.Claim(ctx); err != nil || v != first+int64(i)+int64(len(refs)) {
+				b.Fatalf("chain %d: %d, %v", first+int64(i), v, err)
+			}
+		}
+	}
+	round() // connections dialed, ~pipe streams open, credit heard
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i += window {
+		round()
+	}
+}
+
 func benchBulkCallClaim(b *testing.B, size int) {
 	eps, err := tcpnet.Loopback(tcpnet.Config{}, "server", "client")
 	if err != nil {

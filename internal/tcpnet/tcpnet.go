@@ -317,6 +317,13 @@ func (ep *Endpoint) Recv(ctx context.Context) (transport.Message, error) {
 	inbox, down := ep.inbox, ep.down
 	ep.mu.Unlock()
 
+	// A waiting message is taken without the select; only an empty inbox
+	// parks on it.
+	select {
+	case msg := <-inbox:
+		return msg, nil
+	default:
+	}
 	select {
 	case msg := <-inbox:
 		return msg, nil
@@ -572,8 +579,14 @@ func (ep *Endpoint) readFrom(l *link, c net.Conn, fr *frameReader) {
 			ep.tm.framesRecv.Inc()
 			ep.tm.bytesRecv.Add(uint64(len(payload) + lenSize))
 		}
+		msg := transport.Message{From: l.peer, To: ep.name, Payload: payload}
 		select {
-		case inbox <- transport.Message{From: l.peer, To: ep.name, Payload: payload}:
+		case inbox <- msg: // room in the inbox: skip the three-way select
+			continue
+		default:
+		}
+		select {
+		case inbox <- msg:
 		case <-down:
 			return
 		case <-ep.done:
@@ -755,7 +768,13 @@ func (l *link) writeLoop() {
 			}
 			n := len(frames)
 			clear(frames)
-			w := bufs // WriteTo consumes its receiver; keep bufs' array
+			// WriteTo consumes its receiver, so it gets a copy and bufs
+			// keeps its array. The copy escapes: one 24-byte allocation per
+			// writev, kept on purpose. Declared once per writer instead, it
+			// raised the benchmark's stream_bulk peak RSS by about 40% on
+			// two cores, because a writer that never allocates never
+			// assists the GC's mark (DESIGN.md §13).
+			w := bufs
 			_, err := w.WriteTo(conn)
 			clear(bufs) // do not pin payloads until the next round
 			if err != nil {

@@ -63,6 +63,36 @@ func TestSendRecvBothDirections(t *testing.T) {
 	}
 }
 
+// TestSteadyWriterAllocatesOnlyItsCursor: once a link is up, one frame
+// sent and received — a kick, one writev, a read, an inbox hand-off —
+// allocates nothing on either side but the write loop's net.Buffers
+// cursor, which WriteTo's pointer receiver moves to the heap and which the
+// write loop keeps per writev on purpose (see writeLoop).
+func TestSteadyWriterAllocatesOnlyItsCursor(t *testing.T) {
+	a, b := pair(t, Config{})
+	payload := []byte("steady frame")
+	ctx := context.Background()
+	round := func() {
+		if err := a.Send("b", payload); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := b.Recv(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 100; i++ { // dial, and grow the writer's and reader's buffers
+		round()
+	}
+	const runs = 500
+	before := a.Stats().Writevs
+	if allocs := testing.AllocsPerRun(runs, round); allocs > 1 {
+		t.Errorf("%v allocations per frame sent and received, want at most the writev cursor's 1", allocs)
+	}
+	if n := a.Stats().Writevs - before; n < runs {
+		t.Fatalf("%d writevs for %d frames sent one at a time", n, runs)
+	}
+}
+
 // TestDialOnlyEndpoint: an endpoint with no listener reaches a server
 // through its route and is reachable back over the dialed connection.
 func TestDialOnlyEndpoint(t *testing.T) {

@@ -58,13 +58,13 @@ const (
 const numKinds = int(ResolveForwarded) + 1
 
 var kindNames = map[Kind]string{
-	CallEnqueued:    "call-enqueued",
-	BatchSent:       "batch-sent",
-	ReplyBatchSent:  "reply-batch-sent",
-	CallExecuted:    "call-executed",
-	PromiseResolved: "promise-resolved",
-	StreamBroken:    "stream-broken",
-	StreamRestarted: "stream-restarted",
+	CallEnqueued:     "call-enqueued",
+	BatchSent:        "batch-sent",
+	ReplyBatchSent:   "reply-batch-sent",
+	CallExecuted:     "call-executed",
+	PromiseResolved:  "promise-resolved",
+	StreamBroken:     "stream-broken",
+	StreamRestarted:  "stream-restarted",
 	CallDelivered:    "call-delivered",
 	CallReplied:      "call-replied",
 	ContForwarded:    "cont-forwarded",

@@ -5,6 +5,11 @@ package wire
 // no value is re-encoded — so splicing costs one header rewrite plus two
 // copies. Either input may be empty, meaning zero arguments.
 //
+// When b adds nothing (it is empty, or a list of zero values) and a is not
+// empty, the result is a itself, not a copy: the caller then shares a's
+// bytes with whoever else holds them, so it must not write into either.
+// Any other splice returns a fresh buffer.
+//
 // This is how promise pipelining builds a continuation stage's arguments:
 // the previous stage's encoded result is spliced ahead of the extra
 // arguments the caller froze into the continuation blob.
@@ -16,6 +21,9 @@ func SpliceArgs(a, b []byte) ([]byte, error) {
 	nb, bbody, err := splitArgs(b)
 	if err != nil {
 		return nil, err
+	}
+	if nb == 0 && len(bbody) == 0 && len(a) > 0 {
+		return a, nil
 	}
 	out := make([]byte, 0, maxHeaderLen+len(abody)+len(bbody))
 	out = AppendHeader(out, na+nb)
