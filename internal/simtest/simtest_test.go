@@ -1,6 +1,7 @@
 package simtest
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -16,16 +17,75 @@ func TestSameSeedIsByteIdentical(t *testing.T) {
 			first = r
 			continue
 		}
-		if r.Digest != first.Digest {
-			t.Fatalf("run %d digest %s != run 0 digest %s\n--- run 0 ---\n%s\n--- run %d ---\n%s",
-				run, r.Digest, first.Digest, first.Transcript, run, r.Transcript)
-		}
-		if r.Transcript != first.Transcript {
-			t.Fatalf("digests equal but transcripts differ (run %d)", run)
+		if d, ok := firstDivergence(first.Transcript, r.Transcript); ok {
+			t.Fatalf("run %d digest %s != run 0 digest %s; first divergence at line %d:\n  run 0 (%s): %s\n  run %d (%s): %s",
+				run, r.Digest, first.Digest, d.line, instant(d.a), d.a, run, instant(d.b), d.b)
 		}
 	}
 	if first.Transcript == "" {
 		t.Fatal("empty transcript")
+	}
+}
+
+// divergence is where two transcripts first differ: the 1-based line
+// number and each transcript's line there, "" past its end.
+type divergence struct {
+	line int
+	a, b string
+}
+
+// firstDivergence finds the first line at which transcripts a and b
+// differ; ok is false when they are identical.
+func firstDivergence(a, b string) (d divergence, ok bool) {
+	la, lb := strings.Split(a, "\n"), strings.Split(b, "\n")
+	for i := 0; i < len(la) || i < len(lb); i++ {
+		var x, y string
+		if i < len(la) {
+			x = la[i]
+		}
+		if i < len(lb) {
+			y = lb[i]
+		}
+		if x != y {
+			return divergence{line: i + 1, a: x, b: y}, true
+		}
+	}
+	return divergence{}, false
+}
+
+// instant is the virtual instant a transcript line carries, as an offset
+// from the run's start: "+1234us" for an event line, "no instant" for an
+// outcome line or a transcript that already ended.
+func instant(line string) string {
+	if f := strings.Fields(line); len(f) > 0 {
+		if us, ok := strings.CutSuffix(f[0], "us"); ok {
+			if _, err := strconv.Atoi(us); err == nil {
+				return "+" + f[0]
+			}
+		}
+	}
+	return "no instant"
+}
+
+// TestFirstDivergence: the report names the first differing line, not
+// the first differing byte's digest, and reads its virtual instant.
+func TestFirstDivergence(t *testing.T) {
+	a := "      100us ga  call-enqueued     c/a->ga/g seq=1 call\n" +
+		"      200us ga  call-executed     c/a->ga/g seq=1 inc\n" +
+		"      300us c   promise-resolved  c/a->ga/g seq=1 normal\n" +
+		"outcome id=0 c->ga arg=1 v=2\n"
+	b := strings.Replace(a, "      200us ga  call-executed", "      250us ga  call-executed", 1)
+	d, ok := firstDivergence(a, b)
+	if !ok || d.line != 2 || instant(d.a) != "+200us" || instant(d.b) != "+250us" {
+		t.Fatalf("divergence %+v (%v): want line 2 at +200us against +250us", d, ok)
+	}
+	short := strings.TrimSuffix(a, "outcome id=0 c->ga arg=1 v=2\n")
+	d, ok = firstDivergence(a, short)
+	if !ok || d.line != 4 || d.b != "" || instant(d.a) != "no instant" || instant(d.b) != "no instant" {
+		t.Fatalf("divergence %+v (%v): want line 4, an outcome line against the end", d, ok)
+	}
+	if d, ok := firstDivergence(a, a); ok {
+		t.Fatalf("identical transcripts diverge at %+v", d)
 	}
 }
 

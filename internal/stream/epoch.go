@@ -22,33 +22,51 @@ const (
 )
 
 // pipeWork is one completed stage of a continuation chain, queued for the
-// epoch scheduler: the outcome to splice forward and the continuation it
-// rode with, parsed as far as the next stage.
+// epoch scheduler: the outcome to splice forward, the continuation it
+// rode with, parsed as far as the next stage, and the call it ran as.
 type pipeWork struct {
 	cont    pipeCont
 	outcome Outcome
-	cause   trace.Cause // causal context for the next stage (child of this one)
+	in      custody
 }
 
-// pipeWatch tracks one send the scheduler issued on a ~pipe stream. The
-// pending resolves normally once the next guardian has run it, or
-// exceptionally if the stream breaks. For a mid-chain forward, cont is
-// the continuation it carries, and an exception is the chain's
-// resolution. For a resolution send cont is nil: if it is lost, the
-// origin's stall deadline answers the caller.
+// custody is the call a chain's stage ran as. A ~pipe forward (r set) is
+// left incomplete while this hop holds the chain (DESIGN.md §13); a first
+// stage came on its caller's stream, which custody never holds back.
+type custody struct {
+	r        *rstream
+	inc, seq uint64
+	tid      uint64      // the call's trace ID
+	cause    trace.Cause // the call's causal context
+}
+
+// end completes the forward with o, releasing the upstream hop's watch:
+// normally once this hop handed the chain on, else so that hop takes over.
+func (c *custody) end(o Outcome) {
+	if c.r != nil {
+		c.r.complete(c.inc, &request{Seq: c.seq, Mode: ModeSend, Trace: c.tid,
+			Root: c.cause.Root, Parent: c.cause.Parent}, o, false, false)
+	}
+}
+
+// pipeWatch tracks one send the scheduler issued on a ~pipe stream for
+// the chain in custody in. Its pending resolves once the next guardian has
+// handed the chain on in turn, so a watch lives until the chain ends, or
+// exceptionally if the stream breaks or that guardian could not hand it
+// on. cont is a forward's continuation, naming the promise it resolves.
 type pipeWatch struct {
 	p    Pending
 	cont []byte
+	in   custody
 }
 
 // pipeScheduler admits continuation work in waves, felis EpochClient
 // style: the per-peer loop sleeps until work arrives, drains a wave from
 // the queue, issues every send in it, then flushes each downstream
 // stream exactly once — so a wave of N chain completions headed for the
-// same guardian costs one batch, not N. It also keeps the watch list that
-// turns a broken forwarding stream into the chain's exceptional
-// resolution. Everything but the queue and the nudge belongs to the loop
-// goroutine.
+// same guardian costs one batch, not N. It also keeps the watch list
+// through which the chains it handed on stay in its custody. Everything
+// but the queue and the nudge belongs to the loop goroutine.
 type pipeScheduler struct {
 	p     *Peer
 	queue chan pipeWork
@@ -137,13 +155,14 @@ func (ps *pipeScheduler) tick() {
 func (ps *pipeScheduler) loop() {
 	defer ps.p.wg.Done()
 	for {
-		wave := ps.wave[:0]
+		wave, all := ps.wave[:0], false
 		select {
 		case <-ps.p.ctx.Done():
 			return
 		case w := <-ps.queue:
 			wave = append(wave, w)
 		case <-ps.nudge:
+			all = true
 		}
 	drain:
 		for len(wave) < pipeWaveMax {
@@ -154,19 +173,19 @@ func (ps *pipeScheduler) loop() {
 				break drain
 			}
 		}
-		ps.admit(wave)
+		ps.admit(wave, all)
 		clear(wave) // release payload references
 		ps.wave = wave
 	}
 }
 
-// admit runs one wave: process every item, sweep the watch list, then
-// flush each stream and reply lane the wave touched exactly once.
-func (ps *pipeScheduler) admit(wave []pipeWork) {
+// admit runs one wave: process every item, sweep the watch list (all of
+// it on a tick), then flush each stream and reply lane it touched once.
+func (ps *pipeScheduler) admit(wave []pipeWork, all bool) {
 	for i := range wave {
 		ps.processOne(&wave[i])
 	}
-	ps.sweepWatches()
+	ps.sweepWatches(all)
 	for s := range ps.touched {
 		s.Flush()
 		delete(ps.touched, s)
@@ -186,7 +205,7 @@ func (ps *pipeScheduler) admit(wave []pipeWork) {
 func (ps *pipeScheduler) processOne(w *pipeWork) {
 	c := &w.cont
 	if !w.outcome.Normal || c.n == 0 {
-		ps.forwardResolution(c, w.outcome, w.cause)
+		ps.forwardResolution(c, w.outcome, w.in)
 		return
 	}
 	st := c.next
@@ -195,41 +214,38 @@ func (ps *pipeScheduler) processOne(w *pipeWork) {
 	// and nothing on the send path writes into a request's Args.
 	args, err := wire.SpliceArgs(w.outcome.Payload, st.Extra)
 	if err != nil {
-		ps.forwardResolution(c, ExceptionOutcome(exception.Failure("bad pipeline arguments")), w.cause)
+		ps.forwardResolution(c, ExceptionOutcome(exception.Failure("bad pipeline arguments")), w.in)
 		return
 	}
 	s := ps.p.Agent(pipeAgentName).Stream(st.Node, st.Group)
-	cont := c.advance(&ps.arena)
+	cont, cause := c.advance(&ps.arena), trace.ChildOf(w.in.cause, w.in.tid)
 	pend, err := s.enqueue(context.Background(), Req{Mode: ModeSend, Port: st.Port,
-		Args: plain(args), Cause: w.cause}, cont)
+		Args: plain(args), Cause: cause}, cont)
 	if err != nil {
 		// The forwarding stream is broken: that IS the chain's resolution.
-		o := ExceptionOutcome(exception.Unavailable("pipeline stage unreachable"))
-		if ex, ok := err.(*exception.Exception); ok {
-			o = ExceptionOutcome(ex)
-		}
-		ps.forwardResolution(c, o, w.cause)
+		// (With no context to end, enqueue refuses only with an exception.)
+		ps.forwardResolution(c, ExceptionOutcome(err.(*exception.Exception)), w.in)
 		return
 	}
-	ps.watches = append(ps.watches, pipeWatch{p: pend, cont: cont})
+	ps.watches = append(ps.watches, pipeWatch{p: pend, cont: cont, in: w.in})
 	ps.touched[s] = struct{}{}
 	if sm := ps.p.sm; sm != nil {
 		sm.pipeStages.Inc()
 	}
 	if ps.p.tracing() {
-		ps.p.emitCause(trace.ContForwarded, s.keyStr, pend.Seq, 0, w.cause,
+		ps.p.emitCause(trace.ContForwarded, s.keyStr, pend.Seq, 0, cause,
 			st.Node+"/"+st.Group+":"+st.Port)
 	}
 }
 
 // forwardResolution delivers a chain's final outcome to the origin
-// guardian, which owes the caller the pipelined call's reply. It goes as
-// a send to the reserved resolution port on the ~pipe stream to the
-// origin, batched with the wave's other sends, carrying the outcome in
-// its arguments and the promise reference in a zero-stage continuation;
-// the stream retransmits it and delivers it exactly once. A chain that
-// ended where it began is retained at the origin directly.
-func (ps *pipeScheduler) forwardResolution(c *pipeCont, o Outcome, cause trace.Cause) {
+// guardian, which owes the caller the pipelined call's reply: a send to
+// the reserved resolution port on the ~pipe stream to the origin, with
+// the outcome as its arguments and the promise reference as a zero-stage
+// continuation, delivered exactly once. A chain that ended where it began
+// is retained at the origin directly. Custody in ends once the origin has
+// the outcome, or with the failure to send it.
+func (ps *pipeScheduler) forwardResolution(c *pipeCont, o Outcome, in custody) {
 	ref := c.ref()
 	if sm := ps.p.sm; sm != nil {
 		sm.pipeForwards.Inc()
@@ -243,46 +259,46 @@ func (ps *pipeScheduler) forwardResolution(c *pipeCont, o Outcome, cause trace.C
 	}
 	if ref.recvNode == ps.p.name {
 		ps.p.resolvePipe(ref, o, &ps.lanes)
+		in.end(NormalOutcome(nil))
 		return
 	}
 	s := ps.p.Agent(pipeAgentName).Stream(ref.recvNode, ref.group)
 	pend, err := s.enqueue(context.Background(), Req{Mode: ModeSend, Port: pipeResolvePort,
-		Args: plain(encodeOutcome(o, &ps.arena)), Cause: cause}, c.resolution(&ps.arena))
+		Args: plain(encodeOutcome(o, &ps.arena)), Cause: trace.ChildOf(in.cause, in.tid)},
+		c.resolution(&ps.arena))
 	if err != nil {
-		return // the stream is broken: the origin's stall deadline answers
+		in.end(ExceptionOutcome(err.(*exception.Exception)))
+		return
 	}
-	ps.watches = append(ps.watches, pipeWatch{p: pend})
+	ps.watches = append(ps.watches, pipeWatch{p: pend, in: in})
 	ps.touched[s] = struct{}{}
 }
 
-// sweepWatches reaps issued sends whose pendings have resolved. A normal
-// resolution means the next guardian ran the send: for a forward, the
-// chain continues there. An exceptional one on a forward (the forwarding
-// stream broke, or the hop failed before it could take over the chain) is
-// the chain's resolution.
-func (ps *pipeScheduler) sweepWatches() {
-	type failure struct {
-		cont []byte
-		o    Outcome
-	}
-	var failed []failure
+// sweepWatches reaps issued sends whose pendings have resolved, and so
+// moves custody upstream: a hop ends its custody with its watch's outcome.
+// An exception (the stream broke, or the next hop could not hand the chain
+// on) climbs to the chain's first hop, where it resolves the chain. Chains
+// mostly end in the order they were handed on, so a wave's sweep stops at
+// the first watch still pending; a tick's sweeps the whole list.
+func (ps *pipeScheduler) sweepWatches(all bool) {
 	kept := ps.watches[:0]
-	for _, w := range ps.watches {
+	for i, w := range ps.watches {
 		if !w.p.Ready() {
+			if !all {
+				kept = append(kept, ps.watches[i:]...)
+				break
+			}
 			kept = append(kept, w)
 			continue
 		}
 		o := w.p.Get()
 		w.p.Release()
-		if !o.Normal && w.cont != nil {
-			failed = append(failed, failure{cont: w.cont, o: o})
+		if o.Normal || w.in.r != nil {
+			w.in.end(o)
+		} else if c, err := parsePipeCont(w.cont); err == nil { // built by advance: always well formed
+			ps.forwardResolution(&c, o, w.in)
 		}
 	}
 	clear(ps.watches[len(kept):])
 	ps.watches = kept
-	for _, f := range failed {
-		if c, err := parsePipeCont(f.cont); err == nil { // built by advance: always well formed
-			ps.forwardResolution(&c, f.o, trace.Cause{})
-		}
-	}
 }

@@ -499,7 +499,9 @@ func (p *Peer) Close() {
 		return
 	}
 	p.closed = true
+	// Fresh: the scheduler may still open streams while these are broken.
 	sends := p.sends
+	p.sends = make(map[streamKey]*Stream)
 	recvs := p.recvs
 	p.mu.Unlock()
 

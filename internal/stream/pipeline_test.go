@@ -478,6 +478,180 @@ func TestBlockedStageDoesNotStallOtherChains(t *testing.T) {
 	}
 }
 
+// TestSlowStageChainResolvesNormally: a chain whose second stage takes
+// far longer than the ~pipe stream's break-detection time, with every
+// guardian alive, resolves normally with its value. Nothing answers a
+// chain by a deadline: gb answers ga's probes while its stage runs. A
+// plain call issued behind the chain on the same client stream resolves
+// normally too, although ga's reply to it waits a long time for its ack.
+func TestSlowStageChainResolvesNormally(t *testing.T) {
+	f := newPipeFixture(t, simnet.Config{}, fastOpts(), "ga", "gb")
+	inc := incHandler(t)
+	f.handle("ga", "inc", inc)
+	f.handle("gb", "slow", func(call *Incoming) Outcome {
+		time.Sleep(1500 * time.Millisecond)
+		return inc(call)
+	})
+	s := f.client.Agent("app").Stream("ga", "g")
+	chain := issuePiped(t, s, "inc", encInt(1), PipeStage{Node: "gb", Group: "g", Port: "slow"})
+	plain := issuePiped(t, s, "inc", encInt(10))
+	s.Flush()
+	if o := claim(t, chain); !o.Normal || decInt(t, o.Payload) != 3 {
+		t.Fatalf("slow chain: %s(%s), want normal 3", o.Exception, o.Err().StringArg(0))
+	}
+	if o := claim(t, plain); !o.Normal || decInt(t, o.Payload) != 11 {
+		t.Fatalf("call behind the slow chain: %s(%s), want normal 11", o.Exception, o.Err().StringArg(0))
+	}
+}
+
+// crashMidChain runs one chain from ga through hops, whose last guardian
+// holds its stage until the returned release is called. Once that stage
+// has started, every guardian in crash crashes. It returns the chain's
+// pending and release.
+func crashMidChain(t *testing.T, f *pipeFixture, hops []string, crash ...string) (Pending, func()) {
+	t.Helper()
+	held, release := newGate(t)
+	entered := make(chan struct{}, 1)
+	inc := incHandler(t)
+	f.handle("ga", "inc", inc)
+	stages := make([]PipeStage, len(hops))
+	for i, g := range hops {
+		f.handle(g, "inc", inc)
+		stages[i] = PipeStage{Node: g, Group: "g", Port: "inc"}
+	}
+	last := hops[len(hops)-1]
+	f.handle(last, "gate", func(call *Incoming) Outcome {
+		entered <- struct{}{}
+		<-held
+		return inc(call)
+	})
+	stages[len(stages)-1].Port = "gate"
+	p := issuePiped(t, f.client.Agent("app").Stream("ga", "g"), "inc", encInt(1), stages...)
+	select {
+	case <-entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the chain never reached its last stage")
+	}
+	for _, g := range crash {
+		f.peers[g].Crash()
+	}
+	return p, release
+}
+
+// wantBroken fails unless o is the exception a ~pipe stream breaks with
+// when its receiver goes silent.
+func wantBroken(t *testing.T, o Outcome) {
+	t.Helper()
+	if o.Normal || o.Exception != exception.NameUnavailable || o.Err().StringArg(0) != "cannot communicate" {
+		t.Fatalf("chain resolved %+v, want unavailable(cannot communicate)", o)
+	}
+}
+
+// TestMidChainCrashResolvesUnavailable: a chain ga→gb→gc whose stage at gc
+// is held, and gb crashes after it forwarded. ga's forward to gb is still
+// in gb's custody, so ga is still watching gb: the ~pipe stream breaks,
+// and its exception is the chain's resolution. When gc's stage then
+// finishes, its resolution reaches ga and is dropped: the promise keeps
+// its first outcome, and ga retains no second reply.
+func TestMidChainCrashResolvesUnavailable(t *testing.T) {
+	f := newPipeFixture(t, simnet.Config{}, fastOpts(), "ga", "gb", "gc")
+	p, release := crashMidChain(t, f, []string{"gb", "gc"}, "gb")
+	wantBroken(t, claim(t, p))
+
+	ga := f.regs["ga"]
+	replies := ga.Counter("stream_replies_total").Value()
+	executed := ga.Counter("stream_calls_executed_total").Value()
+	release()
+	waitFor(t, "gc's late resolution never reached ga", func() bool {
+		return ga.Counter("stream_calls_executed_total").Value() > executed
+	})
+	if n := ga.Counter("stream_replies_total").Value(); n != replies {
+		t.Errorf("ga retained %d more replies after the late resolution", n-replies)
+	}
+	wantBroken(t, p.Get())
+}
+
+// TestTwoCrashedHopsResolveFromNearestLiveUpstream: a chain
+// ga→gb→gc→gd→ge whose stage at ge is held, and gc and gd both crash.
+// Custody reaches back past both: gb, the nearest live hop upstream, is
+// still watching gc, and sends the break home as the chain's resolution.
+// ga's own stream to gb never breaks.
+func TestTwoCrashedHopsResolveFromNearestLiveUpstream(t *testing.T) {
+	f := newPipeFixture(t, simnet.Config{}, fastOpts(), "ga", "gb", "gc", "gd", "ge")
+	p, _ := crashMidChain(t, f, []string{"gb", "gc", "gd", "ge"}, "gc", "gd")
+	wantBroken(t, claim(t, p))
+	if inc := f.peers["gb"].Agent(pipeAgentName).Stream("gc", "g").Incarnation(); inc != 2 {
+		t.Errorf("gb's ~pipe stream to gc is in incarnation %d, want 2: broken once", inc)
+	}
+	if inc := f.peers["ga"].Agent(pipeAgentName).Stream("gb", "g").Incarnation(); inc != 1 {
+		t.Errorf("ga's ~pipe stream to gb is in incarnation %d, want 1: never broken", inc)
+	}
+}
+
+// TestCustodyCrossingChainsRelease: chains that cross the same pair of
+// guardians in opposite directions, plus one that visits gb three times
+// in a row. Each forward is released only when its chain has ended, so
+// completions on a ~pipe stream come out of order; every chain resolves,
+// and every watch and every deferred completion is released afterwards.
+func TestCustodyCrossingChainsRelease(t *testing.T) {
+	f := newPipeFixture(t, simnet.Config{}, fastOpts(), "ga", "gb")
+	for _, g := range []string{"ga", "gb"} {
+		f.handle(g, "inc", incHandler(t))
+	}
+	hop := func(g string) PipeStage { return PipeStage{Node: g, Group: "g", Port: "inc"} }
+	var ps []Pending
+	for i := 0; i < 16; i++ {
+		ps = append(ps,
+			issuePiped(t, f.client.Agent("a").Stream("ga", "g"), "inc", encInt(0), hop("gb"), hop("ga")),
+			issuePiped(t, f.client.Agent("b").Stream("gb", "g"), "inc", encInt(0), hop("ga"), hop("gb")),
+			issuePiped(t, f.client.Agent("c").Stream("ga", "g"), "inc", encInt(0), hop("gb"), hop("gb"), hop("gb")))
+	}
+	for _, a := range []string{"a", "b", "c"} {
+		for _, g := range []string{"ga", "gb"} {
+			f.client.Agent(a).Stream(g, "g").Flush()
+		}
+	}
+	for i, p := range ps {
+		want := int64(3)
+		if i%3 == 2 {
+			want = 4
+		}
+		if o := claim(t, p); !o.Normal || decInt(t, o.Payload) != want {
+			t.Fatalf("chain %d: %+v, want normal %d", i, o, want)
+		}
+	}
+	for _, g := range []string{"ga", "gb"} {
+		peer := f.peers[g]
+		var recvs []*rstream
+		var sends []*Stream
+		peer.mu.Lock()
+		for key, r := range peer.recvs {
+			if key.agent == pipeAgentName {
+				recvs = append(recvs, r)
+			}
+		}
+		for key, s := range peer.sends {
+			if key.agent == pipeAgentName {
+				sends = append(sends, s)
+			}
+		}
+		peer.mu.Unlock()
+		waitFor(t, g+" still holds custody of a chain that ended", func() bool {
+			for _, r := range recvs {
+				if r.completedThroughNow() < r.expectedA.Load()-1 {
+					return false
+				}
+			}
+			for _, s := range sends {
+				if s.InFlight() > 0 {
+					return false
+				}
+			}
+			return !peer.scheduler().watching.Load()
+		})
+	}
+}
+
 // FuzzPipeContAdvance: a hop that cuts stage 0 out of a continuation blob
 // produces exactly the blob encodePipeCont writes for the remaining
 // stages, parses exactly stage 0, and reads back the reference the origin

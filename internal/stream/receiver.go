@@ -190,12 +190,10 @@ type rstream struct {
 	retries           int
 	pendingRetransmit bool // duplicate requests seen: sender missed replies
 
-	// pipeWait tracks pipelined calls whose reply is owed by the chain's
-	// last guardian rather than by local execution: seq -> when the chain
-	// left here. An entry is cleared when the chain's resolution arrives
-	// (resolvePiped) and converted into an unavailable reply if the chain
-	// goes silent past the stall deadline (see tick). Guarded by r.mu.
-	pipeWait map[uint64]time.Time
+	// pipeWait holds the pipelined calls whose reply is owed by their
+	// chain's resolution. The first resolution clears its seq's entry, so
+	// a duplicate or late one is dropped (resolvePiped). Guarded by replyMu.
+	pipeWait seqRing[struct{}]
 
 	// resolved holds the origin reply lanes this stream's executor has
 	// retained chain resolutions in (a ~pipe stream's resolution sends):
@@ -439,11 +437,9 @@ func (r *rstream) next(done <-chan struct{}) (request, bool) {
 }
 
 // executeOne runs one call through its handler and records the
-// completion. call is the executor's scratch Incoming: valid only during
-// the handler, poisoned afterwards (see Incoming). The completion and
-// reply bookkeeping takes only replyMu; r.mu is touched briefly before
-// the handler and only the rare synchronous-break path takes it
-// afterwards.
+// completion (see complete). call is the executor's scratch Incoming:
+// valid only during the handler, poisoned afterwards (see Incoming). r.mu
+// is taken briefly before the handler, and after it only to break.
 func (r *rstream) executeOne(req request, call *Incoming) {
 	r.mu.Lock()
 	if r.broken {
@@ -506,52 +502,15 @@ func (r *rstream) executeOne(req request, call *Incoming) {
 	r.peer.emitCause(trace.CallExecuted, r.keyStr, req.Seq, req.Trace,
 		trace.Cause{Root: req.Root, Parent: req.Parent}, req.Port)
 
-	if piped && req.Mode != ModeSend {
-		// This call's reply is owed by the chain's last guardian; record
-		// that we are waiting for it BEFORE the completion bookkeeping
-		// (lock order is r.mu before replyMu), so a fast resolution can
-		// never race ahead of the registration.
-		r.notePipeOutstanding(req.Seq)
-	}
-	var msg []byte
-	r.replyMu.Lock()
-	if r.incA.Load() != inc || r.brokenA.Load() {
-		r.replyMu.Unlock()
+	// A forward on a ~pipe stream stays in this hop's custody until the
+	// chain is handed on, and the epoch scheduler completes it then, so the
+	// hop upstream keeps watching this one. Every other call completes now.
+	in := custody{inc: inc, seq: req.Seq, tid: req.Trace, cause: trace.Cause{Root: req.Root, Parent: req.Parent}}
+	if piped && r.key.agent == pipeAgentName {
+		in.r = r
+	} else if !r.complete(inc, &req, outcome, piped, breakReason != nil) {
 		return
 	}
-	// Completion may be out of order when parallel ports are in play; the
-	// watermark advances over the contiguous prefix only.
-	r.completedSet.put(req.Seq, struct{}{})
-	w := r.watermark.Load()
-	for r.completedSet.has(w) {
-		r.completedSet.del(w)
-		w++
-	}
-	r.watermark.Store(w)
-	// Sends omit normal replies from the wire. Pipelined requests retain
-	// nothing here at all — even exceptions: the epoch scheduler forwards
-	// the outcome (exceptional outcomes ARE the chain's resolution), and
-	// the reply materializes when the resolution comes back to pipeWait.
-	if !piped && (req.Mode != ModeSend || !outcome.Normal) {
-		r.retainLocked(req.Seq, outcome)
-		if r.peer.tracing() {
-			detail := "normal"
-			if !outcome.Normal {
-				detail = outcome.Exception
-			}
-			r.peer.emitCause(trace.CallReplied, r.keyStr, req.Seq, req.Trace,
-				trace.Cause{Root: req.Root, Parent: req.Parent}, detail)
-		}
-	}
-	completed := r.completedThroughNow()
-	// Results big enough to ride alone close the reply batch, as a big
-	// call's arguments close the request batch (see frame.go).
-	flushNow := req.Mode == ModeRPC || r.unsentReplies >= r.opts.MaxBatch || breakReason != nil ||
-		outcome.frame != nil
-	if flushNow && (r.unsentReplies > 0 || completed > r.sentCompleted) {
-		msg = r.buildReplyBatchLocked(false, inc, completed)
-	}
-	r.replyMu.Unlock()
 
 	var breakNote []byte
 	if breakReason != nil {
@@ -574,10 +533,6 @@ func (r *rstream) executeOne(req request, call *Incoming) {
 		}
 		r.mu.Unlock()
 	}
-
-	if msg != nil {
-		r.peer.transmit(r.key.senderNode, msg)
-	}
 	if breakNote != nil {
 		r.peer.transmit(r.key.senderNode, breakNote)
 	}
@@ -587,12 +542,63 @@ func (r *rstream) executeOne(req request, call *Incoming) {
 		// chain or an exceptional outcome, resolves the promise
 		// reference). May block when the continuation queue is full —
 		// that backpressure is deliberate.
-		r.peer.scheduler().submit(pipeWork{
-			cont:    cont,
-			outcome: outcome,
-			cause:   trace.ChildOf(trace.Cause{Root: req.Root, Parent: req.Parent}, req.Trace),
-		})
+		r.peer.scheduler().submit(pipeWork{cont: cont, outcome: outcome, in: in})
 	}
+}
+
+// complete records call req's completion with outcome o in incarnation
+// inc, retains its reply if the wire needs one, and flushes the lane if
+// that cannot wait (brk: the handler broke the stream). It reports false
+// once the stream has moved on or broken. It takes only replyMu, so a
+// finishing handler never waits on request intake.
+func (r *rstream) complete(inc uint64, req *request, o Outcome, piped, brk bool) bool {
+	var msg []byte
+	r.replyMu.Lock()
+	if r.incA.Load() != inc || r.brokenA.Load() {
+		r.replyMu.Unlock()
+		return false
+	}
+	if piped && req.Mode != ModeSend {
+		r.pipeWait.put(req.Seq, struct{}{}) // before the scheduler sees the chain
+	}
+	// Completion may be out of order with parallel ports or custody; the
+	// watermark advances over the contiguous prefix only. A ~pipe send
+	// completing past it gets a reply of its own, so the hop watching it
+	// never waits on another chain's custody.
+	w := r.watermark.Load()
+	early := req.Seq != w && r.key.agent == pipeAgentName
+	r.completedSet.put(req.Seq, struct{}{})
+	for r.completedSet.has(w) {
+		r.completedSet.del(w)
+		w++
+	}
+	r.watermark.Store(w)
+	// Sends omit normal replies from the wire. A pipelined call retains
+	// nothing here, not even an exception: the scheduler forwards the
+	// outcome, and the reply comes back with the chain's resolution.
+	if !piped && (req.Mode != ModeSend || !o.Normal || early) {
+		r.retainLocked(req.Seq, o)
+		if r.peer.tracing() {
+			detail := "normal"
+			if !o.Normal {
+				detail = o.Exception
+			}
+			r.peer.emitCause(trace.CallReplied, r.keyStr, req.Seq, req.Trace,
+				trace.Cause{Root: req.Root, Parent: req.Parent}, detail)
+		}
+	}
+	completed := r.completedThroughNow()
+	// Results big enough to ride alone close the reply batch, as a big
+	// call's arguments close the request batch (see frame.go).
+	flushNow := req.Mode == ModeRPC || r.unsentReplies >= r.opts.MaxBatch || brk || o.frame != nil
+	if flushNow && (r.unsentReplies > 0 || completed > r.sentCompleted) {
+		msg = r.buildReplyBatchLocked(false, inc, completed)
+	}
+	r.replyMu.Unlock()
+	if msg != nil {
+		r.peer.transmit(r.key.senderNode, msg)
+	}
+	return true
 }
 
 // deliverResolution takes a chain's resolution off a resolution send and
@@ -610,37 +616,23 @@ func (r *rstream) deliverResolution(c *pipeCont, args []byte) Outcome {
 	return NormalOutcome(nil)
 }
 
-// notePipeOutstanding records that seq's reply is owed by a continuation
-// chain rather than local execution.
-func (r *rstream) notePipeOutstanding(seq uint64) {
-	r.mu.Lock()
-	if r.pipeWait == nil {
-		r.pipeWait = make(map[uint64]time.Time)
-	}
-	r.pipeWait[seq] = r.peer.clk.Now()
-	r.mu.Unlock()
-}
-
 // resolvePiped retains a chain's outcome as the reply of pipelined call
-// seq, if that call is still waiting for its chain in incarnation inc. It
-// reports whether the reply is left for the caller to flush; a lane that
-// reached its batch limit is flushed here. A stale, duplicate or unknown
-// resolution is dropped.
+// seq, if that call still waits for its chain in incarnation inc, and
+// reports whether the reply is left for the caller to flush (a full lane
+// is flushed here). Any other resolution is dropped: first one wins.
 func (r *rstream) resolvePiped(inc, seq uint64, o Outcome) bool {
-	r.mu.Lock()
-	if _, ok := r.pipeWait[seq]; !ok || inc != r.incarnation || r.broken {
-		r.mu.Unlock()
-		return false
-	}
-	delete(r.pipeWait, seq)
 	var msg []byte
 	r.replyMu.Lock()
+	if inc != r.incA.Load() || r.brokenA.Load() || !r.pipeWait.has(seq) {
+		r.replyMu.Unlock()
+		return false
+	}
+	r.pipeWait.del(seq)
 	r.retainLocked(seq, o)
 	if r.unsentReplies >= r.opts.MaxBatch {
 		msg = r.buildReplyBatchLocked(false, inc, r.completedThroughNow())
 	}
 	r.replyMu.Unlock()
-	r.mu.Unlock()
 	if msg != nil {
 		r.peer.transmit(r.key.senderNode, msg)
 	}
@@ -761,8 +753,8 @@ func (r *rstream) handleBreak(b *breakMsg) {
 	r.broken = true
 	r.brokenA.Store(true)
 	r.oo.reset()
-	r.pipeWait = nil
 	r.replyMu.Lock()
+	r.pipeWait.reset()
 	r.retained = nil
 	r.unsentReplies = 0
 	r.replyMu.Unlock()
@@ -780,8 +772,8 @@ func (r *rstream) resetLocked(incarnation uint64) {
 	r.ackedThrough = 0
 	r.retries = 0
 	r.pendingRetransmit = false
-	r.pipeWait = nil
 	r.replyMu.Lock()
+	r.pipeWait.reset()
 	r.retained = nil
 	r.unsentReplies = 0
 	r.sentCompleted = 0
@@ -790,8 +782,9 @@ func (r *rstream) resetLocked(incarnation uint64) {
 	r.watermark.Store(1)
 	r.replyMu.Unlock()
 	// Drain any stale queued requests from the old incarnation. The
-	// executor may be mid-call; executeOne re-checks the incarnation.
-	for {
+	// executor may be mid-call; executeOne re-checks the incarnation. A
+	// closed queue is always ready, so it is left alone.
+	for !r.closed {
 		select {
 		case <-r.execCh:
 		default:
@@ -815,33 +808,11 @@ func (r *rstream) tick(now time.Time) {
 	r.drainLocked()
 	inc := r.incarnation
 	completed := r.completedThroughNow()
-	// Pipelined calls whose chain has gone silent past the stall deadline
-	// (a ~pipe stream breaks after MaxRetries; this deadline outlasts it)
-	// are converted into unavailable replies — the caller gets a definite
-	// answer instead of waiting on a chain that died at a crashed
-	// mid-chain guardian.
-	stalled := false
 	r.replyMu.Lock()
-	if len(r.pipeWait) > 0 {
-		deadline := r.opts.RTO * time.Duration(r.opts.MaxRetries+2)
-		if deadline < time.Second {
-			deadline = time.Second
-		}
-		for seq, t0 := range r.pipeWait {
-			if now.Sub(t0) >= deadline {
-				r.retainLocked(seq, ExceptionOutcome(exception.Unavailable("pipeline stalled")))
-				delete(r.pipeWait, seq)
-				stalled = true
-			}
-		}
-	}
 	switch {
-	case stalled || r.unsentReplies > 0 && now.Sub(r.oldestUnsentAt) >= r.opts.MaxBatchDelay:
-		msg = r.buildReplyBatchLocked(false, inc, completed)
-	case completed > r.sentCompleted:
+	case r.unsentReplies > 0 && now.Sub(r.oldestUnsentAt) >= r.opts.MaxBatchDelay,
 		// Progress notification so sends resolve at the sender.
-		msg = r.buildReplyBatchLocked(false, inc, completed)
-	case r.unsentReplies == 0 && r.expected-1 > r.sentAcked:
+		completed > r.sentCompleted,
 		// Requests were accepted since we last said so, and no reply is
 		// about to say it (their handlers are still running): acknowledge
 		// receipt now. The sender stops retransmitting them, and it learns
@@ -849,6 +820,7 @@ func (r *rstream) tick(now time.Time) {
 		// reply, it can tell the newcomer's answers from ours and break the
 		// stream, instead of adopting the newcomer and having the
 		// unacknowledged calls executed a second time.
+		r.unsentReplies == 0 && r.expected-1 > r.sentAcked:
 		msg = r.buildReplyBatchLocked(false, inc, completed)
 	case len(r.retained) > 0 && now.Sub(r.lastAckProgressAt) >= r.opts.RTO &&
 		now.Sub(r.lastFullReplyAt) >= r.opts.RTO:
@@ -857,8 +829,11 @@ func (r *rstream) tick(now time.Time) {
 		// was lost, or the sender cannot reach us. Re-send everything
 		// retained, paced one RTO apart by lastFullReplyAt. This is the
 		// only path — besides duplicate-request evidence — that re-sends
-		// already-transmitted replies.
-		r.retries++
+		// already-transmitted replies. It counts toward a break only if the
+		// call after the sender's ack has its answer here to be acked.
+		if next := r.ackedThrough + 1; next <= completed && !r.pipeWait.has(next) {
+			r.retries++
+		}
 		if sm := r.peer.sm; sm != nil {
 			sm.recvRTOFires.Inc()
 		}

@@ -117,6 +117,29 @@ func TestStaleIncarnationBatchIgnored(t *testing.T) {
 	}
 }
 
+// TestNewIncarnationAfterCloseReturns: a batch of a new incarnation that
+// reaches a receiving stream its peer has already closed resets it and
+// returns. Draining a closed queue used to spin forever, and Close waited
+// on that spin.
+func TestNewIncarnationAfterCloseReturns(t *testing.T) {
+	n := simnet.New(simnet.Config{})
+	defer n.Close()
+	p := NewPeer(n.MustAddNode("server"), fastOpts())
+	defer p.Close()
+	r := newRStream(p, streamKey{senderNode: "client", agent: "a1", recvNode: "server", group: "g1"}, 1, p.opts)
+	r.close()
+	done := make(chan struct{})
+	go func() {
+		r.handleRequestBatch(&requestBatch{Agent: "a1", Group: "g1", Incarnation: 2})
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a new incarnation's batch on a closed receiving stream never returned")
+	}
+}
+
 func TestAccessors(t *testing.T) {
 	f := newFixture(t, simnet.Config{}, fastOpts())
 	f.handle("echo", echoHandler)

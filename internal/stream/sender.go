@@ -73,7 +73,7 @@ var pendingPool = sync.Pool{New: func() any {
 // the promise package wraps it with types. A Pending becomes ready exactly
 // once. Readiness is ordered: the pending for call i+1 becomes ready only
 // after the pending for call i ("if the i+1st result is ready, then so is
-// the ith").
+// the ith"), except for the epoch scheduler's sends on ~pipe streams.
 //
 // The handle is a small value (copy it freely) over a pooled cell. Once
 // the outcome has been claimed, Release returns the cell to the pool so a
@@ -871,6 +871,12 @@ func (s *Stream) handleReplyBatch(b *replyBatch) {
 		// cover a garbage seq.
 		if r.Seq >= s.nextResolve && r.Seq < s.nextSeq {
 			s.heldReplies.put(r.Seq, r.Outcome)
+			// A ~pipe send's pending is a scheduler watch: it resolves on its
+			// own reply, so no chain's custody waits on another's.
+			if p, ok := s.pending.get(r.Seq); ok && s.key.agent == pipeAgentName {
+				p.c.resolve(r.Outcome)
+				s.pending.del(r.Seq)
+			}
 		}
 	}
 	s.drainResolvableLocked()

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"promises/internal/exception"
 	"promises/internal/guardian"
 	"promises/internal/promise"
 	"promises/internal/stream"
@@ -193,6 +194,99 @@ func BenchmarkPromiseBulkCallClaim(b *testing.B) {
 	b.Run("16KiB", func(b *testing.B) { benchBulkCallClaim(b, 16<<10) })
 }
 
+// chainWorld is a client and four stage guardians s1–s4 on loopback
+// sockets, with default Options, each serving inc: it runs hold with the
+// guardian's name, then adds one to its argument.
+type chainWorld struct {
+	eps  map[string]*tcpnet.Endpoint
+	gs   map[string]*guardian.Guardian
+	refs []guardian.Ref
+	s    *stream.Stream // the client's stream to s1
+}
+
+func newChainWorld(tb testing.TB, hold func(name string)) *chainWorld {
+	names := []string{"client", "s1", "s2", "s3", "s4"}
+	eps, err := tcpnet.Loopback(tcpnet.Config{}, names...)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	w := &chainWorld{eps: eps, gs: make(map[string]*guardian.Guardian)}
+	tb.Cleanup(func() {
+		for _, g := range w.gs {
+			g.Close()
+		}
+		for _, ep := range eps {
+			ep.Close()
+		}
+	})
+	for _, name := range names {
+		g, err := guardian.NewOn(eps[name], stream.Options{})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		w.gs[name] = g
+		if name == "client" {
+			continue
+		}
+		w.refs = append(w.refs, g.AddHandler("inc", func(call *guardian.Call) ([]any, error) {
+			hold(name)
+			v, err := call.IntArg(0)
+			if err != nil {
+				return nil, err
+			}
+			return []any{v + 1}, nil
+		}))
+	}
+	w.s = w.refs[0].Stream(w.gs["client"].Agent("bench"))
+	return w
+}
+
+// start issues the four-stage chain s1→s2→s3→s4 on v, which resolves
+// with v+4.
+func (w *chainWorld) start(v int64) (*promise.Promise[int64], error) {
+	g := promise.Pipeline(w.s, w.refs[0].Port, v)
+	for _, r := range w.refs[1:] {
+		g.ThenHop(r.Hop())
+	}
+	return promise.Start(g, promise.Int)
+}
+
+// TestMidChainKillOverLoopbackTCP: a chain whose stage at s3 is held, and
+// the middle guardian s2 is killed — its peer and its endpoint closed —
+// after it forwarded. s1's forward is still in s2's custody, so s1 is
+// still watching s2 over its ~pipe stream: that stream breaks, and the
+// claim returns unavailable with the break's reason.
+func TestMidChainKillOverLoopbackTCP(t *testing.T) {
+	held, entered := make(chan struct{}), make(chan struct{}, 1)
+	defer close(held)
+	w := newChainWorld(t, func(name string) {
+		if name == "s3" {
+			entered <- struct{}{}
+			<-held
+		}
+	})
+	p, err := w.start(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.s.Flush()
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the chain never reached s3")
+	}
+	// Long enough for s2 to have reported its stage done to s1: only
+	// custody keeps s1 watching s2 after that.
+	time.Sleep(50 * time.Millisecond)
+	w.gs["s2"].Close()
+	w.eps["s2"].Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if v, err := p.Claim(ctx); !exception.IsUnavailable(err) || exception.Reason(err) != "cannot communicate" {
+		t.Fatalf("claim = %d, %v; want unavailable(cannot communicate)", v, err)
+	}
+}
+
 // BenchmarkPipelinedChain is the forward hop end to end, shaped like the
 // benchmark's chain_k4: a client and four stage guardians on loopback
 // sockets, each stage adding one to its argument, 16 four-stage chains in
@@ -202,57 +296,23 @@ func BenchmarkPromiseBulkCallClaim(b *testing.B) {
 // cut and hand-off, and the resolution's trip home. CI holds it to a
 // ceiling.
 func BenchmarkPipelinedChain(b *testing.B) {
-	names := []string{"client", "s1", "s2", "s3", "s4"}
-	eps, err := tcpnet.Loopback(tcpnet.Config{}, names...)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer func() {
-		for _, ep := range eps {
-			ep.Close()
-		}
-	}()
-	var refs []guardian.Ref
-	for _, name := range names[1:] {
-		g, err := guardian.NewOn(eps[name], stream.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer g.Close()
-		refs = append(refs, g.AddHandler("inc", func(call *guardian.Call) ([]any, error) {
-			v, err := call.IntArg(0)
-			if err != nil {
-				return nil, err
-			}
-			return []any{v + 1}, nil
-		}))
-	}
-	cli, err := guardian.NewOn(eps["client"], stream.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer cli.Close()
-	s := refs[0].Stream(cli.Agent("bench"))
-
+	w := newChainWorld(b, func(string) {})
 	const window = 16
 	ps := make([]*promise.Promise[int64], window)
 	ctx := context.Background()
 	next := int64(0)
+	var err error
 	round := func() {
 		first := next
 		for i := range ps {
-			g := promise.Pipeline(s, refs[0].Port, next)
-			for _, r := range refs[1:] {
-				g.ThenHop(r.Hop())
-			}
-			if ps[i], err = promise.Start(g, promise.Int); err != nil {
+			if ps[i], err = w.start(next); err != nil {
 				b.Fatal(err)
 			}
 			next++
 		}
-		s.Flush()
+		w.s.Flush()
 		for i, p := range ps {
-			if v, err := p.Claim(ctx); err != nil || v != first+int64(i)+int64(len(refs)) {
+			if v, err := p.Claim(ctx); err != nil || v != first+int64(i)+int64(len(w.refs)) {
 				b.Fatalf("chain %d: %d, %v", first+int64(i), v, err)
 			}
 		}
