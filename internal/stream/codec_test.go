@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"bytes"
 	"context"
 	"encoding/hex"
 	"math/rand"
@@ -92,14 +93,14 @@ func TestBreakMsgRoundTrip(t *testing.T) {
 
 // Property: request batches round-trip for arbitrary contents.
 func TestPropertyRequestBatchRoundTrip(t *testing.T) {
-	f := func(agent, group string, inc, ack uint32, seqs []uint16, port string, args []byte) bool {
+	f := func(agent, group string, inc, ack uint32, first uint16, n uint8, port string, args []byte) bool {
 		in := requestBatch{
 			Agent: agent, Group: group,
 			Incarnation: uint64(inc), AckRepliesThrough: uint64(ack),
 		}
-		for i, s := range seqs {
+		for i := 0; i < int(n%32); i++ {
 			in.Requests = append(in.Requests, request{
-				Seq: uint64(s), Port: port, Mode: Mode(i % 3), Args: args,
+				Seq: uint64(first) + 1 + uint64(i), Port: port, Mode: Mode(i % 3), Args: args,
 			})
 		}
 		kind, rb, _, _, err := decodeMessage(encodeRequestBatch(in))
@@ -121,6 +122,66 @@ func TestPropertyRequestBatchRoundTrip(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzRequestBatchRoundTrip: a batch of consecutive calls decodes to
+// itself, request i as seq first+i; a batch with requests that would start
+// at seq 0, or run past the widest seq the integer encoding carries, is
+// rejected; and arbitrary bytes never panic the decoder.
+func FuzzRequestBatchRoundTrip(f *testing.F) {
+	for _, b := range goldenRequestBatches() {
+		var first uint64
+		if len(b.Requests) > 0 {
+			first = b.Requests[0].Seq
+		}
+		f.Add(encodeRequestBatch(b), b.Agent, b.Group, "echo", b.Incarnation, b.AckRepliesThrough,
+			first, uint8(len(b.Requests)), []byte{1}, uint64(7), []byte(nil))
+	}
+	f.Add([]byte{}, "a", "g", "p", uint64(1), uint64(0), uint64(0), uint8(1), []byte(nil), uint64(0), []byte(nil))
+	f.Add([]byte{8}, "a", "g", "p", uint64(1), uint64(0), uint64(maxSeq), uint8(2), []byte(nil), uint64(0), []byte("c"))
+	f.Fuzz(func(t *testing.T, raw []byte, agent, group, port string, inc, ack, first uint64, n uint8,
+		args []byte, cause uint64, cont []byte) {
+		if kind, rb, pb, _, err := decodeMessage(raw); err == nil && kind == kindRequestBatch {
+			releaseRequestBatch(rb)
+		} else if err == nil && kind == kindReplyBatch {
+			releaseReplyBatch(pb)
+		}
+
+		in := requestBatch{Agent: agent, Group: group, Incarnation: inc, AckRepliesThrough: ack}
+		for i := 0; i < int(n%40); i++ {
+			r := request{Seq: first + uint64(i), Port: port, Mode: Mode(i % 3), Args: args,
+				Root: cause + uint64(i), Parent: cause ^ uint64(i)}
+			if i%3 == 1 && len(cont) > 0 {
+				r.Cont = cont
+			}
+			in.Requests = append(in.Requests, r)
+		}
+		k := uint64(len(in.Requests))
+		valid := k == 0 || first >= 1 && first <= maxSeq-(k-1)
+		kind, out, _, _, err := decodeMessage(encodeRequestBatch(in))
+		if !valid {
+			if err == nil {
+				t.Fatalf("%d requests from seq %d decoded", k, first)
+			}
+			return
+		}
+		if err != nil || kind != kindRequestBatch {
+			t.Fatalf("decode: kind %d, %v", kind, err)
+		}
+		defer releaseRequestBatch(out)
+		if out.Agent != agent || out.Group != group || out.Incarnation != inc ||
+			out.AckRepliesThrough != ack || len(out.Requests) != len(in.Requests) {
+			t.Fatalf("header %+v, %d requests; want %+v", *out, len(out.Requests), in)
+		}
+		for i, want := range in.Requests {
+			got := out.Requests[i]
+			if got.Seq != first+uint64(i) || got.Port != want.Port || got.Mode != want.Mode ||
+				!bytes.Equal(got.Args, want.Args) || got.Root != want.Root || got.Parent != want.Parent ||
+				!bytes.Equal(got.Cont, want.Cont) {
+				t.Fatalf("request %d = %+v, want %+v", i, got, want)
+			}
+		}
+	})
 }
 
 // Property: decodeMessage never panics and reports an error (or a valid
@@ -198,16 +259,16 @@ func TestReplyBatchCreditCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCauseCodecRoundTrip pins the request batch's trace-ID and cause
-// lists through the real encoder and decoder: each request's (Root,
-// Parent) pair survives, including zero pairs for chain roots.
+// TestCauseCodecRoundTrip pins the request batch's cause list through the
+// real encoder and decoder: each request's (Root, Parent) pair survives,
+// including zero pairs for chain roots.
 func TestCauseCodecRoundTrip(t *testing.T) {
 	in := requestBatch{
 		Agent: "a", Group: "g", Incarnation: 2, AckRepliesThrough: 5,
 		Requests: []request{
-			{Seq: 1, Port: "p", Mode: ModeCall, Args: []byte{1}, Trace: 0xA1, Root: 0x51, Parent: 0x61},
-			{Seq: 2, Port: "p", Mode: ModeSend, Args: []byte{2}, Trace: 0xA2},
-			{Seq: 3, Port: "q", Mode: ModeRPC, Args: nil, Trace: 0xA3, Root: 0xA3, Parent: 0xA1},
+			{Seq: 1, Port: "p", Mode: ModeCall, Args: []byte{1}, Root: 0x51, Parent: 0x61},
+			{Seq: 2, Port: "p", Mode: ModeSend, Args: []byte{2}},
+			{Seq: 3, Port: "q", Mode: ModeRPC, Args: nil, Root: 0xA3, Parent: 0xA1},
 		},
 	}
 	kind, out, _, _, err := decodeMessage(encodeRequestBatch(in))
@@ -220,9 +281,9 @@ func TestCauseCodecRoundTrip(t *testing.T) {
 	}
 	for i, want := range in.Requests {
 		got := out.Requests[i]
-		if got.Trace != want.Trace || got.Root != want.Root || got.Parent != want.Parent {
-			t.Errorf("request %d: trace/root/parent = %x/%x/%x, want %x/%x/%x",
-				i, got.Trace, got.Root, got.Parent, want.Trace, want.Root, want.Parent)
+		if got.Seq != want.Seq || got.Root != want.Root || got.Parent != want.Parent {
+			t.Errorf("request %d: seq, root, parent = %d, %x, %x; want %d, %x, %x",
+				i, got.Seq, got.Root, got.Parent, want.Seq, want.Root, want.Parent)
 		}
 	}
 }
@@ -231,10 +292,23 @@ func TestCauseCodecRoundTrip(t *testing.T) {
 // that pipelined chains once used, as its encoder last wrote them: kind 4,
 // a resolution (10 values), and kind 5, its acknowledgement (7). A chain's
 // result now rides a ~pipe stream, and both kinds are unknown.
-var removedKinds = map[string][]byte{
-	"resolve/10":    mustHex("0a03080502643005046d61696e03080506636c69656e7405027331039a01020500062807070707070707070707070707070707070707070707070707070707070707070707070707070707"),
-	"resolve-ack/7": mustHex("07030a0502643005046d61696e03080506636c69656e7405027331039a01"),
-}
+//
+// removedRequests are request batches in the layout the encoders wrote
+// from commit ce35917 until the first-seq layout replaced it (copied from
+// the goldens they printed): a seq in every request tuple, and a list of
+// trace IDs before the cause list. The first is 8 values, the second 9,
+// with continuations. Their 6th value is a list where a batch now has its
+// first seq.
+var (
+	removedKinds = map[string][]byte{
+		"resolve/10":    mustHex("0a03080502643005046d61696e03080506636c69656e7405027331039a01020500062807070707070707070707070707070707070707070707070707070707070707070707070707070707"),
+		"resolve-ack/7": mustHex("07030a0502643005046d61696e03080506636c69656e7405027331039a01"),
+	}
+	removedRequests = map[string][]byte{
+		"trace-ids/8": mustHex("080302050261310502673103060322070107040324050c7265636f72645f6772616465030006020102070103fcabfeeeb7ab6f0702030e0312"),
+		"trace-ids/9": mustHex("0903020501610501670302030807020704030a0503696e630300060203040704030c0503696e63030006010507020316031807040300030003160316070206000611636f6e74696e756174696f6e20626c6f62"),
+	}
+)
 
 func mustHex(s string) []byte {
 	b, err := hex.DecodeString(s)
@@ -248,30 +322,34 @@ func mustHex(s string) []byte {
 // per message kind — request batches of 8 values, or 9 with continuations,
 // reply batches of 9, and breaks of 8. The shorter and longer forms earlier
 // encoders wrote (requests without trace IDs or causes, replies without
-// credit or with a piped-seq list) are errors, as are the removed kinds 4
-// and 5 and anything else.
+// credit or with a piped-seq list) are errors, as are requests that carry
+// their seqs and trace IDs, the removed kinds 4 and 5, and anything else.
 func TestDecodeMessageRejectsRemovedLayouts(t *testing.T) {
-	// The values after the sixth of a request batch, in order.
+	// The values after the seventh of a request batch, in order.
 	reqTail := []func([]byte) []byte{
-		func(b []byte) []byte { return wire.AppendInt(wire.AppendList(b, 1), 0xCAFE) },               // trace IDs
 		func(b []byte) []byte { return wire.AppendInt(wire.AppendInt(wire.AppendList(b, 2), 5), 6) }, // causes
 		func(b []byte) []byte { return wire.AppendBytes(wire.AppendList(b, 1), nil) },                // continuations
 		func(b []byte) []byte { return wire.AppendInt(wire.AppendList(b, 1), 1) },                    // nothing writes this
 	}
-	req := func(nvals int) []byte {
+	// req writes a batch of one call: the first nvals values of the
+	// layout, with the request list in place of the first seq when
+	// first < 0, and first as the first seq otherwise.
+	req := func(nvals int, first int64) []byte {
 		b := wire.AppendHeader(nil, nvals)
 		b = wire.AppendInt(b, kindRequestBatch)
 		b = wire.AppendString(b, "a")
 		b = wire.AppendString(b, "g")
 		b = wire.AppendInt(b, 1) // incarnation
 		b = wire.AppendInt(b, 0) // reply ack
+		if first >= 0 {
+			b = wire.AppendInt(b, first)
+		}
 		b = wire.AppendList(b, 1)
-		b = wire.AppendList(b, 4)
-		b = wire.AppendInt(b, 1)
+		b = wire.AppendList(b, 3)
 		b = wire.AppendString(b, "echo")
 		b = wire.AppendInt(b, int64(ModeCall))
 		b = wire.AppendBytes(b, []byte{7})
-		for _, tail := range reqTail[:nvals-6] {
+		for _, tail := range reqTail[:max(nvals-7, 0)] {
 			b = tail(b)
 		}
 		return b
@@ -303,11 +381,16 @@ func TestDecodeMessageRejectsRemovedLayouts(t *testing.T) {
 		msg  []byte
 		ok   bool
 	}{
-		{"request/6", req(6), false},
-		{"request/7", req(7), false},
-		{"request/8", req(8), true},
-		{"request/9", req(9), true},
-		{"request/10", req(10), false},
+		{"request/6", req(6, -1), false},
+		{"request/7", req(7, 1), false},
+		{"request/8", req(8, 1), true},
+		{"request/9", req(9, 1), true},
+		{"request/10", req(10, 1), false},
+		{"request/8 from seq 0", req(8, 0), false},
+		{"request/8 past the widest seq", encodeRequestBatch(requestBatch{Agent: "a", Group: "g",
+			Requests: []request{{Seq: maxSeq}, {Seq: maxSeq + 1}}}), false},
+		{"request/trace-ids/8", removedRequests["trace-ids/8"], false},
+		{"request/trace-ids/9", removedRequests["trace-ids/9"], false},
 		{"reply/8", rep(8), false},
 		{"reply/9", rep(9), true},
 		{"reply/10", rep(10), false},
@@ -342,7 +425,7 @@ func foreignReceiver(ctx context.Context, node *simnet.Node, window int64, exec 
 				return
 			}
 			vals, err := wire.Unmarshal(msg.Payload)
-			if err != nil || len(vals) < 6 {
+			if err != nil || len(vals) < 7 {
 				continue
 			}
 			if kind, _ := wire.IntArg(vals, 0); kind != 1 { // request batch
@@ -351,11 +434,12 @@ func foreignReceiver(ctx context.Context, node *simnet.Node, window int64, exec 
 			agent, _ := wire.StringArg(vals, 1)
 			group, _ := wire.StringArg(vals, 2)
 			inc, _ := wire.IntArg(vals, 3)
-			raw, _ := wire.Arg(vals, 5)
+			first, _ := wire.IntArg(vals, 5) // request i is call first+i
+			raw, _ := wire.Arg(vals, 6)
 			reqs, _ := wire.AsList(raw)
-			for _, e := range reqs {
+			for i, e := range reqs {
 				fields, _ := wire.AsList(e)
-				seq, _ := wire.IntArg(fields, 0)
+				seq := first + int64(i)
 				// The receive loop is single-threaded, so any seq past the
 				// credit advertised before this batch arrived is a sender
 				// flow-control violation (retransmits of admitted seqs are
@@ -366,7 +450,7 @@ func foreignReceiver(ctx context.Context, node *simnet.Node, window int64, exec 
 				if seq != expected {
 					continue // out of order or duplicate; these tests' net is clean
 				}
-				argsRaw, _ := wire.Arg(fields, 3)
+				argsRaw, _ := wire.Arg(fields, 2)
 				argBytes, _ := wire.AsBytes(argsRaw)
 				replies = append(replies, []any{seq, true, "", exec(argBytes)})
 				expected++

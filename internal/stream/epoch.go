@@ -30,22 +30,26 @@ type pipeWork struct {
 	in      custody
 }
 
-// custody is the call a chain's stage ran as. A ~pipe forward (r set) is
-// left incomplete while this hop holds the chain (DESIGN.md §13); a first
-// stage came on its caller's stream, which custody never holds back.
+// custody is the call a chain's stage ran as, on stream r. A ~pipe
+// forward is left incomplete while this hop holds the chain (DESIGN.md
+// §13); a first stage came on its caller's stream, never held back.
 type custody struct {
 	r        *rstream
 	inc, seq uint64
-	tid      uint64      // the call's trace ID
 	cause    trace.Cause // the call's causal context
 }
 
-// end completes the forward with o, releasing the upstream hop's watch:
-// normally once this hop handed the chain on, else so that hop takes over.
+// child is the causal context of the sends the call's chain makes next.
+func (c *custody) child() trace.Cause {
+	return trace.ChildOf(c.cause, trace.CallID(c.r.keyHash, c.inc, c.seq))
+}
+
+// end completes a ~pipe forward with o, releasing the upstream hop's
+// watch: normally once this hop handed the chain on, else so that hop
+// takes over.
 func (c *custody) end(o Outcome) {
-	if c.r != nil {
-		c.r.complete(c.inc, &request{Seq: c.seq, Mode: ModeSend, Trace: c.tid,
-			Root: c.cause.Root, Parent: c.cause.Parent}, o, false, false)
+	if c.r.key.custodial() {
+		c.r.complete(c.inc, c.seq, ModeSend, c.cause, o, false, false)
 	}
 }
 
@@ -218,7 +222,7 @@ func (ps *pipeScheduler) processOne(w *pipeWork) {
 		return
 	}
 	s := ps.p.Agent(pipeAgentName).Stream(st.Node, st.Group)
-	cont, cause := c.advance(&ps.arena), trace.ChildOf(w.in.cause, w.in.tid)
+	cont, cause := c.advance(&ps.arena), w.in.child()
 	pend, err := s.enqueue(context.Background(), Req{Mode: ModeSend, Port: st.Port,
 		Args: plain(args), Cause: cause}, cont)
 	if err != nil {
@@ -255,7 +259,7 @@ func (ps *pipeScheduler) forwardResolution(c *pipeCont, o Outcome, in custody) {
 		if !o.Normal {
 			detail = o.Exception
 		}
-		ps.p.emit(trace.ResolveForwarded, ref.key().String(), ref.seq, 0, detail)
+		ps.p.emit(trace.ResolveForwarded, ref.streamKey.String(), ref.seq, 0, detail)
 	}
 	if ref.recvNode == ps.p.name {
 		ps.p.resolvePipe(ref, o, &ps.lanes)
@@ -264,7 +268,7 @@ func (ps *pipeScheduler) forwardResolution(c *pipeCont, o Outcome, in custody) {
 	}
 	s := ps.p.Agent(pipeAgentName).Stream(ref.recvNode, ref.group)
 	pend, err := s.enqueue(context.Background(), Req{Mode: ModeSend, Port: pipeResolvePort,
-		Args: plain(encodeOutcome(o, &ps.arena)), Cause: trace.ChildOf(in.cause, in.tid)},
+		Args: plain(encodeOutcome(o, &ps.arena)), Cause: in.child()},
 		c.resolution(&ps.arena))
 	if err != nil {
 		in.end(ExceptionOutcome(err.(*exception.Exception)))
@@ -293,7 +297,7 @@ func (ps *pipeScheduler) sweepWatches(all bool) {
 		}
 		o := w.p.Get()
 		w.p.Release()
-		if o.Normal || w.in.r != nil {
+		if o.Normal || w.in.r.key.custodial() {
 			w.in.end(o)
 		} else if c, err := parsePipeCont(w.cont); err == nil { // built by advance: always well formed
 			ps.forwardResolution(&c, o, w.in)

@@ -219,10 +219,17 @@ func TestBreakUnblocksFlowWaiters(t *testing.T) {
 // calls exceptionally, auto-restart reincarnates the stream, and the
 // parked call is admitted into the new incarnation (where the receiver's
 // stale credit no longer applies) and completes once the partition heals.
+//
+// Time is virtual and stands still while the partition holds, except when
+// the test advances it one RTO at a time to drive the first incarnation's
+// retries out. The network heals the moment the break lands, so the
+// second incarnation's retries, which need MaxRetries more RTOs against
+// the partition, cannot run out before its number is checked, however
+// long the host takes to schedule the test.
 func TestFlowControlAcrossReincarnation(t *testing.T) {
 	opts := flowOpts()
 	opts.RTO, opts.MaxRetries = 5*time.Millisecond, 20
-	f := newFixture(t, simnet.Config{}, opts)
+	f, vclk := newVirtualFixture(t, simnet.Config{}, opts)
 	held, release := newGate(t)
 	f.handle("echo", echoHandler)
 	f.handle("gate", func(call *Incoming) Outcome {
@@ -232,6 +239,7 @@ func TestFlowControlAcrossReincarnation(t *testing.T) {
 
 	s := f.client.Agent("a1").Stream("server", "g1")
 	ps := fillCredit(t, s, "gate")
+	vclk.SetAutoAdvance(false)
 	f.net.Partition("client", "server")
 	type res struct {
 		p   Pending
@@ -242,9 +250,16 @@ func TestFlowControlAcrossReincarnation(t *testing.T) {
 		p, err := s.Call("echo", []byte("parked"))
 		ch <- res{p, err}
 	}()
+	waitParked(t, s)
 
 	// Retries exhaust against the partition: the window's calls resolve
 	// unavailable and the stream reincarnates.
+	waitFor(t, "retries never ran out against the partition", func() bool {
+		vclk.Advance(opts.RTO)
+		vclk.Settle()
+		return ps[0].Ready()
+	})
+	f.net.HealAll()
 	for i, p := range ps {
 		if o := claim(t, p); o.Normal {
 			t.Fatalf("call %d during partition = %+v, want exception", i, o)
@@ -259,7 +274,7 @@ func TestFlowControlAcrossReincarnation(t *testing.T) {
 	}
 
 	release()
-	f.net.HealAll()
+	vclk.SetAutoAdvance(true)
 	if o := claim(t, r.p); !o.Normal || string(o.Payload) != "parked" {
 		t.Fatalf("parked call outcome = %+v, want normal echo", o)
 	}

@@ -27,9 +27,9 @@ const (
 	// head that does not fit sends the call down the copying path.
 	frameHeadroom = 128
 	// frameTailroom holds the values after the payload, which are all
-	// integers: a request's trace ID, root and parent in their two lists
-	// (2+11+2+22), or a reply batch's credit (11). It always suffices.
-	frameTailroom = 40
+	// integers: a request's root and parent in the cause list (2+22), or
+	// a reply batch's credit (11). It always suffices.
+	frameTailroom = 24
 )
 
 // Marshalled is an encoded argument or result list on its way into a
@@ -81,7 +81,7 @@ func frameRequestBatch(b requestBatch) []byte {
 	}
 	r := &b.Requests[0]
 	frame, off := r.frame, len(r.frame)-len(r.Args)
-	start := seatHead(frame, off, appendRequestOpen(appendRequestsOpen(frame[:0:off], &b, false), r))
+	start := seatHead(frame, off, appendRequestOpen(appendRequestsOpen(frame[:0:off], &b, r.Seq, false), r))
 	if start < 0 {
 		return nil
 	}

@@ -36,7 +36,7 @@ func checkFramedRequest(t *testing.T, b requestBatch, payload []byte) {
 	if cap(want) != len(want) {
 		t.Fatalf("copying request encoder sized its buffer at %d for %d bytes", cap(want), len(want))
 	}
-	head := len(appendRequestOpen(appendRequestsOpen(nil, &b, false), r))
+	head := len(appendRequestOpen(appendRequestsOpen(nil, &b, r.Seq, false), r))
 	got := frameRequestBatch(b)
 	if head > frameHeadroom {
 		if got != nil {
@@ -116,7 +116,7 @@ func TestFramedEncodersAgree(t *testing.T) {
 				for _, names := range [][3]string{{name, "g", "p"}, {"a", name, "p"}, {"a", "g", name}} {
 					checkFramedRequest(t, requestBatch{Agent: names[0], Group: names[1], Incarnation: v,
 						AckRepliesThrough: v, Requests: []request{{Seq: v, Port: names[2], Mode: Mode(k % 3),
-							Trace: v, Root: v, Parent: v}}}, p)
+							Root: v, Parent: v}}}, p)
 					checkFramedReply(t, replyBatch{Agent: names[0], Group: names[1], Incarnation: v, Epoch: v,
 						AckRequestsThrough: v, CompletedThrough: v, Credit: v,
 						Replies: []reply{{Seq: v, Outcome: Outcome{Normal: true}}}}, p)
@@ -169,7 +169,7 @@ func FuzzFramedEncodersAgree(f *testing.F) {
 	f.Fuzz(func(t *testing.T, agent, group, port string, inc, ack, seq, tid, root, parent uint64, mode uint8, n uint16, fill byte) {
 		payload := bytes.Repeat([]byte{fill}, int(n))
 		checkFramedRequest(t, requestBatch{Agent: agent, Group: group, Incarnation: inc, AckRepliesThrough: ack,
-			Requests: []request{{Seq: seq, Port: port, Mode: Mode(mode % 3), Trace: tid, Root: root, Parent: parent}}}, payload)
+			Requests: []request{{Seq: seq, Port: port, Mode: Mode(mode % 3), Root: root, Parent: parent}}}, payload)
 		checkFramedReply(t, replyBatch{Agent: agent, Group: group, Incarnation: inc, Epoch: tid,
 			AckRequestsThrough: ack, CompletedThrough: root, Credit: parent,
 			Replies: []reply{{Seq: seq, Outcome: Outcome{Normal: true}}}}, payload)

@@ -7,10 +7,12 @@ import (
 )
 
 // The golden messages pin the wire format of the batch encoders to the
-// bytes the encoders of PR 13 produced (the hex in golden_data_test.go was
-// printed by that commit's encodeRequestBatch / encodeReplyBatch on exactly
-// these inputs): both request header counts (8, and 9 with continuations)
-// and the reply batch.
+// bytes recorded in golden_data_test.go, printed by encodeRequestBatch /
+// encodeReplyBatch on exactly these inputs (its header says which
+// encoders): both request header counts (8, and 9 with continuations)
+// and the reply batch. The request batches' hex was regenerated once, when
+// the first-seq layout took each call's seq and trace ID off the wire;
+// the reply batches' is still that of commit ce35917.
 
 const maxSeq = 1<<63 - 1 // the widest value the integer encoding carries
 
@@ -20,23 +22,23 @@ func goldenRequestBatches() map[string]requestBatch {
 		"req/probe": {Agent: "a1", Group: "g1", Incarnation: 1, AckRepliesThrough: 0},
 		"req/one": {Agent: "a1", Group: "g1", Incarnation: 3, AckRepliesThrough: 17,
 			Requests: []request{{Seq: 18, Port: "record_grade", Mode: ModeCall, Args: []byte{1, 2},
-				Trace: 0xDEADBEEFCAFE, Root: 7, Parent: 9}}},
+				Root: 7, Parent: 9}}},
 		"req/modes": {Agent: "agent-with-a-longer-name", Group: "main", Incarnation: 2, AckRepliesThrough: 300,
 			Requests: []request{
-				{Seq: 301, Port: "print", Mode: ModeSend, Args: nil, Trace: 1},
-				{Seq: 302, Port: "read", Mode: ModeRPC, Args: []byte{}, Trace: 2, Root: 1, Parent: 1},
-				{Seq: 303, Port: "echo", Mode: ModeCall, Args: big, Trace: maxSeq, Root: maxSeq, Parent: maxSeq},
+				{Seq: 301, Port: "print", Mode: ModeSend, Args: nil},
+				{Seq: 302, Port: "read", Mode: ModeRPC, Args: []byte{}, Root: 1, Parent: 1},
+				{Seq: 303, Port: "echo", Mode: ModeCall, Args: big, Root: maxSeq, Parent: maxSeq},
 			}},
 		"req/wide": {Agent: "", Group: "", Incarnation: maxSeq, AckRepliesThrough: maxSeq,
 			Requests: []request{{Seq: maxSeq, Port: "", Mode: ModeCall, Args: []byte("x")}}},
 		"req/cont": {Agent: "a", Group: "g", Incarnation: 1, AckRepliesThrough: 4,
 			Requests: []request{
-				{Seq: 5, Port: "inc", Mode: ModeCall, Args: []byte{3, 4}, Trace: 11},
-				{Seq: 6, Port: "inc", Mode: ModeCall, Args: []byte{5}, Trace: 12, Root: 11, Parent: 11,
+				{Seq: 5, Port: "inc", Mode: ModeCall, Args: []byte{3, 4}},
+				{Seq: 6, Port: "inc", Mode: ModeCall, Args: []byte{5}, Root: 11, Parent: 11,
 					Cont: []byte("continuation blob")},
 			}},
 		"req/cont-alone": {Agent: "a", Group: "g", Incarnation: 9, AckRepliesThrough: 0,
-			Requests: []request{{Seq: 1, Port: "inc", Mode: ModeCall, Args: big, Trace: 5, Cont: []byte{0}}}},
+			Requests: []request{{Seq: 1, Port: "inc", Mode: ModeCall, Args: big, Cont: []byte{0}}}},
 	}
 }
 

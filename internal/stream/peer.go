@@ -400,7 +400,7 @@ func (p *Peer) scheduler() *pipeScheduler {
 // a stream this peer no longer has is dropped.
 func (p *Peer) resolvePipe(ref pipeRef, o Outcome, lanes *replyLanes) {
 	p.mu.Lock()
-	r := p.recvs[ref.key()]
+	r := p.recvs[ref.streamKey]
 	p.mu.Unlock()
 	if r != nil && r.resolvePiped(ref.incarnation, ref.seq, o) {
 		lanes.add(r)

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"bytes"
 	"fmt"
 
 	"promises/internal/wire"
@@ -34,17 +35,8 @@ type PipeStage struct {
 // pipeRef is the promise reference a continuation chain resolves: the
 // origin stream plus incarnation and seq.
 type pipeRef struct {
-	senderNode  string
-	agent       string
-	recvNode    string
-	group       string
-	incarnation uint64
-	seq         uint64
-}
-
-func (ref pipeRef) key() streamKey {
-	return streamKey{senderNode: ref.senderNode, agent: ref.agent,
-		recvNode: ref.recvNode, group: ref.group}
+	streamKey
+	incarnation, seq uint64
 }
 
 // pipeContVersion versions the continuation blob; a blob of any other
@@ -83,15 +75,7 @@ func encodePipeCont(ref pipeRef, stages []PipeStage) []byte {
 		size += wire.SizeBlob(len(st.Node)) + wire.SizeBlob(len(st.Group)) +
 			wire.SizeBlob(len(st.Port)) + wire.SizeBlob(len(st.Extra))
 	}
-	buf := make([]byte, 0, size)
-	buf = wire.AppendHeader(buf, 8)
-	buf = wire.AppendInt(buf, pipeContVersion)
-	buf = wire.AppendString(buf, ref.senderNode)
-	buf = wire.AppendString(buf, ref.agent)
-	buf = wire.AppendString(buf, ref.recvNode)
-	buf = wire.AppendString(buf, ref.group)
-	buf = wire.AppendInt(buf, int64(ref.incarnation))
-	buf = wire.AppendInt(buf, int64(ref.seq))
+	buf := appendPipeRef(make([]byte, 0, size), ref)
 	buf = wire.AppendList(buf, 4*len(stages))
 	for _, st := range stages {
 		buf = wire.AppendString(buf, st.Node)
@@ -100,6 +84,19 @@ func encodePipeCont(ref pipeRef, stages []PipeStage) []byte {
 		buf = wire.AppendBytes(buf, st.Extra)
 	}
 	return buf
+}
+
+// appendPipeRef appends a continuation blob up to its stage list: the
+// header, the version and the promise reference.
+func appendPipeRef(buf []byte, ref pipeRef) []byte {
+	buf = wire.AppendHeader(buf, 8)
+	buf = wire.AppendInt(buf, pipeContVersion)
+	buf = wire.AppendString(buf, ref.senderNode)
+	buf = wire.AppendString(buf, ref.agent)
+	buf = wire.AppendString(buf, ref.recvNode)
+	buf = wire.AppendString(buf, ref.group)
+	buf = wire.AppendInt(buf, int64(ref.incarnation))
+	return wire.AppendInt(buf, int64(ref.seq))
 }
 
 // pipeCont is a continuation blob as one hop sees it: checked whole, but
@@ -205,6 +202,14 @@ func (c *pipeCont) ref() pipeRef {
 	d := wire.NewDecoder(c.blob)
 	_ = readPipeRef(&d, &ref) // checked by parsePipeCont
 	return ref
+}
+
+// names reports whether the promise reference of a blob parsePipeCont
+// accepted is ref. It compares encodings, so nothing is decoded, interned
+// or (for names of common length) allocated.
+func (c *pipeCont) names(ref pipeRef) bool {
+	var buf [128]byte
+	return bytes.Equal(c.blob[:c.list], appendPipeRef(buf[:0], ref))
 }
 
 // advance returns the blob the next stage's call carries: this one with

@@ -249,7 +249,7 @@ func TestMalformedContinuationFailsCall(t *testing.T) {
 		return func(call *Incoming) Outcome { ran.Add(1); return NormalOutcome(encInt(2)) }, true
 	})
 	msg := encodeRequestBatch(requestBatch{Agent: "app", Group: "g", Incarnation: 1,
-		Requests: []request{{Seq: 1, Port: "inc", Mode: ModeCall, Args: encInt(1), Trace: 1,
+		Requests: []request{{Seq: 1, Port: "inc", Mode: ModeCall, Args: encInt(1),
 			Cont: []byte("not a continuation")}}})
 	if err := raw.Send("ga", msg); err != nil {
 		t.Fatal(err)
@@ -272,6 +272,51 @@ func TestMalformedContinuationFailsCall(t *testing.T) {
 	}
 	if runs := ran.Load(); runs != 0 {
 		t.Errorf("the handler ran %d times for a call whose continuation is garbage", runs)
+	}
+}
+
+// TestMisaddressedContinuationFailsCall: a chain starting at ga whose
+// promise reference is not the call it rides with — it names the next
+// seq, or the same seq on a stream to another guardian — would resolve a
+// call that does not wait for it, or none at all. ga must fail the call
+// with failure("malformed continuation") without running it, and the
+// plain call behind it on the same stream must resolve normally. Without
+// the check both claims wait forever, so a context bounds them.
+func TestMisaddressedContinuationFailsCall(t *testing.T) {
+	for name, misaddress := range map[string]func(*pipeRef){
+		"another seq":      func(ref *pipeRef) { ref.seq++ },
+		"another recvNode": func(ref *pipeRef) { ref.recvNode = "gb" },
+	} {
+		t.Run(name, func(t *testing.T) {
+			f := newPipeFixture(t, simnet.Config{}, fastOpts(), "ga", "gb")
+			var runs atomic.Int32
+			inc := incHandler(t)
+			f.handle("ga", "inc", func(call *Incoming) Outcome { runs.Add(1); return inc(call) })
+			s := f.client.Agent("app").Stream("ga", "g")
+			ref := pipeRef{s.key, s.Incarnation(), 1}
+			misaddress(&ref)
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			piped, err := s.enqueue(ctx, Req{Port: "inc", Args: plain(encInt(1))},
+				encodePipeCont(ref, []PipeStage{{Node: "ga", Group: "g", Port: "inc"}}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			behind, err := s.Call("inc", encInt(5))
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Flush()
+			if o, err := piped.Wait(ctx); err != nil || o.Normal || o.Err().StringArg(0) != "malformed continuation" {
+				t.Fatalf("misaddressed chain = %+v, %v; want failure(malformed continuation)", o, err)
+			}
+			if o, err := behind.Wait(ctx); err != nil || !o.Normal || decInt(t, o.Payload) != 6 {
+				t.Fatalf("plain call behind it = %+v, %v; want 6", o, err)
+			}
+			if n := runs.Load(); n != 1 {
+				t.Errorf("inc ran %d times, want once: the misaddressed chain must not run", n)
+			}
+		})
 	}
 }
 
@@ -660,7 +705,7 @@ func TestCustodyCrossingChainsRelease(t *testing.T) {
 func FuzzPipeContAdvance(f *testing.F) {
 	long := strings.Repeat("guardian-", 30)
 	for k := 0; k <= 6; k++ {
-		ref := pipeRef{senderNode: "client", agent: "app", recvNode: "ga", group: "g", incarnation: 3, seq: uint64(k)}
+		ref := pipeRef{streamKey{senderNode: "client", agent: "app", recvNode: "ga", group: "g"}, 3, uint64(k)}
 		stages := make([]PipeStage, k)
 		for i := range stages {
 			stages[i] = PipeStage{Node: fmt.Sprint(long, i), Group: "g", Port: "inc", Extra: bytes.Repeat([]byte{byte(i)}, 50*i)}
@@ -686,8 +731,8 @@ func FuzzPipeContAdvance(f *testing.F) {
 			}
 		}
 
-		ref := pipeRef{senderNode: name, agent: name + "/agent", recvNode: "r" + name, group: name,
-			incarnation: uint64(len(extra)), seq: uint64(k)<<40 | uint64(len(name))}
+		ref := pipeRef{streamKey{senderNode: name, agent: name + "/agent", recvNode: "r" + name, group: name},
+			uint64(len(extra)), uint64(k)<<40 | uint64(len(name))}
 		stages := make([]PipeStage, k%7)
 		for i := range stages {
 			stages[i] = PipeStage{Node: fmt.Sprint(name, i), Group: name, Port: "p" + name}
@@ -715,6 +760,11 @@ func FuzzPipeContAdvance(f *testing.F) {
 			}
 			if got := c.ref(); got != ref {
 				t.Fatalf("hop %d: reference %+v, want %+v", i, got, ref)
+			}
+			other := ref
+			other.seq++
+			if !c.names(ref) || c.names(other) {
+				t.Fatalf("hop %d: names(%+v) = %v, names(seq+1) = %v", i, ref, c.names(ref), c.names(other))
 			}
 			res, resWant := c.resolution(&arena), encodePipeCont(ref, nil)
 			if !bytes.Equal(res, resWant) {
@@ -772,7 +822,7 @@ func TestWaveArenaRollover(t *testing.T) {
 	stages := []PipeStage{{Node: gb, Group: "g", Port: "inc"}, {Node: gc, Group: "g", Port: "inc"}}
 	// Chain i enters ga with 10i, reaches gc with 10i+2 and resolves with 10i+3.
 	const n = 48
-	if blob := len(encodePipeCont(pipeRef{senderNode: "client", agent: "app", recvNode: ga, group: "g"}, stages)); n*blob < 2*waveChunk {
+	if blob := len(encodePipeCont(pipeRef{streamKey: streamKey{senderNode: "client", agent: "app", recvNode: ga, group: "g"}}, stages)); n*blob < 2*waveChunk {
 		t.Fatalf("%d blobs of %d bytes fit in two chunks: the wave does not roll over", n, blob)
 	}
 	s := f.client.Agent("app").Stream(ga, "g")

@@ -55,10 +55,10 @@ type Incoming struct {
 	Mode  Mode
 	Args  []byte // encoded argument list
 
-	// Trace is this call's own trace ID (trace.CallID as minted by the
-	// sender). Cause is the causal context the sender propagated with the
-	// call — its root trace ID and the trace ID of the call that caused
-	// it — or the zero Cause when the call is a chain root.
+	// Trace is this call's own trace ID (trace.CallID, derived here as the
+	// sender derives it). Cause is the causal context the sender
+	// propagated with the call — its root trace ID and the trace ID of the
+	// call that caused it — or the zero Cause when the call is a chain root.
 	Trace uint64
 	Cause trace.Cause
 
@@ -132,10 +132,11 @@ type Dispatcher func(port string) (Handler, bool)
 
 // rstream is the receiving end of one stream.
 type rstream struct {
-	peer   *Peer
-	key    streamKey
-	keyStr string // key.String(), cached once
-	opts   Options
+	peer    *Peer
+	key     streamKey
+	keyStr  string // key.String(), cached once
+	keyHash uint64 // trace.HashStream(keyStr), cached for trace-ID derivation
+	opts    Options
 
 	// The reply lane: completion tracking and reply retention, guarded by
 	// replyMu except watermark, which is also read lock-free. The lock
@@ -232,10 +233,12 @@ func (l *replyLanes) flush() {
 const maxSeqAhead = 1 << 20
 
 func newRStream(p *Peer, key streamKey, incarnation uint64, opts Options) *rstream {
+	keyStr := key.String()
 	r := &rstream{
 		peer:        p,
 		key:         key,
-		keyStr:      key.String(),
+		keyStr:      keyStr,
+		keyHash:     trace.HashStream(keyStr),
 		opts:        opts,
 		incarnation: incarnation,
 		epoch:       nextEpoch(),
@@ -307,7 +310,7 @@ func (r *rstream) handleRequestBatch(b *requestBatch) {
 		default:
 			r.oo.put(req.Seq, req)
 			if r.peer.tracing() {
-				r.peer.emitCause(trace.CallDelivered, r.keyStr, req.Seq, req.Trace,
+				r.peer.emitCause(trace.CallDelivered, r.keyStr, req.Seq, trace.CallID(r.keyHash, r.incarnation, req.Seq),
 					trace.Cause{Root: req.Root, Parent: req.Parent}, "")
 			}
 		}
@@ -454,17 +457,22 @@ func (r *rstream) executeOne(req request, call *Incoming) {
 	// the promise reference) instead of being replied here. A garbled or
 	// unknown-version blob fails the call without running it: replying
 	// with stage one's value would hand the caller a value it takes for
-	// the whole chain's. A ~pipe stream's call to the resolution port is
-	// a chain's resolution: it is taken here, before dispatch.
+	// the whole chain's. So does a chain starting here whose promise
+	// reference is not this call: nothing would ever resolve it, or the
+	// calls behind it. A ~pipe stream's call to the resolution port is a
+	// chain's resolution: it is taken here, before dispatch.
 	var (
-		cont    pipeCont
-		contErr error
+		cont      pipeCont
+		malformed bool
 	)
 	if req.Cont != nil {
-		cont, contErr = parsePipeCont(req.Cont)
+		var err error
+		cont, err = parsePipeCont(req.Cont)
+		malformed = err != nil || !r.key.custodial() && !cont.names(pipeRef{r.key, inc, req.Seq})
 	}
-	resolution := req.Port == pipeResolvePort && r.key.agent == pipeAgentName
-	piped := req.Cont != nil && contErr == nil && !resolution
+	resolution := req.Port == pipeResolvePort && r.key.custodial()
+	piped := req.Cont != nil && !malformed && !resolution
+	tid, cause := trace.CallID(r.keyHash, inc, req.Seq), trace.Cause{Root: req.Root, Parent: req.Parent}
 
 	*call = Incoming{
 		From:  r.key.senderNode,
@@ -474,8 +482,8 @@ func (r *rstream) executeOne(req request, call *Incoming) {
 		Seq:   req.Seq,
 		Mode:  req.Mode,
 		Args:  req.Args,
-		Trace: req.Trace,
-		Cause: trace.Cause{Root: req.Root, Parent: req.Parent},
+		Trace: tid,
+		Cause: cause,
 		Local: call.Local,
 	}
 	sm := r.peer.sm
@@ -484,7 +492,7 @@ func (r *rstream) executeOne(req request, call *Incoming) {
 		execStart = r.peer.clk.Now()
 	}
 	var outcome Outcome
-	if contErr != nil {
+	if malformed {
 		outcome = ExceptionOutcome(exception.Failure("malformed continuation"))
 	} else if resolution {
 		outcome = r.deliverResolution(&cont, req.Args)
@@ -499,16 +507,13 @@ func (r *rstream) executeOne(req request, call *Incoming) {
 		sm.callsExecuted.Inc()
 		sm.stageExec.ObserveDuration(r.peer.clk.Now().Sub(execStart))
 	}
-	r.peer.emitCause(trace.CallExecuted, r.keyStr, req.Seq, req.Trace,
-		trace.Cause{Root: req.Root, Parent: req.Parent}, req.Port)
+	r.peer.emitCause(trace.CallExecuted, r.keyStr, req.Seq, tid, cause, req.Port)
 
 	// A forward on a ~pipe stream stays in this hop's custody until the
 	// chain is handed on, and the epoch scheduler completes it then, so the
 	// hop upstream keeps watching this one. Every other call completes now.
-	in := custody{inc: inc, seq: req.Seq, tid: req.Trace, cause: trace.Cause{Root: req.Root, Parent: req.Parent}}
-	if piped && r.key.agent == pipeAgentName {
-		in.r = r
-	} else if !r.complete(inc, &req, outcome, piped, breakReason != nil) {
+	if !(piped && r.key.custodial()) &&
+		!r.complete(inc, req.Seq, req.Mode, cause, outcome, piped, breakReason != nil) {
 		return
 	}
 
@@ -542,32 +547,33 @@ func (r *rstream) executeOne(req request, call *Incoming) {
 		// chain or an exceptional outcome, resolves the promise
 		// reference). May block when the continuation queue is full —
 		// that backpressure is deliberate.
-		r.peer.scheduler().submit(pipeWork{cont: cont, outcome: outcome, in: in})
+		r.peer.scheduler().submit(pipeWork{cont: cont, outcome: outcome,
+			in: custody{r: r, inc: inc, seq: req.Seq, cause: cause}})
 	}
 }
 
-// complete records call req's completion with outcome o in incarnation
+// complete records call seq's completion with outcome o in incarnation
 // inc, retains its reply if the wire needs one, and flushes the lane if
 // that cannot wait (brk: the handler broke the stream). It reports false
 // once the stream has moved on or broken. It takes only replyMu, so a
 // finishing handler never waits on request intake.
-func (r *rstream) complete(inc uint64, req *request, o Outcome, piped, brk bool) bool {
+func (r *rstream) complete(inc, seq uint64, mode Mode, cause trace.Cause, o Outcome, piped, brk bool) bool {
 	var msg []byte
 	r.replyMu.Lock()
 	if r.incA.Load() != inc || r.brokenA.Load() {
 		r.replyMu.Unlock()
 		return false
 	}
-	if piped && req.Mode != ModeSend {
-		r.pipeWait.put(req.Seq, struct{}{}) // before the scheduler sees the chain
+	if piped && mode != ModeSend {
+		r.pipeWait.put(seq, struct{}{}) // before the scheduler sees the chain
 	}
 	// Completion may be out of order with parallel ports or custody; the
 	// watermark advances over the contiguous prefix only. A ~pipe send
 	// completing past it gets a reply of its own, so the hop watching it
 	// never waits on another chain's custody.
 	w := r.watermark.Load()
-	early := req.Seq != w && r.key.agent == pipeAgentName
-	r.completedSet.put(req.Seq, struct{}{})
+	early := seq != w && r.key.custodial()
+	r.completedSet.put(seq, struct{}{})
 	for r.completedSet.has(w) {
 		r.completedSet.del(w)
 		w++
@@ -576,21 +582,20 @@ func (r *rstream) complete(inc uint64, req *request, o Outcome, piped, brk bool)
 	// Sends omit normal replies from the wire. A pipelined call retains
 	// nothing here, not even an exception: the scheduler forwards the
 	// outcome, and the reply comes back with the chain's resolution.
-	if !piped && (req.Mode != ModeSend || !o.Normal || early) {
-		r.retainLocked(req.Seq, o)
+	if !piped && (mode != ModeSend || !o.Normal || early) {
+		r.retainLocked(seq, o)
 		if r.peer.tracing() {
 			detail := "normal"
 			if !o.Normal {
 				detail = o.Exception
 			}
-			r.peer.emitCause(trace.CallReplied, r.keyStr, req.Seq, req.Trace,
-				trace.Cause{Root: req.Root, Parent: req.Parent}, detail)
+			r.peer.emitCause(trace.CallReplied, r.keyStr, seq, trace.CallID(r.keyHash, inc, seq), cause, detail)
 		}
 	}
 	completed := r.completedThroughNow()
 	// Results big enough to ride alone close the reply batch, as a big
 	// call's arguments close the request batch (see frame.go).
-	flushNow := req.Mode == ModeRPC || r.unsentReplies >= r.opts.MaxBatch || brk || o.frame != nil
+	flushNow := mode == ModeRPC || r.unsentReplies >= r.opts.MaxBatch || brk || o.frame != nil
 	if flushNow && (r.unsentReplies > 0 || completed > r.sentCompleted) {
 		msg = r.buildReplyBatchLocked(false, inc, completed)
 	}

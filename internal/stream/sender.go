@@ -488,17 +488,14 @@ func (s *Stream) enqueue(ctx context.Context, r Req, cont []byte) (Pending, erro
 		}
 		s.mu.Lock()
 	}
-	seq := s.nextSeq
+	seq, inc := s.nextSeq, s.incarnation
 	s.nextSeq++
-	tid := trace.CallID(s.keyHash, s.incarnation, seq)
 	// A chain origin encodes its continuation here, inside the
 	// seq-assignment critical section, because the blob embeds the promise
 	// reference (stream key + incarnation + seq) the chain's last guardian
 	// will resolve. Plain calls have no stages and skip this.
 	if cont == nil && len(r.Stages) > 0 {
-		cont = encodePipeCont(pipeRef{senderNode: s.key.senderNode, agent: s.key.agent,
-			recvNode: s.key.recvNode, group: s.key.group,
-			incarnation: s.incarnation, seq: seq}, r.Stages)
+		cont = encodePipeCont(pipeRef{s.key, inc, seq}, r.Stages)
 	}
 	p := newPending(seq, mode, s.peer.sm, s.peer.clk)
 	s.pending.put(seq, p)
@@ -511,7 +508,7 @@ func (s *Stream) enqueue(ctx context.Context, r Req, cont []byte) (Pending, erro
 		s.bufferedAt = s.peer.clk.Now()
 	}
 	s.buffer = append(s.buffer, request{Seq: seq, Port: port, Mode: mode, Args: args,
-		Trace: tid, Root: cause.Root, Parent: cause.Parent, Cont: cont, frame: frame})
+		Root: cause.Root, Parent: cause.Parent, Cont: cont, frame: frame})
 	// A call big enough to ride alone closes the batch like an RPC does:
 	// waiting for company would only get it copied (see frame.go).
 	full := len(s.buffer) >= s.opts.MaxBatch || mode == ModeRPC || frame != nil
@@ -521,7 +518,7 @@ func (s *Stream) enqueue(ctx context.Context, r Req, cont []byte) (Pending, erro
 		sm.callsEnqueued.Inc()
 	}
 	if s.peer.tracing() {
-		s.peer.emitCause(trace.CallEnqueued, s.keyStr, seq, tid, cause, mode.String())
+		s.peer.emitCause(trace.CallEnqueued, s.keyStr, seq, trace.CallID(s.keyHash, inc, seq), cause, mode.String())
 	}
 	if full {
 		s.Flush()
@@ -873,7 +870,7 @@ func (s *Stream) handleReplyBatch(b *replyBatch) {
 			s.heldReplies.put(r.Seq, r.Outcome)
 			// A ~pipe send's pending is a scheduler watch: it resolves on its
 			// own reply, so no chain's custody waits on another's.
-			if p, ok := s.pending.get(r.Seq); ok && s.key.agent == pipeAgentName {
+			if p, ok := s.pending.get(r.Seq); ok && s.key.custodial() {
 				p.c.resolve(r.Outcome)
 				s.pending.del(r.Seq)
 			}

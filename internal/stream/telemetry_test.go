@@ -205,7 +205,8 @@ func TestCauseRidesTraceEventsAcrossProcesses(t *testing.T) {
 
 // TestRejectedDatagramsCounted: datagrams in a layout this package no
 // longer writes — the 6-value request batch of a sender from before trace
-// IDs, and the removed kinds 4 and 5 — are not acted on, and show in
+// IDs, the request batches that carried each call's seq and trace ID, and
+// the removed kinds 4 and 5 — are not acted on, and show in
 // stream_datagrams_rejected_total; the count costs no allocation once the
 // counter exists.
 func TestRejectedDatagramsCounted(t *testing.T) {
@@ -225,15 +226,17 @@ func TestRejectedDatagramsCounted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range [][]byte{msg, removedKinds["resolve/10"], removedKinds["resolve-ack/7"]} {
+	sent := [][]byte{msg, removedRequests["trace-ids/8"], removedRequests["trace-ids/9"],
+		removedKinds["resolve/10"], removedKinds["resolve-ack/7"]}
+	for _, m := range sent {
 		if err := old.Send("server", m); err != nil {
 			t.Fatal(err)
 		}
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for reg.Snapshot().Counters["stream_datagrams_rejected_total"] != 3 {
+	for reg.Snapshot().Counters["stream_datagrams_rejected_total"] != uint64(len(sent)) {
 		if time.Now().After(deadline) {
-			t.Fatalf("rejected datagrams = %d, want 3", reg.Snapshot().Counters["stream_datagrams_rejected_total"])
+			t.Fatalf("rejected datagrams = %d, want %d", reg.Snapshot().Counters["stream_datagrams_rejected_total"], len(sent))
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -56,6 +56,7 @@ package stream
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -243,6 +244,10 @@ func (k streamKey) String() string {
 	return fmt.Sprintf("%s/%s->%s/%s", k.senderNode, k.agent, k.recvNode, k.group)
 }
 
+// custodial reports whether calls on the stream may complete out of
+// order: ~pipe forwards stay in custody until handed on (DESIGN.md §13).
+func (k streamKey) custodial() bool { return k.agent == pipeAgentName }
+
 // Message kinds on the wire.
 const (
 	kindRequestBatch = int64(1)
@@ -256,7 +261,6 @@ type request struct {
 	Port   string
 	Mode   Mode
 	Args   []byte
-	Trace  uint64 // causal trace ID (trace.CallID)
 	Root   uint64 // root trace ID of the causal chain; 0 = chain root
 	Parent uint64 // trace ID of the causing call; 0 = chain root
 	// Cont is the encoded continuation chain riding with a pipelined call
@@ -280,8 +284,8 @@ type requestBatch struct {
 	Agent             string
 	Group             string
 	Incarnation       uint64
-	AckRepliesThrough uint64 // sender has resolved replies through this seq
-	Requests          []request
+	AckRepliesThrough uint64    // sender has resolved replies through this seq
+	Requests          []request // consecutive seqs; the wire carries only the first
 }
 
 // replyBatch is the unit of transmission from receiver to sender.
@@ -323,11 +327,11 @@ func hasConts(reqs []request) bool {
 }
 
 // encodeRequestBatch writes a request batch (DESIGN.md §5): kind, agent,
-// group, incarnation, reply ack and the [seq, port, mode, args] tuples,
-// then two lists parallel to the requests — their trace IDs, and their
-// causal contexts as flattened (root, parent) pairs. That is 8 values.
-// When any request carries a continuation chain a 9th follows: one
-// continuation blob per request, empty for the plain ones.
+// group, incarnation, reply ack, the first request's seq, the
+// [port, mode, args] tuples and their causal contexts as one list of
+// flattened (root, parent) pairs. That is 8 values. When any request
+// carries a continuation chain a 9th follows: one continuation blob per
+// request, empty for the plain ones.
 //
 // The message is built once, in a buffer of exactly its size (the sum
 // below mirrors the three append helpers; a mismatch would only make
@@ -337,21 +341,25 @@ func hasConts(reqs []request) bool {
 func encodeRequestBatch(b requestBatch) []byte {
 	conts := hasConts(b.Requests)
 	n := len(b.Requests)
+	var first uint64 // a probe or an ack has no requests, and says 0
+	if n > 0 {
+		first = b.Requests[0].Seq
+	}
 	size := 1 + 2 + wire.SizeBlob(len(b.Agent)) + wire.SizeBlob(len(b.Group)) +
-		wire.SizeInt(int64(b.Incarnation)) + wire.SizeInt(int64(b.AckRepliesThrough)) +
-		2*wire.SizeCount(n) + wire.SizeCount(2*n) + 4*n // three lists; a tuple header and a mode per request
+		wire.SizeInt(int64(b.Incarnation)) + wire.SizeInt(int64(b.AckRepliesThrough)) + wire.SizeInt(int64(first)) +
+		wire.SizeCount(n) + wire.SizeCount(2*n) + 4*n // two lists; a tuple header and a mode per request
 	if conts {
 		size += wire.SizeCount(n)
 	}
 	for i := range b.Requests {
 		r := &b.Requests[i]
-		size += wire.SizeInt(int64(r.Seq)) + wire.SizeBlob(len(r.Port)) + wire.SizeBlob(len(r.Args)) +
-			wire.SizeInt(int64(r.Trace)) + wire.SizeInt(int64(r.Root)) + wire.SizeInt(int64(r.Parent))
+		size += wire.SizeBlob(len(r.Port)) + wire.SizeBlob(len(r.Args)) +
+			wire.SizeInt(int64(r.Root)) + wire.SizeInt(int64(r.Parent))
 		if conts {
 			size += wire.SizeBlob(len(r.Cont))
 		}
 	}
-	buf := appendRequestsOpen(make([]byte, 0, size), &b, conts)
+	buf := appendRequestsOpen(make([]byte, 0, size), &b, first, conts)
 	for i := range b.Requests {
 		buf = appendRequestOpen(buf, &b.Requests[i])
 		buf = append(buf, b.Requests[i].Args...)
@@ -359,8 +367,9 @@ func encodeRequestBatch(b requestBatch) []byte {
 	return appendRequestsClose(buf, b.Requests, conts)
 }
 
-// appendRequestsOpen appends a request batch up to the first request.
-func appendRequestsOpen(buf []byte, b *requestBatch, conts bool) []byte {
+// appendRequestsOpen appends a request batch up to the first request,
+// which is call first.
+func appendRequestsOpen(buf []byte, b *requestBatch, first uint64, conts bool) []byte {
 	hdr := 8
 	if conts {
 		hdr = 9
@@ -371,25 +380,21 @@ func appendRequestsOpen(buf []byte, b *requestBatch, conts bool) []byte {
 	buf = wire.AppendString(buf, b.Group)
 	buf = wire.AppendInt(buf, int64(b.Incarnation))
 	buf = wire.AppendInt(buf, int64(b.AckRepliesThrough))
+	buf = wire.AppendInt(buf, int64(first))
 	return wire.AppendList(buf, len(b.Requests))
 }
 
 // appendRequestOpen appends one request up to its argument bytes.
 func appendRequestOpen(buf []byte, r *request) []byte {
-	buf = wire.AppendList(buf, 4)
-	buf = wire.AppendInt(buf, int64(r.Seq))
+	buf = wire.AppendList(buf, 3)
 	buf = wire.AppendString(buf, r.Port)
 	buf = wire.AppendInt(buf, int64(r.Mode))
 	return wire.AppendBytesHeader(buf, len(r.Args))
 }
 
-// appendRequestsClose appends what follows the last request: the trace,
-// cause and (when the batch has any) continuation lists.
+// appendRequestsClose appends what follows the last request: the cause
+// and (when the batch has any) continuation lists.
 func appendRequestsClose(buf []byte, reqs []request, conts bool) []byte {
-	buf = wire.AppendList(buf, len(reqs))
-	for i := range reqs {
-		buf = wire.AppendInt(buf, int64(reqs[i].Trace))
-	}
 	buf = wire.AppendList(buf, 2*len(reqs))
 	for i := range reqs {
 		buf = wire.AppendInt(buf, int64(reqs[i].Root))
@@ -561,9 +566,10 @@ func decodeMessage(payload []byte) (kind int64, rb *requestBatch, pb *replyBatch
 }
 
 // decodeRequests reads the rest of a request batch into b: the reply ack,
-// the [seq, port, mode, args] tuples, and the trace-ID, cause and (in a
+// the first seq, the [port, mode, args] tuples, and the cause and (in a
 // 9-value batch) continuation lists, each exactly as long as the encoder
-// writes it. Any other shape is an error: there is one layout.
+// writes it. Request i is seq first+i, all of them in [1, MaxInt64]. Any
+// other shape is an error: there is one layout.
 func decodeRequests(d *wire.Decoder, b *requestBatch, nvals int) error {
 	if nvals != 8 && nvals != 9 {
 		return fmt.Errorf("stream: request batch has %d values, want 8 or 9", nvals)
@@ -573,19 +579,22 @@ func decodeRequests(d *wire.Decoder, b *requestBatch, nvals int) error {
 		return err
 	}
 	b.AckRepliesThrough = uint64(ack)
+	first, err := d.Int()
+	if err != nil {
+		return err
+	}
 	n, err := d.List()
 	if err != nil {
 		return err
 	}
+	if n > 0 && (first < 1 || first > math.MaxInt64-int64(n-1)) {
+		return fmt.Errorf("stream: %d requests from seq %d", n, first)
+	}
 	for i := 0; i < n; i++ {
 		if fields, err := d.List(); err != nil {
 			return err
-		} else if fields != 4 {
-			return fmt.Errorf("stream: request has %d fields, want 4", fields)
-		}
-		seq, err := d.Int()
-		if err != nil {
-			return err
+		} else if fields != 3 {
+			return fmt.Errorf("stream: request has %d fields, want 3", fields)
 		}
 		port, err := d.StringView()
 		if err != nil {
@@ -600,20 +609,10 @@ func decodeRequests(d *wire.Decoder, b *requestBatch, nvals int) error {
 			return err
 		}
 		b.Requests = append(b.Requests, request{
-			Seq: uint64(seq), Port: internString(port), Mode: Mode(mode), Args: args,
+			Seq: uint64(first) + uint64(i), Port: internString(port), Mode: Mode(mode), Args: args,
 		})
 	}
 	reqs := b.Requests
-	if err := expectList(d, len(reqs)); err != nil {
-		return err
-	}
-	for i := range reqs {
-		tid, err := d.Int()
-		if err != nil {
-			return err
-		}
-		reqs[i].Trace = uint64(tid)
-	}
 	if err := expectList(d, 2*len(reqs)); err != nil {
 		return err
 	}

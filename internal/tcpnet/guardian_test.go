@@ -2,7 +2,9 @@ package tcpnet_test
 
 import (
 	"context"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -11,6 +13,9 @@ import (
 	"promises/internal/promise"
 	"promises/internal/stream"
 	"promises/internal/tcpnet"
+	"promises/internal/trace"
+	"promises/internal/transport"
+	"promises/internal/wire"
 )
 
 // The in-process end of the transport-seam proof: full guardians — the
@@ -196,7 +201,8 @@ func BenchmarkPromiseBulkCallClaim(b *testing.B) {
 
 // chainWorld is a client and four stage guardians s1–s4 on loopback
 // sockets, with default Options, each serving inc: it runs hold with the
-// guardian's name, then adds one to its argument.
+// guardian's name, then adds one to its argument. A non-nil wrap stands
+// between each guardian and its endpoint.
 type chainWorld struct {
 	eps  map[string]*tcpnet.Endpoint
 	gs   map[string]*guardian.Guardian
@@ -204,7 +210,7 @@ type chainWorld struct {
 	s    *stream.Stream // the client's stream to s1
 }
 
-func newChainWorld(tb testing.TB, hold func(name string)) *chainWorld {
+func newChainWorld(tb testing.TB, hold func(name string), wrap func(name string, ep transport.Endpoint) transport.Endpoint) *chainWorld {
 	names := []string{"client", "s1", "s2", "s3", "s4"}
 	eps, err := tcpnet.Loopback(tcpnet.Config{}, names...)
 	if err != nil {
@@ -220,7 +226,11 @@ func newChainWorld(tb testing.TB, hold func(name string)) *chainWorld {
 		}
 	})
 	for _, name := range names {
-		g, err := guardian.NewOn(eps[name], stream.Options{})
+		var ep transport.Endpoint = eps[name]
+		if wrap != nil {
+			ep = wrap(name, ep)
+		}
+		g, err := guardian.NewOn(ep, stream.Options{})
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -251,20 +261,61 @@ func (w *chainWorld) start(v int64) (*promise.Promise[int64], error) {
 	return promise.Start(g, promise.Int)
 }
 
+// replyTap counts the ~pipe reply batches its endpoint receives from one
+// peer.
+type replyTap struct {
+	transport.Endpoint
+	from string
+	n    atomic.Int64
+}
+
+func (e *replyTap) Recv(ctx context.Context) (transport.Message, error) {
+	m, err := e.Endpoint.Recv(ctx)
+	if err == nil && m.From == e.from {
+		d := wire.NewDecoder(m.Payload)
+		_, _ = d.Header()
+		kind, _ := d.Int()
+		agent, _ := d.StringView()
+		if kind == 2 && string(agent) == "~pipe" {
+			e.n.Add(1)
+		}
+	}
+	return m, err
+}
+
 // TestMidChainKillOverLoopbackTCP: a chain whose stage at s3 is held, and
 // the middle guardian s2 is killed — its peer and its endpoint closed —
 // after it forwarded. s1's forward is still in s2's custody, so s1 is
 // still watching s2 over its ~pipe stream: that stream breaks, and the
 // claim returns unavailable with the break's reason.
+//
+// s2 is killed only once it has told s1 all it will tell of the stage
+// while it lives. A stream that completed its calls as they ran would by
+// then have reported the stage done, and s1 would have stopped watching
+// s2; only custody keeps s1 watching. The condition is read off s2's
+// trace ring and s1's endpoint: s2 executed the forward, then ran one
+// whole tick pass (two of its probes to s3 follow the execution: its tick
+// loop probes between passes over its receiving streams, and a receiving
+// stream reports completions on its tick), and s1 has received every
+// reply batch s2 sent it on that ~pipe stream.
 func TestMidChainKillOverLoopbackTCP(t *testing.T) {
 	held, entered := make(chan struct{}), make(chan struct{}, 1)
 	defer close(held)
+	tap := &replyTap{from: "s2"}
 	w := newChainWorld(t, func(name string) {
 		if name == "s3" {
 			entered <- struct{}{}
 			<-held
 		}
+	}, func(name string, ep transport.Endpoint) transport.Endpoint {
+		if name != "s1" {
+			return ep
+		}
+		tap.Endpoint = ep
+		return tap
 	})
+	ring := trace.NewRing(4096)
+	w.gs["s2"].Peer().SetTracer(ring)
 	p, err := w.start(0)
 	if err != nil {
 		t.Fatal(err)
@@ -275,9 +326,27 @@ func TestMidChainKillOverLoopbackTCP(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("the chain never reached s3")
 	}
-	// Long enough for s2 to have reported its stage done to s1: only
-	// custody keeps s1 watching s2 after that.
-	time.Sleep(50 * time.Millisecond)
+	reported := func() bool {
+		var executed time.Time
+		probes, sent := 0, int64(0)
+		for _, e := range ring.Events() {
+			switch from := strings.HasPrefix(e.Stream, "s1/~pipe->s2/"); {
+			case e.Kind == trace.CallExecuted && from && executed.IsZero():
+				executed = e.At
+			case e.Kind == trace.ReplyBatchSent && from:
+				sent++
+			case e.Kind == trace.BatchSent && e.Detail == "probe" && strings.HasPrefix(e.Stream, "s2/~pipe->s3/") &&
+				!executed.IsZero() && e.At.After(executed):
+				probes++
+			}
+		}
+		return probes >= 2 && tap.n.Load() >= sent
+	}
+	for deadline := time.Now().Add(10 * time.Second); !reported(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("s2 never reported the stage to s1")
+		}
+	}
 	w.gs["s2"].Close()
 	w.eps["s2"].Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -296,7 +365,7 @@ func TestMidChainKillOverLoopbackTCP(t *testing.T) {
 // cut and hand-off, and the resolution's trip home. CI holds it to a
 // ceiling.
 func BenchmarkPipelinedChain(b *testing.B) {
-	w := newChainWorld(b, func(string) {})
+	w := newChainWorld(b, func(string) {}, nil)
 	const window = 16
 	ps := make([]*promise.Promise[int64], window)
 	ctx := context.Background()

@@ -13,9 +13,6 @@ type Cause struct {
 	Parent uint64 // trace ID of the immediate causing call; 0 = none
 }
 
-// IsZero reports whether the cause carries no upstream context.
-func (c Cause) IsZero() bool { return c.Root == 0 && c.Parent == 0 }
-
 // ChildOf returns the cause that calls issued *from* the call with
 // trace ID tid should carry: the same chain root (or tid itself when
 // the call roots the chain) with tid as the parent.

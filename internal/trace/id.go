@@ -1,12 +1,15 @@
 package trace
 
 // Trace IDs are derived, never allocated: a call's ID is a pure
-// function of (stream key, incarnation, seq), so the sender computes it
-// with two multiplies at enqueue time, the request batch carries it to
-// the receiver (see DESIGN.md "Observability"), and seeded runs produce
-// byte-identical IDs. IDs are masked to 48 bits to keep their varint
-// wire encoding short; 0 is reserved for "no call" (stream- and
-// batch-scoped events), so the mask output is nudged when it collides.
+// function of (stream key, incarnation, seq), which both ends of a stream
+// hold, so each derives it on its own and the wire never carries it
+// (DESIGN.md §8). Seeded runs produce byte-identical IDs. Precondition:
+// an endpoint's name is the name its callers route to, or the two ends
+// spell the stream key differently and derive different IDs.
+// IDs are masked to 48 bits to keep the varint encoding of a call's root
+// and parent, which do travel, short; 0 is reserved for "no call"
+// (stream- and batch-scoped events), so the mask output is nudged when it
+// collides.
 
 // HashStream returns the FNV-1a hash of a stream key string, the
 // stream-level input to CallID.

@@ -102,10 +102,10 @@ func (t *Timeline) Total() time.Duration {
 // Correlate joins trace events — typically the concatenation of every
 // node's ring — into per-call timelines.
 //
-// Events that carry a TraceID (CallEnqueued, CallDelivered,
-// CallExecuted, CallReplied, PromiseResolved) join on it directly; the
-// ID is derived from (stream, incarnation, seq) and travels in the wire
-// header, so sender-side and receiver-side events for one call agree.
+// The per-call events (CallEnqueued, CallDelivered, CallExecuted,
+// CallReplied, PromiseResolved) join on their TraceID directly; each end
+// derives it from (stream, incarnation, seq), so sender-side and
+// receiver-side events for one call agree.
 // BatchSent events are batch-scoped, not call-scoped: each carries the
 // batch's first seq and a "n=<count>" detail, so the correlator walks
 // events in time order, tracks the live seq->call map per stream
@@ -153,9 +153,6 @@ func Correlate(events []Event) []*Timeline {
 	for _, e := range evs {
 		switch e.Kind {
 		case CallEnqueued:
-			if e.TraceID == 0 {
-				continue // legacy event without an ID: cannot join
-			}
 			tl := get(e)
 			mark(tl, StageEnqueued, e.At)
 			if tl.Mode == "" {
@@ -179,28 +176,20 @@ func Correlate(events []Event) []*Timeline {
 				}
 			}
 		case CallDelivered:
-			if e.TraceID != 0 {
-				mark(get(e), StageDelivered, e.At)
-			}
+			mark(get(e), StageDelivered, e.At)
 		case CallExecuted:
-			if e.TraceID != 0 {
-				tl := get(e)
-				mark(tl, StageExecuted, e.At)
-				if tl.Port == "" {
-					tl.Port = e.Detail
-				}
+			tl := get(e)
+			mark(tl, StageExecuted, e.At)
+			if tl.Port == "" {
+				tl.Port = e.Detail
 			}
 		case CallReplied:
-			if e.TraceID != 0 {
-				mark(get(e), StageReplied, e.At)
-			}
+			mark(get(e), StageReplied, e.At)
 		case PromiseResolved:
-			if e.TraceID != 0 {
-				tl := get(e)
-				mark(tl, StageResolved, e.At)
-				if tl.Outcome == "" {
-					tl.Outcome = e.Detail
-				}
+			tl := get(e)
+			mark(tl, StageResolved, e.At)
+			if tl.Outcome == "" {
+				tl.Outcome = e.Detail
 			}
 		case StreamRestarted:
 			// New incarnation: seq numbering restarts at 1, so the old

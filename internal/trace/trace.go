@@ -7,10 +7,10 @@
 // installed the instrumentation is a nil check. Ring is the standard
 // tracer: a fixed-capacity, concurrency-safe ring buffer.
 //
-// Events that belong to one call carry its TraceID — a value derived
-// deterministically from (stream, incarnation, seq) and carried across
-// the wire in request batches — so sender-side and receiver-side rings
-// can be joined into per-call timelines (see Correlate).
+// Events that belong to one call carry its TraceID — a value each end
+// derives deterministically from (stream, incarnation, seq), so it never
+// crosses the wire — and sender-side and receiver-side rings can be
+// joined into per-call timelines (see Correlate).
 package trace
 
 import (
@@ -84,7 +84,7 @@ type Event struct {
 	Kind    Kind
 	Stream  string // stream key ("sender/agent->recv/group")
 	Seq     uint64 // call seq (or incarnation for StreamRestarted)
-	TraceID uint64 // per-call causal ID; 0 when unknown or not call-scoped
+	TraceID uint64 // per-call causal ID; 0 when not call-scoped
 	Root    uint64 // root trace ID of the causal chain; 0 when unknown
 	Parent  uint64 // trace ID of the causing call; 0 for chain roots
 	Detail  string
