@@ -25,7 +25,7 @@ func mustPanic(t *testing.T, what string, f func()) {
 	f()
 }
 
-// TestRetainedCallIsPoisoned: the Call and its Args are per-executor
+// TestRetainedCallIsPoisoned: the Call and its Args are per-runner
 // scratch, like stream.Incoming. A handler that keeps the pointer reads
 // zero values afterwards and panics on the methods; a Clone taken inside
 // the handler stays whole, bytes included, while later calls reuse the
@@ -211,7 +211,7 @@ func TestAddHandlerAgainstConcurrentDispatch(t *testing.T) {
 
 // echoDispatch returns a closure that runs one call through the
 // guardian's adapted handler for an echo port, exactly as a stream
-// executor would: one scratch Incoming reused from call to call.
+// runner would: one scratch Incoming reused from call to call.
 func echoDispatch(tb testing.TB, arg any) func() {
 	tb.Helper()
 	n := simnet.New(simnet.Config{})
@@ -244,7 +244,7 @@ func TestAllocsEchoDispatch(t *testing.T) {
 	}
 	for _, arg := range []any{make([]byte, 32), int64(1) << 20, "a string argument"} {
 		dispatch := echoDispatch(t, arg)
-		dispatch() // the executor's scratch is made on its first call
+		dispatch() // the runner's scratch is made on its first call
 		got := testing.AllocsPerRun(100, dispatch)
 		t.Logf("%T: %.0f allocs/dispatch", arg, got)
 		if got > 3 {

@@ -21,7 +21,7 @@
 //
 // Lifetime: the *Call a handler receives, its Args slice, and every
 // []byte among the arguments (a view of the received datagram) are valid
-// only until the handler returns; the executor reuses them for its next
+// only until the handler returns; the runner reuses them for its next
 // call. Returning call.Args as the results is fine. A handler that keeps
 // the call or an argument's bytes — for a goroutine, a table, a queue —
 // takes call.Clone() first. Dispatch itself takes no lock and allocates
@@ -52,7 +52,7 @@ import (
 // guardian is created belong to the same group."
 const DefaultGroup = "main"
 
-// Call is one decoded incoming handler call. It is per-executor scratch
+// Call is one decoded incoming handler call. It is per-runner scratch
 // under the same contract as stream.Incoming (see the package comment):
 // valid only until the handler returns, Clone to retain. A retained Call
 // is poisoned at retirement — its fields read as zero values and its
@@ -112,10 +112,10 @@ func (c *Call) FloatArg(i int) (float64, error) { c.live(); return wire.FloatArg
 // StringArg returns argument i as a string.
 func (c *Call) StringArg(i int) (string, error) { c.live(); return wire.StringArg(c.Args, i) }
 
-// callScratch is what one executor reuses from call to call: the Call
+// callScratch is what one runner reuses from call to call: the Call
 // handed to handlers and the backing array of its Args. It lives in the
-// executor's stream.Incoming (Local), so it is only ever touched by the
-// goroutine running that executor.
+// runner's stream.Incoming (Local), so it is only ever touched by the
+// goroutine of that runner.
 type callScratch struct {
 	call Call
 	args []any

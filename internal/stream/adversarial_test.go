@@ -2,10 +2,13 @@ package stream
 
 import (
 	"context"
+	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
+	"promises/internal/metrics"
 	"promises/internal/simnet"
 )
 
@@ -102,10 +105,10 @@ func TestSynchUnderAdversarialDelivery(t *testing.T) {
 	}
 }
 
-// TestExecutorBacklogPressure pushes more in-flight calls than the
-// executor channel holds (1024) while the first call blocks the serial
-// executor: the overflow stays queued at the stream layer and drains on
-// later ticks, preserving exactly-once in-order execution.
+// TestExecutorBacklogPressure parks a deep backlog behind a first call
+// that blocks the stream's serial runner: every received call waits in
+// the stream's seq ring, and runs exactly once, in call order, once the
+// first returns.
 func TestExecutorBacklogPressure(t *testing.T) {
 	opts := Options{MaxBatch: 256, MaxBatchDelay: 500 * time.Microsecond,
 		RTO: 20 * time.Millisecond, MaxRetries: 50}
@@ -117,7 +120,7 @@ func TestExecutorBacklogPressure(t *testing.T) {
 	f.handle("step", func(call *Incoming) Outcome {
 		v := int(call.Args[0]) | int(call.Args[1])<<8
 		if v == 0 {
-			<-release // block the executor with everything else queued
+			<-release // block the runner with everything else queued
 		}
 		mu.Lock()
 		order = append(order, v)
@@ -126,7 +129,7 @@ func TestExecutorBacklogPressure(t *testing.T) {
 	})
 
 	s := f.client.Agent("a1").Stream("server", "g1")
-	const n = 1500 // exceeds the 1024-deep executor channel
+	const n = 1500 // six batches deep
 	ps := make([]Pending, n)
 	for i := range ps {
 		p, err := s.Call("step", []byte{byte(i), byte(i >> 8)})
@@ -155,4 +158,131 @@ func TestExecutorBacklogPressure(t *testing.T) {
 			t.Fatalf("order[%d] = %d", i, v)
 		}
 	}
+}
+
+// TestReceiverAcksWhatItHolds: while a serial handler blocks with 2 000
+// calls behind it, the receiver acknowledges every call it has received,
+// run or not, so the sender retransmits none of them, however many RTOs
+// pass; the calls then run in call order. The clock is virtual and moves
+// only when the test advances it, so a loaded host cannot make an RTO
+// run out before the ack arrives.
+func TestReceiverAcksWhatItHolds(t *testing.T) {
+	reg := metrics.NewRegistry()
+	opts := Options{MaxBatchDelay: 10 * time.Millisecond, RTO: 10 * time.Millisecond, Metrics: reg}
+	f, vclk := newVirtualFixture(t, simnet.Config{}, opts)
+	held, release := newGate(t)
+	var mu sync.Mutex
+	var order []int
+	f.handle("step", func(call *Incoming) Outcome {
+		v := int(call.Args[0]) | int(call.Args[1])<<8
+		if v == 0 {
+			<-held
+		}
+		mu.Lock()
+		order = append(order, v)
+		mu.Unlock()
+		return NormalOutcome(call.Args)
+	})
+
+	s := f.client.Agent("a1").Stream("server", "g1")
+	vclk.SetAutoAdvance(false)
+	const n = 2000
+	ps := make([]Pending, n)
+	for i := range ps {
+		p, err := s.Call("step", []byte{byte(i), byte(i >> 8)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps[i] = p
+	}
+	s.Flush()
+	waitFor(t, "the receiver's ack frontier never covered every call", func() bool {
+		f.server.mu.Lock()
+		r := f.server.recvs[streamKey{"client", "a1", "server", "g1"}]
+		f.server.mu.Unlock()
+		if r == nil {
+			return false
+		}
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		return r.expected > n
+	})
+	vclk.Advance(opts.RTO / 2) // one tick: the receiver acks what it holds
+	waitFor(t, "the ack never reached the sender", func() bool {
+		s.batchMu.Lock()
+		defer s.batchMu.Unlock()
+		return len(s.unacked) == 0
+	})
+	for i := 0; i < 20; i++ { // ten more RTOs
+		vclk.Advance(opts.RTO / 2)
+		vclk.Settle()
+	}
+	release()
+	vclk.SetAutoAdvance(true)
+	for i, p := range ps {
+		if o := claim(t, p); !o.Normal {
+			t.Fatalf("call %d outcome = %+v", i, o)
+		}
+	}
+	if got := reg.Snapshot().Counters["stream_retransmits_total"]; got != 0 {
+		t.Errorf("stream_retransmits_total = %d; the receiver held those calls", got)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for i, v := range order {
+		if v != i {
+			t.Fatalf("order[%d] = %d", i, v)
+		}
+	}
+	if len(order) != n {
+		t.Fatalf("executed %d calls", len(order))
+	}
+}
+
+// TestIdleStreamsHoldNoGoroutines: a stream is a record, not a
+// goroutine. After one RPC on each of 1 000 streams, the two peers hold
+// no more goroutines than a per-peer constant (each parks at most
+// execWorkers idle runners), and a stream pair costs a few rings' worth
+// of heap.
+func TestIdleStreamsHoldNoGoroutines(t *testing.T) {
+	const n = 1000
+	f := newFixture(t, simnet.Config{}, fastOpts())
+	f.handle("echo", echoHandler)
+	ctx := context.Background()
+	rpc := func(s *Stream) {
+		if _, err := s.RPC(ctx, "echo", nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rpc(f.client.Agent("warm").Stream("server", "g1"))
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	base := runtime.NumGoroutine()
+	streams := make([]*Stream, n)
+	for i := range streams {
+		streams[i] = f.client.Agent(fmt.Sprint("a", i)).Stream("server", "g1")
+		rpc(streams[i])
+	}
+
+	const bound = 2 * (execWorkers + 4) // per peer: parked runners, and slack
+	delta := func() int { return runtime.NumGoroutine() - base }
+	for deadline := time.Now().Add(2 * time.Second); delta() > bound && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if d := delta(); d > bound {
+		t.Fatalf("%d idle stream pairs hold %d goroutines (bound %d, whatever the count)", n, d, bound)
+	}
+	if raceEnabled {
+		return // the race detector's shadow memory swells the heap
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	perPair := (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / n
+	t.Logf("%d B of heap per idle stream pair", perPair)
+	if perPair > 32<<10 {
+		t.Errorf("an idle stream pair costs %d B of heap, want <= 32 KiB", perPair)
+	}
+	runtime.KeepAlive(streams)
 }

@@ -2,7 +2,13 @@ package stream
 
 import (
 	"context"
+	"encoding/binary"
+	"fmt"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"promises/internal/metrics"
 	"promises/internal/simnet"
@@ -306,4 +312,108 @@ func BenchmarkEncodeReplyBatch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = encodeReplyBatch(batch)
 	}
+}
+
+// BenchmarkManyActiveStreams drives many streams at once from one client
+// peer to one server peer. Each stream's caller issues bursts of four
+// calls, leaves them to the age flush, and waits for them. Besides
+// calls/s and per-call latency it reports flush-late: how long after its
+// batch's MaxBatchDelay ran out the first call of a burst reaches its
+// handler. That covers the age flush, delivery and the hand-off to a
+// runner, which every stream on a peer shares.
+func BenchmarkManyActiveStreams(b *testing.B) {
+	for _, n := range []int{64, 1000} {
+		b.Run(fmt.Sprintf("streams=%d", n), func(b *testing.B) { benchManyStreams(b, n) })
+	}
+}
+
+func benchManyStreams(b *testing.B, streams int) {
+	const burst = 4
+	const delay = 2 * time.Millisecond
+	opts := Options{MaxBatchDelay: delay}
+	epoch := time.Now()
+	var mu sync.Mutex
+	var late []time.Duration
+	n := simnet.New(simnet.Config{})
+	client := NewPeer(n.MustAddNode("client"), opts)
+	server := NewPeer(n.MustAddNode("server"), opts)
+	server.SetDispatcher(func(string) (Handler, bool) {
+		return func(call *Incoming) Outcome {
+			if call.Args[8] == 0 { // the first call of its burst
+				d := time.Since(epoch) - time.Duration(binary.LittleEndian.Uint64(call.Args)) - delay
+				mu.Lock()
+				late = append(late, d)
+				mu.Unlock()
+			}
+			return NormalOutcome(nil)
+		}, true
+	})
+	defer func() {
+		client.Close()
+		server.Close()
+		n.Close()
+	}()
+	ctx := context.Background()
+	ss := make([]*Stream, streams)
+	for i := range ss {
+		ss[i] = client.Agent(fmt.Sprint("a", i)).Stream("server", "g")
+		if _, err := ss[i].RPC(ctx, "warm", make([]byte, 9)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	mu.Lock()
+	late = late[:0]
+	mu.Unlock()
+
+	var issued atomic.Int64
+	lats := make([][]time.Duration, streams)
+	var wg sync.WaitGroup
+	b.ResetTimer()
+	start := time.Now()
+	for i, s := range ss {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var ps [burst]Pending
+			var at [burst]time.Duration
+			for issued.Add(burst) <= int64(b.N)+burst-1 {
+				for j := range ps {
+					arg := make([]byte, 9)
+					at[j] = time.Since(epoch)
+					binary.LittleEndian.PutUint64(arg, uint64(at[j]))
+					arg[8] = byte(j)
+					p, err := s.Call("work", arg)
+					if err != nil {
+						b.Error(err)
+						return
+					}
+					ps[j] = p
+				}
+				for j, p := range ps {
+					if o, err := p.Wait(ctx); err != nil || !o.Normal {
+						b.Errorf("call: %+v %v", o, err)
+						return
+					}
+					lats[i] = append(lats[i], time.Since(epoch)-at[j])
+					p.Release()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	elapsed := time.Since(start)
+	b.StopTimer()
+
+	var all []time.Duration
+	for _, l := range lats {
+		all = append(all, l...)
+	}
+	q := func(d []time.Duration, f float64) float64 {
+		slices.Sort(d)
+		return float64(d[int(f*float64(len(d)-1))].Microseconds())
+	}
+	b.ReportMetric(float64(len(all))/elapsed.Seconds(), "calls/s")
+	b.ReportMetric(q(all, 0.99), "lat-p99-us")
+	b.ReportMetric(q(late, 0.5), "flush-late-p50-us")
+	b.ReportMetric(q(late, 0.99), "flush-late-p99-us")
 }

@@ -1,12 +1,15 @@
 package stream
 
 import (
+	"math"
+	"math/rand"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"promises/internal/exception"
 	"promises/internal/simnet"
+	"promises/internal/wire"
 )
 
 // TestCrashAfterAckBreaksViaProbe covers the hardest crash case: the
@@ -214,7 +217,7 @@ func TestRestartOnHealthyStreamBreaksFirst(t *testing.T) {
 
 // TestCloseDoesNotHangWithInFlightTraffic is the regression test for a
 // shutdown race: a request batch arriving concurrently with Close used
-// to register a fresh receiving stream whose executor nothing would ever
+// to register a fresh receiving stream whose goroutine nothing would ever
 // stop, deadlocking Peer.Close in wg.Wait.
 func TestCloseDoesNotHangWithInFlightTraffic(t *testing.T) {
 	for i := 0; i < 30; i++ {
@@ -242,6 +245,30 @@ func TestCloseDoesNotHangWithInFlightTraffic(t *testing.T) {
 		case <-done:
 		case <-time.After(10 * time.Second):
 			t.Fatalf("iteration %d: Close hung", i)
+		}
+	}
+}
+
+// TestEpochsEncodeAtOneWidth: whatever a process draws at boot, the
+// epochs it issues are nonzero, unique and encode at one width, so the
+// bytes of a reply batch, which carries one, do not depend on the draw.
+func TestEpochsEncodeAtOneWidth(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	draws := []uint64{0, math.MaxUint64}
+	for i := 0; i < 10000; i++ {
+		draws = append(draws, rng.Uint64())
+	}
+	width := wire.SizeInt(int64(nextEpoch()))
+	for _, x := range draws {
+		seen := make(map[uint64]bool)
+		for e := epochSeed(x) + 1; e <= epochSeed(x)+64; e++ {
+			if e == 0 || seen[e] {
+				t.Fatalf("draw %#x: epoch %#x is zero or repeated", x, e)
+			}
+			seen[e] = true
+			if got := wire.SizeInt(int64(e)); got != width {
+				t.Fatalf("draw %#x: epoch %#x encodes in %d bytes, others in %d", x, e, got, width)
+			}
 		}
 	}
 }

@@ -11,7 +11,7 @@ import (
 
 const (
 	// pipeQueueCap is the continuation-work queue depth per peer;
-	// executors block once it fills, which backpressures the stream's
+	// runners block once it fills, which backpressures the stream's
 	// admission machinery instead of growing without bound.
 	pipeQueueCap = 4096
 	// pipeWaveMax bounds one admission wave: the scheduler drains up to

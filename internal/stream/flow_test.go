@@ -19,12 +19,9 @@ import (
 // within the credit the receiver last advertised, its completed prefix
 // plus recvWindow. These tests run on zero-value Options plus timings.
 
-// flowOpts leaves the batch size at its default. The RTO is long because
-// a window parked behind a blocked handler outgrows the executor's queue,
-// and the requests beyond it are retransmitted unanswered until the
-// handler is released.
+// flowOpts leaves the batch size and the RTO at their defaults.
 func flowOpts() Options {
-	return Options{MaxBatchDelay: time.Millisecond, RTO: time.Second, MaxRetries: 8}
+	return Options{MaxBatchDelay: time.Millisecond, MaxRetries: 8}
 }
 
 // fillCredit uses up the stream's credit. An RPC to echo goes first, so a

@@ -298,7 +298,7 @@ func TestMixedBatchStaysOneBatch(t *testing.T) {
 	var order []int
 	var argsAt atomic.Pointer[byte]
 	f.handle("echo", func(call *Incoming) Outcome {
-		order = append(order, int(call.Seq)) // serial executor: no lock needed
+		order = append(order, int(call.Seq)) // serial runner: no lock needed
 		argsAt.Store(&call.Args[0])
 		return reMarshal(call)
 	})

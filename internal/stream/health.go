@@ -64,7 +64,7 @@ func (p *Peer) Health() []StreamHealth {
 			Incarnation: r.incarnation,
 			Broken:      r.broken,
 			Epoch:       r.epoch,
-			Expected:    r.expectedA.Load(),
+			Expected:    r.nextRun,
 			Completed:   r.completedThroughNow(),
 		})
 		r.mu.Unlock()

@@ -48,22 +48,44 @@ type Peer struct {
 
 	// Bounded worker pool for parallel-port execution (see execWorker):
 	// workers are spawned lazily up to execWorkers and live until Close,
-	// which closes execTasks after every submitter (the per-stream
-	// executors, tracked in wg) has exited.
+	// which closes execTasks after every submitter (the runners, tracked
+	// in wg) has exited.
 	execTasks   chan execTask
 	execWorkers atomic.Int32
 	execWG      sync.WaitGroup
+
+	// Runners execute receiving streams' calls (see handOff): runq hands a
+	// stream to an idle one, and idleRunners counts those waiting on it.
+	runq        chan *rstream
+	idleRunners atomic.Int32
+
+	// Age flushes: each batch a sending stream opens, oldest first.
+	// Every stream shares MaxBatchDelay, so arming order is deadline
+	// order; tickLoop serves the queue, with flushTimer armed for its
+	// head. Guarded by flushMu, which nests inside a stream's batchMu.
+	flushMu    sync.Mutex
+	flushQ     []ageFlush
+	flushHead  int
+	flushTimer clock.Timer
 
 	ctx    context.Context
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
 }
 
-// execTask is one parallel-port call handed to the worker pool. A typed
-// struct rather than a closure, so submission does not allocate.
+// execTask is one parallel-port call of incarnation inc handed to the
+// worker pool. A typed struct rather than a closure, so submission does
+// not allocate.
 type execTask struct {
 	r   *rstream
 	req request
+	inc uint64
+}
+
+// ageFlush is a batch awaiting its age flush: stream s opened it at at.
+type ageFlush struct {
+	s  *Stream
+	at time.Time
 }
 
 // NewPeer creates the stream runtime on a transport endpoint and starts
@@ -97,9 +119,12 @@ func NewPeer(ep transport.Endpoint, opts Options) *Peer {
 		sends:     make(map[streamKey]*Stream),
 		recvs:     make(map[streamKey]*rstream),
 		execTasks: make(chan execTask, 2*execWorkers),
+		runq:      make(chan *rstream),
 		ctx:       ctx,
 		cancel:    cancel,
 	}
+	p.flushTimer = p.clk.NewTimer(time.Hour)
+	p.flushTimer.Stop()
 	p.wg.Add(2)
 	go p.recvLoop()
 	go p.tickLoop()
@@ -223,16 +248,42 @@ func (p *Peer) senderStream(key streamKey) *Stream {
 	if !ok {
 		s = newStream(p, key, p.opts)
 		p.sends[key] = s
-		if !p.closed {
-			// The precise age-flush timer (sender.go flushLoop). A stream
-			// created in a race with Close gets none: the peer is dead and
-			// its transmits are no-ops anyway, and wg.Add after wg.Wait
-			// would race.
-			p.wg.Add(1)
-			go s.flushLoop()
-		}
 	}
 	return s
+}
+
+// handOff gives stream r, which has calls to run and no runner, to an
+// idle runner, or to a new one when none is parked. Callers hold a wg
+// count (the receive loop does), so the Add cannot race Close's Wait.
+func (p *Peer) handOff(r *rstream) {
+	select {
+	case p.runq <- r:
+	default:
+		p.wg.Add(1)
+		go p.runner(r)
+	}
+}
+
+// runner runs the streams handed to it, one at a time, each until it has
+// nothing left to run, then parks on runq: waking a parked runner costs
+// what a channel send does, where a fresh goroutine would regrow its
+// stack through the handler. At most execWorkers runners park.
+func (p *Peer) runner(r *rstream) {
+	defer p.wg.Done()
+	var scratch Incoming // reused across calls; retired after each
+	for {
+		r.run(&scratch)
+		if p.idleRunners.Add(1) > execWorkers {
+			p.idleRunners.Add(-1)
+			return
+		}
+		select {
+		case r = <-p.runq:
+			p.idleRunners.Add(-1)
+		case <-p.ctx.Done():
+			return
+		}
+	}
 }
 
 // submitParallel hands one parallel-port call to the worker pool,
@@ -240,9 +291,9 @@ func (p *Peer) senderStream(key streamKey) *Stream {
 // when the peer is shutting down and the task was not accepted — the
 // caller then abandons the call, as a crash would. The pool outlives the
 // submitters (Close closes execTasks only after wg — which tracks every
-// executor — has drained), so an accepted task is always executed and
-// its outstanding count always released.
-func (p *Peer) submitParallel(r *rstream, req request) bool {
+// runner — has drained), so an accepted task is always executed and its
+// outstanding count always released.
+func (p *Peer) submitParallel(t execTask) bool {
 	if n := p.execWorkers.Load(); n < execWorkers {
 		if p.execWorkers.CompareAndSwap(n, n+1) {
 			p.execWG.Add(1)
@@ -250,7 +301,7 @@ func (p *Peer) submitParallel(r *rstream, req request) bool {
 		}
 	}
 	select {
-	case p.execTasks <- execTask{r: r, req: req}:
+	case p.execTasks <- t:
 		return true
 	case <-p.ctx.Done():
 		return false
@@ -259,13 +310,13 @@ func (p *Peer) submitParallel(r *rstream, req request) bool {
 
 // execWorker runs parallel-port calls until the pool channel closes.
 // Workers deliberately do not watch ctx: during shutdown they must keep
-// draining accepted tasks so executors blocked in outstanding.Wait can
+// draining accepted tasks so runners blocked in outstanding.Wait can
 // finish.
 func (p *Peer) execWorker() {
 	defer p.execWG.Done()
 	var scratch Incoming // reused across calls; retired after each
 	for t := range p.execTasks {
-		t.r.executeOne(t.req, &scratch)
+		t.r.executeOne(t.req, t.inc, &scratch)
 		t.r.outstanding.Done()
 	}
 }
@@ -409,7 +460,7 @@ func (p *Peer) resolvePipe(ref pipeRef, o Outcome, lanes *replyLanes) {
 
 // recvStream returns (creating on first use) the receiving stream for a
 // key. It returns nil once the peer is closed, so a message racing with
-// Close cannot register an executor that shutdown would never stop.
+// Close cannot register a stream that shutdown would never close.
 func (p *Peer) recvStream(key streamKey, incarnation uint64) *rstream {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -424,10 +475,50 @@ func (p *Peer) recvStream(key streamKey, incarnation uint64) *rstream {
 	return r
 }
 
-// tickLoop drives batching-delay flushes and retransmission for every
-// stream on this peer.
+// armAgeFlush queues s's batch, opened at at, for its age flush. Caller
+// holds s.batchMu.
+func (p *Peer) armAgeFlush(s *Stream, at time.Time) {
+	p.flushMu.Lock()
+	if p.flushHead == len(p.flushQ) {
+		p.flushTimer.Reset(p.opts.MaxBatchDelay)
+	}
+	p.flushQ = append(p.flushQ, ageFlush{s, at})
+	p.flushMu.Unlock()
+}
+
+// flushAged flushes every queued batch whose MaxBatchDelay has run out by
+// now and arms flushTimer for the first one still to come. An entry
+// flushes only if its stream still buffers the batch it was armed for; a
+// batch that filled or was flushed is gone, and the entry with it.
+func (p *Peer) flushAged(now time.Time) {
+	p.flushMu.Lock()
+	for p.flushHead < len(p.flushQ) {
+		e := p.flushQ[p.flushHead]
+		if wait := e.at.Add(p.opts.MaxBatchDelay).Sub(now); wait > 0 {
+			p.flushTimer.Reset(wait)
+			break
+		}
+		p.flushQ[p.flushHead] = ageFlush{}
+		p.flushHead++
+		p.flushMu.Unlock()
+		e.s.flushIfOpenedAt(e.at)
+		p.flushMu.Lock()
+	}
+	// Compact once the served prefix is half the queue, so a queue that
+	// never quite empties does not grow without bound.
+	if p.flushHead > len(p.flushQ)/2 {
+		n := copy(p.flushQ, p.flushQ[p.flushHead:])
+		clear(p.flushQ[n:])
+		p.flushQ, p.flushHead = p.flushQ[:n], 0
+	}
+	p.flushMu.Unlock()
+}
+
+// tickLoop drives age flushes and retransmission for every stream on this
+// peer. Age flushes are exact: they wait on flushTimer, not on the tick.
 func (p *Peer) tickLoop() {
 	defer p.wg.Done()
+	defer p.flushTimer.Stop()
 	interval := p.opts.MaxBatchDelay / 2
 	if rto := p.opts.RTO / 2; rto < interval {
 		interval = rto
@@ -446,7 +537,12 @@ func (p *Peer) tickLoop() {
 		select {
 		case <-p.ctx.Done():
 			return
+		case <-p.flushTimer.C():
+			p.flushAged(p.clk.Now())
 		case now := <-ticker.C():
+			// Due batches go out before the tick, whichever channel won the
+			// select, so one instant's work happens in one order every run.
+			p.flushAged(p.clk.Now())
 			p.mu.Lock()
 			sends = sends[:0]
 			for _, s := range p.sends {
@@ -490,8 +586,8 @@ func (p *Peer) Recover() {
 	}
 }
 
-// Close shuts down the peer: all receiving executors stop and background
-// loops exit. Outstanding sender promises resolve with unavailable.
+// Close shuts down the peer: all runners stop and background loops
+// exit. Outstanding sender promises resolve with unavailable.
 func (p *Peer) Close() {
 	p.mu.Lock()
 	if p.closed {
@@ -513,7 +609,7 @@ func (p *Peer) Close() {
 		r.close()
 	}
 	p.wg.Wait()
-	// Every submitter (the executors, tracked in wg) has exited; the pool
+	// Every submitter (the runners, tracked in wg) has exited; the pool
 	// can now drain its remaining tasks and stop.
 	close(p.execTasks)
 	p.execWG.Wait()

@@ -18,28 +18,25 @@ import (
 // entropy: with real transports the receiving end can be a SEPARATE OS
 // process, and a deterministic start would hand a restarted process the
 // same epochs as its predecessor, hiding the recreation from senders.
-// (The top bits carry the entropy; low bits count, so epochs stay unique
-// within a process too.)
 var epochCounter atomic.Uint64
 
 func init() {
 	var b [8]byte
-	if _, err := rand.Read(b[:]); err == nil {
-		epochCounter.Store(binary.BigEndian.Uint64(b[:]) << 24)
-	}
+	_, _ = rand.Read(b[:]) // on failure every boot draws the same epochs
+	epochCounter.Store(epochSeed(binary.BigEndian.Uint64(b[:])))
 }
 
-func nextEpoch() uint64 {
-	e := epochCounter.Add(1)
-	for e == 0 { // 0 means "epoch unknown" on the sender side
-		e = epochCounter.Add(1)
-	}
-	return e
-}
+// epochSeed places 31 bits of x above a 24-bit count, with bit 55 set:
+// every epoch lies in [2^55, 2^56) and so encodes at one width (every
+// reply batch carries one), and none is 0, which means "epoch unknown"
+// on the sender side.
+func epochSeed(x uint64) uint64 { return 1<<55 | x>>33<<24 }
+
+func nextEpoch() uint64 { return epochCounter.Add(1) }
 
 // Incoming describes one call request being executed at the receiver.
 //
-// The struct handed to a handler is a per-executor scratch that is
+// The struct handed to a handler is a per-runner scratch that is
 // recycled as soon as the handler returns: its fields are valid only for
 // the duration of the handler. A handler that needs the call past its own
 // return must take a Clone; retaining the original is a bug — the scratch
@@ -64,7 +61,7 @@ type Incoming struct {
 
 	// Local belongs to the dispatch layer above. It is the one field that
 	// survives retirement: whatever a handler leaves here is handed to
-	// the next call that runs on the same executor, so a dispatcher can
+	// the next call that runs on the same runner, so a dispatcher can
 	// keep its own per-call scratch beside the stream's (the guardian
 	// parks its Call there). The stream layer never reads it.
 	Local any
@@ -173,16 +170,19 @@ type rstream struct {
 	brokenA   atomic.Bool
 	expectedA atomic.Uint64
 
-	// Request ordering and exactly-once delivery. oo is keyed by dense
-	// seqs within the in-flight window, so it is a seq-indexed ring.
-	expected uint64 // next seq to hand to the executor
+	// Request ordering and exactly-once delivery. oo holds every received
+	// request that has not run yet, in order or not: it is the execution
+	// queue, a seq-indexed ring over the in-flight window. expected is the
+	// contiguous receive frontier, which the ack reports; nextRun <=
+	// expected is the next seq to run. running says a runner owns the
+	// stream (see run).
+	expected uint64
+	nextRun  uint64
 	oo       seqRing[request]
+	running  bool
+	closed   bool
 
-	// Execution queue (serial executor goroutine drains it).
-	execCh chan request
-	closed bool
-
-	// outstanding counts in-flight parallel calls; the executor waits for
+	// outstanding counts in-flight parallel calls; the runner waits for
 	// it to drain before running a serial call, so serial calls still
 	// appear to happen in call order.
 	outstanding sync.WaitGroup
@@ -196,10 +196,9 @@ type rstream struct {
 	// a duplicate or late one is dropped (resolvePiped). Guarded by replyMu.
 	pipeWait seqRing[struct{}]
 
-	// resolved holds the origin reply lanes this stream's executor has
+	// resolved holds the origin reply lanes this stream's runner has
 	// retained chain resolutions in (a ~pipe stream's resolution sends):
-	// they are flushed once the executor has nothing queued. Owned by the
-	// executor goroutine.
+	// they are flushed once nothing is left to run. Owned by the runner.
 	resolved replyLanes
 }
 
@@ -224,8 +223,8 @@ func (l *replyLanes) flush() {
 	*l = (*l)[:0]
 }
 
-// maxSeqAhead bounds how far past the contiguous frontier a request seq
-// may run and still be buffered. Legitimate senders stay well inside it
+// maxSeqAhead bounds how far past the next seq to run a request seq may
+// be and still be buffered. Legitimate senders stay well inside it
 // (it allows a million calls in flight); a garbled seq far outside the
 // window must not be admitted to the ring, where covering it would force
 // unbounded growth. Dropped requests are redelivered by sender
@@ -243,13 +242,11 @@ func newRStream(p *Peer, key streamKey, incarnation uint64, opts Options) *rstre
 		incarnation: incarnation,
 		epoch:       nextEpoch(),
 		expected:    1,
-		execCh:      make(chan request, 1024),
+		nextRun:     1,
 	}
 	r.incA.Store(incarnation)
 	r.expectedA.Store(1)
 	r.watermark.Store(1)
-	p.wg.Add(1)
-	go r.executor()
 	return r
 }
 
@@ -292,13 +289,13 @@ func (r *rstream) handleRequestBatch(b *requestBatch) {
 	for _, req := range b.Requests {
 		switch {
 		case req.Seq < r.expected:
-			// Duplicate of an already-delivered request: our reply batch
+			// Duplicate of a request already received: our reply batch
 			// was probably lost; retransmit retained replies soon.
 			r.pendingRetransmit = true
 			if sm != nil {
 				sm.duplicateReqs.Inc()
 			}
-		case req.Seq >= r.expected+maxSeqAhead:
+		case req.Seq >= r.nextRun+maxSeqAhead:
 			// Implausibly far ahead (a garbled seq, or a sender pipelining
 			// beyond the protocol window): drop; retransmission redelivers
 			// it once the window slides.
@@ -315,7 +312,14 @@ func (r *rstream) handleRequestBatch(b *requestBatch) {
 			}
 		}
 	}
-	r.drainLocked()
+	for r.oo.has(r.expected) {
+		r.expected++
+	}
+	r.expectedA.Store(r.expected)
+	hand := !r.running && !r.closed && r.nextRun < r.expected
+	if hand {
+		r.running = true
+	}
 	// Duplicate requests are evidence the sender missed replies: only
 	// then does a flush re-send the full retained set. An empty request
 	// batch is the sender probing for liveness (or a pure ack); answer
@@ -334,6 +338,9 @@ func (r *rstream) handleRequestBatch(b *requestBatch) {
 		r.replyMu.Unlock()
 	}
 	r.mu.Unlock()
+	if hand {
+		r.peer.handOff(r)
+	}
 	if msg != nil {
 		r.peer.transmit(r.key.senderNode, msg)
 	}
@@ -356,44 +363,35 @@ func (r *rstream) pruneRetainedLocked() {
 	r.retained = kept
 }
 
-// drainLocked moves contiguously-sequenced requests to the executor.
-// Delivery to user code is therefore exactly-once and in call order.
-func (r *rstream) drainLocked() {
-	if r.closed {
-		return
-	}
+// run executes r's received calls in seq order until none is left, then
+// gives the stream up; the caller is the runner that owns it (Peer.handOff).
+// "The Argus system will delay its execution until all earlier calls on
+// its stream have completed" — with one explicit override, anticipated by
+// §2.1: ports marked parallel (see Peer.SetParallelPorts) run concurrently
+// with later calls on the same stream. A serial call still waits for every
+// earlier call, parallel ones included, so ordering is preserved for
+// everything not opted out. A closed or broken stream abandons what it
+// holds, as in a crash.
+func (r *rstream) run(call *Incoming) {
 	for {
-		req, ok := r.oo.get(r.expected)
-		if !ok {
+		r.mu.Lock()
+		if r.closed || r.broken || r.nextRun == r.expected {
+			if len(r.resolved) > 0 {
+				r.mu.Unlock()
+				r.resolved.flush()
+				continue
+			}
+			r.running = false
+			r.mu.Unlock()
 			return
 		}
-		select {
-		case r.execCh <- req:
-			r.oo.del(r.expected)
-			r.expected++
-			r.expectedA.Store(r.expected)
-		default:
-			return // executor backlogged; retry on a later tick
-		}
-	}
-}
-
-// executor runs calls in seq order. "The Argus system will delay its
-// execution until all earlier calls on its stream have completed" — with
-// one explicit override, anticipated by §2.1: ports marked parallel (see
-// Peer.SetParallelPorts) run concurrently with later calls on the same
-// stream. A serial call still waits for every earlier call, parallel ones
-// included, so ordering is preserved for everything not opted out.
-func (r *rstream) executor() {
-	defer r.peer.wg.Done()
-	var scratch Incoming // serial calls reuse one Incoming; retired after each
-	done := r.peer.ctx.Done()
-	for {
-		req, ok := r.next(done)
-		if !ok {
-			r.outstanding.Wait()
-			return
-		}
+		// The request and its incarnation are taken together, so a reset
+		// cannot slip between them and run an old call as a new one.
+		req, _ := r.oo.get(r.nextRun)
+		r.oo.del(r.nextRun)
+		r.nextRun++
+		inc := r.incarnation
+		r.mu.Unlock()
 		if req.Port != pipeResolvePort && r.peer.parallelPredicate()(req.Port) {
 			// Parallel ports run on the peer's bounded worker pool rather
 			// than a goroutine per request, so a flood of parallel calls
@@ -401,56 +399,24 @@ func (r *rstream) executor() {
 			// are saturated, submission blocks — backpressure instead of
 			// unbounded spawn.
 			r.outstanding.Add(1)
-			if !r.peer.submitParallel(r, req) {
+			if !r.peer.submitParallel(execTask{r: r, req: req, inc: inc}) {
 				r.outstanding.Done() // shutdown race: abandoned, as in a crash
 			}
 			continue
 		}
 		r.outstanding.Wait()
-		r.executeOne(req, &scratch)
-		if len(r.resolved) > 0 && len(r.execCh) == 0 {
-			r.resolved.flush()
-		}
+		r.executeOne(req, inc, call)
 	}
 }
 
-// next takes the executor's next request; false means exit, because the
-// stream was closed or the peer shut down (done). A queued request is
-// taken without the select, which only an empty queue parks on. Either
-// way a peer that has shut down wins, and its queued requests are
-// abandoned, as in a crash. done is also what ends the executor of a
-// stream created in a race with Close, which nobody closes.
-func (r *rstream) next(done <-chan struct{}) (request, bool) {
-	select {
-	case req, ok := <-r.execCh:
-		select {
-		case <-done:
-			return request{}, false
-		default:
-			return req, ok
-		}
-	default:
-	}
-	select {
-	case req, ok := <-r.execCh:
-		return req, ok
-	case <-done:
-		return request{}, false
-	}
-}
-
-// executeOne runs one call through its handler and records the
-// completion (see complete). call is the executor's scratch Incoming:
-// valid only during the handler, poisoned afterwards (see Incoming). r.mu
-// is taken briefly before the handler, and after it only to break.
-func (r *rstream) executeOne(req request, call *Incoming) {
-	r.mu.Lock()
-	if r.broken {
-		r.mu.Unlock()
+// executeOne runs one call of incarnation inc through its handler and
+// records the completion (see complete). call is the runner's scratch
+// Incoming: valid only during the handler, poisoned afterwards (see
+// Incoming). r.mu is taken only to break.
+func (r *rstream) executeOne(req request, inc uint64, call *Incoming) {
+	if r.brokenA.Load() || r.incA.Load() != inc {
 		return
 	}
-	inc := r.incarnation
-	r.mu.Unlock()
 
 	// A request carrying a continuation chain is pipelined: its result is
 	// forwarded to the next stage's guardian (or, with no stages left, to
@@ -608,8 +574,8 @@ func (r *rstream) complete(inc, seq uint64, mode Mode, cause trace.Cause, o Outc
 
 // deliverResolution takes a chain's resolution off a resolution send and
 // retains it at the origin stream the continuation names. The reply lane
-// is flushed once this stream's executor has nothing queued (see
-// executor), or at once when it fills. A send with no continuation names
+// is flushed once this stream has nothing left to run (see run), or at
+// once when it fills. A send with no continuation names
 // no origin (the zero pipeCont's reference is empty) and fails.
 func (r *rstream) deliverResolution(c *pipeCont, args []byte) Outcome {
 	o, err := decodeOutcome(args)
@@ -772,6 +738,7 @@ func (r *rstream) resetLocked(incarnation uint64) {
 	r.broken = false
 	r.brokenA.Store(false)
 	r.expected = 1
+	r.nextRun = 1
 	r.expectedA.Store(1)
 	r.oo.reset()
 	r.ackedThrough = 0
@@ -786,16 +753,6 @@ func (r *rstream) resetLocked(incarnation uint64) {
 	r.completedSet.reset()
 	r.watermark.Store(1)
 	r.replyMu.Unlock()
-	// Drain any stale queued requests from the old incarnation. The
-	// executor may be mid-call; executeOne re-checks the incarnation. A
-	// closed queue is always ready, so it is left alone.
-	for !r.closed {
-		select {
-		case <-r.execCh:
-		default:
-			return
-		}
-	}
 }
 
 // tick flushes aged reply batches, pushes progress for send-only
@@ -810,7 +767,6 @@ func (r *rstream) tick(now time.Time) {
 		r.mu.Unlock()
 		return
 	}
-	r.drainLocked()
 	inc := r.incarnation
 	completed := r.completedThroughNow()
 	r.replyMu.Lock()
@@ -871,9 +827,6 @@ func (r *rstream) tick(now time.Time) {
 
 func (r *rstream) close() {
 	r.mu.Lock()
-	if !r.closed {
-		r.closed = true
-		close(r.execCh)
-	}
+	r.closed = true
 	r.mu.Unlock()
 }

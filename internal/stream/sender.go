@@ -270,10 +270,6 @@ type Stream struct {
 	unacked    []request // transmitted but not acked by receiver
 	lastSendAt time.Time // when unacked was last (re)transmitted
 
-	// flushArm signals the flush-timer goroutine that the buffer went
-	// from empty to non-empty (see flushLoop). Buffered; signals coalesce.
-	flushArm chan struct{}
-
 	mu          sync.Mutex
 	incarnation uint64
 	nextSeq     uint64 // seq to assign to the next call (starts at 1)
@@ -338,7 +334,6 @@ func newStream(p *Peer, key streamKey, opts Options) *Stream {
 		keyStr:         keyStr,
 		keyHash:        trace.HashStream(keyStr),
 		opts:           opts,
-		flushArm:       make(chan struct{}, 1),
 		incarnation:    1,
 		nextSeq:        1,
 		nextResolve:    1,
@@ -503,8 +498,7 @@ func (s *Stream) enqueue(ctx context.Context, r Req, cont []byte) (Pending, erro
 	// section, so a break cannot slip between them and orphan the pending.
 	// The batch append nests inside it (lock order mu -> batchMu).
 	s.batchMu.Lock()
-	arm := len(s.buffer) == 0
-	if arm {
+	if len(s.buffer) == 0 {
 		s.bufferedAt = s.peer.clk.Now()
 	}
 	s.buffer = append(s.buffer, request{Seq: seq, Port: port, Mode: mode, Args: args,
@@ -512,6 +506,9 @@ func (s *Stream) enqueue(ctx context.Context, r Req, cont []byte) (Pending, erro
 	// A call big enough to ride alone closes the batch like an RPC does:
 	// waiting for company would only get it copied (see frame.go).
 	full := len(s.buffer) >= s.opts.MaxBatch || mode == ModeRPC || frame != nil
+	if !full && len(s.buffer) == 1 {
+		s.peer.armAgeFlush(s, s.bufferedAt)
+	}
 	s.batchMu.Unlock()
 	s.mu.Unlock()
 	if sm := s.peer.sm; sm != nil {
@@ -522,14 +519,6 @@ func (s *Stream) enqueue(ctx context.Context, r Req, cont []byte) (Pending, erro
 	}
 	if full {
 		s.Flush()
-	} else if arm {
-		// First call of a new batch: arm the precise flush timer. The
-		// channel holds one pending signal; a dropped send means the loop
-		// is already due to re-check.
-		select {
-		case s.flushArm <- struct{}{}:
-		default:
-		}
 	}
 	return p, nil
 }
@@ -609,6 +598,17 @@ func (s *Stream) Flush() {
 		s.peer.emit(trace.BatchSent, s.keyStr, firstSeq, 0, trace.BatchDetail(n))
 	}
 	s.peer.transmit(s.key.recvNode, msg)
+}
+
+// flushIfOpenedAt flushes the buffered batch if it is the one opened at
+// at (see Peer.flushAged).
+func (s *Stream) flushIfOpenedAt(at time.Time) {
+	s.batchMu.Lock()
+	open := len(s.buffer) > 0 && s.bufferedAt.Equal(at)
+	s.batchMu.Unlock()
+	if open {
+		s.Flush()
+	}
 }
 
 // buildRequestBatchLocked encodes a request batch carrying the current ack
@@ -996,11 +996,9 @@ func (s *Stream) tick(now time.Time) {
 		return
 	}
 	sm := s.peer.sm
-	// Age-based flushes are NOT handled here: flushLoop schedules a
-	// precise per-batch timer at bufferedAt+MaxBatchDelay, so a buffered
-	// batch never waits out the tick quantization on top of its delay.
-	// unacked only changes with s.mu held, so it cannot move between the
-	// staleness check and the retransmission below.
+	// Age flushes are the peer's (Peer.flushAged). unacked only changes
+	// with s.mu held, so it cannot move between the staleness check and
+	// the retransmission below.
 	s.batchMu.Lock()
 	stale := len(s.unacked) > 0 && now.Sub(s.lastSendAt) >= s.opts.RTO
 	s.batchMu.Unlock()
@@ -1077,53 +1075,4 @@ func (s *Stream) tick(now time.Time) {
 // it could release if we told it. Caller holds s.mu.
 func (s *Stream) ackRepliesOwedLocked() bool {
 	return s.nextResolve-1 > s.lastAckedReplies
-}
-
-// flushLoop runs the stream's precise age-flush timer: parked until
-// enqueue signals that the buffer went non-empty (flushArm), it then
-// sleeps to exactly bufferedAt+MaxBatchDelay and flushes whatever is
-// still buffered. The peer tick used to do this on its coarse interval,
-// which let a batch wait up to a full tick beyond MaxBatchDelay; a timer
-// through the clock removes the quantization (and stays deterministic
-// under the virtual clock, where timer waiters fire at exact instants).
-// The goroutine exits with the peer context; an idle stream costs one
-// parked goroutine and no timer.
-func (s *Stream) flushLoop() {
-	defer s.peer.wg.Done()
-	var t clock.Timer
-	defer func() {
-		if t != nil {
-			t.Stop()
-		}
-	}()
-	for {
-		select {
-		case <-s.peer.ctx.Done():
-			return
-		case <-s.flushArm:
-		}
-		for {
-			s.batchMu.Lock()
-			if len(s.buffer) == 0 {
-				s.batchMu.Unlock()
-				break // flushed by count or Flush; park until re-armed
-			}
-			due := s.bufferedAt.Add(s.opts.MaxBatchDelay)
-			s.batchMu.Unlock()
-			if wait := due.Sub(s.peer.clk.Now()); wait > 0 {
-				if t == nil {
-					t = s.peer.clk.NewTimer(wait)
-				} else {
-					t.Reset(wait)
-				}
-				select {
-				case <-s.peer.ctx.Done():
-					return
-				case <-t.C():
-				}
-				continue // re-check: the batch may have flushed meanwhile
-			}
-			s.Flush()
-		}
-	}
 }

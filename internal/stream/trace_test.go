@@ -119,7 +119,9 @@ func TestTracingCapturesBreakAndRestart(t *testing.T) {
 	if breaks[0].Detail != exception.NameUnavailable+"(cannot communicate)" {
 		t.Fatalf("break detail = %q", breaks[0].Detail)
 	}
-	// Auto-restart reincarnated the stream.
+	// Auto-restart reincarnated the stream. The break resolves the call
+	// before it reincarnates, so the claim can return first.
+	waitFor(t, "the stream never restarted", func() bool { return ring.Count(trace.StreamRestarted) > 0 })
 	if got := ring.Count(trace.StreamRestarted); got != 1 {
 		t.Fatalf("StreamRestarted = %d", got)
 	}

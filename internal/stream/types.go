@@ -224,8 +224,8 @@ const (
 	// advertises as admission credit.
 	recvWindow = 4096
 	// execWorkers caps the peer-wide worker pool that runs parallel-port
-	// calls (Peer.SetParallelPorts); serial calls still run on their
-	// stream's executor.
+	// calls (Peer.SetParallelPorts), and how many idle runners a peer
+	// keeps parked; serial calls run on the runner that owns their stream.
 	execWorkers = 16
 )
 
