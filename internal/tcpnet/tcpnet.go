@@ -12,10 +12,13 @@
 //     layer's zero-copy wire.Decoder views directly, so the read path
 //     costs one allocation per ~64 KiB of traffic, not one per datagram.
 //
-//   - Writes: each Send enqueues the encoded datagram on the link's
-//     write queue; a single writer goroutine per peer drains the queue
-//     and hands the batch to writev via net.Buffers — length prefixes
-//     and payloads as one vectored call, no coalescing copy.
+//   - Writes: a Send on an idle link whose peer has spoken since the
+//     link's last inline write writes its frame itself, with one
+//     non-blocking writev (inline_linux.go), so a request or a reply
+//     wakes no goroutine. Every other Send enqueues the datagram on the
+//     link's write queue; a single writer goroutine per peer drains the
+//     queue and hands the batch to writev via net.Buffers — length
+//     prefixes and payloads as one vectored call, no coalescing copy.
 //
 //   - TCP_NODELAY is set on every connection: the stream layer's
 //     batching (DESIGN.md §9) owns aggregation; letting Nagle
@@ -46,6 +49,7 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"promises/internal/clock"
@@ -267,7 +271,8 @@ func (ep *Endpoint) Stats() Stats {
 func (ep *Endpoint) SendShard(to string, payload []byte, _ int) error { return ep.Send(to, payload) }
 
 // Send transmits payload to the named peer: fire-and-forget, unreliable
-// (transport.Endpoint). A nil error means the frame was queued locally.
+// (transport.Endpoint). A nil error means the frame was written, queued,
+// or dropped and counted; Send never waits for the socket.
 func (ep *Endpoint) Send(to string, payload []byte) error {
 	if len(payload) > ep.cfg.MaxFrame {
 		return fmt.Errorf("tcpnet: %w (%d bytes)", errFrameTooBig, len(payload))
@@ -290,16 +295,7 @@ func (ep *Endpoint) Send(to string, payload []byte) error {
 		l = ep.newLinkLocked(to)
 	}
 	ep.mu.Unlock()
-
-	l.qmu.Lock()
-	if len(l.q) >= ep.cfg.QueueLimit {
-		l.qmu.Unlock()
-		ep.countDrops(1)
-		return nil // accepted and lost: the datagram contract
-	}
-	l.q = append(l.q, payload)
-	l.qmu.Unlock()
-	l.kickWriter()
+	l.send(payload)
 	return nil
 }
 
@@ -391,7 +387,7 @@ func (ep *Endpoint) DropConnections() {
 	conns := ep.drainConnsLocked()
 	for _, l := range ep.links {
 		l.mu.Lock()
-		l.conn = nil
+		l.setConnLocked(nil)
 		l.mu.Unlock()
 	}
 	ep.mu.Unlock()
@@ -460,6 +456,18 @@ func (ep *Endpoint) routeFor(peer string) string {
 	ep.mu.Lock()
 	defer ep.mu.Unlock()
 	return ep.routes[peer]
+}
+
+// countWritten records what one writev put on the wire.
+func (ep *Endpoint) countWritten(writevs, frames, bytes int64) {
+	atomic.AddInt64(&ep.st.Writevs, writevs)
+	atomic.AddInt64(&ep.st.FramesSent, frames)
+	atomic.AddInt64(&ep.st.BytesSent, bytes)
+	if tm := ep.tm; tm != nil {
+		tm.writevs.Add(uint64(writevs))
+		tm.framesSent.Add(uint64(frames))
+		tm.bytesSent.Add(uint64(bytes))
+	}
 }
 
 func (ep *Endpoint) countDrops(n int64) {
@@ -573,6 +581,9 @@ func (ep *Endpoint) readFrom(l *link, c net.Conn, fr *frameReader) {
 		if err != nil {
 			return
 		}
+		if !l.heard.Load() {
+			l.heard.Store(true) // the peer spoke: our next frame may go inline
+		}
 		atomic.AddInt64(&ep.st.FramesRecv, 1)
 		atomic.AddInt64(&ep.st.BytesRecv, int64(len(payload)+lenSize))
 		if ep.tm != nil {
@@ -595,20 +606,36 @@ func (ep *Endpoint) readFrom(l *link, c net.Conn, fr *frameReader) {
 	}
 }
 
-// link is the per-peer connection state: the write queue, the current
-// connection (dialed or adopted from an accept), and the single writer
-// goroutine that drains the queue into vectored writes.
+// link is the per-peer connection state: the current connection (dialed
+// or adopted from an accept), the write queue, the single writer
+// goroutine that drains the queue into vectored writes, and the write
+// role that keeps the link's frames in order whether a sender writes its
+// own frame inline or the writer writes a batch.
 type link struct {
 	ep   *Endpoint
 	peer string
 	kick chan struct{} // cap-1 doorbell for the writer
 	dead chan struct{} // closed when the link is retired
+	// heard is set by the reader on each frame from the peer and cleared
+	// by each inline write: the turn-taking rule (see send).
+	heard atomic.Bool
 
-	qmu sync.Mutex
-	q   [][]byte // frames queued for the writer
+	mu      sync.Mutex
+	retired bool            // set by kill: a frame sent now is dropped
+	conn    net.Conn        // current write connection; nil while unreachable
+	raw     syscall.RawConn // conn's raw handle; nil where inline writes are unsupported
+	q       [][]byte        // frames queued for the writer
+	writing bool            // the write role: a sender or the writer is writing
+	// tail is the unwritten rest of a frame an inline write left
+	// half-sent on tailConn; it goes out before q, on that connection only.
+	tail     net.Buffers
+	tailConn net.Conn
 
-	mu   sync.Mutex
-	conn net.Conn // current write connection; nil while unreachable
+	// Owned by the holder of the write role, for inline writes: the
+	// frame's length prefix, tail's backing array, and the iovecs.
+	pre     [lenSize]byte
+	tailArr [2][]byte
+	iw      inlineWriter
 }
 
 // newLinkLocked creates the link and starts its writer. Caller holds
@@ -633,6 +660,15 @@ func (l *link) kickWriter() {
 	}
 }
 
+// setConnLocked installs c (nil: none) as the write connection. Caller
+// holds l.mu.
+func (l *link) setConnLocked(c net.Conn) {
+	l.conn, l.raw = c, nil
+	if c != nil {
+		l.raw = rawOf(c)
+	}
+}
+
 // adopt installs c as the link's write connection. Latest wins: a
 // replaced connection keeps serving reads until it dies (any connection
 // delivers to the peer's one inbox, so writing on the newest is always
@@ -640,12 +676,10 @@ func (l *link) kickWriter() {
 func (l *link) adopt(c net.Conn) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	select {
-	case <-l.dead:
+	if l.retired {
 		return false
-	default:
 	}
-	l.conn = c
+	l.setConnLocked(c)
 	return true
 }
 
@@ -653,63 +687,176 @@ func (l *link) adopt(c net.Conn) bool {
 func (l *link) forget(c net.Conn) {
 	l.mu.Lock()
 	if l.conn == c {
-		l.conn = nil
+		l.setConnLocked(nil)
 	}
 	l.mu.Unlock()
 	c.Close()
 	l.kickWriter() // the writer may need to redial for queued frames
 }
 
-func (l *link) currentConn() net.Conn {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.conn
-}
-
 // kill retires the link: the writer exits, the connection closes, queued
-// frames are dropped.
+// frames and any unwritten tail are dropped. Send checks retired under
+// the same lock, so a frame sent into a retired link is counted as
+// dropped too.
 func (l *link) kill() {
 	l.mu.Lock()
-	select {
-	case <-l.dead:
+	if l.retired {
 		l.mu.Unlock()
 		return
-	default:
 	}
+	l.retired = true
 	close(l.dead)
 	c := l.conn
-	l.conn = nil
+	l.setConnLocked(nil)
+	dropped := int64(len(l.q))
+	clear(l.q)
+	l.q = l.q[:0]
+	if len(l.tail) > 0 {
+		dropped++
+		l.tail, l.tailConn = nil, nil
+	}
 	l.mu.Unlock()
 	if c != nil {
 		c.Close()
 	}
-	l.qmu.Lock()
-	dropped := int64(len(l.q))
-	clear(l.q)
-	l.q = l.q[:0]
-	l.qmu.Unlock()
 	if dropped > 0 {
 		l.ep.countDrops(dropped)
 	}
 }
 
-// gather moves every queued frame into dst, in FIFO order.
-func (l *link) gather(dst [][]byte) [][]byte {
-	l.qmu.Lock()
-	if len(l.q) > 0 {
-		dst = append(dst, l.q...)
-		clear(l.q)
-		l.q = l.q[:0]
+// send writes payload on the caller's goroutine when the link is idle —
+// no write role held, nothing queued, no unwritten tail, a connection up
+// — and the peer has spoken since the link's last inline write.
+// Otherwise it queues payload for the writer. The turn-taking rule sends
+// ping-pong traffic (a request, its reply) inline and leaves back-to-back
+// bursts to the writer, which coalesces them into one writev.
+func (l *link) send(payload []byte) {
+	l.mu.Lock()
+	if l.retired {
+		l.mu.Unlock()
+		l.ep.countDrops(1)
+		return
 	}
-	l.qmu.Unlock()
-	return dst
+	if l.writing || len(l.q) > 0 || len(l.tail) > 0 || l.raw == nil || !l.heard.Load() {
+		if len(l.q) >= l.ep.cfg.QueueLimit {
+			l.mu.Unlock()
+			l.ep.countDrops(1)
+			return // accepted and lost: the datagram contract
+		}
+		l.q = append(l.q, payload)
+		// A role holder looks at the queue again before it lets go.
+		kick := !l.writing
+		l.mu.Unlock()
+		if kick {
+			l.kickWriter()
+		}
+		return
+	}
+	l.writing = true
+	conn, raw := l.conn, l.raw
+	l.mu.Unlock()
+	l.heard.Store(false)
+	l.writeInline(conn, raw, payload)
 }
 
-// writeLoop is the link's single writer: woken by the doorbell, it
-// drains the queue and hands the whole round to writev as one
-// net.Buffers — [prefix, payload, prefix, payload, ...] — so a flushed
-// batch reaches the kernel without a coalescing copy. Dialing happens
-// here too, off every sender's path.
+// writeInline writes one frame with one non-blocking writev, holding the
+// write role. It never waits for the socket: a sender may be the stream
+// layer's receive or tick loop, and two peers whose loops both waited on
+// full socket buffers would deadlock. What the socket does not take —
+// the whole frame, or the tail of a partial write — becomes the link's
+// tail, which the writer sends before anything queued.
+func (l *link) writeInline(conn net.Conn, raw syscall.RawConn, payload []byte) {
+	binary.BigEndian.PutUint32(l.pre[:], uint32(len(payload)))
+	n, err := l.iw.write(raw, l.pre[:], payload)
+	total := lenSize + len(payload)
+	if n == total {
+		l.ep.countWritten(1, 1, int64(n))
+	} else if n > 0 {
+		l.ep.countWritten(1, 0, int64(n)) // the writer counts the frame
+	}
+	dropped := err != nil
+	l.mu.Lock()
+	l.writing = false
+	if !dropped && n < total {
+		if l.retired {
+			dropped = true
+		} else {
+			l.setTailLocked(conn, payload, n)
+		}
+	}
+	kick := len(l.q) > 0 || len(l.tail) > 0
+	l.mu.Unlock()
+	if err != nil {
+		l.forget(conn)
+	}
+	if dropped {
+		l.ep.countDrops(1)
+	}
+	if kick {
+		l.kickWriter()
+	}
+}
+
+// setTailLocked records the part of the inline frame [l.pre, payload]
+// past its first n bytes as the tail. Caller holds l.mu and the role.
+func (l *link) setTailLocked(conn net.Conn, payload []byte, n int) {
+	t := l.tailArr[:0]
+	if n < lenSize {
+		t = append(t, l.pre[n:])
+		n = lenSize
+	}
+	if rest := payload[n-lenSize:]; len(rest) > 0 {
+		t = append(t, rest)
+	}
+	l.tail, l.tailConn = t, conn
+}
+
+// claim takes the write role for the writer, with everything pending:
+// the tail (appended to bufs, and counted in tails) and the queued frames
+// (appended to frames, in FIFO order). ok is false when there is nothing
+// to write or a sender holds the role; that sender kicks the writer when
+// it lets go. A tail left on a connection that is no longer the link's
+// is dropped: its head bytes went into a stream that is gone.
+func (l *link) claim(bufs net.Buffers, frames [][]byte) (_ net.Buffers, _ [][]byte, conn net.Conn, tails int, ok bool) {
+	l.mu.Lock()
+	if l.writing || l.retired || (len(l.q) == 0 && len(l.tail) == 0) {
+		l.mu.Unlock()
+		return bufs, frames, nil, 0, false
+	}
+	l.writing = true
+	conn = l.conn
+	stale := false
+	if len(l.tail) > 0 {
+		if conn == l.tailConn {
+			bufs = append(bufs, l.tail...)
+			tails = 1
+		} else {
+			stale = true
+		}
+		l.tail, l.tailConn = nil, nil
+	}
+	frames = append(frames, l.q...)
+	clear(l.q)
+	l.q = l.q[:0]
+	l.mu.Unlock()
+	if stale {
+		l.ep.countDrops(1)
+	}
+	return bufs, frames, conn, tails, true
+}
+
+// release gives up the write role.
+func (l *link) release() {
+	l.mu.Lock()
+	l.writing = false
+	l.mu.Unlock()
+}
+
+// writeLoop is the link's single writer: woken by the doorbell, it takes
+// the write role with everything pending and hands the whole round to
+// writev as one net.Buffers — [tail, prefix, payload, prefix, payload,
+// ...] — so a flushed batch reaches the kernel without a coalescing copy.
+// Dialing happens here too, off every sender's path.
 func (l *link) writeLoop() {
 	defer l.ep.wg.Done()
 	var (
@@ -717,7 +864,13 @@ func (l *link) writeLoop() {
 		bufs    net.Buffers
 		scratch []byte // backing store for the 4-byte length prefixes
 		backoff = l.ep.cfg.RedialFloor
+		wait    *time.Timer // one back-off timer, reset each round
 	)
+	defer func() {
+		if wait != nil {
+			wait.Stop()
+		}
+	}()
 	for {
 		select {
 		case <-l.kick:
@@ -725,24 +878,34 @@ func (l *link) writeLoop() {
 			return
 		}
 		for {
-			frames = l.gather(frames[:0])
-			if len(frames) == 0 {
+			var (
+				conn  net.Conn
+				tails int
+				ok    bool
+			)
+			bufs, frames, conn, tails, ok = l.claim(bufs[:0], frames[:0])
+			if !ok {
 				break
 			}
-			conn := l.currentConn()
 			if conn == nil {
 				conn = l.dial()
 			}
 			if conn == nil {
 				// Unreachable: this round is lost (datagram semantics;
-				// the stream layer retransmits). Back off before burning
-				// another dial on a dead peer.
+				// the stream layer retransmits; a tail was stale). Back
+				// off before burning another dial on a dead peer.
+				l.release()
 				l.ep.countUnreachableDrops(int64(len(frames)))
 				clear(frames)
+				if wait == nil {
+					wait = time.NewTimer(backoff)
+				} else {
+					wait.Reset(backoff)
+				}
 				select {
 				case <-l.dead:
 					return
-				case <-time.After(backoff):
+				case <-wait.C:
 				}
 				if backoff *= 2; backoff > l.ep.cfg.RedialCeil {
 					backoff = l.ep.cfg.RedialCeil
@@ -758,15 +921,17 @@ func (l *link) writeLoop() {
 			} else {
 				scratch = scratch[:need]
 			}
-			bufs = bufs[:0]
 			var total int64
+			for _, b := range bufs {
+				total += int64(len(b))
+			}
 			for i, p := range frames {
 				pre := scratch[i*lenSize : i*lenSize+lenSize : i*lenSize+lenSize]
 				binary.BigEndian.PutUint32(pre, uint32(len(p)))
 				bufs = append(bufs, pre, p)
 				total += int64(len(p) + lenSize)
 			}
-			n := len(frames)
+			n := len(frames) + tails
 			clear(frames)
 			// WriteTo consumes its receiver, so it gets a copy and bufs
 			// keeps its array. The copy escapes: one 24-byte allocation per
@@ -777,6 +942,7 @@ func (l *link) writeLoop() {
 			w := bufs
 			_, err := w.WriteTo(conn)
 			clear(bufs) // do not pin payloads until the next round
+			l.release()
 			if err != nil {
 				// The frames written into this connection are gone (some
 				// may have arrived — duplication and loss are both
@@ -785,14 +951,7 @@ func (l *link) writeLoop() {
 				l.ep.countDrops(int64(n))
 				continue
 			}
-			atomic.AddInt64(&l.ep.st.Writevs, 1)
-			atomic.AddInt64(&l.ep.st.FramesSent, int64(n))
-			atomic.AddInt64(&l.ep.st.BytesSent, total)
-			if tm := l.ep.tm; tm != nil {
-				tm.writevs.Inc()
-				tm.framesSent.Add(uint64(n))
-				tm.bytesSent.Add(uint64(total))
-			}
+			l.ep.countWritten(1, int64(n), total)
 		}
 	}
 }

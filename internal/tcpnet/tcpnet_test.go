@@ -12,7 +12,7 @@ import (
 )
 
 // pair builds two cross-routed loopback endpoints and cleans them up.
-func pair(t *testing.T, cfg Config) (a, b *Endpoint) {
+func pair(t testing.TB, cfg Config) (a, b *Endpoint) {
 	t.Helper()
 	eps, err := Loopback(cfg, "a", "b")
 	if err != nil {

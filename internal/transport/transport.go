@@ -46,9 +46,12 @@ type Message struct {
 //
 // Send transmits payload to the named peer endpoint. It is asynchronous
 // and unreliable: a nil error means the message was accepted locally,
-// not that it will arrive. Errors are local conditions only (this end
-// down, no route, transport closed) and should map onto the portable
-// error set below with errors.Is.
+// not that it will arrive. Send never blocks: it does not wait for the
+// peer, the network or a full socket buffer, so the stream layer may
+// call it from its receive and tick loops; a backend that cannot take a
+// message drops it. Errors are local conditions only (this end down, no
+// route, transport closed) and should map onto the portable error set
+// below with errors.Is.
 //
 // Recv blocks for the next delivered message. It returns ErrCrashed
 // while the endpoint is down (fault injection), ErrClosed once the
