@@ -379,7 +379,7 @@ func (g *Guardian) execute(in *stream.Incoming, port, group string, h HandlerFun
 	if err != nil {
 		return stream.ExceptionOutcome(toException(err))
 	}
-	payload, err := stream.Marshal(results...)
+	payload, err := in.Marshal(results...)
 	if err != nil {
 		ex := exception.Failure("could not encode results")
 		in.BreakStream(ex)

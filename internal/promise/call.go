@@ -41,7 +41,7 @@ func Call[T any](s *stream.Stream, port string, dec Decoder[T], args ...any) (*P
 // composing downstream calls passes its call's ChildCause; the zero
 // Cause makes this identical to Call.
 func CallCause[T any](s *stream.Stream, port string, cause trace.Cause, dec Decoder[T], args ...any) (*Promise[T], error) {
-	payload, err := stream.Marshal(args...)
+	payload, err := s.Marshal(args...)
 	if err != nil {
 		return nil, exception.Failure("could not encode")
 	}
@@ -62,7 +62,7 @@ func Send(s *stream.Stream, port string, args ...any) (*Promise[Unit], error) {
 
 // SendCause is Send carrying an upstream causal context, like CallCause.
 func SendCause(s *stream.Stream, port string, cause trace.Cause, args ...any) (*Promise[Unit], error) {
-	payload, err := stream.Marshal(args...)
+	payload, err := s.Marshal(args...)
 	if err != nil {
 		return nil, exception.Failure("could not encode")
 	}
@@ -84,7 +84,7 @@ func RPC[T any](ctx context.Context, s *stream.Stream, port string, dec Decoder[
 // RPCCause is RPC carrying an upstream causal context, like CallCause.
 func RPCCause[T any](ctx context.Context, s *stream.Stream, port string, cause trace.Cause, dec Decoder[T], args ...any) (T, error) {
 	var zero T
-	payload, err := stream.Marshal(args...)
+	payload, err := s.Marshal(args...)
 	if err != nil {
 		return zero, exception.Failure("could not encode")
 	}

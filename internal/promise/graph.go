@@ -82,7 +82,7 @@ func (g *Graph) WithCause(c trace.Cause) *Graph {
 // stage's result, decoded by dec. Like Call: an encoding failure or an
 // already-broken stream fails immediately and no promise is created.
 func Start[T any](g *Graph, dec Decoder[T]) (*Promise[T], error) {
-	payload, err := stream.Marshal(g.args...)
+	payload, err := g.s.Marshal(g.args...)
 	if err != nil {
 		return nil, exception.Failure("could not encode")
 	}

@@ -175,3 +175,73 @@ func requireRoundTripAllocFree(t *testing.T, window, runs int) {
 		t.Errorf("round trip allocs/call = %.2f, want < 1 (0 allocs/op)", perCall)
 	}
 }
+
+// marshalPeer is a peer with a stream and a handler's Incoming on it: the
+// two ways into the peer's marshal arena.
+func marshalPeer(t *testing.T) (p *Peer, via map[string]func(...any) (Marshalled, error)) {
+	t.Helper()
+	n := simnet.New(simnet.Config{})
+	p = NewPeer(n.MustAddNode("p"), Options{})
+	t.Cleanup(func() {
+		p.Close()
+		n.Close()
+	})
+	in := &Incoming{peer: p}
+	return p, map[string]func(...any) (Marshalled, error){
+		"Stream":   p.Agent("a").Stream("q", "g").Marshal,
+		"Incoming": in.Marshal,
+	}
+}
+
+// TestAllocsMarshalSmallList pins a small argument or result list to the
+// peer's marshal arena: a 32-byte list costs a share of a chunk, under a
+// tenth of an allocation, not a buffer of its own.
+func TestAllocsMarshalSmallList(t *testing.T) {
+	_, via := marshalPeer(t)
+	vals := []any{make([]byte, 32)}
+	const lists = 1000
+	for name, marshal := range via {
+		t.Run(name, func(t *testing.T) {
+			if raceEnabled {
+				t.Skip("race detector changes allocation counts")
+			}
+			perList := testing.AllocsPerRun(10, func() {
+				for i := 0; i < lists; i++ {
+					if m, err := marshal(vals...); err != nil || m.frame() != nil {
+						t.Fatalf("Marshal = %v, framed %v", err, m.frame() != nil)
+					}
+				}
+			}) / lists
+			t.Logf("measured %.4f allocs/list (ceiling 0.1)", perList)
+			if perList >= 0.1 {
+				t.Errorf("%s.Marshal of 32 bytes = %.4f allocs/list, want < 0.1", name, perList)
+			}
+		})
+	}
+}
+
+// TestAllocsMarshalBulkList: a list of a page or more never touches the
+// arena. It comes back in one buffer of its own, framed, with
+// frameHeadroom of room in front and frameTailroom behind.
+func TestAllocsMarshalBulkList(t *testing.T) {
+	p, via := marshalPeer(t)
+	vals := []any{make([]byte, 16<<10)}
+	for name, marshal := range via {
+		t.Run(name, func(t *testing.T) {
+			chunk := len(p.arena.chunk)
+			m, err := marshal(vals...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fr := m.frame()
+			if fr == nil || len(fr)-len(m.Bytes()) != frameHeadroom || cap(fr)-len(fr) < frameTailroom {
+				t.Fatalf("16 KiB list: framed %v, room %d before and %d after", fr != nil,
+					len(fr)-len(m.Bytes()), cap(fr)-len(fr))
+			}
+			if len(p.arena.chunk) != chunk {
+				t.Fatalf("16 KiB list carved %d bytes from the arena", len(p.arena.chunk)-chunk)
+			}
+			requireAllocCeiling(t, 1, func() { _, _ = marshal(vals...) })
+		})
+	}
+}

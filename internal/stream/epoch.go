@@ -83,42 +83,6 @@ type pipeScheduler struct {
 	wave    []pipeWork
 	touched map[*Stream]struct{}
 	lanes   replyLanes // origin reply lanes resolved locally this wave
-	arena   waveArena  // the continuation blobs and resolution arguments the loop builds
-}
-
-// waveChunk is the size of one waveArena chunk: a few dozen continuation
-// blobs of a typical chain.
-const waveChunk = 4 << 10
-
-// waveArena is where the scheduler loop builds the bytes it sends per
-// chain — advance's and resolution's cut continuation blobs, and
-// encodeOutcome's resolution arguments — so that a wave costs an
-// allocation per chunk rather than one per blob. It belongs to the loop
-// goroutine, the only caller of those three.
-//
-// The lifetime rule: bytes once handed out are never written again. A
-// blob outlives the wave that cut it — it rides in its ~pipe stream's
-// unacked requests, which other goroutines re-encode on retransmission,
-// and in the watch list until the send resolves — so the arena only
-// appends: each take is carved after the last, and when the current chunk
-// cannot hold the next buffer a fresh chunk replaces it. The garbage
-// collector reclaims a chunk once the last blob in it is acked and swept.
-type waveArena struct{ chunk []byte }
-
-// take returns an empty buffer with room for exactly n bytes. Its capacity
-// ends where its room does, so an append past n moves to a buffer of its
-// own instead of writing into the next take's bytes. A buffer larger than a
-// chunk is allocated on its own.
-func (a *waveArena) take(n int) []byte {
-	if n > waveChunk {
-		return make([]byte, 0, n)
-	}
-	if cap(a.chunk)-len(a.chunk) < n {
-		a.chunk = make([]byte, 0, waveChunk)
-	}
-	at := len(a.chunk)
-	a.chunk = a.chunk[:at+n]
-	return a.chunk[at : at : at+n]
 }
 
 func newPipeScheduler(p *Peer) *pipeScheduler {
@@ -222,7 +186,7 @@ func (ps *pipeScheduler) processOne(w *pipeWork) {
 		return
 	}
 	s := ps.p.Agent(pipeAgentName).Stream(st.Node, st.Group)
-	cont, cause := c.advance(&ps.arena), w.in.child()
+	cont, cause := c.advance(&ps.p.arena), w.in.child()
 	pend, err := s.enqueue(context.Background(), Req{Mode: ModeSend, Port: st.Port,
 		Args: plain(args), Cause: cause}, cont)
 	if err != nil {
@@ -268,8 +232,8 @@ func (ps *pipeScheduler) forwardResolution(c *pipeCont, o Outcome, in custody) {
 	}
 	s := ps.p.Agent(pipeAgentName).Stream(ref.recvNode, ref.group)
 	pend, err := s.enqueue(context.Background(), Req{Mode: ModeSend, Port: pipeResolvePort,
-		Args: plain(encodeOutcome(o, &ps.arena)), Cause: in.child()},
-		c.resolution(&ps.arena))
+		Args: plain(encodeOutcome(o, &ps.p.arena)), Cause: in.child()},
+		c.resolution(&ps.p.arena))
 	if err != nil {
 		in.end(ExceptionOutcome(err.(*exception.Exception)))
 		return

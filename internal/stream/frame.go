@@ -7,7 +7,8 @@ import "promises/internal/wire"
 // fill a page has nothing to amortize, and putting it in a batch only
 // copies it. So a marshalled list of at least rideAlone bytes travels as a
 // batch of its own, and that batch's message is the marshalled buffer
-// itself: stream.Marshal leaves room before and after the encoding, and
+// itself: Stream.Marshal and Incoming.Marshal give such a list a buffer of
+// its own, never arena bytes, with room before and after the encoding, and
 // frameRequestBatch / frameReplyBatch write the batch's head into the room
 // in front and its trailing values into the room behind. The bytes on the
 // wire are exactly what encodeRequestBatch / encodeReplyBatch would have
@@ -33,20 +34,10 @@ const (
 )
 
 // Marshalled is an encoded argument or result list on its way into a
-// stream, as Marshal returns it.
+// stream, as Stream.Marshal and Incoming.Marshal return it.
 type Marshalled struct {
 	buf []byte // Bytes is buf[off:]
 	off int    // frameHeadroom when buf has room around the encoding, else 0
-}
-
-// Marshal encodes an argument or result list like wire.Marshal, in one
-// allocation. A list of a page or more comes back in a buffer the stream
-// can turn into the call's message in place: handed to Issue or
-// NormalMarshalled it is never copied again on this side of the
-// transport.
-func Marshal(vals ...any) (Marshalled, error) {
-	buf, off, err := wire.MarshalRoom(rideAlone, frameHeadroom, frameTailroom, vals...)
-	return Marshalled{buf: buf, off: off}, err
 }
 
 // Bytes returns the encoding, identical to wire.Marshal's.
@@ -65,16 +56,17 @@ func (m Marshalled) frame() []byte {
 func plain(b []byte) Marshalled { return Marshalled{buf: b} }
 
 // NormalMarshalled builds the outcome of a normal termination from a
-// result list encoded by Marshal.
+// result list encoded by Incoming.Marshal.
 func NormalMarshalled(m Marshalled) Outcome {
 	return Outcome{Normal: true, Payload: m.Bytes(), frame: m.frame()}
 }
 
 // frameRequestBatch builds the message of a batch whose one request lies
-// in a Marshal buffer, in that buffer. It returns nil when the batch is
-// not of that shape or its head is longer than the headroom; the caller
-// then uses encodeRequestBatch. The buffer's room is spent by the call, so
-// it may be used at most once per request — the caller's to ensure.
+// in a framed Marshal buffer, in that buffer. It returns nil when the
+// batch is not of that shape or its head is longer than the headroom;
+// the caller then uses encodeRequestBatch. The buffer's room is spent by
+// the call, so it may be used at most once per request — the caller's to
+// ensure.
 func frameRequestBatch(b requestBatch) []byte {
 	if len(b.Requests) != 1 || b.Requests[0].frame == nil || b.Requests[0].Cont != nil {
 		return nil

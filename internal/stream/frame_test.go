@@ -176,12 +176,13 @@ func FuzzFramedEncodersAgree(f *testing.F) {
 	})
 }
 
-// TestMarshalLeavesRoomFromOnePage: Marshal's encoding is wire.Marshal's;
+// TestMarshalLeavesRoomFromOnePage: the arena's encoding is wire.Marshal's;
 // from one page up it comes with the room the in-place encoders need.
 func TestMarshalLeavesRoomFromOnePage(t *testing.T) {
+	var a arena
 	for _, n := range []int{0, 32, rideAlone - 16, rideAlone, 16 << 10} {
 		arg := bytes.Repeat([]byte{9}, n)
-		m, err := Marshal(arg, int64(n))
+		m, err := a.marshal([]any{arg, int64(n)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -217,7 +218,7 @@ func reMarshal(call *Incoming) Outcome {
 	if err != nil {
 		return ExceptionOutcome(exception.Failure("reMarshal"))
 	}
-	m, err := Marshal(vals...)
+	m, err := call.Marshal(vals...)
 	if err != nil {
 		return ExceptionOutcome(exception.Failure("reMarshal"))
 	}
@@ -227,7 +228,7 @@ func reMarshal(call *Incoming) Outcome {
 // callBulk marshals arg the way promise.Call does and makes the call.
 func callBulk(t *testing.T, s *Stream, port string, arg []byte) (Pending, Marshalled) {
 	t.Helper()
-	m, err := Marshal(arg)
+	m, err := s.Marshal(arg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,6 +46,10 @@ type Peer struct {
 	// never see pipelining pay nothing for it.
 	sched atomic.Pointer[pipeScheduler]
 
+	// arena holds the small argument and result lists the peer's callers
+	// and handlers marshal, and the scheduler's per-chain blobs.
+	arena arena
+
 	// Bounded worker pool for parallel-port execution (see execWorker):
 	// workers are spawned lazily up to execWorkers and live until Close,
 	// which closes execTasks after every submitter (the runners, tracked
@@ -65,7 +69,6 @@ type Peer struct {
 	// head. Guarded by flushMu, which nests inside a stream's batchMu.
 	flushMu    sync.Mutex
 	flushQ     []ageFlush
-	flushHead  int
 	flushTimer clock.Timer
 
 	ctx    context.Context
@@ -479,7 +482,7 @@ func (p *Peer) recvStream(key streamKey, incarnation uint64) *rstream {
 // holds s.batchMu.
 func (p *Peer) armAgeFlush(s *Stream, at time.Time) {
 	p.flushMu.Lock()
-	if p.flushHead == len(p.flushQ) {
+	if len(p.flushQ) == 0 {
 		p.flushTimer.Reset(p.opts.MaxBatchDelay)
 	}
 	p.flushQ = append(p.flushQ, ageFlush{s, at})
@@ -492,24 +495,17 @@ func (p *Peer) armAgeFlush(s *Stream, at time.Time) {
 // batch that filled or was flushed is gone, and the entry with it.
 func (p *Peer) flushAged(now time.Time) {
 	p.flushMu.Lock()
-	for p.flushHead < len(p.flushQ) {
-		e := p.flushQ[p.flushHead]
+	for len(p.flushQ) > 0 {
+		e := p.flushQ[0]
 		if wait := e.at.Add(p.opts.MaxBatchDelay).Sub(now); wait > 0 {
 			p.flushTimer.Reset(wait)
 			break
 		}
-		p.flushQ[p.flushHead] = ageFlush{}
-		p.flushHead++
+		p.flushQ[0] = ageFlush{}
+		p.flushQ = p.flushQ[1:]
 		p.flushMu.Unlock()
 		e.s.flushIfOpenedAt(e.at)
 		p.flushMu.Lock()
-	}
-	// Compact once the served prefix is half the queue, so a queue that
-	// never quite empties does not grow without bound.
-	if p.flushHead > len(p.flushQ)/2 {
-		n := copy(p.flushQ, p.flushQ[p.flushHead:])
-		clear(p.flushQ[n:])
-		p.flushQ, p.flushHead = p.flushQ[:n], 0
 	}
 	p.flushMu.Unlock()
 }

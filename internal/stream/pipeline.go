@@ -214,11 +214,11 @@ func (c *pipeCont) names(ref pipeRef) bool {
 
 // advance returns the blob the next stage's call carries: this one with
 // stage 0 cut out, in bytes taken from a.
-func (c *pipeCont) advance(a *waveArena) []byte { return c.cut(c.rest, c.n-1, a) }
+func (c *pipeCont) advance(a *arena) []byte { return c.cut(c.rest, c.n-1, a) }
 
 // resolution returns the blob a resolution carries: this one with every
 // stage cut out, leaving the promise reference, in bytes taken from a.
-func (c *pipeCont) resolution(a *waveArena) []byte {
+func (c *pipeCont) resolution(a *arena) []byte {
 	if c.n == 0 {
 		return c.blob
 	}
@@ -227,7 +227,7 @@ func (c *pipeCont) resolution(a *waveArena) []byte {
 
 // cut builds the blob whose stage list is the n stages encoded at
 // blob[from:]: the reference's bytes, a new list header, that tail.
-func (c *pipeCont) cut(from, n int, a *waveArena) []byte {
+func (c *pipeCont) cut(from, n int, a *arena) []byte {
 	tail := c.blob[from:]
 	buf := a.take(c.list + wire.SizeCount(4*n) + len(tail))
 	buf = append(buf, c.blob[:c.list]...)
@@ -237,7 +237,7 @@ func (c *pipeCont) cut(from, n int, a *waveArena) []byte {
 
 // encodeOutcome writes a chain's outcome as a resolution send's
 // arguments, [normal, exception, payload], in bytes taken from a.
-func encodeOutcome(o Outcome, a *waveArena) []byte {
+func encodeOutcome(o Outcome, a *arena) []byte {
 	buf := a.take(2 + wire.SizeBlob(len(o.Exception)) + wire.SizeBlob(len(o.Payload)))
 	buf = wire.AppendHeader(buf, 3)
 	buf = wire.AppendBool(buf, o.Normal)

@@ -717,16 +717,16 @@ func FuzzPipeContAdvance(f *testing.F) {
 	f.Add([]byte("not a continuation"), "n", encInt(7), uint8(1))
 
 	f.Fuzz(func(t *testing.T, blob []byte, name string, extra []byte, k uint8) {
-		var arena waveArena
+		var a arena
 		if c, err := parsePipeCont(blob); err == nil {
 			ref := c.ref()
 			if c.n > 0 {
-				next, err := parsePipeCont(c.advance(&arena))
+				next, err := parsePipeCont(c.advance(&a))
 				if err != nil || next.n != c.n-1 || next.ref() != ref {
 					t.Fatalf("cut of a blob that parses: %d stages, ref %+v, err %v", next.n, next.ref(), err)
 				}
 			}
-			if r, err := parsePipeCont(c.resolution(&arena)); err != nil || r.n != 0 || r.ref() != ref {
+			if r, err := parsePipeCont(c.resolution(&a)); err != nil || r.n != 0 || r.ref() != ref {
 				t.Fatalf("resolution blob: %d stages, err %v", r.n, err)
 			}
 		}
@@ -766,7 +766,7 @@ func FuzzPipeContAdvance(f *testing.F) {
 			if !c.names(ref) || c.names(other) {
 				t.Fatalf("hop %d: names(%+v) = %v, names(seq+1) = %v", i, ref, c.names(ref), c.names(other))
 			}
-			res, resWant := c.resolution(&arena), encodePipeCont(ref, nil)
+			res, resWant := c.resolution(&a), encodePipeCont(ref, nil)
 			if !bytes.Equal(res, resWant) {
 				t.Fatalf("hop %d: resolution blob %x, want %x", i, res, resWant)
 			}
@@ -781,7 +781,7 @@ func FuzzPipeContAdvance(f *testing.F) {
 				c.next.Port != st.Port || !bytes.Equal(c.next.Extra, st.Extra) {
 				t.Fatalf("hop %d: stage %+v, want %+v", i, c.next, st)
 			}
-			blob = c.advance(&arena)
+			blob = c.advance(&a)
 			want := encodePipeCont(ref, stages[i+1:])
 			if !bytes.Equal(blob, want) {
 				t.Fatalf("hop %d: cut blob\n%x\nwant the re-encoded\n%x", i, blob, want)
@@ -822,7 +822,7 @@ func TestWaveArenaRollover(t *testing.T) {
 	stages := []PipeStage{{Node: gb, Group: "g", Port: "inc"}, {Node: gc, Group: "g", Port: "inc"}}
 	// Chain i enters ga with 10i, reaches gc with 10i+2 and resolves with 10i+3.
 	const n = 48
-	if blob := len(encodePipeCont(pipeRef{streamKey: streamKey{senderNode: "client", agent: "app", recvNode: ga, group: "g"}}, stages)); n*blob < 2*waveChunk {
+	if blob := len(encodePipeCont(pipeRef{streamKey: streamKey{senderNode: "client", agent: "app", recvNode: ga, group: "g"}}, stages)); n*blob < 2*arenaChunk {
 		t.Fatalf("%d blobs of %d bytes fit in two chunks: the wave does not roll over", n, blob)
 	}
 	s := f.client.Agent("app").Stream(ga, "g")

@@ -66,6 +66,7 @@ type Incoming struct {
 	// parks its Call there). The stream layer never reads it.
 	Local any
 
+	peer        *Peer // whose marshal arena Marshal carves from
 	breakReason *exception.Exception
 	retired     bool // set when the handler returned; later use fails loudly
 }
@@ -451,6 +452,7 @@ func (r *rstream) executeOne(req request, inc uint64, call *Incoming) {
 		Trace: tid,
 		Cause: cause,
 		Local: call.Local,
+		peer:  r.peer,
 	}
 	sm := r.peer.sm
 	var execStart time.Time

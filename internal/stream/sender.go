@@ -370,7 +370,8 @@ func (s *Stream) Broken() bool {
 }
 
 // Req describes one call for Issue. Mode defaults to ModeCall. Args from
-// Marshal rides alone, built around in place, from a page up (frame.go).
+// Stream.Marshal rides alone, built around in place, from a page up
+// (frame.go).
 // Cause's root and parent trace IDs ride the request, joining the call
 // into its initiator's cross-guardian chain: a handler passes
 // Incoming.ChildCause (guardian.Call.Cause), and the zero Cause makes the

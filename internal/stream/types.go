@@ -36,17 +36,20 @@
 // Bytes enter a stream in one of two forms. Plain []byte — Call, Send,
 // RPC, NormalOutcome — is buffered and batched whatever its size, and
 // copied once, into the batch's message, which the encoders build in a
-// single buffer of exactly its size. A list encoded with Marshal and
-// handed to Issue or NormalMarshalled is treated the same while it is
-// small; from one page up it rides alone: the call closes its batch at
-// once and the message is built around the marshalled bytes where they
-// lie, with no copy at all (frame.go). That is the path promise and
-// guardian use. The two forms are indistinguishable on the wire.
+// single buffer of exactly its size. A list encoded with Stream.Marshal
+// (arguments) or Incoming.Marshal (results) and handed to Issue or
+// NormalMarshalled is treated the same while it is small; from one page
+// up it rides alone: the call closes its batch at once and the message is
+// built around the marshalled bytes where they lie, with no copy at all
+// (frame.go). That is the path promise and guardian use. The two forms
+// are indistinguishable on the wire.
 //
 // Lifetimes are the same on both paths. The stream holds the bytes a
 // caller hands in until the call is acknowledged — it may have to
-// retransmit them — so they must not be modified after the call (promise
-// and guardian marshal into a fresh buffer per call and let go of it).
+// retransmit them — so they must not be modified after the call. Promise
+// and guardian never touch them again: a small list is carved from the
+// peer's append-only marshal arena, whose bytes are never written twice,
+// and a list of a page or more gets a buffer of its own (arena.go).
 // On the receiving side Incoming.Args is a view of the received
 // datagram, valid until the handler returns; Incoming.Clone copies it
 // out. Returning NormalOutcome(call.Args) is allowed — the stream keeps

@@ -194,52 +194,55 @@ func TestAllocsMarshalOne(t *testing.T) {
 	}
 }
 
-// TestMarshalRoomGolden pins MarshalRoom to Marshal's bytes on every
-// golden case, on both sides of the size threshold: from min up the
-// encoding sits head bytes into a buffer with at least tail bytes of spare
-// capacity behind it, below min the result is Marshal's own.
-func TestMarshalRoomGolden(t *testing.T) {
+// TestSizedAppendGolden pins Size and AppendTo to Marshal's bytes on
+// every golden case: Len is the encoding's length, and AppendTo writes
+// the encoding after whatever the buffer holds, in place when the buffer
+// has Len bytes of spare capacity — the stream layer's arena carve and
+// its framed bulk buffer are both such buffers.
+func TestSizedAppendGolden(t *testing.T) {
 	r := goldenRegistry()
-	const head, tail = 24, 17
+	const head = 24
 	for _, c := range goldenCases() {
 		want, err := r.Marshal(c.vals...)
 		if err != nil {
 			t.Fatalf("%s: Marshal: %v", c.name, err)
 		}
-		for _, min := range []int{0, len(want), len(want) + 1} {
-			buf, off, err := r.MarshalRoom(min, head, tail, c.vals...)
-			if err != nil {
-				t.Fatalf("%s: MarshalRoom(min %d): %v", c.name, min, err)
-			}
-			if !bytes.Equal(buf[off:], want) {
-				t.Errorf("%s, min %d: buf[off:] = %x, want Marshal's %x", c.name, min, buf[off:], want)
-			}
-			if roomy := len(want) >= min; roomy && (off != head || cap(buf)-len(buf) < tail) {
-				t.Errorf("%s, min %d: off %d, spare capacity %d; want %d and >= %d",
-					c.name, min, off, cap(buf)-len(buf), head, tail)
-			} else if !roomy && (off != 0 || cap(buf) != len(buf)) {
-				t.Errorf("%s, min %d: a short encoding got room (off %d, cap %d, len %d)",
-					c.name, min, off, cap(buf), len(buf))
-			}
+		sz, err := r.Size(c.vals...)
+		if err != nil {
+			t.Fatalf("%s: Size: %v", c.name, err)
+		}
+		if sz.Len() != len(want) {
+			t.Fatalf("%s: Len %d, Marshal wrote %d bytes", c.name, sz.Len(), len(want))
+		}
+		buf := make([]byte, head, head+sz.Len())
+		got := sz.AppendTo(buf, c.vals...)
+		if !bytes.Equal(got[head:], want) {
+			t.Errorf("%s: AppendTo wrote %x, want Marshal's %x", c.name, got[head:], want)
+		}
+		if &got[0] != &buf[0] || cap(got) != cap(buf) {
+			t.Errorf("%s: AppendTo moved a buffer with room for the encoding", c.name)
 		}
 	}
 }
 
-// TestAllocsMarshalRoom: room or no room, the buffer is the only
-// allocation.
-func TestAllocsMarshalRoom(t *testing.T) {
+// TestAllocsSizedAppendTo: sizing and writing into a buffer the caller
+// brings allocate nothing, whatever the list's length.
+func TestAllocsSizedAppendTo(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector changes allocation counts")
 	}
-	var arg any = make([]byte, 16<<10) // boxed once, outside the count
-	for _, min := range []int{4 << 10, 64 << 10} {
+	for _, n := range []int{32, 16 << 10} {
+		var arg any = make([]byte, n) // boxed once, outside the count
+		buf := make([]byte, 0, n+8)
 		got := testing.AllocsPerRun(100, func() {
-			if _, _, err := MarshalRoom(min, 128, 40, arg); err != nil {
+			sz, err := Size(arg)
+			if err != nil {
 				t.Fatal(err)
 			}
+			_ = sz.AppendTo(buf, arg)
 		})
-		if got != 1 {
-			t.Errorf("MarshalRoom(min %d) of 16 KiB = %.0f allocs, want 1", min, got)
+		if got != 0 {
+			t.Errorf("Size and AppendTo of %d bytes = %.0f allocs, want 0", n, got)
 		}
 	}
 }

@@ -134,10 +134,8 @@ func Register(sample any, codec Codec) { defaultRegistry.Register(sample, codec)
 // one byte string using the default codec registry.
 func Marshal(vals ...any) ([]byte, error) { return defaultRegistry.Marshal(vals...) }
 
-// MarshalRoom is Registry.MarshalRoom on the default registry.
-func MarshalRoom(min, head, tail int, vals ...any) (buf []byte, off int, err error) {
-	return defaultRegistry.MarshalRoom(min, head, tail, vals...)
-}
+// Size is Registry.Size on the default registry.
+func Size(vals ...any) (Sized, error) { return defaultRegistry.Size(vals...) }
 
 // Unmarshal decodes a byte string produced by Marshal using the default
 // codec registry.
@@ -157,28 +155,43 @@ func UnmarshalInto(dst []any, data []byte) ([]any, error) {
 // is sized first, so the result is allocated exactly once whatever the
 // arguments' lengths.
 func (r *Registry) Marshal(vals ...any) ([]byte, error) {
-	buf, _, err := r.MarshalRoom(0, 0, 0, vals...)
-	return buf, err
+	sz, err := r.Size(vals...)
+	if err != nil {
+		return nil, err
+	}
+	return sz.AppendTo(make([]byte, 0, sz.Len()), vals...), nil
 }
 
-// MarshalRoom is Marshal for a caller that will build a message around
-// the encoding without copying it. An encoding of at least min bytes (and
-// only such a one) is placed in a buffer with room around it: it starts
-// off == head bytes into buf, and buf has at least tail bytes of spare
-// capacity past its end. A shorter encoding comes back exactly as Marshal
-// returns it, with off == 0. Either way buf[off:] is Marshal's output and
-// the buffer is the call's only allocation.
-func (r *Registry) MarshalRoom(min, head, tail int, vals ...any) (buf []byte, off int, err error) {
+// Sized is a value list measured for encoding, as Size returns it: its
+// encoding is Len bytes long, and AppendTo writes it. It is Marshal split
+// in two for a caller that brings its own buffer — the stream layer
+// carves small lists from a per-peer arena — so that the buffer can be
+// cut to fit before a byte is written.
+type Sized struct{ e encoder }
+
+// Size runs the sizing pass of Marshal over vals: every step that can
+// fail runs here, so AppendTo cannot fail.
+func (r *Registry) Size(vals ...any) (Sized, error) {
 	e := encoder{reg: r, sizing: true}
 	if err := e.values(vals); err != nil {
-		return nil, 0, err
+		return Sized{}, err
 	}
-	if e.n < min {
-		head, tail = 0, 0
-	}
-	e.sizing, e.buf = false, make([]byte, head, head+e.n+tail)
-	_ = e.values(vals) // everything that can fail did, in the sizing pass
-	return e.buf, head, nil
+	return Sized{e: e}, nil
+}
+
+// Len is the length of the encoding.
+func (sz *Sized) Len() int { return sz.e.n }
+
+// AppendTo appends the encoding of vals — Marshal's bytes — to buf and
+// returns the extended buffer. vals must be the list Size measured, not
+// changed since. With Len bytes of spare capacity in buf it does not
+// allocate. Call it once. (The list is passed again rather than kept in
+// Sized so that it can stay on its caller's stack.)
+func (sz *Sized) AppendTo(buf []byte, vals ...any) []byte {
+	e := sz.e
+	e.sizing, e.buf = false, buf
+	_ = e.values(vals) // everything that can fail did, in Size
+	return e.buf
 }
 
 // Unmarshal decodes a byte string produced by Marshal. The values are
