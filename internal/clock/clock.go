@@ -1,5 +1,5 @@
 // Package clock abstracts time for the whole runtime. Every layer that
-// sleeps, ticks, schedules a deadline, or timestamps an event does so
+// sleeps, schedules a deadline, or timestamps an event does so
 // through a Clock, so one system — simnet, streams, guardians — can run
 // either on the wall clock (Real) or on a deterministic logical clock
 // (Virtual) without code changes.
@@ -27,8 +27,6 @@ type Clock interface {
 	After(d time.Duration) <-chan time.Time
 	// NewTimer returns a single-shot timer that fires after d.
 	NewTimer(d time.Duration) Timer
-	// NewTicker returns a ticker that fires every d. d must be positive.
-	NewTicker(d time.Duration) Ticker
 }
 
 // Timer is a resettable single-shot timer with time.Timer semantics: the
@@ -40,13 +38,6 @@ type Timer interface {
 	C() <-chan time.Time
 	Stop() bool
 	Reset(d time.Duration) bool
-}
-
-// Ticker delivers the clock's time once per period on C, dropping ticks
-// the receiver is too slow to take, like time.Ticker.
-type Ticker interface {
-	C() <-chan time.Time
-	Stop()
 }
 
 // Real is the wall clock: every method delegates to package time.
@@ -64,19 +55,11 @@ func (Real) After(d time.Duration) <-chan time.Time { return time.After(d) }
 // NewTimer wraps time.NewTimer.
 func (Real) NewTimer(d time.Duration) Timer { return realTimer{time.NewTimer(d)} }
 
-// NewTicker wraps time.NewTicker.
-func (Real) NewTicker(d time.Duration) Ticker { return realTicker{time.NewTicker(d)} }
-
 type realTimer struct{ t *time.Timer }
 
 func (t realTimer) C() <-chan time.Time        { return t.t.C }
 func (t realTimer) Stop() bool                 { return t.t.Stop() }
 func (t realTimer) Reset(d time.Duration) bool { return t.t.Reset(d) }
-
-type realTicker struct{ t *time.Ticker }
-
-func (t realTicker) C() <-chan time.Time { return t.t.C }
-func (t realTicker) Stop()               { t.t.Stop() }
 
 // IsVirtual reports whether c is a *Virtual clock. Layers that spin on
 // the wall clock for sub-millisecond precision (the simnet dispatcher)

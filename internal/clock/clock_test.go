@@ -23,13 +23,6 @@ func TestRealDelegates(t *testing.T) {
 	if timer.Stop() {
 		t.Fatal("Stop after fire should report false")
 	}
-	tick := c.NewTicker(time.Millisecond)
-	select {
-	case <-tick.C():
-	case <-time.After(5 * time.Second):
-		t.Fatal("real ticker never fired")
-	}
-	tick.Stop()
 	select {
 	case <-c.After(time.Millisecond):
 	case <-time.After(5 * time.Second):
@@ -139,40 +132,6 @@ func TestVirtualSleepAndAfter(t *testing.T) {
 	v.Sleep(0) // non-positive: yields without registering
 }
 
-func TestVirtualTickerRearms(t *testing.T) {
-	v := NewVirtual()
-	tick := v.NewTicker(time.Millisecond)
-	for i := 1; i <= 3; i++ {
-		v.Advance(time.Millisecond)
-		select {
-		case at := <-tick.C():
-			if want := Epoch.Add(time.Duration(i) * time.Millisecond); !at.Equal(want) {
-				t.Fatalf("tick %d at %v, want %v", i, at, want)
-			}
-		default:
-			t.Fatalf("tick %d missing", i)
-		}
-	}
-	// A slow receiver drops ticks instead of queueing them.
-	v.Advance(10 * time.Millisecond)
-	<-tick.C()
-	select {
-	case <-tick.C():
-		t.Fatal("ticker queued more than one tick")
-	default:
-	}
-	tick.Stop()
-	if got := v.Waiters(); got != 0 {
-		t.Fatalf("%d waiters after ticker Stop", got)
-	}
-	v.Advance(time.Hour)
-	select {
-	case <-tick.C():
-		t.Fatal("stopped ticker fired")
-	default:
-	}
-}
-
 func TestStepJumpsToNextDeadlineInOrder(t *testing.T) {
 	v := NewVirtual()
 	// Two waiters at the same instant and one later: the first Step fires
@@ -247,7 +206,7 @@ func TestAutoAdvanceRunsSleepsWithoutDriver(t *testing.T) {
 }
 
 // TestVirtualGoroutineStabilityUnderChurn is the regression test for the
-// clock's O(1) goroutine guarantee: timers, tickers, and auto-advance
+// clock's O(1) goroutine guarantee: timers, sleeps, and auto-advance
 // must not leak goroutines no matter how many clock objects churn
 // through. Virtual timers are heap entries, not goroutines, so thousands
 // of them should leave the goroutine count where it started.
@@ -267,8 +226,6 @@ func TestVirtualGoroutineStabilityUnderChurn(t *testing.T) {
 					tm.Stop()
 				}
 				tm.Reset(time.Duration(1+i%5) * time.Millisecond)
-				tk := v.NewTicker(time.Duration(1+i%3) * time.Millisecond)
-				tk.Stop()
 				v.Sleep(time.Duration(1+i%4) * time.Millisecond)
 			}
 		}(g)
@@ -286,7 +243,7 @@ func TestVirtualGoroutineStabilityUnderChurn(t *testing.T) {
 	runtime.GC()
 	after := runtime.NumGoroutine()
 	// Allow slack for runtime/test goroutines, but 4000 timers and 4000
-	// tickers must not have pinned goroutines of their own.
+	// sleeps must not have pinned goroutines of their own.
 	if after > before+4 {
 		t.Fatalf("goroutines grew from %d to %d under timer churn", before, after)
 	}

@@ -22,15 +22,14 @@ type waiter struct {
 	at     time.Time
 	seq    uint64 // registration order; FIFO tiebreak among equal deadlines
 	active bool
-	period time.Duration // > 0: re-arm at at+period after firing (ticker)
 	fire   func(at time.Time)
 }
 
 // Virtual is a deterministic logical clock. Time stands still until it is
 // advanced: Advance/AdvanceTo move it explicitly, Step jumps to the next
 // waiter deadline, and auto-advance (SetAutoAdvance) does the jumping on
-// its own once the process looks quiescent. Waiters — sleeps, timers,
-// tickers — live in a min-heap reusing pqueue.Heap, keyed by (deadline,
+// its own once the process looks quiescent. Waiters — sleeps and timers —
+// live in a min-heap reusing pqueue.Heap, keyed by (deadline,
 // registration order), so equal deadlines fire in FIFO order, the same
 // every run.
 //
@@ -79,9 +78,9 @@ func (v *Virtual) Now() time.Time {
 }
 
 // registerLocked arms a waiter. Caller holds v.mu.
-func (v *Virtual) registerLocked(at time.Time, period time.Duration, fire func(time.Time)) *waiter {
+func (v *Virtual) registerLocked(at time.Time, fire func(time.Time)) *waiter {
 	v.seq++
-	w := &waiter{at: at, seq: v.seq, active: true, period: period, fire: fire}
+	w := &waiter{at: at, seq: v.seq, active: true, fire: fire}
 	v.heap.Push(w)
 	v.pending++
 	v.activity.Add(1)
@@ -114,7 +113,7 @@ func (v *Virtual) Sleep(d time.Duration) {
 	}
 	done := make(chan struct{})
 	v.mu.Lock()
-	v.registerLocked(v.now.Add(d), 0, func(time.Time) { close(done) })
+	v.registerLocked(v.now.Add(d), func(time.Time) { close(done) })
 	v.mu.Unlock()
 	<-done
 }
@@ -134,7 +133,7 @@ func (v *Virtual) NewTimer(d time.Duration) Timer {
 	if d <= 0 {
 		t.ch <- v.now // fires immediately, like time.NewTimer(0)
 	} else {
-		t.w = v.registerLocked(v.now.Add(d), 0, t.send)
+		t.w = v.registerLocked(v.now.Add(d), t.send)
 	}
 	v.mu.Unlock()
 	return t
@@ -170,50 +169,14 @@ func (t *vtimer) Reset(d time.Duration) bool {
 		t.send(t.v.now)
 		return was
 	}
-	t.w = t.v.registerLocked(t.v.now.Add(d), 0, t.send)
+	t.w = t.v.registerLocked(t.v.now.Add(d), t.send)
 	return was
-}
-
-// NewTicker returns a virtual ticker firing every d. The ticker reuses
-// one heap entry, re-armed at each fire, so a long-lived ticker does not
-// grow the heap.
-func (v *Virtual) NewTicker(d time.Duration) Ticker {
-	if d <= 0 {
-		panic("clock: non-positive ticker period")
-	}
-	t := &vticker{v: v, ch: make(chan time.Time, 1)}
-	v.activity.Add(1)
-	v.mu.Lock()
-	t.w = v.registerLocked(v.now.Add(d), d, t.send)
-	v.mu.Unlock()
-	return t
-}
-
-type vticker struct {
-	v  *Virtual
-	ch chan time.Time
-	w  *waiter
-}
-
-func (t *vticker) send(at time.Time) {
-	select {
-	case t.ch <- at:
-	default:
-	}
-}
-
-func (t *vticker) C() <-chan time.Time { return t.ch }
-
-func (t *vticker) Stop() {
-	t.v.mu.Lock()
-	t.v.cancelLocked(t.w)
-	t.v.mu.Unlock()
 }
 
 // AdvanceTo moves virtual time to target, firing every waiter whose
 // deadline is at or before target in (deadline, registration) order.
-// Waiters armed by fire callbacks (a ticker's re-arm) that still fall
-// within target fire in the same pass. Time never moves backwards; a
+// Waiters armed by fire callbacks that still fall within target fire in
+// the same pass. Time never moves backwards; a
 // target in the past only fires already-due waiters.
 func (v *Virtual) AdvanceTo(target time.Time) {
 	v.activity.Add(1)
@@ -232,16 +195,8 @@ func (v *Virtual) AdvanceTo(target time.Time) {
 		}
 		w.fire(w.at)
 		v.activity.Add(1)
-		if w.period > 0 {
-			// Re-arm the ticker entry in place.
-			w.at = w.at.Add(w.period)
-			v.seq++
-			w.seq = v.seq
-			v.heap.Push(w)
-		} else {
-			w.active = false
-			v.pending--
-		}
+		w.active = false
+		v.pending--
 	}
 	if target.After(v.now) {
 		v.now = target
@@ -289,8 +244,8 @@ func (v *Virtual) NextDeadline() (time.Time, bool) {
 	}
 }
 
-// Waiters returns the number of pending waiters (sleeps, unfired timers,
-// tickers).
+// Waiters returns the number of pending waiters (sleeps and unfired
+// timers).
 func (v *Virtual) Waiters() int {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -301,7 +256,7 @@ func (v *Virtual) Waiters() int {
 // of view: no clock operation (Now, Sleep, timer arm/fire/stop) has
 // happened for a few scheduling rounds. Lock-step drivers call it between
 // advances so every consequence of the last advance — message deliveries,
-// tick handlers, sends they trigger — has played out before time moves
+// timer handlers, sends they trigger — has played out before time moves
 // again. Goroutines blocked on non-clock events that will never touch the
 // clock cannot be seen, and need not be: they do not affect time.
 func (v *Virtual) Settle() {

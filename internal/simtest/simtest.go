@@ -19,15 +19,19 @@
 //     goroutine scheduling. Scripted "loss" is a brief partition window —
 //     deterministic loss of everything in flight on that link — rather
 //     than a probabilistic drop.
-//   - Instants are kept collision-free by congruence: tick loops fire at
-//     multiples of 250µs (≡0 mod 10µs), link delays are ≡5 mod 10µs, and
-//     script actions are ≡7 mod 10µs, so a delivery, a tick, and a fault
-//     never share an instant and their handlers never race. The delay
-//     residue matters: a script send (≡7) plus one hop (≡5) lands ≡2,
-//     and each further same-instant hop adds 5, so a chain stays in
-//     {2, 7} mod 10 and can never land on a tick multiple. (Delays ≡3
-//     could: 7+3 ≡ 0 mod 10, and a delivery racing a tick handler at
-//     one instant was a real ~50% -race flake at 6000µs.)
+//   - Instants are kept collision-free by congruence: a peer serves its
+//     timed stream work (retransmission, probes, owed acks and progress
+//     notes, the scheduler's sweep) on its tick grid, multiples of 250µs
+//     (≡0 mod 10µs); link delays are ≡5 mod 10µs, and script actions are
+//     ≡7 mod 10µs, so a delivery, a tick, and a fault never share an
+//     instant and their handlers never race. The delay residue matters: a
+//     script send (≡7) plus one hop (≡5) lands ≡2, and each further
+//     same-instant hop adds 5, so a chain stays in {2, 7} mod 10 and can
+//     never land on a tick multiple. (Delays ≡3 could: 7+3 ≡ 0 mod 10, and
+//     a delivery racing a tick handler at one instant was a real ~50%
+//     -race flake at 6000µs.) Age flushes are exact, at a batch's opening
+//     instant plus MaxBatchDelay, so they keep the residue of the action
+//     or delivery that opened the batch.
 //   - The transcript is a sorted multiset of event lines, so the one
 //     interleaving the harness cannot pin down — goroutine wake order
 //     within a single settled instant — cannot affect the bytes.
@@ -108,9 +112,8 @@ type action struct {
 }
 
 // stepUS snaps a microsecond offset into the harness congruence class
-// (≡7 mod 10µs): distinct from tick instants (≡0 mod 250µs) and from
-// delivery instants (≡3·hops mod 10µs), so script actions never share an
-// instant with protocol activity.
+// (≡7 mod 10µs), off the peers' tick grid (≡0 mod 250µs); a delivery one
+// hop after an action lands ≡2 (see the package comment).
 func stepUS(us int64) time.Duration {
 	return time.Duration(us-us%10+7) * time.Microsecond
 }

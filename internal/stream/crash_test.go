@@ -57,7 +57,7 @@ func TestCrashAfterAckBreaksViaProbe(t *testing.T) {
 // the sender learns its calls were lost and breaks promptly rather than
 // waiting on a receiver that will never reply to them. The sender knows
 // the old epoch because the receiver acknowledges a request whose handler
-// is still running (rstream.tick); without that the first epoch it saw
+// is still running (rstream.fire); without that the first epoch it saw
 // would be the newcomer's, and the call would run a second time.
 func TestReceiverRecoveryDetectedByEpoch(t *testing.T) {
 	f, clk := newVirtualFixture(t, simnet.Config{}, fastOpts())

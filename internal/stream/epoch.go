@@ -3,6 +3,7 @@ package stream
 import (
 	"context"
 	"sync/atomic"
+	"time"
 
 	"promises/internal/exception"
 	"promises/internal/trace"
@@ -75,9 +76,11 @@ type pipeScheduler struct {
 	p     *Peer
 	queue chan pipeWork
 	// nudge wakes the loop to sweep its watches between waves; watching
-	// says whether there are any to sweep.
+	// says whether there are any to sweep, and while there are, due fires
+	// the nudge on every tick (see fire).
 	nudge    chan struct{}
 	watching atomic.Bool
+	due      due
 
 	watches []pipeWatch
 	wave    []pipeWork
@@ -86,12 +89,14 @@ type pipeScheduler struct {
 }
 
 func newPipeScheduler(p *Peer) *pipeScheduler {
-	return &pipeScheduler{
+	ps := &pipeScheduler{
 		p:       p,
 		queue:   make(chan pipeWork, pipeQueueCap),
 		nudge:   make(chan struct{}, 1),
 		touched: make(map[*Stream]struct{}),
 	}
+	ps.due.rank, ps.due.fire = rankSched, ps.fire
+	return ps
 }
 
 // submit queues one completed stage for the next wave. Blocks only when
@@ -109,15 +114,18 @@ func (ps *pipeScheduler) submit(w pipeWork) {
 	}
 }
 
-// tick is driven by the peer tick loop: it has the loop sweep the watch
-// list, so exceptions propagate even when no new wave is admitted.
-func (ps *pipeScheduler) tick() {
-	if ps.watching.Load() {
-		select {
-		case ps.nudge <- struct{}{}:
-		default:
-		}
+// fire has the loop sweep the watch list, so exceptions propagate even
+// when no new wave is admitted, and returns now — the next tick — for as
+// long as there are watches to sweep.
+func (ps *pipeScheduler) fire(now time.Time) time.Time {
+	if !ps.watching.Load() {
+		return time.Time{}
 	}
+	select {
+	case ps.nudge <- struct{}{}:
+	default:
+	}
+	return now
 }
 
 func (ps *pipeScheduler) loop() {
@@ -148,7 +156,7 @@ func (ps *pipeScheduler) loop() {
 }
 
 // admit runs one wave: process every item, sweep the watch list (all of
-// it on a tick), then flush each stream and reply lane it touched once.
+// it on a nudge), then flush each stream and reply lane it touched once.
 func (ps *pipeScheduler) admit(wave []pipeWork, all bool) {
 	for i := range wave {
 		ps.processOne(&wave[i])
@@ -159,7 +167,12 @@ func (ps *pipeScheduler) admit(wave []pipeWork, all bool) {
 		delete(ps.touched, s)
 	}
 	ps.lanes.flush()
-	ps.watching.Store(len(ps.watches) > 0)
+	if len(ps.watches) == 0 {
+		ps.watching.Store(false)
+	} else if !ps.watching.Swap(true) {
+		now := ps.p.clk.Now()
+		ps.p.arm(&ps.due, now, now)
+	}
 	if sm := ps.p.sm; sm != nil && len(wave) > 0 {
 		sm.epochs.Inc()
 		sm.epochWave.Observe(uint64(len(wave)))
@@ -247,7 +260,7 @@ func (ps *pipeScheduler) forwardResolution(c *pipeCont, o Outcome, in custody) {
 // An exception (the stream broke, or the next hop could not hand the chain
 // on) climbs to the chain's first hop, where it resolves the chain. Chains
 // mostly end in the order they were handed on, so a wave's sweep stops at
-// the first watch still pending; a tick's sweeps the whole list.
+// the first watch still pending; a nudge's sweeps the whole list.
 func (ps *pipeScheduler) sweepWatches(all bool) {
 	kept := ps.watches[:0]
 	for i, w := range ps.watches {

@@ -10,15 +10,16 @@ import (
 	"promises/internal/clock"
 	"promises/internal/exception"
 	"promises/internal/metrics"
+	"promises/internal/pqueue"
 	"promises/internal/trace"
 	"promises/internal/transport"
 )
 
 // Peer is the stream runtime for one entity: it owns the entity's network
 // endpoint, demultiplexes incoming messages to sending streams (replies,
-// breaks) and receiving streams (requests), and drives the background
-// timers for batching and retransmission. One Peer serves both roles at
-// once — an entity can be a client of some streams and the server of
+// breaks) and receiving streams (requests), and serves the deadlines its
+// streams arm for batching and retransmission. One Peer serves both roles
+// at once — an entity can be a client of some streams and the server of
 // others.
 //
 // The peer is written against the transport seam alone: any
@@ -63,13 +64,17 @@ type Peer struct {
 	runq        chan *rstream
 	idleRunners atomic.Int32
 
-	// Age flushes: each batch a sending stream opens, oldest first.
-	// Every stream shares MaxBatchDelay, so arming order is deadline
-	// order; tickLoop serves the queue, with flushTimer armed for its
-	// head. Guarded by flushMu, which nests inside a stream's batchMu.
-	flushMu    sync.Mutex
-	flushQ     []ageFlush
-	flushTimer clock.Timer
+	// The deadline queue (see due), behind one timer armed for its head.
+	// dueMu is a leaf lock: streams arm under their own locks. dueOff is
+	// set once dueLoop has exited; nothing is armed after it.
+	dueMu    sync.Mutex
+	dues     *pqueue.Heap[dueEntry]
+	dueTimer clock.Timer
+	dueOff   bool
+	// Every duty but an age flush is served on the tick grid start +
+	// k·tick, k ≥ 1: at the first grid instant at or after it falls due.
+	start time.Time
+	tick  time.Duration
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -85,10 +90,31 @@ type execTask struct {
 	inc uint64
 }
 
-// ageFlush is a batch awaiting its age flush: stream s opened it at at.
-type ageFlush struct {
-	s  *Stream
+// due is one duty's place in its peer's deadline queue. fire does what is
+// due at the instant it was armed for (at the last tick the loop has
+// reached, if that is later) and returns when the duty is next due, or
+// zero. at is that instant as an offset from the peer's start, 0 while
+// not queued: written under dueMu, read without it, so a duty queued in
+// time already re-arms with no lock.
+type due struct {
+	at   atomic.Int64
+	rank int
+	fire func(at time.Time) time.Time
+}
+
+// Duties due at one instant fire in rank order.
+const (
+	rankAgeFlush = iota // a batch's age flush, at its exact deadline
+	rankSend            // retransmission, pure ack, probe, break grace
+	rankRecv            // owed notes, aged replies, reply retransmission
+	rankSched           // the epoch scheduler's sweep of its watches
+)
+
+// dueEntry is one arming of d for at; a later arming for an earlier
+// instant supersedes it.
+type dueEntry struct {
 	at time.Time
+	d  *due
 }
 
 // NewPeer creates the stream runtime on a transport endpoint and starts
@@ -126,11 +152,22 @@ func NewPeer(ep transport.Endpoint, opts Options) *Peer {
 		ctx:       ctx,
 		cancel:    cancel,
 	}
-	p.flushTimer = p.clk.NewTimer(time.Hour)
-	p.flushTimer.Stop()
+	p.tick = opts.MaxBatchDelay / 2
+	if rto := opts.RTO / 2; rto < p.tick {
+		p.tick = rto
+	}
+	if p.tick < 200*time.Microsecond {
+		p.tick = 200 * time.Microsecond
+	}
+	p.start = p.clk.Now()
+	p.dues = pqueue.NewHeap(func(a, b dueEntry) bool {
+		return a.at.Before(b.at) || a.at.Equal(b.at) && a.d.rank < b.d.rank
+	})
+	p.dueTimer = p.clk.NewTimer(time.Hour)
+	p.dueTimer.Stop()
 	p.wg.Add(2)
 	go p.recvLoop()
-	go p.tickLoop()
+	go p.dueLoop()
 	return p
 }
 
@@ -478,89 +515,83 @@ func (p *Peer) recvStream(key streamKey, incarnation uint64) *rstream {
 	return r
 }
 
-// armAgeFlush queues s's batch, opened at at, for its age flush. Caller
-// holds s.batchMu.
-func (p *Peer) armAgeFlush(s *Stream, at time.Time) {
-	p.flushMu.Lock()
-	if len(p.flushQ) == 0 {
-		p.flushTimer.Reset(p.opts.MaxBatchDelay)
-	}
-	p.flushQ = append(p.flushQ, ageFlush{s, at})
-	p.flushMu.Unlock()
-}
-
-// flushAged flushes every queued batch whose MaxBatchDelay has run out by
-// now and arms flushTimer for the first one still to come. An entry
-// flushes only if its stream still buffers the batch it was armed for; a
-// batch that filled or was flushed is gone, and the entry with it.
-func (p *Peer) flushAged(now time.Time) {
-	p.flushMu.Lock()
-	for len(p.flushQ) > 0 {
-		e := p.flushQ[0]
-		if wait := e.at.Add(p.opts.MaxBatchDelay).Sub(now); wait > 0 {
-			p.flushTimer.Reset(wait)
-			break
+// arm queues d, which falls due at when as seen at now: an age flush for
+// when itself, any other duty for the first tick at or after when and
+// after now, the instant being served. A duty already queued for that
+// instant or earlier is left as it is: when it fires, it returns its next.
+func (p *Peer) arm(d *due, when, now time.Time) {
+	at := when
+	if d.rank != rankAgeFlush {
+		if when.After(now) {
+			now = when.Add(-1)
 		}
-		p.flushQ[0] = ageFlush{}
-		p.flushQ = p.flushQ[1:]
-		p.flushMu.Unlock()
-		e.s.flushIfOpenedAt(e.at)
-		p.flushMu.Lock()
+		at = p.start.Add((now.Sub(p.start)/p.tick + 1) * p.tick)
 	}
-	p.flushMu.Unlock()
+	off := int64(at.Sub(p.start))
+	if cur := d.at.Load(); cur != 0 && cur <= off {
+		return
+	}
+	p.dueMu.Lock()
+	defer p.dueMu.Unlock()
+	if cur := d.at.Load(); p.dueOff || cur != 0 && cur <= off {
+		return
+	}
+	d.at.Store(off)
+	if head, ok := p.dues.Peek(); !ok || at.Before(head.at) {
+		p.dueTimer.Reset(at.Sub(p.clk.Now()))
+	}
+	p.dues.Push(dueEntry{at, d})
 }
 
-// tickLoop drives age flushes and retransmission for every stream on this
-// peer. Age flushes are exact: they wait on flushTimer, not on the tick.
-func (p *Peer) tickLoop() {
+// dueLoop fires each queued duty when its instant comes, in (instant,
+// rank) order, re-arms it for the instant it returns, and sets dueTimer
+// for the first entry still live, so a superseded one costs no wake-up.
+// An idle peer's timer is left unarmed.
+func (p *Peer) dueLoop() {
 	defer p.wg.Done()
-	defer p.flushTimer.Stop()
-	interval := p.opts.MaxBatchDelay / 2
-	if rto := p.opts.RTO / 2; rto < interval {
-		interval = rto
-	}
-	if interval < 200*time.Microsecond {
-		interval = 200 * time.Microsecond
-	}
-	ticker := p.clk.NewTicker(interval)
-	defer ticker.Stop()
-	// The snapshot slices persist across ticks so steady-state ticking
-	// does not allocate; entries are cleared after use so dropped streams
-	// are not pinned until the next tick.
-	var sends []*Stream
-	var recvs []*rstream
 	for {
 		select {
 		case <-p.ctx.Done():
+			p.dueMu.Lock()
+			p.dueOff = true
+			p.dueTimer.Stop()
+			p.dues.Drain(nil)
+			p.dueMu.Unlock()
 			return
-		case <-p.flushTimer.C():
-			p.flushAged(p.clk.Now())
-		case now := <-ticker.C():
-			// Due batches go out before the tick, whichever channel won the
-			// select, so one instant's work happens in one order every run.
-			p.flushAged(p.clk.Now())
-			p.mu.Lock()
-			sends = sends[:0]
-			for _, s := range p.sends {
-				sends = append(sends, s)
-			}
-			recvs = recvs[:0]
-			for _, r := range p.recvs {
-				recvs = append(recvs, r)
-			}
-			p.mu.Unlock()
-			for i, s := range sends {
-				s.tick(now)
-				sends[i] = nil
-			}
-			for i, r := range recvs {
-				r.tick(now)
-				recvs[i] = nil
-			}
-			if ps := p.sched.Load(); ps != nil {
-				ps.tick()
-			}
+		case <-p.dueTimer.C():
 		}
+		now := p.clk.Now()
+		p.dueMu.Lock()
+		for {
+			e, ok := p.dues.Peek()
+			if !ok {
+				break
+			}
+			if e.d.at.Load() != int64(e.at.Sub(p.start)) {
+				p.dues.Pop() // superseded by an arming for an earlier instant
+				continue
+			}
+			if e.at.After(now) {
+				p.dueTimer.Reset(e.at.Sub(p.clk.Now()))
+				break
+			}
+			p.dues.Pop()
+			e.d.at.Store(0)
+			p.dueMu.Unlock()
+			// A loop that fell behind a whole tick serves the duty at the
+			// last tick it has reached, as a ticker that drops missed
+			// ticks did: a stall costs one retransmission or probe, then
+			// a whole RTO's wait, not a burst of them.
+			at := e.at
+			if tick := p.start.Add(now.Sub(p.start) / p.tick * p.tick); tick.After(at) {
+				at = tick
+			}
+			if next := e.d.fire(at); !next.IsZero() {
+				p.arm(e.d, next, at)
+			}
+			p.dueMu.Lock()
+		}
+		p.dueMu.Unlock()
 	}
 }
 

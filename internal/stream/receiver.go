@@ -150,7 +150,7 @@ type rstream struct {
 
 	// Reply retention. A normal flush transmits only the unsent suffix of
 	// retained; the full retained set is re-sent only on evidence of loss
-	// (duplicate requests) or an ack-progress stall (see tick), so reply
+	// (duplicate requests) or an ack-progress stall (see fire), so reply
 	// traffic stays proportional to new work, not to the retained window.
 	retained          []reply // executed, not yet acked by the sender
 	unsentReplies     int     // suffix of retained not yet transmitted at all
@@ -201,6 +201,9 @@ type rstream struct {
 	// retained chain resolutions in (a ~pipe stream's resolution sends):
 	// they are flushed once nothing is left to run. Owned by the runner.
 	resolved replyLanes
+
+	// due is the stream's place in its peer's deadline queue (see fire).
+	due due
 }
 
 // replyLanes collects the reply lanes chain resolutions were retained in,
@@ -248,11 +251,12 @@ func newRStream(p *Peer, key streamKey, incarnation uint64, opts Options) *rstre
 	r.incA.Store(incarnation)
 	r.expectedA.Store(1)
 	r.watermark.Store(1)
+	r.due.rank, r.due.fire = rankRecv, r.fire
 	return r
 }
 
 // completedThroughNow is the contiguous completed prefix. The watermark
-// is atomic, so any caller (tick under r.mu, completions under replyMu)
+// is atomic, so any caller (fire under r.mu, completions under replyMu)
 // may read it.
 func (r *rstream) completedThroughNow() uint64 { return r.watermark.Load() - 1 }
 
@@ -287,6 +291,7 @@ func (r *rstream) handleRequestBatch(b *requestBatch) {
 	}
 
 	sm := r.peer.sm
+	expected := r.expected
 	for _, req := range b.Requests {
 		switch {
 		case req.Seq < r.expected:
@@ -327,7 +332,7 @@ func (r *rstream) handleRequestBatch(b *requestBatch) {
 	// with progress — and whatever suffix is pending — so the sender
 	// knows this end is alive and which boot epoch it is talking to.
 	var msg []byte
-	if r.pendingRetransmit || len(b.Requests) == 0 {
+	if arrived := r.expected > expected; arrived || r.pendingRetransmit || len(b.Requests) == 0 {
 		inc, completed := r.incarnation, r.completedThroughNow()
 		r.replyMu.Lock()
 		if r.pendingRetransmit && len(r.retained) > 0 {
@@ -335,6 +340,10 @@ func (r *rstream) handleRequestBatch(b *requestBatch) {
 			r.pendingRetransmit = false
 		} else if len(b.Requests) == 0 {
 			msg = r.buildReplyBatchLocked(false, inc, completed)
+		}
+		if r.noteOwedLocked() {
+			now := r.peer.clk.Now()
+			r.peer.arm(&r.due, now, now)
 		}
 		r.replyMu.Unlock()
 	}
@@ -532,6 +541,7 @@ func (r *rstream) complete(inc, seq uint64, mode Mode, cause trace.Cause, o Outc
 		r.replyMu.Unlock()
 		return false
 	}
+	owed := r.noteOwedLocked()
 	if piped && mode != ModeSend {
 		r.pipeWait.put(seq, struct{}{}) // before the scheduler sees the chain
 	}
@@ -566,6 +576,9 @@ func (r *rstream) complete(inc, seq uint64, mode Mode, cause trace.Cause, o Outc
 	flushNow := mode == ModeRPC || r.unsentReplies >= r.opts.MaxBatch || brk || o.frame != nil
 	if flushNow && (r.unsentReplies > 0 || completed > r.sentCompleted) {
 		msg = r.buildReplyBatchLocked(false, inc, completed)
+	} else if !owed && r.noteOwedLocked() {
+		now := r.peer.clk.Now()
+		r.peer.arm(&r.due, now, now)
 	}
 	r.replyMu.Unlock()
 	if msg != nil {
@@ -638,7 +651,10 @@ func (r *rstream) retainLocked(seq uint64, o Outcome) {
 		r.lastAckProgressAt = now
 	}
 	if r.unsentReplies == 0 {
+		// The first unsent reply: its age flush, and the retransmission
+		// of what retained holds, are fire's.
 		r.oldestUnsentAt = r.peer.clk.Now()
+		r.peer.arm(&r.due, r.oldestUnsentAt, r.oldestUnsentAt)
 	}
 	r.retained = append(r.retained, reply{Seq: seq, Outcome: o})
 	r.unsentReplies++
@@ -651,7 +667,7 @@ func (r *rstream) retainLocked(seq uint64, o Outcome) {
 // and replies. A normal flush (retransmit=false) carries only the unsent
 // suffix of the retained replies — already-transmitted replies ride again
 // only when retransmit=true, i.e. on loss evidence (duplicate requests)
-// or an ack-progress stall in tick. This keeps steady-state reply bytes
+// or an ack-progress stall in fire. This keeps steady-state reply bytes
 // proportional to new work instead of O(retained window) per flush. inc
 // is the caller's incarnation snapshot and completed the completion
 // prefix. Caller holds replyMu; the encoder reads the retained slice
@@ -757,33 +773,27 @@ func (r *rstream) resetLocked(incarnation uint64) {
 	r.replyMu.Unlock()
 }
 
-// tick flushes aged reply batches, pushes progress for send-only
-// workloads, and retransmits unacknowledged replies.
-func (r *rstream) tick(now time.Time) {
+// fire does the stream's timed work due at now: it flushes aged reply
+// batches, pushes progress for send-only workloads, acknowledges receipt,
+// and retransmits unacknowledged replies. It returns when the stream next
+// owes any of these, or zero.
+func (r *rstream) fire(now time.Time) time.Time {
 	var (
 		msg       []byte
 		breakNote []byte
+		next      time.Time
 	)
 	r.mu.Lock()
-	if r.broken {
+	if r.broken || r.closed {
 		r.mu.Unlock()
-		return
+		return time.Time{}
 	}
 	inc := r.incarnation
-	completed := r.completedThroughNow()
 	r.replyMu.Lock()
+	completed := r.completedThroughNow()
 	switch {
 	case r.unsentReplies > 0 && now.Sub(r.oldestUnsentAt) >= r.opts.MaxBatchDelay,
-		// Progress notification so sends resolve at the sender.
-		completed > r.sentCompleted,
-		// Requests were accepted since we last said so, and no reply is
-		// about to say it (their handlers are still running): acknowledge
-		// receipt now. The sender stops retransmitting them, and it learns
-		// our boot epoch — should we crash and recover before the first
-		// reply, it can tell the newcomer's answers from ours and break the
-		// stream, instead of adopting the newcomer and having the
-		// unacknowledged calls executed a second time.
-		r.unsentReplies == 0 && r.expected-1 > r.sentAcked:
+		r.noteOwedLocked():
 		msg = r.buildReplyBatchLocked(false, inc, completed)
 	case len(r.retained) > 0 && now.Sub(r.lastAckProgressAt) >= r.opts.RTO &&
 		now.Sub(r.lastFullReplyAt) >= r.opts.RTO:
@@ -817,6 +827,9 @@ func (r *rstream) tick(now time.Time) {
 			msg = r.buildReplyBatchLocked(true, inc, completed)
 		}
 	}
+	if breakNote == nil {
+		next = r.nextDueLocked(now)
+	}
 	r.replyMu.Unlock()
 	r.mu.Unlock()
 	if msg != nil {
@@ -825,6 +838,45 @@ func (r *rstream) tick(now time.Time) {
 	if breakNote != nil {
 		r.peer.transmit(r.key.senderNode, breakNote)
 	}
+	return next
+}
+
+// nextDueLocked returns when fire next has work, as seen at now: now for
+// owed progress or receipt, else the earlier of the oldest unsent reply's
+// age flush and the retransmission of retained replies whose ack has
+// stalled; zero when the stream owes nothing. Caller holds r.mu and
+// replyMu.
+func (r *rstream) nextDueLocked(now time.Time) time.Time {
+	if r.noteOwedLocked() {
+		return now
+	}
+	var next time.Time
+	if r.unsentReplies > 0 {
+		next = r.oldestUnsentAt.Add(r.opts.MaxBatchDelay)
+	}
+	if len(r.retained) > 0 {
+		stall := r.lastAckProgressAt
+		if r.lastFullReplyAt.After(stall) {
+			stall = r.lastFullReplyAt
+		}
+		if at := stall.Add(r.opts.RTO); next.IsZero() || at.Before(next) {
+			next = at
+		}
+	}
+	return next
+}
+
+// noteOwedLocked reports whether fire owes the sender a reply batch that
+// carries no reply: progress, so sends resolve at the sender, or receipt
+// of requests accepted since we last said so while no reply is about to
+// say it (their handlers are still running). Receipt stops the sender's
+// retransmissions, and tells it our boot epoch — should we crash and
+// recover before the first reply, it can tell the newcomer's answers from
+// ours and break the stream, instead of adopting the newcomer and having
+// the unacknowledged calls executed a second time. Caller holds replyMu.
+func (r *rstream) noteOwedLocked() bool {
+	return r.completedThroughNow() > r.sentCompleted ||
+		r.unsentReplies == 0 && r.expectedA.Load()-1 > r.sentAcked
 }
 
 func (r *rstream) close() {

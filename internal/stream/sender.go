@@ -276,6 +276,10 @@ type Stream struct {
 	broken      bool
 	breakErr    *exception.Exception
 
+	// The stream's places in its peer's deadline queue: the open batch's
+	// age flush (fireAge) and the rest of its timed work (fire).
+	ageDue, due due
+
 	// Per-seq resolution state, guarded by mu.
 	pending     seqRing[Pending]
 	heldReplies seqRing[Outcome]
@@ -308,8 +312,8 @@ type Stream struct {
 	lastExcSeq   uint64          // highest seq that resolved exceptionally
 	synchWaiters []chan struct{} // woken whenever resolution progresses
 
-	// lastAckedReplies is the highest reply ack we have transmitted, so
-	// idle ticks only send a pure ack when the receiver hasn't heard it.
+	// lastAckedReplies is the highest reply ack we have transmitted, so a
+	// pure ack is owed only when the receiver hasn't heard it.
 	lastAckedReplies uint64
 
 	// recvEpoch is the boot epoch of the receiving end we have been
@@ -328,7 +332,7 @@ type Stream struct {
 
 func newStream(p *Peer, key streamKey, opts Options) *Stream {
 	keyStr := key.String()
-	return &Stream{
+	s := &Stream{
 		peer:           p,
 		key:            key,
 		keyStr:         keyStr,
@@ -340,6 +344,9 @@ func newStream(p *Peer, key streamKey, opts Options) *Stream {
 		boundarySeq:    1,
 		lastProgressAt: p.clk.Now(),
 	}
+	s.ageDue.rank, s.ageDue.fire = rankAgeFlush, s.fireAge
+	s.due.rank, s.due.fire = rankSend, s.fire
+	return s
 }
 
 // InFlight returns the number of unresolved calls outstanding on the
@@ -484,6 +491,7 @@ func (s *Stream) enqueue(ctx context.Context, r Req, cont []byte) (Pending, erro
 		}
 		s.mu.Lock()
 	}
+	idle := s.nextResolve == s.nextSeq
 	seq, inc := s.nextSeq, s.incarnation
 	s.nextSeq++
 	// A chain origin encodes its continuation here, inside the
@@ -508,9 +516,12 @@ func (s *Stream) enqueue(ctx context.Context, r Req, cont []byte) (Pending, erro
 	// waiting for company would only get it copied (see frame.go).
 	full := len(s.buffer) >= s.opts.MaxBatch || mode == ModeRPC || frame != nil
 	if !full && len(s.buffer) == 1 {
-		s.peer.armAgeFlush(s, s.bufferedAt)
+		s.peer.arm(&s.ageDue, s.bufferedAt.Add(s.opts.MaxBatchDelay), s.bufferedAt)
 	}
 	s.batchMu.Unlock()
+	if idle { // a probe is due if the receiver stays silent; bufferedAt is now
+		s.peer.arm(&s.due, s.lastProgressAt.Add(s.opts.RTO), s.bufferedAt)
+	}
 	s.mu.Unlock()
 	if sm := s.peer.sm; sm != nil {
 		sm.callsEnqueued.Inc()
@@ -601,15 +612,20 @@ func (s *Stream) Flush() {
 	s.peer.transmit(s.key.recvNode, msg)
 }
 
-// flushIfOpenedAt flushes the buffered batch if it is the one opened at
-// at (see Peer.flushAged).
-func (s *Stream) flushIfOpenedAt(at time.Time) {
+// fireAge flushes the open batch once it is MaxBatchDelay old, or returns
+// when it will be.
+func (s *Stream) fireAge(now time.Time) time.Time {
 	s.batchMu.Lock()
-	open := len(s.buffer) > 0 && s.bufferedAt.Equal(at)
+	open, at := len(s.buffer) > 0, s.bufferedAt.Add(s.opts.MaxBatchDelay)
 	s.batchMu.Unlock()
-	if open {
-		s.Flush()
+	if !open {
+		return time.Time{}
 	}
+	if at.After(now) {
+		return at
+	}
+	s.Flush()
+	return time.Time{}
 }
 
 // buildRequestBatchLocked encodes a request batch carrying the current ack
@@ -836,10 +852,12 @@ func (s *Stream) handleReplyBatch(b *replyBatch) {
 		return
 	}
 	defer s.mu.Unlock()
+	acked := !s.ackRepliesOwedLocked()
 	s.recvEpoch = b.Epoch
 	// Hearing anything valid from the receiver is progress: the link and
 	// the receiver are alive, so hold off probe-based breaking.
-	s.lastProgressAt = s.peer.clk.Now()
+	now := s.peer.clk.Now()
+	s.lastProgressAt = now
 	s.retries = 0
 	// Admission credit only ever moves forward within an incarnation, so
 	// taking the max makes reordered reply batches harmless.
@@ -879,6 +897,9 @@ func (s *Stream) handleReplyBatch(b *replyBatch) {
 	}
 	s.drainResolvableLocked()
 	s.finalizeBreakIfDrainedLocked()
+	if acked && s.ackRepliesOwedLocked() {
+		s.peer.arm(&s.due, now, now) // a pure ack, unless a batch carries it first
+	}
 }
 
 // drainResolvableLocked resolves pendings in seq order: an individually
@@ -941,6 +962,9 @@ func (s *Stream) handleBreak(b *breakMsg) {
 	s.pendingBreakReason = reason
 	s.pendingBreakAt = s.peer.clk.Now()
 	s.finalizeBreakIfDrainedLocked()
+	if s.pendingBreak {
+		s.peer.arm(&s.due, s.pendingBreakAt.Add(s.opts.RTO), s.pendingBreakAt)
+	}
 	s.mu.Unlock()
 }
 
@@ -974,10 +998,12 @@ func (s *Stream) finalizeBreakLocked() {
 	s.reincarnateLocked() // wakes the flow waiters
 }
 
-// tick is called periodically by the peer: it retransmits unacknowledged
-// requests, breaking the stream when retries are exhausted, and sends
-// pure acks and liveness probes when the stream is otherwise quiet.
-func (s *Stream) tick(now time.Time) {
+// fire does the stream's timed work due at now: it retransmits
+// unacknowledged requests, breaking the stream when retries are
+// exhausted, sends a pure ack or a liveness probe when the stream is
+// otherwise quiet, and ends a pending break's grace. It returns when the
+// stream next owes any of these, or zero.
+func (s *Stream) fire(now time.Time) time.Time {
 	var (
 		toSend  []byte
 		doBreak bool
@@ -985,21 +1011,23 @@ func (s *Stream) tick(now time.Time) {
 	s.mu.Lock()
 	if s.broken {
 		s.mu.Unlock()
-		return
+		return time.Time{}
 	}
 	if s.pendingBreak {
 		// Grace period for the receiver's final reply batch; if it never
 		// arrives (lost datagram), give up and finalize with the reason.
+		end := s.pendingBreakAt.Add(s.opts.RTO)
 		if now.Sub(s.pendingBreakAt) >= s.opts.RTO {
 			s.finalizeBreakLocked()
+			end = time.Time{}
 		}
 		s.mu.Unlock()
-		return
+		return end
 	}
 	sm := s.peer.sm
-	// Age flushes are the peer's (Peer.flushAged). unacked only changes
-	// with s.mu held, so it cannot move between the staleness check and
-	// the retransmission below.
+	// The open batch's age flush is fireAge's. unacked only changes with
+	// s.mu held, so it cannot move between the staleness check and the
+	// retransmission below.
 	s.batchMu.Lock()
 	stale := len(s.unacked) > 0 && now.Sub(s.lastSendAt) >= s.opts.RTO
 	s.batchMu.Unlock()
@@ -1026,7 +1054,7 @@ func (s *Stream) tick(now time.Time) {
 				s.peer.emit(trace.BatchSent, s.keyStr, first, 0, fmt.Sprintf("n=%d retransmit", n))
 			}
 		}
-	} else if s.nextResolve > 1 && s.ackRepliesOwedLocked() {
+	} else if s.ackRepliesOwedLocked() {
 		// Pure ack so the receiver can release retained replies.
 		toSend = s.buildRequestBatchLocked(nil)
 		if sm != nil {
@@ -1060,20 +1088,44 @@ func (s *Stream) tick(now time.Time) {
 			}
 		}
 	}
+	next := s.nextDueLocked(now)
 	s.mu.Unlock()
 
 	if doBreak {
 		s.systemBreak(exception.Unavailable("cannot communicate"))
-		return
+		return time.Time{}
 	}
 	if toSend != nil {
 		s.peer.transmit(s.key.recvNode, toSend)
 	}
+	return next
+}
+
+// nextDueLocked returns when fire next has work, as seen at now: now for
+// an owed pure ack, else the earlier of the unacked requests' RTO and,
+// with calls outstanding, a probe; zero for nothing. Caller holds s.mu.
+func (s *Stream) nextDueLocked(now time.Time) time.Time {
+	if s.ackRepliesOwedLocked() {
+		return now
+	}
+	var next time.Time
+	if s.nextResolve < s.nextSeq {
+		next = s.lastProgressAt.Add(s.opts.RTO)
+	}
+	s.batchMu.Lock()
+	if len(s.unacked) > 0 {
+		if at := s.lastSendAt.Add(s.opts.RTO); next.IsZero() || at.Before(next) {
+			next = at
+		}
+	}
+	s.batchMu.Unlock()
+	return next
 }
 
 // ackRepliesOwedLocked reports whether replies have resolved since the
 // last ack we transmitted, i.e. the receiver is still retaining replies
-// it could release if we told it. Caller holds s.mu.
+// it could release if we told it: whether fire owes a pure ack. Caller
+// holds s.mu.
 func (s *Stream) ackRepliesOwedLocked() bool {
 	return s.nextResolve-1 > s.lastAckedReplies
 }

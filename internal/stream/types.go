@@ -194,8 +194,9 @@ type Options struct {
 	// Default 8. ("The system tries hard to deliver messages before
 	// breaking a stream.")
 	MaxRetries int
-	// Clock is the peer's time source: tick loop, RTO and batching-delay
-	// staleness, break timeouts, trace timestamps. Default: the clock of
+	// Clock is the peer's time source: its deadline queue, RTO and
+	// batching-delay staleness, break timeouts, trace timestamps. Default:
+	// the clock of
 	// the simnet network the peer's node belongs to, so configuring a
 	// virtual clock on the network covers the stream layer too.
 	Clock clock.Clock

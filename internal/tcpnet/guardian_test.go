@@ -293,11 +293,12 @@ func (e *replyTap) Recv(ctx context.Context) (transport.Message, error) {
 // while it lives. A stream that completed its calls as they ran would by
 // then have reported the stage done, and s1 would have stopped watching
 // s2; only custody keeps s1 watching. The condition is read off s2's
-// trace ring and s1's endpoint: s2 executed the forward, then ran one
-// whole tick pass (two of its probes to s3 follow the execution: its tick
-// loop probes between passes over its receiving streams, and a receiving
-// stream reports completions on its tick), and s1 has received every
-// reply batch s2 sent it on that ~pipe stream.
+// trace ring and s1's endpoint: s2 executed the forward, then sent two
+// probes to s3, and s1 has received every reply batch s2 sent it on that
+// ~pipe stream. A receiving stream sends what it owes — receipt, progress
+// — at the first tick of its peer's grid after it falls due, and a tick is
+// at most half an RTO. Probes are at least one RTO apart, so by the second
+// that tick has passed, and a note the stage's completion owed has gone.
 func TestMidChainKillOverLoopbackTCP(t *testing.T) {
 	held, entered := make(chan struct{}), make(chan struct{}, 1)
 	defer close(held)

@@ -761,7 +761,7 @@ func (l *link) send(payload []byte) {
 
 // writeInline writes one frame with one non-blocking writev, holding the
 // write role. It never waits for the socket: a sender may be the stream
-// layer's receive or tick loop, and two peers whose loops both waited on
+// layer's receive or deadline loop, and two peers whose loops both waited on
 // full socket buffers would deadlock. What the socket does not take —
 // the whole frame, or the tail of a partial write — becomes the link's
 // tail, which the writer sends before anything queued.

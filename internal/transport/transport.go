@@ -48,7 +48,7 @@ type Message struct {
 // and unreliable: a nil error means the message was accepted locally,
 // not that it will arrive. Send never blocks: it does not wait for the
 // peer, the network or a full socket buffer, so the stream layer may
-// call it from its receive and tick loops; a backend that cannot take a
+// call it from its receive and deadline loops; a backend that cannot take a
 // message drops it. Errors are local conditions only (this end down, no
 // route, transport closed) and should map onto the portable error set
 // below with errors.Is.
