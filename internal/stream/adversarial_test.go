@@ -211,7 +211,7 @@ func TestReceiverAcksWhatItHolds(t *testing.T) {
 	waitFor(t, "the ack never reached the sender", func() bool {
 		s.batchMu.Lock()
 		defer s.batchMu.Unlock()
-		return len(s.unacked) == 0
+		return len(s.lane.items) == s.lane.unsent
 	})
 	for i := 0; i < 20; i++ { // ten more RTOs
 		vclk.Advance(opts.RTO / 2)

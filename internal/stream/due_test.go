@@ -167,7 +167,7 @@ func TestCrashRecoverDropsArmedDuties(t *testing.T) {
 		held := 0
 		for _, r := range dropped {
 			r.replyMu.Lock()
-			held += r.unsentReplies
+			held += r.lane.unsent
 			r.replyMu.Unlock()
 		}
 		if len(dropped) == streams && held == streams*calls {

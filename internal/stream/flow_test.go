@@ -278,9 +278,10 @@ func TestFlowControlAcrossReincarnation(t *testing.T) {
 }
 
 // TestPreciseAgeFlushTimer drives a manual virtual clock to the exact
-// instant bufferedAt+MaxBatchDelay: one microsecond earlier nothing has
-// been transmitted, and the batch goes out stamped at precisely that
-// instant — the tick-quantization the old age flush added is gone.
+// instant the batch opened plus MaxBatchDelay: one microsecond earlier
+// nothing has been transmitted, and the batch goes out stamped at
+// precisely that instant — the tick-quantization the old age flush added
+// is gone.
 func TestPreciseAgeFlushTimer(t *testing.T) {
 	vclk := clock.NewVirtual()
 	t.Cleanup(func() { vclk.SetAutoAdvance(false) })

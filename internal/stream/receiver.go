@@ -3,7 +3,6 @@ package stream
 import (
 	"crypto/rand"
 	"encoding/binary"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -148,17 +147,14 @@ type rstream struct {
 	// watermark is the smallest seq not yet completed.
 	watermark atomic.Uint64
 
-	// Reply retention. A normal flush transmits only the unsent suffix of
-	// retained; the full retained set is re-sent only on evidence of loss
-	// (duplicate requests) or an ack-progress stall (see fire), so reply
-	// traffic stays proportional to new work, not to the retained window.
-	retained          []reply // executed, not yet acked by the sender
-	unsentReplies     int     // suffix of retained not yet transmitted at all
-	oldestUnsentAt    time.Time
-	sentCompleted     uint64    // CompletedThrough value last transmitted
-	sentAcked         uint64    // AckRequestsThrough value last transmitted
-	lastFullReplyAt   time.Time // when a batch covering all of retained last went out
-	lastAckProgressAt time.Time // when the sender's reply ack last advanced (or retained was born)
+	// Reply retention (lane.go): the replies executed and not yet acked by
+	// the sender. A normal flush transmits only the lane's unsent suffix;
+	// everything it holds is re-sent only on evidence of loss (duplicate
+	// requests) or an ack-progress stall (see fire), so reply traffic stays
+	// proportional to new work, not to the retained window.
+	lane          lane[reply, *reply]
+	sentCompleted uint64 // CompletedThrough value last transmitted
+	sentAcked     uint64 // AckRequestsThrough value last transmitted
 
 	mu          sync.Mutex
 	incarnation uint64
@@ -187,10 +183,6 @@ type rstream struct {
 	// it to drain before running a serial call, so serial calls still
 	// appear to happen in call order.
 	outstanding sync.WaitGroup
-
-	ackedThrough      uint64 // sender has resolved replies through this seq
-	retries           int
-	pendingRetransmit bool // duplicate requests seen: sender missed replies
 
 	// pipeWait holds the pipelined calls whose reply is owed by their
 	// chain's resolution. The first resolution clears its seq's entry, so
@@ -279,25 +271,23 @@ func (r *rstream) handleRequestBatch(b *requestBatch) {
 		return
 	}
 
-	// The sender's ack lets us drop retained replies.
-	if b.AckRepliesThrough > r.ackedThrough {
-		r.ackedThrough = b.AckRepliesThrough
-		r.retries = 0
-		now := r.peer.clk.Now()
+	// The sender's ack lets us drop retained replies. The lane's ack and
+	// its loss flag move only under r.mu as well, so r.mu suffices to read
+	// them.
+	if b.AckRepliesThrough > r.lane.acked {
 		r.replyMu.Lock()
-		r.lastAckProgressAt = now
-		r.pruneRetainedLocked()
+		r.lane.ack(b.AckRepliesThrough, r.peer.clk.Now())
 		r.replyMu.Unlock()
 	}
 
 	sm := r.peer.sm
-	expected := r.expected
+	expected, lost := r.expected, r.lane.lost
 	for _, req := range b.Requests {
 		switch {
-		case req.Seq < r.expected:
+		case req.Seq < r.expected, r.oo.has(req.Seq):
 			// Duplicate of a request already received: our reply batch
 			// was probably lost; retransmit retained replies soon.
-			r.pendingRetransmit = true
+			lost = true
 			if sm != nil {
 				sm.duplicateReqs.Inc()
 			}
@@ -305,11 +295,6 @@ func (r *rstream) handleRequestBatch(b *requestBatch) {
 			// Implausibly far ahead (a garbled seq, or a sender pipelining
 			// beyond the protocol window): drop; retransmission redelivers
 			// it once the window slides.
-		case r.oo.has(req.Seq):
-			r.pendingRetransmit = true
-			if sm != nil {
-				sm.duplicateReqs.Inc()
-			}
 		default:
 			r.oo.put(req.Seq, req)
 			if r.peer.tracing() {
@@ -332,12 +317,13 @@ func (r *rstream) handleRequestBatch(b *requestBatch) {
 	// with progress — and whatever suffix is pending — so the sender
 	// knows this end is alive and which boot epoch it is talking to.
 	var msg []byte
-	if arrived := r.expected > expected; arrived || r.pendingRetransmit || len(b.Requests) == 0 {
+	if arrived := r.expected > expected; arrived || lost || len(b.Requests) == 0 {
 		inc, completed := r.incarnation, r.completedThroughNow()
 		r.replyMu.Lock()
-		if r.pendingRetransmit && len(r.retained) > 0 {
+		r.lane.lost = lost
+		if lost && len(r.lane.items) > 0 {
 			msg = r.buildReplyBatchLocked(true, inc, completed)
-			r.pendingRetransmit = false
+			r.lane.lost = false
 		} else if len(b.Requests) == 0 {
 			msg = r.buildReplyBatchLocked(false, inc, completed)
 		}
@@ -354,23 +340,6 @@ func (r *rstream) handleRequestBatch(b *requestBatch) {
 	if msg != nil {
 		r.peer.transmit(r.key.senderNode, msg)
 	}
-}
-
-// pruneRetainedLocked drops the retained replies the sender has
-// acknowledged. Caller holds replyMu (and, on the ack path, r.mu).
-func (r *rstream) pruneRetainedLocked() {
-	kept := r.retained[:0]
-	for _, rep := range r.retained {
-		if rep.Seq > r.ackedThrough {
-			kept = append(kept, rep)
-		}
-	}
-	// Unsent replies are always the newest; clamp in case pruning ate
-	// into the unsent suffix (it cannot, but be safe).
-	if r.unsentReplies > len(kept) {
-		r.unsentReplies = len(kept)
-	}
-	r.retained = kept
 }
 
 // run executes r's received calls in seq order until none is left, then
@@ -503,15 +472,7 @@ func (r *rstream) executeOne(req request, inc uint64, call *Incoming) {
 		if !r.broken && r.incarnation == inc {
 			r.broken = true
 			r.brokenA.Store(true)
-			breakNote = encodeBreak(breakMsg{
-				Agent:       r.key.agent,
-				Group:       r.key.group,
-				Incarnation: r.incarnation,
-				Synchronous: true,
-				BrokenAfter: req.Seq,
-				ExcName:     breakReason.Name,
-				Reason:      breakReason.StringArg(0),
-			})
+			breakNote = r.key.breakNote(r.incarnation, req.Seq, breakReason)
 		}
 		r.mu.Unlock()
 	}
@@ -573,8 +534,8 @@ func (r *rstream) complete(inc, seq uint64, mode Mode, cause trace.Cause, o Outc
 	completed := r.completedThroughNow()
 	// Results big enough to ride alone close the reply batch, as a big
 	// call's arguments close the request batch (see frame.go).
-	flushNow := mode == ModeRPC || r.unsentReplies >= r.opts.MaxBatch || brk || o.frame != nil
-	if flushNow && (r.unsentReplies > 0 || completed > r.sentCompleted) {
+	flushNow := mode == ModeRPC || r.lane.unsent >= r.opts.MaxBatch || brk || o.frame != nil
+	if flushNow && (r.lane.unsent > 0 || completed > r.sentCompleted) {
 		msg = r.buildReplyBatchLocked(false, inc, completed)
 	} else if !owed && r.noteOwedLocked() {
 		now := r.peer.clk.Now()
@@ -615,7 +576,7 @@ func (r *rstream) resolvePiped(inc, seq uint64, o Outcome) bool {
 	}
 	r.pipeWait.del(seq)
 	r.retainLocked(seq, o)
-	if r.unsentReplies >= r.opts.MaxBatch {
+	if r.lane.unsent >= r.opts.MaxBatch {
 		msg = r.buildReplyBatchLocked(false, inc, r.completedThroughNow())
 	}
 	r.replyMu.Unlock()
@@ -630,7 +591,7 @@ func (r *rstream) flushReplies() {
 	var msg []byte
 	r.mu.Lock()
 	r.replyMu.Lock()
-	if !r.broken && r.unsentReplies > 0 {
+	if !r.broken && r.lane.unsent > 0 {
 		msg = r.buildReplyBatchLocked(false, r.incarnation, r.completedThroughNow())
 	}
 	r.replyMu.Unlock()
@@ -643,21 +604,15 @@ func (r *rstream) flushReplies() {
 // retainLocked keeps seq's reply until the sender acknowledges it and
 // queues it for the next reply batch. Caller holds replyMu.
 func (r *rstream) retainLocked(seq uint64, o Outcome) {
-	if len(r.retained) == 0 {
-		// Retained becomes non-empty: start both retransmission clocks
-		// from the reply's birth.
-		now := r.peer.clk.Now()
-		r.lastFullReplyAt = now
-		r.lastAckProgressAt = now
+	var now time.Time
+	if r.lane.unsent == 0 {
+		now = r.peer.clk.Now()
 	}
-	if r.unsentReplies == 0 {
+	if r.lane.push(reply{Seq: seq, Outcome: o}, now) {
 		// The first unsent reply: its age flush, and the retransmission
-		// of what retained holds, are fire's.
-		r.oldestUnsentAt = r.peer.clk.Now()
-		r.peer.arm(&r.due, r.oldestUnsentAt, r.oldestUnsentAt)
+		// of what the lane holds, are fire's.
+		r.peer.arm(&r.due, now, now)
 	}
-	r.retained = append(r.retained, reply{Seq: seq, Outcome: o})
-	r.unsentReplies++
 	if sm := r.peer.sm; sm != nil {
 		sm.replies.Inc()
 	}
@@ -677,25 +632,22 @@ func (r *rstream) retainLocked(seq uint64, o Outcome) {
 // is built in the results' own buffer (frame.go), once — a
 // retransmission always re-encodes.
 func (r *rstream) buildReplyBatchLocked(retransmit bool, inc, completed uint64) []byte {
-	reps := r.retained
-	if !retransmit {
-		reps = r.retained[len(r.retained)-r.unsentReplies:]
+	now := r.peer.clk.Now()
+	if sm := r.peer.sm; sm != nil && r.lane.unsent > 0 {
+		sm.stageReplyWait.ObserveDuration(now.Sub(r.lane.opened))
 	}
-	if len(reps) == len(r.retained) {
-		// Everything retained is on the wire in this batch: restart the
-		// full-retransmission pacing clock.
-		r.lastFullReplyAt = r.peer.clk.Now()
+	var reps []reply
+	if retransmit {
+		reps = r.lane.resend(now)
+	} else {
+		reps = r.lane.take(now)
 	}
-	if sm := r.peer.sm; sm != nil && r.unsentReplies > 0 {
-		sm.stageReplyWait.ObserveDuration(r.peer.clk.Now().Sub(r.oldestUnsentAt))
-	}
-	r.unsentReplies = 0
 	r.sentCompleted = completed
 	r.sentAcked = r.expectedA.Load() - 1
 	if r.peer.tracing() {
 		detail := trace.BatchDetail(len(reps))
 		if retransmit {
-			detail = fmt.Sprintf("n=%d retransmit", len(reps))
+			detail = trace.RetransmitDetail(len(reps))
 		}
 		r.peer.emit(trace.ReplyBatchSent, r.keyStr, completed, 0, detail)
 	}
@@ -744,8 +696,7 @@ func (r *rstream) handleBreak(b *breakMsg) {
 	r.oo.reset()
 	r.replyMu.Lock()
 	r.pipeWait.reset()
-	r.retained = nil
-	r.unsentReplies = 0
+	r.lane.reset()
 	r.replyMu.Unlock()
 }
 
@@ -759,13 +710,9 @@ func (r *rstream) resetLocked(incarnation uint64) {
 	r.nextRun = 1
 	r.expectedA.Store(1)
 	r.oo.reset()
-	r.ackedThrough = 0
-	r.retries = 0
-	r.pendingRetransmit = false
 	r.replyMu.Lock()
 	r.pipeWait.reset()
-	r.retained = nil
-	r.unsentReplies = 0
+	r.lane.reset()
 	r.sentCompleted = 0
 	r.sentAcked = 0
 	r.completedSet.reset()
@@ -792,43 +739,35 @@ func (r *rstream) fire(now time.Time) time.Time {
 	r.replyMu.Lock()
 	completed := r.completedThroughNow()
 	switch {
-	case r.unsentReplies > 0 && now.Sub(r.oldestUnsentAt) >= r.opts.MaxBatchDelay,
-		r.noteOwedLocked():
+	case reached(r.lane.flushAt(r.opts.MaxBatchDelay), now), r.noteOwedLocked():
 		msg = r.buildReplyBatchLocked(false, inc, completed)
-	case len(r.retained) > 0 && now.Sub(r.lastAckProgressAt) >= r.opts.RTO &&
-		now.Sub(r.lastFullReplyAt) >= r.opts.RTO:
+	case reached(r.lane.resendAt(r.opts.RTO), now):
 		// The sender's reply ack has stalled a full RTO with replies
 		// retained: some reply batch (which also carried our request ack)
 		// was lost, or the sender cannot reach us. Re-send everything
-		// retained, paced one RTO apart by lastFullReplyAt. This is the
-		// only path — besides duplicate-request evidence — that re-sends
-		// already-transmitted replies. It counts toward a break only if the
-		// call after the sender's ack has its answer here to be acked.
-		if next := r.ackedThrough + 1; next <= completed && !r.pipeWait.has(next) {
-			r.retries++
-		}
+		// retained, paced one RTO apart. This is the only path — besides
+		// duplicate-request evidence — that re-sends already-transmitted
+		// replies. It counts toward a break only if the call after the
+		// sender's ack has its answer here to be acked.
 		if sm := r.peer.sm; sm != nil {
 			sm.recvRTOFires.Inc()
 		}
-		if r.retries > r.opts.MaxRetries {
+		if head := r.lane.acked + 1; head <= completed && !r.pipeWait.has(head) &&
+			r.lane.retry(r.opts.MaxRetries) {
 			// We cannot get replies through; break the stream from the
 			// receiving side. Further calls will be discarded.
 			r.broken = true
 			r.brokenA.Store(true)
-			breakNote = encodeBreak(breakMsg{
-				Agent:       r.key.agent,
-				Group:       r.key.group,
-				Incarnation: r.incarnation,
-				Synchronous: false,
-				ExcName:     exception.NameUnavailable,
-				Reason:      "cannot communicate",
-			})
+			breakNote = r.key.breakNote(r.incarnation, 0, exception.Unavailable("cannot communicate"))
 		} else {
 			msg = r.buildReplyBatchLocked(true, inc, completed)
 		}
 	}
 	if breakNote == nil {
-		next = r.nextDueLocked(now)
+		next = now // owed progress or receipt
+		if !r.noteOwedLocked() {
+			next = r.lane.nextDue(r.opts.MaxBatchDelay, r.opts.RTO)
+		}
 	}
 	r.replyMu.Unlock()
 	r.mu.Unlock()
@@ -837,31 +776,6 @@ func (r *rstream) fire(now time.Time) time.Time {
 	}
 	if breakNote != nil {
 		r.peer.transmit(r.key.senderNode, breakNote)
-	}
-	return next
-}
-
-// nextDueLocked returns when fire next has work, as seen at now: now for
-// owed progress or receipt, else the earlier of the oldest unsent reply's
-// age flush and the retransmission of retained replies whose ack has
-// stalled; zero when the stream owes nothing. Caller holds r.mu and
-// replyMu.
-func (r *rstream) nextDueLocked(now time.Time) time.Time {
-	if r.noteOwedLocked() {
-		return now
-	}
-	var next time.Time
-	if r.unsentReplies > 0 {
-		next = r.oldestUnsentAt.Add(r.opts.MaxBatchDelay)
-	}
-	if len(r.retained) > 0 {
-		stall := r.lastAckProgressAt
-		if r.lastFullReplyAt.After(stall) {
-			stall = r.lastFullReplyAt
-		}
-		if at := stall.Add(r.opts.RTO); next.IsZero() || at.Before(next) {
-			next = at
-		}
 	}
 	return next
 }
@@ -876,7 +790,7 @@ func (r *rstream) nextDueLocked(now time.Time) time.Time {
 // the unacknowledged calls executed a second time. Caller holds replyMu.
 func (r *rstream) noteOwedLocked() bool {
 	return r.completedThroughNow() > r.sentCompleted ||
-		r.unsentReplies == 0 && r.expectedA.Load()-1 > r.sentAcked
+		r.lane.unsent == 0 && r.expectedA.Load()-1 > r.sentAcked
 }
 
 func (r *rstream) close() {

@@ -2,7 +2,7 @@ package stream
 
 import (
 	"context"
-	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -261,14 +261,11 @@ type Stream struct {
 	keyHash uint64 // trace.HashStream(keyStr), cached for trace-ID derivation
 	opts    Options
 
-	// The batch lane: assembly and retransmission state, guarded by
-	// batchMu. The lock order is mu before batchMu; Flush drops mu before
-	// encoding, so a batch is built without holding the stream lock.
-	batchMu    sync.Mutex
-	buffer     []request // accepted but not yet transmitted
-	bufferedAt time.Time // when buffer[0] was accepted
-	unacked    []request // transmitted but not acked by receiver
-	lastSendAt time.Time // when unacked was last (re)transmitted
+	// The request lane (lane.go), go-back-N, guarded by batchMu. The lock
+	// order is mu before batchMu; Flush drops mu before encoding, so a
+	// batch is built without holding the stream lock.
+	batchMu sync.Mutex
+	lane    lane[request, *request]
 
 	mu          sync.Mutex
 	incarnation uint64
@@ -292,9 +289,6 @@ type Stream struct {
 	pendingBreakAfter  uint64
 	pendingBreakReason *exception.Exception
 	pendingBreakAt     time.Time
-
-	ackedThrough uint64 // receiver acked requests through this seq
-	retries      int
 
 	// Flow control. grantThrough is the receiver's advertised admission
 	// credit (0 until the first reply batch of this incarnation arrives).
@@ -344,6 +338,7 @@ func newStream(p *Peer, key streamKey, opts Options) *Stream {
 		boundarySeq:    1,
 		lastProgressAt: p.clk.Now(),
 	}
+	s.lane.goBackN = true
 	s.ageDue.rank, s.ageDue.fire = rankAgeFlush, s.fireAge
 	s.due.rank, s.due.fire = rankSend, s.fire
 	return s
@@ -507,20 +502,21 @@ func (s *Stream) enqueue(ctx context.Context, r Req, cont []byte) (Pending, erro
 	// section, so a break cannot slip between them and orphan the pending.
 	// The batch append nests inside it (lock order mu -> batchMu).
 	s.batchMu.Lock()
-	if len(s.buffer) == 0 {
-		s.bufferedAt = s.peer.clk.Now()
+	var now time.Time
+	if s.lane.unsent == 0 {
+		now = s.peer.clk.Now()
 	}
-	s.buffer = append(s.buffer, request{Seq: seq, Port: port, Mode: mode, Args: args,
-		Root: cause.Root, Parent: cause.Parent, Cont: cont, frame: frame})
+	opened := s.lane.push(request{Seq: seq, Port: port, Mode: mode, Args: args,
+		Root: cause.Root, Parent: cause.Parent, Cont: cont, frame: frame}, now)
 	// A call big enough to ride alone closes the batch like an RPC does:
 	// waiting for company would only get it copied (see frame.go).
-	full := len(s.buffer) >= s.opts.MaxBatch || mode == ModeRPC || frame != nil
-	if !full && len(s.buffer) == 1 {
-		s.peer.arm(&s.ageDue, s.bufferedAt.Add(s.opts.MaxBatchDelay), s.bufferedAt)
+	full := s.lane.unsent >= s.opts.MaxBatch || mode == ModeRPC || frame != nil
+	if !full && opened {
+		s.peer.arm(&s.ageDue, now.Add(s.opts.MaxBatchDelay), now)
 	}
 	s.batchMu.Unlock()
-	if idle { // a probe is due if the receiver stays silent; bufferedAt is now
-		s.peer.arm(&s.due, s.lastProgressAt.Add(s.opts.RTO), s.bufferedAt)
+	if idle { // a probe is due if the receiver stays silent; the push read now
+		s.peer.arm(&s.due, s.lastProgressAt.Add(s.opts.RTO), now)
 	}
 	s.mu.Unlock()
 	if sm := s.peer.sm; sm != nil {
@@ -558,46 +554,31 @@ func (s *Stream) wakeFlowWaitersLocked() {
 // messages eventually; the flush merely speeds this up.")
 //
 // The stream lock is held only long enough to snapshot the batch header
-// (incarnation, reply ack) and move the buffer to the unacked set; the
-// encode itself runs under batchMu alone.
+// (incarnation, reply ack) and take the lane's unsent suffix; the encode
+// itself runs under batchMu alone.
 func (s *Stream) Flush() {
 	s.mu.Lock()
 	s.batchMu.Lock()
-	if len(s.buffer) == 0 {
+	if s.lane.unsent == 0 {
 		s.batchMu.Unlock()
 		s.mu.Unlock()
 		return
 	}
-	batch := s.buffer
-	s.unacked = append(s.unacked, batch...)
-	s.lastSendAt = s.peer.clk.Now()
-	batchWait := s.lastSendAt.Sub(s.bufferedAt)
-	s.lastAckedReplies = s.nextResolve - 1
-	hdr := requestBatch{
-		Agent:             s.key.agent,
-		Group:             s.key.group,
-		Incarnation:       s.incarnation,
-		AckRepliesThrough: s.nextResolve - 1,
-		Requests:          batch,
-	}
+	now := s.peer.clk.Now()
+	batchWait := now.Sub(s.lane.opened)
+	batch := s.lane.take(now)
+	hdr := s.batchLocked(batch)
 	window := s.nextSeq - s.nextResolve // unresolved calls outstanding
 	s.mu.Unlock()
 	// Only this first transmission may build the message in the call's own
 	// buffer (a lone big call; see frame.go). Retransmissions re-encode
-	// from unacked's view of the arguments: by then the buffer belongs to
+	// from the lane's view of the arguments: by then the buffer belongs to
 	// the transport.
 	msg := frameRequestBatch(hdr)
 	if msg == nil {
 		msg = encodeRequestBatch(hdr)
 	}
 	firstSeq, n := batch[0].Seq, len(batch)
-	// The batch is copied into unacked and encoded into msg; recycle its
-	// backing array as the next buffer (slots zeroed so the stale copies
-	// do not pin argument payloads).
-	for i := range batch {
-		batch[i] = request{}
-	}
-	s.buffer = batch[:0]
 	s.batchMu.Unlock()
 	if sm := s.peer.sm; sm != nil {
 		sm.batchesSent.Inc()
@@ -616,30 +597,21 @@ func (s *Stream) Flush() {
 // when it will be.
 func (s *Stream) fireAge(now time.Time) time.Time {
 	s.batchMu.Lock()
-	open, at := len(s.buffer) > 0, s.bufferedAt.Add(s.opts.MaxBatchDelay)
+	at := s.lane.flushAt(s.opts.MaxBatchDelay)
 	s.batchMu.Unlock()
-	if !open {
-		return time.Time{}
-	}
-	if at.After(now) {
+	if !reached(at, now) {
 		return at
 	}
 	s.Flush()
 	return time.Time{}
 }
 
-// buildRequestBatchLocked encodes a request batch carrying the current ack
-// state — used for acks, probes, and retransmissions, which build under
-// the stream lock (they are off the hot path). Caller holds s.mu.
-func (s *Stream) buildRequestBatchLocked(reqs []request) []byte {
+// batchLocked returns the header of a request batch carrying reqs and the
+// current reply ack, which it records as transmitted. Caller holds s.mu.
+func (s *Stream) batchLocked(reqs []request) requestBatch {
 	s.lastAckedReplies = s.nextResolve - 1
-	return encodeRequestBatch(requestBatch{
-		Agent:             s.key.agent,
-		Group:             s.key.group,
-		Incarnation:       s.incarnation,
-		AckRepliesThrough: s.nextResolve - 1,
-		Requests:          reqs,
-	})
+	return requestBatch{Agent: s.key.agent, Group: s.key.group, Incarnation: s.incarnation,
+		AckRepliesThrough: s.lastAckedReplies, Requests: reqs}
 }
 
 // Synch flushes the stream and waits until every call made so far has
@@ -726,17 +698,10 @@ func (s *Stream) breakInternal(reason *exception.Exception, restart bool) {
 	}
 
 	// Tell the receiver, best effort, so it can discard state.
-	note := encodeBreak(breakMsg{
-		Agent:       s.key.agent,
-		Group:       s.key.group,
-		Incarnation: s.incarnation,
-		Synchronous: false,
-		ExcName:     reason.Name,
-		Reason:      reason.StringArg(0),
-	})
+	note := s.key.breakNote(s.incarnation, 0, reason)
 
 	// Resolve every unresolved pending, in seq order, with the reason.
-	s.resolveAllLocked(reason)
+	s.resolveAllLocked(reason, math.MaxUint64)
 	s.wakeFlowWaitersLocked()
 	if restart {
 		s.reincarnateLocked()
@@ -746,29 +711,27 @@ func (s *Stream) breakInternal(reason *exception.Exception, restart bool) {
 	s.peer.transmit(s.key.recvNode, note)
 }
 
-// resolveAllLocked resolves all outstanding pendings (buffered, unacked,
-// and awaiting replies) with the given exception, preserving seq order.
-func (s *Stream) resolveAllLocked(reason *exception.Exception) {
+// resolveAllLocked resolves every outstanding pending (buffered, unacked
+// or awaiting its reply) in seq order: with its held reply if it has one
+// at or below after, else with reason. It empties the lane, so a break
+// sends nothing more and leaves a reincarnation a fresh one. Caller holds
+// s.mu.
+func (s *Stream) resolveAllLocked(reason *exception.Exception, after uint64) {
 	o := ExceptionOutcome(reason)
 	for seq := s.nextResolve; seq < s.nextSeq; seq++ {
-		if held, ok := s.heldReplies.get(seq); ok {
+		if held, ok := s.heldReplies.get(seq); ok && seq <= after {
 			s.resolveOneLocked(seq, held)
-			continue
+		} else {
+			s.resolveOneLocked(seq, o)
 		}
-		s.resolveOneLocked(seq, o)
 	}
-	s.clearBatchLocked()
-}
-
-// clearBatchLocked discards the buffered and unacked requests
-// (break/reincarnation paths). Caller holds s.mu.
-func (s *Stream) clearBatchLocked() {
 	s.batchMu.Lock()
-	s.buffer = nil
-	s.unacked = nil
+	s.lane.reset()
 	s.batchMu.Unlock()
 }
 
+// reincarnateLocked starts the next incarnation. Its every caller has
+// just broken the stream, which emptied the lane (resolveAllLocked).
 func (s *Stream) reincarnateLocked() {
 	s.incarnation++
 	if sm := s.peer.sm; sm != nil {
@@ -790,10 +753,7 @@ func (s *Stream) reincarnateLocked() {
 	s.pendingBreak = false
 	s.recvEpoch = 0
 	s.lastProgressAt = s.peer.clk.Now()
-	s.ackedThrough = 0
 	s.completedThrough = 0
-	s.retries = 0
-	s.clearBatchLocked()
 	s.pending.reset()
 	s.heldReplies.reset()
 	// Credit was granted against the old incarnation's seq space.
@@ -858,25 +818,15 @@ func (s *Stream) handleReplyBatch(b *replyBatch) {
 	// the receiver are alive, so hold off probe-based breaking.
 	now := s.peer.clk.Now()
 	s.lastProgressAt = now
-	s.retries = 0
+	s.batchMu.Lock()
+	s.lane.retries = 0
+	s.lane.ack(b.AckRequestsThrough, now) // drops what the receiver holds
+	s.batchMu.Unlock()
 	// Admission credit only ever moves forward within an incarnation, so
 	// taking the max makes reordered reply batches harmless.
 	if b.Credit > s.grantThrough {
 		s.grantThrough = b.Credit
 		s.wakeFlowWaitersLocked()
-	}
-	// Receiver acked our requests; prune retransmission state.
-	if b.AckRequestsThrough > s.ackedThrough {
-		s.ackedThrough = b.AckRequestsThrough
-		s.batchMu.Lock()
-		kept := s.unacked[:0]
-		for _, r := range s.unacked {
-			if r.Seq > s.ackedThrough {
-				kept = append(kept, r)
-			}
-		}
-		s.unacked = kept
-		s.batchMu.Unlock()
 	}
 	if b.CompletedThrough > s.completedThrough {
 		s.completedThrough = b.CompletedThrough
@@ -986,15 +936,7 @@ func (s *Stream) finalizeBreakLocked() {
 	s.pendingBreak = false
 	s.broken = true
 	s.breakErr = reason
-	o := ExceptionOutcome(reason)
-	for seq := s.nextResolve; seq < s.nextSeq; seq++ {
-		if held, ok := s.heldReplies.get(seq); ok && seq <= after {
-			s.resolveOneLocked(seq, held)
-		} else {
-			s.resolveOneLocked(seq, o)
-		}
-	}
-	s.clearBatchLocked()
+	s.resolveAllLocked(reason, after)
 	s.reincarnateLocked() // wakes the flow waiters
 }
 
@@ -1025,38 +967,47 @@ func (s *Stream) fire(now time.Time) time.Time {
 		return end
 	}
 	sm := s.peer.sm
-	// The open batch's age flush is fireAge's. unacked only changes with
-	// s.mu held, so it cannot move between the staleness check and the
-	// retransmission below.
+	// The open batch's age flush is fireAge's. Retransmission is
+	// go-back-N: everything sent and not yet acked, as one batch.
 	s.batchMu.Lock()
-	stale := len(s.unacked) > 0 && now.Sub(s.lastSendAt) >= s.opts.RTO
-	s.batchMu.Unlock()
-	if stale {
-		// Retransmission of everything not yet acked, as one batch.
-		s.retries++
+	resend := reached(s.lane.resendAt(s.opts.RTO), now)
+	// Calls are outstanding, everything transmitted is acked, and the
+	// receiver has been silent past the timeout: probe it. A live receiver
+	// answers any empty request batch with its progress; one that crashed
+	// after acking our requests stays silent, and MaxRetries silent probes
+	// break the stream.
+	probe := !resend && !s.ackRepliesOwedLocked() &&
+		s.nextResolve < s.nextSeq && now.Sub(s.lastProgressAt) >= s.opts.RTO
+	if (resend || probe) && sm != nil {
+		sm.rtoFires.Inc()
+	}
+	switch {
+	case (resend || probe) && s.lane.retry(s.opts.MaxRetries):
+		doBreak = true
+	case resend:
+		reqs := s.lane.resend(now)
+		toSend = encodeRequestBatch(s.batchLocked(reqs))
 		if sm != nil {
-			sm.rtoFires.Inc()
+			sm.batchesSent.Inc()
+			sm.retransmits.Inc()
+			sm.batchBytes.Observe(uint64(len(toSend)))
 		}
-		if s.retries > s.opts.MaxRetries {
-			doBreak = true
-		} else {
-			s.batchMu.Lock()
-			s.lastSendAt = now
-			toSend = s.buildRequestBatchLocked(s.unacked)
-			first, n := s.unacked[0].Seq, len(s.unacked)
-			s.batchMu.Unlock()
-			if sm != nil {
-				sm.batchesSent.Inc()
-				sm.retransmits.Inc()
-				sm.batchBytes.Observe(uint64(len(toSend)))
-			}
-			if s.peer.tracing() {
-				s.peer.emit(trace.BatchSent, s.keyStr, first, 0, fmt.Sprintf("n=%d retransmit", n))
-			}
+		if s.peer.tracing() {
+			s.peer.emit(trace.BatchSent, s.keyStr, reqs[0].Seq, 0, trace.RetransmitDetail(len(reqs)))
 		}
-	} else if s.ackRepliesOwedLocked() {
+	case probe:
+		s.lastProgressAt = now // pace probes one RTO apart
+		toSend = encodeRequestBatch(s.batchLocked(nil))
+		if sm != nil {
+			sm.batchesSent.Inc()
+			sm.probes.Inc()
+		}
+		if s.peer.tracing() {
+			s.peer.emit(trace.BatchSent, s.keyStr, 0, 0, "probe")
+		}
+	case s.ackRepliesOwedLocked():
 		// Pure ack so the receiver can release retained replies.
-		toSend = s.buildRequestBatchLocked(nil)
+		toSend = encodeRequestBatch(s.batchLocked(nil))
 		if sm != nil {
 			sm.batchesSent.Inc()
 			sm.acks.Inc()
@@ -1064,31 +1015,9 @@ func (s *Stream) fire(now time.Time) time.Time {
 		if s.peer.tracing() {
 			s.peer.emit(trace.BatchSent, s.keyStr, 0, 0, "ack")
 		}
-	} else if s.nextResolve < s.nextSeq && now.Sub(s.lastProgressAt) >= s.opts.RTO {
-		// Calls are outstanding, everything transmitted is acked, and the
-		// receiver has been silent past the timeout: probe it. A live
-		// receiver answers any empty request batch with its progress; one
-		// that crashed after acking our requests stays silent, and
-		// MaxRetries silent probes break the stream.
-		s.retries++
-		if sm != nil {
-			sm.rtoFires.Inc()
-		}
-		if s.retries > s.opts.MaxRetries {
-			doBreak = true
-		} else {
-			s.lastProgressAt = now // pace probes one RTO apart
-			toSend = s.buildRequestBatchLocked(nil)
-			if sm != nil {
-				sm.batchesSent.Inc()
-				sm.probes.Inc()
-			}
-			if s.peer.tracing() {
-				s.peer.emit(trace.BatchSent, s.keyStr, 0, 0, "probe")
-			}
-		}
 	}
 	next := s.nextDueLocked(now)
+	s.batchMu.Unlock()
 	s.mu.Unlock()
 
 	if doBreak {
@@ -1102,24 +1031,18 @@ func (s *Stream) fire(now time.Time) time.Time {
 }
 
 // nextDueLocked returns when fire next has work, as seen at now: now for
-// an owed pure ack, else the earlier of the unacked requests' RTO and,
-// with calls outstanding, a probe; zero for nothing. Caller holds s.mu.
+// an owed pure ack, else the earlier of the lane's retransmission and,
+// with calls outstanding, a probe; zero for nothing. Caller holds s.mu
+// and batchMu.
 func (s *Stream) nextDueLocked(now time.Time) time.Time {
 	if s.ackRepliesOwedLocked() {
 		return now
 	}
-	var next time.Time
+	var probe time.Time
 	if s.nextResolve < s.nextSeq {
-		next = s.lastProgressAt.Add(s.opts.RTO)
+		probe = s.lastProgressAt.Add(s.opts.RTO)
 	}
-	s.batchMu.Lock()
-	if len(s.unacked) > 0 {
-		if at := s.lastSendAt.Add(s.opts.RTO); next.IsZero() || at.Before(next) {
-			next = at
-		}
-	}
-	s.batchMu.Unlock()
-	return next
+	return earliest(probe, s.lane.resendAt(s.opts.RTO))
 }
 
 // ackRepliesOwedLocked reports whether replies have resolved since the

@@ -464,6 +464,13 @@ func encodeBreak(b breakMsg) []byte {
 		b.Synchronous, int64(b.BrokenAfter), b.ExcName, b.Reason)
 }
 
+// breakNote encodes the notice that incarnation inc of k's stream broke
+// for reason: synchronously, after call after, or outright (after 0).
+func (k streamKey) breakNote(inc, after uint64, reason *exception.Exception) []byte {
+	return encodeBreak(breakMsg{Agent: k.agent, Group: k.group, Incarnation: inc,
+		Synchronous: after > 0, BrokenAfter: after, ExcName: reason.Name, Reason: reason.StringArg(0)})
+}
+
 // Batch struct pools for the zero-copy decode path: one request or reply
 // batch is decoded, handled, and released per datagram, so the structs
 // and their entry slices cycle through these pools instead of being

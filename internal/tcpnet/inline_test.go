@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -248,9 +249,21 @@ func TestSendIntoRetiredLinkCountsDrop(t *testing.T) {
 	l := a.links["b"]
 	a.mu.Unlock()
 
-	// An inline write the socket took only two bytes of.
+	// An inline write the socket took only two bytes of. The tail is
+	// planted holding the write role, as send's inline path holds it, so
+	// a writer still awake from the ping-pong cannot claim and send it
+	// before Crash retires the link. The role is never given back: the
+	// retired link has no writer left to want it.
 	payload := []byte("half-written")
-	l.mu.Lock()
+	for {
+		l.mu.Lock()
+		if !l.writing {
+			break
+		}
+		l.mu.Unlock()
+		runtime.Gosched()
+	}
+	l.writing = true
 	binary.BigEndian.PutUint32(l.pre[:], uint32(len(payload)))
 	l.setTailLocked(l.conn, payload, 2)
 	l.mu.Unlock()

@@ -56,3 +56,10 @@ func BatchDetail(n int) string {
 	}
 	return fmt.Sprintf("n=%d", n)
 }
+
+// RetransmitDetail returns the "n=<count> retransmit" detail string for a
+// request or reply batch sent again: the flight recorder takes it for
+// anomaly evidence, and the timeline reads the count before the space.
+func RetransmitDetail(n int) string { return fmt.Sprintf("n=%d"+retransmitSuffix, n) }
+
+const retransmitSuffix = " retransmit"

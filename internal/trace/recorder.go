@@ -71,7 +71,7 @@ func anomalyReason(e Event) string {
 	case StreamBroken:
 		return "stream-broken"
 	case BatchSent, ReplyBatchSent:
-		if strings.HasSuffix(e.Detail, "retransmit") {
+		if strings.HasSuffix(e.Detail, retransmitSuffix) {
 			return "retransmit"
 		}
 		if e.Detail == "probe" {
