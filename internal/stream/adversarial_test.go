@@ -209,8 +209,8 @@ func TestReceiverAcksWhatItHolds(t *testing.T) {
 	})
 	vclk.Advance(opts.RTO / 2) // one tick: the receiver acks what it holds
 	waitFor(t, "the ack never reached the sender", func() bool {
-		s.batchMu.Lock()
-		defer s.batchMu.Unlock()
+		s.mu.Lock()
+		defer s.mu.Unlock()
 		return len(s.lane.items) == s.lane.unsent
 	})
 	for i := 0; i < 20; i++ { // ten more RTOs

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sync/atomic"
@@ -270,5 +271,65 @@ func TestEpochsEncodeAtOneWidth(t *testing.T) {
 				t.Fatalf("draw %#x: epoch %#x encodes in %d bytes, others in %d", x, e, got, width)
 			}
 		}
+	}
+}
+
+// TestClosedReceiverSendsNoReply: a handler is blocked on a downstream
+// RPC when its peer closes. Closing breaks the peer's sending streams,
+// which hands the handler the peer's own "peer shut down", but its
+// receiving streams are closed first, so that never goes out as a reply:
+// the caller learns what its stream detects, that the peer is gone.
+func TestClosedReceiverSendsNoReply(t *testing.T) {
+	n := simnet.New(simnet.Config{})
+	defer n.Close()
+	caller := NewPeer(n.MustAddNode("caller"), fastOpts())
+	defer caller.Close()
+	tap := &epochTap{Node: n.MustAddNode("mid"), epochs: make(map[uint64]int)}
+	mid := NewPeer(tap, fastOpts())
+	defer mid.Close()
+	down := NewPeer(n.MustAddNode("down"), fastOpts())
+	defer down.Close()
+
+	entered, release := make(chan struct{}), make(chan struct{})
+	defer close(release)
+	down.SetDispatcher(func(string) (Handler, bool) {
+		return func(*Incoming) Outcome {
+			close(entered)
+			<-release
+			return NormalOutcome(nil)
+		}, true
+	})
+	mid.SetDispatcher(func(string) (Handler, bool) {
+		return func(*Incoming) Outcome {
+			o, err := mid.Agent("relay").Stream("down", "g1").RPC(context.Background(), "block", nil)
+			if err != nil {
+				return ExceptionOutcome(err.(*exception.Exception))
+			}
+			return o
+		}, true
+	})
+
+	s := caller.Agent("a1").Stream("mid", "g1")
+	p, err := s.Issue(context.Background(), Req{Mode: ModeRPC, Port: "relay"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+	waitFor(t, "mid never acknowledged the call", func() bool {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return len(s.lane.items) == 0
+	})
+	mid.mu.Lock()
+	r := mid.recvs[s.key]
+	mid.mu.Unlock()
+	tap.sent(r.epoch) // what went out before Close: the receipt
+
+	mid.Close() // returns once the handler has returned
+	if n := tap.sent(r.epoch); n != 0 {
+		t.Fatalf("the closing peer sent %d reply batches", n)
+	}
+	if o := claim(t, p); o.Normal || o.Exception != exception.NameUnavailable || o.Err().StringArg(0) != "cannot communicate" {
+		t.Fatalf("caller's claim = %+v, want unavailable(cannot communicate)", o)
 	}
 }

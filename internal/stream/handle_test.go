@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"promises/internal/exception"
 	"promises/internal/simnet"
 )
 
@@ -217,5 +218,114 @@ func TestParallelPortConcurrentCallers(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// TestStaleCallNeverRuns: a call taken to run that must then wait, for
+// a worker of the parallel-port pool or for the parallel calls ahead of
+// it, must not run if its stream breaks, or moves to a new incarnation,
+// meanwhile. Parallel calls hold every worker (queued), or the one ahead
+// of a serial call (serial), while the sender breaks or restarts the
+// stream; once they are released, the stale call is found stale.
+func TestStaleCallNeverRuns(t *testing.T) {
+	for _, serial := range []bool{false, true} {
+		for _, restart := range []bool{false, true} {
+			t.Run(fmt.Sprint("serial=", serial, "/restart=", restart), func(t *testing.T) {
+				testStaleCallNeverRuns(t, serial, restart)
+			})
+		}
+	}
+}
+
+func testStaleCallNeverRuns(t *testing.T, serial, restart bool) {
+	f := newFixture(t, simnet.Config{}, fastOpts())
+	f.server.SetParallelPorts(func(port string) bool { return port == "hold" || !serial })
+	holds := execWorkers
+	if serial {
+		holds = 1
+	}
+	entered, release := make(chan struct{}, holds), make(chan struct{})
+	f.handle("hold", func(*Incoming) Outcome {
+		entered <- struct{}{}
+		<-release
+		return NormalOutcome(nil)
+	})
+	var (
+		mu  sync.Mutex
+		ran []string
+	)
+	f.handle("probe", func(call *Incoming) Outcome {
+		mu.Lock()
+		ran = append(ran, string(call.Args))
+		mu.Unlock()
+		return NormalOutcome(nil)
+	})
+
+	s := f.client.Agent("a1").Stream("server", "g1")
+	for i := 0; i < holds; i++ {
+		if _, err := s.Call("hold", nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.Call("probe", []byte("stale")); err != nil {
+		t.Fatal(err)
+	}
+	s.Flush()
+	for i := 0; i < holds; i++ {
+		<-entered
+	}
+	f.server.mu.Lock()
+	r := f.server.recvs[s.key]
+	f.server.mu.Unlock()
+	waitFor(t, "the last call was never taken to run", func() bool {
+		if !serial {
+			return len(f.server.execTasks) == 1
+		}
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		return r.nextRun == r.expected
+	})
+
+	want := []string(nil)
+	if restart {
+		s.Restart()
+		p, err := s.Call("probe", []byte("fresh"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Flush()
+		waitFor(t, "the receiver never adopted the new incarnation", func() bool {
+			r.mu.Lock()
+			defer r.mu.Unlock()
+			return r.incarnation == 2
+		})
+		close(release)
+		claim(t, p)
+		want = []string{"fresh"}
+	} else {
+		s.Break(exception.Unavailable("test break"))
+		waitFor(t, "the receiver never broke", func() bool {
+			r.mu.Lock()
+			defer r.mu.Unlock()
+			return r.broken
+		})
+		close(release)
+	}
+	drained := make(chan struct{})
+	go func() { r.outstanding.Wait(); close(drained) }()
+	select {
+	case <-drained:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the pool never drained")
+	}
+	waitFor(t, "the runner never gave the stream up", func() bool {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		return !r.running
+	})
+	mu.Lock()
+	defer mu.Unlock()
+	if fmt.Sprint(ran) != fmt.Sprint(want) {
+		t.Fatalf("probe calls run: %q, want %q", ran, want)
 	}
 }

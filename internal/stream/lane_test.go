@@ -328,21 +328,21 @@ func TestAckedItemsAreNotKeptReachable(t *testing.T) {
 	r := f.server.recvs[s.key]
 	f.server.mu.Unlock()
 	waitFor(t, "the lanes were never acked empty", func() bool {
-		s.batchMu.Lock()
-		defer s.batchMu.Unlock()
-		r.replyMu.Lock()
-		defer r.replyMu.Unlock()
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		r.mu.Lock()
+		defer r.mu.Unlock()
 		return len(s.lane.items) == 0 && len(r.lane.items) == 0
 	})
-	s.batchMu.Lock()
-	defer s.batchMu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	for i, req := range s.lane.items[:cap(s.lane.items)] {
 		if req.Args != nil {
 			t.Errorf("request slot %d still holds call %d's arguments", i, req.Seq)
 		}
 	}
-	r.replyMu.Lock()
-	defer r.replyMu.Unlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	for i, rep := range r.lane.items[:cap(r.lane.items)] {
 		if rep.Outcome.Payload != nil {
 			t.Errorf("reply slot %d still holds call %d's results", i, rep.Seq)

@@ -351,12 +351,15 @@ func (p *Peer) submitParallel(t execTask) bool {
 // execWorker runs parallel-port calls until the pool channel closes.
 // Workers deliberately do not watch ctx: during shutdown they must keep
 // draining accepted tasks so runners blocked in outstanding.Wait can
-// finish.
+// finish. A task may have waited in the pool while its stream broke,
+// closed or moved on, so the worker checks again before it runs the call.
 func (p *Peer) execWorker() {
 	defer p.execWG.Done()
 	var scratch Incoming // reused across calls; retired after each
 	for t := range p.execTasks {
-		t.r.executeOne(t.req, t.inc, &scratch)
+		if t.r.live(t.inc) {
+			t.r.executeOne(t.req, t.inc, &scratch)
+		}
 		t.r.outstanding.Done()
 	}
 }
@@ -614,7 +617,9 @@ func (p *Peer) Recover() {
 }
 
 // Close shuts down the peer: all runners stop and background loops
-// exit. Outstanding sender promises resolve with unavailable.
+// exit. Outstanding sender promises resolve with unavailable. Receiving
+// streams close first, so a handler that a broken sending stream hands
+// "peer shut down" cannot send that out as its reply.
 func (p *Peer) Close() {
 	p.mu.Lock()
 	if p.closed {
@@ -628,13 +633,13 @@ func (p *Peer) Close() {
 	recvs := p.recvs
 	p.mu.Unlock()
 
+	for _, r := range recvs {
+		r.close()
+	}
 	for _, s := range sends {
 		s.Break(exception.Unavailable("peer shut down"))
 	}
 	p.cancel()
-	for _, r := range recvs {
-		r.close()
-	}
 	p.wg.Wait()
 	// Every submitter (the runners, tracked in wg) has exited; the pool
 	// can now drain its remaining tasks and stop.

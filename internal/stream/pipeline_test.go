@@ -683,7 +683,10 @@ func TestCustodyCrossingChainsRelease(t *testing.T) {
 		peer.mu.Unlock()
 		waitFor(t, g+" still holds custody of a chain that ended", func() bool {
 			for _, r := range recvs {
-				if r.completedThroughNow() < r.expectedA.Load()-1 {
+				r.mu.Lock()
+				held := r.completedThroughNow() < r.expected-1
+				r.mu.Unlock()
+				if held {
 					return false
 				}
 			}

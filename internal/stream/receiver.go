@@ -135,37 +135,27 @@ type rstream struct {
 	keyHash uint64 // trace.HashStream(keyStr), cached for trace-ID derivation
 	opts    Options
 
-	// The reply lane: completion tracking and reply retention, guarded by
-	// replyMu except watermark, which is also read lock-free. The lock
-	// order is mu before replyMu; the post-handler completion path takes
-	// only replyMu, so a finishing handler never waits on request intake.
-	replyMu sync.Mutex
+	// due is the stream's place in its peer's deadline queue (see fire).
+	due due
 
-	// Out-of-order completion tracking, for ports marked parallel: seqs
-	// completed beyond the contiguous watermark, as a seq-indexed ring.
-	completedSet seqRing[struct{}]
-	// watermark is the smallest seq not yet completed.
-	watermark atomic.Uint64
+	// outstanding counts in-flight parallel calls; the runner waits for
+	// it to drain before running a serial call, so serial calls still
+	// appear to happen in call order. pooled says calls were handed to the
+	// pool since the runner last waited. Owned by the runner.
+	outstanding sync.WaitGroup
+	pooled      bool
 
-	// Reply retention (lane.go): the replies executed and not yet acked by
-	// the sender. A normal flush transmits only the lane's unsent suffix;
-	// everything it holds is re-sent only on evidence of loss (duplicate
-	// requests) or an ack-progress stall (see fire), so reply traffic stays
-	// proportional to new work, not to the retained window.
-	lane          lane[reply, *reply]
-	sentCompleted uint64 // CompletedThrough value last transmitted
-	sentAcked     uint64 // AckRequestsThrough value last transmitted
+	// resolved holds the origin reply lanes this stream's runner has
+	// retained chain resolutions in (a ~pipe stream's resolution sends):
+	// they are flushed once nothing is left to run. Owned by the runner.
+	resolved replyLanes
 
+	// mu guards the rest: one lock per stream end, taken alike by request
+	// intake, the runner, a finishing handler and the deadline queue.
 	mu          sync.Mutex
 	incarnation uint64
 	epoch       uint64
 	broken      bool
-
-	// Atomic mirrors of mu-guarded state, for the post-handler completion
-	// path, which deliberately avoids r.mu.
-	incA      atomic.Uint64
-	brokenA   atomic.Bool
-	expectedA atomic.Uint64
 
 	// Request ordering and exactly-once delivery. oo holds every received
 	// request that has not run yet, in order or not: it is the execution
@@ -177,25 +167,27 @@ type rstream struct {
 	nextRun  uint64
 	oo       seqRing[request]
 	running  bool
-	closed   bool
+	closed   bool // the peer let go of the stream: it runs and sends nothing
 
-	// outstanding counts in-flight parallel calls; the runner waits for
-	// it to drain before running a serial call, so serial calls still
-	// appear to happen in call order.
-	outstanding sync.WaitGroup
+	// Completion: watermark is the smallest seq not yet completed, and
+	// completedSet holds the seqs completed beyond it (parallel ports,
+	// custody), as a seq-indexed ring.
+	watermark    uint64
+	completedSet seqRing[struct{}]
 
 	// pipeWait holds the pipelined calls whose reply is owed by their
 	// chain's resolution. The first resolution clears its seq's entry, so
-	// a duplicate or late one is dropped (resolvePiped). Guarded by replyMu.
+	// a duplicate or late one is dropped (resolvePiped).
 	pipeWait seqRing[struct{}]
 
-	// resolved holds the origin reply lanes this stream's runner has
-	// retained chain resolutions in (a ~pipe stream's resolution sends):
-	// they are flushed once nothing is left to run. Owned by the runner.
-	resolved replyLanes
-
-	// due is the stream's place in its peer's deadline queue (see fire).
-	due due
+	// Reply retention (lane.go): the replies executed and not yet acked by
+	// the sender. A normal flush transmits only the lane's unsent suffix;
+	// everything it holds is re-sent only on evidence of loss (duplicate
+	// requests) or an ack-progress stall (see fire), so reply traffic stays
+	// proportional to new work, not to the retained window.
+	lane          lane[reply, *reply]
+	sentCompleted uint64 // CompletedThrough value last transmitted
+	sentAcked     uint64 // AckRequestsThrough value last transmitted
 }
 
 // replyLanes collects the reply lanes chain resolutions were retained in,
@@ -239,18 +231,14 @@ func newRStream(p *Peer, key streamKey, incarnation uint64, opts Options) *rstre
 		epoch:       nextEpoch(),
 		expected:    1,
 		nextRun:     1,
+		watermark:   1,
 	}
-	r.incA.Store(incarnation)
-	r.expectedA.Store(1)
-	r.watermark.Store(1)
 	r.due.rank, r.due.fire = rankRecv, r.fire
 	return r
 }
 
-// completedThroughNow is the contiguous completed prefix. The watermark
-// is atomic, so any caller (fire under r.mu, completions under replyMu)
-// may read it.
-func (r *rstream) completedThroughNow() uint64 { return r.watermark.Load() - 1 }
+// completedThroughNow is the contiguous completed prefix. Caller holds r.mu.
+func (r *rstream) completedThroughNow() uint64 { return r.watermark - 1 }
 
 // handleRequestBatch integrates a request batch from the sender.
 func (r *rstream) handleRequestBatch(b *requestBatch) {
@@ -265,19 +253,16 @@ func (r *rstream) handleRequestBatch(b *requestBatch) {
 		// sender by the break.)
 		r.resetLocked(b.Incarnation)
 	}
-	if r.broken {
-		// Calls on a broken stream are discarded at the receiver.
+	if r.broken || r.closed {
+		// Calls on a broken stream are discarded at the receiver, and a
+		// closed one answers nothing, not even a probe.
 		r.mu.Unlock()
 		return
 	}
 
-	// The sender's ack lets us drop retained replies. The lane's ack and
-	// its loss flag move only under r.mu as well, so r.mu suffices to read
-	// them.
+	// The sender's ack lets us drop retained replies.
 	if b.AckRepliesThrough > r.lane.acked {
-		r.replyMu.Lock()
 		r.lane.ack(b.AckRepliesThrough, r.peer.clk.Now())
-		r.replyMu.Unlock()
 	}
 
 	sm := r.peer.sm
@@ -306,8 +291,7 @@ func (r *rstream) handleRequestBatch(b *requestBatch) {
 	for r.oo.has(r.expected) {
 		r.expected++
 	}
-	r.expectedA.Store(r.expected)
-	hand := !r.running && !r.closed && r.nextRun < r.expected
+	hand := !r.running && r.nextRun < r.expected
 	if hand {
 		r.running = true
 	}
@@ -318,20 +302,17 @@ func (r *rstream) handleRequestBatch(b *requestBatch) {
 	// knows this end is alive and which boot epoch it is talking to.
 	var msg []byte
 	if arrived := r.expected > expected; arrived || lost || len(b.Requests) == 0 {
-		inc, completed := r.incarnation, r.completedThroughNow()
-		r.replyMu.Lock()
 		r.lane.lost = lost
 		if lost && len(r.lane.items) > 0 {
-			msg = r.buildReplyBatchLocked(true, inc, completed)
+			msg = r.buildReplyBatchLocked(true)
 			r.lane.lost = false
 		} else if len(b.Requests) == 0 {
-			msg = r.buildReplyBatchLocked(false, inc, completed)
+			msg = r.buildReplyBatchLocked(false)
 		}
 		if r.noteOwedLocked() {
 			now := r.peer.clk.Now()
 			r.peer.arm(&r.due, now, now)
 		}
-		r.replyMu.Unlock()
 	}
 	r.mu.Unlock()
 	if hand {
@@ -350,7 +331,9 @@ func (r *rstream) handleRequestBatch(b *requestBatch) {
 // with later calls on the same stream. A serial call still waits for every
 // earlier call, parallel ones included, so ordering is preserved for
 // everything not opted out. A closed or broken stream abandons what it
-// holds, as in a crash.
+// holds, as in a crash: a call is taken only while the stream runs, and
+// one that then waits (for a worker, or for the parallel calls ahead of
+// it) is checked again before it runs.
 func (r *rstream) run(call *Incoming) {
 	for {
 		r.mu.Lock()
@@ -378,25 +361,36 @@ func (r *rstream) run(call *Incoming) {
 			// are saturated, submission blocks — backpressure instead of
 			// unbounded spawn.
 			r.outstanding.Add(1)
+			r.pooled = true
 			if !r.peer.submitParallel(execTask{r: r, req: req, inc: inc}) {
 				r.outstanding.Done() // shutdown race: abandoned, as in a crash
 			}
 			continue
 		}
-		r.outstanding.Wait()
+		if r.pooled {
+			r.outstanding.Wait()
+			r.pooled = false
+			if !r.live(inc) {
+				continue
+			}
+		}
 		r.executeOne(req, inc, call)
 	}
+}
+
+// live reports whether calls of incarnation inc may still run: the stream
+// has not broken, closed or moved to a new incarnation.
+func (r *rstream) live(inc uint64) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return !r.broken && !r.closed && r.incarnation == inc
 }
 
 // executeOne runs one call of incarnation inc through its handler and
 // records the completion (see complete). call is the runner's scratch
 // Incoming: valid only during the handler, poisoned afterwards (see
-// Incoming). r.mu is taken only to break.
+// Incoming). Its caller has checked that incarnation inc still runs.
 func (r *rstream) executeOne(req request, inc uint64, call *Incoming) {
-	if r.brokenA.Load() || r.incA.Load() != inc {
-		return
-	}
-
 	// A request carrying a continuation chain is pipelined: its result is
 	// forwarded to the next stage's guardian (or, with no stages left, to
 	// the promise reference) instead of being replied here. A garbled or
@@ -471,7 +465,6 @@ func (r *rstream) executeOne(req request, inc uint64, call *Incoming) {
 		r.mu.Lock()
 		if !r.broken && r.incarnation == inc {
 			r.broken = true
-			r.brokenA.Store(true)
 			breakNote = r.key.breakNote(r.incarnation, req.Seq, breakReason)
 		}
 		r.mu.Unlock()
@@ -492,14 +485,13 @@ func (r *rstream) executeOne(req request, inc uint64, call *Incoming) {
 
 // complete records call seq's completion with outcome o in incarnation
 // inc, retains its reply if the wire needs one, and flushes the lane if
-// that cannot wait (brk: the handler broke the stream). It reports false
-// once the stream has moved on or broken. It takes only replyMu, so a
-// finishing handler never waits on request intake.
+// that cannot wait (brk: the handler broke the stream). It reports false,
+// and sends nothing, once the stream has moved on, broken or closed.
 func (r *rstream) complete(inc, seq uint64, mode Mode, cause trace.Cause, o Outcome, piped, brk bool) bool {
 	var msg []byte
-	r.replyMu.Lock()
-	if r.incA.Load() != inc || r.brokenA.Load() {
-		r.replyMu.Unlock()
+	r.mu.Lock()
+	if r.incarnation != inc || r.broken || r.closed {
+		r.mu.Unlock()
 		return false
 	}
 	owed := r.noteOwedLocked()
@@ -510,14 +502,12 @@ func (r *rstream) complete(inc, seq uint64, mode Mode, cause trace.Cause, o Outc
 	// watermark advances over the contiguous prefix only. A ~pipe send
 	// completing past it gets a reply of its own, so the hop watching it
 	// never waits on another chain's custody.
-	w := r.watermark.Load()
-	early := seq != w && r.key.custodial()
+	early := seq != r.watermark && r.key.custodial()
 	r.completedSet.put(seq, struct{}{})
-	for r.completedSet.has(w) {
-		r.completedSet.del(w)
-		w++
+	for r.completedSet.has(r.watermark) {
+		r.completedSet.del(r.watermark)
+		r.watermark++
 	}
-	r.watermark.Store(w)
 	// Sends omit normal replies from the wire. A pipelined call retains
 	// nothing here, not even an exception: the scheduler forwards the
 	// outcome, and the reply comes back with the chain's resolution.
@@ -536,12 +526,12 @@ func (r *rstream) complete(inc, seq uint64, mode Mode, cause trace.Cause, o Outc
 	// call's arguments close the request batch (see frame.go).
 	flushNow := mode == ModeRPC || r.lane.unsent >= r.opts.MaxBatch || brk || o.frame != nil
 	if flushNow && (r.lane.unsent > 0 || completed > r.sentCompleted) {
-		msg = r.buildReplyBatchLocked(false, inc, completed)
+		msg = r.buildReplyBatchLocked(false)
 	} else if !owed && r.noteOwedLocked() {
 		now := r.peer.clk.Now()
 		r.peer.arm(&r.due, now, now)
 	}
-	r.replyMu.Unlock()
+	r.mu.Unlock()
 	if msg != nil {
 		r.peer.transmit(r.key.senderNode, msg)
 	}
@@ -569,17 +559,17 @@ func (r *rstream) deliverResolution(c *pipeCont, args []byte) Outcome {
 // is flushed here). Any other resolution is dropped: first one wins.
 func (r *rstream) resolvePiped(inc, seq uint64, o Outcome) bool {
 	var msg []byte
-	r.replyMu.Lock()
-	if inc != r.incA.Load() || r.brokenA.Load() || !r.pipeWait.has(seq) {
-		r.replyMu.Unlock()
+	r.mu.Lock()
+	if inc != r.incarnation || r.broken || r.closed || !r.pipeWait.has(seq) {
+		r.mu.Unlock()
 		return false
 	}
 	r.pipeWait.del(seq)
 	r.retainLocked(seq, o)
 	if r.lane.unsent >= r.opts.MaxBatch {
-		msg = r.buildReplyBatchLocked(false, inc, r.completedThroughNow())
+		msg = r.buildReplyBatchLocked(false)
 	}
-	r.replyMu.Unlock()
+	r.mu.Unlock()
 	if msg != nil {
 		r.peer.transmit(r.key.senderNode, msg)
 	}
@@ -590,11 +580,9 @@ func (r *rstream) resolvePiped(inc, seq uint64, o Outcome) bool {
 func (r *rstream) flushReplies() {
 	var msg []byte
 	r.mu.Lock()
-	r.replyMu.Lock()
-	if !r.broken && r.lane.unsent > 0 {
-		msg = r.buildReplyBatchLocked(false, r.incarnation, r.completedThroughNow())
+	if !r.broken && !r.closed && r.lane.unsent > 0 {
+		msg = r.buildReplyBatchLocked(false)
 	}
-	r.replyMu.Unlock()
 	r.mu.Unlock()
 	if msg != nil {
 		r.peer.transmit(r.key.senderNode, msg)
@@ -602,7 +590,7 @@ func (r *rstream) flushReplies() {
 }
 
 // retainLocked keeps seq's reply until the sender acknowledges it and
-// queues it for the next reply batch. Caller holds replyMu.
+// queues it for the next reply batch. Caller holds r.mu.
 func (r *rstream) retainLocked(seq uint64, o Outcome) {
 	var now time.Time
 	if r.lane.unsent == 0 {
@@ -623,16 +611,15 @@ func (r *rstream) retainLocked(seq uint64, o Outcome) {
 // suffix of the retained replies — already-transmitted replies ride again
 // only when retransmit=true, i.e. on loss evidence (duplicate requests)
 // or an ack-progress stall in fire. This keeps steady-state reply bytes
-// proportional to new work instead of O(retained window) per flush. inc
-// is the caller's incarnation snapshot and completed the completion
-// prefix. Caller holds replyMu; the encoder reads the retained slice
-// where it lies (and is done with it before the lock is released), so no
-// reply struct is copied on either path. A lone unsent reply whose
+// proportional to new work instead of O(retained window) per flush.
+// Caller holds r.mu; the encoder reads the retained slice where it lies
+// (and is done with it before the lock is released), so no reply struct
+// is copied on either path. A lone unsent reply whose
 // results fill a page does not have its bytes copied either: the message
 // is built in the results' own buffer (frame.go), once — a
 // retransmission always re-encodes.
-func (r *rstream) buildReplyBatchLocked(retransmit bool, inc, completed uint64) []byte {
-	now := r.peer.clk.Now()
+func (r *rstream) buildReplyBatchLocked(retransmit bool) []byte {
+	now, completed := r.peer.clk.Now(), r.completedThroughNow()
 	if sm := r.peer.sm; sm != nil && r.lane.unsent > 0 {
 		sm.stageReplyWait.ObserveDuration(now.Sub(r.lane.opened))
 	}
@@ -643,7 +630,7 @@ func (r *rstream) buildReplyBatchLocked(retransmit bool, inc, completed uint64) 
 		reps = r.lane.take(now)
 	}
 	r.sentCompleted = completed
-	r.sentAcked = r.expectedA.Load() - 1
+	r.sentAcked = r.expected - 1
 	if r.peer.tracing() {
 		detail := trace.BatchDetail(len(reps))
 		if retransmit {
@@ -654,7 +641,7 @@ func (r *rstream) buildReplyBatchLocked(retransmit bool, inc, completed uint64) 
 	batch := replyBatch{
 		Agent:              r.key.agent,
 		Group:              r.key.group,
-		Incarnation:        inc,
+		Incarnation:        r.incarnation,
 		Epoch:              r.epoch,
 		AckRequestsThrough: r.sentAcked,
 		CompletedThrough:   completed,
@@ -692,32 +679,24 @@ func (r *rstream) handleBreak(b *breakMsg) {
 		return
 	}
 	r.broken = true
-	r.brokenA.Store(true)
 	r.oo.reset()
-	r.replyMu.Lock()
 	r.pipeWait.reset()
 	r.lane.reset()
-	r.replyMu.Unlock()
 }
 
 // resetLocked adopts a new incarnation with fresh protocol state.
 func (r *rstream) resetLocked(incarnation uint64) {
 	r.incarnation = incarnation
-	r.incA.Store(incarnation)
 	r.broken = false
-	r.brokenA.Store(false)
 	r.expected = 1
 	r.nextRun = 1
-	r.expectedA.Store(1)
 	r.oo.reset()
-	r.replyMu.Lock()
 	r.pipeWait.reset()
 	r.lane.reset()
 	r.sentCompleted = 0
 	r.sentAcked = 0
 	r.completedSet.reset()
-	r.watermark.Store(1)
-	r.replyMu.Unlock()
+	r.watermark = 1
 }
 
 // fire does the stream's timed work due at now: it flushes aged reply
@@ -735,12 +714,10 @@ func (r *rstream) fire(now time.Time) time.Time {
 		r.mu.Unlock()
 		return time.Time{}
 	}
-	inc := r.incarnation
-	r.replyMu.Lock()
 	completed := r.completedThroughNow()
 	switch {
 	case reached(r.lane.flushAt(r.opts.MaxBatchDelay), now), r.noteOwedLocked():
-		msg = r.buildReplyBatchLocked(false, inc, completed)
+		msg = r.buildReplyBatchLocked(false)
 	case reached(r.lane.resendAt(r.opts.RTO), now):
 		// The sender's reply ack has stalled a full RTO with replies
 		// retained: some reply batch (which also carried our request ack)
@@ -757,10 +734,9 @@ func (r *rstream) fire(now time.Time) time.Time {
 			// We cannot get replies through; break the stream from the
 			// receiving side. Further calls will be discarded.
 			r.broken = true
-			r.brokenA.Store(true)
 			breakNote = r.key.breakNote(r.incarnation, 0, exception.Unavailable("cannot communicate"))
 		} else {
-			msg = r.buildReplyBatchLocked(true, inc, completed)
+			msg = r.buildReplyBatchLocked(true)
 		}
 	}
 	if breakNote == nil {
@@ -769,7 +745,6 @@ func (r *rstream) fire(now time.Time) time.Time {
 			next = r.lane.nextDue(r.opts.MaxBatchDelay, r.opts.RTO)
 		}
 	}
-	r.replyMu.Unlock()
 	r.mu.Unlock()
 	if msg != nil {
 		r.peer.transmit(r.key.senderNode, msg)
@@ -787,10 +762,10 @@ func (r *rstream) fire(now time.Time) time.Time {
 // retransmissions, and tells it our boot epoch — should we crash and
 // recover before the first reply, it can tell the newcomer's answers from
 // ours and break the stream, instead of adopting the newcomer and having
-// the unacknowledged calls executed a second time. Caller holds replyMu.
+// the unacknowledged calls executed a second time. Caller holds r.mu.
 func (r *rstream) noteOwedLocked() bool {
 	return r.completedThroughNow() > r.sentCompleted ||
-		r.lane.unsent == 0 && r.expectedA.Load()-1 > r.sentAcked
+		r.lane.unsent == 0 && r.expected-1 > r.sentAcked
 }
 
 func (r *rstream) close() {

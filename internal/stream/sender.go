@@ -261,23 +261,19 @@ type Stream struct {
 	keyHash uint64 // trace.HashStream(keyStr), cached for trace-ID derivation
 	opts    Options
 
-	// The request lane (lane.go), go-back-N, guarded by batchMu. The lock
-	// order is mu before batchMu; Flush drops mu before encoding, so a
-	// batch is built without holding the stream lock.
-	batchMu sync.Mutex
-	lane    lane[request, *request]
+	// The stream's places in its peer's deadline queue: the open batch's
+	// age flush (fireAge) and the rest of its timed work (fire).
+	ageDue, due due
 
+	// mu guards the rest: one lock per stream end.
 	mu          sync.Mutex
+	lane        lane[request, *request] // the request lane (lane.go), go-back-N
 	incarnation uint64
 	nextSeq     uint64 // seq to assign to the next call (starts at 1)
 	broken      bool
 	breakErr    *exception.Exception
 
-	// The stream's places in its peer's deadline queue: the open batch's
-	// age flush (fireAge) and the rest of its timed work (fire).
-	ageDue, due due
-
-	// Per-seq resolution state, guarded by mu.
+	// Per-seq resolution state.
 	pending     seqRing[Pending]
 	heldReplies seqRing[Outcome]
 
@@ -498,10 +494,9 @@ func (s *Stream) enqueue(ctx context.Context, r Req, cont []byte) (Pending, erro
 	}
 	p := newPending(seq, mode, s.peer.sm, s.peer.clk)
 	s.pending.put(seq, p)
-	// Seq assignment and the ring insert happen in one s.mu critical
-	// section, so a break cannot slip between them and orphan the pending.
-	// The batch append nests inside it (lock order mu -> batchMu).
-	s.batchMu.Lock()
+	// Seq assignment, the ring insert and the batch append happen in one
+	// s.mu critical section, so a break cannot slip between them and
+	// orphan the pending.
 	var now time.Time
 	if s.lane.unsent == 0 {
 		now = s.peer.clk.Now()
@@ -514,7 +509,6 @@ func (s *Stream) enqueue(ctx context.Context, r Req, cont []byte) (Pending, erro
 	if !full && opened {
 		s.peer.arm(&s.ageDue, now.Add(s.opts.MaxBatchDelay), now)
 	}
-	s.batchMu.Unlock()
 	if idle { // a probe is due if the receiver stays silent; the push read now
 		s.peer.arm(&s.due, s.lastProgressAt.Add(s.opts.RTO), now)
 	}
@@ -552,15 +546,9 @@ func (s *Stream) wakeFlowWaitersLocked() {
 // Flush transmits any buffered call requests now instead of waiting for
 // the batch to fill. ("Even without the flush, the system will send these
 // messages eventually; the flush merely speeds this up.")
-//
-// The stream lock is held only long enough to snapshot the batch header
-// (incarnation, reply ack) and take the lane's unsent suffix; the encode
-// itself runs under batchMu alone.
 func (s *Stream) Flush() {
 	s.mu.Lock()
-	s.batchMu.Lock()
 	if s.lane.unsent == 0 {
-		s.batchMu.Unlock()
 		s.mu.Unlock()
 		return
 	}
@@ -569,7 +557,6 @@ func (s *Stream) Flush() {
 	batch := s.lane.take(now)
 	hdr := s.batchLocked(batch)
 	window := s.nextSeq - s.nextResolve // unresolved calls outstanding
-	s.mu.Unlock()
 	// Only this first transmission may build the message in the call's own
 	// buffer (a lone big call; see frame.go). Retransmissions re-encode
 	// from the lane's view of the arguments: by then the buffer belongs to
@@ -579,7 +566,7 @@ func (s *Stream) Flush() {
 		msg = encodeRequestBatch(hdr)
 	}
 	firstSeq, n := batch[0].Seq, len(batch)
-	s.batchMu.Unlock()
+	s.mu.Unlock()
 	if sm := s.peer.sm; sm != nil {
 		sm.batchesSent.Inc()
 		sm.batchCalls.Observe(uint64(n))
@@ -596,9 +583,9 @@ func (s *Stream) Flush() {
 // fireAge flushes the open batch once it is MaxBatchDelay old, or returns
 // when it will be.
 func (s *Stream) fireAge(now time.Time) time.Time {
-	s.batchMu.Lock()
+	s.mu.Lock()
 	at := s.lane.flushAt(s.opts.MaxBatchDelay)
-	s.batchMu.Unlock()
+	s.mu.Unlock()
 	if !reached(at, now) {
 		return at
 	}
@@ -725,9 +712,7 @@ func (s *Stream) resolveAllLocked(reason *exception.Exception, after uint64) {
 			s.resolveOneLocked(seq, o)
 		}
 	}
-	s.batchMu.Lock()
 	s.lane.reset()
-	s.batchMu.Unlock()
 }
 
 // reincarnateLocked starts the next incarnation. Its every caller has
@@ -818,10 +803,8 @@ func (s *Stream) handleReplyBatch(b *replyBatch) {
 	// the receiver are alive, so hold off probe-based breaking.
 	now := s.peer.clk.Now()
 	s.lastProgressAt = now
-	s.batchMu.Lock()
 	s.lane.retries = 0
 	s.lane.ack(b.AckRequestsThrough, now) // drops what the receiver holds
-	s.batchMu.Unlock()
 	// Admission credit only ever moves forward within an incarnation, so
 	// taking the max makes reordered reply batches harmless.
 	if b.Credit > s.grantThrough {
@@ -969,7 +952,6 @@ func (s *Stream) fire(now time.Time) time.Time {
 	sm := s.peer.sm
 	// The open batch's age flush is fireAge's. Retransmission is
 	// go-back-N: everything sent and not yet acked, as one batch.
-	s.batchMu.Lock()
 	resend := reached(s.lane.resendAt(s.opts.RTO), now)
 	// Calls are outstanding, everything transmitted is acked, and the
 	// receiver has been silent past the timeout: probe it. A live receiver
@@ -1017,7 +999,6 @@ func (s *Stream) fire(now time.Time) time.Time {
 		}
 	}
 	next := s.nextDueLocked(now)
-	s.batchMu.Unlock()
 	s.mu.Unlock()
 
 	if doBreak {
@@ -1032,8 +1013,7 @@ func (s *Stream) fire(now time.Time) time.Time {
 
 // nextDueLocked returns when fire next has work, as seen at now: now for
 // an owed pure ack, else the earlier of the lane's retransmission and,
-// with calls outstanding, a probe; zero for nothing. Caller holds s.mu
-// and batchMu.
+// with calls outstanding, a probe; zero for nothing. Caller holds s.mu.
 func (s *Stream) nextDueLocked(now time.Time) time.Time {
 	if s.ackRepliesOwedLocked() {
 		return now

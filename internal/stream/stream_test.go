@@ -149,9 +149,13 @@ func TestOrderedReadinessInvariant(t *testing.T) {
 	s.Flush()
 	deadline := time.Now().Add(10 * time.Second)
 	for !ps[n-1].Ready() {
+		// Later calls are read first: a call read ready before an earlier
+		// one is read unready was ready while that one was not. Read the
+		// other way round, a pair resolving between the two reads would
+		// look out of order.
 		ready := make([]bool, n)
-		for i, p := range ps {
-			ready[i] = p.Ready()
+		for i := n - 1; i >= 0; i-- {
+			ready[i] = ps[i].Ready()
 		}
 		for i := 1; i < n; i++ {
 			if ready[i] && !ready[i-1] {
