@@ -77,8 +77,6 @@ func TestBreakMsgRoundTrip(t *testing.T) {
 		Agent:       "a",
 		Group:       "g",
 		Incarnation: 4,
-		Synchronous: true,
-		BrokenAfter: 12,
 		ExcName:     exception.NameFailure,
 		Reason:      "could not decode",
 	}
@@ -293,6 +291,10 @@ func TestCauseCodecRoundTrip(t *testing.T) {
 // a resolution (10 values), and kind 5, its acknowledgement (7). A chain's
 // result now rides a ~pipe stream, and both kinds are unknown.
 //
+// removedBreaks is the break message as its encoder wrote it while the
+// sender held a receiver's break open for a grace period: 8 values, with a
+// synchronous flag and the seq the break came after before the exception.
+//
 // removedRequests are request batches in the layout the encoders wrote
 // from commit ce35917 until the first-seq layout replaced it (copied from
 // the goldens they printed): a seq in every request tuple, and a list of
@@ -303,6 +305,9 @@ var (
 	removedKinds = map[string][]byte{
 		"resolve/10":    mustHex("0a03080502643005046d61696e03080506636c69656e7405027331039a01020500062807070707070707070707070707070707070707070707070707070707070707070707070707070707"),
 		"resolve-ack/7": mustHex("07030a0502643005046d61696e03080506636c69656e7405027331039a01"),
+	}
+	removedBreaks = map[string][]byte{
+		"synchronous/8": mustMarshal(kindBreak, "a", "g", int64(1), true, int64(3), exception.NameFailure, "could not decode"),
 	}
 	removedRequests = map[string][]byte{
 		"trace-ids/8": mustHex("080302050261310502673103060322070107040324050c7265636f72645f6772616465030006020102070103fcabfeeeb7ab6f0702030e0312"),
@@ -320,10 +325,11 @@ func mustHex(s string) []byte {
 
 // TestDecodeMessageRejectsRemovedLayouts: the decoder accepts one layout
 // per message kind — request batches of 8 values, or 9 with continuations,
-// reply batches of 9, and breaks of 8. The shorter and longer forms earlier
+// reply batches of 9, and breaks of 6. The shorter and longer forms earlier
 // encoders wrote (requests without trace IDs or causes, replies without
-// credit or with a piped-seq list) are errors, as are requests that carry
-// their seqs and trace IDs, the removed kinds 4 and 5, and anything else.
+// credit or with a piped-seq list, breaks with a synchronous flag and break
+// point) are errors, as are requests that carry their seqs and trace IDs,
+// the removed kinds 4 and 5, and anything else.
 func TestDecodeMessageRejectsRemovedLayouts(t *testing.T) {
 	// The values after the seventh of a request batch, in order.
 	reqTail := []func([]byte) []byte{
@@ -394,8 +400,9 @@ func TestDecodeMessageRejectsRemovedLayouts(t *testing.T) {
 		{"reply/8", rep(8), false},
 		{"reply/9", rep(9), true},
 		{"reply/10", rep(10), false},
-		{"break/8", encodeBreak(breakMsg{Agent: "a", Group: "g", Incarnation: 1}), true},
-		{"break/9", append(wire.AppendHeader(nil, 9), encodeBreak(breakMsg{Agent: "a", Group: "g", Incarnation: 1})[1:]...), false},
+		{"break/5", append(wire.AppendHeader(nil, 5), encodeBreak(breakMsg{Agent: "a", Group: "g", Incarnation: 1})[1:]...), false},
+		{"break/6", encodeBreak(breakMsg{Agent: "a", Group: "g", Incarnation: 1}), true},
+		{"break/8", removedBreaks["synchronous/8"], false},
 		{"resolve/10", removedKinds["resolve/10"], false},
 		{"resolve-ack/7", removedKinds["resolve-ack/7"], false},
 	} {

@@ -50,7 +50,7 @@ func (c *custody) child() trace.Cause {
 // takes over.
 func (c *custody) end(o Outcome) {
 	if c.r.key.custodial() {
-		c.r.complete(c.inc, c.seq, ModeSend, c.cause, o, false, false)
+		c.r.complete(c.inc, c.seq, ModeSend, c.cause, o, false)
 	}
 }
 

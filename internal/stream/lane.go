@@ -26,7 +26,7 @@ type lane[T any, P seqItem[T]] struct {
 	opened  time.Time // when the unsent suffix's first item was pushed
 	timer   time.Time // when the retransmission timer last restarted
 	acked   uint64    // the other side's cumulative ack
-	retries int       // retransmissions counted toward a break
+	retries int       // retransmissions since the other side last spoke
 
 	// lost is the owner's: the other side showed that it missed a
 	// transmission, so everything held goes out again at the next chance.
@@ -85,13 +85,13 @@ func (l *lane[T, P]) resend(now time.Time) []T {
 
 // ack applies the other side's cumulative ack and reports whether it
 // advanced. An advance drops the items whose seqs it covers, zeroing their
-// slots so that the backing array keeps nothing acked reachable. It also
-// resets the retry count.
+// slots so that the backing array keeps nothing acked reachable. The retry
+// count is the owner's: it resets it on anything the other side sends.
 func (l *lane[T, P]) ack(through uint64, now time.Time) bool {
 	if through <= l.acked {
 		return false
 	}
-	l.acked, l.retries = through, 0
+	l.acked = through
 	if !l.goBackN {
 		l.timer = now
 	}

@@ -64,7 +64,7 @@ func (r *refLane) ack(through uint64, now time.Time) {
 	if through <= r.acked {
 		return
 	}
-	r.acked, r.retries, r.lastAck = through, 0, now
+	r.acked, r.lastAck = through, now
 	above := func(s []uint64) []uint64 {
 		var kept []uint64
 		for _, q := range s {
@@ -193,13 +193,10 @@ func runLaneModel[T any, P seqItem[T]](t testing.TB, goBackN bool, prog []byte, 
 			case !flush.IsZero() && !flush.After(now):
 				transmit("aged take", l.take(now), ref.take(now))
 			case !resend.IsZero() && !resend.After(now):
-				// A request lane counts every retransmission; a reply lane
-				// only one the sender could ack (see rstream.fire).
-				count := goBackN || slices.Contains(ref.held(), ref.acked+1)
-				broke := count && l.retry(limit)
-				if count {
-					ref.retries++
-				}
+				// Both directions count every retransmission; the owner
+				// resets the count whenever the other side speaks (5, 6).
+				broke := l.retry(limit)
+				ref.retries++
 				if want := ref.retries > limit; broke != want {
 					t.Fatalf("step %d: lane broke=%v at %d retries, reference %v", in.i, broke, l.retries, want)
 				}
@@ -225,13 +222,12 @@ func runLaneModel[T any, P seqItem[T]](t testing.TB, goBackN bool, prog []byte, 
 			}
 			ref.ack(through, now)
 			pushed = slices.DeleteFunc(pushed, func(q uint64) bool { return q <= through })
-		case 6: // a stale or duplicate ack; a request lane hears a reply batch
+			l.retries, ref.retries = 0, 0
+		case 6: // a stale or duplicate ack: the other side spoke all the same
 			if l.ack(ref.acked-min(ref.acked, uint64(op>>3)), now) {
 				t.Fatalf("step %d: a stale ack advanced the lane", in.i)
 			}
-			if goBackN {
-				l.retries, ref.retries = 0, 0
-			}
+			l.retries, ref.retries = 0, 0
 		case 7:
 			if op>>3 == 31 { // a break the owner saw elsewhere
 				l.reset()

@@ -32,13 +32,16 @@ type Peer struct {
 	clk  clock.Clock
 	sm   *streamMetrics // nil when metrics are disabled
 
-	mu       sync.Mutex
-	agents   map[string]*Agent
-	sends    map[streamKey]*Stream
-	recvs    map[streamKey]*rstream
-	dispatch Dispatcher
-	parallel func(port string) bool
-	closed   bool
+	mu     sync.Mutex
+	agents map[string]*Agent
+	sends  map[streamKey]*Stream
+	recvs  map[streamKey]*rstream
+	closed bool
+
+	// What the call path loads for every call it runs, with no lock: the
+	// port-to-handler lookup and the parallel-port predicate (nil: none).
+	dispatch atomic.Pointer[Dispatcher]
+	parallel atomic.Pointer[func(port string) bool]
 
 	tracer atomic.Pointer[trace.Tracer]
 
@@ -105,7 +108,7 @@ type due struct {
 // Duties due at one instant fire in rank order.
 const (
 	rankAgeFlush = iota // a batch's age flush, at its exact deadline
-	rankSend            // retransmission, pure ack, probe, break grace
+	rankSend            // retransmission, pure ack, probe
 	rankRecv            // owed notes, aged replies, reply retransmission
 	rankSched           // the epoch scheduler's sweep of its watches
 )
@@ -188,11 +191,7 @@ func (p *Peer) Metrics() *metrics.Registry { return p.opts.Metrics }
 
 // SetDispatcher installs the port-to-handler lookup used for incoming
 // calls. Entities that only make calls never set one.
-func (p *Peer) SetDispatcher(d Dispatcher) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.dispatch = d
-}
+func (p *Peer) SetDispatcher(d Dispatcher) { p.dispatch.Store(&d) }
 
 // SetTracer installs a protocol-event tracer on this peer (nil removes
 // it). Tracing covers both roles: calls this peer sends and calls it
@@ -242,30 +241,21 @@ func (p *Peer) emitCause(kind trace.Kind, stream string, seq, tid uint64, c trac
 // "explicit override" §2.1 of the paper anticipates for more
 // sophisticated receivers. Calls to unmarked ports still wait for every
 // earlier call on their stream, parallel ones included.
-func (p *Peer) SetParallelPorts(pred func(port string) bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.parallel = pred
+func (p *Peer) SetParallelPorts(pred func(port string) bool) { p.parallel.Store(&pred) }
+
+// isParallel reports whether calls to port run on the worker pool.
+func (p *Peer) isParallel(port string) bool {
+	pred := p.parallel.Load()
+	return pred != nil && *pred != nil && (*pred)(port)
 }
 
-func (p *Peer) parallelPredicate() func(port string) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.parallel == nil {
-		return neverParallel
+// handler finds port's handler; with no dispatcher set, none exists.
+func (p *Peer) handler(port string) (Handler, bool) {
+	d := p.dispatch.Load()
+	if d == nil || *d == nil {
+		return nil, false
 	}
-	return p.parallel
-}
-
-func neverParallel(string) bool { return false }
-
-func (p *Peer) dispatcher() Dispatcher {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.dispatch == nil {
-		return func(string) (Handler, bool) { return nil, false }
-	}
-	return p.dispatch
+	return (*d)(port)
 }
 
 // Agent returns the named agent, creating it on first use. Each concurrent
@@ -357,7 +347,7 @@ func (p *Peer) execWorker() {
 	defer p.execWG.Done()
 	var scratch Incoming // reused across calls; retired after each
 	for t := range p.execTasks {
-		if t.r.live(t.inc) {
+		if t.r.live(t.inc, t.req.Seq) {
 			t.r.executeOne(t.req, t.inc, &scratch)
 		}
 		t.r.outstanding.Done()
@@ -416,7 +406,7 @@ func (p *Peer) dropAllStreams() {
 	p.recvs = make(map[streamKey]*rstream)
 	p.mu.Unlock()
 	for _, s := range sends {
-		s.systemBreak(exception.Unavailable("node crashed"))
+		s.breakInternal(exception.Unavailable("node crashed"), true)
 	}
 	for _, r := range recvs {
 		r.close()

@@ -157,6 +157,14 @@ type rstream struct {
 	epoch       uint64
 	broken      bool
 
+	// A handler broke the stream at call breakAt for breakReason
+	// (BreakStream): nothing past it runs or replies, and the stream breaks
+	// once the sender has acked every reply through it. note is the notice
+	// of a break this end made, repeated to a sender that keeps talking.
+	breakAt     uint64
+	breakReason *exception.Exception
+	note        []byte
+
 	// Request ordering and exactly-once delivery. oo holds every received
 	// request that has not run yet, in order or not: it is the execution
 	// queue, a seq-indexed ring over the in-flight window. expected is the
@@ -243,9 +251,10 @@ func (r *rstream) completedThroughNow() uint64 { return r.watermark - 1 }
 // handleRequestBatch integrates a request batch from the sender.
 func (r *rstream) handleRequestBatch(b *requestBatch) {
 	r.mu.Lock()
-	if b.Incarnation < r.incarnation {
+	if b.Incarnation < r.incarnation || r.closed {
+		// Stale, or a closed end, which answers nothing, not even a probe.
 		r.mu.Unlock()
-		return // stale
+		return
 	}
 	if b.Incarnation > r.incarnation {
 		// The sender reincarnated the stream; adopt the new incarnation
@@ -253,16 +262,29 @@ func (r *rstream) handleRequestBatch(b *requestBatch) {
 		// sender by the break.)
 		r.resetLocked(b.Incarnation)
 	}
-	if r.broken || r.closed {
-		// Calls on a broken stream are discarded at the receiver, and a
-		// closed one answers nothing, not even a probe.
+	if r.broken {
+		// Calls on a broken stream are discarded at the receiver. A sender
+		// still talking has not heard the notice of a break this end made.
+		note := r.note
 		r.mu.Unlock()
+		if note != nil {
+			r.peer.transmit(r.key.senderNode, note)
+		}
 		return
 	}
+	// The sender spoke, so no re-send of ours so far counts toward a break.
+	r.lane.retries = 0
 
-	// The sender's ack lets us drop retained replies.
+	// The sender's ack lets us drop retained replies. Once it covers a
+	// handler's break point, both ends know every reply through it.
 	if b.AckRepliesThrough > r.lane.acked {
 		r.lane.ack(b.AckRepliesThrough, r.peer.clk.Now())
+		if r.breakAt != 0 && r.lane.acked >= r.breakAt {
+			note := r.breakLocked(r.breakReason)
+			r.mu.Unlock()
+			r.peer.transmit(r.key.senderNode, note)
+			return
+		}
 	}
 
 	sm := r.peer.sm
@@ -276,10 +298,10 @@ func (r *rstream) handleRequestBatch(b *requestBatch) {
 			if sm != nil {
 				sm.duplicateReqs.Inc()
 			}
-		case req.Seq >= r.nextRun+maxSeqAhead:
+		case req.Seq >= r.nextRun+maxSeqAhead, r.breakAt != 0:
 			// Implausibly far ahead (a garbled seq, or a sender pipelining
 			// beyond the protocol window): drop; retransmission redelivers
-			// it once the window slides.
+			// it once the window slides. Or past a handler's break point.
 		default:
 			r.oo.put(req.Seq, req)
 			if r.peer.tracing() {
@@ -331,13 +353,13 @@ func (r *rstream) handleRequestBatch(b *requestBatch) {
 // with later calls on the same stream. A serial call still waits for every
 // earlier call, parallel ones included, so ordering is preserved for
 // everything not opted out. A closed or broken stream abandons what it
-// holds, as in a crash: a call is taken only while the stream runs, and
-// one that then waits (for a worker, or for the parallel calls ahead of
-// it) is checked again before it runs.
+// holds, as in a crash, and so does one a handler broke: a call is taken
+// only while the stream runs, and one that then waits (for a worker, or
+// for the parallel calls ahead of it) is checked again before it runs.
 func (r *rstream) run(call *Incoming) {
 	for {
 		r.mu.Lock()
-		if r.closed || r.broken || r.nextRun == r.expected {
+		if r.closed || r.broken || r.breakAt != 0 || r.nextRun == r.expected {
 			if len(r.resolved) > 0 {
 				r.mu.Unlock()
 				r.resolved.flush()
@@ -354,7 +376,7 @@ func (r *rstream) run(call *Incoming) {
 		r.nextRun++
 		inc := r.incarnation
 		r.mu.Unlock()
-		if req.Port != pipeResolvePort && r.peer.parallelPredicate()(req.Port) {
+		if req.Port != pipeResolvePort && r.peer.isParallel(req.Port) {
 			// Parallel ports run on the peer's bounded worker pool rather
 			// than a goroutine per request, so a flood of parallel calls
 			// costs at most execWorkers stacks. When the pool and its queue
@@ -370,7 +392,7 @@ func (r *rstream) run(call *Incoming) {
 		if r.pooled {
 			r.outstanding.Wait()
 			r.pooled = false
-			if !r.live(inc) {
+			if !r.live(inc, req.Seq) {
 				continue
 			}
 		}
@@ -378,12 +400,18 @@ func (r *rstream) run(call *Incoming) {
 	}
 }
 
-// live reports whether calls of incarnation inc may still run: the stream
-// has not broken, closed or moved to a new incarnation.
-func (r *rstream) live(inc uint64) bool {
+// live reports whether call seq of incarnation inc may still run.
+func (r *rstream) live(inc, seq uint64) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return !r.broken && !r.closed && r.incarnation == inc
+	return r.liveLocked(inc, seq)
+}
+
+// liveLocked reports whether call seq of incarnation inc may still run and
+// reply: the stream has not broken, closed or moved to a new incarnation,
+// and no handler broke it at an earlier call. Caller holds r.mu.
+func (r *rstream) liveLocked(inc, seq uint64) bool {
+	return r.incarnation == inc && !r.broken && !r.closed && (r.breakAt == 0 || seq <= r.breakAt)
 }
 
 // executeOne runs one call of incarnation inc through its handler and
@@ -436,7 +464,7 @@ func (r *rstream) executeOne(req request, inc uint64, call *Incoming) {
 		outcome = ExceptionOutcome(exception.Failure("malformed continuation"))
 	} else if resolution {
 		outcome = r.deliverResolution(&cont, req.Args)
-	} else if h, ok := r.peer.dispatcher()(req.Port); ok {
+	} else if h, ok := r.peer.handler(req.Port); ok {
 		outcome = h(call)
 	} else {
 		outcome = ExceptionOutcome(exception.Failure("handler does not exist"))
@@ -449,28 +477,23 @@ func (r *rstream) executeOne(req request, inc uint64, call *Incoming) {
 	}
 	r.peer.emitCause(trace.CallExecuted, r.keyStr, req.Seq, tid, cause, req.Port)
 
+	if breakReason != nil {
+		// The handler broke the stream (e.g. its arguments did not decode):
+		// this call and earlier ones are unaffected, later calls on the
+		// stream are discarded.
+		r.mu.Lock()
+		if r.breakAt == 0 && r.liveLocked(inc, req.Seq) {
+			r.breakAt, r.breakReason = req.Seq, breakReason
+			r.oo.reset() // every call not yet taken lies past this one
+		}
+		r.mu.Unlock()
+	}
 	// A forward on a ~pipe stream stays in this hop's custody until the
 	// chain is handed on, and the epoch scheduler completes it then, so the
 	// hop upstream keeps watching this one. Every other call completes now.
 	if !(piped && r.key.custodial()) &&
-		!r.complete(inc, req.Seq, req.Mode, cause, outcome, piped, breakReason != nil) {
+		!r.complete(inc, req.Seq, req.Mode, cause, outcome, piped) {
 		return
-	}
-
-	var breakNote []byte
-	if breakReason != nil {
-		// Synchronous break requested by the handler (e.g. decode failure
-		// at the receiver): this call and earlier ones are unaffected,
-		// later calls on the stream are discarded.
-		r.mu.Lock()
-		if !r.broken && r.incarnation == inc {
-			r.broken = true
-			breakNote = r.key.breakNote(r.incarnation, req.Seq, breakReason)
-		}
-		r.mu.Unlock()
-	}
-	if breakNote != nil {
-		r.peer.transmit(r.key.senderNode, breakNote)
 	}
 	if piped {
 		// Hand the outcome to the epoch scheduler, which splices it into
@@ -485,12 +508,12 @@ func (r *rstream) executeOne(req request, inc uint64, call *Incoming) {
 
 // complete records call seq's completion with outcome o in incarnation
 // inc, retains its reply if the wire needs one, and flushes the lane if
-// that cannot wait (brk: the handler broke the stream). It reports false,
-// and sends nothing, once the stream has moved on, broken or closed.
-func (r *rstream) complete(inc, seq uint64, mode Mode, cause trace.Cause, o Outcome, piped, brk bool) bool {
+// that cannot wait (the handler broke the stream at seq). It reports
+// false, and sends nothing, once call seq may no longer reply (liveLocked).
+func (r *rstream) complete(inc, seq uint64, mode Mode, cause trace.Cause, o Outcome, piped bool) bool {
 	var msg []byte
 	r.mu.Lock()
-	if r.incarnation != inc || r.broken || r.closed {
+	if !r.liveLocked(inc, seq) {
 		r.mu.Unlock()
 		return false
 	}
@@ -524,7 +547,7 @@ func (r *rstream) complete(inc, seq uint64, mode Mode, cause trace.Cause, o Outc
 	completed := r.completedThroughNow()
 	// Results big enough to ride alone close the reply batch, as a big
 	// call's arguments close the request batch (see frame.go).
-	flushNow := mode == ModeRPC || r.lane.unsent >= r.opts.MaxBatch || brk || o.frame != nil
+	flushNow := mode == ModeRPC || r.lane.unsent >= r.opts.MaxBatch || seq == r.breakAt || o.frame != nil
 	if flushNow && (r.lane.unsent > 0 || completed > r.sentCompleted) {
 		msg = r.buildReplyBatchLocked(false)
 	} else if !owed && r.noteOwedLocked() {
@@ -560,7 +583,7 @@ func (r *rstream) deliverResolution(c *pipeCont, args []byte) Outcome {
 func (r *rstream) resolvePiped(inc, seq uint64, o Outcome) bool {
 	var msg []byte
 	r.mu.Lock()
-	if inc != r.incarnation || r.broken || r.closed || !r.pipeWait.has(seq) {
+	if !r.liveLocked(inc, seq) || !r.pipeWait.has(seq) {
 		r.mu.Unlock()
 		return false
 	}
@@ -675,19 +698,30 @@ func (r *rstream) buildReplyBatchLocked(retransmit bool) []byte {
 func (r *rstream) handleBreak(b *breakMsg) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if b.Incarnation != r.incarnation {
-		return
+	if b.Incarnation == r.incarnation {
+		r.breakLocked(nil)
 	}
+}
+
+// breakLocked breaks the stream and drops what it holds. A break this end
+// makes has a reason: its notice is kept, to answer a sender that keeps
+// talking, and returned. Caller holds r.mu.
+func (r *rstream) breakLocked(reason *exception.Exception) []byte {
 	r.broken = true
 	r.oo.reset()
 	r.pipeWait.reset()
 	r.lane.reset()
+	if reason != nil {
+		r.note = r.key.breakNote(r.incarnation, reason)
+	}
+	return r.note
 }
 
 // resetLocked adopts a new incarnation with fresh protocol state.
 func (r *rstream) resetLocked(incarnation uint64) {
 	r.incarnation = incarnation
 	r.broken = false
+	r.breakAt, r.breakReason, r.note = 0, nil, nil
 	r.expected = 1
 	r.nextRun = 1
 	r.oo.reset()
@@ -714,7 +748,6 @@ func (r *rstream) fire(now time.Time) time.Time {
 		r.mu.Unlock()
 		return time.Time{}
 	}
-	completed := r.completedThroughNow()
 	switch {
 	case reached(r.lane.flushAt(r.opts.MaxBatchDelay), now), r.noteOwedLocked():
 		msg = r.buildReplyBatchLocked(false)
@@ -724,17 +757,16 @@ func (r *rstream) fire(now time.Time) time.Time {
 		// was lost, or the sender cannot reach us. Re-send everything
 		// retained, paced one RTO apart. This is the only path — besides
 		// duplicate-request evidence — that re-sends already-transmitted
-		// replies. It counts toward a break only if the call after the
-		// sender's ack has its answer here to be acked.
+		// replies. A live sender answers even when it cannot ack yet
+		// (Stream.reack), so only re-sends met with silence add up to a
+		// break.
 		if sm := r.peer.sm; sm != nil {
 			sm.recvRTOFires.Inc()
 		}
-		if head := r.lane.acked + 1; head <= completed && !r.pipeWait.has(head) &&
-			r.lane.retry(r.opts.MaxRetries) {
+		if r.lane.retry(r.opts.MaxRetries) {
 			// We cannot get replies through; break the stream from the
 			// receiving side. Further calls will be discarded.
-			r.broken = true
-			breakNote = r.key.breakNote(r.incarnation, 0, exception.Unavailable("cannot communicate"))
+			breakNote = r.breakLocked(exception.Unavailable("cannot communicate"))
 		} else {
 			msg = r.buildReplyBatchLocked(true)
 		}

@@ -2,7 +2,6 @@ package stream
 
 import (
 	"context"
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -277,15 +276,6 @@ type Stream struct {
 	pending     seqRing[Pending]
 	heldReplies seqRing[Outcome]
 
-	// Synchronous-break grace state: the receiver announced a break after
-	// pendingBreakAfter, so replies through that seq were (or are about to
-	// be) delivered. We hold the break open until they drain — or until a
-	// grace timeout, in case the final reply batch was lost.
-	pendingBreak       bool
-	pendingBreakAfter  uint64
-	pendingBreakReason *exception.Exception
-	pendingBreakAt     time.Time
-
 	// Flow control. grantThrough is the receiver's advertised admission
 	// credit (0 until the first reply batch of this incarnation arrives).
 	// flowWaiters are enqueues blocked on the credit, woken whenever it
@@ -303,8 +293,11 @@ type Stream struct {
 	synchWaiters []chan struct{} // woken whenever resolution progresses
 
 	// lastAckedReplies is the highest reply ack we have transmitted, so a
-	// pure ack is owed only when the receiver hasn't heard it.
+	// pure ack is owed only when the receiver hasn't heard it — or when
+	// reack says a reply batch re-sent a reply we already have: the
+	// receiver re-sends on silence, so a live sender answers it.
 	lastAckedReplies uint64
+	reack            bool
 
 	// recvEpoch is the boot epoch of the receiving end we have been
 	// talking to (0 = none seen yet this incarnation). A different epoch
@@ -444,11 +437,6 @@ func (s *Stream) enqueue(ctx context.Context, r Req, cont []byte) (Pending, erro
 	args, frame := r.Args.Bytes(), r.Args.frame()
 	s.mu.Lock()
 	for {
-		if s.pendingBreak {
-			err := s.pendingBreakReason
-			s.mu.Unlock()
-			return Pending{}, err
-		}
 		if s.broken {
 			err := s.breakErr
 			s.mu.Unlock()
@@ -596,7 +584,7 @@ func (s *Stream) fireAge(now time.Time) time.Time {
 // batchLocked returns the header of a request batch carrying reqs and the
 // current reply ack, which it records as transmitted. Caller holds s.mu.
 func (s *Stream) batchLocked(reqs []request) requestBatch {
-	s.lastAckedReplies = s.nextResolve - 1
+	s.lastAckedReplies, s.reack = s.nextResolve-1, false
 	return requestBatch{Agent: s.key.agent, Group: s.key.group, Incarnation: s.incarnation,
 		AckRepliesThrough: s.lastAckedReplies, Requests: reqs}
 }
@@ -651,62 +639,65 @@ func (s *Stream) Break(reason *exception.Exception) {
 // breaks it (resolving outstanding calls with unavailable).
 func (s *Stream) Restart() {
 	s.mu.Lock()
-	if !s.broken {
-		s.mu.Unlock()
-		s.breakInternal(exception.Unavailable("stream restarted"), false)
-		s.mu.Lock()
-	}
+	note := s.breakLocked(exception.Unavailable("stream restarted"), false)
 	s.reincarnateLocked()
 	s.mu.Unlock()
-}
-
-// systemBreak is invoked by the protocol machinery (retry exhaustion,
-// receiver break notification, target crash). The stream is reincarnated
-// at once, so later calls proceed on the new incarnation ("broken streams
-// are mapped into exceptions and then restarted automatically").
-func (s *Stream) systemBreak(reason *exception.Exception) {
-	s.breakInternal(reason, true)
+	s.sendNote(note)
 }
 
 func (s *Stream) breakInternal(reason *exception.Exception, restart bool) {
 	s.mu.Lock()
+	note := s.breakLocked(reason, restart)
+	s.mu.Unlock()
+	s.sendNote(note)
+}
+
+// breakLocked breaks the stream for reason, unless it is already broken,
+// and returns the notice for the receiver, or nil if there was nothing to
+// break. The protocol's own breaks restart the stream at once, so later
+// calls proceed on the new incarnation ("broken streams are mapped into
+// exceptions and then restarted automatically"). A break the stream
+// decides under s.mu is made in that same critical section, so a Restart
+// cannot slip between the decision and the break. Caller holds s.mu, and
+// sends the notice (sendNote) once it has let go.
+func (s *Stream) breakLocked(reason *exception.Exception, restart bool) []byte {
 	if s.broken {
-		s.mu.Unlock()
-		return
+		return nil
 	}
 	s.broken = true
 	s.breakErr = reason
-	s.pendingBreak = false
 	if sm := s.peer.sm; sm != nil {
 		sm.breaks.Inc()
 	}
 	if s.peer.tracing() {
 		s.peer.emit(trace.StreamBroken, s.keyStr, 0, 0, reason.Name+"("+reason.StringArg(0)+")")
 	}
-
-	// Tell the receiver, best effort, so it can discard state.
-	note := s.key.breakNote(s.incarnation, 0, reason)
-
+	note := s.key.breakNote(s.incarnation, reason)
 	// Resolve every unresolved pending, in seq order, with the reason.
-	s.resolveAllLocked(reason, math.MaxUint64)
+	s.resolveAllLocked(reason)
 	s.wakeFlowWaitersLocked()
 	if restart {
 		s.reincarnateLocked()
 	}
-	s.mu.Unlock()
+	return note
+}
 
-	s.peer.transmit(s.key.recvNode, note)
+// sendNote tells the receiver of a break, best effort, so it can discard
+// state. A nil note sends nothing.
+func (s *Stream) sendNote(note []byte) {
+	if note != nil {
+		s.peer.transmit(s.key.recvNode, note)
+	}
 }
 
 // resolveAllLocked resolves every outstanding pending (buffered, unacked
-// or awaiting its reply) in seq order: with its held reply if it has one
-// at or below after, else with reason. It empties the lane, so a break
-// sends nothing more and leaves a reincarnation a fresh one. Caller holds
-// s.mu.
-func (s *Stream) resolveAllLocked(reason *exception.Exception, after uint64) {
+// or awaiting its reply) in seq order: with its held reply if it has one,
+// else with reason. It empties the lane, so a break sends nothing more and
+// leaves a reincarnation a fresh one. Caller holds s.mu.
+func (s *Stream) resolveAllLocked(reason *exception.Exception) {
 	o := ExceptionOutcome(reason)
 	for seq := s.nextResolve; seq < s.nextSeq; seq++ {
-		if held, ok := s.heldReplies.get(seq); ok && seq <= after {
+		if held, ok := s.heldReplies.get(seq); ok {
 			s.resolveOneLocked(seq, held)
 		} else {
 			s.resolveOneLocked(seq, o)
@@ -732,10 +723,9 @@ func (s *Stream) reincarnateLocked() {
 	s.nextResolve = 1
 	s.boundarySeq = 1
 	s.lastExcSeq = 0
-	s.lastAckedReplies = 0
+	s.lastAckedReplies, s.reack = 0, false
 	s.broken = false
 	s.breakErr = nil
-	s.pendingBreak = false
 	s.recvEpoch = 0
 	s.lastProgressAt = s.peer.clk.Now()
 	s.completedThrough = 0
@@ -792,8 +782,9 @@ func (s *Stream) handleReplyBatch(b *replyBatch) {
 		// calls are gone. The guarantees cannot be kept; break the stream.
 		// (An epoch, not an ack-regression test, so reply batches
 		// reordered by the network cannot false-positive.)
+		note := s.breakLocked(exception.Unavailable("receiver lost stream state"), true)
 		s.mu.Unlock()
-		s.systemBreak(exception.Unavailable("receiver lost stream state"))
+		s.sendNote(note)
 		return
 	}
 	defer s.mu.Unlock()
@@ -817,8 +808,11 @@ func (s *Stream) handleReplyBatch(b *replyBatch) {
 	for _, r := range b.Replies {
 		// The upper bound rejects replies for seqs we never assigned — a
 		// corrupt datagram must not make the held-replies ring grow to
-		// cover a garbage seq.
-		if r.Seq >= s.nextResolve && r.Seq < s.nextSeq {
+		// cover a garbage seq. A reply we already have was re-sent: the
+		// receiver heard nothing from us for an RTO, so we owe it a word.
+		if r.Seq < s.nextResolve || s.heldReplies.has(r.Seq) {
+			s.reack = true
+		} else if r.Seq < s.nextSeq {
 			s.heldReplies.put(r.Seq, r.Outcome)
 			// A ~pipe send's pending is a scheduler watch: it resolves on its
 			// own reply, so no chain's custody waits on another's.
@@ -829,7 +823,6 @@ func (s *Stream) handleReplyBatch(b *replyBatch) {
 		}
 	}
 	s.drainResolvableLocked()
-	s.finalizeBreakIfDrainedLocked()
 	if acked && s.ackRepliesOwedLocked() {
 		s.peer.arm(&s.due, now, now) // a pure ack, unless a batch carries it first
 	}
@@ -858,96 +851,35 @@ func (s *Stream) drainResolvableLocked() {
 	}
 }
 
-// handleBreak integrates a break notification from the receiver side.
+// handleBreak integrates a break notification from the receiver side. It
+// breaks the stream at once: a receiver gives notice only once we have
+// acked every reply it owes us (or it gave up on reaching us), so what is
+// still unresolved will have no reply.
 func (s *Stream) handleBreak(b *breakMsg) {
-	s.mu.Lock()
-	if b.Incarnation != s.incarnation || s.broken {
-		s.mu.Unlock()
-		return
-	}
-	s.mu.Unlock()
-
 	name := b.ExcName
 	if name == "" {
 		name = exception.NameUnavailable
 	}
-	reason := exception.New(name, b.Reason)
-
-	if !b.Synchronous {
-		s.systemBreak(reason)
-		return
-	}
-
-	// Synchronous break: calls through BrokenAfter are unaffected — their
-	// replies were (or will be) delivered — but calls after it will never
-	// have replies. The final reply batch may still be in flight (or even
-	// arrive after the break note, since datagrams can reorder), so keep
-	// the break pending until replies through BrokenAfter drain, with a
-	// grace timeout in case that batch was lost.
 	s.mu.Lock()
-	s.drainResolvableLocked()
-	if s.pendingBreak {
-		s.mu.Unlock()
-		return
-	}
-	s.pendingBreak = true
-	s.pendingBreakAfter = b.BrokenAfter
-	s.pendingBreakReason = reason
-	s.pendingBreakAt = s.peer.clk.Now()
-	s.finalizeBreakIfDrainedLocked()
-	if s.pendingBreak {
-		s.peer.arm(&s.due, s.pendingBreakAt.Add(s.opts.RTO), s.pendingBreakAt)
+	var note []byte
+	if b.Incarnation == s.incarnation {
+		note = s.breakLocked(exception.New(name, b.Reason), true)
 	}
 	s.mu.Unlock()
-}
-
-// finalizeBreakIfDrainedLocked completes a pending synchronous break once
-// every reply through pendingBreakAfter has resolved. Caller holds s.mu.
-func (s *Stream) finalizeBreakIfDrainedLocked() {
-	if !s.pendingBreak || s.nextResolve <= s.pendingBreakAfter {
-		return
-	}
-	s.finalizeBreakLocked()
-}
-
-// finalizeBreakLocked completes a pending synchronous break now: remaining
-// calls resolve with any held reply at or below the break point, and with
-// the break reason otherwise. Caller holds s.mu.
-func (s *Stream) finalizeBreakLocked() {
-	reason := s.pendingBreakReason
-	after := s.pendingBreakAfter
-	s.pendingBreak = false
-	s.broken = true
-	s.breakErr = reason
-	s.resolveAllLocked(reason, after)
-	s.reincarnateLocked() // wakes the flow waiters
+	s.sendNote(note)
 }
 
 // fire does the stream's timed work due at now: it retransmits
 // unacknowledged requests, breaking the stream when retries are
-// exhausted, sends a pure ack or a liveness probe when the stream is
-// otherwise quiet, and ends a pending break's grace. It returns when the
-// stream next owes any of these, or zero.
+// exhausted, and sends a pure ack or a liveness probe when the stream is
+// otherwise quiet. It returns when the stream next owes any of these, or
+// zero.
 func (s *Stream) fire(now time.Time) time.Time {
-	var (
-		toSend  []byte
-		doBreak bool
-	)
+	var toSend []byte
 	s.mu.Lock()
 	if s.broken {
 		s.mu.Unlock()
 		return time.Time{}
-	}
-	if s.pendingBreak {
-		// Grace period for the receiver's final reply batch; if it never
-		// arrives (lost datagram), give up and finalize with the reason.
-		end := s.pendingBreakAt.Add(s.opts.RTO)
-		if now.Sub(s.pendingBreakAt) >= s.opts.RTO {
-			s.finalizeBreakLocked()
-			end = time.Time{}
-		}
-		s.mu.Unlock()
-		return end
 	}
 	sm := s.peer.sm
 	// The open batch's age flush is fireAge's. Retransmission is
@@ -965,7 +897,10 @@ func (s *Stream) fire(now time.Time) time.Time {
 	}
 	switch {
 	case (resend || probe) && s.lane.retry(s.opts.MaxRetries):
-		doBreak = true
+		note := s.breakLocked(exception.Unavailable("cannot communicate"), true)
+		s.mu.Unlock()
+		s.sendNote(note)
+		return time.Time{}
 	case resend:
 		reqs := s.lane.resend(now)
 		toSend = encodeRequestBatch(s.batchLocked(reqs))
@@ -1000,11 +935,6 @@ func (s *Stream) fire(now time.Time) time.Time {
 	}
 	next := s.nextDueLocked(now)
 	s.mu.Unlock()
-
-	if doBreak {
-		s.systemBreak(exception.Unavailable("cannot communicate"))
-		return time.Time{}
-	}
 	if toSend != nil {
 		s.peer.transmit(s.key.recvNode, toSend)
 	}
@@ -1027,8 +957,8 @@ func (s *Stream) nextDueLocked(now time.Time) time.Time {
 
 // ackRepliesOwedLocked reports whether replies have resolved since the
 // last ack we transmitted, i.e. the receiver is still retaining replies
-// it could release if we told it: whether fire owes a pure ack. Caller
-// holds s.mu.
+// it could release if we told it, or the receiver re-sent a reply we
+// already have (reack): whether fire owes a pure ack. Caller holds s.mu.
 func (s *Stream) ackRepliesOwedLocked() bool {
-	return s.nextResolve-1 > s.lastAckedReplies
+	return s.nextResolve-1 > s.lastAckedReplies || s.reack
 }

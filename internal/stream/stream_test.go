@@ -12,6 +12,7 @@ import (
 	"promises/internal/clock"
 	"promises/internal/exception"
 	"promises/internal/simnet"
+	"promises/internal/transport"
 	"promises/internal/wire"
 )
 
@@ -31,8 +32,15 @@ func newFixture(t *testing.T, cfg simnet.Config, opts Options) *testFixture {
 		net:      n,
 		handlers: make(map[string]Handler),
 	}
-	f.client = NewPeer(n.MustAddNode("client"), opts)
-	f.server = NewPeer(n.MustAddNode("server"), opts)
+	f.start(t, n.MustAddNode("client"), n.MustAddNode("server"), opts, opts)
+	return f
+}
+
+// start runs the fixture's peers on the given endpoints with the given
+// options, the server dispatching to the fixture's handlers.
+func (f *testFixture) start(t *testing.T, client, server transport.Endpoint, clientOpts, serverOpts Options) {
+	f.client = NewPeer(client, clientOpts)
+	f.server = NewPeer(server, serverOpts)
 	f.server.SetDispatcher(func(port string) (Handler, bool) {
 		f.mu.Lock()
 		defer f.mu.Unlock()
@@ -42,9 +50,8 @@ func newFixture(t *testing.T, cfg simnet.Config, opts Options) *testFixture {
 	t.Cleanup(func() {
 		f.client.Close()
 		f.server.Close()
-		n.Close()
+		f.net.Close()
 	})
-	return f
 }
 
 // newVirtualFixture is newFixture on a virtual clock with auto-advance:
@@ -54,14 +61,18 @@ func newFixture(t *testing.T, cfg simnet.Config, opts Options) *testFixture {
 // elapsed time is meaningless under auto-advance.
 func newVirtualFixture(t *testing.T, cfg simnet.Config, opts Options) (*testFixture, *clock.Virtual) {
 	t.Helper()
+	cfg.Clock = autoClock(t)
+	return newFixture(t, cfg, opts), cfg.Clock.(*clock.Virtual)
+}
+
+// autoClock returns a virtual clock with auto-advance on. Made before a
+// fixture, its cleanup is registered first, so (LIFO) the clock keeps
+// advancing until the peers have closed and nothing is left waiting on it.
+func autoClock(t *testing.T) *clock.Virtual {
 	vclk := clock.NewVirtual()
-	cfg.Clock = vclk
 	vclk.SetAutoAdvance(true)
-	// Registered before the fixture's own cleanup, so (LIFO) the clock
-	// keeps advancing until the peers have closed and nothing is left
-	// waiting on it.
 	t.Cleanup(func() { vclk.SetAutoAdvance(false) })
-	return newFixture(t, cfg, opts), vclk
+	return vclk
 }
 
 func (f *testFixture) handle(port string, h Handler) {
@@ -527,40 +538,8 @@ func TestRetryExhaustionBreaksStream(t *testing.T) {
 }
 
 func TestReceiverSynchronousBreak(t *testing.T) {
-	opts := fastOpts()
-	f := newFixture(t, simnet.Config{}, opts)
-	f.handle("step", func(call *Incoming) Outcome {
-		if call.Args[0] == 2 {
-			// Decode failure at the receiver: reply failure and break.
-			call.BreakStream(exception.Failure("could not decode"))
-			return ExceptionOutcome(exception.Failure("could not decode"))
-		}
-		return NormalOutcome(call.Args)
-	})
-	s := f.client.Agent("a1").Stream("server", "g1")
-	ps := make([]Pending, 5)
-	for i := range ps {
-		p, err := s.Call("step", []byte{byte(i)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ps[i] = p
-	}
-	s.Flush()
-	// Calls 0,1 unaffected; call 2 fails; calls 3,4 lost to the break.
-	for i := 0; i < 2; i++ {
-		if o := claim(t, ps[i]); !o.Normal {
-			t.Errorf("call %d = %+v", i, o)
-		}
-	}
-	if o := claim(t, ps[2]); o.Normal || o.Exception != exception.NameFailure {
-		t.Errorf("call 2 = %+v", o)
-	}
-	for i := 3; i < 5; i++ {
-		if o := claim(t, ps[i]); o.Normal {
-			t.Errorf("call %d should have been lost to the break, got %+v", i, o)
-		}
-	}
+	f := newFixture(t, simnet.Config{}, fastOpts())
+	requireBrokenAtTwo(t, breakingSteps(t, f))
 }
 
 func TestLossRecoveryExactlyOnceInOrder(t *testing.T) {
@@ -848,7 +827,7 @@ func TestMessageCodecRoundTrip(t *testing.T) {
 		t.Errorf("reply batch = %+v", gpb)
 	}
 
-	bm := breakMsg{Agent: "a", Group: "g", Incarnation: 3, Synchronous: true, BrokenAfter: 18, ExcName: "failure", Reason: "why"}
+	bm := breakMsg{Agent: "a", Group: "g", Incarnation: 3, ExcName: "failure", Reason: "why"}
 	kind, _, _, gbm, err := decodeMessage(encodeBreak(bm))
 	if err != nil || kind != kindBreak {
 		t.Fatalf("decode: kind=%d err=%v", kind, err)

@@ -205,8 +205,8 @@ func TestCauseRidesTraceEventsAcrossProcesses(t *testing.T) {
 
 // TestRejectedDatagramsCounted: datagrams in a layout this package no
 // longer writes — the 6-value request batch of a sender from before trace
-// IDs, the request batches that carried each call's seq and trace ID, and
-// the removed kinds 4 and 5 — are not acted on, and show in
+// IDs, the request batches that carried each call's seq and trace ID, the
+// removed kinds 4 and 5, and the 8-value break — are not acted on, and show in
 // stream_datagrams_rejected_total; the count costs no allocation once the
 // counter exists.
 func TestRejectedDatagramsCounted(t *testing.T) {
@@ -227,7 +227,7 @@ func TestRejectedDatagramsCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	sent := [][]byte{msg, removedRequests["trace-ids/8"], removedRequests["trace-ids/9"],
-		removedKinds["resolve/10"], removedKinds["resolve-ack/7"]}
+		removedKinds["resolve/10"], removedKinds["resolve-ack/7"], removedBreaks["synchronous/8"]}
 	for _, m := range sent {
 		if err := old.Send("server", m); err != nil {
 			t.Fatal(err)

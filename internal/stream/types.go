@@ -308,13 +308,13 @@ type replyBatch struct {
 	Credit uint64
 }
 
-// breakMsg notifies the other end that the stream broke.
+// breakMsg notifies the other end that the stream broke. It names no break
+// point: a receiver announces a handler's break only once its sender has
+// acked every reply through it.
 type breakMsg struct {
 	Agent       string
 	Group       string
 	Incarnation uint64
-	Synchronous bool   // true: calls after BrokenAfter are lost, earlier unaffected
-	BrokenAfter uint64 // meaningful when Synchronous
 	ExcName     string // exception to raise for lost calls
 	Reason      string
 }
@@ -460,15 +460,14 @@ func appendReplyOpen(buf []byte, r *reply) []byte {
 }
 
 func encodeBreak(b breakMsg) []byte {
-	return mustMarshal(kindBreak, b.Agent, b.Group, int64(b.Incarnation),
-		b.Synchronous, int64(b.BrokenAfter), b.ExcName, b.Reason)
+	return mustMarshal(kindBreak, b.Agent, b.Group, int64(b.Incarnation), b.ExcName, b.Reason)
 }
 
 // breakNote encodes the notice that incarnation inc of k's stream broke
-// for reason: synchronously, after call after, or outright (after 0).
-func (k streamKey) breakNote(inc, after uint64, reason *exception.Exception) []byte {
+// for reason.
+func (k streamKey) breakNote(inc uint64, reason *exception.Exception) []byte {
 	return encodeBreak(breakMsg{Agent: k.agent, Group: k.group, Incarnation: inc,
-		Synchronous: after > 0, BrokenAfter: after, ExcName: reason.Name, Reason: reason.StringArg(0)})
+		ExcName: reason.Name, Reason: reason.StringArg(0)})
 }
 
 // Batch struct pools for the zero-copy decode path: one request or reply
@@ -559,8 +558,8 @@ func decodeMessage(payload []byte) (kind int64, rb *requestBatch, pb *replyBatch
 		return kind, nil, b, nil, nil
 
 	case kindBreak:
-		if nvals != 8 {
-			return 0, nil, nil, nil, fmt.Errorf("stream: break has %d values, want 8", nvals)
+		if nvals != 6 {
+			return 0, nil, nil, nil, fmt.Errorf("stream: break has %d values, want 6", nvals)
 		}
 		b, err := decodeBreakTail(&d)
 		if err != nil {
@@ -723,20 +722,11 @@ func decodeReplies(d *wire.Decoder, b *replyBatch, nvals int) error {
 	return err
 }
 
-// decodeBreakTail reads the [synchronous, brokenAfter, excName, reason]
-// tail of a break message. Breaks are rare, so their strings are plain
-// copies and the struct is not pooled.
+// decodeBreakTail reads the [excName, reason] tail of a break message.
+// Breaks are rare, so their strings are plain copies and the struct is not
+// pooled.
 func decodeBreakTail(d *wire.Decoder) (*breakMsg, error) {
 	b := &breakMsg{}
-	var err error
-	if b.Synchronous, err = d.Bool(); err != nil {
-		return nil, err
-	}
-	after, err := d.Int()
-	if err != nil {
-		return nil, err
-	}
-	b.BrokenAfter = uint64(after)
 	exc, err := d.StringView()
 	if err != nil {
 		return nil, err
