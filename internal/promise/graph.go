@@ -6,7 +6,6 @@ import (
 	"promises/internal/exception"
 	"promises/internal/stream"
 	"promises/internal/trace"
-	"promises/internal/wire"
 )
 
 // Graph is a pipelined multi-stage call under construction: a root call
@@ -20,24 +19,21 @@ import (
 // argument). A graph has that one meaning: a stage that cannot take part
 // fails the chain, and the failure is the promise's outcome.
 //
-// A graph keeps up to inlineHops hops, and the stages Start builds from
-// them, in arrays of its own, and spills to the heap only past that. Its
-// hop list points into the graph itself, so a Graph must not be copied by
-// value: use the *Graph that Pipeline returns. Build and Start a graph on
-// one goroutine; Start writes the stages into it.
+// Arguments are encoded, into the stream's marshal arena, when Pipeline,
+// Then or ThenHop takes them; a failure fails Start. Nothing points into a
+// graph, so with up to inlineHops stages it stays in its builder's frame.
 type Graph struct {
-	s     *stream.Stream
-	port  string
-	args  []any
-	hops  []Hop // inline[:n] until the chain outgrows it
-	cause trace.Cause
-
-	inline       [inlineHops]Hop
-	inlineStages [inlineHops]stream.PipeStage
+	s      *stream.Stream
+	port   string
+	args   stream.Marshalled
+	err    error // an encoding failure
+	cause  trace.Cause
+	n      int // stages added
+	inline [inlineHops]stream.PipeStage
+	spill  []stream.PipeStage // the stages past inlineHops
 }
 
-// inlineHops is how many hops a Graph holds without allocating: enough for
-// a four-stage chain after its root, the common shape.
+// inlineHops is how many hops a Graph holds inline: a four-stage chain's.
 const inlineHops = 4
 
 // Hop names one continuation stage: the guardian (node, port group) that
@@ -50,24 +46,42 @@ type Hop struct {
 	Extra []any
 }
 
-// Pipeline begins a pipelined call graph rooted at a call to port on s.
+// Pipeline begins a graph rooted at a call to port on s, encoding args now.
 func Pipeline(s *stream.Stream, port string, args ...any) *Graph {
-	g := &Graph{s: s, port: port, args: args}
-	g.hops = g.inline[:0]
+	g := &Graph{s: s, port: port}
+	g.args = g.marshal(args)
 	return g
+}
+
+// marshal encodes vals on g's stream, keeping a failure for Start. It is
+// not inlined, so Pipeline is, and the Graph lands in its caller's frame.
+func (g *Graph) marshal(vals []any) stream.Marshalled {
+	m, err := g.s.Marshal(vals...)
+	if err != nil {
+		g.err = err
+	}
+	return m
 }
 
 // Then appends a continuation stage: once the previous stage's result
 // exists, call port at node/group with that result (plus extra arguments,
 // appended after it). Returns g for chaining.
 func (g *Graph) Then(node, group, port string, extra ...any) *Graph {
-	g.hops = append(g.hops, Hop{Node: node, Group: group, Port: port, Extra: extra})
-	return g
+	return g.ThenHop(Hop{Node: node, Group: group, Port: port, Extra: extra})
 }
 
 // ThenHop is Then taking a prebuilt Hop (e.g. guardian.Ref.Hop).
 func (g *Graph) ThenHop(h Hop) *Graph {
-	g.hops = append(g.hops, h)
+	st := stream.PipeStage{Node: h.Node, Group: h.Group, Port: h.Port}
+	if len(h.Extra) > 0 {
+		st.Extra = g.marshal(h.Extra).Bytes()
+	}
+	if g.n < inlineHops {
+		g.inline[g.n] = st
+	} else {
+		g.spill = append(g.spill, st)
+	}
+	g.n++
 	return g
 }
 
@@ -82,26 +96,12 @@ func (g *Graph) WithCause(c trace.Cause) *Graph {
 // stage's result, decoded by dec. Like Call: an encoding failure or an
 // already-broken stream fails immediately and no promise is created.
 func Start[T any](g *Graph, dec Decoder[T]) (*Promise[T], error) {
-	payload, err := g.s.Marshal(g.args...)
-	if err != nil {
+	if g.err != nil {
 		return nil, exception.Failure("could not encode")
 	}
-	stages := g.inlineStages[:]
-	if len(g.hops) > inlineHops {
-		stages = make([]stream.PipeStage, len(g.hops))
-	}
-	stages = stages[:len(g.hops)]
-	for i, h := range g.hops {
-		st := stream.PipeStage{Node: h.Node, Group: h.Group, Port: h.Port}
-		if len(h.Extra) > 0 {
-			if st.Extra, err = wire.Marshal(h.Extra...); err != nil {
-				return nil, exception.Failure("could not encode")
-			}
-		}
-		stages[i] = st
-	}
+	stages := append(g.inline[:min(g.n, inlineHops)], g.spill...)
 	pending, err := g.s.Issue(context.Background(),
-		stream.Req{Port: g.port, Args: payload, Cause: g.cause, Stages: stages})
+		stream.Req{Port: g.port, Args: g.args, Cause: g.cause}, stages...)
 	if err != nil {
 		return nil, err
 	}

@@ -107,9 +107,9 @@ func TestGraphPipelinedChain(t *testing.T) {
 }
 
 // TestGraphSpillsPastInlineHops: a graph of six hops outgrows the four a
-// Graph keeps inline, so its hops and stages move to the heap; the chain
-// still runs end to end through all seven stages, for one enqueued call:
-// ((((((1+1)+1)+1)+1)+1)+1)*10+4 = 74.
+// Graph keeps inline, so its stages move to the heap, extras and all; the
+// chain still runs end to end through all seven stages, for one enqueued
+// call: ((((((1+1)+1)+1)+1)+1)+1)*10+4 = 74.
 func TestGraphSpillsPastInlineHops(t *testing.T) {
 	client, nodes := graphFixture(t)
 	s := client.Agent("app").Stream(nodes[0], "g")
@@ -118,9 +118,6 @@ func TestGraphSpillsPastInlineHops(t *testing.T) {
 		g.Then(nodes[i%len(nodes)], "g", "inc")
 	}
 	g.ThenHop(Hop{Node: nodes[0], Group: "g", Port: "addmul", Extra: []any{int64(10), int64(4)}})
-	if len(g.hops) != 6 || &g.hops[0] == &g.inline[0] {
-		t.Fatalf("%d hops, inline %v: the graph did not spill", len(g.hops), &g.hops[0] == &g.inline[0])
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	v, err := Run(ctx, g, Int)
@@ -132,6 +129,70 @@ func TestGraphSpillsPastInlineHops(t *testing.T) {
 	}
 	if got := enqueued(client); got != 1 {
 		t.Fatalf("client enqueued %d calls for a pipelined 7-stage chain, want 1", got)
+	}
+}
+
+// TestGraphEncodeFailureEnqueuesNothing: Pipeline and ThenHop encode
+// their arguments when they are given, and one that cannot be encoded
+// fails Start with failure("could not encode"), as Call fails, with no
+// promise and no call on the stream.
+func TestGraphEncodeFailureEnqueuesNothing(t *testing.T) {
+	client, nodes := graphFixture(t)
+	s := client.Agent("app").Stream(nodes[0], "g")
+	for name, g := range map[string]*Graph{
+		"root": Pipeline(s, "inc", make(chan int)).Then(nodes[1], "g", "inc"),
+		"hop":  Pipeline(s, "inc", int64(1)).Then(nodes[1], "g", "addmul", int64(10), make(chan int)),
+	} {
+		p, err := Start(g, Int)
+		if p != nil || !exception.IsFailure(err) || err.(*exception.Exception).StringArg(0) != "could not encode" {
+			t.Errorf("%s: Start = %v, %v; want no promise and failure(could not encode)", name, p, err)
+		}
+	}
+	if got := enqueued(client); got != 0 {
+		t.Fatalf("graphs that could not be encoded enqueued %d calls, want 0", got)
+	}
+}
+
+// TestGraphStartAllocatesNoMoreThanCall: a four-hop chain's origin costs
+// what a Call of the same argument on the same stream costs. Pipeline
+// inlines and nothing points into the graph, so the Graph stays in its
+// builder's frame; Start hands its stages to the stream apart from the
+// request; the continuation blob, like the arguments, is carved from the
+// peer's marshal arena. A graph on the heap or a blob of its own costs a
+// chain one allocation more and fails. No peer answers on the stream, and
+// no batch fills or ages, so only the origin is counted.
+func TestGraphStartAllocatesNoMoreThanCall(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector changes allocation counts")
+	}
+	n := simnet.New(simnet.Config{})
+	client := stream.NewPeer(n.MustAddNode("client"), stream.Options{
+		MaxBatch: 1 << 20, MaxBatchDelay: time.Hour, RTO: time.Hour})
+	t.Cleanup(func() {
+		client.Close()
+		n.Close()
+	})
+	s := client.Agent("app").Stream("silent", "g")
+	v := int64(1 << 20) // past the values Go boxes without allocating
+	call := testing.AllocsPerRun(500, func() {
+		v++
+		if _, err := Call(s, "inc", Int, v); err != nil {
+			t.Fatal(err)
+		}
+	})
+	start := testing.AllocsPerRun(500, func() {
+		v++
+		g := Pipeline(s, "inc", v)
+		for _, node := range [...]string{"ga", "gb", "gc", "gd"} {
+			g.Then(node, "g", "inc")
+		}
+		if _, err := Start(g, Int); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("Call %.0f allocs, Start of a four-hop graph %.0f", call, start)
+	if start > call {
+		t.Fatalf("Start of a four-hop graph allocates %.0f, Call of the same argument %.0f", start, call)
 	}
 }
 

@@ -12,22 +12,23 @@ const arenaChunk = 4 << 10
 
 // arena is the peer's marshal arena: the bytes of every argument and
 // result list shorter than rideAlone that the peer's callers and handlers
-// encode (Stream.Marshal, Incoming.Marshal), and the continuation blobs
-// and resolution arguments the epoch scheduler builds per chain — so that
-// small lists cost an allocation per chunk rather than one each. The lock
-// is held only for the carve; the bytes are written outside it, by the
-// goroutine that took them.
+// encode (Stream.Marshal, Incoming.Marshal), the continuation blob each
+// chain origin encodes, and the blobs and resolution arguments the epoch
+// scheduler builds per chain — so that small lists cost an allocation per
+// chunk rather than one each. The lock is held only for the carve, and it
+// is a leaf: a chain origin takes it inside its stream's lock. The bytes
+// are written outside it, by the goroutine that took them.
 //
 // The lifetime rule: bytes once handed out are never written again. They
 // outlive the call that took them — a request's rides in its stream's
 // unacked requests, which other goroutines re-encode on retransmission; a
-// reply's rides in the retained replies; a blob rides in the scheduler's
-// watch list until its send resolves — so the arena only appends: each
-// take is carved after the last, and when the current chunk cannot hold
-// the next buffer a fresh chunk replaces it. The garbage collector
-// reclaims a chunk once no unacked request, retained reply or watch views
-// it. The arena is per peer, not per stream, so an idle stream pins no
-// chunk.
+// reply's rides in the retained replies; a blob rides in unacked requests
+// and the scheduler's watch list until its send resolves — so the arena
+// only appends: each take is carved after the last, and when the current
+// chunk cannot hold the next buffer a fresh chunk replaces it. The garbage
+// collector reclaims a chunk once no unacked request, retained reply or
+// watch views it. The arena is per peer, not per stream, so an idle stream
+// pins no chunk.
 type arena struct {
 	mu    sync.Mutex
 	chunk []byte

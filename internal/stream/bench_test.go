@@ -201,8 +201,8 @@ func BenchmarkStreamCallThroughputPipeActive(b *testing.B) {
 
 	// Warm-up: one pipelined chain server→aux, claimed to completion, so
 	// the server's scheduler loop is running for the measured section.
-	wp, err := s.Issue(ctx, Req{Port: "echo", Args: plain(arg),
-		Stages: []PipeStage{{Node: "aux", Group: "g", Port: "echo"}}})
+	wp, err := s.Issue(ctx, Req{Port: "echo", Args: plain(arg)},
+		PipeStage{Node: "aux", Group: "g", Port: "echo"})
 	if err != nil {
 		b.Fatalf("Issue: %v", err)
 	}

@@ -219,6 +219,53 @@ func TestHeldHeadLiveSenderKeepsStream(t *testing.T) {
 	}
 }
 
+// TestHeldHeadCostsTwoDatagramsPerRTO: in TestHeldHeadLiveSenderKeepsStream's
+// shape, each receiver RTO the head is held costs two datagrams: the
+// receiver's re-send of the retained reply and the sender's pure ack of
+// it. The pure ack asks nothing, so the receiver does not answer it as it
+// answers a probe.
+func TestHeldHeadCostsTwoDatagramsPerRTO(t *testing.T) {
+	opts := fastOpts()
+	slow := opts
+	slow.RTO *= 2
+	var holding atomic.Bool
+	var datagrams, resends atomic.Int64
+	count := func(kind int64, _ *requestBatch, pb *replyBatch) bool {
+		if holding.Load() {
+			datagrams.Add(1)
+			if pb != nil && carries(pb, 2) { // quick's retained reply
+				resends.Add(1)
+			}
+		}
+		return true
+	}
+	clk := autoClock(t)
+	f := newTappedFixture(t, clk, slow, opts, count, count)
+	started := make(chan struct{})
+	_, ph, pq := heldHead(t, f, func(*Incoming) Outcome {
+		<-started
+		clk.Sleep(time.Duration(6*opts.MaxRetries) * opts.RTO)
+		holding.Store(false)
+		return NormalOutcome([]byte("h"))
+	})
+	holding.Store(true)
+	close(started)
+	if o := claim(t, ph); !o.Normal || string(o.Payload) != "h" {
+		t.Errorf("held call = %+v, want its normal reply", o)
+	}
+	if o := claim(t, pq); !o.Normal || string(o.Payload) != "q" {
+		t.Errorf("quick call = %+v, want its normal reply", o)
+	}
+	n, r := datagrams.Load(), resends.Load()
+	t.Logf("%d datagrams for %d re-sends of the retained reply", n, r)
+	if r < int64(3*opts.MaxRetries) {
+		t.Fatalf("%d re-sends while the head was held for %d RTOs", r, 6*opts.MaxRetries)
+	}
+	if n > 2*r+2 {
+		t.Errorf("%d datagrams for %d re-sends of the retained reply, want 2 each", n, r)
+	}
+}
+
 // TestParallelCallPastBreakPointNeverReplies: every port is parallel. A
 // call after the breaking one is already running when the handler breaks
 // the stream, and it returns while the sender has not yet acked the

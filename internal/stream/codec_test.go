@@ -123,9 +123,11 @@ func TestPropertyRequestBatchRoundTrip(t *testing.T) {
 }
 
 // FuzzRequestBatchRoundTrip: a batch of consecutive calls decodes to
-// itself, request i as seq first+i; a batch with requests that would start
-// at seq 0, or run past the widest seq the integer encoding carries, is
-// rejected; and arbitrary bytes never panic the decoder.
+// itself, request i as seq first+i, and an empty one keeps what it says
+// in place of a first seq (a probe's next unsent seq, a pure ack's 0); a
+// batch with requests that would start at seq 0, or run past the widest
+// seq the integer encoding carries, is rejected; and arbitrary bytes
+// never panic the decoder.
 func FuzzRequestBatchRoundTrip(f *testing.F) {
 	for _, b := range goldenRequestBatches() {
 		var first uint64
@@ -154,6 +156,9 @@ func FuzzRequestBatchRoundTrip(f *testing.F) {
 			}
 			in.Requests = append(in.Requests, r)
 		}
+		if len(in.Requests) == 0 {
+			in.Probe = first // an empty batch is a probe unless it says 0
+		}
 		k := uint64(len(in.Requests))
 		valid := k == 0 || first >= 1 && first <= maxSeq-(k-1)
 		kind, out, _, _, err := decodeMessage(encodeRequestBatch(in))
@@ -168,7 +173,7 @@ func FuzzRequestBatchRoundTrip(f *testing.F) {
 		}
 		defer releaseRequestBatch(out)
 		if out.Agent != agent || out.Group != group || out.Incarnation != inc ||
-			out.AckRepliesThrough != ack || len(out.Requests) != len(in.Requests) {
+			out.AckRepliesThrough != ack || out.Probe != in.Probe || len(out.Requests) != len(in.Requests) {
 			t.Fatalf("header %+v, %d requests; want %+v", *out, len(out.Requests), in)
 		}
 		for i, want := range in.Requests {

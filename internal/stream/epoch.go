@@ -201,7 +201,7 @@ func (ps *pipeScheduler) processOne(w *pipeWork) {
 	s := ps.p.Agent(pipeAgentName).Stream(st.Node, st.Group)
 	cont, cause := c.advance(&ps.p.arena), w.in.child()
 	pend, err := s.enqueue(context.Background(), Req{Mode: ModeSend, Port: st.Port,
-		Args: plain(args), Cause: cause}, cont)
+		Args: plain(args), Cause: cause}, nil, cont)
 	if err != nil {
 		// The forwarding stream is broken: that IS the chain's resolution.
 		// (With no context to end, enqueue refuses only with an exception.)
@@ -246,7 +246,7 @@ func (ps *pipeScheduler) forwardResolution(c *pipeCont, o Outcome, in custody) {
 	s := ps.p.Agent(pipeAgentName).Stream(ref.recvNode, ref.group)
 	pend, err := s.enqueue(context.Background(), Req{Mode: ModeSend, Port: pipeResolvePort,
 		Args: plain(encodeOutcome(o, &ps.p.arena)), Cause: in.child()},
-		c.resolution(&ps.p.arena))
+		nil, c.resolution(&ps.p.arena))
 	if err != nil {
 		in.end(ExceptionOutcome(err.(*exception.Exception)))
 		return

@@ -63,9 +63,10 @@ const (
 // Meaning: after executing the call this blob rides with, splice the
 // result into stages[0]'s arguments and forward; with no stages left,
 // the result IS the chain's resolution — deliver it to the reference.
-func encodePipeCont(ref pipeRef, stages []PipeStage) []byte {
-	// Sized exactly first, so the blob is one allocation: a one-byte
-	// header (8 values), the reference, the stage list.
+// The blob's bytes are taken from a, like every blob a hop cuts.
+func encodePipeCont(ref pipeRef, stages []PipeStage, a *arena) []byte {
+	// Sized exactly first, so the blob is one carve: a one-byte header
+	// (8 values), the reference, the stage list.
 	size := 1 + wire.SizeInt(pipeContVersion) +
 		wire.SizeBlob(len(ref.senderNode)) + wire.SizeBlob(len(ref.agent)) +
 		wire.SizeBlob(len(ref.recvNode)) + wire.SizeBlob(len(ref.group)) +
@@ -75,7 +76,7 @@ func encodePipeCont(ref pipeRef, stages []PipeStage) []byte {
 		size += wire.SizeBlob(len(st.Node)) + wire.SizeBlob(len(st.Group)) +
 			wire.SizeBlob(len(st.Port)) + wire.SizeBlob(len(st.Extra))
 	}
-	buf := appendPipeRef(make([]byte, 0, size), ref)
+	buf := appendPipeRef(a.take(size), ref)
 	buf = wire.AppendList(buf, 4*len(stages))
 	for _, st := range stages {
 		buf = wire.AppendString(buf, st.Node)

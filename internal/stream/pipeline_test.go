@@ -123,7 +123,7 @@ func incHandler(t *testing.T) Handler {
 // issuePiped issues a pipelined stream call of port with args.
 func issuePiped(t *testing.T, s *Stream, port string, args []byte, stages ...PipeStage) Pending {
 	t.Helper()
-	p, err := s.Issue(context.Background(), Req{Port: port, Args: plain(args), Stages: stages})
+	p, err := s.Issue(context.Background(), Req{Port: port, Args: plain(args)}, stages...)
 	if err != nil {
 		t.Fatalf("Issue: %v", err)
 	}
@@ -142,7 +142,7 @@ func TestPipelinedChainEndToEnd(t *testing.T) {
 	s := f.client.Agent("app").Stream("ga", "g")
 	stages := []PipeStage{{Node: "gb", Group: "g", Port: "inc"}, {Node: "gc", Group: "g", Port: "inc"}}
 	for _, mode := range []Mode{ModeCall, ModeRPC} {
-		pend, err := s.Issue(context.Background(), Req{Mode: mode, Port: "inc", Args: plain(encInt(1)), Stages: stages})
+		pend, err := s.Issue(context.Background(), Req{Mode: mode, Port: "inc", Args: plain(encInt(1))}, stages...)
 		if err != nil {
 			t.Fatalf("%v: Issue: %v", mode, err)
 		}
@@ -297,8 +297,8 @@ func TestMisaddressedContinuationFailsCall(t *testing.T) {
 			misaddress(&ref)
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 			defer cancel()
-			piped, err := s.enqueue(ctx, Req{Port: "inc", Args: plain(encInt(1))},
-				encodePipeCont(ref, []PipeStage{{Node: "ga", Group: "g", Port: "inc"}}))
+			piped, err := s.enqueue(ctx, Req{Port: "inc", Args: plain(encInt(1))}, nil,
+				encodePipeCont(ref, []PipeStage{{Node: "ga", Group: "g", Port: "inc"}}, new(arena)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -713,7 +713,7 @@ func FuzzPipeContAdvance(f *testing.F) {
 		for i := range stages {
 			stages[i] = PipeStage{Node: fmt.Sprint(long, i), Group: "g", Port: "inc", Extra: bytes.Repeat([]byte{byte(i)}, 50*i)}
 		}
-		blob := encodePipeCont(ref, stages)
+		blob := encodePipeCont(ref, stages, new(arena))
 		f.Add(blob, long, []byte("extra"), uint8(k))
 		f.Add(blob[:len(blob)/2], "", []byte(nil), uint8(k))
 	}
@@ -743,7 +743,7 @@ func FuzzPipeContAdvance(f *testing.F) {
 				stages[i].Extra = extra
 			}
 		}
-		blob = encodePipeCont(ref, stages)
+		blob = encodePipeCont(ref, stages, &a)
 		if len(blob) != cap(blob) {
 			t.Fatalf("encodePipeCont sized %d bytes for a %d-byte blob", cap(blob), len(blob))
 		}
@@ -769,7 +769,7 @@ func FuzzPipeContAdvance(f *testing.F) {
 			if !c.names(ref) || c.names(other) {
 				t.Fatalf("hop %d: names(%+v) = %v, names(seq+1) = %v", i, ref, c.names(ref), c.names(other))
 			}
-			res, resWant := c.resolution(&a), encodePipeCont(ref, nil)
+			res, resWant := c.resolution(&a), encodePipeCont(ref, nil, &a)
 			if !bytes.Equal(res, resWant) {
 				t.Fatalf("hop %d: resolution blob %x, want %x", i, res, resWant)
 			}
@@ -785,7 +785,7 @@ func FuzzPipeContAdvance(f *testing.F) {
 				t.Fatalf("hop %d: stage %+v, want %+v", i, c.next, st)
 			}
 			blob = c.advance(&a)
-			want := encodePipeCont(ref, stages[i+1:])
+			want := encodePipeCont(ref, stages[i+1:], &a)
 			if !bytes.Equal(blob, want) {
 				t.Fatalf("hop %d: cut blob\n%x\nwant the re-encoded\n%x", i, blob, want)
 			}
@@ -825,7 +825,7 @@ func TestWaveArenaRollover(t *testing.T) {
 	stages := []PipeStage{{Node: gb, Group: "g", Port: "inc"}, {Node: gc, Group: "g", Port: "inc"}}
 	// Chain i enters ga with 10i, reaches gc with 10i+2 and resolves with 10i+3.
 	const n = 48
-	if blob := len(encodePipeCont(pipeRef{streamKey: streamKey{senderNode: "client", agent: "app", recvNode: ga, group: "g"}}, stages)); n*blob < 2*arenaChunk {
+	if blob := len(encodePipeCont(pipeRef{streamKey: streamKey{senderNode: "client", agent: "app", recvNode: ga, group: "g"}}, stages, new(arena))); n*blob < 2*arenaChunk {
 		t.Fatalf("%d blobs of %d bytes fit in two chunks: the wave does not roll over", n, blob)
 	}
 	s := f.client.Agent("app").Stream(ga, "g")

@@ -318,17 +318,17 @@ func (r *rstream) handleRequestBatch(b *requestBatch) {
 		r.running = true
 	}
 	// Duplicate requests are evidence the sender missed replies: only
-	// then does a flush re-send the full retained set. An empty request
-	// batch is the sender probing for liveness (or a pure ack); answer
-	// with progress — and whatever suffix is pending — so the sender
-	// knows this end is alive and which boot epoch it is talking to.
+	// then does a flush re-send the full retained set. A probe is the
+	// sender asking after our liveness; answer with progress — and
+	// whatever suffix is pending — so the sender knows this end is alive
+	// and which boot epoch it is talking to. A pure ack asks nothing.
 	var msg []byte
-	if arrived := r.expected > expected; arrived || lost || len(b.Requests) == 0 {
+	if arrived := r.expected > expected; arrived || lost || b.Probe != 0 {
 		r.lane.lost = lost
 		if lost && len(r.lane.items) > 0 {
 			msg = r.buildReplyBatchLocked(true)
 			r.lane.lost = false
-		} else if len(b.Requests) == 0 {
+		} else if b.Probe != 0 {
 			msg = r.buildReplyBatchLocked(false)
 		}
 		if r.noteOwedLocked() {

@@ -366,16 +366,12 @@ func (s *Stream) Broken() bool {
 // Cause's root and parent trace IDs ride the request, joining the call
 // into its initiator's cross-guardian chain: a handler passes
 // Incoming.ChildCause (guardian.Call.Cause), and the zero Cause makes the
-// call a chain root. Non-empty Stages pipeline a stream call or an RPC:
-// its result feeds a continuation chain run guardian-to-guardian — stage
-// N+1 at the guardian that produced stage N's output, with no hop back to
-// the caller — and the Pending resolves with the LAST stage's outcome.
+// call a chain root.
 type Req struct {
-	Mode   Mode
-	Port   string
-	Args   Marshalled
-	Cause  trace.Cause
-	Stages []PipeStage
+	Mode  Mode
+	Port  string
+	Args  Marshalled
+	Cause trace.Cause
 }
 
 // Issue makes one call on the stream. It returns a Pending for the
@@ -389,14 +385,21 @@ type Req struct {
 // An RPC bypasses the buffer — its batch is sent at once — and the seq it
 // resolves at is a synch boundary, like Argus's regular calls; Issue
 // followed by Pending.Wait is an RPC.
-func (s *Stream) Issue(ctx context.Context, r Req) (Pending, error) {
-	return s.enqueue(ctx, r, nil)
+//
+// Stages pipeline a stream call or an RPC: its result feeds a
+// continuation chain run guardian-to-guardian — stage N+1 at the guardian
+// that produced stage N's output, with no hop back to the caller — and
+// the Pending resolves with the LAST stage's outcome. Issue only reads
+// stages, so they may live in the caller's frame: they travel apart from
+// r, whose Port and Args the stream keeps.
+func (s *Stream) Issue(ctx context.Context, r Req, stages ...PipeStage) (Pending, error) {
+	return s.enqueue(ctx, r, stages, nil)
 }
 
 // Call makes a stream call to the named port with pre-encoded arguments:
 // Issue of a ModeCall Req with no cause.
 func (s *Stream) Call(port string, args []byte) (Pending, error) {
-	return s.enqueue(context.Background(), Req{Port: port, Args: plain(args)}, nil)
+	return s.enqueue(context.Background(), Req{Port: port, Args: plain(args)}, nil, nil)
 }
 
 // Send makes a send to the named port: the sender hears back only if the
@@ -404,14 +407,14 @@ func (s *Stream) Call(port string, args []byte) (Pending, error) {
 // normal outcome on success; sends exist so that "normal replies can be
 // omitted" from the wire.
 func (s *Stream) Send(port string, args []byte) (Pending, error) {
-	return s.enqueue(context.Background(), Req{Mode: ModeSend, Port: port, Args: plain(args)}, nil)
+	return s.enqueue(context.Background(), Req{Mode: ModeSend, Port: port, Args: plain(args)}, nil, nil)
 }
 
 // RPC makes a remote procedure call: the request bypasses the batch buffer
 // and the caller waits for the reply. An RPC also establishes a synch
 // boundary, like Argus's regular calls do.
 func (s *Stream) RPC(ctx context.Context, port string, args []byte) (Outcome, error) {
-	p, err := s.enqueue(ctx, Req{Mode: ModeRPC, Port: port, Args: plain(args)}, nil)
+	p, err := s.enqueue(ctx, Req{Mode: ModeRPC, Port: port, Args: plain(args)}, nil, nil)
 	if err != nil {
 		return Outcome{}, err
 	}
@@ -426,13 +429,13 @@ func (s *Stream) RPC(ctx context.Context, port string, args []byte) (Outcome, er
 // enqueue admits one call. cont is non-nil only for the epoch scheduler's
 // sends (epoch.go) — a mid-chain forward or a chain's resolution — and
 // is the continuation blob they carry as it is, still naming the ORIGINAL
-// caller's promise; a call with stages and no cont is a chain origin.
+// caller's promise; a call with stages (and so no cont) is a chain origin.
 //
 // The scheduler's sends skip the credit check: their chain was admitted
 // once, at its origin, and a scheduler parked on one downstream guardian's
 // credit would stall every other chain on the peer — including, for a
 // chain that cycles back, the one whose progress would free the credit.
-func (s *Stream) enqueue(ctx context.Context, r Req, cont []byte) (Pending, error) {
+func (s *Stream) enqueue(ctx context.Context, r Req, stages []PipeStage, cont []byte) (Pending, error) {
 	port, mode, cause := r.Port, r.Mode, r.Cause
 	args, frame := r.Args.Bytes(), r.Args.frame()
 	s.mu.Lock()
@@ -477,8 +480,8 @@ func (s *Stream) enqueue(ctx context.Context, r Req, cont []byte) (Pending, erro
 	// seq-assignment critical section, because the blob embeds the promise
 	// reference (stream key + incarnation + seq) the chain's last guardian
 	// will resolve. Plain calls have no stages and skip this.
-	if cont == nil && len(r.Stages) > 0 {
-		cont = encodePipeCont(pipeRef{s.key, inc, seq}, r.Stages)
+	if len(stages) > 0 {
+		cont = encodePipeCont(pipeRef{s.key, inc, seq}, stages, &s.peer.arena)
 	}
 	p := newPending(seq, mode, s.peer.sm, s.peer.clk)
 	s.pending.put(seq, p)
@@ -887,9 +890,8 @@ func (s *Stream) fire(now time.Time) time.Time {
 	resend := reached(s.lane.resendAt(s.opts.RTO), now)
 	// Calls are outstanding, everything transmitted is acked, and the
 	// receiver has been silent past the timeout: probe it. A live receiver
-	// answers any empty request batch with its progress; one that crashed
-	// after acking our requests stays silent, and MaxRetries silent probes
-	// break the stream.
+	// answers a probe with its progress; one that crashed after acking our
+	// requests stays silent, and MaxRetries silent probes break the stream.
 	probe := !resend && !s.ackRepliesOwedLocked() &&
 		s.nextResolve < s.nextSeq && now.Sub(s.lastProgressAt) >= s.opts.RTO
 	if (resend || probe) && sm != nil {
@@ -914,7 +916,9 @@ func (s *Stream) fire(now time.Time) time.Time {
 		}
 	case probe:
 		s.lastProgressAt = now // pace probes one RTO apart
-		toSend = encodeRequestBatch(s.batchLocked(nil))
+		b := s.batchLocked(nil)
+		b.Probe = s.nextSeq - uint64(s.lane.unsent)
+		toSend = encodeRequestBatch(b)
 		if sm != nil {
 			sm.batchesSent.Inc()
 			sm.probes.Inc()

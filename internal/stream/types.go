@@ -290,6 +290,10 @@ type requestBatch struct {
 	Incarnation       uint64
 	AckRepliesThrough uint64    // sender has resolved replies through this seq
 	Requests          []request // consecutive seqs; the wire carries only the first
+	// Probe is what a batch with no requests says in place of a first
+	// seq: the sender's next unsent seq for a probe, which asks the
+	// receiver for an answer, or 0 for a pure ack, which does not.
+	Probe uint64
 }
 
 // replyBatch is the unit of transmission from receiver to sender.
@@ -345,7 +349,7 @@ func hasConts(reqs []request) bool {
 func encodeRequestBatch(b requestBatch) []byte {
 	conts := hasConts(b.Requests)
 	n := len(b.Requests)
-	var first uint64 // a probe or an ack has no requests, and says 0
+	first := b.Probe // a probe or an ack has no requests
 	if n > 0 {
 		first = b.Requests[0].Seq
 	}
@@ -599,6 +603,9 @@ func decodeRequests(d *wire.Decoder, b *requestBatch, nvals int) error {
 	}
 	if n > 0 && (first < 1 || first > math.MaxInt64-int64(n-1)) {
 		return fmt.Errorf("stream: %d requests from seq %d", n, first)
+	}
+	if n == 0 {
+		b.Probe = uint64(first)
 	}
 	for i := 0; i < n; i++ {
 		if fields, err := d.List(); err != nil {
