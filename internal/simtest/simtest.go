@@ -222,8 +222,9 @@ func Run(o Options) (*Result, error) {
 				apply: func() {
 					p, err := promise.Call(s, ref.Port, promise.Int, arg[id])
 					if err != nil {
-						// The stream was broken at enqueue time; a real
-						// program would see the same ErrBroken.
+						// The stream was broken at enqueue time and refused
+						// the call with its break's exception, which a real
+						// program would see too.
 						p = promise.Failed[int64](exception.Unavailable(err.Error()))
 					}
 					promises[id] = p

@@ -103,8 +103,13 @@ func TestDifferentSeedsDiffer(t *testing.T) {
 	}
 }
 
+// TestFaultsAreExercised runs seed 17. There s1 crashes after it has
+// completed c0's first call, so the recovered s1 holds c0's next calls
+// behind a call it will never see again, and c0's stream to s1 breaks
+// when their retransmissions go unanswered. (A crash that loses only
+// calls in flight breaks nothing: retransmission delivers them.)
 func TestFaultsAreExercised(t *testing.T) {
-	r, err := Run(Options{Seed: 7})
+	r, err := Run(Options{Seed: 17})
 	if err != nil {
 		t.Fatal(err)
 	}

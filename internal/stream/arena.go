@@ -23,8 +23,8 @@ const arenaChunk = 4 << 10
 // outlive the call that took them — a request's rides in its stream's
 // unacked requests, which other goroutines re-encode on retransmission; a
 // reply's rides in the retained replies; a blob rides in unacked requests
-// and the scheduler's watch list until its send resolves — so the arena
-// only appends: each take is carved after the last, and when the current
+// and its stream's watches until its send resolves — so the arena only
+// appends: each take is carved after the last, and when the current
 // chunk cannot hold the next buffer a fresh chunk replaces it. The garbage
 // collector reclaims a chunk once no unacked request, retained reply or
 // watch views it. The arena is per peer, not per stream, so an idle stream

@@ -313,3 +313,40 @@ func TestLateLoopProbesOnce(t *testing.T) {
 		t.Fatalf("held call: %v", o.Err())
 	}
 }
+
+// TestProbeAsksOnlyAfterAckedCalls: a probe asks after calls the receiver
+// acknowledged and has not answered, so none goes out while the receiver
+// holds nothing of ours. A stream idle for longer than an RTO takes a
+// call, whose batch is lost. No probe goes out while the call waits for
+// its age flush, nor while its batch awaits the ack until the
+// retransmission timer runs out: the timer, not a probe, looks after it.
+func TestProbeAsksOnlyAfterAckedCalls(t *testing.T) {
+	vclk := clock.NewVirtual()
+	opts := Options{MaxBatch: 64, MaxBatchDelay: 4 * time.Millisecond, RTO: 10 * time.Millisecond, MaxRetries: 4}
+	var probes atomic.Int64
+	lossy := func(kind int64, rb *requestBatch, _ *replyBatch) bool {
+		if rb != nil && rb.Probe != 0 {
+			probes.Add(1)
+		}
+		return rb == nil || len(rb.Requests) == 0
+	}
+	f := newTappedFixture(t, vclk, opts, opts, lossy, passAll)
+	f.handle("echo", echoHandler)
+	events := &eventCount{}
+	f.client.SetTracer(events)
+
+	s := f.client.Agent("a").Stream("server", "g1")
+	vclk.Advance(5 * opts.RTO)
+	if _, err := s.Call("echo", nil); err != nil {
+		t.Fatal(err)
+	}
+	flushed := vclk.Now().Add(opts.MaxBatchDelay)
+	stepThrough(vclk, flushed.Add(-time.Microsecond), events)
+	if n := probes.Swap(0); n != 0 {
+		t.Errorf("%d probes asked after a call not yet sent", n)
+	}
+	stepThrough(vclk, flushed.Add(opts.RTO-time.Microsecond), events)
+	if n := probes.Load(); n != 0 {
+		t.Errorf("%d probes went out beside a batch that awaits its ack", n)
+	}
+}

@@ -2,8 +2,7 @@ package stream
 
 import (
 	"context"
-	"sync/atomic"
-	"time"
+	"sync"
 
 	"promises/internal/exception"
 	"promises/internal/trace"
@@ -45,58 +44,60 @@ func (c *custody) child() trace.Cause {
 	return trace.ChildOf(c.cause, trace.CallID(c.r.keyHash, c.inc, c.seq))
 }
 
-// end completes a ~pipe forward with o, releasing the upstream hop's
-// watch: normally once this hop handed the chain on, else so that hop
-// takes over.
+// end completes a ~pipe forward with o, ending the watch upstream:
+// normally once this hop handed the chain on, else so that hop takes over.
 func (c *custody) end(o Outcome) {
 	if c.r.key.custodial() {
 		c.r.complete(c.inc, c.seq, ModeSend, c.cause, o, false)
 	}
 }
 
-// pipeWatch tracks one send the scheduler issued on a ~pipe stream for
-// the chain in custody in. Its pending resolves once the next guardian has
-// handed the chain on in turn, so a watch lives until the chain ends, or
-// exceptionally if the stream breaks or that guardian could not hand it
-// on. cont is a forward's continuation, naming the promise it resolves.
+// pipeWatch is the custody record of one send the scheduler issued on a
+// ~pipe stream for the chain in custody in, kept by that stream under the
+// send's seq. The send resolves once the next guardian has handed the
+// chain on in turn, so a watch lives until the chain ends, or until the
+// stream breaks or that guardian could not hand it on. cont is the
+// continuation the send carries, naming the promise it resolves.
 type pipeWatch struct {
-	p    Pending
 	cont []byte
 	in   custody
+}
+
+// endedWatch is a watch whose send resolved with outcome o.
+type endedWatch struct {
+	w pipeWatch
+	o Outcome
 }
 
 // pipeScheduler admits continuation work in waves, felis EpochClient
 // style: the per-peer loop sleeps until work arrives, drains a wave from
 // the queue, issues every send in it, then flushes each downstream
 // stream exactly once — so a wave of N chain completions headed for the
-// same guardian costs one batch, not N. It also keeps the watch list
-// through which the chains it handed on stay in its custody. Everything
-// but the queue and the nudge belongs to the loop goroutine.
+// same guardian costs one batch, not N. A wave also ends the custody of
+// the watches streams handed back as their sends resolved. Everything but
+// the queue, the nudge and the ended list belongs to the loop goroutine.
 type pipeScheduler struct {
 	p     *Peer
 	queue chan pipeWork
-	// nudge wakes the loop to sweep its watches between waves; watching
-	// says whether there are any to sweep, and while there are, due fires
-	// the nudge on every tick (see fire).
-	nudge    chan struct{}
-	watching atomic.Bool
-	due      due
+	// Streams append to ended under their own locks (endMu is a leaf),
+	// then nudge the loop.
+	nudge chan struct{}
+	endMu sync.Mutex
+	ended []endedWatch
 
-	watches []pipeWatch
+	ending  []endedWatch // the list the loop took last, reused for the next
 	wave    []pipeWork
 	touched map[*Stream]struct{}
 	lanes   replyLanes // origin reply lanes resolved locally this wave
 }
 
 func newPipeScheduler(p *Peer) *pipeScheduler {
-	ps := &pipeScheduler{
+	return &pipeScheduler{
 		p:       p,
 		queue:   make(chan pipeWork, pipeQueueCap),
 		nudge:   make(chan struct{}, 1),
 		touched: make(map[*Stream]struct{}),
 	}
-	ps.due.rank, ps.due.fire = rankSched, ps.fire
-	return ps
 }
 
 // submit queues one completed stage for the next wave. Blocks only when
@@ -114,31 +115,28 @@ func (ps *pipeScheduler) submit(w pipeWork) {
 	}
 }
 
-// fire has the loop sweep the watch list, so exceptions propagate even
-// when no new wave is admitted, and returns now — the next tick — for as
-// long as there are watches to sweep.
-func (ps *pipeScheduler) fire(now time.Time) time.Time {
-	if !ps.watching.Load() {
-		return time.Time{}
-	}
+// end hands the loop watch w, whose send resolved with o. It never blocks:
+// the caller holds w's stream's lock.
+func (ps *pipeScheduler) end(w pipeWatch, o Outcome) {
+	ps.endMu.Lock()
+	ps.ended = append(ps.ended, endedWatch{w, o})
+	ps.endMu.Unlock()
 	select {
 	case ps.nudge <- struct{}{}:
 	default:
 	}
-	return now
 }
 
 func (ps *pipeScheduler) loop() {
 	defer ps.p.wg.Done()
 	for {
-		wave, all := ps.wave[:0], false
+		wave := ps.wave[:0]
 		select {
 		case <-ps.p.ctx.Done():
 			return
 		case w := <-ps.queue:
 			wave = append(wave, w)
 		case <-ps.nudge:
-			all = true
 		}
 	drain:
 		for len(wave) < pipeWaveMax {
@@ -149,30 +147,24 @@ func (ps *pipeScheduler) loop() {
 				break drain
 			}
 		}
-		ps.admit(wave, all)
+		ps.admit(wave)
 		clear(wave) // release payload references
 		ps.wave = wave
 	}
 }
 
-// admit runs one wave: process every item, sweep the watch list (all of
-// it on a nudge), then flush each stream and reply lane it touched once.
-func (ps *pipeScheduler) admit(wave []pipeWork, all bool) {
+// admit runs one wave: process every item, end the custody of every
+// watch handed back, then flush each stream and reply lane it touched once.
+func (ps *pipeScheduler) admit(wave []pipeWork) {
 	for i := range wave {
 		ps.processOne(&wave[i])
 	}
-	ps.sweepWatches(all)
+	ps.endWatches()
 	for s := range ps.touched {
 		s.Flush()
 		delete(ps.touched, s)
 	}
 	ps.lanes.flush()
-	if len(ps.watches) == 0 {
-		ps.watching.Store(false)
-	} else if !ps.watching.Swap(true) {
-		now := ps.p.clk.Now()
-		ps.p.arm(&ps.due, now, now)
-	}
 	if sm := ps.p.sm; sm != nil && len(wave) > 0 {
 		sm.epochs.Inc()
 		sm.epochWave.Observe(uint64(len(wave)))
@@ -199,16 +191,15 @@ func (ps *pipeScheduler) processOne(w *pipeWork) {
 		return
 	}
 	s := ps.p.Agent(pipeAgentName).Stream(st.Node, st.Group)
-	cont, cause := c.advance(&ps.p.arena), w.in.child()
+	cause := w.in.child()
 	pend, err := s.enqueue(context.Background(), Req{Mode: ModeSend, Port: st.Port,
-		Args: plain(args), Cause: cause}, nil, cont)
+		Args: plain(args), Cause: cause}, nil, &pipeWatch{cont: c.advance(&ps.p.arena), in: w.in})
 	if err != nil {
 		// The forwarding stream is broken: that IS the chain's resolution.
 		// (With no context to end, enqueue refuses only with an exception.)
 		ps.forwardResolution(c, ExceptionOutcome(err.(*exception.Exception)), w.in)
 		return
 	}
-	ps.watches = append(ps.watches, pipeWatch{p: pend, cont: cont, in: w.in})
 	ps.touched[s] = struct{}{}
 	if sm := ps.p.sm; sm != nil {
 		sm.pipeStages.Inc()
@@ -244,42 +235,31 @@ func (ps *pipeScheduler) forwardResolution(c *pipeCont, o Outcome, in custody) {
 		return
 	}
 	s := ps.p.Agent(pipeAgentName).Stream(ref.recvNode, ref.group)
-	pend, err := s.enqueue(context.Background(), Req{Mode: ModeSend, Port: pipeResolvePort,
+	_, err := s.enqueue(context.Background(), Req{Mode: ModeSend, Port: pipeResolvePort,
 		Args: plain(encodeOutcome(o, &ps.p.arena)), Cause: in.child()},
-		nil, c.resolution(&ps.p.arena))
+		nil, &pipeWatch{cont: c.resolution(&ps.p.arena), in: in})
 	if err != nil {
 		in.end(ExceptionOutcome(err.(*exception.Exception)))
 		return
 	}
-	ps.watches = append(ps.watches, pipeWatch{p: pend, in: in})
 	ps.touched[s] = struct{}{}
 }
 
-// sweepWatches reaps issued sends whose pendings have resolved, and so
-// moves custody upstream: a hop ends its custody with its watch's outcome.
-// An exception (the stream broke, or the next hop could not hand the chain
-// on) climbs to the chain's first hop, where it resolves the chain. Chains
-// mostly end in the order they were handed on, so a wave's sweep stops at
-// the first watch still pending; a nudge's sweeps the whole list.
-func (ps *pipeScheduler) sweepWatches(all bool) {
-	kept := ps.watches[:0]
-	for i, w := range ps.watches {
-		if !w.p.Ready() {
-			if !all {
-				kept = append(kept, ps.watches[i:]...)
-				break
-			}
-			kept = append(kept, w)
-			continue
-		}
-		o := w.p.Get()
-		w.p.Release()
-		if o.Normal || w.in.r.key.custodial() {
-			w.in.end(o)
-		} else if c, err := parsePipeCont(w.cont); err == nil { // built by advance: always well formed
-			ps.forwardResolution(&c, o, w.in)
+// endWatches moves custody upstream: a hop ends its custody with its ended
+// watch's outcome. An exception (the stream broke, or the next hop could
+// not hand the chain on) climbs to the chain's first hop, where it
+// resolves the chain; a resolution's watch never climbs, as the first hop
+// retains its chain's outcome itself (forwardResolution).
+func (ps *pipeScheduler) endWatches() {
+	ps.endMu.Lock()
+	ps.ended, ps.ending = ps.ending[:0], ps.ended
+	ps.endMu.Unlock()
+	for _, e := range ps.ending {
+		if e.o.Normal || e.w.in.r.key.custodial() {
+			e.w.in.end(e.o)
+		} else if c, err := parsePipeCont(e.w.cont); err == nil { // built by advance: always well formed
+			ps.forwardResolution(&c, e.o, e.w.in)
 		}
 	}
-	clear(ps.watches[len(kept):])
-	ps.watches = kept
+	clear(ps.ending)
 }

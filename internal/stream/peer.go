@@ -110,7 +110,6 @@ const (
 	rankAgeFlush = iota // a batch's age flush, at its exact deadline
 	rankSend            // retransmission, pure ack, probe
 	rankRecv            // owed notes, aged replies, reply retransmission
-	rankSched           // the epoch scheduler's sweep of its watches
 )
 
 // dueEntry is one arming of d for at; a later arming for an earlier

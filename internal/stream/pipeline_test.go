@@ -10,9 +10,11 @@ import (
 	"testing"
 	"time"
 
+	"promises/internal/clock"
 	"promises/internal/exception"
 	"promises/internal/metrics"
 	"promises/internal/simnet"
+	"promises/internal/transport"
 	"promises/internal/wire"
 )
 
@@ -288,7 +290,10 @@ func TestMisaddressedContinuationFailsCall(t *testing.T) {
 		"another recvNode": func(ref *pipeRef) { ref.recvNode = "gb" },
 	} {
 		t.Run(name, func(t *testing.T) {
-			f := newPipeFixture(t, simnet.Config{}, fastOpts(), "ga", "gb")
+			// No age flush: the call waits in the open batch until Flush.
+			opts := fastOpts()
+			opts.MaxBatchDelay = time.Hour
+			f := newPipeFixture(t, simnet.Config{}, opts, "ga", "gb")
 			var runs atomic.Int32
 			inc := incHandler(t)
 			f.handle("ga", "inc", func(call *Incoming) Outcome { runs.Add(1); return inc(call) })
@@ -297,11 +302,11 @@ func TestMisaddressedContinuationFailsCall(t *testing.T) {
 			misaddress(&ref)
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 			defer cancel()
-			piped, err := s.enqueue(ctx, Req{Port: "inc", Args: plain(encInt(1))}, nil,
-				encodePipeCont(ref, []PipeStage{{Node: "ga", Group: "g", Port: "inc"}}, new(arena)))
-			if err != nil {
-				t.Fatal(err)
-			}
+			stages := []PipeStage{{Node: "ga", Group: "g", Port: "inc"}}
+			piped := issuePiped(t, s, "inc", encInt(1), stages...)
+			s.mu.Lock()
+			s.lane.items[0].Cont = encodePipeCont(ref, stages, new(arena)) // still unsent
+			s.mu.Unlock()
 			behind, err := s.Call("inc", encInt(5))
 			if err != nil {
 				t.Fatal(err)
@@ -594,8 +599,8 @@ func wantBroken(t *testing.T, o Outcome) {
 
 // TestMidChainCrashResolvesUnavailable: a chain ga→gb→gc whose stage at gc
 // is held, and gb crashes after it forwarded. ga's forward to gb is still
-// in gb's custody, so ga is still watching gb: the ~pipe stream breaks,
-// and its exception is the chain's resolution. When gc's stage then
+// in gb's custody, so ga still holds its watch on gb: the ~pipe stream
+// breaks, and its exception is the chain's resolution. When gc's stage then
 // finishes, its resolution reaches ga and is dropped: the promise keeps
 // its first outcome, and ga retains no second reply.
 func TestMidChainCrashResolvesUnavailable(t *testing.T) {
@@ -618,9 +623,9 @@ func TestMidChainCrashResolvesUnavailable(t *testing.T) {
 
 // TestTwoCrashedHopsResolveFromNearestLiveUpstream: a chain
 // ga→gb→gc→gd→ge whose stage at ge is held, and gc and gd both crash.
-// Custody reaches back past both: gb, the nearest live hop upstream, is
-// still watching gc, and sends the break home as the chain's resolution.
-// ga's own stream to gb never breaks.
+// Custody reaches back past both: gb, the nearest live hop upstream,
+// still holds its watch on gc, and sends the break home as the chain's
+// resolution. ga's own stream to gb never breaks.
 func TestTwoCrashedHopsResolveFromNearestLiveUpstream(t *testing.T) {
 	f := newPipeFixture(t, simnet.Config{}, fastOpts(), "ga", "gb", "gc", "gd", "ge")
 	p, _ := crashMidChain(t, f, []string{"gb", "gc", "gd", "ge"}, "gc", "gd")
@@ -637,7 +642,8 @@ func TestTwoCrashedHopsResolveFromNearestLiveUpstream(t *testing.T) {
 // guardians in opposite directions, plus one that visits gb three times
 // in a row. Each forward is released only when its chain has ended, so
 // completions on a ~pipe stream come out of order; every chain resolves,
-// and every watch and every deferred completion is released afterwards.
+// and afterwards no stream keeps a watch, the scheduler has no ended watch
+// left to take, and every deferred completion is released.
 func TestCustodyCrossingChainsRelease(t *testing.T) {
 	f := newPipeFixture(t, simnet.Config{}, fastOpts(), "ga", "gb")
 	for _, g := range []string{"ga", "gb"} {
@@ -691,13 +697,54 @@ func TestCustodyCrossingChainsRelease(t *testing.T) {
 				}
 			}
 			for _, s := range sends {
-				if s.InFlight() > 0 {
+				s.mu.Lock()
+				held := s.nextResolve < s.nextSeq || s.watches.len() > 0
+				s.mu.Unlock()
+				if held {
 					return false
 				}
 			}
-			return !peer.scheduler().watching.Load()
+			ps := peer.scheduler()
+			ps.endMu.Lock()
+			defer ps.endMu.Unlock()
+			return len(ps.ended) == 0
 		})
 	}
+}
+
+// TestCustodyEndsWhenForwardResolves: a chain ga→gb→gc whose stage at gc
+// is held, on a virtual clock that is never advanced, so no tick ever
+// comes. gb holds the chain in custody: its ~pipe stream from ga has
+// completed nothing. Then gb hears the reply that resolves its forward
+// to gc, with no chain work queued at gb. The resolution itself must end
+// gb's custody: the completed prefix of that stream advances, with the
+// clock where it was.
+func TestCustodyEndsWhenForwardResolves(t *testing.T) {
+	opts := fastOpts()
+	opts.MaxBatch = 1 // every call goes out as it is made: no age flush waits on the clock
+	f := newPipeFixture(t, simnet.Config{Clock: clock.NewVirtual()}, opts, "ga", "gb", "gc")
+	crashMidChain(t, f, []string{"gb", "gc"}) // crashes none; the gate opens at cleanup
+
+	gb := f.peers["gb"]
+	gb.mu.Lock()
+	in := gb.recvs[streamKey{senderNode: "ga", agent: pipeAgentName, recvNode: "gb", group: "g"}]
+	gb.mu.Unlock()
+	completed := func() uint64 {
+		in.mu.Lock()
+		defer in.mu.Unlock()
+		return in.completedThroughNow()
+	}
+	if in == nil || completed() != 0 {
+		t.Fatal("gb does not hold the chain in custody")
+	}
+	gc := f.peers["gc"]
+	gc.mu.Lock()
+	out := gc.recvs[streamKey{senderNode: "gb", agent: pipeAgentName, recvNode: "gc", group: "g"}]
+	gc.mu.Unlock()
+	reply := encodeReplyBatch(replyBatch{Agent: pipeAgentName, Group: "g", Incarnation: 1,
+		Epoch: out.epoch, AckRequestsThrough: 1, CompletedThrough: 1, Credit: 1 + recvWindow})
+	gb.handleMessage(transport.Message{From: "gc", To: "gb", Payload: reply})
+	waitFor(t, "gb's custody outlived the forward it waited on", func() bool { return completed() == 1 })
 }
 
 // FuzzPipeContAdvance: a hop that cuts stage 0 out of a continuation blob

@@ -490,7 +490,7 @@ func (r *rstream) executeOne(req request, inc uint64, call *Incoming) {
 	}
 	// A forward on a ~pipe stream stays in this hop's custody until the
 	// chain is handed on, and the epoch scheduler completes it then, so the
-	// hop upstream keeps watching this one. Every other call completes now.
+	// hop upstream keeps its watch. Every other call completes now.
 	if !(piped && r.key.custodial()) &&
 		!r.complete(inc, req.Seq, req.Mode, cause, outcome, piped) {
 		return
@@ -523,7 +523,7 @@ func (r *rstream) complete(inc, seq uint64, mode Mode, cause trace.Cause, o Outc
 	}
 	// Completion may be out of order with parallel ports or custody; the
 	// watermark advances over the contiguous prefix only. A ~pipe send
-	// completing past it gets a reply of its own, so the hop watching it
+	// completing past it gets a reply of its own, so the watch upstream
 	// never waits on another chain's custody.
 	early := seq != r.watermark && r.key.custodial()
 	r.completedSet.put(seq, struct{}{})

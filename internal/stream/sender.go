@@ -72,7 +72,7 @@ var pendingPool = sync.Pool{New: func() any {
 // the promise package wraps it with types. A Pending becomes ready exactly
 // once. Readiness is ordered: the pending for call i+1 becomes ready only
 // after the pending for call i ("if the i+1st result is ready, then so is
-// the ith"), except for the epoch scheduler's sends on ~pipe streams.
+// the ith").
 //
 // The handle is a small value (copy it freely) over a pooled cell. Once
 // the outcome has been claimed, Release returns the cell to the pool so a
@@ -311,6 +311,10 @@ type Stream struct {
 	// stream. This is what detects a receiver that acknowledged requests
 	// and then crashed, leaving nothing to retransmit.
 	lastProgressAt time.Time
+
+	// watches holds, on a ~pipe stream, the epoch scheduler's watch over
+	// each send it issued, in place of a Pending.
+	watches seqRing[pipeWatch]
 }
 
 func newStream(p *Peer, key streamKey, opts Options) *Stream {
@@ -426,16 +430,17 @@ func (s *Stream) RPC(ctx context.Context, port string, args []byte) (Outcome, er
 	return o, nil
 }
 
-// enqueue admits one call. cont is non-nil only for the epoch scheduler's
-// sends (epoch.go) — a mid-chain forward or a chain's resolution — and
-// is the continuation blob they carry as it is, still naming the ORIGINAL
-// caller's promise; a call with stages (and so no cont) is a chain origin.
+// enqueue admits one call. w is non-nil only for the epoch scheduler's
+// sends (epoch.go) — a mid-chain forward or a chain's resolution — which
+// carry w.cont as it is, still naming the ORIGINAL caller's promise; a
+// call with stages (and so no w) is a chain origin. Such a send gets no
+// Pending cell, only its seq: the stream keeps w until the send resolves.
 //
 // The scheduler's sends skip the credit check: their chain was admitted
 // once, at its origin, and a scheduler parked on one downstream guardian's
 // credit would stall every other chain on the peer — including, for a
 // chain that cycles back, the one whose progress would free the credit.
-func (s *Stream) enqueue(ctx context.Context, r Req, stages []PipeStage, cont []byte) (Pending, error) {
+func (s *Stream) enqueue(ctx context.Context, r Req, stages []PipeStage, w *pipeWatch) (Pending, error) {
 	port, mode, cause := r.Port, r.Mode, r.Cause
 	args, frame := r.Args.Bytes(), r.Args.frame()
 	s.mu.Lock()
@@ -448,7 +453,7 @@ func (s *Stream) enqueue(ctx context.Context, r Req, stages []PipeStage, cont []
 			}
 			return Pending{}, err
 		}
-		if cont != nil || s.admitLocked() {
+		if w != nil || s.admitLocked() {
 			break
 		}
 		// Backpressure: the receiver's advertised credit is used up. Park
@@ -480,14 +485,20 @@ func (s *Stream) enqueue(ctx context.Context, r Req, stages []PipeStage, cont []
 	// seq-assignment critical section, because the blob embeds the promise
 	// reference (stream key + incarnation + seq) the chain's last guardian
 	// will resolve. Plain calls have no stages and skip this.
-	if len(stages) > 0 {
-		cont = encodePipeCont(pipeRef{s.key, inc, seq}, stages, &s.peer.arena)
+	p, cont := Pending{Seq: seq}, []byte(nil)
+	if w != nil {
+		cont = w.cont
+		s.watches.put(seq, *w)
+	} else {
+		if len(stages) > 0 {
+			cont = encodePipeCont(pipeRef{s.key, inc, seq}, stages, &s.peer.arena)
+		}
+		p = newPending(seq, mode, s.peer.sm, s.peer.clk)
+		s.pending.put(seq, p)
 	}
-	p := newPending(seq, mode, s.peer.sm, s.peer.clk)
-	s.pending.put(seq, p)
 	// Seq assignment, the ring insert and the batch append happen in one
 	// s.mu critical section, so a break cannot slip between them and
-	// orphan the pending.
+	// orphan the pending or the watch.
 	var now time.Time
 	if s.lane.unsent == 0 {
 		now = s.peer.clk.Now()
@@ -752,6 +763,7 @@ func (s *Stream) resolveOneLocked(seq uint64, o Outcome) {
 		p.c.resolve(o)
 		s.pending.del(seq)
 	}
+	s.resolveWatchLocked(seq, o)
 	s.heldReplies.del(seq)
 	if !o.Normal && seq > s.lastExcSeq {
 		s.lastExcSeq = seq
@@ -817,12 +829,9 @@ func (s *Stream) handleReplyBatch(b *replyBatch) {
 			s.reack = true
 		} else if r.Seq < s.nextSeq {
 			s.heldReplies.put(r.Seq, r.Outcome)
-			// A ~pipe send's pending is a scheduler watch: it resolves on its
-			// own reply, so no chain's custody waits on another's.
-			if p, ok := s.pending.get(r.Seq); ok && s.key.custodial() {
-				p.c.resolve(r.Outcome)
-				s.pending.del(r.Seq)
-			}
+			// A ~pipe send's watch ends on its own reply, so no chain's
+			// custody waits on another's.
+			s.resolveWatchLocked(r.Seq, r.Outcome)
 		}
 	}
 	s.drainResolvableLocked()
@@ -845,12 +854,21 @@ func (s *Stream) drainResolvableLocked() {
 			continue
 		}
 		p, ok := s.pending.get(seq)
-		if ok && p.c.mode == ModeSend && seq <= s.completedThrough {
+		if (ok && p.c.mode == ModeSend || s.watches.has(seq)) && seq <= s.completedThrough {
 			// Normal reply omitted on the wire: completion implies success.
 			s.resolveOneLocked(seq, NormalOutcome(nil))
 			continue
 		}
 		return
+	}
+}
+
+// resolveWatchLocked hands the watch over send seq, if the stream keeps
+// one, back to the scheduler with outcome o. Caller holds s.mu.
+func (s *Stream) resolveWatchLocked(seq uint64, o Outcome) {
+	if w, ok := s.watches.get(seq); ok {
+		s.watches.del(seq)
+		s.peer.sched.Load().end(w, o) // a watch exists only once the scheduler does
 	}
 }
 
@@ -888,12 +906,14 @@ func (s *Stream) fire(now time.Time) time.Time {
 	// The open batch's age flush is fireAge's. Retransmission is
 	// go-back-N: everything sent and not yet acked, as one batch.
 	resend := reached(s.lane.resendAt(s.opts.RTO), now)
-	// Calls are outstanding, everything transmitted is acked, and the
-	// receiver has been silent past the timeout: probe it. A live receiver
-	// answers a probe with its progress; one that crashed after acking our
-	// requests stays silent, and MaxRetries silent probes break the stream.
-	probe := !resend && !s.ackRepliesOwedLocked() &&
-		s.nextResolve < s.nextSeq && now.Sub(s.lastProgressAt) >= s.opts.RTO
+	// Nothing sent awaits its ack, the receiver holds a call it has not
+	// answered, and it has been silent past the timeout: probe it. A live
+	// receiver answers a probe with its progress; one that crashed after
+	// acking our requests stays silent, and MaxRetries silent probes break
+	// the stream. A call not yet sent, or not yet acked, is the age flush's
+	// or the retransmission timer's to look after, not a probe's.
+	probe := s.lane.resendAt(s.opts.RTO).IsZero() && !s.ackRepliesOwedLocked() &&
+		s.nextResolve <= s.lane.acked && now.Sub(s.lastProgressAt) >= s.opts.RTO
 	if (resend || probe) && sm != nil {
 		sm.rtoFires.Inc()
 	}
@@ -947,14 +967,17 @@ func (s *Stream) fire(now time.Time) time.Time {
 
 // nextDueLocked returns when fire next has work, as seen at now: now for
 // an owed pure ack, else the earlier of the lane's retransmission and,
-// with calls outstanding, a probe; zero for nothing. Caller holds s.mu.
+// with calls outstanding, a probe, which fire looks at again an RTO on
+// once it held one back; zero for nothing. Caller holds s.mu.
 func (s *Stream) nextDueLocked(now time.Time) time.Time {
 	if s.ackRepliesOwedLocked() {
 		return now
 	}
 	var probe time.Time
 	if s.nextResolve < s.nextSeq {
-		probe = s.lastProgressAt.Add(s.opts.RTO)
+		if probe = s.lastProgressAt.Add(s.opts.RTO); !probe.After(now) {
+			probe = now.Add(s.opts.RTO)
+		}
 	}
 	return earliest(probe, s.lane.resendAt(s.opts.RTO))
 }

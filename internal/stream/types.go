@@ -57,7 +57,6 @@
 package stream
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -167,10 +166,6 @@ func mustMarshal(vals ...any) []byte {
 // last synch boundary terminated exceptionally. It carries no detail about
 // which call: "to discover this, the program must use promises."
 var ErrExceptionReply = exception.New("exception_reply")
-
-// ErrBroken is returned by Call/Send/RPC attempted on a stream that is
-// broken and not (yet) reincarnated.
-var ErrBroken = errors.New("stream: broken")
 
 // Options tunes the stream protocol. The zero value selects the defaults
 // noted on each field. There is no concurrency knob: each stream runs on

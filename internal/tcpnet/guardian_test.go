@@ -285,14 +285,14 @@ func (e *replyTap) Recv(ctx context.Context) (transport.Message, error) {
 
 // TestMidChainKillOverLoopbackTCP: a chain whose stage at s3 is held, and
 // the middle guardian s2 is killed — its peer and its endpoint closed —
-// after it forwarded. s1's forward is still in s2's custody, so s1 is
-// still watching s2 over its ~pipe stream: that stream breaks, and the
-// claim returns unavailable with the break's reason.
+// after it forwarded. s1's forward is still in s2's custody, so s1 still
+// holds its watch over s2 on its ~pipe stream: that stream breaks, and
+// the claim returns unavailable with the break's reason.
 //
 // s2 is killed only once it has told s1 all it will tell of the stage
 // while it lives. A stream that completed its calls as they ran would by
-// then have reported the stage done, and s1 would have stopped watching
-// s2; only custody keeps s1 watching. The condition is read off s2's
+// then have reported the stage done, and s1's watch over s2 would have
+// ended; only custody keeps it. The condition is read off s2's
 // trace ring and s1's endpoint: s2 executed the forward, then sent two
 // probes to s3, and s1 has received every reply batch s2 sent it on that
 // ~pipe stream. A receiving stream sends what it owes — receipt, progress
