@@ -49,7 +49,7 @@ func allocTestRequestBatch() requestBatch {
 func TestAllocsEncodeRequestBatch(t *testing.T) {
 	batch := allocTestRequestBatch()
 	requireAllocCeiling(t, 1, func() {
-		_ = encodeRequestBatch(batch)
+		_ = encodeRequestBatch(batch, nil)
 	})
 }
 
@@ -69,7 +69,7 @@ func TestAllocsEncodeReplyBatch(t *testing.T) {
 			reply{Seq: uint64(i + 1), Outcome: NormalOutcome(res)})
 	}
 	requireAllocCeiling(t, 1, func() {
-		_ = encodeReplyBatch(batch)
+		_ = encodeReplyBatch(batch, nil)
 	})
 }
 
@@ -78,7 +78,7 @@ func TestAllocsEncodeReplyBatch(t *testing.T) {
 // comes from a pool, entry slices are reused at capacity, identifiers
 // hit the intern table, and argument bytes alias the datagram.
 func TestAllocsDecodeRequestBatch(t *testing.T) {
-	msg := encodeRequestBatch(allocTestRequestBatch())
+	msg := encodeRequestBatch(allocTestRequestBatch(), nil)
 	requireAllocCeiling(t, 0, func() {
 		kind, rb, _, _, err := decodeMessage(msg)
 		if err != nil || kind != kindRequestBatch {
@@ -125,6 +125,39 @@ func TestAllocsStreamCallRoundTrip(t *testing.T) { requireRoundTripAllocFree(t, 
 // allocation-free, so the ceiling is the same.
 func TestAllocsStreamCallRoundTripFlowControl(t *testing.T) {
 	requireRoundTripAllocFree(t, recvWindow, 5)
+}
+
+// TestAllocsStreamRPCRoundTrip pins an RPC's round trip under half an
+// allocation. An RPC batches nothing: its request batch and its reply
+// batch are messages of their own, one per call each way, and both are
+// carved from the peers' marshal arenas rather than allocated apiece.
+func TestAllocsStreamRPCRoundTrip(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector changes allocation counts")
+	}
+	n := simnet.New(simnet.Config{})
+	client := NewPeer(n.MustAddNode("client"), Options{})
+	server := NewPeer(n.MustAddNode("server"), Options{})
+	server.SetDispatcher(func(port string) (Handler, bool) { return echoHandler, true })
+	defer func() {
+		client.Close()
+		server.Close()
+		n.Close()
+	}()
+	s := client.Agent("alloc").Stream("server", "g")
+	arg := make([]byte, 32)
+	ctx := context.Background()
+	rpc := func() {
+		if _, err := s.RPC(ctx, "echo", arg); err != nil {
+			t.Fatalf("RPC: %v", err)
+		}
+	}
+	rpc() // warm pools, rings, and the intern table
+	got := testing.AllocsPerRun(200, rpc)
+	t.Logf("measured %.2f allocs/RPC (ceiling 0.5)", got)
+	if got >= 0.5 {
+		t.Errorf("RPC round trip = %.2f allocs, want < 0.5", got)
+	}
 }
 
 // requireRoundTripAllocFree measures windows of window echo calls, runs

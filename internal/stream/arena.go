@@ -7,28 +7,31 @@ import (
 )
 
 // arenaChunk is the size of one arena chunk: a hundred small argument
-// lists, or a few dozen continuation blobs of a typical chain.
+// lists, a few dozen continuation blobs of a typical chain, or a dozen
+// batch messages of small calls.
 const arenaChunk = 4 << 10
 
 // arena is the peer's marshal arena: the bytes of every argument and
 // result list shorter than rideAlone that the peer's callers and handlers
 // encode (Stream.Marshal, Incoming.Marshal), the continuation blob each
-// chain origin encodes, and the blobs and resolution arguments the epoch
-// scheduler builds per chain — so that small lists cost an allocation per
-// chunk rather than one each. The lock is held only for the carve, and it
-// is a leaf: a chain origin takes it inside its stream's lock. The bytes
-// are written outside it, by the goroutine that took them.
+// chain origin encodes, the blobs and resolution arguments the epoch
+// scheduler builds per chain, and every request and reply batch message
+// the peer's streams encode (encodeRequestBatch, encodeReplyBatch) — so
+// that small buffers cost an allocation per chunk rather than one each.
+// The lock is held only for the carve, and it is a leaf: a chain origin
+// and a stream encoding a batch take it inside their stream's lock. The
+// bytes are written outside it, by the goroutine that took them.
 //
 // The lifetime rule: bytes once handed out are never written again. They
 // outlive the call that took them — a request's rides in its stream's
 // unacked requests, which other goroutines re-encode on retransmission; a
 // reply's rides in the retained replies; a blob rides in unacked requests
-// and its stream's watches until its send resolves — so the arena only
-// appends: each take is carved after the last, and when the current
+// and its stream's watches until its send resolves; a message rides in
+// the transport, and the receiving end may keep viewing it — so the arena
+// only appends: each take is carved after the last, and when the current
 // chunk cannot hold the next buffer a fresh chunk replaces it. The garbage
-// collector reclaims a chunk once no unacked request, retained reply or
-// watch views it. The arena is per peer, not per stream, so an idle stream
-// pins no chunk.
+// collector reclaims a chunk once nothing views it. The arena is per peer,
+// not per stream, so an idle stream pins no chunk.
 type arena struct {
 	mu    sync.Mutex
 	chunk []byte
@@ -36,14 +39,21 @@ type arena struct {
 
 // take returns an empty buffer with room for exactly n bytes. Its capacity
 // ends where its room does, so an append past n moves to a buffer of its
-// own instead of writing into the next take's bytes. A buffer larger than a
-// chunk is allocated on its own.
+// own instead of writing into the next take's bytes. A buffer that does not
+// fit in what is left of the chunk starts a fresh chunk if it is small; one
+// larger than an eighth of a chunk is allocated on its own, and the chunk
+// keeps its tail for the small takes after it. A nil arena allocates every
+// buffer on its own.
 func (a *arena) take(n int) []byte {
-	if n > arenaChunk {
+	if a == nil || n > arenaChunk {
 		return make([]byte, 0, n)
 	}
 	a.mu.Lock()
 	if cap(a.chunk)-len(a.chunk) < n {
+		if n > arenaChunk/8 {
+			a.mu.Unlock()
+			return make([]byte, 0, n)
+		}
 		a.chunk = make([]byte, 0, arenaChunk)
 	}
 	at := len(a.chunk)

@@ -260,7 +260,7 @@ func BenchmarkEncodeRequestBatch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = encodeRequestBatch(batch)
+		_ = encodeRequestBatch(batch, nil)
 	}
 }
 
@@ -279,7 +279,7 @@ func BenchmarkDecodeRequestBatch(b *testing.B) {
 		batch.Requests = append(batch.Requests,
 			request{Seq: uint64(i + 1), Port: "echo", Mode: ModeCall, Args: arg})
 	}
-	msg := encodeRequestBatch(batch)
+	msg := encodeRequestBatch(batch, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -310,7 +310,7 @@ func BenchmarkEncodeReplyBatch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = encodeReplyBatch(batch)
+		_ = encodeReplyBatch(batch, nil)
 	}
 }
 

@@ -27,7 +27,7 @@ func TestRequestBatchRoundTrip(t *testing.T) {
 			{Seq: 20, Port: "read", Mode: ModeRPC, Args: []byte{}},
 		},
 	}
-	kind, rb, pb, bm, err := decodeMessage(encodeRequestBatch(in))
+	kind, rb, pb, bm, err := decodeMessage(encodeRequestBatch(in, nil))
 	if err != nil || kind != kindRequestBatch || pb != nil || bm != nil {
 		t.Fatalf("decode = %d, %v, %v, %v, %v", kind, rb, pb, bm, err)
 	}
@@ -59,7 +59,7 @@ func TestReplyBatchRoundTrip(t *testing.T) {
 			{Seq: 5, Outcome: Outcome{Normal: false, Exception: "no_such_user", Payload: []byte{9}}},
 		},
 	}
-	kind, rb, pb, bm, err := decodeMessage(encodeReplyBatch(in))
+	kind, rb, pb, bm, err := decodeMessage(encodeReplyBatch(in, nil))
 	if err != nil || kind != kindReplyBatch || rb != nil || bm != nil {
 		t.Fatalf("decode = %d, %v, %v, %v, %v", kind, rb, pb, bm, err)
 	}
@@ -101,7 +101,7 @@ func TestPropertyRequestBatchRoundTrip(t *testing.T) {
 				Seq: uint64(first) + 1 + uint64(i), Port: port, Mode: Mode(i % 3), Args: args,
 			})
 		}
-		kind, rb, _, _, err := decodeMessage(encodeRequestBatch(in))
+		kind, rb, _, _, err := decodeMessage(encodeRequestBatch(in, nil))
 		if err != nil || kind != kindRequestBatch {
 			return false
 		}
@@ -134,7 +134,7 @@ func FuzzRequestBatchRoundTrip(f *testing.F) {
 		if len(b.Requests) > 0 {
 			first = b.Requests[0].Seq
 		}
-		f.Add(encodeRequestBatch(b), b.Agent, b.Group, "echo", b.Incarnation, b.AckRepliesThrough,
+		f.Add(encodeRequestBatch(b, nil), b.Agent, b.Group, "echo", b.Incarnation, b.AckRepliesThrough,
 			first, uint8(len(b.Requests)), []byte{1}, uint64(7), []byte(nil))
 	}
 	f.Add([]byte{}, "a", "g", "p", uint64(1), uint64(0), uint64(0), uint8(1), []byte(nil), uint64(0), []byte(nil))
@@ -161,7 +161,7 @@ func FuzzRequestBatchRoundTrip(f *testing.F) {
 		}
 		k := uint64(len(in.Requests))
 		valid := k == 0 || first >= 1 && first <= maxSeq-(k-1)
-		kind, out, _, _, err := decodeMessage(encodeRequestBatch(in))
+		kind, out, _, _, err := decodeMessage(encodeRequestBatch(in, nil))
 		if !valid {
 			if err == nil {
 				t.Fatalf("%d requests from seq %d decoded", k, first)
@@ -212,7 +212,7 @@ func TestDecodeMessageTruncation(t *testing.T) {
 	full := encodeReplyBatch(replyBatch{
 		Agent: "a", Group: "g", Incarnation: 1, Epoch: 2,
 		Replies: []reply{{Seq: 1, Outcome: NormalOutcome([]byte("abc"))}},
-	})
+	}, nil)
 	for i := 0; i < len(full); i++ {
 		if _, _, _, _, err := decodeMessage(full[:i]); err == nil {
 			t.Fatalf("truncation at %d decoded successfully", i)
@@ -225,9 +225,9 @@ func TestDecodeMessageBitflips(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	msgs := [][]byte{
 		encodeRequestBatch(requestBatch{Agent: "a", Group: "g", Incarnation: 1,
-			Requests: []request{{Seq: 1, Port: "p", Args: []byte("xyz")}}}),
+			Requests: []request{{Seq: 1, Port: "p", Args: []byte("xyz")}}}, nil),
 		encodeReplyBatch(replyBatch{Agent: "a", Group: "g", Incarnation: 1, Epoch: 1,
-			Replies: []reply{{Seq: 1, Outcome: NormalOutcome([]byte("xyz"))}}}),
+			Replies: []reply{{Seq: 1, Outcome: NormalOutcome([]byte("xyz"))}}}, nil),
 		encodeBreak(breakMsg{Agent: "a", Group: "g", Incarnation: 1, ExcName: "e", Reason: "r"}),
 	}
 	for _, msg := range msgs {
@@ -250,7 +250,7 @@ func TestReplyBatchCreditCodecRoundTrip(t *testing.T) {
 		Replies: []reply{{Seq: 9, Outcome: NormalOutcome([]byte("ok"))}},
 		Credit:  4105,
 	}
-	kind, _, pb, _, err := decodeMessage(encodeReplyBatch(in))
+	kind, _, pb, _, err := decodeMessage(encodeReplyBatch(in, nil))
 	if err != nil || kind != kindReplyBatch {
 		t.Fatalf("decode: kind %d err %v", kind, err)
 	}
@@ -274,7 +274,7 @@ func TestCauseCodecRoundTrip(t *testing.T) {
 			{Seq: 3, Port: "q", Mode: ModeRPC, Args: nil, Root: 0xA3, Parent: 0xA1},
 		},
 	}
-	kind, out, _, _, err := decodeMessage(encodeRequestBatch(in))
+	kind, out, _, _, err := decodeMessage(encodeRequestBatch(in, nil))
 	if err != nil || kind != kindRequestBatch {
 		t.Fatalf("decode: kind %d err %v", kind, err)
 	}
@@ -399,7 +399,7 @@ func TestDecodeMessageRejectsRemovedLayouts(t *testing.T) {
 		{"request/10", req(10, 1), false},
 		{"request/8 from seq 0", req(8, 0), false},
 		{"request/8 past the widest seq", encodeRequestBatch(requestBatch{Agent: "a", Group: "g",
-			Requests: []request{{Seq: maxSeq}, {Seq: maxSeq + 1}}}), false},
+			Requests: []request{{Seq: maxSeq}, {Seq: maxSeq + 1}}}, nil), false},
 		{"request/trace-ids/8", removedRequests["trace-ids/8"], false},
 		{"request/trace-ids/9", removedRequests["trace-ids/9"], false},
 		{"reply/8", rep(8), false},

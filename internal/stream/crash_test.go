@@ -108,6 +108,42 @@ func TestReceiverRecoveryDetectedByEpoch(t *testing.T) {
 	}
 }
 
+// TestRecreatedReceiverAnswersRequestsPastGap: the receiver acks and
+// answers call 1, then crashes and recovers with fresh stream state. Call
+// 2's batch, which acks call 1's reply, reaches an end that has accepted
+// nothing: past a gap the sender will never fill, since call 1 was acked.
+// The end answers all the same, with its epoch, so the sender breaks at
+// once for the epoch check's reason instead of re-sending into silence
+// until its retries run out.
+func TestRecreatedReceiverAnswersRequestsPastGap(t *testing.T) {
+	opts := fastOpts()
+	f, clk := newVirtualFixture(t, simnet.Config{}, opts)
+	f.handle("echo", echoHandler)
+	s := f.client.Agent("a1").Stream("server", "g1")
+	if _, err := s.RPC(context.Background(), "echo", nil); err != nil {
+		t.Fatal(err)
+	}
+	f.server.Crash()
+	f.server.Recover()
+
+	p, err := s.Call("echo", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := clk.Now()
+	s.Flush()
+	o := claim(t, p)
+	if o.Normal || o.Exception != exception.NameUnavailable {
+		t.Fatalf("outcome = %+v, want unavailable", o)
+	}
+	if reason := o.Err().StringArg(0); reason != "receiver lost stream state" {
+		t.Fatalf("stream broke with %q, want the epoch check's reason", reason)
+	}
+	if elapsed := clk.Now().Sub(start); elapsed >= f.client.rtoFloor {
+		t.Fatalf("the break took %v, want it before any retransmission (the least timeout is %v)", elapsed, f.client.rtoFloor)
+	}
+}
+
 // TestProbeDoesNotBreakSlowReceiver: a receiver that is merely slow —
 // alive, answering probes, just not finished — must NOT be broken by the
 // probe machinery, no matter how many probe intervals pass.

@@ -350,3 +350,40 @@ func TestProbeAsksOnlyAfterAckedCalls(t *testing.T) {
 		t.Errorf("%d probes went out beside a batch that awaits its ack", n)
 	}
 }
+
+// TestIdleStreamArmsNoPastProbe: a stream idle past an RTO takes a call,
+// whose batch is lost. The stream's duty is armed when the flush starts
+// the retransmission timer, for when it runs out: nothing fires before,
+// where an arm at the last progress plus an RTO would lie in the past and
+// fire at the next tick for nothing.
+func TestIdleStreamArmsNoPastProbe(t *testing.T) {
+	vclk := clock.NewVirtual()
+	opts := Options{MaxBatch: 64, MaxBatchDelay: 4 * time.Millisecond, RTO: 10 * time.Millisecond, MaxRetries: 4}
+	lossy := func(_ int64, rb *requestBatch, _ *replyBatch) bool { return rb == nil || len(rb.Requests) == 0 }
+	f := newTappedFixture(t, vclk, opts, opts, lossy, passAll)
+	f.handle("echo", echoHandler)
+	events := &eventCount{}
+	f.client.SetTracer(events)
+
+	s := f.client.Agent("a").Stream("server", "g1")
+	var fires atomic.Int64
+	fire := s.due.fire
+	s.due.fire = func(at time.Time) time.Time {
+		fires.Add(1)
+		return fire(at)
+	}
+	vclk.Advance(5 * opts.RTO)
+	if _, err := s.Call("echo", nil); err != nil {
+		t.Fatal(err)
+	}
+	s.Flush()
+	resend := vclk.Now().Add(opts.RTO) // no round trip measured: the first estimate
+	stepThrough(vclk, resend.Add(-time.Microsecond), events)
+	if n := fires.Load(); n != 0 {
+		t.Errorf("the stream's duty fired %d times before its retransmission deadline", n)
+	}
+	stepThrough(vclk, resend.Add(f.client.tick), events)
+	if n := fires.Load(); n != 1 {
+		t.Errorf("the stream's duty fired %d times by its retransmission deadline, want 1", n)
+	}
+}

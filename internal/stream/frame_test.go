@@ -32,7 +32,7 @@ func checkFramedRequest(t *testing.T, b requestBatch, payload []byte) {
 	t.Helper()
 	r := &b.Requests[0]
 	r.frame, r.Args = roomy(payload)
-	want := encodeRequestBatch(b)
+	want := encodeRequestBatch(b, nil)
 	if cap(want) != len(want) {
 		t.Fatalf("copying request encoder sized its buffer at %d for %d bytes", cap(want), len(want))
 	}
@@ -58,7 +58,7 @@ func checkFramedReply(t *testing.T, b replyBatch, payload []byte) {
 	t.Helper()
 	r := &b.Replies[0]
 	r.Outcome.frame, r.Outcome.Payload = roomy(payload)
-	want := encodeReplyBatch(b)
+	want := encodeReplyBatch(b, nil)
 	if cap(want) != len(want) {
 		t.Fatalf("copying reply encoder sized its buffer at %d for %d bytes", cap(want), len(want))
 	}

@@ -66,10 +66,10 @@ func goldenReplyBatches() map[string]replyBatch {
 func goldenEncodings() map[string][]byte {
 	out := make(map[string][]byte)
 	for name, b := range goldenRequestBatches() {
-		out[name] = encodeRequestBatch(b)
+		out[name] = encodeRequestBatch(b, nil)
 	}
 	for name, b := range goldenReplyBatches() {
-		out[name] = encodeReplyBatch(b)
+		out[name] = encodeReplyBatch(b, nil)
 	}
 	return out
 }

@@ -14,10 +14,19 @@ import (
 // stamps an instant takes now, and in steady state it reuses one array.
 //
 // The directions differ in goBackN. A go-back-N lane (requests) re-sends
-// its sent prefix, and its timer restarts at every transmission. The
-// other (replies) re-sends all it holds, and its timer restarts when it
-// sends all it holds, when its ack advances and when it fills from empty.
-// Whether a retransmission counts toward a break is the owner's call.
+// the head of its sent prefix, and its timer restarts at every
+// transmission. The other (replies) re-sends all it holds, since replies
+// complete out of order and the one missing may sit behind those already
+// sent; its timer restarts when it sends all it holds, when its ack
+// advances and when it fills from empty. Whether a retransmission counts
+// toward a break is the owner's call.
+//
+// The timer runs for rto, which follows the measured round trip (RFC
+// 6298): one batch at a time is timed from the take that sends it to the
+// ack that covers it, and by Karn's rule a batch re-sent before its ack
+// gives no sample. Each firing doubles the timeout (backOff), and it stays
+// doubled until a fresh sample arrives, however often the other side
+// speaks meanwhile.
 type lane[T any, P seqItem[T]] struct {
 	goBackN bool
 
@@ -27,6 +36,15 @@ type lane[T any, P seqItem[T]] struct {
 	timer   time.Time // when the retransmission timer last restarted
 	acked   uint64    // the other side's cumulative ack
 	retries int       // retransmissions since the other side last spoke
+
+	// The round-trip estimator. srtt is zero until the first sample;
+	// timed is the highest seq of the batch being timed, sent at timedAt,
+	// or zero while none is; backoff counts the firings since the last
+	// sample.
+	srtt, rttvar time.Duration
+	timed        uint64
+	timedAt      time.Time
+	backoff      int
 
 	// lost is the owner's: the other side showed that it missed a
 	// transmission, so everything held goes out again at the next chance.
@@ -60,24 +78,37 @@ func (l *lane[T, P]) push(item T, now time.Time) bool {
 }
 
 // take moves the unsent suffix into the sent prefix for a normal flush
-// and returns it. The slice aliases the lane: it is valid while the
-// owner's lock is held.
-func (l *lane[T, P]) take(now time.Time) []T {
+// and returns it. The batch is timed if none is, unless it holds a seq
+// past ackable, the highest the other side can ack as soon as the batch
+// arrives: its ack would wait on more than the round trip. The slice
+// aliases the lane: it is valid while the owner's lock is held.
+func (l *lane[T, P]) take(now time.Time, ackable uint64) []T {
 	batch := l.items[len(l.items)-l.unsent:]
 	if l.goBackN || len(batch) == len(l.items) {
 		l.timer = now
 	}
 	l.unsent = 0
+	if l.timed == 0 && len(batch) > 0 {
+		var last uint64
+		for i := range batch {
+			last = max(last, P(&batch[i]).seq())
+		}
+		if last <= ackable {
+			l.timed, l.timedAt = last, now
+		}
+	}
 	return batch
 }
 
-// resend returns what a retransmission carries: the sent prefix of a
-// go-back-N lane, else everything held, which is then all sent. Like
+// resend returns what a retransmission carries: the first head items of a
+// go-back-N lane's sent prefix, else everything held, which is then all
+// sent (a reply lane ignores head). Whatever was being timed gives no sample now (Karn's rule). Like
 // take's, the slice aliases the lane.
-func (l *lane[T, P]) resend(now time.Time) []T {
+func (l *lane[T, P]) resend(now time.Time, head int) []T {
 	l.timer = now
+	l.timed = 0
 	if l.goBackN {
-		return l.items[:len(l.items)-l.unsent]
+		return l.items[:min(head, len(l.items)-l.unsent)]
 	}
 	l.unsent = 0
 	return l.items
@@ -94,6 +125,9 @@ func (l *lane[T, P]) ack(through uint64, now time.Time) bool {
 	l.acked = through
 	if !l.goBackN {
 		l.timer = now
+	}
+	if l.timed != 0 && through >= l.timed {
+		l.sample(now.Sub(l.timedAt))
 	}
 	// What the ack covers is a prefix, but for replies completed out of
 	// order: cut the prefix with one copy, and filter the rest only if it
@@ -125,6 +159,37 @@ func (l *lane[T, P]) retry(limit int) bool {
 	return l.retries > limit
 }
 
+// sample folds one round-trip measurement into the estimate (RFC 6298
+// §2) and ends the back-off. A zero sample (a virtual clock that did not
+// move) counts as a nanosecond, since a zero srtt means no sample yet.
+func (l *lane[T, P]) sample(r time.Duration) {
+	r = max(r, time.Nanosecond)
+	if l.srtt == 0 {
+		l.srtt, l.rttvar = r, r/2
+	} else {
+		l.rttvar = (3*l.rttvar + (l.srtt - r).Abs()) / 4
+		l.srtt = (7*l.srtt + r) / 8
+	}
+	l.timed, l.backoff = 0, 0
+}
+
+// backOff doubles the timeout after a firing of the retransmission timer.
+func (l *lane[T, P]) backOff() { l.backoff++ }
+
+// rto returns the retransmission timeout: SRTT + 4·RTTVAR clamped to
+// [floor, ceil], or ceil before the first sample, doubled per back-off
+// and never past ceil.
+func (l *lane[T, P]) rto(floor, ceil time.Duration) time.Duration {
+	d := ceil
+	if l.srtt != 0 {
+		d = min(max(l.srtt+4*l.rttvar, floor), ceil)
+	}
+	for i := 0; i < l.backoff && d < ceil; i++ {
+		d *= 2
+	}
+	return min(d, ceil)
+}
+
 // flushAt returns when the open batch is delay old, or zero if none is
 // open.
 func (l *lane[T, P]) flushAt(delay time.Duration) time.Time {
@@ -152,7 +217,8 @@ func (l *lane[T, P]) nextDue(delay, rto time.Duration) time.Time {
 	return earliest(l.flushAt(delay), l.resendAt(rto))
 }
 
-// reset empties the lane and forgets its ack, its timer and its retries.
+// reset empties the lane and forgets its ack, its timer, its retries and
+// its round-trip estimate.
 func (l *lane[T, P]) reset() { *l = lane[T, P]{goBackN: l.goBackN} }
 
 // reached reports whether an instant from flushAt, resendAt or nextDue

@@ -2,9 +2,11 @@ package stream
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,9 +16,10 @@ import (
 // refLane is the reference a lane is checked against: each direction's
 // batching and retention written out on its own, as Stream and rstream
 // kept them before they shared a type, over plain slices of seqs. A
-// request lane times what it sent from its last send of anything; a reply
-// lane times everything it holds from the later of its last full send and
-// its ack's last advance (or its birth).
+// request lane times what it sent from its last send of anything, and
+// re-sends the head of it; a reply lane times everything it holds from
+// the later of its last full send and its ack's last advance (or its
+// birth). The round-trip estimate is RFC 6298's, in floating point.
 type refLane struct {
 	goBackN      bool
 	sent, unsent []uint64
@@ -26,7 +29,17 @@ type refLane struct {
 	lastAck      time.Time // ack advance, or birth (replies)
 	acked        uint64
 	retries      int
+
+	timing       bool // a batch is timed: its highest seq and when it went
+	timedSeq     uint64
+	timedAt      time.Time
+	sampled      bool
+	srtt, rttvar float64 // ns
+	backoff      int
 }
+
+// refHead is how many requests a reference go-back-N re-send carries.
+const refHead = 4
 
 func (r *refLane) held() []uint64 { return append(slices.Clone(r.sent), r.unsent...) }
 
@@ -40,20 +53,24 @@ func (r *refLane) push(seq uint64, now time.Time) {
 	r.unsent = append(r.unsent, seq)
 }
 
-func (r *refLane) take(now time.Time) []uint64 {
+func (r *refLane) take(now time.Time, ackable uint64) []uint64 {
 	batch := r.unsent
 	if len(r.sent) == 0 {
 		r.lastFull = now
 	}
 	r.lastSend = now
 	r.sent, r.unsent = append(r.sent, batch...), nil
+	if top := slices.Max(batch); !r.timing && top <= ackable {
+		r.timing, r.timedSeq, r.timedAt = true, top, now
+	}
 	return batch
 }
 
 func (r *refLane) resend(now time.Time) []uint64 {
 	r.lastSend = now
+	r.timing = false // Karn: a re-sent batch gives no sample
 	if r.goBackN {
-		return slices.Clone(r.sent)
+		return slices.Clone(r.sent[:min(refHead, len(r.sent))])
 	}
 	r.lastFull = now
 	r.sent, r.unsent = r.held(), nil
@@ -65,6 +82,16 @@ func (r *refLane) ack(through uint64, now time.Time) {
 		return
 	}
 	r.acked, r.lastAck = through, now
+	if r.timing && through >= r.timedSeq {
+		m := float64(max(now.Sub(r.timedAt), time.Nanosecond))
+		if r.sampled {
+			r.rttvar = 0.75*r.rttvar + 0.25*math.Abs(r.srtt-m)
+			r.srtt = 0.875*r.srtt + 0.125*m
+		} else {
+			r.srtt, r.rttvar, r.sampled = m, m/2, true
+		}
+		r.timing, r.backoff = false, 0
+	}
 	above := func(s []uint64) []uint64 {
 		var kept []uint64
 		for _, q := range s {
@@ -96,6 +123,14 @@ func (r *refLane) resendAt(rto time.Duration) time.Time {
 		return stall.Add(rto)
 	}
 	return time.Time{}
+}
+
+func (r *refLane) rto(floor, ceil time.Duration) time.Duration {
+	d := float64(ceil)
+	if r.sampled {
+		d = math.Min(math.Max(r.srtt+4*r.rttvar, float64(floor)), float64(ceil))
+	}
+	return time.Duration(math.Min(d*math.Pow(2, float64(r.backoff)), float64(ceil)))
 }
 
 func seqsOf[T any, P seqItem[T]](items []T) []uint64 {
@@ -133,7 +168,8 @@ func (b *laneBytes) next() byte {
 func runLaneModel[T any, P seqItem[T]](t testing.TB, goBackN bool, prog []byte, mk func(seq uint64) T) {
 	const (
 		delay = 3 * time.Millisecond
-		rto   = 10 * time.Millisecond
+		floor = 2 * time.Millisecond
+		ceil  = 10 * time.Millisecond
 		limit = 3
 	)
 	prog = prog[:min(len(prog), 1024)] // each step costs up to the window held
@@ -183,15 +219,20 @@ func runLaneModel[T any, P seqItem[T]](t testing.TB, goBackN bool, prog []byte, 
 			}
 			slices.Sort(pushed)
 		case 2: // a flush the owner asks for: batch full, an RPC, Flush
+			// A reply batch may hold a seq the other side cannot ack yet.
+			ackable := uint64(math.MaxUint64)
+			if !goBackN {
+				ackable = nextSeq - 1 - uint64(op>>3)%2
+			}
 			if l.unsent > 0 {
-				transmit("take", l.take(now), ref.take(now))
+				transmit("take", l.take(now, ackable), ref.take(now, ackable))
 			}
 		case 3: // time passes
 			now = now.Add(time.Duration(op>>3) * time.Millisecond / 2)
 		case 4: // the owner's deadline duty: an age flush, else a retransmission
-			switch flush, resend := ref.flushAt(delay), ref.resendAt(rto); {
+			switch flush, resend := ref.flushAt(delay), ref.resendAt(l.rto(floor, ceil)); {
 			case !flush.IsZero() && !flush.After(now):
-				transmit("aged take", l.take(now), ref.take(now))
+				transmit("aged take", l.take(now, math.MaxUint64), ref.take(now, math.MaxUint64))
 			case !resend.IsZero() && !resend.After(now):
 				// Both directions count every retransmission; the owner
 				// resets the count whenever the other side speaks (5, 6).
@@ -207,7 +248,9 @@ func runLaneModel[T any, P seqItem[T]](t testing.TB, goBackN bool, prog []byte, 
 					clear(delivered)
 					continue
 				}
-				transmit("resend", l.resend(now), ref.resend(now))
+				l.backOff()
+				ref.backoff++
+				transmit("resend", l.resend(now, refHead), ref.resend(now))
 			}
 		case 5: // the other side's cumulative ack of what it got in order
 			var through uint64
@@ -242,6 +285,15 @@ func runLaneModel[T any, P seqItem[T]](t testing.TB, goBackN bool, prog []byte, 
 		if l.unsent != len(ref.unsent) || l.retries != ref.retries || l.acked != ref.acked {
 			t.Fatalf("step %d: lane unsent/retries/acked %d/%d/%d, reference %d/%d/%d", in.i,
 				l.unsent, l.retries, l.acked, len(ref.unsent), ref.retries, ref.acked)
+		}
+		// Integer smoothing truncates where the reference rounds: a few
+		// nanoseconds a sample, which the smoothing itself keeps bounded.
+		rto := l.rto(floor, ceil)
+		if d := rto - ref.rto(floor, ceil); d.Abs() > 100*time.Nanosecond {
+			t.Fatalf("step %d: lane rto %v, reference %v", in.i, rto, ref.rto(floor, ceil))
+		}
+		if rto < min(floor, ceil) || rto > ceil {
+			t.Fatalf("step %d: lane rto %v outside [%v, %v]", in.i, rto, floor, ceil)
 		}
 		for _, c := range []struct {
 			name      string
@@ -343,5 +395,176 @@ func TestAckedItemsAreNotKeptReachable(t *testing.T) {
 		if rep.Outcome.Payload != nil {
 			t.Errorf("reply slot %d still holds call %d's results", i, rep.Seq)
 		}
+	}
+}
+
+// TestLaneKarnRule: a batch re-sent before its ack gives no sample, so the
+// timeout stays at its first estimate; the next batch, sent once, does.
+func TestLaneKarnRule(t *testing.T) {
+	const floor, ceil = time.Millisecond, 25 * time.Millisecond
+	l := lane[request, *request]{goBackN: true}
+	t0 := time.Unix(1000, 0)
+	l.push(laneRequest(1), t0)
+	l.take(t0, math.MaxUint64)
+	l.backOff()
+	l.resend(t0.Add(ceil), 16)
+	l.ack(1, t0.Add(ceil+time.Millisecond))
+	if l.srtt != 0 {
+		t.Fatalf("the re-sent batch's ack gave a sample: srtt %v", l.srtt)
+	}
+	if got := l.rto(floor, ceil); got != ceil {
+		t.Fatalf("rto %v with no sample, want the first estimate %v", got, ceil)
+	}
+	t1 := t0.Add(time.Second)
+	l.push(laneRequest(2), t1)
+	l.take(t1, math.MaxUint64)
+	l.ack(2, t1.Add(2*time.Millisecond))
+	if l.srtt != 2*time.Millisecond || l.rttvar != time.Millisecond {
+		t.Fatalf("srtt/rttvar %v/%v after a 2ms sample, want 2ms/1ms", l.srtt, l.rttvar)
+	}
+	if got, want := l.rto(floor, ceil), 6*time.Millisecond; got != want {
+		t.Fatalf("rto %v, want srtt + 4·rttvar = %v", got, want)
+	}
+	if l.backoff != 0 {
+		t.Fatalf("the fresh sample left %d back-offs", l.backoff)
+	}
+}
+
+// TestLaneRTOClamp: the estimate is held to [floor, ceil], a reply batch
+// that holds a seq the other side cannot ack yet is not timed, and a
+// go-back-N re-send carries only the head of what was sent.
+func TestLaneRTOClamp(t *testing.T) {
+	const floor, ceil = 3 * time.Millisecond, 25 * time.Millisecond
+	t0 := time.Unix(1000, 0)
+	for _, c := range []struct {
+		rtt  time.Duration
+		want time.Duration
+	}{
+		{10 * time.Microsecond, floor},
+		{2 * time.Millisecond, 6 * time.Millisecond},
+		{time.Second, ceil},
+	} {
+		l := lane[reply, *reply]{}
+		l.push(laneReply(1), t0)
+		l.take(t0, 1)
+		l.ack(1, t0.Add(c.rtt))
+		if got := l.rto(floor, ceil); got != c.want {
+			t.Errorf("rtt %v: rto %v, want %v", c.rtt, got, c.want)
+		}
+	}
+
+	l := lane[reply, *reply]{}
+	l.push(laneReply(2), t0)
+	l.take(t0, 1) // call 1 has not completed: the ack of 2 waits on it
+	l.ack(2, t0.Add(time.Second))
+	if l.srtt != 0 {
+		t.Errorf("a batch past the ackable seq gave a sample: srtt %v", l.srtt)
+	}
+
+	g := lane[request, *request]{goBackN: true}
+	for seq := uint64(1); seq <= 20; seq++ {
+		g.push(laneRequest(seq), t0)
+	}
+	g.take(t0, math.MaxUint64)
+	if got := seqsOf[request, *request](g.resend(t0.Add(ceil), 8)); !slices.Equal(got, []uint64{1, 2, 3, 4, 5, 6, 7, 8}) {
+		t.Errorf("go-back-N re-send carried %v, want the head, seqs 1-8", got)
+	}
+}
+
+// TestLaneBackOffPersistsUntilSample: each firing doubles the timeout, up
+// to the ceiling, and it stays doubled while the other side speaks
+// without acking anything new; only a fresh sample ends it.
+func TestLaneBackOffPersistsUntilSample(t *testing.T) {
+	const floor, ceil = time.Millisecond, 25 * time.Millisecond
+	t0 := time.Unix(1000, 0)
+	l := lane[request, *request]{goBackN: true}
+	l.push(laneRequest(1), t0)
+	l.take(t0, math.MaxUint64)
+	l.ack(1, t0.Add(time.Millisecond)) // srtt 1ms, rttvar 0.5ms: rto 3ms
+	l.push(laneRequest(2), t0)
+	l.take(t0, math.MaxUint64)
+	for i, want := range []time.Duration{6, 12, 24, 25, 25} {
+		l.backOff()
+		l.resend(t0, 16)
+		l.ack(1, t0) // the other side speaks, with nothing new to ack
+		l.retries = 0
+		if got := l.rto(floor, ceil); got != want*time.Millisecond {
+			t.Fatalf("after %d firings rto %v, want %vms", i+1, got, want)
+		}
+	}
+	l.ack(2, t0) // acks the re-sent batch: Karn's rule, no sample
+	if got := l.rto(floor, ceil); got != ceil {
+		t.Fatalf("rto %v after an ack of a re-sent batch, want it still backed off to %v", got, ceil)
+	}
+	l.push(laneRequest(3), t0)
+	l.take(t0, math.MaxUint64)
+	l.ack(3, t0.Add(time.Millisecond)) // rttvar 0.375ms
+	if got, want := l.rto(floor, ceil), 2500*time.Microsecond; got != want {
+		t.Fatalf("rto %v after a fresh sample, want the estimate %v", got, want)
+	}
+}
+
+// lossAfterWarmUp runs echo calls one at a time on a zero-cost virtual
+// network, so both lanes measure their round trip, then loses the first
+// message lose picks and times a call through the loss. The ceiling (RTO)
+// is 200 ms, and a round trip here takes at most a tick, so the call
+// should come back within a few floors (MaxBatchDelay and a tick, 1.5 ms).
+func lossAfterWarmUp(t *testing.T, lose func(int64, *requestBatch, *replyBatch) bool, client bool) time.Duration {
+	t.Helper()
+	opts := Options{MaxBatch: 8, MaxBatchDelay: time.Millisecond, RTO: 200 * time.Millisecond, MaxRetries: 4}
+	var armed atomic.Bool
+	tap := firstOnly(func(kind int64, rb *requestBatch, pb *replyBatch) bool {
+		return armed.Load() && lose(kind, rb, pb)
+	})
+	clientTap, serverTap := passAll, tap
+	if client {
+		clientTap, serverTap = tap, passAll
+	}
+	clk := autoClock(t)
+	f := newTappedFixture(t, clk, opts, opts, clientTap, serverTap)
+	f.handle("echo", echoHandler)
+	s := f.client.Agent("a1").Stream("server", "g1")
+	call := func() Outcome {
+		p, err := s.Call("echo", []byte("x"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Flush()
+		return claim(t, p)
+	}
+	for i := 0; i < 8; i++ {
+		call()
+		clk.Sleep(5 * time.Millisecond) // the pure ack goes out
+	}
+	armed.Store(true)
+	start := clk.Now()
+	if o := call(); !o.Normal || string(o.Payload) != "x" {
+		t.Fatalf("call through the loss = %+v, want its echo", o)
+	}
+	return clk.Now().Sub(start)
+}
+
+// TestLostRequestBatchResentWithinRoundTrips: a lost request batch is
+// re-sent when the measured round trip says it is overdue, not after the
+// 200 ms ceiling.
+func TestLostRequestBatchResentWithinRoundTrips(t *testing.T) {
+	took := lossAfterWarmUp(t, func(_ int64, rb *requestBatch, _ *replyBatch) bool {
+		return rb != nil && len(rb.Requests) > 0
+	}, true)
+	t.Logf("the call took %v through its lost request batch", took)
+	if took > 20*time.Millisecond {
+		t.Errorf("the call took %v through its lost request batch, want a few round trips (< 20ms)", took)
+	}
+}
+
+// TestLostReplyBatchResentWithinRoundTrips is its twin for a lost reply
+// batch, which also carried the ack of the request.
+func TestLostReplyBatchResentWithinRoundTrips(t *testing.T) {
+	took := lossAfterWarmUp(t, func(_ int64, _ *requestBatch, pb *replyBatch) bool {
+		return pb != nil && len(pb.Replies) > 0
+	}, false)
+	t.Logf("the call took %v through its lost reply batch", took)
+	if took > 20*time.Millisecond {
+		t.Errorf("the call took %v through its lost reply batch, want a few round trips (< 20ms)", took)
 	}
 }

@@ -78,6 +78,9 @@ type Peer struct {
 	// k·tick, k ≥ 1: at the first grid instant at or after it falls due.
 	start time.Time
 	tick  time.Duration
+	// rtoFloor is the least retransmission timeout: MaxBatchDelay and a
+	// tick, what the other end may take to ack a batch that arrived.
+	rtoFloor time.Duration
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -161,6 +164,7 @@ func NewPeer(ep transport.Endpoint, opts Options) *Peer {
 	if p.tick < 200*time.Microsecond {
 		p.tick = 200 * time.Microsecond
 	}
+	p.rtoFloor = opts.MaxBatchDelay + p.tick
 	p.start = p.clk.Now()
 	p.dues = pqueue.NewHeap(func(a, b dueEntry) bool {
 		return a.at.Before(b.at) || a.at.Equal(b.at) && a.d.rank < b.d.rank

@@ -252,7 +252,7 @@ func TestMalformedContinuationFailsCall(t *testing.T) {
 	})
 	msg := encodeRequestBatch(requestBatch{Agent: "app", Group: "g", Incarnation: 1,
 		Requests: []request{{Seq: 1, Port: "inc", Mode: ModeCall, Args: encInt(1),
-			Cont: []byte("not a continuation")}}})
+			Cont: []byte("not a continuation")}}}, nil)
 	if err := raw.Send("ga", msg); err != nil {
 		t.Fatal(err)
 	}
@@ -742,7 +742,7 @@ func TestCustodyEndsWhenForwardResolves(t *testing.T) {
 	out := gc.recvs[streamKey{senderNode: "gb", agent: pipeAgentName, recvNode: "gc", group: "g"}]
 	gc.mu.Unlock()
 	reply := encodeReplyBatch(replyBatch{Agent: pipeAgentName, Group: "g", Incarnation: 1,
-		Epoch: out.epoch, AckRequestsThrough: 1, CompletedThrough: 1, Credit: 1 + recvWindow})
+		Epoch: out.epoch, AckRequestsThrough: 1, CompletedThrough: 1, Credit: 1 + recvWindow}, nil)
 	gb.handleMessage(transport.Message{From: "gc", To: "gb", Payload: reply})
 	waitFor(t, "gb's custody outlived the forward it waited on", func() bool { return completed() == 1 })
 }

@@ -288,13 +288,13 @@ func (r *rstream) handleRequestBatch(b *requestBatch) {
 	}
 
 	sm := r.peer.sm
-	expected, lost := r.expected, r.lane.lost
+	expected, lost, dup := r.expected, r.lane.lost, false
 	for _, req := range b.Requests {
 		switch {
 		case req.Seq < r.expected, r.oo.has(req.Seq):
 			// Duplicate of a request already received: our reply batch
 			// was probably lost; retransmit retained replies soon.
-			lost = true
+			lost, dup = true, true
 			if sm != nil {
 				sm.duplicateReqs.Inc()
 			}
@@ -317,18 +317,25 @@ func (r *rstream) handleRequestBatch(b *requestBatch) {
 	if hand {
 		r.running = true
 	}
-	// Duplicate requests are evidence the sender missed replies: only
-	// then does a flush re-send the full retained set. A probe is the
+	// Duplicate requests are evidence the sender missed replies, or our
+	// ack: only then does a flush re-send the full retained set, and with
+	// none held we answer with the ack, since the sender re-sends only the
+	// head of what it sent and would repeat the duplicate. A probe is the
 	// sender asking after our liveness; answer with progress — and
 	// whatever suffix is pending — so the sender knows this end is alive
-	// and which boot epoch it is talking to. A pure ack asks nothing.
+	// and which boot epoch it is talking to. So are requests whose batch
+	// acks a reply through a seq this end had not accepted: the sender
+	// heard it from another end, so this one was recreated by a crash, and
+	// the calls before the gap, acked by its predecessor, will never come;
+	// only our epoch tells the sender so. A pure ack asks nothing.
 	var msg []byte
-	if arrived := r.expected > expected; arrived || lost || b.Probe != 0 {
+	recreated := len(b.Requests) > 0 && b.AckRepliesThrough >= expected
+	if arrived := r.expected > expected; arrived || lost || recreated || b.Probe != 0 {
 		r.lane.lost = lost
 		if lost && len(r.lane.items) > 0 {
 			msg = r.buildReplyBatchLocked(true)
 			r.lane.lost = false
-		} else if b.Probe != 0 {
+		} else if dup || recreated || b.Probe != 0 {
 			msg = r.buildReplyBatchLocked(false)
 		}
 		if r.noteOwedLocked() {
@@ -648,9 +655,11 @@ func (r *rstream) buildReplyBatchLocked(retransmit bool) []byte {
 	}
 	var reps []reply
 	if retransmit {
-		reps = r.lane.resend(now)
+		reps = r.lane.resend(now, 0)
 	} else {
-		reps = r.lane.take(now)
+		// The sender acks a reply once it resolves, so at once only if
+		// every earlier call has completed.
+		reps = r.lane.take(now, completed)
 	}
 	r.sentCompleted = completed
 	r.sentAcked = r.expected - 1
@@ -679,7 +688,7 @@ func (r *rstream) buildReplyBatchLocked(retransmit bool) []byte {
 		msg = frameReplyBatch(batch)
 	}
 	if msg == nil {
-		msg = encodeReplyBatch(batch)
+		msg = encodeReplyBatch(batch, &r.peer.arena)
 	} else {
 		reps[0].Outcome.frame = nil // spent: the buffer is the transport's now
 	}
@@ -751,15 +760,15 @@ func (r *rstream) fire(now time.Time) time.Time {
 	switch {
 	case reached(r.lane.flushAt(r.opts.MaxBatchDelay), now), r.noteOwedLocked():
 		msg = r.buildReplyBatchLocked(false)
-	case reached(r.lane.resendAt(r.opts.RTO), now):
+	case reached(r.lane.resendAt(r.rtoLocked()), now):
 		// The sender's reply ack has stalled a full RTO with replies
 		// retained: some reply batch (which also carried our request ack)
 		// was lost, or the sender cannot reach us. Re-send everything
-		// retained, paced one RTO apart. This is the only path — besides
-		// duplicate-request evidence — that re-sends already-transmitted
-		// replies. A live sender answers even when it cannot ack yet
-		// (Stream.reack), so only re-sends met with silence add up to a
-		// break.
+		// retained, each re-send doubling the wait before the next. This is
+		// the only path — besides duplicate-request evidence — that re-sends
+		// already-transmitted replies. A live sender answers even when it
+		// cannot ack yet (Stream.reack), so only re-sends met with silence
+		// add up to a break.
 		if sm := r.peer.sm; sm != nil {
 			sm.recvRTOFires.Inc()
 		}
@@ -768,13 +777,14 @@ func (r *rstream) fire(now time.Time) time.Time {
 			// receiving side. Further calls will be discarded.
 			breakNote = r.breakLocked(exception.Unavailable("cannot communicate"))
 		} else {
+			r.lane.backOff()
 			msg = r.buildReplyBatchLocked(true)
 		}
 	}
 	if breakNote == nil {
 		next = now // owed progress or receipt
 		if !r.noteOwedLocked() {
-			next = r.lane.nextDue(r.opts.MaxBatchDelay, r.opts.RTO)
+			next = r.lane.nextDue(r.opts.MaxBatchDelay, r.rtoLocked())
 		}
 	}
 	r.mu.Unlock()
@@ -799,6 +809,10 @@ func (r *rstream) noteOwedLocked() bool {
 	return r.completedThroughNow() > r.sentCompleted ||
 		r.lane.unsent == 0 && r.expected-1 > r.sentAcked
 }
+
+// rtoLocked returns the reply lane's retransmission timeout, bounded as
+// the request lane's is (Stream.rtoLocked). Caller holds r.mu.
+func (r *rstream) rtoLocked() time.Duration { return r.lane.rto(r.peer.rtoFloor, r.opts.RTO) }
 
 func (r *rstream) close() {
 	r.mu.Lock()

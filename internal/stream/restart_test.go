@@ -104,7 +104,7 @@ func TestStaleIncarnationBatchIgnored(t *testing.T) {
 	stale := encodeRequestBatch(requestBatch{
 		Agent: "a1", Group: "g1", Incarnation: 1,
 		Requests: []request{{Seq: 1, Port: "rec", Mode: ModeCall, Args: []byte{1}}},
-	})
+	}, nil)
 	node, _ := f.net.Node("client")
 	if err := node.Send("server", stale); err != nil {
 		t.Fatal(err)

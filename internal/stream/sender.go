@@ -2,6 +2,7 @@ package stream
 
 import (
 	"context"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -478,7 +479,6 @@ func (s *Stream) enqueue(ctx context.Context, r Req, stages []PipeStage, w *pipe
 		}
 		s.mu.Lock()
 	}
-	idle := s.nextResolve == s.nextSeq
 	seq, inc := s.nextSeq, s.incarnation
 	s.nextSeq++
 	// A chain origin encodes its continuation here, inside the
@@ -510,9 +510,6 @@ func (s *Stream) enqueue(ctx context.Context, r Req, stages []PipeStage, w *pipe
 	full := s.lane.unsent >= s.opts.MaxBatch || mode == ModeRPC || frame != nil
 	if !full && opened {
 		s.peer.arm(&s.ageDue, now.Add(s.opts.MaxBatchDelay), now)
-	}
-	if idle { // a probe is due if the receiver stays silent; the push read now
-		s.peer.arm(&s.due, s.lastProgressAt.Add(s.opts.RTO), now)
 	}
 	s.mu.Unlock()
 	if sm := s.peer.sm; sm != nil {
@@ -556,7 +553,10 @@ func (s *Stream) Flush() {
 	}
 	now := s.peer.clk.Now()
 	batchWait := now.Sub(s.lane.opened)
-	batch := s.lane.take(now)
+	batch := s.lane.take(now, math.MaxUint64) // a request is acked on receipt
+	// The retransmission timer restarted: fire looks after it, and after
+	// the probe it may owe once the batch is acked.
+	s.peer.arm(&s.due, s.lane.resendAt(s.rtoLocked()), now)
 	hdr := s.batchLocked(batch)
 	window := s.nextSeq - s.nextResolve // unresolved calls outstanding
 	// Only this first transmission may build the message in the call's own
@@ -565,7 +565,7 @@ func (s *Stream) Flush() {
 	// the transport.
 	msg := frameRequestBatch(hdr)
 	if msg == nil {
-		msg = encodeRequestBatch(hdr)
+		msg = encodeRequestBatch(hdr, &s.peer.arena)
 	}
 	firstSeq, n := batch[0].Seq, len(batch)
 	s.mu.Unlock()
@@ -904,15 +904,18 @@ func (s *Stream) fire(now time.Time) time.Time {
 	}
 	sm := s.peer.sm
 	// The open batch's age flush is fireAge's. Retransmission is
-	// go-back-N: everything sent and not yet acked, as one batch.
-	resend := reached(s.lane.resendAt(s.opts.RTO), now)
+	// go-back-N from the head: the first MaxBatch requests sent and not yet
+	// acked, as one batch, once the timer runs out (rtoLocked).
+	resendAt := s.lane.resendAt(s.rtoLocked())
+	resend := reached(resendAt, now)
 	// Nothing sent awaits its ack, the receiver holds a call it has not
 	// answered, and it has been silent past the timeout: probe it. A live
 	// receiver answers a probe with its progress; one that crashed after
 	// acking our requests stays silent, and MaxRetries silent probes break
 	// the stream. A call not yet sent, or not yet acked, is the age flush's
-	// or the retransmission timer's to look after, not a probe's.
-	probe := s.lane.resendAt(s.opts.RTO).IsZero() && !s.ackRepliesOwedLocked() &&
+	// or the retransmission timer's to look after, not a probe's. Probes
+	// are paced at Options.RTO: they ask after liveness, not after loss.
+	probe := resendAt.IsZero() && !s.ackRepliesOwedLocked() &&
 		s.nextResolve <= s.lane.acked && now.Sub(s.lastProgressAt) >= s.opts.RTO
 	if (resend || probe) && sm != nil {
 		sm.rtoFires.Inc()
@@ -924,8 +927,9 @@ func (s *Stream) fire(now time.Time) time.Time {
 		s.sendNote(note)
 		return time.Time{}
 	case resend:
-		reqs := s.lane.resend(now)
-		toSend = encodeRequestBatch(s.batchLocked(reqs))
+		s.lane.backOff()
+		reqs := s.lane.resend(now, s.opts.MaxBatch)
+		toSend = encodeRequestBatch(s.batchLocked(reqs), &s.peer.arena)
 		if sm != nil {
 			sm.batchesSent.Inc()
 			sm.retransmits.Inc()
@@ -938,7 +942,7 @@ func (s *Stream) fire(now time.Time) time.Time {
 		s.lastProgressAt = now // pace probes one RTO apart
 		b := s.batchLocked(nil)
 		b.Probe = s.nextSeq - uint64(s.lane.unsent)
-		toSend = encodeRequestBatch(b)
+		toSend = encodeRequestBatch(b, &s.peer.arena)
 		if sm != nil {
 			sm.batchesSent.Inc()
 			sm.probes.Inc()
@@ -948,7 +952,7 @@ func (s *Stream) fire(now time.Time) time.Time {
 		}
 	case s.ackRepliesOwedLocked():
 		// Pure ack so the receiver can release retained replies.
-		toSend = encodeRequestBatch(s.batchLocked(nil))
+		toSend = encodeRequestBatch(s.batchLocked(nil), &s.peer.arena)
 		if sm != nil {
 			sm.batchesSent.Inc()
 			sm.acks.Inc()
@@ -979,8 +983,14 @@ func (s *Stream) nextDueLocked(now time.Time) time.Time {
 			probe = now.Add(s.opts.RTO)
 		}
 	}
-	return earliest(probe, s.lane.resendAt(s.opts.RTO))
+	return earliest(probe, s.lane.resendAt(s.rtoLocked()))
 }
+
+// rtoLocked returns the request lane's retransmission timeout: the
+// estimate from its measured round trip, at least MaxBatchDelay and a tick
+// (what a receiver may take to ack) and at most Options.RTO. Caller holds
+// s.mu.
+func (s *Stream) rtoLocked() time.Duration { return s.lane.rto(s.peer.rtoFloor, s.opts.RTO) }
 
 // ackRepliesOwedLocked reports whether replies have resolved since the
 // last ack we transmitted, i.e. the receiver is still retaining replies

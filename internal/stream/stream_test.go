@@ -801,7 +801,7 @@ func TestMessageCodecRoundTrip(t *testing.T) {
 			{Seq: 19, Port: "p2", Mode: ModeSend, Args: []byte{}},
 		},
 	}
-	kind, got, _, _, err := decodeMessage(encodeRequestBatch(rb))
+	kind, got, _, _, err := decodeMessage(encodeRequestBatch(rb, nil))
 	if err != nil || kind != kindRequestBatch {
 		t.Fatalf("decode: kind=%d err=%v", kind, err)
 	}
@@ -819,7 +819,7 @@ func TestMessageCodecRoundTrip(t *testing.T) {
 			{Seq: 19, Outcome: Outcome{Normal: false, Exception: "e", Payload: []byte{}}},
 		},
 	}
-	kind, _, gpb, _, err := decodeMessage(encodeReplyBatch(pb))
+	kind, _, gpb, _, err := decodeMessage(encodeReplyBatch(pb, nil))
 	if err != nil || kind != kindReplyBatch {
 		t.Fatalf("decode: kind=%d err=%v", kind, err)
 	}

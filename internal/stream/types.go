@@ -181,13 +181,19 @@ type Options struct {
 	// MaxBatchDelay bounds how long a buffered call or reply may wait
 	// before the batch is transmitted anyway. Default 2ms.
 	MaxBatchDelay time.Duration
-	// RTO is the retransmission timeout for unacknowledged batches.
-	// Default 25ms.
+	// RTO is the first retransmission timeout for unacknowledged batches
+	// and its ceiling. Each direction of a stream then measures its round
+	// trip and re-sends after SRTT + 4·RTTVAR (RFC 6298, Karn's rule), at
+	// least MaxBatchDelay and a tick, doubling the timeout on each
+	// re-send until a fresh measurement. Probes of a silent receiver stay
+	// RTO apart. Default 25ms.
 	RTO time.Duration
-	// MaxRetries is how many retransmissions without progress are
-	// attempted before the system gives up and breaks the stream.
-	// Default 8. ("The system tries hard to deliver messages before
-	// breaking a stream.")
+	// MaxRetries is how many retransmissions or probes met with silence
+	// are attempted before the system gives up and breaks the stream: the
+	// MaxRetries+1st unanswered firing breaks it, which with back-off and
+	// the default options comes ~170ms after the last word from a peer
+	// that fell silent with calls unacked. Default 8. ("The system tries
+	// hard to deliver messages before breaking a stream.")
 	MaxRetries int
 	// Clock is the peer's time source: its deadline queue, RTO and
 	// batching-delay staleness, break timeouts, trace timestamps. Default:
@@ -336,12 +342,13 @@ func hasConts(reqs []request) bool {
 // carries a continuation chain a 9th follows: one continuation blob per
 // request, empty for the plain ones.
 //
-// The message is built once, in a buffer of exactly its size (the sum
-// below mirrors the three append helpers; a mismatch would only make
-// append grow the buffer, and TestBatchEncodersAllocateExactly catches
-// it). frameRequestBatch (frame.go) writes the same three parts around a
-// payload that is already in place.
-func encodeRequestBatch(b requestBatch) []byte {
+// The message is built once, in a buffer of exactly its size carved from
+// the sending peer's marshal arena a (the sum below mirrors the three
+// append helpers; a mismatch would only make append grow the buffer, and
+// TestBatchEncodersAllocateExactly catches it). frameRequestBatch
+// (frame.go) writes the same three parts around a payload that is already
+// in place.
+func encodeRequestBatch(b requestBatch, a *arena) []byte {
 	conts := hasConts(b.Requests)
 	n := len(b.Requests)
 	first := b.Probe // a probe or an ack has no requests
@@ -362,7 +369,7 @@ func encodeRequestBatch(b requestBatch) []byte {
 			size += wire.SizeBlob(len(r.Cont))
 		}
 	}
-	buf := appendRequestsOpen(make([]byte, 0, size), &b, first, conts)
+	buf := appendRequestsOpen(a.take(size), &b, first, conts)
 	for i := range b.Requests {
 		buf = appendRequestOpen(buf, &b.Requests[i])
 		buf = append(buf, b.Requests[i].Args...)
@@ -416,9 +423,9 @@ func appendRequestsClose(buf []byte, reqs []request, conts bool) []byte {
 // kind, agent, group, incarnation, epoch, request ack, completed prefix,
 // the [seq, normal, excName, payload] tuples and the admission credit.
 //
-// Built once at its exact size, like a request batch; frameReplyBatch
-// (frame.go) is the in-place counterpart.
-func encodeReplyBatch(b replyBatch) []byte {
+// Built once at its exact size from the arena a, like a request batch;
+// frameReplyBatch (frame.go) is the in-place counterpart.
+func encodeReplyBatch(b replyBatch, a *arena) []byte {
 	n := len(b.Replies)
 	size := 1 + 2 + wire.SizeBlob(len(b.Agent)) + wire.SizeBlob(len(b.Group)) +
 		wire.SizeInt(int64(b.Incarnation)) + wire.SizeInt(int64(b.Epoch)) +
@@ -428,7 +435,7 @@ func encodeReplyBatch(b replyBatch) []byte {
 		r := &b.Replies[i]
 		size += wire.SizeInt(int64(r.Seq)) + wire.SizeBlob(len(r.Outcome.Exception)) + wire.SizeBlob(len(r.Outcome.Payload))
 	}
-	buf := appendRepliesOpen(make([]byte, 0, size), &b)
+	buf := appendRepliesOpen(a.take(size), &b)
 	for i := range b.Replies {
 		buf = appendReplyOpen(buf, &b.Replies[i])
 		buf = append(buf, b.Replies[i].Outcome.Payload...)
