@@ -127,19 +127,24 @@ func TestPropertyRequestBatchRoundTrip(t *testing.T) {
 // in place of a first seq (a probe's next unsent seq, a pure ack's 0); a
 // batch with requests that would start at seq 0, or run past the widest
 // seq the integer encoding carries, is rejected; and arbitrary bytes
-// never panic the decoder.
+// never panic the decoder. Every golden message of either batch kind
+// seeds the arbitrary bytes, those that report a hole in Held included.
 func FuzzRequestBatchRoundTrip(f *testing.F) {
 	for _, b := range goldenRequestBatches() {
 		var first uint64
 		if len(b.Requests) > 0 {
 			first = b.Requests[0].Seq
 		}
-		f.Add(encodeRequestBatch(b, nil), b.Agent, b.Group, "echo", b.Incarnation, b.AckRepliesThrough,
+		f.Add(encodeRequestBatch(b, nil), b.Agent, b.Group, "echo", b.Incarnation, b.AckRepliesThrough, b.Held,
 			first, uint8(len(b.Requests)), []byte{1}, uint64(7), []byte(nil))
 	}
-	f.Add([]byte{}, "a", "g", "p", uint64(1), uint64(0), uint64(0), uint8(1), []byte(nil), uint64(0), []byte(nil))
-	f.Add([]byte{8}, "a", "g", "p", uint64(1), uint64(0), uint64(maxSeq), uint8(2), []byte(nil), uint64(0), []byte("c"))
-	f.Fuzz(func(t *testing.T, raw []byte, agent, group, port string, inc, ack, first uint64, n uint8,
+	for _, b := range goldenReplyBatches() {
+		f.Add(encodeReplyBatch(b, nil), b.Agent, b.Group, "echo", b.Incarnation, b.AckRequestsThrough, b.Held,
+			uint64(1), uint8(1), []byte{2}, uint64(0), []byte{3})
+	}
+	f.Add([]byte{}, "a", "g", "p", uint64(1), uint64(0), uint64(0), uint64(0), uint8(1), []byte(nil), uint64(0), []byte(nil))
+	f.Add([]byte{8}, "a", "g", "p", uint64(1), uint64(0), uint64(maxSeq), uint64(maxSeq), uint8(2), []byte(nil), uint64(0), []byte("c"))
+	f.Fuzz(func(t *testing.T, raw []byte, agent, group, port string, inc, ack, held, first uint64, n uint8,
 		args []byte, cause uint64, cont []byte) {
 		if kind, rb, pb, _, err := decodeMessage(raw); err == nil && kind == kindRequestBatch {
 			releaseRequestBatch(rb)
@@ -147,7 +152,7 @@ func FuzzRequestBatchRoundTrip(f *testing.F) {
 			releaseReplyBatch(pb)
 		}
 
-		in := requestBatch{Agent: agent, Group: group, Incarnation: inc, AckRepliesThrough: ack}
+		in := requestBatch{Agent: agent, Group: group, Incarnation: inc, AckRepliesThrough: ack, Held: held}
 		for i := 0; i < int(n%40); i++ {
 			r := request{Seq: first + uint64(i), Port: port, Mode: Mode(i % 3), Args: args,
 				Root: cause + uint64(i), Parent: cause ^ uint64(i)}
@@ -173,7 +178,7 @@ func FuzzRequestBatchRoundTrip(f *testing.F) {
 		}
 		defer releaseRequestBatch(out)
 		if out.Agent != agent || out.Group != group || out.Incarnation != inc ||
-			out.AckRepliesThrough != ack || out.Probe != in.Probe || len(out.Requests) != len(in.Requests) {
+			out.AckRepliesThrough != ack || out.Held != held || out.Probe != in.Probe || len(out.Requests) != len(in.Requests) {
 			t.Fatalf("header %+v, %d requests; want %+v", *out, len(out.Requests), in)
 		}
 		for i, want := range in.Requests {
@@ -242,11 +247,11 @@ func TestDecodeMessageBitflips(t *testing.T) {
 }
 
 // TestReplyBatchCreditCodecRoundTrip: the admission credit, a reply
-// batch's 9th value, survives encode/decode.
+// batch's 10th value, and Held before it survive encode/decode.
 func TestReplyBatchCreditCodecRoundTrip(t *testing.T) {
 	in := replyBatch{
 		Agent: "a1", Group: "g1", Incarnation: 2, Epoch: 5,
-		AckRequestsThrough: 9, CompletedThrough: 9,
+		AckRequestsThrough: 9, Held: 300, CompletedThrough: 9,
 		Replies: []reply{{Seq: 9, Outcome: NormalOutcome([]byte("ok"))}},
 		Credit:  4105,
 	}
@@ -254,8 +259,8 @@ func TestReplyBatchCreditCodecRoundTrip(t *testing.T) {
 	if err != nil || kind != kindReplyBatch {
 		t.Fatalf("decode: kind %d err %v", kind, err)
 	}
-	if pb.Credit != 4105 {
-		t.Fatalf("Credit = %d, want 4105", pb.Credit)
+	if pb.Credit != 4105 || pb.Held != 300 {
+		t.Fatalf("Credit, Held = %d, %d; want 4105, 300", pb.Credit, pb.Held)
 	}
 	if pb.CompletedThrough != 9 || len(pb.Replies) != 1 {
 		t.Fatalf("batch = %+v", pb)
@@ -300,12 +305,17 @@ func TestCauseCodecRoundTrip(t *testing.T) {
 // sender held a receiver's break open for a grace period: 8 values, with a
 // synchronous flag and the seq the break came after before the exception.
 //
-// removedRequests are request batches in the layout the encoders wrote
-// from commit ce35917 until the first-seq layout replaced it (copied from
-// the goldens they printed): a seq in every request tuple, and a list of
-// trace IDs before the cause list. The first is 8 values, the second 9,
-// with continuations. Their 6th value is a list where a batch now has its
-// first seq.
+// removedRequests are request batches in two layouts earlier encoders
+// wrote (copied from the goldens they printed). From commit ce35917 until
+// the first-seq layout replaced it, trace-ids: a seq in every request
+// tuple, and a list of trace IDs before the cause list, 8 values or 9 with
+// continuations; their 6th value is a list where a batch now has its
+// first seq. Then no-held: the first-seq layout before Held, 8 values or
+// 9, whose 6th value is the first seq where a batch now has Held, and an
+// empty batch (a probe) of that layout.
+//
+// removedReplies is the reply batch of the layout before Held: 9 values,
+// the completed prefix 7th where a batch now has Held.
 var (
 	removedKinds = map[string][]byte{
 		"resolve/10":    mustHex("0a03080502643005046d61696e03080506636c69656e7405027331039a01020500062807070707070707070707070707070707070707070707070707070707070707070707070707070707"),
@@ -315,8 +325,14 @@ var (
 		"synchronous/8": mustMarshal(kindBreak, "a", "g", int64(1), true, int64(3), exception.NameFailure, "could not decode"),
 	}
 	removedRequests = map[string][]byte{
-		"trace-ids/8": mustHex("080302050261310502673103060322070107040324050c7265636f72645f6772616465030006020102070103fcabfeeeb7ab6f0702030e0312"),
-		"trace-ids/9": mustHex("0903020501610501670302030807020704030a0503696e630300060203040704030c0503696e63030006010507020316031807040300030003160316070206000611636f6e74696e756174696f6e20626c6f62"),
+		"trace-ids/8":     mustHex("080302050261310502673103060322070107040324050c7265636f72645f6772616465030006020102070103fcabfeeeb7ab6f0702030e0312"),
+		"trace-ids/9":     mustHex("0903020501610501670302030807020704030a0503696e630300060203040704030c0503696e63030006010507020316031807040300030003160316070206000611636f6e74696e756174696f6e20626c6f62"),
+		"no-held/8":       mustHex("080302050261310502673103060322032407010703050c7265636f72645f67726164650300060201020702030e0312"),
+		"no-held/9":       mustHex("09030205016105016703020308030a070207030503696e6303000602030407030503696e63030006010507040300030003160316070206000611636f6e74696e756174696f6e20626c6f62"),
+		"no-held/8 probe": mustHex("080302050261310502673103020300030007000700"),
+	}
+	removedReplies = map[string][]byte{
+		"no-held/9": mustHex("090304050261310502673103040390e4d0b287d3aeeefe01030e030a07020704030802050006026f6b0704030a01050c6e6f5f737563685f75736572060109038a40"),
 	}
 )
 
@@ -329,14 +345,15 @@ func mustHex(s string) []byte {
 }
 
 // TestDecodeMessageRejectsRemovedLayouts: the decoder accepts one layout
-// per message kind — request batches of 8 values, or 9 with continuations,
-// reply batches of 9, and breaks of 6. The shorter and longer forms earlier
-// encoders wrote (requests without trace IDs or causes, replies without
-// credit or with a piped-seq list, breaks with a synchronous flag and break
-// point) are errors, as are requests that carry their seqs and trace IDs,
-// the removed kinds 4 and 5, and anything else.
+// per message kind — request batches of 9 values, or 10 with
+// continuations, reply batches of 10, and breaks of 6. The shorter and
+// longer forms earlier encoders wrote (requests without trace IDs or
+// causes, replies without credit or with a piped-seq list, breaks with a
+// synchronous flag and break point, batches of either kind without Held)
+// are errors, as are requests that carry their seqs and trace IDs, the
+// removed kinds 4 and 5, and anything else.
 func TestDecodeMessageRejectsRemovedLayouts(t *testing.T) {
-	// The values after the seventh of a request batch, in order.
+	// The values after the eighth of a request batch, in order.
 	reqTail := []func([]byte) []byte{
 		func(b []byte) []byte { return wire.AppendInt(wire.AppendInt(wire.AppendList(b, 2), 5), 6) }, // causes
 		func(b []byte) []byte { return wire.AppendBytes(wire.AppendList(b, 1), nil) },                // continuations
@@ -352,6 +369,7 @@ func TestDecodeMessageRejectsRemovedLayouts(t *testing.T) {
 		b = wire.AppendString(b, "g")
 		b = wire.AppendInt(b, 1) // incarnation
 		b = wire.AppendInt(b, 0) // reply ack
+		b = wire.AppendInt(b, 0) // held
 		if first >= 0 {
 			b = wire.AppendInt(b, first)
 		}
@@ -360,7 +378,7 @@ func TestDecodeMessageRejectsRemovedLayouts(t *testing.T) {
 		b = wire.AppendString(b, "echo")
 		b = wire.AppendInt(b, int64(ModeCall))
 		b = wire.AppendBytes(b, []byte{7})
-		for _, tail := range reqTail[:max(nvals-7, 0)] {
+		for _, tail := range reqTail[:max(nvals-8, 0)] {
 			b = tail(b)
 		}
 		return b
@@ -370,7 +388,7 @@ func TestDecodeMessageRejectsRemovedLayouts(t *testing.T) {
 		b = wire.AppendInt(b, kindReplyBatch)
 		b = wire.AppendString(b, "a")
 		b = wire.AppendString(b, "g")
-		for _, v := range []int64{1, 9, 1, 1} { // incarnation, epoch, request ack, completed
+		for _, v := range []int64{1, 9, 1, 0, 1} { // incarnation, epoch, request ack, held, completed
 			b = wire.AppendInt(b, v)
 		}
 		b = wire.AppendList(b, 1)
@@ -379,10 +397,10 @@ func TestDecodeMessageRejectsRemovedLayouts(t *testing.T) {
 		b = wire.AppendBool(b, true)
 		b = wire.AppendString(b, "")
 		b = wire.AppendBytes(b, []byte("ok"))
-		if nvals > 8 {
+		if nvals > 9 {
 			b = wire.AppendInt(b, 4097) // credit
 		}
-		if nvals > 9 {
+		if nvals > 10 {
 			b = wire.AppendInt(wire.AppendList(b, 1), 1) // piped seqs
 		}
 		return b
@@ -392,19 +410,23 @@ func TestDecodeMessageRejectsRemovedLayouts(t *testing.T) {
 		msg  []byte
 		ok   bool
 	}{
-		{"request/6", req(6, -1), false},
-		{"request/7", req(7, 1), false},
-		{"request/8", req(8, 1), true},
+		{"request/7", req(7, -1), false},
+		{"request/8", req(8, 1), false},
 		{"request/9", req(9, 1), true},
-		{"request/10", req(10, 1), false},
-		{"request/8 from seq 0", req(8, 0), false},
+		{"request/10", req(10, 1), true},
+		{"request/11", req(11, 1), false},
+		{"request/9 from seq 0", req(9, 0), false},
 		{"request/8 past the widest seq", encodeRequestBatch(requestBatch{Agent: "a", Group: "g",
 			Requests: []request{{Seq: maxSeq}, {Seq: maxSeq + 1}}}, nil), false},
 		{"request/trace-ids/8", removedRequests["trace-ids/8"], false},
 		{"request/trace-ids/9", removedRequests["trace-ids/9"], false},
-		{"reply/8", rep(8), false},
-		{"reply/9", rep(9), true},
-		{"reply/10", rep(10), false},
+		{"request/no-held/8", removedRequests["no-held/8"], false},
+		{"request/no-held/9", removedRequests["no-held/9"], false},
+		{"request/no-held/8 probe", removedRequests["no-held/8 probe"], false},
+		{"reply/9", rep(9), false},
+		{"reply/10", rep(10), true},
+		{"reply/11", rep(11), false},
+		{"reply/no-held/9", removedReplies["no-held/9"], false},
 		{"break/5", append(wire.AppendHeader(nil, 5), encodeBreak(breakMsg{Agent: "a", Group: "g", Incarnation: 1})[1:]...), false},
 		{"break/6", encodeBreak(breakMsg{Agent: "a", Group: "g", Incarnation: 1}), true},
 		{"break/8", removedBreaks["synchronous/8"], false},
@@ -420,7 +442,7 @@ func TestDecodeMessageRejectsRemovedLayouts(t *testing.T) {
 
 // foreignReceiver runs, on node, a responder written WITHOUT this package:
 // it decodes request batches by hand, answers each in-order call with
-// exec(args), and hand-encodes 9-value reply batches with a stable epoch
+// exec(args), and hand-encodes 10-value reply batches with a stable epoch
 // and a credit of window calls past its completed prefix. It keeps the
 // protocol obligations — ack requests, report completion, reply in order,
 // echo the incarnation — and counts request seqs that arrive beyond the
@@ -437,7 +459,7 @@ func foreignReceiver(ctx context.Context, node *simnet.Node, window int64, exec 
 				return
 			}
 			vals, err := wire.Unmarshal(msg.Payload)
-			if err != nil || len(vals) < 7 {
+			if err != nil || len(vals) < 8 {
 				continue
 			}
 			if kind, _ := wire.IntArg(vals, 0); kind != 1 { // request batch
@@ -446,8 +468,8 @@ func foreignReceiver(ctx context.Context, node *simnet.Node, window int64, exec 
 			agent, _ := wire.StringArg(vals, 1)
 			group, _ := wire.StringArg(vals, 2)
 			inc, _ := wire.IntArg(vals, 3)
-			first, _ := wire.IntArg(vals, 5) // request i is call first+i
-			raw, _ := wire.Arg(vals, 6)
+			first, _ := wire.IntArg(vals, 6) // request i is call first+i
+			raw, _ := wire.Arg(vals, 7)
 			reqs, _ := wire.AsList(raw)
 			for i, e := range reqs {
 				fields, _ := wire.AsList(e)
@@ -469,9 +491,10 @@ func foreignReceiver(ctx context.Context, node *simnet.Node, window int64, exec 
 			}
 			advertised = expected - 1 + window
 			// kind=2 reply batch: agent, group, incarnation, epoch,
-			// ackRequestsThrough, completedThrough, replies, credit
+			// ackRequestsThrough, held (0: it keeps nothing out of order),
+			// completedThrough, replies, credit
 			reply, err := wire.Marshal(int64(2), agent, group, inc, epoch,
-				expected-1, expected-1, replies, advertised)
+				expected-1, int64(0), expected-1, replies, advertised)
 			if err != nil {
 				continue
 			}

@@ -115,10 +115,10 @@ func TestFramedEncodersAgree(t *testing.T) {
 			for _, p := range payloads {
 				for _, names := range [][3]string{{name, "g", "p"}, {"a", name, "p"}, {"a", "g", name}} {
 					checkFramedRequest(t, requestBatch{Agent: names[0], Group: names[1], Incarnation: v,
-						AckRepliesThrough: v, Requests: []request{{Seq: v, Port: names[2], Mode: Mode(k % 3),
+						AckRepliesThrough: v, Held: v, Requests: []request{{Seq: v, Port: names[2], Mode: Mode(k % 3),
 							Root: v, Parent: v}}}, p)
 					checkFramedReply(t, replyBatch{Agent: names[0], Group: names[1], Incarnation: v, Epoch: v,
-						AckRequestsThrough: v, CompletedThrough: v, Credit: v,
+						AckRequestsThrough: v, Held: v, CompletedThrough: v, Credit: v,
 						Replies: []reply{{Seq: v, Outcome: Outcome{Normal: true}}}}, p)
 				}
 			}
@@ -162,16 +162,19 @@ func TestFramedEncodersDecline(t *testing.T) {
 // the payload; the in-place encoders must match the copying ones byte for
 // byte whenever they accept, and accept exactly when the head fits.
 func FuzzFramedEncodersAgree(f *testing.F) {
-	f.Add("a1", "g1", "echo", uint64(1), uint64(0), uint64(1), uint64(0xDEADBEEF), uint64(0), uint64(0), uint8(0), uint16(4096), byte(7))
-	f.Add("", "", "", uint64(1<<63), uint64(1<<62), ^uint64(0), ^uint64(0), uint64(1<<35), uint64(1<<14), uint8(2), uint16(0), byte(0))
-	f.Add(strings.Repeat("x", 70), "main", strings.Repeat("y", 40), uint64(3), uint64(900), uint64(901), uint64(5), uint64(5), uint64(4), uint8(1), uint16(65535), byte(255))
-	f.Add("agent", strings.Repeat("g", 200), "p", uint64(1), uint64(1), uint64(2), uint64(3), uint64(4), uint64(5), uint8(0), uint16(100), byte(1))
-	f.Fuzz(func(t *testing.T, agent, group, port string, inc, ack, seq, tid, root, parent uint64, mode uint8, n uint16, fill byte) {
+	f.Add("a1", "g1", "echo", uint64(1), uint64(0), uint64(0), uint64(1), uint64(0xDEADBEEF), uint64(0), uint64(0), uint8(0), uint16(4096), byte(7))
+	f.Add("", "", "", uint64(1<<63), uint64(1<<62), ^uint64(0), ^uint64(0), ^uint64(0), uint64(1<<35), uint64(1<<14), uint8(2), uint16(0), byte(0))
+	f.Add(strings.Repeat("x", 70), "main", strings.Repeat("y", 40), uint64(3), uint64(900), uint64(0), uint64(901), uint64(5), uint64(5), uint64(4), uint8(1), uint16(65535), byte(255))
+	f.Add("agent", strings.Repeat("g", 200), "p", uint64(1), uint64(1), uint64(0), uint64(2), uint64(3), uint64(4), uint64(5), uint8(0), uint16(100), byte(1))
+	// A hole reported in Held, a one-byte and a two-byte varint.
+	f.Add("a1", "g1", "echo", uint64(2), uint64(40), uint64(17), uint64(300), uint64(99), uint64(38), uint64(4134), uint8(0), uint16(4096), byte(9))
+	f.Add("a1", "g1", "echo", uint64(2), uint64(1<<20), uint64(255), uint64(1<<20+300), uint64(99), uint64(1<<20), uint64(1<<20+4096), uint8(1), uint16(5000), byte(3))
+	f.Fuzz(func(t *testing.T, agent, group, port string, inc, ack, held, seq, tid, root, parent uint64, mode uint8, n uint16, fill byte) {
 		payload := bytes.Repeat([]byte{fill}, int(n))
-		checkFramedRequest(t, requestBatch{Agent: agent, Group: group, Incarnation: inc, AckRepliesThrough: ack,
+		checkFramedRequest(t, requestBatch{Agent: agent, Group: group, Incarnation: inc, AckRepliesThrough: ack, Held: held,
 			Requests: []request{{Seq: seq, Port: port, Mode: Mode(mode % 3), Root: root, Parent: parent}}}, payload)
 		checkFramedReply(t, replyBatch{Agent: agent, Group: group, Incarnation: inc, Epoch: tid,
-			AckRequestsThrough: ack, CompletedThrough: root, Credit: parent,
+			AckRequestsThrough: ack, Held: held, CompletedThrough: root, Credit: parent,
 			Replies: []reply{{Seq: seq, Outcome: Outcome{Normal: true}}}}, payload)
 	})
 }

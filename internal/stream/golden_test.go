@@ -9,10 +9,9 @@ import (
 // The golden messages pin the wire format of the batch encoders to the
 // bytes recorded in golden_data_test.go, printed by encodeRequestBatch /
 // encodeReplyBatch on exactly these inputs (its header says which
-// encoders): both request header counts (8, and 9 with continuations)
-// and the reply batch. The request batches' hex was regenerated once, when
-// the first-seq layout took each call's seq and trace ID off the wire;
-// the reply batches' is still that of commit ce35917.
+// encoders): both request header counts (9, and 10 with continuations)
+// and the reply batch (10), each with and without a hole reported in
+// Held.
 
 const maxSeq = 1<<63 - 1 // the widest value the integer encoding carries
 
@@ -39,6 +38,8 @@ func goldenRequestBatches() map[string]requestBatch {
 			}},
 		"req/cont-alone": {Agent: "a", Group: "g", Incarnation: 9, AckRepliesThrough: 0,
 			Requests: []request{{Seq: 1, Port: "inc", Mode: ModeCall, Args: big, Cont: []byte{0}}}},
+		"req/held": {Agent: "a1", Group: "g1", Incarnation: 2, AckRepliesThrough: 40, Held: 17,
+			Requests: []request{{Seq: 300, Port: "echo", Mode: ModeCall, Args: []byte{5}}}},
 	}
 }
 
@@ -57,8 +58,11 @@ func goldenReplyBatches() map[string]replyBatch {
 			AckRequestsThrough: 1, CompletedThrough: 1, Credit: 0,
 			Replies: []reply{{Seq: 1, Outcome: NormalOutcome(nil)}}},
 		"rep/wide": {Agent: "", Group: "", Incarnation: maxSeq, Epoch: maxSeq,
-			AckRequestsThrough: maxSeq, CompletedThrough: maxSeq, Credit: maxSeq,
+			AckRequestsThrough: maxSeq, Held: maxSeq, CompletedThrough: maxSeq, Credit: maxSeq,
 			Replies: []reply{{Seq: maxSeq, Outcome: NormalOutcome(big)}}},
+		"rep/held": {Agent: "a1", Group: "g1", Incarnation: 2, Epoch: 99,
+			AckRequestsThrough: 40, Held: 24, CompletedThrough: 38, Credit: 4134,
+			Replies: []reply{{Seq: 38, Outcome: NormalOutcome([]byte("ok"))}}},
 	}
 }
 

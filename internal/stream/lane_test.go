@@ -14,20 +14,26 @@ import (
 )
 
 // refLane is the reference a lane is checked against: each direction's
-// batching and retention written out on its own, as Stream and rstream
-// kept them before they shared a type, over plain slices of seqs. A
-// request lane times what it sent from its last send of anything, and
-// re-sends the head of it; a reply lane times everything it holds from
-// the later of its last full send and its ack's last advance (or its
-// birth). The round-trip estimate is RFC 6298's, in floating point.
+// batching, retention and recovery written out on its own, as Stream and
+// rstream kept them before they shared a type, over plain slices of
+// seqs. A request lane times what it sent from its last send of anything,
+// and re-sends the head of it; a reply lane times everything it holds
+// from the latest of its last full send, its ack's last advance, its last
+// mend and the take that first sent a reply the other side can ack, and
+// waits the ceiling while it has sent none. A hole is re-sent once per
+// value of the ack. The round-trip estimate is RFC 6298's, in floating
+// point.
 type refLane struct {
 	goBackN      bool
 	sent, unsent []uint64
 	opened       time.Time // first unsent item's push
 	lastSend     time.Time // any transmission (requests)
-	lastFull     time.Time // transmission of everything held, or birth (replies)
-	lastAck      time.Time // ack advance, or birth (replies)
+	lastFull     time.Time // transmission of everything held (replies)
+	lastAck      time.Time // ack advance (replies)
+	lastStart    time.Time // first send of a reply the other side can ack (replies)
+	lastMend     time.Time // a hole's re-send (replies)
 	acked        uint64
+	ackable      uint64 // the highest seq the other side can ack, as of the last take
 	retries      int
 
 	timing       bool // a batch is timed: its highest seq and when it went
@@ -35,7 +41,13 @@ type refLane struct {
 	timedAt      time.Time
 	sampled      bool
 	srtt, rttvar float64 // ns
+	minRTT       time.Duration
 	backoff      int
+
+	holeResent bool   // the hole above holeAck was re-sent
+	holeAck    uint64 //
+	recovering bool   // after a go-back-N timeout, until an ack reaches recoverTo
+	recoverTo  uint64
 }
 
 // refHead is how many requests a reference go-back-N re-send carries.
@@ -43,10 +55,12 @@ const refHead = 4
 
 func (r *refLane) held() []uint64 { return append(slices.Clone(r.sent), r.unsent...) }
 
+// waits reports whether a sent seq is one the other side can ack.
+func (r *refLane) waits() bool {
+	return slices.ContainsFunc(r.sent, func(q uint64) bool { return q <= r.ackable })
+}
+
 func (r *refLane) push(seq uint64, now time.Time) {
-	if len(r.sent)+len(r.unsent) == 0 {
-		r.lastFull, r.lastAck = now, now
-	}
 	if len(r.unsent) == 0 {
 		r.opened = now
 	}
@@ -54,12 +68,16 @@ func (r *refLane) push(seq uint64, now time.Time) {
 }
 
 func (r *refLane) take(now time.Time, ackable uint64) []uint64 {
-	batch := r.unsent
+	batch, waited := r.unsent, r.waits()
 	if len(r.sent) == 0 {
 		r.lastFull = now
 	}
 	r.lastSend = now
 	r.sent, r.unsent = append(r.sent, batch...), nil
+	r.ackable = max(r.ackable, ackable)
+	if !waited && r.waits() {
+		r.lastStart = now
+	}
 	if top := slices.Max(batch); !r.timing && top <= ackable {
 		r.timing, r.timedSeq, r.timedAt = true, top, now
 	}
@@ -69,12 +87,44 @@ func (r *refLane) take(now time.Time, ackable uint64) []uint64 {
 func (r *refLane) resend(now time.Time) []uint64 {
 	r.lastSend = now
 	r.timing = false // Karn: a re-sent batch gives no sample
+	r.holeResent, r.holeAck = true, r.acked
 	if r.goBackN {
+		if len(r.sent) > 0 {
+			r.recovering, r.recoverTo = true, r.sent[len(r.sent)-1]
+		}
 		return slices.Clone(r.sent[:min(refHead, len(r.sent))])
 	}
 	r.lastFull = now
 	r.sent, r.unsent = r.held(), nil
 	return slices.Clone(r.sent)
+}
+
+// mend re-sends the hole above the ack, below seq below: the head of the
+// sent requests, or the run of sent replies from the ack plus one.
+func (r *refLane) mend(now time.Time, below uint64) []uint64 {
+	if r.holeResent && r.holeAck == r.acked {
+		return nil
+	}
+	from := 0
+	if !r.goBackN {
+		if from = slices.Index(r.sent, r.acked+1); from < 0 {
+			return nil
+		}
+	}
+	var run []uint64
+	for _, q := range r.sent[from:] {
+		if q >= below || len(run) == refHead {
+			break
+		}
+		run = append(run, q)
+	}
+	if len(run) == 0 {
+		return nil
+	}
+	r.lastSend, r.lastMend = now, now
+	r.timing = false
+	r.holeResent, r.holeAck = true, r.acked
+	return run
 }
 
 func (r *refLane) ack(through uint64, now time.Time) {
@@ -83,14 +133,19 @@ func (r *refLane) ack(through uint64, now time.Time) {
 	}
 	r.acked, r.lastAck = through, now
 	if r.timing && through >= r.timedSeq {
-		m := float64(max(now.Sub(r.timedAt), time.Nanosecond))
+		d := max(now.Sub(r.timedAt), time.Nanosecond)
+		m := float64(d)
 		if r.sampled {
 			r.rttvar = 0.75*r.rttvar + 0.25*math.Abs(r.srtt-m)
 			r.srtt = 0.875*r.srtt + 0.125*m
+			r.minRTT = min(r.minRTT, d)
 		} else {
-			r.srtt, r.rttvar, r.sampled = m, m/2, true
+			r.srtt, r.rttvar, r.minRTT, r.sampled = m, m/2, d, true
 		}
 		r.timing, r.backoff = false, 0
+	}
+	if r.recovering && through >= r.recoverTo {
+		r.recovering = false
 	}
 	above := func(s []uint64) []uint64 {
 		var kept []uint64
@@ -113,24 +168,33 @@ func (r *refLane) flushAt(delay time.Duration) time.Time {
 
 func (r *refLane) resendAt(rto time.Duration) time.Time {
 	switch {
-	case r.goBackN && len(r.sent) > 0:
+	case len(r.sent) == 0:
+		return time.Time{}
+	case r.goBackN:
 		return r.lastSend.Add(rto)
-	case !r.goBackN && len(r.sent)+len(r.unsent) > 0:
-		stall := r.lastAck
-		if r.lastFull.After(stall) {
-			stall = r.lastFull
-		}
-		return stall.Add(rto)
 	}
-	return time.Time{}
+	stall := r.lastAck
+	for _, t := range []time.Time{r.lastFull, r.lastStart, r.lastMend} {
+		if t.After(stall) {
+			stall = t
+		}
+	}
+	return stall.Add(rto)
 }
 
 func (r *refLane) rto(floor, ceil time.Duration) time.Duration {
 	d := float64(ceil)
-	if r.sampled {
+	if r.sampled && (len(r.sent) == 0 || r.waits()) {
 		d = math.Min(math.Max(r.srtt+4*r.rttvar, float64(floor)), float64(ceil))
 	}
 	return time.Duration(math.Min(d*math.Pow(2, float64(r.backoff)), float64(ceil)))
+}
+
+func (r *refLane) window() time.Duration {
+	if !r.sampled {
+		return noWindow
+	}
+	return r.minRTT / 4
 }
 
 func seqsOf[T any, P seqItem[T]](items []T) []uint64 {
@@ -161,10 +225,12 @@ func (b *laneBytes) next() byte {
 // prog: pushes (a reply lane's seqs have gaps, and now and then two come
 // in swapped, as parallel calls complete), flushes, the passing of time,
 // deadlines served as the stream layer serves them, lossy delivery, the
-// other side's acks (fresh and stale) and resets. After every step it
-// compares what the two hold, sent and unsent, what they transmit, their
-// deadlines, and when they hit the retry limit, and it checks that the
-// lane's backing array keeps nothing past its length.
+// other side's acks (fresh and stale), its reports of the hole below what
+// it holds, the partial acks that follow a go-back-N timeout, and resets.
+// After every step it compares what the two hold, sent and unsent, what
+// they transmit, their deadlines, reorder windows and recovery state, and
+// when they hit the retry limit, and it checks that the lane's backing
+// array keeps nothing past its length.
 func runLaneModel[T any, P seqItem[T]](t testing.TB, goBackN bool, prog []byte, mk func(seq uint64) T) {
 	const (
 		delay = 3 * time.Millisecond
@@ -181,11 +247,30 @@ func runLaneModel[T any, P seqItem[T]](t testing.TB, goBackN bool, prog []byte, 
 		pushed    []uint64 // the seqs pushed and not yet acked, ascending
 		delivered = map[uint64]bool{}
 		in        = &laneBytes{prog: prog}
+		// The other side's report of the hole below what it holds (a gap),
+		// and its reference: when a hole above each ack was first seen,
+		// and whether it was reported.
+		g         gap
+		holeSince = map[uint64]time.Time{}
+		told      = map[uint64]bool{}
 	)
+	const window = time.Millisecond // the other side's reorder window
+	restart := func() {
+		l.reset()
+		ref = refLane{goBackN: goBackN}
+		nextSeq, pushed = 1, nil
+		clear(delivered)
+		g = gap{}
+		clear(holeSince)
+		clear(told)
+	}
 	transmit := func(step string, got []T, want []uint64) {
 		t.Helper()
 		if g := seqsOf[T, P](got); !slices.Equal(g, want) {
 			t.Fatalf("step %d %s: lane sent %v, reference %v", in.i, step, g, want)
+		}
+		if len(want) == 0 {
+			return
 		}
 		loss := in.next()
 		for i, q := range want {
@@ -193,6 +278,32 @@ func runLaneModel[T any, P seqItem[T]](t testing.TB, goBackN bool, prog []byte, 
 				delivered[q] = true
 			}
 		}
+	}
+	// held returns the other side's cumulative ack of what it got in
+	// order, and the highest seq it got.
+	held := func() (through, top uint64) {
+		through, inOrder := ref.acked, true
+		for _, q := range pushed {
+			if !delivered[q] {
+				inOrder = false
+				continue
+			}
+			if inOrder {
+				through = q
+			}
+			top = q
+		}
+		return through, max(through, top)
+	}
+	// ack applies the other side's ack to both lanes.
+	ack := func(through uint64) {
+		t.Helper()
+		if advanced := l.ack(through, now); advanced != (through > ref.acked) {
+			t.Fatalf("step %d: ack %d advanced=%v over %d", in.i, through, advanced, ref.acked)
+		}
+		ref.ack(through, now)
+		pushed = slices.DeleteFunc(pushed, func(q uint64) bool { return q <= through })
+		l.retries, ref.retries = 0, 0
 	}
 	for in.more() {
 		op := in.next()
@@ -242,10 +353,7 @@ func runLaneModel[T any, P seqItem[T]](t testing.TB, goBackN bool, prog []byte, 
 					t.Fatalf("step %d: lane broke=%v at %d retries, reference %v", in.i, broke, l.retries, want)
 				}
 				if broke { // the stream breaks and is reincarnated
-					l.reset()
-					ref = refLane{goBackN: goBackN}
-					nextSeq, pushed = 1, nil
-					clear(delivered)
+					restart()
 					continue
 				}
 				l.backOff()
@@ -253,19 +361,14 @@ func runLaneModel[T any, P seqItem[T]](t testing.TB, goBackN bool, prog []byte, 
 				transmit("resend", l.resend(now, refHead), ref.resend(now))
 			}
 		case 5: // the other side's cumulative ack of what it got in order
-			var through uint64
-			for _, q := range pushed {
-				if !delivered[q] {
-					break
-				}
-				through = q
+			through, _ := held()
+			advanced := through > ref.acked
+			ack(through)
+			// An ack that stops short after a go-back-N timeout re-sends
+			// the next head at once (the owner's partial-ack rule).
+			if advanced && ref.recovering {
+				transmit("partial ack", l.mend(now, refHead, l.recover+1), ref.mend(now, ref.recoverTo+1))
 			}
-			if advanced := l.ack(through, now); advanced != (through > ref.acked) {
-				t.Fatalf("step %d: ack %d advanced=%v over %d", in.i, through, advanced, ref.acked)
-			}
-			ref.ack(through, now)
-			pushed = slices.DeleteFunc(pushed, func(q uint64) bool { return q <= through })
-			l.retries, ref.retries = 0, 0
 		case 6: // a stale or duplicate ack: the other side spoke all the same
 			if l.ack(ref.acked-min(ref.acked, uint64(op>>3)), now) {
 				t.Fatalf("step %d: a stale ack advanced the lane", in.i)
@@ -273,10 +376,30 @@ func runLaneModel[T any, P seqItem[T]](t testing.TB, goBackN bool, prog []byte, 
 			l.retries, ref.retries = 0, 0
 		case 7:
 			if op>>3 == 31 { // a break the owner saw elsewhere
-				l.reset()
-				ref = refLane{goBackN: goBackN}
-				nextSeq, pushed = 1, nil
-				clear(delivered)
+				restart()
+				break
+			}
+			// The other side sends its ack, and reports how far past it it
+			// holds once the hole has stood its reorder window, once per
+			// hole: re-send the hole, once per hole.
+			through, top := held()
+			g.hold(top)
+			g.note(through, true, now)
+			var want uint64
+			if top > through {
+				if _, ok := holeSince[through]; !ok {
+					holeSince[through] = now
+				}
+				if now.Sub(holeSince[through]) >= window && !told[through] {
+					want, told[through] = top-through, true
+				}
+			}
+			if got := g.report(window, now); got != want {
+				t.Fatalf("step %d: the other side reported %d past ack %d, reference %d", in.i, got, through, want)
+			}
+			ack(through)
+			if want != 0 {
+				transmit("mend", l.mend(now, refHead, through+want), ref.mend(now, through+want))
 			}
 		}
 		if got, want := seqsOf[T, P](l.items), ref.held(); !slices.Equal(got, want) {
@@ -285,6 +408,12 @@ func runLaneModel[T any, P seqItem[T]](t testing.TB, goBackN bool, prog []byte, 
 		if l.unsent != len(ref.unsent) || l.retries != ref.retries || l.acked != ref.acked {
 			t.Fatalf("step %d: lane unsent/retries/acked %d/%d/%d, reference %d/%d/%d", in.i,
 				l.unsent, l.retries, l.acked, len(ref.unsent), ref.retries, ref.acked)
+		}
+		if recovering := l.recover != 0; recovering != ref.recovering || recovering && l.recover != ref.recoverTo {
+			t.Fatalf("step %d: lane recovers to %d, reference %v to %d", in.i, l.recover, ref.recovering, ref.recoverTo)
+		}
+		if w := l.window(); w != ref.window() {
+			t.Fatalf("step %d: lane reorder window %v, reference %v", in.i, w, ref.window())
 		}
 		// Integer smoothing truncates where the reference rounds: a few
 		// nanoseconds a sample, which the smoothing itself keeps bounded.
@@ -566,5 +695,92 @@ func TestLostReplyBatchResentWithinRoundTrips(t *testing.T) {
 	t.Logf("the call took %v through its lost reply batch", took)
 	if took > 20*time.Millisecond {
 		t.Errorf("the call took %v through its lost reply batch, want a few round trips (< 20ms)", took)
+	}
+}
+
+// TestGapReportsOnlyAgedHoles: a hole is reported only once what lies past
+// it has been held a reorder window, so two batches the network swapped
+// are not taken for a loss; a hole that fills within the window is never
+// reported, and a reply that is not owed yet is no hole.
+func TestGapReportsOnlyAgedHoles(t *testing.T) {
+	const window = 100 * time.Microsecond
+	t0 := time.Unix(1000, 0)
+	var g gap
+	g.hold(20) // 17-20 arrived, 1-16 did not
+	g.note(0, true, t0)
+	if got := g.report(window, t0.Add(window-1)); got != 0 {
+		t.Fatalf("reported %d inside the reorder window", got)
+	}
+	if due := g.due(window); !due.Equal(t0.Add(window)) {
+		t.Fatalf("due %v, want the window's end %v", due, t0.Add(window))
+	}
+	g.hold(16)
+	g.note(20, true, t0.Add(window/2)) // the swapped batch came: no hole
+	if got, due := g.report(window, t0.Add(window)), g.due(window); got != 0 || !due.IsZero() {
+		t.Fatalf("a filled hole reported %d, due %v", got, due)
+	}
+
+	g = gap{}
+	g.hold(36)
+	g.note(20, false, t0) // seq 21's reply is not owed: its call still runs
+	if got, due := g.report(window, t0.Add(time.Second)), g.due(window); got != 0 || !due.IsZero() {
+		t.Fatalf("a reply not owed yet was reported as a hole: %d, due %v", got, due)
+	}
+	g.note(20, true, t0.Add(time.Second)) // it completed: the window starts now
+	if got := g.report(window, t0.Add(time.Second+window)); got != 16 {
+		t.Fatalf("reported %d past ack 20, want 16", got)
+	}
+}
+
+// TestGapReportsEachHoleOnce: a hole is owed one report per value of the
+// ack; when the ack moves onto a second hole, that one is owed its own
+// report a reorder window later.
+func TestGapReportsEachHoleOnce(t *testing.T) {
+	const window = 100 * time.Microsecond
+	t0 := time.Unix(1000, 0)
+	var g gap
+	g.hold(48) // 1-16 and 33-48 arrived; 17-32 are lost
+	g.note(16, true, t0)
+	if got := g.report(window, t0.Add(window)); got != 32 {
+		t.Fatalf("first report %d, want 48-16", got)
+	}
+	for _, at := range []time.Duration{window, 2 * window, time.Second} {
+		g.hold(64)
+		g.note(16, true, t0.Add(at))
+		if got := g.report(window, t0.Add(at)); got != 0 {
+			t.Fatalf("the hole above 16 was reported again at +%v: %d", at, got)
+		}
+	}
+	t1 := t0.Add(2 * time.Second)
+	g.note(24, true, t1) // 17-24 came back; 25-32 are still missing
+	if got := g.report(window, t1); got != 0 {
+		t.Fatalf("the hole above 24 was reported before its window: %d", got)
+	}
+	if got := g.report(window, t1.Add(window)); got != 40 {
+		t.Fatalf("the hole above 24 reported %d, want 64-24", got)
+	}
+}
+
+// TestLaneReorderWindow: the reorder window is a quarter of the least
+// round trip sampled, not of the smoothed one, and there is none before
+// the first sample, so no hole comes of age.
+func TestLaneReorderWindow(t *testing.T) {
+	t0 := time.Unix(1000, 0)
+	l := lane[request, *request]{goBackN: true}
+	if w := l.window(); w != noWindow {
+		t.Fatalf("window %v before any sample, want none", w)
+	}
+	g := gap{top: 9, since: t0}
+	if due := g.due(l.window()); !due.IsZero() {
+		t.Fatalf("a hole came of age at %v with no window", due)
+	}
+	for i, rtt := range []time.Duration{4 * time.Millisecond, time.Millisecond, 3 * time.Millisecond} {
+		seq := uint64(i + 1)
+		l.push(laneRequest(seq), t0)
+		l.take(t0, math.MaxUint64)
+		l.ack(seq, t0.Add(rtt))
+	}
+	if w, want := l.window(), 250*time.Microsecond; w != want {
+		t.Fatalf("window %v with srtt %v, want a quarter of the least sample, %v", w, l.srtt, want)
 	}
 }

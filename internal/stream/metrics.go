@@ -20,7 +20,8 @@ type streamMetrics struct {
 	batchCalls    *metrics.Histogram // calls carried per request batch
 	batchBytes    *metrics.Histogram // encoded request-batch size
 	windowCalls   *metrics.Histogram // unresolved calls outstanding, sampled per flush
-	retransmits   *metrics.Counter   // request batches re-sent after RTO
+	retransmits   *metrics.Counter   // request batches re-sent (timeout, hole report, partial ack)
+	holeResends   *metrics.Counter   // request or reply batches re-sent on a hole report
 	probes        *metrics.Counter   // empty liveness probes sent
 	acks          *metrics.Counter   // pure reply-acks sent
 	rtoFires      *metrics.Counter   // sender RTO expiries (retransmit or probe)
@@ -49,7 +50,7 @@ type streamMetrics struct {
 	replies         *metrics.Counter   // replies entered into the retained buffer
 	replyBatches    *metrics.Counter   // reply batches transmitted
 	replyBatchBytes *metrics.Histogram // encoded reply-batch size
-	replyResends    *metrics.Counter   // full retained-set reply retransmissions
+	replyResends    *metrics.Counter   // reply batches re-sent (timeout, duplicate requests, hole report)
 	recvRTOFires    *metrics.Counter   // receiver ack-progress stalls past RTO
 
 	// Pipelining (epoch scheduler).
@@ -97,6 +98,7 @@ func newStreamMetrics(reg *metrics.Registry) *streamMetrics {
 		batchBytes:    reg.Histogram("stream_batch_bytes", sizeBuckets),
 		windowCalls:   reg.Histogram("stream_window_calls", countBuckets),
 		retransmits:   reg.Counter("stream_retransmits_total"),
+		holeResends:   reg.Counter("stream_hole_resends_total"),
 		probes:        reg.Counter("stream_probes_total"),
 		acks:          reg.Counter("stream_acks_total"),
 		rtoFires:      reg.Counter("stream_rto_fires_total"),

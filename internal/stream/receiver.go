@@ -196,6 +196,15 @@ type rstream struct {
 	lane          lane[reply, *reply]
 	sentCompleted uint64 // CompletedThrough value last transmitted
 	sentAcked     uint64 // AckRequestsThrough value last transmitted
+
+	// replied is the reply lane's ackable bound: every call through it has
+	// completed and owes no chain's resolution (pipeWait), so the sender
+	// can ack its reply on arrival (ackableLocked).
+	replied uint64
+
+	// gap is what the stream holds of the request lane past its ack, for
+	// its reply batches to report (lane.go).
+	gap gap
 }
 
 // replyLanes collects the reply lanes chain resolutions were retained in,
@@ -274,11 +283,12 @@ func (r *rstream) handleRequestBatch(b *requestBatch) {
 	}
 	// The sender spoke, so no re-send of ours so far counts toward a break.
 	r.lane.retries = 0
+	now := r.peer.clk.Now()
 
 	// The sender's ack lets us drop retained replies. Once it covers a
 	// handler's break point, both ends know every reply through it.
 	if b.AckRepliesThrough > r.lane.acked {
-		r.lane.ack(b.AckRepliesThrough, r.peer.clk.Now())
+		r.lane.ack(b.AckRepliesThrough, now)
 		if r.breakAt != 0 && r.lane.acked >= r.breakAt {
 			note := r.breakLocked(r.breakReason)
 			r.mu.Unlock()
@@ -304,6 +314,7 @@ func (r *rstream) handleRequestBatch(b *requestBatch) {
 			// it once the window slides. Or past a handler's break point.
 		default:
 			r.oo.put(req.Seq, req)
+			r.gap.hold(req.Seq)
 			if r.peer.tracing() {
 				r.peer.emitCause(trace.CallDelivered, r.keyStr, req.Seq, trace.CallID(r.keyHash, r.incarnation, req.Seq),
 					trace.Cause{Root: req.Root, Parent: req.Parent}, "")
@@ -313,6 +324,7 @@ func (r *rstream) handleRequestBatch(b *requestBatch) {
 	for r.oo.has(r.expected) {
 		r.expected++
 	}
+	r.gap.note(r.expected-1, true, now)
 	hand := !r.running && r.nextRun < r.expected
 	if hand {
 		r.running = true
@@ -327,7 +339,10 @@ func (r *rstream) handleRequestBatch(b *requestBatch) {
 	// acks a reply through a seq this end had not accepted: the sender
 	// heard it from another end, so this one was recreated by a crash, and
 	// the calls before the gap, acked by its predecessor, will never come;
-	// only our epoch tells the sender so. A pure ack asks nothing.
+	// only our epoch tells the sender so. A pure ack asks nothing, unless
+	// it reports a hole in the replies the sender holds: that is re-sent
+	// at once. And a hole in the requests this end holds that has aged
+	// unreported is reported now (lane.go).
 	var msg []byte
 	recreated := len(b.Requests) > 0 && b.AckRepliesThrough >= expected
 	if arrived := r.expected > expected; arrived || lost || recreated || b.Probe != 0 {
@@ -339,9 +354,16 @@ func (r *rstream) handleRequestBatch(b *requestBatch) {
 			msg = r.buildReplyBatchLocked(false)
 		}
 		if r.noteOwedLocked() {
-			now := r.peer.clk.Now()
 			r.peer.arm(&r.due, now, now)
 		}
+	}
+	if msg == nil && b.Held != 0 && b.AckRepliesThrough == r.lane.acked {
+		msg = r.mendRepliesLocked(now, b.AckRepliesThrough+b.Held)
+	}
+	if due := r.gap.due(r.lane.window()); msg == nil && reached(due, now) {
+		msg = r.buildReplyBatchLocked(false)
+	} else if !due.IsZero() {
+		r.peer.arm(&r.due, due, now)
 	}
 	r.mu.Unlock()
 	if hand {
@@ -640,7 +662,8 @@ func (r *rstream) retainLocked(seq uint64, o Outcome) {
 // and replies. A normal flush (retransmit=false) carries only the unsent
 // suffix of the retained replies — already-transmitted replies ride again
 // only when retransmit=true, i.e. on loss evidence (duplicate requests)
-// or an ack-progress stall in fire. This keeps steady-state reply bytes
+// or an ack-progress stall in fire, or in a hole's re-send
+// (mendRepliesLocked). This keeps steady-state reply bytes
 // proportional to new work instead of O(retained window) per flush.
 // Caller holds r.mu; the encoder reads the retained slice where it lies
 // (and is done with it before the lock is released), so no reply struct
@@ -649,26 +672,55 @@ func (r *rstream) retainLocked(seq uint64, o Outcome) {
 // is built in the results' own buffer (frame.go), once — a
 // retransmission always re-encodes.
 func (r *rstream) buildReplyBatchLocked(retransmit bool) []byte {
-	now, completed := r.peer.clk.Now(), r.completedThroughNow()
+	now := r.peer.clk.Now()
 	if sm := r.peer.sm; sm != nil && r.lane.unsent > 0 {
 		sm.stageReplyWait.ObserveDuration(now.Sub(r.lane.opened))
 	}
-	var reps []reply
 	if retransmit {
-		reps = r.lane.resend(now, 0)
-	} else {
-		// The sender acks a reply once it resolves, so at once only if
-		// every earlier call has completed.
-		reps = r.lane.take(now, completed)
+		return r.replyBatchLocked(r.lane.resend(now, 0), now, trace.RetransmitDetail)
 	}
+	return r.replyBatchLocked(r.lane.take(now, r.ackableLocked()), now, nil)
+}
+
+// mendRepliesLocked encodes the re-send of the hole the sender reported
+// in the replies it holds, below seq below, or returns nil when there is
+// none to re-send (lane.mend). Caller holds r.mu.
+func (r *rstream) mendRepliesLocked(now time.Time, below uint64) []byte {
+	reps := r.lane.mend(now, r.opts.MaxBatch, below)
+	if len(reps) == 0 {
+		return nil
+	}
+	if sm := r.peer.sm; sm != nil {
+		sm.holeResends.Inc()
+	}
+	return r.replyBatchLocked(reps, now, trace.HoleDetail)
+}
+
+// ackableLocked returns the highest seq whose reply the sender can ack on
+// arrival: every call through it has completed, and none owes a chain's
+// resolution. Caller holds r.mu.
+func (r *rstream) ackableLocked() uint64 {
+	for completed := r.completedThroughNow(); r.replied < completed && !r.pipeWait.has(r.replied+1); {
+		r.replied++
+	}
+	return r.replied
+}
+
+// replyBatchLocked encodes a reply batch carrying reps, sent at now, with
+// the current progress and the report of a hole in the requests held
+// that is owed one. resent is nil for the unsent suffix, else the trace
+// detail of the re-send (trace.RetransmitDetail, trace.HoleDetail).
+// Caller holds r.mu.
+func (r *rstream) replyBatchLocked(reps []reply, now time.Time, resent func(int) string) []byte {
+	completed := r.completedThroughNow()
 	r.sentCompleted = completed
 	r.sentAcked = r.expected - 1
 	if r.peer.tracing() {
-		detail := trace.BatchDetail(len(reps))
-		if retransmit {
-			detail = trace.RetransmitDetail(len(reps))
+		detail := trace.BatchDetail
+		if resent != nil {
+			detail = resent
 		}
-		r.peer.emit(trace.ReplyBatchSent, r.keyStr, completed, 0, detail)
+		r.peer.emit(trace.ReplyBatchSent, r.keyStr, completed, 0, detail(len(reps)))
 	}
 	batch := replyBatch{
 		Agent:              r.key.agent,
@@ -676,6 +728,7 @@ func (r *rstream) buildReplyBatchLocked(retransmit bool) []byte {
 		Incarnation:        r.incarnation,
 		Epoch:              r.epoch,
 		AckRequestsThrough: r.sentAcked,
+		Held:               r.gap.report(r.lane.window(), now),
 		CompletedThrough:   completed,
 		Replies:            reps,
 		// The admission grant: the sender may run this far ahead of our
@@ -684,7 +737,7 @@ func (r *rstream) buildReplyBatchLocked(retransmit bool) []byte {
 		Credit: completed + recvWindow,
 	}
 	var msg []byte
-	if !retransmit {
+	if resent == nil {
 		msg = frameReplyBatch(batch)
 	}
 	if msg == nil {
@@ -695,7 +748,7 @@ func (r *rstream) buildReplyBatchLocked(retransmit bool) []byte {
 	if sm := r.peer.sm; sm != nil {
 		sm.replyBatches.Inc()
 		sm.replyBatchBytes.Observe(uint64(len(msg)))
-		if retransmit {
+		if resent != nil {
 			sm.replyResends.Inc()
 		}
 	}
@@ -738,6 +791,8 @@ func (r *rstream) resetLocked(incarnation uint64) {
 	r.lane.reset()
 	r.sentCompleted = 0
 	r.sentAcked = 0
+	r.replied = 0
+	r.gap = gap{}
 	r.completedSet.reset()
 	r.watermark = 1
 }
@@ -757,8 +812,11 @@ func (r *rstream) fire(now time.Time) time.Time {
 		r.mu.Unlock()
 		return time.Time{}
 	}
+	window := r.lane.window()
 	switch {
-	case reached(r.lane.flushAt(r.opts.MaxBatchDelay), now), r.noteOwedLocked():
+	case reached(r.lane.flushAt(r.opts.MaxBatchDelay), now), r.noteOwedLocked(), reached(r.gap.due(window), now):
+		// An aged batch, owed progress or receipt, or a hole in the
+		// requests held that has aged unreported.
 		msg = r.buildReplyBatchLocked(false)
 	case reached(r.lane.resendAt(r.rtoLocked()), now):
 		// The sender's reply ack has stalled a full RTO with replies
@@ -784,7 +842,7 @@ func (r *rstream) fire(now time.Time) time.Time {
 	if breakNote == nil {
 		next = now // owed progress or receipt
 		if !r.noteOwedLocked() {
-			next = r.lane.nextDue(r.opts.MaxBatchDelay, r.rtoLocked())
+			next = earliest(r.lane.nextDue(r.opts.MaxBatchDelay, r.rtoLocked()), r.gap.due(window))
 		}
 	}
 	r.mu.Unlock()

@@ -43,7 +43,8 @@ func (a *Agent) Stream(recvNode, group string) *Stream {
 // is detected by the gen snapshot it carries and fails loudly instead of
 // silently aliasing a newer call.
 type pendingCall struct {
-	mode Mode
+	mode  Mode
+	chain bool // a chain's origin: its reply comes with the chain's resolution
 
 	// Claim instrumentation, inherited from the stream at creation: sm is
 	// nil when metrics are disabled, and clk is only read when sm is set.
@@ -245,6 +246,7 @@ func (p Pending) Release() {
 	c.outcome = Outcome{}
 	c.resolved.Store(false)
 	c.done = nil
+	c.chain = false
 	c.sm = nil
 	c.clk = nil
 	c.enqAt = time.Time{}
@@ -299,6 +301,10 @@ type Stream struct {
 	// receiver re-sends on silence, so a live sender answers it.
 	lastAckedReplies uint64
 	reack            bool
+
+	// gap is what the stream holds of the reply lane past its ack, for its
+	// batches to report (lane.go).
+	gap gap
 
 	// recvEpoch is the boot epoch of the receiving end we have been
 	// talking to (0 = none seen yet this incarnation). A different epoch
@@ -494,6 +500,7 @@ func (s *Stream) enqueue(ctx context.Context, r Req, stages []PipeStage, w *pipe
 			cont = encodePipeCont(pipeRef{s.key, inc, seq}, stages, &s.peer.arena)
 		}
 		p = newPending(seq, mode, s.peer.sm, s.peer.clk)
+		p.c.chain = len(stages) > 0
 		s.pending.put(seq, p)
 	}
 	// Seq assignment, the ring insert and the batch append happen in one
@@ -557,7 +564,7 @@ func (s *Stream) Flush() {
 	// The retransmission timer restarted: fire looks after it, and after
 	// the probe it may owe once the batch is acked.
 	s.peer.arm(&s.due, s.lane.resendAt(s.rtoLocked()), now)
-	hdr := s.batchLocked(batch)
+	hdr := s.batchLocked(batch, now)
 	window := s.nextSeq - s.nextResolve // unresolved calls outstanding
 	// Only this first transmission may build the message in the call's own
 	// buffer (a lone big call; see frame.go). Retransmissions re-encode
@@ -595,12 +602,13 @@ func (s *Stream) fireAge(now time.Time) time.Time {
 	return time.Time{}
 }
 
-// batchLocked returns the header of a request batch carrying reqs and the
-// current reply ack, which it records as transmitted. Caller holds s.mu.
-func (s *Stream) batchLocked(reqs []request) requestBatch {
+// batchLocked returns the header of a request batch carrying reqs, sent
+// at now, and the current reply ack, which it records as transmitted,
+// with the report of a hole above it that is owed one. Caller holds s.mu.
+func (s *Stream) batchLocked(reqs []request, now time.Time) requestBatch {
 	s.lastAckedReplies, s.reack = s.nextResolve-1, false
 	return requestBatch{Agent: s.key.agent, Group: s.key.group, Incarnation: s.incarnation,
-		AckRepliesThrough: s.lastAckedReplies, Requests: reqs}
+		AckRepliesThrough: s.lastAckedReplies, Held: s.gap.report(s.lane.window(), now), Requests: reqs}
 }
 
 // Synch flushes the stream and waits until every call made so far has
@@ -738,6 +746,7 @@ func (s *Stream) reincarnateLocked() {
 	s.boundarySeq = 1
 	s.lastExcSeq = 0
 	s.lastAckedReplies, s.reack = 0, false
+	s.gap = gap{}
 	s.broken = false
 	s.breakErr = nil
 	s.recvEpoch = 0
@@ -802,7 +811,6 @@ func (s *Stream) handleReplyBatch(b *replyBatch) {
 		s.sendNote(note)
 		return
 	}
-	defer s.mu.Unlock()
 	acked := !s.ackRepliesOwedLocked()
 	s.recvEpoch = b.Epoch
 	// Hearing anything valid from the receiver is progress: the link and
@@ -810,7 +818,7 @@ func (s *Stream) handleReplyBatch(b *replyBatch) {
 	now := s.peer.clk.Now()
 	s.lastProgressAt = now
 	s.lane.retries = 0
-	s.lane.ack(b.AckRequestsThrough, now) // drops what the receiver holds
+	advanced := s.lane.ack(b.AckRequestsThrough, now) // drops what the receiver holds
 	// Admission credit only ever moves forward within an incarnation, so
 	// taking the max makes reordered reply batches harmless.
 	if b.Credit > s.grantThrough {
@@ -829,15 +837,83 @@ func (s *Stream) handleReplyBatch(b *replyBatch) {
 			s.reack = true
 		} else if r.Seq < s.nextSeq {
 			s.heldReplies.put(r.Seq, r.Outcome)
+			s.gap.hold(r.Seq)
 			// A ~pipe send's watch ends on its own reply, so no chain's
 			// custody waits on another's.
 			s.resolveWatchLocked(r.Seq, r.Outcome)
 		}
 	}
 	s.drainResolvableLocked()
-	if acked && s.ackRepliesOwedLocked() {
-		s.peer.arm(&s.due, now, now) // a pure ack, unless a batch carries it first
+	s.gap.note(s.nextResolve-1, s.replyOwedLocked(), now)
+	// The receiver reports a hole in the requests it holds: re-send it. So
+	// does an ack that, after a timeout, stops short of what was sent
+	// before the timeout's re-send.
+	var below uint64
+	partial := false
+	if b.Held != 0 && b.AckRequestsThrough == s.lane.acked {
+		below = b.AckRequestsThrough + b.Held
 	}
+	if advanced && s.lane.recover != 0 && s.lane.recover+1 > below {
+		below, partial = s.lane.recover+1, true
+	}
+	var msg []byte
+	if reqs := s.lane.mend(now, s.opts.MaxBatch, below); len(reqs) > 0 {
+		msg = encodeRequestBatch(s.batchLocked(reqs, now), &s.peer.arena)
+		if sm := s.peer.sm; sm != nil {
+			sm.batchesSent.Inc()
+			sm.retransmits.Inc()
+			sm.batchBytes.Observe(uint64(len(msg)))
+			if !partial {
+				sm.holeResends.Inc()
+			}
+		}
+		if s.peer.tracing() {
+			detail := trace.HoleDetail(len(reqs))
+			if partial {
+				detail = trace.PartialDetail(len(reqs))
+			}
+			s.peer.emit(trace.BatchSent, s.keyStr, reqs[0].Seq, 0, detail)
+		}
+	} else if reached(s.gap.due(s.lane.window()), now) {
+		msg = s.reportLocked(now) // a hole of ours has aged: report it now
+	}
+	if msg == nil && acked && s.ackRepliesOwedLocked() {
+		s.peer.arm(&s.due, now, now) // a pure ack, unless a batch carries it first
+	} else if due := s.gap.due(s.lane.window()); !due.IsZero() {
+		s.peer.arm(&s.due, due, now)
+	}
+	s.mu.Unlock()
+	if msg != nil {
+		s.peer.transmit(s.key.recvNode, msg)
+	}
+}
+
+// replyOwedLocked reports whether the call at nextResolve owes its reply
+// now: the receiver has completed it, and it is not a chain's origin,
+// whose reply comes with the chain's resolution. Only then is a reply
+// held past it a hole. Caller holds s.mu.
+func (s *Stream) replyOwedLocked() bool {
+	if s.nextResolve > s.completedThrough {
+		return false
+	}
+	p, ok := s.pending.get(s.nextResolve)
+	return !ok || !p.c.chain
+}
+
+// reportLocked returns a pure ack: a batch with no requests that acks the
+// replies resolved so far and reports the hole above them, if one is
+// owed. The receiver answers it only with the hole's re-send. Caller
+// holds s.mu.
+func (s *Stream) reportLocked(now time.Time) []byte {
+	msg := encodeRequestBatch(s.batchLocked(nil, now), &s.peer.arena)
+	if sm := s.peer.sm; sm != nil {
+		sm.batchesSent.Inc()
+		sm.acks.Inc()
+	}
+	if s.peer.tracing() {
+		s.peer.emit(trace.BatchSent, s.keyStr, 0, 0, "ack")
+	}
+	return msg
 }
 
 // drainResolvableLocked resolves pendings in seq order: an individually
@@ -929,7 +1005,7 @@ func (s *Stream) fire(now time.Time) time.Time {
 	case resend:
 		s.lane.backOff()
 		reqs := s.lane.resend(now, s.opts.MaxBatch)
-		toSend = encodeRequestBatch(s.batchLocked(reqs), &s.peer.arena)
+		toSend = encodeRequestBatch(s.batchLocked(reqs, now), &s.peer.arena)
 		if sm != nil {
 			sm.batchesSent.Inc()
 			sm.retransmits.Inc()
@@ -940,7 +1016,7 @@ func (s *Stream) fire(now time.Time) time.Time {
 		}
 	case probe:
 		s.lastProgressAt = now // pace probes one RTO apart
-		b := s.batchLocked(nil)
+		b := s.batchLocked(nil, now)
 		b.Probe = s.nextSeq - uint64(s.lane.unsent)
 		toSend = encodeRequestBatch(b, &s.peer.arena)
 		if sm != nil {
@@ -950,16 +1026,10 @@ func (s *Stream) fire(now time.Time) time.Time {
 		if s.peer.tracing() {
 			s.peer.emit(trace.BatchSent, s.keyStr, 0, 0, "probe")
 		}
-	case s.ackRepliesOwedLocked():
-		// Pure ack so the receiver can release retained replies.
-		toSend = encodeRequestBatch(s.batchLocked(nil), &s.peer.arena)
-		if sm != nil {
-			sm.batchesSent.Inc()
-			sm.acks.Inc()
-		}
-		if s.peer.tracing() {
-			s.peer.emit(trace.BatchSent, s.keyStr, 0, 0, "ack")
-		}
+	case s.ackRepliesOwedLocked(), reached(s.gap.due(s.lane.window()), now):
+		// Pure ack so the receiver can release retained replies, or a
+		// hole in the replies held that has aged unreported.
+		toSend = s.reportLocked(now)
 	}
 	next := s.nextDueLocked(now)
 	s.mu.Unlock()
@@ -970,9 +1040,10 @@ func (s *Stream) fire(now time.Time) time.Time {
 }
 
 // nextDueLocked returns when fire next has work, as seen at now: now for
-// an owed pure ack, else the earlier of the lane's retransmission and,
-// with calls outstanding, a probe, which fire looks at again an RTO on
-// once it held one back; zero for nothing. Caller holds s.mu.
+// an owed pure ack, else the earliest of the lane's retransmission, the
+// report of a hole in the replies held and, with calls outstanding, a
+// probe, which fire looks at again an RTO on once it held one back; zero
+// for nothing. Caller holds s.mu.
 func (s *Stream) nextDueLocked(now time.Time) time.Time {
 	if s.ackRepliesOwedLocked() {
 		return now
@@ -983,7 +1054,7 @@ func (s *Stream) nextDueLocked(now time.Time) time.Time {
 			probe = now.Add(s.opts.RTO)
 		}
 	}
-	return earliest(probe, s.lane.resendAt(s.rtoLocked()))
+	return earliest(earliest(probe, s.lane.resendAt(s.rtoLocked())), s.gap.due(s.lane.window()))
 }
 
 // rtoLocked returns the request lane's retransmission timeout: the

@@ -185,8 +185,12 @@ type Options struct {
 	// and its ceiling. Each direction of a stream then measures its round
 	// trip and re-sends after SRTT + 4·RTTVAR (RFC 6298, Karn's rule), at
 	// least MaxBatchDelay and a tick, doubling the timeout on each
-	// re-send until a fresh measurement. Probes of a silent receiver stay
-	// RTO apart. Default 25ms.
+	// re-send until a fresh measurement. The timer is left to tail
+	// losses and lost re-sends: a hole the other end reports, or an ack
+	// that stops short after a timeout, is re-sent at once. Probes of a
+	// silent receiver stay RTO apart, and so do the re-sends of replies
+	// the sender cannot ack yet (an earlier call still runs). Default
+	// 25ms.
 	RTO time.Duration
 	// MaxRetries is how many retransmissions or probes met with silence
 	// are attempted before the system gives up and breaks the stream: the
@@ -289,8 +293,12 @@ type requestBatch struct {
 	Agent             string
 	Group             string
 	Incarnation       uint64
-	AckRepliesThrough uint64    // sender has resolved replies through this seq
-	Requests          []request // consecutive seqs; the wire carries only the first
+	AckRepliesThrough uint64 // sender has resolved replies through this seq
+	// Held is how far past AckRepliesThrough the sender holds replies,
+	// once the hole below has aged a reorder window (gap); 0 for no hole.
+	// The receiver re-sends the hole (lane.mend).
+	Held     uint64
+	Requests []request // consecutive seqs; the wire carries only the first
 	// Probe is what a batch with no requests says in place of a first
 	// seq: the sender's next unsent seq for a probe, which asks the
 	// receiver for an answer, or 0 for a pure ack, which does not.
@@ -304,11 +312,15 @@ type replyBatch struct {
 	Incarnation        uint64
 	Epoch              uint64 // boot epoch of the receiving end (crash detection)
 	AckRequestsThrough uint64 // receiver holds requests through this seq
-	CompletedThrough   uint64 // receiver has executed calls through this seq
-	Replies            []reply
+	// Held is how far past AckRequestsThrough the receiver holds requests,
+	// once the hole below has aged a reorder window (gap); 0 for no hole.
+	// The sender re-sends the hole (lane.mend).
+	Held             uint64
+	CompletedThrough uint64 // receiver has executed calls through this seq
+	Replies          []reply
 	// Credit is the admission grant: the receiver will accept request
 	// seqs through this value (its completed prefix plus recvWindow).
-	// The 9th top-level value; 0 advertises no credit, and a sender that
+	// The 10th top-level value; 0 advertises no credit, and a sender that
 	// has been granted none runs unbounded.
 	Credit uint64
 }
@@ -325,7 +337,7 @@ type breakMsg struct {
 }
 
 // hasConts reports whether any request carries a continuation chain, which
-// moves the whole batch to the 9-value header.
+// moves the whole batch to the 10-value header.
 func hasConts(reqs []request) bool {
 	for i := range reqs {
 		if reqs[i].Cont != nil {
@@ -336,11 +348,11 @@ func hasConts(reqs []request) bool {
 }
 
 // encodeRequestBatch writes a request batch (DESIGN.md §5): kind, agent,
-// group, incarnation, reply ack, the first request's seq, the
-// [port, mode, args] tuples and their causal contexts as one list of
-// flattened (root, parent) pairs. That is 8 values. When any request
-// carries a continuation chain a 9th follows: one continuation blob per
-// request, empty for the plain ones.
+// group, incarnation, reply ack, how far past it replies are held, the
+// first request's seq, the [port, mode, args] tuples and their causal
+// contexts as one list of flattened (root, parent) pairs. That is 9
+// values. When any request carries a continuation chain a 10th follows:
+// one continuation blob per request, empty for the plain ones.
 //
 // The message is built once, in a buffer of exactly its size carved from
 // the sending peer's marshal arena a (the sum below mirrors the three
@@ -356,7 +368,8 @@ func encodeRequestBatch(b requestBatch, a *arena) []byte {
 		first = b.Requests[0].Seq
 	}
 	size := 1 + 2 + wire.SizeBlob(len(b.Agent)) + wire.SizeBlob(len(b.Group)) +
-		wire.SizeInt(int64(b.Incarnation)) + wire.SizeInt(int64(b.AckRepliesThrough)) + wire.SizeInt(int64(first)) +
+		wire.SizeInt(int64(b.Incarnation)) + wire.SizeInt(int64(b.AckRepliesThrough)) +
+		wire.SizeInt(int64(b.Held)) + wire.SizeInt(int64(first)) +
 		wire.SizeCount(n) + wire.SizeCount(2*n) + 4*n // two lists; a tuple header and a mode per request
 	if conts {
 		size += wire.SizeCount(n)
@@ -380,9 +393,9 @@ func encodeRequestBatch(b requestBatch, a *arena) []byte {
 // appendRequestsOpen appends a request batch up to the first request,
 // which is call first.
 func appendRequestsOpen(buf []byte, b *requestBatch, first uint64, conts bool) []byte {
-	hdr := 8
+	hdr := 9
 	if conts {
-		hdr = 9
+		hdr = 10
 	}
 	buf = wire.AppendHeader(buf, hdr)
 	buf = wire.AppendInt(buf, kindRequestBatch)
@@ -390,6 +403,7 @@ func appendRequestsOpen(buf []byte, b *requestBatch, first uint64, conts bool) [
 	buf = wire.AppendString(buf, b.Group)
 	buf = wire.AppendInt(buf, int64(b.Incarnation))
 	buf = wire.AppendInt(buf, int64(b.AckRepliesThrough))
+	buf = wire.AppendInt(buf, int64(b.Held))
 	buf = wire.AppendInt(buf, int64(first))
 	return wire.AppendList(buf, len(b.Requests))
 }
@@ -419,9 +433,10 @@ func appendRequestsClose(buf []byte, reqs []request, conts bool) []byte {
 	return buf
 }
 
-// encodeReplyBatch writes a reply batch (DESIGN.md §5), always 9 values:
-// kind, agent, group, incarnation, epoch, request ack, completed prefix,
-// the [seq, normal, excName, payload] tuples and the admission credit.
+// encodeReplyBatch writes a reply batch (DESIGN.md §5), always 10 values:
+// kind, agent, group, incarnation, epoch, request ack, how far past it
+// requests are held, completed prefix, the [seq, normal, excName,
+// payload] tuples and the admission credit.
 //
 // Built once at its exact size from the arena a, like a request batch;
 // frameReplyBatch (frame.go) is the in-place counterpart.
@@ -429,7 +444,7 @@ func encodeReplyBatch(b replyBatch, a *arena) []byte {
 	n := len(b.Replies)
 	size := 1 + 2 + wire.SizeBlob(len(b.Agent)) + wire.SizeBlob(len(b.Group)) +
 		wire.SizeInt(int64(b.Incarnation)) + wire.SizeInt(int64(b.Epoch)) +
-		wire.SizeInt(int64(b.AckRequestsThrough)) + wire.SizeInt(int64(b.CompletedThrough)) +
+		wire.SizeInt(int64(b.AckRequestsThrough)) + wire.SizeInt(int64(b.Held)) + wire.SizeInt(int64(b.CompletedThrough)) +
 		wire.SizeCount(n) + 3*n + wire.SizeInt(int64(b.Credit)) // a tuple header and a bool per reply
 	for i := range b.Replies {
 		r := &b.Replies[i]
@@ -445,13 +460,14 @@ func encodeReplyBatch(b replyBatch, a *arena) []byte {
 
 // appendRepliesOpen appends a reply batch up to the first reply.
 func appendRepliesOpen(buf []byte, b *replyBatch) []byte {
-	buf = wire.AppendHeader(buf, 9)
+	buf = wire.AppendHeader(buf, 10)
 	buf = wire.AppendInt(buf, kindReplyBatch)
 	buf = wire.AppendString(buf, b.Agent)
 	buf = wire.AppendString(buf, b.Group)
 	buf = wire.AppendInt(buf, int64(b.Incarnation))
 	buf = wire.AppendInt(buf, int64(b.Epoch))
 	buf = wire.AppendInt(buf, int64(b.AckRequestsThrough))
+	buf = wire.AppendInt(buf, int64(b.Held))
 	buf = wire.AppendInt(buf, int64(b.CompletedThrough))
 	return wire.AppendList(buf, len(b.Replies))
 }
@@ -582,19 +598,25 @@ func decodeMessage(payload []byte) (kind int64, rb *requestBatch, pb *replyBatch
 }
 
 // decodeRequests reads the rest of a request batch into b: the reply ack,
-// the first seq, the [port, mode, args] tuples, and the cause and (in a
-// 9-value batch) continuation lists, each exactly as long as the encoder
-// writes it. Request i is seq first+i, all of them in [1, MaxInt64]. Any
-// other shape is an error: there is one layout.
+// how far past it replies are held, the first seq, the [port, mode, args]
+// tuples, and the cause and (in a 10-value batch) continuation lists, each
+// exactly as long as the encoder writes it. Request i is seq first+i, all
+// of them in [1, MaxInt64]. Any other shape is an error: there is one
+// layout.
 func decodeRequests(d *wire.Decoder, b *requestBatch, nvals int) error {
-	if nvals != 8 && nvals != 9 {
-		return fmt.Errorf("stream: request batch has %d values, want 8 or 9", nvals)
+	if nvals != 9 && nvals != 10 {
+		return fmt.Errorf("stream: request batch has %d values, want 9 or 10", nvals)
 	}
 	ack, err := d.Int()
 	if err != nil {
 		return err
 	}
 	b.AckRepliesThrough = uint64(ack)
+	held, err := d.Int()
+	if err != nil {
+		return err
+	}
+	b.Held = uint64(held)
 	first, err := d.Int()
 	if err != nil {
 		return err
@@ -646,7 +668,7 @@ func decodeRequests(d *wire.Decoder, b *requestBatch, nvals int) error {
 		}
 		reqs[i].Root, reqs[i].Parent = uint64(root), uint64(parent)
 	}
-	if nvals == 8 {
+	if nvals == 9 {
 		return nil // no pipelined calls in this batch
 	}
 	if err := expectList(d, len(reqs)); err != nil {
@@ -674,11 +696,12 @@ func expectList(d *wire.Decoder, n int) error {
 }
 
 // decodeReplies reads the rest of a reply batch into b: epoch, request
-// ack, completed prefix, the [seq, normal, excName, payload] tuples and
-// the admission credit. A batch of other than 9 values is an error.
+// ack, how far past it requests are held, completed prefix, the [seq,
+// normal, excName, payload] tuples and the admission credit. A batch of
+// other than 10 values is an error.
 func decodeReplies(d *wire.Decoder, b *replyBatch, nvals int) error {
-	if nvals != 9 {
-		return fmt.Errorf("stream: reply batch has %d values, want 9", nvals)
+	if nvals != 10 {
+		return fmt.Errorf("stream: reply batch has %d values, want 10", nvals)
 	}
 	epoch, err := d.Int()
 	if err != nil {
@@ -690,6 +713,11 @@ func decodeReplies(d *wire.Decoder, b *replyBatch, nvals int) error {
 		return err
 	}
 	b.AckRequestsThrough = uint64(ack)
+	held, err := d.Int()
+	if err != nil {
+		return err
+	}
+	b.Held = uint64(held)
 	done, err := d.Int()
 	if err != nil {
 		return err

@@ -62,4 +62,17 @@ func BatchDetail(n int) string {
 // anomaly evidence, and the timeline reads the count before the space.
 func RetransmitDetail(n int) string { return fmt.Sprintf("n=%d"+retransmitSuffix, n) }
 
-const retransmitSuffix = " retransmit"
+// HoleDetail returns the "n=<count> hole" detail string for a request or
+// reply batch re-sent because the other end reported the hole it fills.
+func HoleDetail(n int) string { return fmt.Sprintf("n=%d"+holeSuffix, n) }
+
+// PartialDetail returns the "n=<count> partial" detail string for a
+// request batch re-sent because, after a timeout, an ack stopped short of
+// what had been sent before the timeout's re-send.
+func PartialDetail(n int) string { return fmt.Sprintf("n=%d"+partialSuffix, n) }
+
+const (
+	retransmitSuffix = " retransmit"
+	holeSuffix       = " hole"
+	partialSuffix    = " partial"
+)

@@ -64,14 +64,16 @@ func (r *Recorder) Record(e Event) {
 }
 
 // anomalyReason classifies an event as anomaly evidence: a broken
-// stream, a retransmitted request or reply batch, or an RTO-stall
-// probe. Returns "" for normal traffic. Allocation-free.
+// stream, a request or reply batch sent again (on a timeout, a hole
+// report or a partial ack), or an RTO-stall probe. Returns "" for normal
+// traffic. Allocation-free.
 func anomalyReason(e Event) string {
 	switch e.Kind {
 	case StreamBroken:
 		return "stream-broken"
 	case BatchSent, ReplyBatchSent:
-		if strings.HasSuffix(e.Detail, retransmitSuffix) {
+		if strings.HasSuffix(e.Detail, retransmitSuffix) || strings.HasSuffix(e.Detail, holeSuffix) ||
+			strings.HasSuffix(e.Detail, partialSuffix) {
 			return "retransmit"
 		}
 		if e.Detail == "probe" {
