@@ -15,12 +15,14 @@ import (
 // A sent item goes out again in one of three ways. The other side
 // reports a hole (mend): a batch of its says how far past its ack it
 // holds, so what lies below that was lost, and the head of it is re-sent
-// at once, once per hole (RACK, RFC 8985). After a timeout, an ack that
-// covers the re-sent head but stops short of what was sent before the
-// timeout shows the next hole, which is re-sent at once too (NewReno's
-// partial ack, RFC 6582 §3.2; the owner calls mend up to recover). And
-// the retransmission timer runs out (resend), which is left to tail
-// losses, lost re-sends and a silent other side.
+// at once, once per hole (RACK, RFC 8985). A duplicate request is such a
+// report too: the sender had not seen the ack when it re-sent, so the
+// reply lane re-sends the hole above that ack the same way. After a
+// timeout, an ack that covers the re-sent head but stops short of what
+// was sent before the timeout shows the next hole, which is re-sent at
+// once too (NewReno's partial ack, RFC 6582 §3.2; the owner calls mend up
+// to recover). And the retransmission timer runs out (resend), which is
+// left to tail losses, lost re-sends and a silent other side.
 //
 // The directions differ in goBackN. A go-back-N lane (requests) re-sends
 // the head of its sent prefix on a timeout, and its timer restarts at
@@ -35,7 +37,7 @@ import (
 // The timer runs for rto, which follows the measured round trip (RFC
 // 6298): one batch at a time is timed from the take that sends it to the
 // ack that covers it, and by Karn's rule a batch re-sent before its ack
-// gives no sample. Each firing doubles the timeout (backOff), and it stays
+// gives no sample. Each firing doubles the timeout (resend), and it stays
 // doubled until a fresh sample arrives, however often the other side
 // speaks meanwhile. A reply lane whose sent replies the other side cannot
 // ack yet (an earlier call still runs, or its chain is still in custody)
@@ -72,10 +74,6 @@ type lane[T any, P seqItem[T]] struct {
 	// for none. recover is, after a go-back-N timeout, the highest seq
 	// sent before its re-send, until an ack reaches it; zero otherwise.
 	mended, recover uint64
-
-	// lost is the owner's: the other side showed that it missed a
-	// transmission, so everything held goes out again at the next chance.
-	lost bool
 }
 
 // seqItem is what a lane holds, a request or a reply, known by its seq.
@@ -137,9 +135,10 @@ func (l *lane[T, P]) waits() bool { return len(l.items) > l.unsent && l.low <= l
 // items of a go-back-N lane's sent prefix, else everything held, which is
 // then all sent (a reply lane ignores head). That re-sends the hole above
 // the ack, and a go-back-N lane notes the highest seq it had sent for the
-// partial ack. Whatever was being timed gives no sample now (Karn's
-// rule). Like take's, the slice aliases the lane.
+// partial ack. The timeout doubles, and whatever was being timed gives no
+// sample now (Karn's rule). Like take's, the slice aliases the lane.
 func (l *lane[T, P]) resend(now time.Time, head int) []T {
+	l.backoff++
 	l.timer = now
 	l.timed = 0
 	l.mended = l.acked + 1
@@ -261,9 +260,6 @@ func (l *lane[T, P]) sample(r time.Duration) {
 	}
 	l.timed, l.backoff = 0, 0
 }
-
-// backOff doubles the timeout after a firing of the retransmission timer.
-func (l *lane[T, P]) backOff() { l.backoff++ }
 
 // rto returns the retransmission timeout: SRTT + 4·RTTVAR clamped to
 // [floor, ceil], or ceil before the first sample or while the sent prefix

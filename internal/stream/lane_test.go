@@ -85,6 +85,7 @@ func (r *refLane) take(now time.Time, ackable uint64) []uint64 {
 }
 
 func (r *refLane) resend(now time.Time) []uint64 {
+	r.backoff++ // each firing doubles the timeout
 	r.lastSend = now
 	r.timing = false // Karn: a re-sent batch gives no sample
 	r.holeResent, r.holeAck = true, r.acked
@@ -356,8 +357,6 @@ func runLaneModel[T any, P seqItem[T]](t testing.TB, goBackN bool, prog []byte, 
 					restart()
 					continue
 				}
-				l.backOff()
-				ref.backoff++
 				transmit("resend", l.resend(now, refHead), ref.resend(now))
 			}
 		case 5: // the other side's cumulative ack of what it got in order
@@ -535,7 +534,6 @@ func TestLaneKarnRule(t *testing.T) {
 	t0 := time.Unix(1000, 0)
 	l.push(laneRequest(1), t0)
 	l.take(t0, math.MaxUint64)
-	l.backOff()
 	l.resend(t0.Add(ceil), 16)
 	l.ack(1, t0.Add(ceil+time.Millisecond))
 	if l.srtt != 0 {
@@ -613,7 +611,6 @@ func TestLaneBackOffPersistsUntilSample(t *testing.T) {
 	l.push(laneRequest(2), t0)
 	l.take(t0, math.MaxUint64)
 	for i, want := range []time.Duration{6, 12, 24, 25, 25} {
-		l.backOff()
 		l.resend(t0, 16)
 		l.ack(1, t0) // the other side speaks, with nothing new to ack
 		l.retries = 0

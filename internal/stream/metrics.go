@@ -50,7 +50,7 @@ type streamMetrics struct {
 	replies         *metrics.Counter   // replies entered into the retained buffer
 	replyBatches    *metrics.Counter   // reply batches transmitted
 	replyBatchBytes *metrics.Histogram // encoded reply-batch size
-	replyResends    *metrics.Counter   // reply batches re-sent (timeout, duplicate requests, hole report)
+	replyResends    *metrics.Counter   // reply batches re-sent (timeout, hole report, a duplicate request's hole)
 	recvRTOFires    *metrics.Counter   // receiver ack-progress stalls past RTO
 
 	// Pipelining (epoch scheduler).

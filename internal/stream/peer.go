@@ -125,29 +125,23 @@ type dueEntry struct {
 // NewPeer creates the stream runtime on a transport endpoint and starts
 // its receive and timer loops. Clock and metrics registry are inherited
 // from the endpoint when it provides them (simnet nodes expose their
-// network's; tcpnet endpoints expose their config's) and the options did
-// not pin them.
+// network's; tcpnet endpoints expose their config's), the registry only
+// if the options did not pin one; the clock defaults to the real one.
 func NewPeer(ep transport.Endpoint, opts Options) *Peer {
 	ctx, cancel := context.WithCancel(context.Background())
 	opts = opts.withDefaults()
-	if opts.Clock == nil {
-		if cp, ok := ep.(transport.ClockProvider); ok {
-			opts.Clock = cp.Clock()
-		}
-		if opts.Clock == nil {
-			opts.Clock = clock.Real{}
-		}
+	var clk clock.Clock = clock.Real{}
+	if cp, ok := ep.(transport.ClockProvider); ok && cp.Clock() != nil {
+		clk = cp.Clock()
 	}
-	if opts.Metrics == nil {
-		if mp, ok := ep.(transport.MetricsProvider); ok {
-			opts.Metrics = mp.Metrics()
-		}
+	if mp, ok := ep.(transport.MetricsProvider); ok && opts.Metrics == nil {
+		opts.Metrics = mp.Metrics()
 	}
 	p := &Peer{
 		ep:        ep,
 		name:      ep.Name(),
 		opts:      opts,
-		clk:       opts.Clock,
+		clk:       clk,
 		sm:        newStreamMetrics(opts.Metrics),
 		agents:    make(map[string]*Agent),
 		sends:     make(map[streamKey]*Stream),

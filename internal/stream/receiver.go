@@ -3,6 +3,7 @@ package stream
 import (
 	"crypto/rand"
 	"encoding/binary"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -189,10 +190,10 @@ type rstream struct {
 	pipeWait seqRing[struct{}]
 
 	// Reply retention (lane.go): the replies executed and not yet acked by
-	// the sender. A normal flush transmits only the lane's unsent suffix;
-	// everything it holds is re-sent only on evidence of loss (duplicate
-	// requests) or an ack-progress stall (see fire), so reply traffic stays
-	// proportional to new work, not to the retained window.
+	// the sender. A normal flush transmits only the lane's unsent suffix,
+	// a reported hole (Held, or a duplicate request) the run above the
+	// ack, and an ack-progress stall (see fire) everything held, so reply
+	// traffic stays proportional to new work, not to the retained window.
 	lane          lane[reply, *reply]
 	sentCompleted uint64 // CompletedThrough value last transmitted
 	sentAcked     uint64 // AckRequestsThrough value last transmitted
@@ -298,13 +299,13 @@ func (r *rstream) handleRequestBatch(b *requestBatch) {
 	}
 
 	sm := r.peer.sm
-	expected, lost, dup := r.expected, r.lane.lost, false
+	expected, dup := r.expected, false
 	for _, req := range b.Requests {
 		switch {
 		case req.Seq < r.expected, r.oo.has(req.Seq):
-			// Duplicate of a request already received: our reply batch
-			// was probably lost; retransmit retained replies soon.
-			lost, dup = true, true
+			// Duplicate of a request already received: the sender had not
+			// seen our ack when it re-sent (see below).
+			dup = true
 			if sm != nil {
 				sm.duplicateReqs.Inc()
 			}
@@ -329,39 +330,43 @@ func (r *rstream) handleRequestBatch(b *requestBatch) {
 	if hand {
 		r.running = true
 	}
-	// Duplicate requests are evidence the sender missed replies, or our
-	// ack: only then does a flush re-send the full retained set, and with
-	// none held we answer with the ack, since the sender re-sends only the
-	// head of what it sent and would repeat the duplicate. A probe is the
-	// sender asking after our liveness; answer with progress — and
-	// whatever suffix is pending — so the sender knows this end is alive
-	// and which boot epoch it is talking to. So are requests whose batch
-	// acks a reply through a seq this end had not accepted: the sender
-	// heard it from another end, so this one was recreated by a crash, and
-	// the calls before the gap, acked by its predecessor, will never come;
-	// only our epoch tells the sender so. A pure ack asks nothing, unless
-	// it reports a hole in the replies the sender holds: that is re-sent
-	// at once. And a hole in the requests this end holds that has aged
-	// unreported is reported now (lane.go).
+	// A duplicate request is a hole report: we re-send the replies sent
+	// from the sender's ack plus one, once per ack (lane.mend), and with
+	// none to re-send we answer with the ack, since the sender re-sends
+	// only the head of what it sent and would repeat the duplicate. A
+	// probe is the sender asking after our liveness; answer with progress
+	// — and whatever suffix is pending — so the sender knows this end is
+	// alive and which boot epoch it is talking to. So are requests whose
+	// batch acks a reply through a seq this end had not accepted: the
+	// sender heard it from another end, so this one was recreated by a
+	// crash, and the calls before the gap, acked by its predecessor, will
+	// never come; only our epoch tells the sender so. A pure ack asks
+	// nothing, unless it reports a hole in the replies the sender holds:
+	// that is re-sent at once. And a hole in the requests this end holds
+	// that has aged unreported is reported now (lane.go).
 	var msg []byte
 	recreated := len(b.Requests) > 0 && b.AckRepliesThrough >= expected
-	if arrived := r.expected > expected; arrived || lost || recreated || b.Probe != 0 {
-		r.lane.lost = lost
-		if lost && len(r.lane.items) > 0 {
-			msg = r.buildReplyBatchLocked(true)
-			r.lane.lost = false
+	if arrived := r.expected > expected; arrived || dup || recreated || b.Probe != 0 {
+		var reps []reply
+		if dup {
+			reps = r.lane.mend(now, r.opts.MaxBatch, math.MaxUint64)
+		}
+		if len(reps) > 0 {
+			msg = r.replyBatchLocked(reps, now, whyRetransmit)
 		} else if dup || recreated || b.Probe != 0 {
-			msg = r.buildReplyBatchLocked(false)
+			msg = r.buildReplyBatchLocked()
 		}
 		if r.noteOwedLocked() {
 			r.peer.arm(&r.due, now, now)
 		}
 	}
 	if msg == nil && b.Held != 0 && b.AckRepliesThrough == r.lane.acked {
-		msg = r.mendRepliesLocked(now, b.AckRepliesThrough+b.Held)
+		if reps := r.lane.mend(now, r.opts.MaxBatch, b.AckRepliesThrough+b.Held); len(reps) > 0 {
+			msg = r.replyBatchLocked(reps, now, whyHole)
+		}
 	}
 	if due := r.gap.due(r.lane.window()); msg == nil && reached(due, now) {
-		msg = r.buildReplyBatchLocked(false)
+		msg = r.buildReplyBatchLocked()
 	} else if !due.IsZero() {
 		r.peer.arm(&r.due, due, now)
 	}
@@ -578,7 +583,7 @@ func (r *rstream) complete(inc, seq uint64, mode Mode, cause trace.Cause, o Outc
 	// call's arguments close the request batch (see frame.go).
 	flushNow := mode == ModeRPC || r.lane.unsent >= r.opts.MaxBatch || seq == r.breakAt || o.frame != nil
 	if flushNow && (r.lane.unsent > 0 || completed > r.sentCompleted) {
-		msg = r.buildReplyBatchLocked(false)
+		msg = r.buildReplyBatchLocked()
 	} else if !owed && r.noteOwedLocked() {
 		now := r.peer.clk.Now()
 		r.peer.arm(&r.due, now, now)
@@ -619,7 +624,7 @@ func (r *rstream) resolvePiped(inc, seq uint64, o Outcome) bool {
 	r.pipeWait.del(seq)
 	r.retainLocked(seq, o)
 	if r.lane.unsent >= r.opts.MaxBatch {
-		msg = r.buildReplyBatchLocked(false)
+		msg = r.buildReplyBatchLocked()
 	}
 	r.mu.Unlock()
 	if msg != nil {
@@ -633,7 +638,7 @@ func (r *rstream) flushReplies() {
 	var msg []byte
 	r.mu.Lock()
 	if !r.broken && !r.closed && r.lane.unsent > 0 {
-		msg = r.buildReplyBatchLocked(false)
+		msg = r.buildReplyBatchLocked()
 	}
 	r.mu.Unlock()
 	if msg != nil {
@@ -659,11 +664,10 @@ func (r *rstream) retainLocked(seq uint64, o Outcome) {
 }
 
 // buildReplyBatchLocked encodes a reply batch carrying current progress
-// and replies. A normal flush (retransmit=false) carries only the unsent
-// suffix of the retained replies — already-transmitted replies ride again
-// only when retransmit=true, i.e. on loss evidence (duplicate requests)
-// or an ack-progress stall in fire, or in a hole's re-send
-// (mendRepliesLocked). This keeps steady-state reply bytes
+// and the unsent suffix of the retained replies. Replies already sent
+// ride again only in a re-send: of a hole the sender reported, by a
+// report or a duplicate request, or of everything held after an
+// ack-progress stall (fire). This keeps steady-state reply bytes
 // proportional to new work instead of O(retained window) per flush.
 // Caller holds r.mu; the encoder reads the retained slice where it lies
 // (and is done with it before the lock is released), so no reply struct
@@ -671,29 +675,12 @@ func (r *rstream) retainLocked(seq uint64, o Outcome) {
 // results fill a page does not have its bytes copied either: the message
 // is built in the results' own buffer (frame.go), once — a
 // retransmission always re-encodes.
-func (r *rstream) buildReplyBatchLocked(retransmit bool) []byte {
+func (r *rstream) buildReplyBatchLocked() []byte {
 	now := r.peer.clk.Now()
 	if sm := r.peer.sm; sm != nil && r.lane.unsent > 0 {
 		sm.stageReplyWait.ObserveDuration(now.Sub(r.lane.opened))
 	}
-	if retransmit {
-		return r.replyBatchLocked(r.lane.resend(now, 0), now, trace.RetransmitDetail)
-	}
-	return r.replyBatchLocked(r.lane.take(now, r.ackableLocked()), now, nil)
-}
-
-// mendRepliesLocked encodes the re-send of the hole the sender reported
-// in the replies it holds, below seq below, or returns nil when there is
-// none to re-send (lane.mend). Caller holds r.mu.
-func (r *rstream) mendRepliesLocked(now time.Time, below uint64) []byte {
-	reps := r.lane.mend(now, r.opts.MaxBatch, below)
-	if len(reps) == 0 {
-		return nil
-	}
-	if sm := r.peer.sm; sm != nil {
-		sm.holeResends.Inc()
-	}
-	return r.replyBatchLocked(reps, now, trace.HoleDetail)
+	return r.replyBatchLocked(r.lane.take(now, r.ackableLocked()), now, whyFlush)
 }
 
 // ackableLocked returns the highest seq whose reply the sender can ack on
@@ -706,21 +693,16 @@ func (r *rstream) ackableLocked() uint64 {
 	return r.replied
 }
 
-// replyBatchLocked encodes a reply batch carrying reps, sent at now, with
-// the current progress and the report of a hole in the requests held
-// that is owed one. resent is nil for the unsent suffix, else the trace
-// detail of the re-send (trace.RetransmitDetail, trace.HoleDetail).
-// Caller holds r.mu.
-func (r *rstream) replyBatchLocked(reps []reply, now time.Time, resent func(int) string) []byte {
+// replyBatchLocked encodes a reply batch carrying reps, sent at now for
+// why (a flush, a retransmit or a hole), counted and traced, with the
+// current progress and the report of a hole in the requests held that is
+// owed one. Caller holds r.mu.
+func (r *rstream) replyBatchLocked(reps []reply, now time.Time, why sendWhy) []byte {
 	completed := r.completedThroughNow()
 	r.sentCompleted = completed
 	r.sentAcked = r.expected - 1
 	if r.peer.tracing() {
-		detail := trace.BatchDetail
-		if resent != nil {
-			detail = resent
-		}
-		r.peer.emit(trace.ReplyBatchSent, r.keyStr, completed, 0, detail(len(reps)))
+		r.peer.emit(trace.ReplyBatchSent, r.keyStr, completed, 0, whyDetail[why](len(reps)))
 	}
 	batch := replyBatch{
 		Agent:              r.key.agent,
@@ -737,7 +719,7 @@ func (r *rstream) replyBatchLocked(reps []reply, now time.Time, resent func(int)
 		Credit: completed + recvWindow,
 	}
 	var msg []byte
-	if resent == nil {
+	if why == whyFlush {
 		msg = frameReplyBatch(batch)
 	}
 	if msg == nil {
@@ -748,8 +730,11 @@ func (r *rstream) replyBatchLocked(reps []reply, now time.Time, resent func(int)
 	if sm := r.peer.sm; sm != nil {
 		sm.replyBatches.Inc()
 		sm.replyBatchBytes.Observe(uint64(len(msg)))
-		if resent != nil {
+		if why != whyFlush {
 			sm.replyResends.Inc()
+		}
+		if why == whyHole {
+			sm.holeResends.Inc()
 		}
 	}
 	return msg
@@ -817,16 +802,17 @@ func (r *rstream) fire(now time.Time) time.Time {
 	case reached(r.lane.flushAt(r.opts.MaxBatchDelay), now), r.noteOwedLocked(), reached(r.gap.due(window), now):
 		// An aged batch, owed progress or receipt, or a hole in the
 		// requests held that has aged unreported.
-		msg = r.buildReplyBatchLocked(false)
+		msg = r.buildReplyBatchLocked()
 	case reached(r.lane.resendAt(r.rtoLocked()), now):
 		// The sender's reply ack has stalled a full RTO with replies
 		// retained: some reply batch (which also carried our request ack)
 		// was lost, or the sender cannot reach us. Re-send everything
 		// retained, each re-send doubling the wait before the next. This is
-		// the only path — besides duplicate-request evidence — that re-sends
-		// already-transmitted replies. A live sender answers even when it
-		// cannot ack yet (Stream.reack), so only re-sends met with silence
-		// add up to a break.
+		// the only path that re-sends everything held; a reported hole, or
+		// a duplicate request, re-sends only the run above the sender's
+		// ack. A live sender answers even when it cannot ack yet
+		// (Stream.reack), so only re-sends met with silence add up to a
+		// break.
 		if sm := r.peer.sm; sm != nil {
 			sm.recvRTOFires.Inc()
 		}
@@ -835,8 +821,10 @@ func (r *rstream) fire(now time.Time) time.Time {
 			// receiving side. Further calls will be discarded.
 			breakNote = r.breakLocked(exception.Unavailable("cannot communicate"))
 		} else {
-			r.lane.backOff()
-			msg = r.buildReplyBatchLocked(true)
+			if sm := r.peer.sm; sm != nil && r.lane.unsent > 0 { // the re-send carries the unsent suffix too
+				sm.stageReplyWait.ObserveDuration(now.Sub(r.lane.opened))
+			}
+			msg = r.replyBatchLocked(r.lane.resend(now, 0), now, whyRetransmit)
 		}
 	}
 	if breakNote == nil {

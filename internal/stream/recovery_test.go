@@ -1,6 +1,8 @@
 package stream
 
 import (
+	"context"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -262,5 +264,137 @@ func TestJitterWithoutLossResendsNothing(t *testing.T) {
 	}
 	if n := reg.Counter("stream_batches_sent_total").Value(); n < 64 {
 		t.Fatalf("only %d request batches sent: the test did not run", n)
+	}
+}
+
+// rawSender is a hand-written sending end: a node on a frozen virtual
+// clock that sends the request batches a test writes to a real receiving
+// peer, "server", and reads the reply batches it answers with. No timer
+// runs while the clock stands, so the receiver sends only what an arrival
+// makes it send.
+type rawSender struct {
+	t      *testing.T
+	node   *simnet.Node
+	reg    *metrics.Registry
+	server *Peer
+}
+
+func newRawSender(t *testing.T, opts Options, h Handler) rawSender {
+	t.Helper()
+	reg := metrics.NewRegistry()
+	opts.Metrics = reg
+	n := simnet.New(simnet.Config{Clock: clock.NewVirtual()})
+	rs := rawSender{t: t, node: n.MustAddNode("client"), reg: reg, server: NewPeer(n.MustAddNode("server"), opts)}
+	rs.server.SetDispatcher(func(string) (Handler, bool) { return h, true })
+	t.Cleanup(func() {
+		rs.server.Close()
+		n.Close()
+	})
+	return rs
+}
+
+// send sends a request batch of incarnation 1 that acks replies through
+// ack, probes if probe is not zero, and carries calls seqs, a run, each
+// with its seq's low byte for argument.
+func (rs rawSender) send(ack, probe uint64, seqs ...uint64) {
+	rs.t.Helper()
+	b := requestBatch{Agent: "a1", Group: "g1", Incarnation: 1, AckRepliesThrough: ack, Probe: probe}
+	for _, q := range seqs {
+		b.Requests = append(b.Requests, request{Seq: q, Port: "p", Args: []byte{byte(q)}})
+	}
+	if err := rs.node.Send("server", encodeRequestBatch(b, nil)); err != nil {
+		rs.t.Fatal(err)
+	}
+}
+
+// recv returns the seqs of the replies the next reply batch carries.
+func (rs rawSender) recv() []uint64 {
+	rs.t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	for {
+		msg, err := rs.node.Recv(ctx)
+		if err != nil {
+			rs.t.Fatalf("no reply batch came: %v", err)
+		}
+		if _, _, pb, _, err := decodeMessage(msg.Payload); err == nil && pb != nil {
+			seqs := []uint64{}
+			for _, r := range pb.Replies {
+				seqs = append(seqs, r.Seq)
+			}
+			releaseReplyBatch(pb)
+			return seqs
+		}
+	}
+}
+
+// replyResends returns stream_reply_retransmits_total at the receiver.
+func (rs rawSender) replyResends() uint64 {
+	return rs.reg.Snapshot().Counters["stream_reply_retransmits_total"]
+}
+
+// TestStaleDuplicateResendsNothing: a duplicate request arrives while the
+// reply lane holds nothing, so there is nothing to re-send, and the
+// duplicate is answered with the ack. The calls then complete and their
+// replies are sent. A later batch with no duplicate, a pure ack of the
+// first reply while the second is in flight, must not re-send the second:
+// the duplicate said only that the sender had not seen the ack then.
+func TestStaleDuplicateResendsNothing(t *testing.T) {
+	gate, open := newGate(t)
+	rs := newRawSender(t, Options{MaxBatch: 1}, func(call *Incoming) Outcome {
+		if call.Seq == 1 {
+			<-gate
+		}
+		return NormalOutcome(call.Args)
+	})
+	rs.send(0, 0, 1, 2) // call 1 runs and holds; call 2 waits behind it
+	rs.send(0, 0, 1)    // a duplicate with no reply held
+	if got := rs.recv(); len(got) != 0 {
+		t.Fatalf("the duplicate was answered with replies %v while none was held", got)
+	}
+	open()
+	if got := append(rs.recv(), rs.recv()...); !slices.Equal(got, []uint64{1, 2}) {
+		t.Fatalf("the two calls' replies came as %v", got)
+	}
+	rs.send(1, 0) // the pure ack of reply 1: reply 2 is in flight
+	rs.send(1, 3) // a probe, whose answer follows whatever the ack drew
+	for got := rs.recv(); len(got) != 0; got = rs.recv() {
+		t.Errorf("reply batch re-sent %v after a duplicate-free batch", got)
+	}
+	if n := rs.replyResends(); n != 0 {
+		t.Errorf("stream_reply_retransmits_total = %d, want 0: the duplicate came while nothing was held", n)
+	}
+}
+
+// TestDuplicateResendsHoleOncePerAck: the receiver has sent three reply
+// batches of MaxBatch replies each, and the sender's ack stops at the
+// first. A duplicate request re-sends the hole above that ack, at most
+// MaxBatch replies from the ack plus one; a second duplicate at the same
+// ack re-sends nothing and is answered with the ack alone.
+func TestDuplicateResendsHoleOncePerAck(t *testing.T) {
+	const maxBatch = 4
+	rs := newRawSender(t, Options{MaxBatch: maxBatch}, echoHandler)
+	var seqs []uint64
+	for q := uint64(1); q <= 3*maxBatch; q++ {
+		seqs = append(seqs, q)
+	}
+	rs.send(0, 0, seqs...)
+	var got []uint64
+	for len(got) < len(seqs) {
+		got = append(got, rs.recv()...)
+	}
+	if !slices.Equal(got, seqs) {
+		t.Fatalf("replies came as %v, want %v", got, seqs)
+	}
+	rs.send(maxBatch, 0, 1) // a duplicate; the ack covers the first batch
+	if got := rs.recv(); !slices.Equal(got, []uint64{5, 6, 7, 8}) {
+		t.Errorf("the first duplicate re-sent %v, want the hole above the ack, replies 5-8", got)
+	}
+	rs.send(maxBatch, 0, 1) // the same duplicate at the same ack
+	if got := rs.recv(); len(got) != 0 {
+		t.Errorf("the second duplicate at the same ack re-sent %v, want the ack alone", got)
+	}
+	if n := rs.replyResends(); n != 1 {
+		t.Errorf("stream_reply_retransmits_total = %d, want 1", n)
 	}
 }

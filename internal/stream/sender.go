@@ -564,27 +564,13 @@ func (s *Stream) Flush() {
 	// The retransmission timer restarted: fire looks after it, and after
 	// the probe it may owe once the batch is acked.
 	s.peer.arm(&s.due, s.lane.resendAt(s.rtoLocked()), now)
-	hdr := s.batchLocked(batch, now)
-	window := s.nextSeq - s.nextResolve // unresolved calls outstanding
-	// Only this first transmission may build the message in the call's own
-	// buffer (a lone big call; see frame.go). Retransmissions re-encode
-	// from the lane's view of the arguments: by then the buffer belongs to
-	// the transport.
-	msg := frameRequestBatch(hdr)
-	if msg == nil {
-		msg = encodeRequestBatch(hdr, &s.peer.arena)
-	}
-	firstSeq, n := batch[0].Seq, len(batch)
+	msg := s.sendLocked(batch, now, whyFlush)
+	window, n := s.nextSeq-s.nextResolve, len(batch) // unresolved calls outstanding
 	s.mu.Unlock()
 	if sm := s.peer.sm; sm != nil {
-		sm.batchesSent.Inc()
 		sm.batchCalls.Observe(uint64(n))
-		sm.batchBytes.Observe(uint64(len(msg)))
 		sm.windowCalls.Observe(window)
 		sm.stageBatchWait.ObserveDuration(batchWait)
-	}
-	if s.peer.tracing() {
-		s.peer.emit(trace.BatchSent, s.keyStr, firstSeq, 0, trace.BatchDetail(n))
 	}
 	s.peer.transmit(s.key.recvNode, msg)
 }
@@ -602,13 +588,76 @@ func (s *Stream) fireAge(now time.Time) time.Time {
 	return time.Time{}
 }
 
-// batchLocked returns the header of a request batch carrying reqs, sent
-// at now, and the current reply ack, which it records as transmitted,
-// with the report of a hole above it that is owed one. Caller holds s.mu.
-func (s *Stream) batchLocked(reqs []request, now time.Time) requestBatch {
+// sendWhy says why a batch is sent: it picks the counters the batch moves
+// and the detail of its trace event.
+type sendWhy uint8
+
+const (
+	whyFlush      sendWhy = iota // the first transmission of the unsent suffix
+	whyRetransmit                // a timeout's re-send, or a duplicate's re-send of the hole
+	whyHole                      // the re-send of a hole the other end reported
+	whyPartial                   // the re-send that follows a partial ack, after a timeout
+	whyAck                       // a pure ack, and the report of a hole owed one
+	whyProbe                     // a liveness probe
+)
+
+// whyDetail gives the trace detail of a batch of n items sent for each why.
+var whyDetail = [...]func(n int) string{
+	whyFlush:      trace.BatchDetail,
+	whyRetransmit: trace.RetransmitDetail,
+	whyHole:       trace.HoleDetail,
+	whyPartial:    trace.PartialDetail,
+	whyAck:        func(int) string { return "ack" },
+	whyProbe:      func(int) string { return "probe" },
+}
+
+// sendLocked returns the request batch carrying reqs, sent at now for
+// why, counted and traced. It acks the replies resolved so far, which it
+// records as transmitted, and reports the hole above them if one is owed
+// a report; a probe names the first call not yet sent. Only a flush may
+// build the message in the call's own buffer (a lone big call; see
+// frame.go): a re-send re-encodes from the lane's view of the arguments,
+// since by then the buffer belongs to the transport. Caller holds s.mu,
+// and transmits the batch once it has let go.
+func (s *Stream) sendLocked(reqs []request, now time.Time, why sendWhy) []byte {
 	s.lastAckedReplies, s.reack = s.nextResolve-1, false
-	return requestBatch{Agent: s.key.agent, Group: s.key.group, Incarnation: s.incarnation,
+	b := requestBatch{Agent: s.key.agent, Group: s.key.group, Incarnation: s.incarnation,
 		AckRepliesThrough: s.lastAckedReplies, Held: s.gap.report(s.lane.window(), now), Requests: reqs}
+	var msg []byte
+	switch why {
+	case whyFlush:
+		msg = frameRequestBatch(b)
+	case whyProbe:
+		b.Probe = s.nextSeq - uint64(s.lane.unsent)
+	}
+	if msg == nil {
+		msg = encodeRequestBatch(b, &s.peer.arena)
+	}
+	if sm := s.peer.sm; sm != nil {
+		sm.batchesSent.Inc()
+		if len(reqs) > 0 {
+			sm.batchBytes.Observe(uint64(len(msg)))
+		}
+		switch why {
+		case whyHole:
+			sm.holeResends.Inc()
+			fallthrough
+		case whyRetransmit, whyPartial:
+			sm.retransmits.Inc()
+		case whyAck:
+			sm.acks.Inc()
+		case whyProbe:
+			sm.probes.Inc()
+		}
+	}
+	if s.peer.tracing() {
+		var first uint64
+		if len(reqs) > 0 {
+			first = reqs[0].Seq
+		}
+		s.peer.emit(trace.BatchSent, s.keyStr, first, 0, whyDetail[why](len(reqs)))
+	}
+	return msg
 }
 
 // Synch flushes the stream and waits until every call made so far has
@@ -848,34 +897,18 @@ func (s *Stream) handleReplyBatch(b *replyBatch) {
 	// The receiver reports a hole in the requests it holds: re-send it. So
 	// does an ack that, after a timeout, stops short of what was sent
 	// before the timeout's re-send.
-	var below uint64
-	partial := false
+	below, why := uint64(0), whyHole
 	if b.Held != 0 && b.AckRequestsThrough == s.lane.acked {
 		below = b.AckRequestsThrough + b.Held
 	}
 	if advanced && s.lane.recover != 0 && s.lane.recover+1 > below {
-		below, partial = s.lane.recover+1, true
+		below, why = s.lane.recover+1, whyPartial
 	}
 	var msg []byte
 	if reqs := s.lane.mend(now, s.opts.MaxBatch, below); len(reqs) > 0 {
-		msg = encodeRequestBatch(s.batchLocked(reqs, now), &s.peer.arena)
-		if sm := s.peer.sm; sm != nil {
-			sm.batchesSent.Inc()
-			sm.retransmits.Inc()
-			sm.batchBytes.Observe(uint64(len(msg)))
-			if !partial {
-				sm.holeResends.Inc()
-			}
-		}
-		if s.peer.tracing() {
-			detail := trace.HoleDetail(len(reqs))
-			if partial {
-				detail = trace.PartialDetail(len(reqs))
-			}
-			s.peer.emit(trace.BatchSent, s.keyStr, reqs[0].Seq, 0, detail)
-		}
+		msg = s.sendLocked(reqs, now, why)
 	} else if reached(s.gap.due(s.lane.window()), now) {
-		msg = s.reportLocked(now) // a hole of ours has aged: report it now
+		msg = s.sendLocked(nil, now, whyAck) // a hole of ours has aged: report it now
 	}
 	if msg == nil && acked && s.ackRepliesOwedLocked() {
 		s.peer.arm(&s.due, now, now) // a pure ack, unless a batch carries it first
@@ -898,22 +931,6 @@ func (s *Stream) replyOwedLocked() bool {
 	}
 	p, ok := s.pending.get(s.nextResolve)
 	return !ok || !p.c.chain
-}
-
-// reportLocked returns a pure ack: a batch with no requests that acks the
-// replies resolved so far and reports the hole above them, if one is
-// owed. The receiver answers it only with the hole's re-send. Caller
-// holds s.mu.
-func (s *Stream) reportLocked(now time.Time) []byte {
-	msg := encodeRequestBatch(s.batchLocked(nil, now), &s.peer.arena)
-	if sm := s.peer.sm; sm != nil {
-		sm.batchesSent.Inc()
-		sm.acks.Inc()
-	}
-	if s.peer.tracing() {
-		s.peer.emit(trace.BatchSent, s.keyStr, 0, 0, "ack")
-	}
-	return msg
 }
 
 // drainResolvableLocked resolves pendings in seq order: an individually
@@ -978,7 +995,6 @@ func (s *Stream) fire(now time.Time) time.Time {
 		s.mu.Unlock()
 		return time.Time{}
 	}
-	sm := s.peer.sm
 	// The open batch's age flush is fireAge's. Retransmission is
 	// go-back-N from the head: the first MaxBatch requests sent and not yet
 	// acked, as one batch, once the timer runs out (rtoLocked).
@@ -993,7 +1009,7 @@ func (s *Stream) fire(now time.Time) time.Time {
 	// are paced at Options.RTO: they ask after liveness, not after loss.
 	probe := resendAt.IsZero() && !s.ackRepliesOwedLocked() &&
 		s.nextResolve <= s.lane.acked && now.Sub(s.lastProgressAt) >= s.opts.RTO
-	if (resend || probe) && sm != nil {
+	if sm := s.peer.sm; sm != nil && (resend || probe) {
 		sm.rtoFires.Inc()
 	}
 	switch {
@@ -1003,33 +1019,15 @@ func (s *Stream) fire(now time.Time) time.Time {
 		s.sendNote(note)
 		return time.Time{}
 	case resend:
-		s.lane.backOff()
-		reqs := s.lane.resend(now, s.opts.MaxBatch)
-		toSend = encodeRequestBatch(s.batchLocked(reqs, now), &s.peer.arena)
-		if sm != nil {
-			sm.batchesSent.Inc()
-			sm.retransmits.Inc()
-			sm.batchBytes.Observe(uint64(len(toSend)))
-		}
-		if s.peer.tracing() {
-			s.peer.emit(trace.BatchSent, s.keyStr, reqs[0].Seq, 0, trace.RetransmitDetail(len(reqs)))
-		}
+		toSend = s.sendLocked(s.lane.resend(now, s.opts.MaxBatch), now, whyRetransmit)
 	case probe:
 		s.lastProgressAt = now // pace probes one RTO apart
-		b := s.batchLocked(nil, now)
-		b.Probe = s.nextSeq - uint64(s.lane.unsent)
-		toSend = encodeRequestBatch(b, &s.peer.arena)
-		if sm != nil {
-			sm.batchesSent.Inc()
-			sm.probes.Inc()
-		}
-		if s.peer.tracing() {
-			s.peer.emit(trace.BatchSent, s.keyStr, 0, 0, "probe")
-		}
+		toSend = s.sendLocked(nil, now, whyProbe)
 	case s.ackRepliesOwedLocked(), reached(s.gap.due(s.lane.window()), now):
 		// Pure ack so the receiver can release retained replies, or a
-		// hole in the replies held that has aged unreported.
-		toSend = s.reportLocked(now)
+		// hole in the replies held that has aged unreported. The receiver
+		// answers it only with the hole's re-send.
+		toSend = s.sendLocked(nil, now, whyAck)
 	}
 	next := s.nextDueLocked(now)
 	s.mu.Unlock()

@@ -2,10 +2,12 @@ package stream
 
 import (
 	"context"
+	"maps"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"promises/internal/clock"
 	"promises/internal/metrics"
 	"promises/internal/simnet"
 	"promises/internal/trace"
@@ -310,13 +312,85 @@ func TestAllocsStreamCallRoundTripWithTelemetry(t *testing.T) {
 
 // TestAllocsStreamMetricsUpdates pins the stream layer's own metric
 // update path — the resolved handles, not the registry lookup — at zero
-// allocations.
+// allocations. Then, on a bare stream of each end over the same handles,
+// each reason a batch is sent moves exactly its counters, once, and
+// traces its detail: every batch goes out through one function per end.
 func TestAllocsStreamMetricsUpdates(t *testing.T) {
-	sm := newStreamMetrics(metrics.NewRegistry())
-	requireAllocCeiling(t, 0, func() {
-		sm.callsEnqueued.Inc()
-		sm.batchCalls.Observe(4)
-		sm.batchBytes.Observe(512)
-		sm.claimWait.ObserveDuration(3 * time.Microsecond)
+	reg := metrics.NewRegistry()
+	sm := newStreamMetrics(reg)
+	t.Run("allocs", func(t *testing.T) {
+		requireAllocCeiling(t, 0, func() {
+			sm.callsEnqueued.Inc()
+			sm.batchCalls.Observe(4)
+			sm.batchBytes.Observe(512)
+			sm.claimWait.ObserveDuration(3 * time.Microsecond)
+		})
 	})
+
+	p := &Peer{sm: sm, clk: clock.NewVirtual()}
+	ring := trace.NewRing(64)
+	p.SetTracer(ring)
+	key, opts := streamKey{"client", "a1", "server", "g1"}, Options{}.withDefaults()
+	s, r := newStream(p, key, opts), newRStream(p, key, 1, opts)
+	reqs := []request{{Seq: 1, Port: "echo"}, {Seq: 2, Port: "echo"}}
+	reps := []reply{{Seq: 1, Outcome: NormalOutcome(nil)}, {Seq: 2, Outcome: NormalOutcome(nil)}}
+	const (
+		batches, bytes = "stream_batches_sent_total", "stream_batch_bytes"
+		replyBatches   = "stream_reply_batches_sent_total"
+		replyBytes     = "stream_reply_batch_bytes"
+		resends        = "stream_retransmits_total"
+		holes          = "stream_hole_resends_total"
+		replyResends   = "stream_reply_retransmits_total"
+	)
+	for _, c := range []struct {
+		reply  bool
+		why    sendWhy
+		n      int      // items carried
+		moved  []string // the counters and histograms one batch moves by one
+		detail string
+	}{
+		{false, whyFlush, 2, []string{batches, bytes}, "n=2"},
+		{false, whyRetransmit, 2, []string{batches, bytes, resends}, "n=2 retransmit"},
+		{false, whyHole, 2, []string{batches, bytes, resends, holes}, "n=2 hole"},
+		{false, whyPartial, 2, []string{batches, bytes, resends}, "n=2 partial"},
+		{false, whyAck, 0, []string{batches, "stream_acks_total"}, "ack"},
+		{false, whyProbe, 0, []string{batches, "stream_probes_total"}, "probe"},
+		{true, whyFlush, 2, []string{replyBatches, replyBytes}, "n=2"},
+		{true, whyRetransmit, 2, []string{replyBatches, replyBytes, replyResends}, "n=2 retransmit"},
+		{true, whyHole, 2, []string{replyBatches, replyBytes, replyResends, holes}, "n=2 hole"},
+	} {
+		before := reg.Snapshot()
+		now := p.clk.Now()
+		if c.reply {
+			r.mu.Lock()
+			r.replyBatchLocked(reps[:c.n], now, c.why)
+			r.mu.Unlock()
+		} else {
+			s.mu.Lock()
+			s.sendLocked(reqs[:c.n], now, c.why)
+			s.mu.Unlock()
+		}
+		after := reg.Snapshot()
+		moved := map[string]uint64{}
+		for name, v := range after.Counters {
+			if d := v - before.Counters[name]; d != 0 {
+				moved[name] = d
+			}
+		}
+		for name, h := range after.Histograms {
+			if d := h.Count - before.Histograms[name].Count; d != 0 {
+				moved[name] = d
+			}
+		}
+		want := map[string]uint64{}
+		for _, name := range c.moved {
+			want[name] = 1
+		}
+		if !maps.Equal(moved, want) {
+			t.Errorf("reply=%v why=%d moved %v, want %v", c.reply, c.why, moved, want)
+		}
+		if evs := ring.Events(); len(evs) == 0 || evs[len(evs)-1].Detail != c.detail {
+			t.Errorf("reply=%v why=%d traced %+v, want detail %q", c.reply, c.why, evs, c.detail)
+		}
+	}
 }

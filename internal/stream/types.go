@@ -62,7 +62,6 @@ import (
 	"sync"
 	"time"
 
-	"promises/internal/clock"
 	"promises/internal/exception"
 	"promises/internal/metrics"
 	"promises/internal/wire"
@@ -173,7 +172,9 @@ var ErrExceptionReply = exception.New("exception_reply")
 // and parallelism comes from using more streams (one agent per
 // concurrent activity), which run independently. Nor is there a flow
 // control knob: a sender always honours the admission credit its
-// receiver advertises (recvWindow calls past the completed prefix).
+// receiver advertises (recvWindow calls past the completed prefix). And
+// the clock is not an option: a peer keeps its endpoint's time (a simnet
+// node's is its network's clock; Peer.Clock), else the real clock.
 type Options struct {
 	// MaxBatch is the number of buffered calls (or replies) that forces a
 	// batch to be transmitted. Default 16. 1 disables batching.
@@ -199,15 +200,9 @@ type Options struct {
 	// that fell silent with calls unacked. Default 8. ("The system tries
 	// hard to deliver messages before breaking a stream.")
 	MaxRetries int
-	// Clock is the peer's time source: its deadline queue, RTO and
-	// batching-delay staleness, break timeouts, trace timestamps. Default:
-	// the clock of
-	// the simnet network the peer's node belongs to, so configuring a
-	// virtual clock on the network covers the stream layer too.
-	Clock clock.Clock
 	// Metrics is the registry the peer's protocol counters and histograms
 	// register into. Default: the registry of the simnet network the
-	// peer's node belongs to (inherited the same way as Clock). nil — no
+	// peer's node belongs to, as the endpoint provides it. nil — no
 	// network registry either — disables metrics at zero hot-path cost.
 	Metrics *metrics.Registry
 }
